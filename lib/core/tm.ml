@@ -23,11 +23,13 @@
    a *home partition* by its id (round-robin), so the append fast path
    touches only partition-local state; the LSN counter stays one process-
    wide instrumented atomic ({!Sim_atomic}), so a single global order over all records survives.
-   Recovery merges: analysis scans every partition (each rebuilding its
-   own transaction table), redo replays the union of records in global
-   LSN order (k-way merge by LSN across the partition streams), undo
-   walks each loser's back-chain within its home partition, and clearing
-   runs per partition.  The checkpoint clears settled transactions in
+   Recovery merges, reading the log once: analysis decodes every
+   partition into one stream in global LSN order (k-way merge by LSN
+   across the partition streams) and rebuilds each home partition's
+   transaction table from it, redo replays that stream, undo walks it
+   backwards (two-layer: each loser's back-chain within its home
+   partition) touching only losers' records, and clearing runs per
+   partition.  The checkpoint clears settled transactions in
    global LSN order with END records last *across* the merged set, which
    preserves the repeat-history invariant a crash mid-clearing depends
    on. *)
@@ -1136,10 +1138,51 @@ let part_span t prof name p f =
     Probe.span prof (Arena.stats t.arena) (Printf.sprintf "%s/p%d" name p.pid) f
   else f ()
 
-(* K-way merge of per-partition [(lsn, payload)] streams, each ascending
-   by LSN, into one globally ascending list.  The streams are small in
-   number (the partition count), so a linear scan of the heads per pop is
-   cheaper than a heap at this size. *)
+(* Checksum gate used by two-layer recovery before a tree-indexed record
+   is interpreted: plausibly addressed, then CRC-intact.  (One-layer logs
+   truncate torn records at attach, so every record they yield is
+   intact.) *)
+let record_intact t r =
+  r >= 0
+  && r land (Record.size_bytes - 1) = 0
+  && r + Record.size_bytes <= Arena.size t.arena
+  && Record.verify t.arena r
+
+(* One log record as recovery sees it.  Analysis reads every live record
+   exactly once into this form — its ref, LSN, transaction and type, plus,
+   for UPDATE/CLR under no-force, the address and new value that redo
+   replays (0 otherwise: under force there is no redo, and the only
+   payload undo needs is a loser's, which it reads from NVM with the rest
+   of that record).  Redo and undo walk these entries instead of
+   re-reading the log, so only a loser's records are ever read again. *)
+type entry = {
+  r : int;
+  lsn : int;
+  txn : txn;
+  typ : Record.typ;
+  addr : int;
+  value : int64;
+}
+
+let decode t ~payload r =
+  let lsn = Record.lsn t.arena r in
+  let txn = record_txn t r in
+  let typ = record_typ t r in
+  if payload && (typ = Record.Update || typ = Record.Clr) then
+    {
+      r;
+      lsn;
+      txn;
+      typ;
+      addr = Record.addr t.arena r;
+      value = Record.new_value t.arena r;
+    }
+  else { r; lsn; txn; typ; addr = 0; value = 0L }
+
+(* K-way merge of per-partition entry streams, each ascending by LSN,
+   into one globally ascending list.  The streams are small in number (the
+   partition count), so a linear scan of the heads per pop is cheaper than
+   a heap at this size. *)
 let merge_ascending streams =
   let n = Array.length streams in
   let out = ref [] in
@@ -1148,87 +1191,83 @@ let merge_ascending streams =
     let best = ref (-1) and best_lsn = ref max_int in
     for i = 0 to n - 1 do
       match streams.(i) with
-      | (l, _) :: _ when l < !best_lsn ->
+      | e :: _ when e.lsn < !best_lsn ->
           best := i;
-          best_lsn := l
+          best_lsn := e.lsn
       | _ -> ()
     done;
     if !best < 0 then exhausted := true
     else
       match streams.(!best) with
-      | entry :: rest ->
+      | e :: rest ->
           streams.(!best) <- rest;
-          out := entry :: !out
+          out := e :: !out
       | [] -> assert false
   done;
   List.rev !out
 
-(* One partition's live records as an ascending-by-LSN stream.  Append
-   order within a partition is *almost* LSN order — LSNs are fetched from
-   the global counter outside the latch, so two concurrent appends into
-   the same partition can land inverted — hence the per-stream sort
-   (cheap on nearly-sorted input) before the k-way merge relies on it. *)
-let part_stream t p =
+(* One partition's live records, decoded, as an ascending-by-LSN stream.
+   One-layer: the log in append order, which is *almost* LSN order — LSNs
+   are fetched from the global counter outside the latch, so two
+   concurrent appends into the same partition can land inverted — hence
+   the sort (cheap on nearly-sorted input) before the k-way merge relies
+   on it.  Two-layer: the AAVLT's in-order traversal; a record failing its
+   checksum is a torn write, reported to [on_torn] and dropped. *)
+let part_stream t ~payload ~on_torn p =
   let acc = ref [] in
-  Log.iter p.log (fun r -> acc := (Record.lsn t.arena r, r) :: !acc);
-  List.sort (fun (l1, _) (l2, _) -> compare l1 l2) !acc
+  (match p.index with
+  | None -> Log.iter p.log (fun r -> acc := decode t ~payload r :: !acc)
+  | Some idx ->
+      Avl_index.iter idx (fun n ->
+          let r = Avl_index.head_record idx n in
+          if record_intact t r then acc := decode t ~payload r :: !acc
+          else on_torn ()));
+  List.sort (fun a b -> compare a.lsn b.lsn) !acc
 
-(* The union of every partition's records in global LSN order — the
-   stream the merged redo pass replays.  Exposed for the property test
-   that merged redo order equals global LSN order. *)
+(* Every partition's decoded stream merged into global LSN order: the
+   stream analysis builds and redo and undo replay. *)
+let decoded_log t prof ~payload ~on_torn =
+  merge_ascending
+    (Array.map
+       (fun p ->
+         part_span t prof "analysis" p @@ fun () ->
+         part_stream t ~payload ~on_torn p)
+       t.parts)
+
 let merged_log_records t =
-  match t.cfg.layers with
-  | One_layer ->
-      List.map snd (merge_ascending (Array.map (part_stream t) t.parts))
-  | Two_layer ->
-      let streams =
-        Array.map
-          (fun p ->
-            match p.index with
-            | None -> []
-            | Some idx ->
-                let acc = ref [] in
-                Avl_index.iter idx (fun n ->
-                    let r = Avl_index.head_record idx n in
-                    acc := (Record.lsn t.arena r, r) :: !acc);
-                List.rev !acc)
-          t.parts
-      in
-      List.map snd (merge_ascending streams)
+  List.map
+    (fun e -> e.r)
+    (decoded_log t (Probe.create ()) ~payload:false ~on_torn:ignore)
 
-(* Analysis for one-layer logging: reconstruct each partition's
-   transaction table with a forward scan of that partition to the point
-   of failure (a transaction's records all live in its home partition).
-   The LSN and transaction-id high-water marks are global maxima over
-   every partition.  Returns (records scanned, transactions found
-   finished). *)
-let analysis_one_layer t prof =
-  let max_lsn = ref 0 and max_txn = ref 0 and scanned = ref 0 in
-  Array.iter
-    (fun p ->
-      part_span t prof "analysis" p @@ fun () ->
-      Txn_table.clear p.table;
-      Log.iter p.log (fun r ->
-          incr scanned;
-          let lsn = Record.lsn t.arena r in
-          if lsn > !max_lsn then max_lsn := lsn;
-          let x = record_txn t r in
-          if x > !max_txn then max_txn := x;
-          if x <> 0 then begin
-            let e = Txn_table.find_or_add p.table x in
-            e.Txn_table.last_record <- r;
-            match record_typ t r with
-            | Record.End -> e.Txn_table.status <- Txn_table.Finished
-            | Record.Rollback -> e.Txn_table.status <- Txn_table.Aborted
-            | Record.Prepare ->
-                e.Txn_table.status <- Txn_table.Prepared;
-                Hashtbl.replace t.prepared_gtids x
-                  (Int64.to_int (Record.old_value t.arena r))
-            | Record.Update | Record.Clr | Record.Delete | Record.Checkpoint
-              ->
-                ()
-          end))
-    t.parts;
+(* Analysis: decode every partition once into the merged stream and
+   rebuild each transaction's entry in its home partition's table (a
+   transaction's records all live in its home partition).  The LSN and
+   transaction-id high-water marks are global maxima over every
+   partition.  Returns the stream and the number of transactions found
+   finished. *)
+let analysis t prof ~on_torn =
+  Array.iter (fun p -> Txn_table.clear p.table) t.parts;
+  let stream =
+    decoded_log t prof ~payload:(t.cfg.policy = No_force) ~on_torn
+  in
+  let max_lsn = ref 0 and max_txn = ref 0 in
+  List.iter
+    (fun e ->
+      if e.lsn > !max_lsn then max_lsn := e.lsn;
+      if e.txn > !max_txn then max_txn := e.txn;
+      if e.txn <> 0 then begin
+        let te = Txn_table.find_or_add (home t e.txn).table e.txn in
+        te.Txn_table.last_record <- e.r;
+        match e.typ with
+        | Record.End -> te.Txn_table.status <- Txn_table.Finished
+        | Record.Rollback -> te.Txn_table.status <- Txn_table.Aborted
+        | Record.Prepare ->
+            te.Txn_table.status <- Txn_table.Prepared;
+            Hashtbl.replace t.prepared_gtids e.txn
+              (Int64.to_int (Record.old_value t.arena e.r))
+        | Record.Update | Record.Clr | Record.Delete | Record.Checkpoint -> ()
+      end)
+    stream;
   Sim_atomic.set t.next_lsn (!max_lsn + 1);
   reseed_txn_counters t !max_txn;
   let finished = ref 0 in
@@ -1237,79 +1276,77 @@ let analysis_one_layer t prof =
       Txn_table.iter p.table (fun e ->
           if e.Txn_table.status = Txn_table.Finished then incr finished))
     t.parts;
-  (!scanned, !finished)
+  (stream, !finished)
 
 (* Redo phase (no-force only): repeat history forward in *global* LSN
-   order — the k-way merge over the partition streams.  Replaying each
-   partition independently would be wrong the moment two transactions in
-   different partitions updated the same word: the replay order must be
-   the LSN order, which is cross-partition.  Physical redo is idempotent,
-   so a crash during recovery just restarts it.  Returns the number of
-   records re-applied. *)
-let redo_one_layer t =
-  let applied = ref 0 in
-  List.iter
-    (fun r ->
-      match record_typ t r with
+   order from the decoded stream — cached stores and nothing else.
+   Replaying each partition independently would be wrong the moment two
+   transactions in different partitions updated the same word: the replay
+   order must be the LSN order, which is cross-partition.  Physical redo
+   is idempotent, so a crash during recovery just restarts it.  Returns
+   the number of records re-applied. *)
+let redo t stream =
+  List.fold_left
+    (fun applied e ->
+      match e.typ with
       | Record.Update | Record.Clr ->
-          incr applied;
-          Arena.write t.arena (Record.addr t.arena r)
-            (Record.new_value t.arena r)
+          Arena.write t.arena e.addr e.value;
+          applied + 1
       | Record.End | Record.Checkpoint | Record.Delete | Record.Rollback
       | Record.Prepare ->
-          ())
-    (merged_log_records t);
-  !applied
+          applied)
+    0 stream
 
-(* Undo phase: Algorithm 2 — a single backward scan in descending global
-   LSN order (the reversed merge) undoing every unfinished transaction,
+(* One-layer undo: Algorithm 2 — a single backward walk of the decoded
+   stream (descending global LSN) undoing every unfinished transaction,
    tracking per-transaction CLR bounds so that already-undone updates are
-   skipped.  Each CLR lands in its transaction's home partition.  Returns
-   the number of losers. *)
-let undo_one_layer t =
+   skipped.  Only losers' records are read from NVM again.  Each CLR lands
+   in its transaction's home partition.  Returns the number of losers. *)
+let undo_one_layer t stream =
   let durably = t.cfg.policy = Force in
-  let undo_map : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  (* every transaction still running at the crash is aborted here, and
+     logs a ROLLBACK record below *)
   let to_mark_rollback = Hashtbl.create 16 in
-  let descending = List.rev (merged_log_records t) in
+  Array.iter
+    (fun p ->
+      Txn_table.iter p.table (fun e ->
+          if e.Txn_table.status = Txn_table.Running then begin
+            e.Txn_table.status <- Txn_table.Aborted;
+            Hashtbl.replace to_mark_rollback e.Txn_table.id ()
+          end))
+    t.parts;
+  let undo_map : (int, int) Hashtbl.t = Hashtbl.create 16 in
   List.iter
-    (fun r ->
-      let x = record_txn t r in
-      if x <> 0 then
-        let p = home t x in
-        match Txn_table.find p.table x with
-        | None -> ()
-        | Some e -> (
-            match e.Txn_table.status with
-            | Txn_table.Finished -> ()
-            | Txn_table.Prepared ->
-                (* in doubt: the transaction voted yes and may only be
-                   settled by [resolve_in_doubt] once the coordinator's
-                   decision is known — leave its records untouched *)
-                ()
-            | Txn_table.Running | Txn_table.Aborted -> (
-                if e.Txn_table.status = Txn_table.Running then begin
-                  e.Txn_table.status <- Txn_table.Aborted;
-                  Hashtbl.replace to_mark_rollback x ()
-                end;
-                match record_typ t r with
-                | Record.Clr ->
-                    Hashtbl.replace undo_map x (Record.undo_next t.arena r);
-                    if t.cfg.policy = Force then
-                      (* redo the CLR: covers a crash between the CLR and
-                         its user store *)
-                      Arena.nt_write t.arena (Record.addr t.arena r)
-                        (Record.new_value t.arena r)
-                | Record.Update ->
-                    let skip =
-                      match Hashtbl.find_opt undo_map x with
-                      | Some bound -> Record.lsn t.arena r >= bound
-                      | None -> false
-                    in
-                    if not skip then undo_one t p x r ~durably
-                | Record.End | Record.Checkpoint | Record.Delete
-                | Record.Rollback | Record.Prepare ->
-                    ())))
-    descending;
+    (fun e ->
+      if e.txn <> 0 then
+        let p = home t e.txn in
+        match Txn_table.find p.table e.txn with
+        | Some { Txn_table.status = Txn_table.Aborted; _ } -> (
+            match e.typ with
+            | Record.Clr ->
+                Hashtbl.replace undo_map e.txn (Record.undo_next t.arena e.r);
+                if durably then
+                  (* redo the CLR: covers a crash between the CLR and its
+                     user store *)
+                  Arena.nt_write t.arena (Record.addr t.arena e.r)
+                    (Record.new_value t.arena e.r)
+            | Record.Update ->
+                let skip =
+                  match Hashtbl.find_opt undo_map e.txn with
+                  | Some bound -> e.lsn >= bound
+                  | None -> false
+                in
+                if not skip then undo_one t p e.txn e.r ~durably
+            | Record.End | Record.Checkpoint | Record.Delete | Record.Rollback
+            | Record.Prepare ->
+                ())
+        | Some _ | None ->
+            (* finished, or in doubt: a prepared transaction voted yes and
+               may only be settled by [resolve_in_doubt] once the
+               coordinator's decision is known — leave its records
+               untouched *)
+            ())
+    (List.rev stream);
   (* END records for every transaction we just settled, appended to each
      loser's home partition; in-doubt transactions are not losers *)
   let losers = ref 0 in
@@ -1351,218 +1388,117 @@ let prune_in_doubt t =
   Hashtbl.reset t.prepared_gtids;
   Hashtbl.iter (Hashtbl.replace t.prepared_gtids) keep
 
-(* Checksum gate used by two-layer recovery before a tree-indexed record
-   is interpreted: plausibly addressed, then CRC-intact. *)
-let record_intact t r =
-  r >= 0
-  && r land (Record.size_bytes - 1) = 0
-  && r + Record.size_bytes <= Arena.size t.arena
-  && Record.verify t.arena r
+(* Two-layer undo: the AAVLTs are the durable transaction tables, so each
+   unfinished transaction's back-chain is walked within its home partition
+   with the Algorithm-2 CLR bound.  A chain walk stops at the first torn
+   link, reported to [on_torn].  Returns the number of losers. *)
+let undo_two_layer t ~on_torn =
+  let durably = t.cfg.policy = Force in
+  let total = ref 0 in
+  Array.iter
+    (fun p ->
+      match p.index with
+      | None -> ()
+      | Some idx ->
+          (* in-doubt (prepared) transactions are not losers: they stay
+             unsettled until [resolve_in_doubt] *)
+          let losers =
+            List.filter
+              (fun e -> e.Txn_table.status <> Txn_table.Prepared)
+              (Txn_table.unfinished p.table)
+          in
+          total := !total + List.length losers;
+          List.iter
+            (fun e ->
+              let x = e.Txn_table.id in
+              let head = e.Txn_table.last_record in
+              (* corner case: crash between the last CLR and its user
+                 store *)
+              (if
+                 t.cfg.policy = Force && head <> 0
+                 && record_typ t head = Record.Clr
+               then
+                 Arena.nt_write t.arena
+                   (Record.addr t.arena head)
+                   (Record.new_value t.arena head));
+              let bound = ref max_int in
+              let rec go r =
+                if r <> 0 then
+                  if not (record_intact t r) then
+                    (* torn link: the chain beyond it predates the tear
+                       and was settled by earlier groups — stop here *)
+                    on_torn ()
+                  else begin
+                    let next = Record.prev_same_txn t.arena r in
+                    (match record_typ t r with
+                    | Record.Clr -> bound := Record.undo_next t.arena r
+                    | Record.Update ->
+                        if Record.lsn t.arena r < !bound then begin
+                          ignore (Avl_index.find idx (Record.lsn t.arena r));
+                          undo_one t p x r ~durably
+                        end
+                    | Record.End | Record.Checkpoint | Record.Delete
+                    | Record.Rollback | Record.Prepare ->
+                        ());
+                    go next
+                  end
+              in
+              go head;
+              append_end t p x;
+              e.Txn_table.status <- Txn_table.Finished)
+            losers)
+    t.parts;
+  !total
 
-(* Two-layer analysis + undo: the AAVLTs *are* the durable transaction
-   tables, one per partition. *)
-(* Two-layer recovery: each partition's AAVLT in-order traversal is that
-   partition's LSN-ordered record stream; the k-way merge of the streams
-   is the *global* LSN order.  Analysis rebuilds each partition's
-   transaction table from the merged stream (each transaction's records
-   land in its home table); redo (no-force) repeats history in merged
-   LSN order; undo walks each unfinished transaction's chain within its
-   home partition with the Algorithm-2 CLR bound.  Records failing their
-   checksum are torn writes: they are dropped from analysis/redo, and a
-   chain walk stops at the first torn link. *)
-let recover_two_layer t prof =
-  let pstats = Arena.stats t.arena in
-  Array.iter (fun p -> Txn_table.clear p.table) t.parts;
-  let torn = ref 0 in
-  let count_torn () =
-    incr torn;
-    let s = Arena.stats t.arena in
-    s.Stats.torn_records <- s.Stats.torn_records + 1
-  in
-  (* analysis: per-partition in-order traversals, merged by LSN *)
-  let ascending, finished =
-    Probe.span prof pstats "analysis" @@ fun () ->
-    let streams =
-      Array.map
-        (fun p ->
-          part_span t prof "analysis" p @@ fun () ->
-          match p.index with
-          | None -> []
-          | Some idx ->
-              let descending = ref [] in
-              Avl_index.iter idx (fun n ->
-                  let r = Avl_index.head_record idx n in
-                  if record_intact t r then
-                    descending := (Record.lsn t.arena r, r) :: !descending
-                  else count_torn ());
-              List.rev !descending)
-        t.parts
-    in
-    let ascending = List.map snd (merge_ascending streams) in
-    let max_lsn = ref 0 and max_txn = ref 0 in
-    List.iter
-      (fun r ->
-        let l = Record.lsn t.arena r in
-        if l > !max_lsn then max_lsn := l;
-        let x = record_txn t r in
-        if x > !max_txn then max_txn := x;
-        if x <> 0 then begin
-          let e = Txn_table.find_or_add (home t x).table x in
-          e.Txn_table.last_record <- r;
-          match record_typ t r with
-          | Record.End -> e.Txn_table.status <- Txn_table.Finished
-          | Record.Rollback -> e.Txn_table.status <- Txn_table.Aborted
-          | Record.Prepare ->
-              e.Txn_table.status <- Txn_table.Prepared;
-              Hashtbl.replace t.prepared_gtids x
-                (Int64.to_int (Record.old_value t.arena r))
-          | Record.Update | Record.Clr | Record.Delete | Record.Checkpoint ->
-              ()
-        end)
-      ascending;
-    Sim_atomic.set t.next_lsn (!max_lsn + 1);
-    reseed_txn_counters t !max_txn;
-    let finished = ref 0 in
-    Array.iter
-      (fun p ->
-        Txn_table.iter p.table (fun e ->
-            if e.Txn_table.status = Txn_table.Finished then incr finished))
-      t.parts;
-    (ascending, !finished)
-  in
-  prune_in_doubt t;
-  (* redo (no-force only): repeat history in merged LSN order *)
-  let redo = ref 0 in
-  if t.cfg.policy = No_force then
-    Probe.span prof pstats "redo" (fun () ->
-        List.iter
-          (fun r ->
-            match record_typ t r with
-            | Record.Update | Record.Clr ->
-                incr redo;
-                Arena.write t.arena (Record.addr t.arena r)
-                  (Record.new_value t.arena r)
-            | Record.End | Record.Checkpoint | Record.Delete
-            | Record.Rollback | Record.Prepare ->
-                ())
-          ascending);
-  (* undo unfinished transactions via their back-chains, each within its
-     home partition *)
-  let n_losers =
-    Probe.span prof pstats "undo" @@ fun () ->
-    let durably = t.cfg.policy = Force in
-    let total = ref 0 in
-    Array.iter
-      (fun p ->
-        match p.index with
-        | None -> ()
-        | Some idx ->
-            (* in-doubt (prepared) transactions are not losers: they stay
-               unsettled until [resolve_in_doubt] *)
-            let losers =
-              List.filter
-                (fun e -> e.Txn_table.status <> Txn_table.Prepared)
-                (Txn_table.unfinished p.table)
-            in
-            total := !total + List.length losers;
-            List.iter
-              (fun e ->
-                let x = e.Txn_table.id in
-                let head = e.Txn_table.last_record in
-                (* corner case: crash between the last CLR and its user
-                   store *)
-                (if
-                   t.cfg.policy = Force && head <> 0
-                   && record_typ t head = Record.Clr
-                 then
-                   Arena.nt_write t.arena
-                     (Record.addr t.arena head)
-                     (Record.new_value t.arena head));
-                let bound = ref max_int in
-                let rec go r =
-                  if r <> 0 then
-                    if not (record_intact t r) then
-                      (* torn link: the chain beyond it predates the tear
-                         and was settled by earlier groups — stop here *)
-                      count_torn ()
-                    else begin
-                      let next = Record.prev_same_txn t.arena r in
-                      (match record_typ t r with
-                      | Record.Clr -> bound := Record.undo_next t.arena r
-                      | Record.Update ->
-                          if Record.lsn t.arena r < !bound then begin
-                            ignore (Avl_index.find idx (Record.lsn t.arena r));
-                            undo_one t p x r ~durably
-                          end
-                      | Record.End | Record.Checkpoint | Record.Delete
-                      | Record.Rollback | Record.Prepare ->
-                          ());
-                      go next
-                    end
+(* Two-layer index clearing, ahead of the shared log clearing. *)
+let clear_indexes t prof =
+  (* Make the redo/undo results durable *before* dropping records: a crash
+     here must still find the log able to repeat history. *)
+  Array.iter
+    (fun p ->
+      Log.flush_group p.log;
+      drain_deferred t p)
+    t.parts;
+  Arena.flush_all t.arena;
+  Arena.fence t.arena;
+  (* every transaction except the in-doubt set is settled: free the
+     settled records — wholesale (one atomic root swing per partition) when
+     nothing is in doubt, selectively otherwise, so that in-doubt chains
+     survive until [resolve_in_doubt].  Torn records leak, like every
+     volatile free list across a crash. *)
+  Array.iter
+    (fun p ->
+      part_span t prof "clearing" p @@ fun () ->
+      match p.index with
+      | None -> ()
+      | Some idx ->
+          if Hashtbl.length t.prepared_gtids = 0 then begin
+            let records = ref [] in
+            Avl_index.iter idx (fun n ->
+                let r = Avl_index.head_record idx n in
+                if record_intact t r then records := r :: !records);
+            Avl_index.clear idx;
+            List.iter (fun r -> Record.free t.alloc r) !records
+          end
+          else begin
+            let victims = ref [] in
+            Avl_index.iter idx (fun n ->
+                let r = Avl_index.head_record idx n in
+                let keep =
+                  record_intact t r
+                  && Hashtbl.mem t.prepared_gtids (record_txn t r)
                 in
-                go head;
-                append_end t p x;
-                e.Txn_table.status <- Txn_table.Finished)
-              losers)
-      t.parts;
-    !total
-  in
-  Probe.span prof pstats "clearing" (fun () ->
-      (* Make the redo/undo results durable *before* dropping records: a
-         crash here must still find the log able to repeat history. *)
-      Array.iter
-        (fun p ->
-          Log.flush_group p.log;
-          drain_deferred t p)
-        t.parts;
-      Arena.flush_all t.arena;
-      Arena.fence t.arena;
-      (* every transaction except the in-doubt set is settled: free the
-         settled records — wholesale (one atomic root swing per
-         partition) when nothing is in doubt, selectively otherwise, so
-         that in-doubt chains survive until [resolve_in_doubt].  Torn
-         records leak, like every volatile free list across a crash. *)
-      Array.iter
-        (fun p ->
-          part_span t prof "clearing" p @@ fun () ->
-          match p.index with
-          | None -> ()
-          | Some idx ->
-              if Hashtbl.length t.prepared_gtids = 0 then begin
-                let records = ref [] in
-                Avl_index.iter idx (fun n ->
-                    let r = Avl_index.head_record idx n in
-                    if record_intact t r then records := r :: !records);
-                Avl_index.clear idx;
-                List.iter (fun r -> Record.free t.alloc r) !records
-              end
-              else begin
-                let victims = ref [] in
-                Avl_index.iter idx (fun n ->
-                    let r = Avl_index.head_record idx n in
-                    let keep =
-                      record_intact t r
-                      && Hashtbl.mem t.prepared_gtids (record_txn t r)
-                    in
-                    if not keep then
-                      victims :=
-                        ( Avl_index.key idx n,
-                          if record_intact t r then r else 0 )
-                        :: !victims);
-                List.iter
-                  (fun (lsn, r) ->
-                    ignore (Avl_index.remove idx lsn);
-                    if r <> 0 then Record.free t.alloc r)
-                  !victims
-              end)
-        t.parts);
-  {
-    records_scanned = List.length ascending;
-    torn_truncated = !torn;
-    redo_applied = !redo;
-    txns_finished = finished;
-    txns_undone = n_losers;
-  }
+                if not keep then
+                  victims :=
+                    (Avl_index.key idx n, if record_intact t r then r else 0)
+                    :: !victims);
+            List.iter
+              (fun (lsn, r) ->
+                ignore (Avl_index.remove idx lsn);
+                if r <> 0 then Record.free t.alloc r)
+              !victims
+          end)
+    t.parts
 
 let clear_after_recovery t =
   (* Every transaction is settled except the in-doubt set; make the
@@ -1679,35 +1615,41 @@ let recover_with t prof =
       t.last_recovery_profile <- Some prof
   | None ->
   Hashtbl.reset t.prepared_gtids;
-  let report =
-    match t.cfg.layers with
-    | One_layer ->
-        let scanned, finished =
-          Probe.span prof pstats "analysis" (fun () ->
-              analysis_one_layer t prof)
-        in
-        prune_in_doubt t;
-        let redo =
-          if t.cfg.policy = No_force then
-            Probe.span prof pstats "redo" (fun () -> redo_one_layer t)
-          else 0
-        in
-        let undone =
-          Probe.span prof pstats "undo" (fun () -> undo_one_layer t)
-        in
-        {
-          records_scanned = scanned;
-          torn_truncated = torn_truncated_logs t;
-          redo_applied = redo;
-          txns_finished = finished;
-          txns_undone = undone;
-        }
-    | Two_layer ->
-        let r = recover_two_layer t prof in
-        (* the AAVLTs' internal logs may have truncated torn records too *)
-        { r with torn_truncated = r.torn_truncated + torn_truncated_logs t }
+  (* two-layer only: AAVLT-indexed records failing their checksum *)
+  let torn = ref 0 in
+  let on_torn () =
+    incr torn;
+    pstats.Stats.torn_records <- pstats.Stats.torn_records + 1
   in
-  Probe.span prof pstats "clearing" (fun () -> clear_after_recovery t);
+  let stream, finished =
+    Probe.span prof pstats "analysis" (fun () -> analysis t prof ~on_torn)
+  in
+  prune_in_doubt t;
+  let redo =
+    if t.cfg.policy = No_force then
+      Probe.span prof pstats "redo" (fun () -> redo t stream)
+    else 0
+  in
+  let undone =
+    Probe.span prof pstats "undo" (fun () ->
+        match t.cfg.layers with
+        | One_layer -> undo_one_layer t stream
+        | Two_layer -> undo_two_layer t ~on_torn)
+  in
+  let report =
+    {
+      records_scanned = List.length stream;
+      (* the logs (2L: the AAVLTs' internal logs) truncate torn records at
+         attach *)
+      torn_truncated = !torn + torn_truncated_logs t;
+      redo_applied = redo;
+      txns_finished = finished;
+      txns_undone = undone;
+    }
+  in
+  Probe.span prof pstats "clearing" (fun () ->
+      if t.cfg.layers = Two_layer then clear_indexes t prof;
+      clear_after_recovery t);
   Pmcheck.recovery_end t.arena;
   t.last_recovery <- Some report;
   t.last_recovery_profile <- Some prof

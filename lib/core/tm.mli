@@ -26,11 +26,13 @@
     partition's latch; appends in different partitions proceed in
     parallel.  LSNs still come from one process-wide atomic counter, so a
     single global order over all records survives, and recovery merges
-    the partitions: analysis scans each partition, redo replays the union
-    in global LSN order (a k-way merge by LSN over the partition
-    streams), undo walks each loser's back-chain within its home
-    partition, and {!checkpoint} clears settled transactions in global
-    LSN order (ENDs last) {e across} the merged set. *)
+    the partitions, reading the log once: analysis decodes each partition
+    into one stream in global LSN order (a k-way merge by LSN over the
+    partition streams), redo replays that stream, undo walks it backwards
+    (two-layer: each loser's back-chain within its home partition)
+    reading only losers' records, and {!checkpoint} clears settled
+    transactions in global LSN order (ENDs last) {e across} the merged
+    set. *)
 
 type policy = Force | No_force
 type layers = One_layer | Two_layer
@@ -109,8 +111,9 @@ val partition_appended : t -> int array
 
 val merged_log_records : t -> int list
 (** The union of every partition's live records merged into global LSN
-    order — the stream the redo pass replays.  Introspection for tests
-    (the merged-redo-order property). *)
+    order: the refs of the stream recovery's analysis decodes, and redo
+    and undo replay.  Introspection for tests (the merged-redo-order
+    property). *)
 
 (** {1 Transactions} *)
 

@@ -179,7 +179,71 @@ let test_recovery_scope (name, cfg) () =
   check_int (name ^ ": second undo, same fences") fe1 fe2
 
 (* ------------------------------------------------------------------ *)
-(* 4. Hot-path spans via [Tm.set_probe]                                *)
+(* 4. Single-pass recovery: redo and undo replay analysis's stream     *)
+(* ------------------------------------------------------------------ *)
+
+let single_pass_configs =
+  List.concat_map
+    (fun n ->
+      [
+        (Fmt.str "1l-nfp x%d" n, Rewind.with_partitions n Rewind.config_1l_nfp);
+        (Fmt.str "batch8 x%d" n, Rewind.with_partitions n (Rewind.config_batch ()));
+      ])
+    [ 1; 4 ]
+
+(* Committed transactions spread over every partition, optionally one
+   left in flight, then a power failure and reattach. *)
+let crash_and_recover ~in_flight cfg =
+  let arena = Arena.create ~size_bytes:(8 lsl 20) () in
+  let alloc = Alloc.create arena in
+  let tm = Tm.create ~cfg alloc ~root_slot in
+  let cells = Array.init 16 (fun _ -> Alloc.alloc alloc 8) in
+  for tno = 1 to 12 do
+    let t = Tm.begin_txn tm in
+    for i = 0 to 3 do
+      Tm.write tm t ~addr:cells.((tno + i) mod 16) ~value:(Int64.of_int tno)
+    done;
+    Tm.commit tm t
+  done;
+  if in_flight then begin
+    (* eight writes: a full Batch group, so its records are durable *)
+    let live = Tm.begin_txn tm in
+    for i = 0 to 7 do
+      Tm.write tm live ~addr:cells.(i) ~value:99L
+    done
+  end;
+  Arena.crash arena;
+  let tm = Tm.attach ~cfg (Alloc.recover arena) ~root_slot in
+  ( arena,
+    Option.get (Tm.last_recovery tm),
+    Option.get (Tm.last_recovery_profile tm) )
+
+(* Analysis decodes every record once; redo is then the cached stores
+   alone — no load, one [dram_write_ns] per re-applied record. *)
+let test_redo_replays_stream (name, cfg) () =
+  let arena, report, prof = crash_and_recover ~in_flight:true cfg in
+  let redo = Option.get (Probe.find prof "redo") in
+  check_bool (name ^ ": redo re-applied records") true
+    (report.Tm.redo_applied > 0);
+  check_int (name ^ ": redo loads nothing") 0 redo.Probe.stats.Stats.loads;
+  check_int
+    (name ^ ": redo costs one cached store per record")
+    (report.Tm.redo_applied * (Arena.config arena).Config.dram_write_ns)
+    redo.Probe.sim_ns;
+  check_int (name ^ ": the live transaction was undone") 1
+    report.Tm.txns_undone
+
+(* With no transaction in flight there is no loser, so undo reads and
+   writes nothing. *)
+let test_undo_without_losers (name, cfg) () =
+  let _, report, prof = crash_and_recover ~in_flight:false cfg in
+  let undo = Option.get (Probe.find prof "undo") in
+  check_int (name ^ ": nothing undone") 0 report.Tm.txns_undone;
+  check_int (name ^ ": undo took no simulated time") 0 undo.Probe.sim_ns;
+  check_int (name ^ ": undo loads nothing") 0 undo.Probe.stats.Stats.loads
+
+(* ------------------------------------------------------------------ *)
+(* 5. Hot-path spans via [Tm.set_probe]                                *)
 (* ------------------------------------------------------------------ *)
 
 let test_hot_path_probe () =
@@ -211,7 +275,7 @@ let test_hot_path_probe () =
   check_int "no span after detach" 5 commit.Probe.count
 
 (* ------------------------------------------------------------------ *)
-(* 5. Recovery-time benchmark plumbing                                 *)
+(* 6. Recovery-time benchmark plumbing                                 *)
 (* ------------------------------------------------------------------ *)
 
 let contains s sub =
@@ -279,6 +343,20 @@ let () =
       ( "recovery-scope",
         per_config "two cycles profile identically" `Quick test_recovery_scope
       );
+      ( "single-pass",
+        List.concat_map
+          (fun (cn, cfg) ->
+            [
+              Alcotest.test_case
+                (Fmt.str "redo replays the stream [%s]" cn)
+                `Quick
+                (test_redo_replays_stream (cn, cfg));
+              Alcotest.test_case
+                (Fmt.str "undo idle without losers [%s]" cn)
+                `Quick
+                (test_undo_without_losers (cn, cfg));
+            ])
+          single_pass_configs );
       ( "hot-path",
         [ Alcotest.test_case "commit/checkpoint spans" `Quick test_hot_path_probe ] );
       ( "bench",

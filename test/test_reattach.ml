@@ -13,7 +13,8 @@
       image must reach exactly the state an uninterrupted recovery
       reaches, including the in-doubt (prepared) transactions that
       recovery must preserve.  Swept at every persistence event of the
-      attach, across all six named configurations. *)
+      attach, across all six named configurations and two partitioned
+      ones. *)
 
 open Rewind_nvm
 open Rewind
@@ -31,6 +32,15 @@ let all_configs =
     ("2l-fp", Rewind.config_2l_fp);
     ("simple", Rewind.config_simple);
     ("batch4", Rewind.config_batch ~group:4 ());
+  ]
+
+(* Partitioned logs: recovery replays the k-way merge of the partitions'
+   streams, so a crash mid-recovery must leave every partition able to
+   repeat the merged history. *)
+let partitioned_configs =
+  [
+    ("1l-nfp x4", Rewind.with_partitions 4 Rewind.config_1l_nfp);
+    ("batch4 x2", Rewind.with_partitions 2 (Rewind.config_batch ~group:4 ()));
   ]
 
 let shadow_events arena =
@@ -219,5 +229,5 @@ let () =
               (Fmt.str "crash during recovery [%s]" cn)
               `Slow
               (test_recovery_idempotent (cn, cfg)))
-          all_configs );
+          (all_configs @ partitioned_configs) );
     ]
