@@ -69,14 +69,10 @@ let figures quick =
     ("ablation-lockfree", fun () -> emit (Figures.ablation_lockfree ()));
     ( "append",
       fun () ->
-        let results = Append_bench.run ~n_ops:(s 20_000 4_000) () in
-        Fmt.pr "@.== append: inline vs full-record log appends ==@.";
-        List.iter (fun r -> Fmt.pr "%a@." Append_bench.pp_result r) results;
-        let path = "BENCH_append.json" in
-        let oc = open_out path in
-        output_string oc (Append_bench.to_json results);
-        close_out oc;
-        Fmt.pr "# json: %s@." path );
+        let rows = Append_bench.run ~n_ops:(s 20_000 4_000) () in
+        Fmt.pr "@.== append: inline vs full-record log appends ==@.%a"
+          Bench_row.pp_table rows;
+        Bench_row.write_rows ~json:"BENCH_append.json" rows );
   ]
 
 (* ------------------------------------------------------------------ *)

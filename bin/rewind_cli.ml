@@ -2,8 +2,17 @@
 
      rewind figure fig7-left [--quick]     regenerate one figure
      rewind crash-demo [--config 1l-nfp]   crash/recovery walkthrough
-     rewind tpcc [--txns N]                TPC-C throughput comparison
-     rewind costs                          cost-model summary for the configs  *)
+     rewind tpcc [--json F]                open-loop TPC-C mix: tpmC, latency
+     rewind costs                          per-update cost of each config
+     rewind check [--enumerate|--races]    persistency sanitizer / race detector
+     rewind profile [--json F --prom F]    per-phase recovery profile
+     rewind scaling [--json F]             partitioned-log throughput
+     rewind benchdiff --baseline F --current F   regression gate
+     rewind 2pc [--enumerate|--json F]     distributed commit
+     rewind autotune                       configuration advisor
+
+   The bench subcommands print their rows as a table and write them with
+   {!Bench_row.write_rows}. *)
 
 open Cmdliner
 open Rewind_nvm
@@ -192,20 +201,15 @@ let crash_demo_cmd =
    from the log2 histogram.  (The closed-loop Figure 11 four-way
    comparison lives under `rewind figure fig11`.)  Exits nonzero if the
    database fails the mixed-workload consistency probes afterwards. *)
-let run_tpcc warehouses partitions rate txns json_path =
-  let open Rewind_benchlib in
-  let r =
+let run_tpcc warehouses partitions rate txns json =
+  let rows, consistent =
     Tpcc_bench.run ~warehouses ~partitions ~rate ~arrivals:txns ()
   in
-  Fmt.pr "%a@." Tpcc_bench.pp r;
-  (match json_path with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Tpcc_bench.to_json r);
-      close_out oc;
-      Fmt.pr "wrote %s@." path);
-  if not r.Tpcc_bench.consistent then begin
+  Fmt.pr
+    "open-loop TPC-C: %d warehouses, %d log partitions, %.0f txn/s offered@.%a"
+    warehouses partitions rate Bench_row.pp_table rows;
+  Bench_row.write_rows ?json rows;
+  if not consistent then begin
     Fmt.epr "@.consistency probes FAILED after the run@.";
     Stdlib.exit 1
   end
@@ -713,32 +717,17 @@ module Rbench = Rewind_benchlib.Recovery_bench
    recovery.  Emits a human table and, on request, BENCH_recovery.json and
    a Prometheus-style text file.  Exits nonzero if any recovery raised
    persistency violations — CI runs this on every push. *)
-let run_profile ops json_path prom_path =
+let run_profile ops json prom =
   let sizes = [ ops / 4; ops ] in
   let intervals = [ 0; 50 ] in
   Fmt.pr
     "recovery profile — per-phase simulated time and NVM attribution@.@.";
-  let results = Rbench.run ~sizes ~intervals () in
-  List.iter (fun r -> Fmt.pr "%a@." Rbench.pp_result r) results;
-  (match json_path with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Rbench.to_json results);
-      close_out oc;
-      Fmt.pr "wrote %s@." path);
-  (match prom_path with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Rbench.to_prometheus results);
-      close_out oc;
-      Fmt.pr "wrote %s@." path);
-  let violations =
-    List.fold_left (fun acc r -> acc + r.Rbench.sanitizer_violations) 0 results
-  in
-  if violations > 0 then begin
-    Fmt.epr "@.%d persistency violation(s) during recovery@." violations;
+  let rows = Rbench.run ~sizes ~intervals () in
+  Fmt.pr "%a" Bench_row.pp_table rows;
+  Bench_row.write_rows ?json ?prom rows;
+  let violations = Bench_row.total "sanitizer_violations" rows in
+  if violations > 0. then begin
+    Fmt.epr "@.%.0f persistency violation(s) during recovery@." violations;
     Stdlib.exit 1
   end
   else Fmt.pr "@.no persistency violations during recovery@."
@@ -776,21 +765,13 @@ let profile_cmd =
    1..N log partitions.  Emits BENCH_scaling.json for the CI gate and
    fails if the largest partition count does not reach --min-speedup over
    the single-partition latch. *)
-let run_scaling threads txns json_path min_speedup =
-  let results = Rewind_benchlib.Scaling_bench.run ~threads ~txns_per_thread:txns () in
-  Fmt.pr "partitioned-log scaling — %d simulated threads@.@." threads;
-  List.iter
-    (fun r -> Fmt.pr "  %a@." Rewind_benchlib.Scaling_bench.pp_result r)
-    results;
-  let speedup = Rewind_benchlib.Scaling_bench.speedup results in
+let run_scaling threads txns json min_speedup =
+  let rows = Scaling_bench.run ~threads ~txns_per_thread:txns () in
+  Fmt.pr "partitioned-log scaling — %d simulated threads@.@.%a" threads
+    Bench_row.pp_table rows;
+  let speedup = Scaling_bench.speedup rows in
   Fmt.pr "@.speedup (most vs fewest partitions): %.2fx@." speedup;
-  (match json_path with
-  | None -> ()
-  | Some path ->
-      let oc = open_out path in
-      output_string oc (Rewind_benchlib.Scaling_bench.to_json results);
-      close_out oc;
-      Fmt.pr "wrote %s@." path);
+  Bench_row.write_rows ?json rows;
   if speedup < min_speedup then begin
     Fmt.epr "@.speedup %.2fx below the required %.2fx@." speedup min_speedup;
     Stdlib.exit 1
@@ -837,7 +818,7 @@ let scaling_cmd =
    "the numbers got worse" from "the comparison never happened". *)
 let run_benchdiff baseline current tolerance =
   match
-    Rewind_benchlib.Benchdiff.compare_files ~tolerance ~baseline ~current
+    Benchdiff.compare_files ~tolerance ~baseline ~current
   with
   | Error msg ->
       Fmt.epr "benchdiff: %s@." msg;
@@ -845,7 +826,7 @@ let run_benchdiff baseline current tolerance =
   | Ok outcome ->
       Fmt.pr "comparing %s against baseline %s (tolerance %.0f%%)@." current
         baseline (100. *. tolerance);
-      Fmt.pr "%a" Rewind_benchlib.Benchdiff.pp_outcome outcome;
+      Fmt.pr "%a" Benchdiff.pp_outcome outcome;
       (* Gated metrics the baseline doesn't know about are ungated until
          the baseline is regenerated — warn loudly rather than pass them
          in silence. *)
@@ -855,8 +836,8 @@ let run_benchdiff baseline current tolerance =
             "benchdiff: WARNING: %s is gated but absent from the baseline — \
              regenerate and commit %s to gate it@."
             m baseline)
-        outcome.Rewind_benchlib.Benchdiff.new_metrics;
-      if not (Rewind_benchlib.Benchdiff.passed outcome) then Stdlib.exit 1
+        outcome.Benchdiff.new_metrics;
+      if not (Benchdiff.passed outcome) then Stdlib.exit 1
 
 let benchdiff_cmd =
   (* plain strings, not Arg.file: missing paths must reach our own
@@ -879,7 +860,7 @@ let benchdiff_cmd =
       & info [ "tolerance" ] ~docv:"FRAC"
           ~doc:
             "Allowed relative regression per metric (default 0.15).  A \
-             baseline leaf named <metric>_tolerance overrides it for that \
+             baseline metric's own tolerance field overrides it for that \
              one metric.")
   in
   Cmd.v
@@ -950,18 +931,15 @@ let run_2pc_demo nodes txns drop =
       Fmt.epr "recovery: INCONSISTENT — %s@." detail;
       Stdlib.exit 1
 
-let run_2pc nodes txns drop enumerate json_path =
-  (match json_path with
+let run_2pc nodes txns drop enumerate json =
+  (match json with
   | None -> ()
-  | Some path ->
-      let results = Tbench.run ~txns:(max txns 200) () in
-      List.iter (fun r -> Fmt.pr "%a@." Tbench.pp_result r) results;
-      let oc = open_out path in
-      output_string oc (Tbench.to_json results);
-      close_out oc;
-      Fmt.pr "wrote %s@." path);
+  | Some _ ->
+      let rows = Tbench.run ~txns:(max txns 200) () in
+      Fmt.pr "%a" Bench_row.pp_table rows;
+      Bench_row.write_rows ?json rows);
   if enumerate then run_2pc_enumerate nodes (min txns 8)
-  else if json_path = None then run_2pc_demo nodes txns drop
+  else if json = None then run_2pc_demo nodes txns drop
 
 let twopc_cmd =
   let nodes =

@@ -9,20 +9,10 @@
    slot-line write-back.  Recovery is measured by crashing with one
    transaction in flight and timing [Tm.attach] over the populated log.
 
-   Results also land in BENCH_append.json (via {!to_json}) so CI can
-   archive machine-readable numbers. *)
+   Results also land in BENCH_append.json so CI can gate and archive
+   them. *)
 
 open Rewind_nvm
-
-type result = {
-  name : string;  (** variant plus [inline] or [full] *)
-  ops : int;  (** logged updates *)
-  sim_ns_per_op : float;  (** simulated time per update *)
-  line_writes_per_op : float;  (** NVM line write-backs per update *)
-  fences_per_op : float;  (** persistence fences per update *)
-  inline_hit : float;  (** fraction of appends encoded inline *)
-  recovery_sim_ns : int;  (** simulated [Tm.attach] time post-crash *)
-}
 
 (* [None] = the WAL-free InCLL config; [Some inline] = a WAL variant with
    the inline fast path forced on or off. *)
@@ -88,40 +78,24 @@ let run_one ~n_ops (name, cfg, inline) =
   let rspan = Clock.start () in
   let _tm2 = Rewind.Tm.attach ~cfg alloc2 ~root_slot:2 in
   let recovery_sim_ns = Clock.elapsed rspan in
+  (* InCLL's claim is ~1 line write per update: its row gates that metric
+     at 8%, so CI fails above ~1.09 *)
+  let writes_tolerance = if cfg.Rewind.Tm.incll then Some 0.08 else None in
   {
-    name;
-    ops = n_ops;
-    sim_ns_per_op = per elapsed;
-    line_writes_per_op = per d.Stats.nvm_writes;
-    fences_per_op = per d.Stats.fences;
-    inline_hit =
-      (if logged = 0 then 0.
-       else float_of_int d.Stats.inline_records /. float_of_int logged);
-    recovery_sim_ns;
+    Bench_row.bench = "append";
+    labels = [ ("config", name); ("ops", string_of_int n_ops) ];
+    metrics =
+      Bench_row.
+        [
+          lower "sim_ns_per_op" (per elapsed);
+          lower ?tolerance:writes_tolerance "nvm_line_writes_per_op"
+            (per d.Stats.nvm_writes);
+          lower "fences_per_op" (per d.Stats.fences);
+          higher "inline_hit"
+            (if logged = 0 then 0.
+             else float_of_int d.Stats.inline_records /. float_of_int logged);
+          lower_int "recovery_sim_ns" recovery_sim_ns;
+        ];
   }
 
 let run ?(n_ops = 20_000) () = List.map (run_one ~n_ops) scenarios
-
-let pp_result ppf r =
-  Fmt.pf ppf
-    "%-18s %8.0f sim-ns/op  %5.2f line-writes/op  %5.2f fences/op  inline \
-     %3.0f%%  recovery %a"
-    r.name r.sim_ns_per_op r.line_writes_per_op r.fences_per_op
-    (100. *. r.inline_hit) Clock.pp_ns r.recovery_sim_ns
-
-let to_json results =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "[\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "  {\"name\": %S, \"ops\": %d, \"sim_ns_per_op\": %.2f, \
-            \"nvm_line_writes_per_op\": %.4f, \"fences_per_op\": %.4f, \
-            \"inline_hit\": %.4f, \"recovery_sim_ns\": %d}"
-           r.name r.ops r.sim_ns_per_op r.line_writes_per_op r.fences_per_op
-           r.inline_hit r.recovery_sim_ns))
-    results;
-  Buffer.add_string b "\n]\n";
-  Buffer.contents b

@@ -1,6 +1,6 @@
-(* Benchmark-regression gate: compare a benchmark JSON artifact
-   (BENCH_append.json / BENCH_recovery.json / BENCH_scaling.json) against
-   a committed baseline and fail on regressions.
+(* Benchmark-regression gate: compare a benchmark's rows (any
+   BENCH_*.json, see {!Bench_row}) against a committed baseline and fail
+   on regressions.
 
    Every benchmark metric in this repository is *simulated* — NVM line
    write-backs, fences, simulated nanoseconds — so the numbers are
@@ -11,280 +11,13 @@
    path, an accidental flush-per-append, a recovery phase gone
    quadratic.
 
-   The comparison is structural, not schema-bound: the JSON is parsed
-   with the small recursive-descent reader below (the toolchain has no
-   JSON dependency), every numeric leaf is flattened to a path such as
-
-     batch8/ops=2000/ckpt=0/phases/analysis/sim_ns
-
-   using the objects' identity fields ("name", "config", "phase", ...)
-   as path segments, and only leaves whose field name marks them as a
-   cost (simulated time, NVM traffic, violation counts) or a benefit
-   (throughput, inline hit rate) are gated.  A gated baseline metric
-   missing from the current run is itself a failure — a silently dropped
+   Rows pair by {!Bench_row.key} (bench name plus labels).  Each metric
+   is judged by the direction and tolerance the *baseline* declares;
+   [Info] metrics are never judged.  A judged baseline metric missing
+   from the current run is itself a failure — a silently dropped
    benchmark row must not pass the gate. *)
 
-(* -- a minimal JSON reader ---------------------------------------------- *)
-
-type json =
-  | Null
-  | Bool of bool
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Parse_error of string
-
-let parse (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Parse_error (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected '%c'" c)
-  in
-  let literal word v =
-    let l = String.length word in
-    if !pos + l <= n && String.sub s !pos l = word then begin
-      pos := !pos + l;
-      v
-    end
-    else fail (Printf.sprintf "expected %s" word)
-  in
-  let parse_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec go () =
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some 'n' -> advance (); Buffer.add_char b '\n'; go ()
-          | Some 't' -> advance (); Buffer.add_char b '\t'; go ()
-          | Some 'r' -> advance (); Buffer.add_char b '\r'; go ()
-          | Some 'b' -> advance (); Buffer.add_char b '\b'; go ()
-          | Some 'f' -> advance (); Buffer.add_char b '\012'; go ()
-          | Some 'u' ->
-              (* escaped code point: keep the raw escape — path labels
-                 never contain them in practice *)
-              advance ();
-              for _ = 1 to 4 do
-                if !pos < n then advance ()
-              done;
-              Buffer.add_char b '?';
-              go ()
-          | Some c -> advance (); Buffer.add_char b c; go ()
-          | None -> fail "unterminated escape")
-      | Some c ->
-          advance ();
-          Buffer.add_char b c;
-          go ()
-    in
-    go ();
-    Buffer.contents b
-  in
-  let parse_number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while (match peek () with Some c -> is_num_char c | None -> false) do
-      advance ()
-    done;
-    let text = String.sub s start (!pos - start) in
-    match float_of_string_opt text with
-    | Some f -> f
-    | None -> fail (Printf.sprintf "bad number %S" text)
-  in
-  let rec parse_value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let fields = ref [] in
-          let rec members () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            fields := (k, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                members ()
-            | Some '}' -> advance ()
-            | _ -> fail "expected ',' or '}'"
-          in
-          members ();
-          Obj (List.rev !fields)
-        end
-    | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let items = ref [] in
-          let rec elements () =
-            let v = parse_value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-                advance ();
-                elements ()
-            | Some ']' -> advance ()
-            | _ -> fail "expected ',' or ']'"
-          in
-          elements ();
-          Arr (List.rev !items)
-        end
-    | Some '"' -> Str (parse_string ())
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some 'n' -> literal "null" Null
-    | Some _ -> Num (parse_number ())
-    | None -> fail "empty input"
-  in
-  let v = parse_value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-(* -- flattening ---------------------------------------------------------- *)
-
-(* String fields that identify an object (become path segments) and
-   numeric fields that discriminate workload points (become labelled
-   segments rather than gated metrics). *)
-let ident_keys = [ "name"; "config"; "phase"; "series"; "id" ]
-let disc_keys =
-  [ "ops"; "checkpoint_every"; "threads"; "partitions"; "group"; "warehouses";
-    "rate" ]
-
-let label_of_obj fields =
-  let idents =
-    List.filter_map
-      (fun k ->
-        match List.assoc_opt k fields with Some (Str s) -> Some s | _ -> None)
-      ident_keys
-  in
-  let discs =
-    List.filter_map
-      (fun k ->
-        match List.assoc_opt k fields with
-        | Some (Num f) -> Some (Printf.sprintf "%s=%g" k f)
-        | _ -> None)
-      disc_keys
-  in
-  String.concat "/" (idents @ discs)
-
-let join prefix seg =
-  if prefix = "" then seg else if seg = "" then prefix else prefix ^ "/" ^ seg
-
-(* All numeric leaves as (path, value), excluding the discriminators. *)
-let flatten (j : json) : (string * float) list =
-  let rec go prefix j acc =
-    match j with
-    | Obj fields ->
-        let prefix = join prefix (label_of_obj fields) in
-        List.fold_left
-          (fun acc (k, v) ->
-            match v with
-            | Num f ->
-                if List.mem k disc_keys then acc else (join prefix k, f) :: acc
-            | Obj _ | Arr _ -> go (join prefix k) v acc
-            | Null | Bool _ | Str _ -> acc)
-          acc fields
-    | Arr items ->
-        let _, acc =
-          List.fold_left
-            (fun (i, acc) item ->
-              let seg =
-                match item with
-                | Obj fields when label_of_obj fields <> "" -> ""
-                | _ -> string_of_int i
-              in
-              (i + 1, go (join prefix seg) item acc))
-            (0, acc) items
-        in
-        acc
-    | Num f -> (prefix, f) :: acc
-    | Null | Bool _ | Str _ -> acc
-  in
-  List.rev (go "" j [])
-
-(* -- gating -------------------------------------------------------------- *)
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-  nn = 0 || at 0
-
-let field_of path =
-  match String.rindex_opt path '/' with
-  | Some i -> String.sub path (i + 1) (String.length path - i - 1)
-  | None -> path
-
-(* Higher-is-better metrics; checked first so e.g. "throughput_sim" never
-   falls through to the cost rule. *)
-let higher_better_patterns = [ "throughput"; "ops_per_s"; "inline_hit"; "speedup" ]
-
-(* Lower-is-better cost metrics: simulated time and NVM traffic, plus
-   correctness counters that must stay at zero. *)
-let lower_better_patterns =
-  [
-    "sim_ns"; "per_op"; "writes"; "flushes"; "fences"; "stores"; "violations";
-    "torn"; "makespan";
-  ]
-
-type direction = Higher_better | Lower_better
-
-let gate path =
-  let f = field_of path in
-  if List.exists (contains f) higher_better_patterns then Some Higher_better
-  else if List.exists (contains f) lower_better_patterns then Some Lower_better
-  else None
-
-(* Per-metric tolerance: a baseline leaf named [<metric>_tolerance] is
-   not a metric but an annotation — it overrides the global tolerance
-   for its sibling [<metric>] leaf.  Lets a committed baseline mark one
-   intentionally-noisier metric (say, a recovery time that scales with a
-   tuned constant) without loosening the gate everywhere.  Annotation
-   leaves are excluded from gating and from the missing-metric check on
-   both sides: the current artifact never produces them. *)
-let tolerance_suffix = "_tolerance"
-
-let tolerance_key path =
-  let ls = String.length tolerance_suffix and lp = String.length path in
-  if lp > ls && String.sub path (lp - ls) ls = tolerance_suffix then
-    Some (String.sub path 0 (lp - ls))
-  else None
-
-(* -- comparison ---------------------------------------------------------- *)
+open Bench_row
 
 type regression = {
   metric : string;
@@ -307,85 +40,74 @@ let pct_change ~baseline ~current =
   if baseline = 0. then if current = 0. then 0. else infinity
   else (current -. baseline) /. Float.abs baseline *. 100.
 
-let compare_metrics ~tolerance baseline_json current_json =
-  let base = flatten (parse baseline_json) in
-  let cur = flatten (parse current_json) in
-  let cur_tbl = Hashtbl.create (List.length cur) in
-  List.iter (fun (k, v) -> Hashtbl.replace cur_tbl k v) cur;
-  let tol_tbl = Hashtbl.create 16 in
-  List.iter
-    (fun (k, v) ->
-      match tolerance_key k with
-      | Some metric -> Hashtbl.replace tol_tbl metric v
-      | None -> ())
-    base;
-  let base_tbl = Hashtbl.create (List.length base) in
-  List.iter (fun (k, v) -> Hashtbl.replace base_tbl k v) base;
-  let checked = ref 0
-  and regressions = ref []
-  and missing = ref []
-  and improvements = ref [] in
+let compare_rows ~tolerance base cur =
+  let index rows =
+    let t = Hashtbl.create 64 in
+    List.iter (fun r -> Hashtbl.replace t (key r) r) rows;
+    t
+  in
+  let base_tbl = index base and cur_tbl = index cur in
+  let find tbl r name =
+    Option.bind (Hashtbl.find_opt tbl (key r)) (fun r -> value r name)
+  in
+  let path r m = key r ^ "/" ^ m.name in
   (* Gated metrics only the current run produces: the gate cannot judge
      them (nothing to compare against), and silently skipping them would
      let a new benchmark leg ship ungated.  They are a warning, not a
      failure — the fix is committing a regenerated baseline. *)
   let new_metrics =
-    List.filter_map
-      (fun (path, _) ->
-        if
-          tolerance_key path = None
-          && gate path <> None
-          && not (Hashtbl.mem base_tbl path)
-        then Some path
-        else None)
+    List.concat_map
+      (fun r ->
+        List.filter_map
+          (fun m ->
+            if m.better <> Info && find base_tbl r m.name = None then
+              Some (path r m)
+            else None)
+          r.metrics)
       cur
   in
+  let checked = ref 0 and regressions = ref [] and missing = ref [] in
+  let improvements = ref 0 in
   List.iter
-    (fun (path, bv) ->
-      if tolerance_key path <> None then ()
-      else
-      match gate path with
-      | None -> ()
-      | Some dir -> (
-          match Hashtbl.find_opt cur_tbl path with
-          | None -> missing := path :: !missing
-          | Some cv ->
+    (fun r ->
+      List.iter
+        (fun m ->
+          let bv = m.value in
+          match (m.better, find cur_tbl r m.name) with
+          | Info, _ -> ()
+          | _, None -> missing := path r m :: !missing
+          | dir, Some cv ->
               incr checked;
-              let tolerance =
-                match Hashtbl.find_opt tol_tbl path with
-                | Some t -> t
-                | None -> tolerance
-              in
+              let tolerance = Option.value m.tolerance ~default:tolerance in
+              let higher = dir = Higher in
               let worse, better =
-                match dir with
-                | Lower_better ->
-                    if bv = 0. then (cv > 0., false)
-                    else
-                      ( cv > bv *. (1. +. tolerance),
-                        cv < bv *. (1. -. tolerance) )
-                | Higher_better ->
-                    if bv = 0. then (false, cv > 0.)
-                    else
-                      ( cv < bv *. (1. -. tolerance),
-                        cv > bv *. (1. +. tolerance) )
+                if bv = 0. then
+                  if higher then (false, cv > 0.) else (cv > 0., false)
+                else
+                  let above = cv > bv *. (1. +. tolerance)
+                  and below = cv < bv *. (1. -. tolerance) in
+                  if higher then (below, above) else (above, below)
               in
-              let delta =
-                match dir with
-                | Lower_better -> pct_change ~baseline:bv ~current:cv
-                | Higher_better -> -.pct_change ~baseline:bv ~current:cv
-              in
+              let delta = pct_change ~baseline:bv ~current:cv in
+              let delta = if higher then -.delta else delta in
               if worse then
                 regressions :=
-                  { metric = path; baseline = bv; current = cv; delta_pct = delta }
+                  {
+                    metric = path r m;
+                    baseline = bv;
+                    current = cv;
+                    delta_pct = delta;
+                  }
                   :: !regressions
-              else if better then improvements := path :: !improvements))
+              else if better then incr improvements)
+        r.metrics)
     base;
   {
     checked = !checked;
     regressions = List.rev !regressions;
     missing = List.rev !missing;
     new_metrics;
-    improvements = List.length !improvements;
+    improvements = !improvements;
   }
 
 let passed o = o.regressions = [] && o.missing = []
@@ -393,11 +115,11 @@ let passed o = o.regressions = [] && o.missing = []
 (* -- file-level entry point ---------------------------------------------- *)
 
 (* CI drives the gate with file paths; every way a path can disappoint —
-   missing, unreadable, truncated mid-read, not JSON — must come back as
-   a diagnostic naming the file and its role, never as an exception.  The
-   CLI maps [Error] to its own exit code (2), distinct from a benchmark
-   regression (1), so a gate that failed to *run* is never mistaken for a
-   gate that *passed judgment*. *)
+   missing, unreadable, truncated mid-read, not JSON, not a row list,
+   ambiguous — must come back as a diagnostic naming the file and its
+   role, never as an exception.  The CLI maps [Error] to its own exit code
+   (2), distinct from a benchmark regression (1), so a gate that failed to
+   *run* is never mistaken for a gate that *passed judgment*. *)
 
 let read_file path =
   match open_in_bin path with
@@ -412,24 +134,19 @@ let read_file path =
           | exception End_of_file ->
               Error (path ^ ": truncated while reading"))
 
+let read_rows role path =
+  match read_file path with
+  | Error e -> Error (Printf.sprintf "cannot read %s: %s" role e)
+  | Ok s -> (
+      match of_json s with
+      | Ok rows -> Ok rows
+      | Error e -> Error (Printf.sprintf "%s %s is %s" role path e))
+
 let compare_files ~tolerance ~baseline ~current =
-  match read_file baseline with
-  | Error e -> Error (Printf.sprintf "cannot read baseline: %s" e)
-  | Ok base_s -> (
-      match read_file current with
-      | Error e -> Error (Printf.sprintf "cannot read current results: %s" e)
-      | Ok cur_s -> (
-          match compare_metrics ~tolerance base_s cur_s with
-          | outcome -> Ok outcome
-          | exception Parse_error e ->
-              (* tell the user which of the two files is malformed *)
-              let culprit =
-                match parse base_s with
-                | _ -> Printf.sprintf "current results %s" current
-                | exception Parse_error _ ->
-                    Printf.sprintf "baseline %s" baseline
-              in
-              Error (Printf.sprintf "%s is not valid JSON: %s" culprit e)))
+  Result.bind (read_rows "baseline" baseline) (fun base ->
+      Result.map
+        (compare_rows ~tolerance base)
+        (read_rows "current results" current))
 
 let pp_outcome ppf o =
   List.iter

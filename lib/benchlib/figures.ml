@@ -552,16 +552,12 @@ let fig9 ?(ops_per_thread = 10_000) ?(n_records = 4_000) () =
 (* Partition scaling on its own: fixed thread count, varying partition
    count (the {!Scaling_bench} workload rendered as a series). *)
 let scaling ?(threads = 8) ?(txns_per_thread = 400) () =
-  let results = Scaling_bench.run ~threads ~txns_per_thread () in
   let rows =
     List.map
-      (fun r ->
-        {
-          Series.x = float_of_int r.Scaling_bench.partitions;
-          ys = [ r.Scaling_bench.throughput_ops_per_s ];
-        })
+      (fun (p, tput) -> { Series.x = float_of_int p; ys = [ tput ] })
       (* partitioned rows only: the InCLL row is not a partition count *)
-      (Scaling_bench.batch_series results)
+      (Scaling_bench.batch_series
+         (Scaling_bench.run ~threads ~txns_per_thread ()))
   in
   Series.make ~id:"scaling" ~title:"Partitioned-log write scaling"
     ~xlabel:"partitions" ~ylabel:"updates per simulated second"

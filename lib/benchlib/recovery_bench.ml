@@ -6,33 +6,13 @@
    — simulated time plus the NVM line-write/flush/fence deltas of exactly
    that recovery (the arena's cumulative totals would double-count the
    pre-crash workload) — and the violation count of a persistency
-   sanitizer attached for the duration of recovery.  Results land in
-   BENCH_recovery.json and a Prometheus-style text file so CI can archive
-   and alert on them. *)
+   sanitizer attached for the duration of recovery.  Each point is one
+   row of totals plus one row per phase (labelled [phase]); they land in
+   BENCH_recovery.json and a Prometheus-style text file so CI can gate,
+   archive and alert on them. *)
 
 open Rewind_nvm
 module San = Rewind_analysis.Sanitizer
-
-type phase_row = {
-  phase : string;
-  count : int;
-  sim_ns : int;
-  line_writes : int;
-  nt_stores : int;
-  flushes : int;
-  fences : int;
-}
-
-type result = {
-  config : string;
-  ops : int;  (** logged updates before the crash *)
-  checkpoint_every : int;  (** committed txns between checkpoints; 0 = never *)
-  log_records : int;  (** live log records at the crash point *)
-  recovery_sim_ns : int;  (** total simulated reattach time *)
-  phases : phase_row list;  (** in execution order *)
-  report : Rewind.Tm.recovery_report;
-  sanitizer_violations : int;  (** violations collected during recovery *)
-}
 
 let configs =
   [
@@ -43,20 +23,6 @@ let configs =
     ("simple", Rewind.config_simple);
     ("batch8", Rewind.config_batch ());
   ]
-
-let phase_rows prof =
-  List.map
-    (fun p ->
-      {
-        phase = p.Probe.name;
-        count = p.Probe.count;
-        sim_ns = p.Probe.sim_ns;
-        line_writes = p.Probe.stats.Stats.nvm_writes;
-        nt_stores = p.Probe.stats.Stats.nt_stores;
-        flushes = p.Probe.stats.Stats.flushes;
-        fences = p.Probe.stats.Stats.fences;
-      })
-    (Probe.phases prof)
 
 (* Short committed transactions over a small working set, a checkpoint
    every [checkpoint_every] commits, two transactions left in flight at
@@ -97,141 +63,76 @@ let run_one ~ops ~checkpoint_every (name, cfg) =
   let tm2 = Rewind.Tm.attach ~cfg alloc2 ~root_slot:2 in
   let recovery_sim_ns = Clock.elapsed span in
   San.detach san;
-  let prof =
+  let labels =
+    [
+      ("config", name);
+      ("ops", string_of_int ops);
+      ("checkpoint_every", string_of_int checkpoint_every);
+    ]
+  in
+  let totals =
+    let open Bench_row in
+    let report =
+      match Rewind.Tm.last_recovery tm2 with
+      | Some r ->
+          [
+            info_int "records_scanned" r.Rewind.Tm.records_scanned;
+            lower_int "torn_truncated" r.Rewind.Tm.torn_truncated;
+            info_int "redo_applied" r.Rewind.Tm.redo_applied;
+            info_int "txns_finished" r.Rewind.Tm.txns_finished;
+            info_int "txns_undone" r.Rewind.Tm.txns_undone;
+          ]
+      | None -> []
+    in
+    {
+      bench = "recovery";
+      labels;
+      metrics =
+        (lower_int "total_sim_ns" recovery_sim_ns
+        :: info_int "log_records" log_records
+        :: report)
+        @ [
+            lower_int "sanitizer_violations" (List.length (San.violations san));
+          ];
+    }
+  in
+  let phase p =
+    let s = p.Probe.stats in
+    {
+      Bench_row.bench = "recovery";
+      labels = labels @ [ ("phase", p.Probe.name) ];
+      metrics =
+        Bench_row.
+          [
+            lower_int "sim_ns" p.Probe.sim_ns;
+            lower_int "line_writes" s.Stats.nvm_writes;
+            lower_int "nt_stores" s.Stats.nt_stores;
+            lower_int "flushes" s.Stats.flushes;
+            lower_int "fences" s.Stats.fences;
+          ];
+    }
+  in
+  let phases =
     match Rewind.Tm.last_recovery_profile tm2 with
-    | Some p -> p
-    | None -> Probe.create ()
+    | Some prof -> List.map phase (Probe.phases prof)
+    | None -> []
   in
-  let report =
-    match Rewind.Tm.last_recovery tm2 with
-    | Some r -> r
-    | None ->
-        {
-          Rewind.Tm.records_scanned = 0;
-          torn_truncated = 0;
-          redo_applied = 0;
-          txns_finished = 0;
-          txns_undone = 0;
-        }
-  in
-  {
-    config = name;
-    ops;
-    checkpoint_every;
-    log_records;
-    recovery_sim_ns;
-    phases = phase_rows prof;
-    report;
-    sanitizer_violations = List.length (San.violations san);
-  }
+  (totals, phases)
 
 let default_sizes = [ 2_000; 8_000 ]
 let default_intervals = [ 0; 100 ]
 
+(* Every point's totals row, then every point's phase rows. *)
 let run ?(sizes = default_sizes) ?(intervals = default_intervals) () =
-  List.concat_map
-    (fun cfg ->
-      List.concat_map
-        (fun ops ->
-          List.map
-            (fun checkpoint_every -> run_one ~ops ~checkpoint_every cfg)
-            intervals)
-        sizes)
-    configs
-
-(* -- rendering ----------------------------------------------------------- *)
-
-let pp_result ppf r =
-  Fmt.pf ppf "%-8s ops=%-6d ckpt=%-4d log=%-6d recovery %a (%a)  sanitizer=%d@."
-    r.config r.ops r.checkpoint_every r.log_records Clock.pp_ns
-    r.recovery_sim_ns Rewind.Tm.pp_recovery_report r.report
-    r.sanitizer_violations;
-  List.iter
-    (fun p ->
-      Fmt.pf ppf "    %-14s %a  (lines %d, nt %d, flushes %d, fences %d)@."
-        p.phase Clock.pp_ns p.sim_ns p.line_writes p.nt_stores p.flushes
-        p.fences)
-    r.phases
-
-let to_json results =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b "[\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "  {\"config\": %S, \"ops\": %d, \"checkpoint_every\": %d, \
-            \"log_records\": %d, \"recovery_sim_ns\": %d, \
-            \"records_scanned\": %d, \"torn_truncated\": %d, \
-            \"redo_applied\": %d, \"txns_finished\": %d, \"txns_undone\": \
-            %d, \"sanitizer_violations\": %d, \"phases\": ["
-           r.config r.ops r.checkpoint_every r.log_records r.recovery_sim_ns
-           r.report.Rewind.Tm.records_scanned r.report.Rewind.Tm.torn_truncated
-           r.report.Rewind.Tm.redo_applied r.report.Rewind.Tm.txns_finished
-           r.report.Rewind.Tm.txns_undone r.sanitizer_violations);
-      List.iteri
-        (fun j p ->
-          if j > 0 then Buffer.add_string b ", ";
-          Buffer.add_string b
-            (Printf.sprintf
-               "{\"phase\": %S, \"sim_ns\": %d, \"line_writes\": %d, \
-                \"nt_stores\": %d, \"flushes\": %d, \"fences\": %d}"
-               p.phase p.sim_ns p.line_writes p.nt_stores p.flushes p.fences))
-        r.phases;
-      Buffer.add_string b "]}")
-    results;
-  Buffer.add_string b "\n]\n";
-  Buffer.contents b
-
-(* Prometheus text exposition: one gauge per metric, labelled by config /
-   workload point / phase. *)
-let to_prometheus results =
-  let b = Buffer.create 4096 in
-  let label r = Printf.sprintf "config=%S,ops=\"%d\",ckpt=\"%d\"" r.config r.ops r.checkpoint_every in
-  Buffer.add_string b
-    "# HELP rewind_recovery_sim_ns Simulated total recovery time per crash.\n\
-     # TYPE rewind_recovery_sim_ns gauge\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string b
-        (Printf.sprintf "rewind_recovery_sim_ns{%s} %d\n" (label r)
-           r.recovery_sim_ns))
-    results;
-  Buffer.add_string b
-    "# HELP rewind_recovery_phase_sim_ns Simulated time per recovery phase.\n\
-     # TYPE rewind_recovery_phase_sim_ns gauge\n";
-  List.iter
-    (fun r ->
-      List.iter
-        (fun p ->
-          Buffer.add_string b
-            (Printf.sprintf "rewind_recovery_phase_sim_ns{%s,phase=%S} %d\n"
-               (label r) p.phase p.sim_ns))
-        r.phases)
-    results;
-  Buffer.add_string b
-    "# HELP rewind_recovery_phase_line_writes NVM line write-backs per \
-     recovery phase.\n\
-     # TYPE rewind_recovery_phase_line_writes gauge\n";
-  List.iter
-    (fun r ->
-      List.iter
-        (fun p ->
-          Buffer.add_string b
-            (Printf.sprintf
-               "rewind_recovery_phase_line_writes{%s,phase=%S} %d\n" (label r)
-               p.phase p.line_writes))
-        r.phases)
-    results;
-  Buffer.add_string b
-    "# HELP rewind_recovery_sanitizer_violations Persistency-sanitizer \
-     violations observed during recovery.\n\
-     # TYPE rewind_recovery_sanitizer_violations gauge\n";
-  List.iter
-    (fun r ->
-      Buffer.add_string b
-        (Printf.sprintf "rewind_recovery_sanitizer_violations{%s} %d\n"
-           (label r) r.sanitizer_violations))
-    results;
-  Buffer.contents b
+  let points =
+    List.concat_map
+      (fun cfg ->
+        List.concat_map
+          (fun ops ->
+            List.map
+              (fun checkpoint_every -> run_one ~ops ~checkpoint_every cfg)
+              intervals)
+          sizes)
+      configs
+  in
+  List.map fst points @ List.concat_map snd points

@@ -13,18 +13,30 @@
 
 open Rewind_nvm
 
-type result = {
-  series : string;
-      (** ["scaling"] for the partitioned batch log; ["scaling-incll"]
-          for the epoch-based InCLL config (always one "partition");
-          ["scaling-lfset"] / ["scaling-phash"] for the structure
-          head-to-head (lock-free set vs latched transactional hash) *)
-  threads : int;
-  partitions : int;
-  total_ops : int;  (** logged user updates across all threads *)
-  makespan_sim_ns : int;  (** slowest fiber's finish time *)
-  throughput_ops_per_s : float;  (** updates per simulated second *)
-}
+(* One row per run.  The [series] label is ["scaling"] for the
+   partitioned batch log, ["scaling-incll"] for the epoch-based InCLL
+   config (always one "partition"), and ["scaling-lfset"] /
+   ["scaling-phash"] for the structure head-to-head (lock-free set vs
+   latched transactional hash). *)
+let row ~series ~threads ~partitions ~total_ops ~makespan =
+  {
+    Bench_row.bench = "scaling";
+    labels =
+      [
+        ("series", series);
+        ("threads", string_of_int threads);
+        ("partitions", string_of_int partitions);
+      ];
+    metrics =
+      Bench_row.
+        [
+          info_int "total_ops" total_ops;
+          lower_int "makespan_sim_ns" makespan;
+          higher "throughput_ops_per_s"
+            (if makespan = 0 then 0.
+             else float_of_int total_ops *. 1e9 /. float_of_int makespan);
+        ];
+  }
 
 let cells_per_thread = 64
 
@@ -62,29 +74,9 @@ let run_one ~series ~cfg ~threads ~partitions ~txns_per_thread ~writes_per_txn
           && op mod advance_every_txns = advance_every_txns - 1
         then Rewind.Tm.checkpoint tm)
   in
-  let total_ops = threads * txns_per_thread * writes_per_txn in
-  {
-    series;
-    threads;
-    partitions;
-    total_ops;
-    makespan_sim_ns = makespan;
-    throughput_ops_per_s =
-      (if makespan = 0 then 0.
-       else float_of_int total_ops *. 1e9 /. float_of_int makespan);
-  }
-
-let mk_result ~series ~threads ~partitions ~total_ops ~makespan =
-  {
-    series;
-    threads;
-    partitions;
-    total_ops;
-    makespan_sim_ns = makespan;
-    throughput_ops_per_s =
-      (if makespan = 0 then 0.
-       else float_of_int total_ops *. 1e9 /. float_of_int makespan);
-  }
+  row ~series ~threads ~partitions
+    ~total_ops:(threads * txns_per_thread * writes_per_txn)
+    ~makespan
 
 (* Structure head-to-head at the same total operation count: the durable
    lock-free set (CAS + link-and-persist, no latches, no WAL) against the
@@ -106,7 +98,7 @@ let run_lfset ~threads ~ops_per_thread =
         if op land 1 = 0 then ignore (Rewind_pds.Lfset.insert ~thread:t set k)
         else ignore (Rewind_pds.Lfset.remove ~thread:t set k))
   in
-  mk_result ~series:"scaling-lfset" ~threads ~partitions:1
+  row ~series:"scaling-lfset" ~threads ~partitions:1
     ~total_ops:(threads * ops_per_thread) ~makespan
 
 let run_phash ~threads ~ops_per_thread =
@@ -122,7 +114,7 @@ let run_phash ~threads ~ops_per_thread =
          else ignore (Rewind_pds.Phash.remove h txn k));
         Rewind.Tm.commit tm txn)
   in
-  mk_result ~series:"scaling-phash" ~threads ~partitions:1
+  row ~series:"scaling-phash" ~threads ~partitions:1
     ~total_ops:(threads * ops_per_thread) ~makespan
 
 let default_partitions = [ 1; 2; 4; 8 ]
@@ -144,39 +136,25 @@ let run ?(threads = 8) ?(partitions = default_partitions)
   let ops_per_thread = txns_per_thread * writes_per_txn in
   [ run_lfset ~threads ~ops_per_thread; run_phash ~threads ~ops_per_thread ]
 
-let batch_series results =
-  List.filter (fun r -> String.equal r.series "scaling") results
+(* The partitioned batch rows as (partitions, throughput), in run
+   order. *)
+let batch_series rows =
+  List.filter_map
+    (fun r ->
+      match
+        ( Bench_row.label r "series",
+          Bench_row.label r "partitions",
+          Bench_row.value r "throughput_ops_per_s" )
+      with
+      | Some "scaling", Some p, Some tput -> Some (int_of_string p, tput)
+      | _ -> None)
+    rows
 
 (* Throughput ratio of the largest partition count over the smallest —
    the scaling headline (the CI gate expects >= 2x at 8 threads).  Over
    the partitioned batch rows only: the InCLL row is a different
    protocol, not a partition count. *)
-let speedup results =
-  let batch = batch_series results in
-  match (batch, List.rev batch) with
-  | first :: _, last :: _ when first.throughput_ops_per_s > 0. ->
-      last.throughput_ops_per_s /. first.throughput_ops_per_s
+let speedup rows =
+  match (batch_series rows, List.rev (batch_series rows)) with
+  | (_, first) :: _, (_, last) :: _ when first > 0. -> last /. first
   | _ -> 0.
-
-let pp_result ppf r =
-  Fmt.pf ppf
-    "%-14s threads=%d partitions=%d  %8d ops  makespan %a  %10.0f ops/sim-s"
-    r.series r.threads r.partitions r.total_ops Clock.pp_ns r.makespan_sim_ns
-    r.throughput_ops_per_s
-
-let to_json results =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "[\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "  {\"name\": %S, \"threads\": %d, \"partitions\": %d, \
-            \"total_ops\": %d, \"makespan_sim_ns\": %d, \
-            \"throughput_ops_per_s\": %.2f}"
-           r.series r.threads r.partitions r.total_ops r.makespan_sim_ns
-           r.throughput_ops_per_s))
-    results;
-  Buffer.add_string b "\n]\n";
-  Buffer.contents b

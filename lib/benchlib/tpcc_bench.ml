@@ -28,24 +28,6 @@
 open Rewind_nvm
 open Rewind_tpcc
 
-type result = {
-  warehouses : int;
-  partitions : int;
-  rate : float;  (** arrivals per simulated second *)
-  arrivals : int;
-  committed : int;
-  aborted : int;  (** the spec's 1 % invalid-item rollbacks *)
-  retried : int;  (** arrivals that found every home terminal busy *)
-  new_orders : int;  (** committed new-orders: the tpmC numerator *)
-  deliveries : int;  (** deferred delivery transactions executed *)
-  makespan_sim_ns : int;  (** last terminal's completion time *)
-  tpmc_throughput : float;  (** committed new-orders per simulated minute *)
-  latency_p50_sim_ns : int;
-  latency_p99_sim_ns : int;
-  latency_p999_sim_ns : int;
-  consistent : bool;  (** {!Workload.check_mix_consistency} at the end *)
-}
-
 (* Same conflict constants as the closed-loop driver: a busy home
    warehouse is a conflict, backed off exponentially in simulated time. *)
 let max_conflict_retries = 5
@@ -72,6 +54,8 @@ let exp_gap_ns rng rate =
   let u = if u < 1e-12 then 1e-12 else u in
   max 1 (int_of_float (-.Float.log u /. rate *. 1e9))
 
+(* One row, and whether the database passes
+   {!Workload.check_mix_consistency} after the run. *)
 let run ?(warehouses = 4) ?(partitions = 4) ?(rate = 10_000.)
     ?(arrivals = 2_000) ?(terminals_per_warehouse = 2)
     ?(params = Datagen.small) ?(arena_mb = 256) ?(seed = 7) () =
@@ -146,56 +130,35 @@ let run ?(warehouses = 4) ?(partitions = 4) ?(rate = 10_000.)
     | None -> assert false (* arrivals >= 1 charges the phase *)
   in
   let minutes = float_of_int !makespan /. 60e9 in
-  {
-    warehouses;
-    partitions;
-    rate;
-    arrivals;
-    committed = !committed;
-    aborted = !aborted;
-    retried = !retried;
-    new_orders = !new_orders;
-    deliveries = !deliveries;
-    makespan_sim_ns = !makespan;
-    tpmc_throughput =
-      (if minutes > 0. then float_of_int !new_orders /. minutes else 0.);
-    latency_p50_sim_ns = percentile lat 0.50;
-    latency_p99_sim_ns = percentile lat 0.99;
-    latency_p999_sim_ns = percentile lat 0.999;
-    consistent = Workload.check_mix_consistency db;
-  }
-
-let pp ppf r =
-  Fmt.pf ppf
-    "@[<v>open-loop TPC-C: %d warehouses, %d log partitions, %.0f txn/s \
-     offered@,\
-     arrivals   %6d  (%d committed, %d aborted, %d conflict retries)@,\
-     deliveries %6d deferred transactions executed@,\
-     latency    p50 %a   p99 %a   p999 %a@,\
-     makespan   %a@,\
-     tpmC       %.0f committed new-orders per simulated minute@]" r.warehouses
-    r.partitions r.rate r.arrivals r.committed r.aborted r.retried r.deliveries
-    Clock.pp_ns r.latency_p50_sim_ns Clock.pp_ns r.latency_p99_sim_ns
-    Clock.pp_ns r.latency_p999_sim_ns Clock.pp_ns r.makespan_sim_ns
-    r.tpmc_throughput
-
-(* One row per run; "name" identifies the series, "warehouses" /
-   "partitions" / "rate" are benchdiff discriminators (path labels, not
-   gated metrics).  The gated leaves are the tpmC throughput, the three
-   latency percentiles and the makespan. *)
-let to_json r =
-  Printf.sprintf
-    "[\n\
-    \  {\"name\": \"tpcc-open\", \"warehouses\": %d, \"partitions\": %d, \
-     \"rate\": %g,\n\
-    \   \"arrivals\": %d, \"committed\": %d, \"aborted\": %d, \"retried\": \
-     %d,\n\
-    \   \"new_orders\": %d, \"deliveries\": %d,\n\
-    \   \"tpmc_throughput\": %.2f,\n\
-    \   \"latency_p50_sim_ns\": %d, \"latency_p99_sim_ns\": %d, \
-     \"latency_p999_sim_ns\": %d,\n\
-    \   \"makespan_sim_ns\": %d}\n\
-     ]\n"
-    r.warehouses r.partitions r.rate r.arrivals r.committed r.aborted r.retried
-    r.new_orders r.deliveries r.tpmc_throughput r.latency_p50_sim_ns
-    r.latency_p99_sim_ns r.latency_p999_sim_ns r.makespan_sim_ns
+  let row =
+    {
+      Bench_row.bench = "tpcc";
+      labels =
+        [
+          ("warehouses", string_of_int warehouses);
+          ("partitions", string_of_int partitions);
+          ("rate", Printf.sprintf "%g" rate);
+        ];
+      metrics =
+        Bench_row.
+          [
+            info_int "arrivals" arrivals;
+            info_int "committed" !committed;
+            (* the spec's 1 % invalid-item rollbacks *)
+            info_int "aborted" !aborted;
+            (* arrivals that found every home terminal busy *)
+            info_int "retried" !retried;
+            (* committed new-orders: the tpmC numerator *)
+            info_int "new_orders" !new_orders;
+            info_int "deliveries" !deliveries;
+            higher "tpmc_throughput"
+              (if minutes > 0. then float_of_int !new_orders /. minutes
+               else 0.);
+            lower_int "latency_p50_sim_ns" (percentile lat 0.50);
+            lower_int "latency_p99_sim_ns" (percentile lat 0.99);
+            lower_int "latency_p999_sim_ns" (percentile lat 0.999);
+            lower_int "makespan_sim_ns" !makespan;
+          ];
+    }
+  in
+  ([ row ], Workload.check_mix_consistency db)

@@ -179,20 +179,6 @@ let enumerate ?(nodes = 3) ?(txns = 6) () =
 
 (* -- benchmark ----------------------------------------------------------- *)
 
-type result = {
-  nodes : int;
-  drop_1_in : int;
-  txns : int;
-  committed : int;
-  aborted : int;
-  unknown : int;
-  retries : int;
-  msgs_sent : int;
-  msgs_dropped : int;
-  makespan_sim_ns : int;
-  throughput_commits_per_s : float;
-}
-
 let run_one ~nodes ~txns ~drop_1_in =
   let w = make_world ~nodes ~txns ~drop_1_in ~seed:11 ~chaos_at:None () in
   let span = Clock.start () in
@@ -200,49 +186,30 @@ let run_one ~nodes ~txns ~drop_1_in =
   let makespan = Clock.elapsed span in
   let s = Twopc.stats w.cluster in
   {
-    nodes;
-    drop_1_in;
-    txns;
-    committed = s.Twopc.committed;
-    aborted = s.Twopc.aborted;
-    unknown = s.Twopc.unknown;
-    retries = s.Twopc.retries;
-    msgs_sent = s.Twopc.msgs_sent;
-    msgs_dropped = s.Twopc.msgs_dropped;
-    makespan_sim_ns = makespan;
-    throughput_commits_per_s =
-      (if makespan = 0 then 0.
-       else float_of_int s.Twopc.committed *. 1e9 /. float_of_int makespan);
+    Bench_row.bench = "2pc";
+    labels =
+      [
+        ("nodes", string_of_int nodes); ("drop_1_in", string_of_int drop_1_in);
+      ];
+    metrics =
+      Bench_row.
+        [
+          info_int "txns" txns;
+          info_int "committed" s.Twopc.committed;
+          info_int "aborted" s.Twopc.aborted;
+          info_int "unknown" s.Twopc.unknown;
+          info_int "retries" s.Twopc.retries;
+          info_int "msgs_sent" s.Twopc.msgs_sent;
+          info_int "msgs_dropped" s.Twopc.msgs_dropped;
+          lower_int "makespan_sim_ns" makespan;
+          higher "throughput_commits_per_s"
+            (if makespan = 0 then 0.
+             else
+               float_of_int s.Twopc.committed *. 1e9 /. float_of_int makespan);
+        ];
   }
 
 let default_points = [ (3, 0); (5, 0); (3, 7) ]
 
 let run ?(txns = 200) ?(points = default_points) () =
   List.map (fun (nodes, drop_1_in) -> run_one ~nodes ~txns ~drop_1_in) points
-
-let pp_result ppf r =
-  Fmt.pf ppf
-    "nodes=%d drop=1/%d  %4d txns: %4d committed %3d aborted %2d unknown  \
-     %4d msgs (%d dropped, %d retries)  makespan %a  %8.0f commits/sim-s"
-    r.nodes r.drop_1_in r.txns r.committed r.aborted r.unknown r.msgs_sent
-    r.msgs_dropped r.retries Clock.pp_ns r.makespan_sim_ns
-    r.throughput_commits_per_s
-
-let to_json results =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b "[\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string b ",\n";
-      Buffer.add_string b
-        (Printf.sprintf
-           "  {\"name\": \"2pc\", \"id\": \"n%d_drop%d\", \"txns\": %d, \
-            \"committed\": %d, \"aborted\": %d, \"unknown\": %d, \
-            \"retries\": %d, \"msgs_sent\": %d, \"msgs_dropped\": %d, \
-            \"makespan_sim_ns\": %d, \"throughput_commits_per_s\": %.2f}"
-           r.nodes r.drop_1_in r.txns r.committed r.aborted r.unknown r.retries
-           r.msgs_sent r.msgs_dropped r.makespan_sim_ns
-           r.throughput_commits_per_s))
-    results;
-  Buffer.add_string b "\n]\n";
-  Buffer.contents b

@@ -25,7 +25,6 @@ module Txn_table = Txn_table
 module Tm = Tm
 
 module Autotune = Autotune
-module Tm_group = Tm_group
 
 type config = Tm.config = {
   policy : Tm.policy;

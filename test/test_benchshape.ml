@@ -149,9 +149,10 @@ let test_ablation_group_shape () =
   check_bool "grouping matters more at 1us fences" true
     (gain 1 first last > gain 0 first last)
 
-(* benchdiff file handling: a gate that cannot run (missing or unreadable
-   input) must say which file and why, as an [Error] the CLI maps to its
-   own exit code — never a bare exception or a silent pass. *)
+(* benchdiff file handling: a gate that cannot run (missing, unreadable,
+   malformed or ambiguous input) must say which file and why, as an
+   [Error] the CLI maps to its own exit code — never a bare exception or
+   a silent pass. *)
 
 let contains hay needle =
   let lh = String.length hay and ln = String.length needle in
@@ -165,7 +166,11 @@ let write_tmp name contents =
   close_out oc;
   path
 
-let valid_bench = {|[ {"name": "x", "ops": 10, "throughput": 5.0} ]|}
+(* One bench "x" row at the point ops=10. *)
+let x metrics =
+  Bench_row.to_json [ { Bench_row.bench = "x"; labels = [ ("ops", "10") ]; metrics } ]
+
+let valid_bench = x [ Bench_row.higher "throughput" 5.0 ]
 
 let test_benchdiff_missing_baseline () =
   match
@@ -208,9 +213,34 @@ let test_benchdiff_self_compare () =
       check_bool "gated a metric" true (o.Benchdiff.checked > 0);
       check_bool "identical results pass" true (Benchdiff.passed o)
 
-(* per-metric tolerance: a baseline leaf [<metric>_tolerance] overrides
-   the global [--tolerance] for that one metric; the annotation itself is
-   never gated and never reported missing. *)
+(* Two rows with the same key, compared with itself, once paired the first
+   baseline row with the second current row and reported a regression.
+   Such a file is ambiguous, so it is an error naming the file. *)
+let test_benchdiff_duplicate_rows () =
+  let path =
+    write_tmp "bd_dup.json"
+      {|[ {"bench": "x", "labels": {}, "metrics": {"a_sim_ns": {"value": 1, "better": "lower"}}},
+          {"bench": "x", "labels": {}, "metrics": {"a_sim_ns": {"value": 100, "better": "lower"}}} ]|}
+  in
+  match Benchdiff.compare_files ~tolerance:0.1 ~baseline:path ~current:path with
+  | Ok _ -> Alcotest.fail "ambiguous rows must not compare"
+  | Error msg ->
+      check_bool "names the file" true (contains msg "bd_dup.json");
+      check_bool "names the key" true (contains msg "share the key x")
+
+let test_benchdiff_bad_direction () =
+  let path =
+    write_tmp "bd_sideways.json"
+      {|[ {"bench": "x", "labels": {}, "metrics": {"a_sim_ns": {"value": 1, "better": "sideways"}}} ]|}
+  in
+  match Benchdiff.compare_files ~tolerance:0.1 ~baseline:path ~current:path with
+  | Ok _ -> Alcotest.fail "an unknown direction must not compare"
+  | Error msg ->
+      check_bool "names the file" true (contains msg "bd_sideways.json");
+      check_bool "names the metric" true (contains msg "a_sim_ns")
+
+(* per-metric tolerance: a baseline metric's [tolerance] overrides the
+   global [--tolerance] for that one metric. *)
 
 let compare_strings ~tolerance ~baseline ~current =
   match
@@ -227,26 +257,29 @@ let test_benchdiff_per_metric_tolerance () =
   let o =
     compare_strings ~tolerance:0.1
       ~baseline:
-        {|[ {"name": "x", "ops": 10, "throughput": 10.0, "throughput_tolerance": 0.5} ]|}
-      ~current:{|[ {"name": "x", "ops": 10, "throughput": 6.0} ]|}
+        (x [ { (Bench_row.higher "throughput" 10.0) with tolerance = Some 0.5 } ])
+      ~current:(x [ Bench_row.higher "throughput" 6.0 ])
   in
   check_bool "wide per-metric tolerance admits the drop" true
     (Benchdiff.passed o);
-  check_bool "annotation leaf itself is not gated" true (o.Benchdiff.checked = 1);
-  check_bool "annotation absent on current is not missing" true
-    (o.Benchdiff.missing = [])
+  check_bool "exactly one metric gated" true (o.Benchdiff.checked = 1);
+  check_bool "nothing missing" true (o.Benchdiff.missing = [])
 
 let test_benchdiff_tolerance_fallback () =
-  (* the override is per metric: the un-annotated metric still uses the
+  (* the override is per metric: the metric without one still uses the
      global tolerance and regresses *)
   let o =
     compare_strings ~tolerance:0.1
       ~baseline:
-        {|[ {"name": "x", "ops": 10, "throughput": 10.0, "throughput_tolerance": 0.5, "sim_ns_per_op": 100.0} ]|}
+        (x
+           [
+             { (Bench_row.higher "throughput" 10.0) with tolerance = Some 0.5 };
+             Bench_row.lower "sim_ns_per_op" 100.0;
+           ])
       ~current:
-        {|[ {"name": "x", "ops": 10, "throughput": 6.0, "sim_ns_per_op": 140.0} ]|}
+        (x [ Bench_row.higher "throughput" 6.0; Bench_row.lower "sim_ns_per_op" 140.0 ])
   in
-  check_bool "un-annotated metric falls back to global" false
+  check_bool "metric without a tolerance falls back to global" false
     (Benchdiff.passed o);
   check_bool "exactly the fallback metric regressed" true
     (List.length o.Benchdiff.regressions = 1)
@@ -254,27 +287,26 @@ let test_benchdiff_tolerance_fallback () =
 let test_benchdiff_new_metrics () =
   (* A gated metric only the current run produces cannot be judged; it
      must surface in [new_metrics] (a CLI warning) without failing the
-     gate — and annotation leaves never count as new metrics. *)
+     gate — and [Info] metrics never count as new metrics. *)
   let o =
     compare_strings ~tolerance:0.1
-      ~baseline:{|[ {"name": "x", "ops": 10, "throughput": 10.0} ]|}
+      ~baseline:(x [ Bench_row.higher "throughput" 10.0 ])
       ~current:
-        {|[ {"name": "x", "ops": 10, "throughput": 10.0,
-             "latency_p99_sim_ns": 4096.0, "latency_p99_sim_ns_tolerance": 0.5,
-             "row_count": 7.0} ]|}
+        (x
+           [
+             Bench_row.higher "throughput" 10.0;
+             Bench_row.lower ~tolerance:0.5 "latency_p99_sim_ns" 4096.0;
+             Bench_row.info "row_count" 7.0;
+           ])
   in
   check_bool "still passes" true (Benchdiff.passed o);
   check_bool "the gated current-only metric is reported" true
     (o.Benchdiff.new_metrics = [ "x/ops=10/latency_p99_sim_ns" ]);
-  (* ungated leaves ("row_count") and tolerance annotations are not new
-     metrics; a baseline that already has the leaf reports none *)
-  let o2 =
-    compare_strings ~tolerance:0.1
-      ~baseline:
-        {|[ {"name": "x", "ops": 10, "throughput": 10.0, "latency_p99_sim_ns": 4096.0} ]|}
-      ~current:
-        {|[ {"name": "x", "ops": 10, "throughput": 10.0, "latency_p99_sim_ns": 4096.0} ]|}
+  (* a baseline that already has the metric reports none *)
+  let both =
+    x [ Bench_row.higher "throughput" 10.0; Bench_row.lower "latency_p99_sim_ns" 4096.0 ]
   in
+  let o2 = compare_strings ~tolerance:0.1 ~baseline:both ~current:both in
   check_bool "known metrics are not new" true (o2.Benchdiff.new_metrics = [])
 
 let test_benchdiff_tighter_per_metric () =
@@ -283,11 +315,41 @@ let test_benchdiff_tighter_per_metric () =
   let o =
     compare_strings ~tolerance:0.2
       ~baseline:
-        {|[ {"name": "x", "ops": 10, "throughput": 10.0, "throughput_tolerance": 0.01} ]|}
-      ~current:{|[ {"name": "x", "ops": 10, "throughput": 9.5} ]|}
+        (x [ { (Bench_row.higher "throughput" 10.0) with tolerance = Some 0.01 } ])
+      ~current:(x [ Bench_row.higher "throughput" 9.5 ])
   in
   check_bool "tight per-metric tolerance rejects the drop" false
     (Benchdiff.passed o)
+
+(* The baseline, not the metric's name, says which way is better: a
+   "throughput" the file declares [lower] regresses when it rises. *)
+let test_benchdiff_direction_from_file () =
+  let o =
+    compare_strings ~tolerance:0.1
+      ~baseline:(x [ Bench_row.lower "throughput" 10.0 ])
+      ~current:(x [ Bench_row.higher "throughput" 20.0 ])
+  in
+  check_bool "rise of a lower-is-better metric fails" false (Benchdiff.passed o);
+  check_bool "reported as a regression" true
+    (List.map (fun r -> r.Benchdiff.metric) o.Benchdiff.regressions
+    = [ "x/ops=10/throughput" ])
+
+(* Every bench's rows, at its smallest size, read back unchanged. *)
+let test_rows_round_trip () =
+  let rows =
+    Append_bench.run ~n_ops:64 ()
+    @ Recovery_bench.run ~sizes:[ 64 ] ~intervals:[ 0 ] ()
+    @ Scaling_bench.run ~threads:2 ~partitions:[ 1; 2 ] ~txns_per_thread:4 ()
+    @ fst (Tpcc_bench.run ~warehouses:1 ~partitions:1 ~arrivals:20 ~arena_mb:64 ())
+    @ Twopc_bench.run ~txns:4 ()
+  in
+  List.iter
+    (fun bench ->
+      check_bool (bench ^ " rows present") true
+        (List.exists (fun r -> r.Bench_row.bench = bench) rows))
+    [ "append"; "recovery"; "scaling"; "tpcc"; "2pc" ];
+  check_bool "of_json (to_json rows) = rows" true
+    (Bench_row.of_json (Bench_row.to_json rows) = Ok rows)
 
 let () =
   let tc = Alcotest.test_case in
@@ -306,6 +368,11 @@ let () =
             test_benchdiff_tighter_per_metric;
           tc "current-only gated metrics warn" `Quick
             test_benchdiff_new_metrics;
+          tc "duplicate rows rejected" `Quick test_benchdiff_duplicate_rows;
+          tc "unknown direction rejected" `Quick test_benchdiff_bad_direction;
+          tc "direction read from the baseline" `Quick
+            test_benchdiff_direction_from_file;
+          tc "every bench's rows round-trip" `Quick test_rows_round_trip;
         ] );
       ( "figures",
         [

@@ -1,5 +1,5 @@
 (* Tests for the later additions: B+-tree range scans, the persistent
-   queue, the distributed-log group, and the TPC-C payment transaction. *)
+   queue, and the TPC-C payment transaction. *)
 
 open Rewind_nvm
 open Rewind
@@ -263,52 +263,6 @@ let prop_pqueue_model =
       && Pqueue.well_formed q)
 
 (* ------------------------------------------------------------------ *)
-(* Distributed-log group                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_tm_group_routing () =
-  let arena = Arena.create ~size_bytes:(64 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let g = Tm_group.create alloc ~root_slot:4 ~partitions:4 in
-  check_int "partitions" 4 (Tm_group.partitions g);
-  check_bool "stable routing" true (Tm_group.tm_for g 7 == Tm_group.tm_for g 7);
-  check_bool "different partitions differ" true
-    (Tm_group.tm_for g 0 != Tm_group.tm_for g 1)
-
-let test_tm_group_independent_commit_rollback () =
-  let arena = Arena.create ~size_bytes:(64 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let g = Tm_group.create alloc ~root_slot:4 ~partitions:3 in
-  let cells = Array.init 3 (fun _ -> Alloc.alloc alloc 8) in
-  for p = 0 to 2 do
-    Tm_group.atomically g ~partition:p (fun tm txn ->
-        Tm.write tm txn ~addr:cells.(p) ~value:(Int64.of_int (p + 1)))
-  done;
-  (* one in-flight transaction on partition 1 *)
-  let tm1, txn1 = Tm_group.begin_txn g ~partition:1 in
-  Tm.write tm1 txn1 ~addr:cells.(1) ~value:99L;
-  Arena.crash arena;
-  let alloc2 = Alloc.recover arena in
-  let _g2 = Tm_group.attach alloc2 ~root_slot:4 ~partitions:3 in
-  Alcotest.(check int64) "p0 committed" 1L (Arena.read arena cells.(0));
-  Alcotest.(check int64) "p1 rolled back to commit" 2L (Arena.read arena cells.(1));
-  Alcotest.(check int64) "p2 committed" 3L (Arena.read arena cells.(2))
-
-let test_tm_group_checkpoint () =
-  let arena = Arena.create ~size_bytes:(64 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let g = Tm_group.create alloc ~root_slot:4 ~partitions:2 in
-  let cell = Alloc.alloc alloc 8 in
-  for i = 1 to 10 do
-    Tm_group.atomically g ~partition:(i mod 2) (fun tm txn ->
-        Tm.write tm txn ~addr:cell ~value:(Int64.of_int i))
-  done;
-  Tm_group.checkpoint_all g;
-  check_int "all logs empty" 0
-    (Log.length (Tm.log (Tm_group.tm g 0)) + Log.length (Tm.log (Tm_group.tm g 1)));
-  check_int "commits counted" 10 (Tm_group.commits g)
-
-(* ------------------------------------------------------------------ *)
 (* TPC-C payment                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -400,12 +354,6 @@ let () =
           tc "rollback" `Quick test_pqueue_rollback;
           tc "crash" `Quick test_pqueue_crash;
           QCheck_alcotest.to_alcotest prop_pqueue_model;
-        ] );
-      ( "tm-group",
-        [
-          tc "routing" `Quick test_tm_group_routing;
-          tc "independent recovery" `Quick test_tm_group_independent_commit_rollback;
-          tc "group checkpoint" `Quick test_tm_group_checkpoint;
         ] );
       ( "payment",
         [

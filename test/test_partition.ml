@@ -4,8 +4,9 @@
 
    1. functional smoke across every configuration at 2 and 4 partitions:
       committed transactions survive a crash, a rolled-back and a live
-      transaction do not, and transactions actually spread round-robin
-      over the partitions' logs;
+      transaction do not, transactions actually spread round-robin
+      over the partitions' logs, and a quiescent checkpoint empties them
+      all;
 
    2. an exhaustive crash sweep: concurrent writers (the fiber scheduler)
       under Batch logging with tiny buckets and groups, a crash armed at
@@ -114,7 +115,21 @@ let test_smoke (name, cfg0) n_parts () =
   Tm.write tm2 txn ~addr:cells.(22) ~value:99L;
   Tm.commit tm2 txn;
   check_int (name ^ ": post-recovery commit") 99
-    (Int64.to_int (Arena.read arena cells.(22)))
+    (Int64.to_int (Arena.read arena cells.(22)));
+  (* one more commit per partition, then a checkpoint with no live
+     transaction empties every partition's log; the commit count spans
+     all partitions *)
+  for tno = 1 to n_parts do
+    let txn = Tm.begin_txn tm2 in
+    Tm.write tm2 txn ~addr:cells.(23) ~value:(Int64.of_int tno);
+    Tm.commit tm2 txn
+  done;
+  Tm.checkpoint tm2;
+  Array.iteri
+    (fun p log ->
+      check_int (Fmt.str "%s: partition %d log empty" name p) 0 (Log.length log))
+    (Tm.logs tm2);
+  check_int (name ^ ": commits across partitions") (n_parts + 1) (Tm.commits tm2)
 
 (* ------------------------------------------------------------------ *)
 (* 2. Concurrent writers, crash at every persistence event             *)

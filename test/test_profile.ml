@@ -15,6 +15,7 @@
 open Rewind_nvm
 open Rewind
 module Rbench = Rewind_benchlib.Recovery_bench
+module Bench_row = Rewind_benchlib.Bench_row
 
 let root_slot = 2
 
@@ -284,36 +285,44 @@ let contains s sub =
   go 0
 
 let test_recovery_bench () =
-  let results = Rbench.run ~sizes:[ 160 ] ~intervals:[ 0; 5 ] () in
-  check_int "one row per config and point" (6 * 2) (List.length results);
+  let rows = Rbench.run ~sizes:[ 160 ] ~intervals:[ 0; 5 ] () in
+  let totals, phases =
+    List.partition (fun r -> Bench_row.label r "phase" = None) rows
+  in
+  check_int "one totals row per config and point" (6 * 2) (List.length totals);
+  let metric r name = Option.get (Bench_row.value r name) in
   List.iter
     (fun r ->
-      check_int
-        (r.Rbench.config ^ ": recovery is sanitizer-clean")
-        0 r.Rbench.sanitizer_violations;
-      check_bool (r.Rbench.config ^ ": phases present") true
-        (r.Rbench.phases <> []);
-      check_bool (r.Rbench.config ^ ": recovery time measured") true
-        (r.Rbench.recovery_sim_ns > 0))
-    results;
+      let config = Option.get (Bench_row.label r "config") in
+      check_bool
+        (config ^ ": recovery is sanitizer-clean")
+        true
+        (metric r "sanitizer_violations" = 0.);
+      check_bool (config ^ ": phases present") true
+        (List.exists
+           (fun p -> Bench_row.key p = Bench_row.key r ^ "/phase=undo")
+           phases);
+      check_bool (config ^ ": recovery time measured") true
+        (metric r "total_sim_ns" > 0.))
+    totals;
   (* checkpointing shrinks the log left for recovery *)
   let log_at ckpt =
-    List.fold_left
-      (fun acc r ->
-        if r.Rbench.checkpoint_every = ckpt then acc + r.Rbench.log_records
-        else acc)
-      0 results
+    Bench_row.total "log_records"
+      (List.filter
+         (fun r -> Bench_row.label r "checkpoint_every" = Some ckpt)
+         totals)
   in
-  check_bool "checkpoints shrink the recovered log" true (log_at 5 < log_at 0);
-  let json = Rbench.to_json results in
+  check_bool "checkpoints shrink the recovered log" true (log_at "5" < log_at "0");
+  let json = Bench_row.to_json rows in
   check_bool "json array" true
     (String.length json > 2 && json.[0] = '[');
   check_bool "json has phase rows" true (contains json "\"phase\": \"undo\"");
-  let prom = Rbench.to_prometheus results in
+  let prom = Bench_row.to_prometheus rows in
   check_bool "prometheus total metric" true
-    (contains prom "rewind_recovery_sim_ns{config=\"1l-nfp\"");
+    (contains prom "rewind_recovery_total_sim_ns{config=\"1l-nfp\"");
   check_bool "prometheus phase metric" true
-    (contains prom "rewind_recovery_phase_sim_ns");
+    (contains prom "rewind_recovery_sim_ns{config=\"1l-nfp\"");
+  check_bool "prometheus phase label" true (contains prom ",phase=\"undo\"}");
   check_bool "prometheus sanitizer metric" true
     (contains prom "rewind_recovery_sanitizer_violations")
 
