@@ -625,11 +625,8 @@ let run_races config_filter partitions threads =
 let run_check config_filter enumerate partitions races threads =
   if races then run_races config_filter partitions threads
   else begin
-  (* incll is never sharded: the epoch protocol has no log to partition *)
   let shard cfg =
-    if partitions > 0 && not cfg.Rewind.Tm.incll then
-      Rewind.with_partitions partitions cfg
-    else cfg
+    if partitions > 0 then Rewind.with_partitions partitions cfg else cfg
   in
   let selected =
     match config_filter with

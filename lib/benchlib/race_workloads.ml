@@ -61,10 +61,7 @@ let multi_writer ?(threads = 4) ?(txns_per_thread = 60) ?(writes_per_txn = 4)
     ~finally:(fun () -> Racecheck.detach rc)
     (fun () ->
       let alloc = Alloc.create arena in
-      let cfg =
-        if cfg.Rewind.Tm.incll then cfg
-        else Rewind.with_partitions partitions cfg
-      in
+      let cfg = Rewind.with_partitions partitions cfg in
       let tm = Rewind.Tm.create ~cfg alloc ~root_slot:2 in
       let cells =
         Array.init (threads * cells_per_thread) (fun _ ->
@@ -95,10 +92,7 @@ let concurrent_checkpoint ?(threads = 4) ?(txns_per_thread = 40)
     ~finally:(fun () -> Racecheck.detach rc)
     (fun () ->
       let alloc = Alloc.create arena in
-      let cfg =
-        if cfg.Rewind.Tm.incll then cfg
-        else Rewind.with_partitions partitions cfg
-      in
+      let cfg = Rewind.with_partitions partitions cfg in
       let tm = Rewind.Tm.create ~cfg alloc ~root_slot:2 in
       let cells =
         Array.init (threads * cells_per_thread) (fun _ ->

@@ -50,9 +50,7 @@ let run_one ~series ~cfg ~threads ~partitions ~txns_per_thread ~writes_per_txn
     =
   let arena = Arena.create ~size_bytes:(256 lsl 20) () in
   let alloc = Alloc.create arena in
-  let cfg =
-    if cfg.Rewind.Tm.incll then cfg else Rewind.with_partitions partitions cfg
-  in
+  let cfg = Rewind.with_partitions partitions cfg in
   let tm = Rewind.Tm.create ~cfg alloc ~root_slot:2 in
   let cells =
     Array.init (threads * cells_per_thread) (fun _ -> Rewind.Tm.alloc_cell tm)

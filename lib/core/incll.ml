@@ -34,7 +34,11 @@
    {!Alloc.alloc_fresh}, which returns durably-zero, never-recycled
    space — so a fresh cell's tag (0) can never equal a live epoch
    (epochs start at 1), and a torn directory entry cannot alias freed
-   memory. *)
+   memory.
+
+   This module is also InCLL's whole transaction layer, which {!Tm}
+   delegates to: volatile per-transaction undo journals for abort and
+   savepoint rollback, and the epoch advance gated on quiescence. *)
 
 open Rewind_nvm
 
@@ -55,16 +59,16 @@ type t = {
   epoch_addr : int; (* the durable epoch counter word *)
   mutable cur_epoch : int; (* cached copy of the durable counter *)
   mutable cells : int list; (* registered cells, newest first (volatile) *)
-  mutable n_cells : int;
   registered : (int, unit) Hashtbl.t; (* cell addr -> () *)
   mutable dir_tail : int; (* chunk holding the next free slot *)
   mutable dir_fill : int; (* used slots in [dir_tail] *)
+  txns : (int, (int * int64) list ref) Hashtbl.t;
+      (* open transaction -> volatile undo journal (addr, old value),
+         newest first *)
+  latch : Sim_mutex.t; (* guards [txns] *)
 }
 
 let epoch t = t.cur_epoch
-let cells t = List.rev t.cells
-let n_cells t = t.n_cells
-let is_cell t addr = Hashtbl.mem t.registered addr
 
 let line_of_arena arena =
   let line = (Arena.config arena).Config.cacheline_bytes in
@@ -72,6 +76,21 @@ let line_of_arena arena =
     Fmt.invalid_arg
       "Incll: cacheline of %d bytes cannot hold data+undo+tag words" line;
   line
+
+let make arena alloc ~line ~epoch_addr ~epoch ~dir_head =
+  {
+    arena;
+    alloc;
+    line;
+    epoch_addr;
+    cur_epoch = epoch;
+    cells = [];
+    registered = Hashtbl.create 256;
+    dir_tail = dir_head;
+    dir_fill = 0;
+    txns = Hashtbl.create 16;
+    latch = Sim_mutex.create ();
+  }
 
 let create arena alloc ~epoch_slot ~dir_slot =
   let line = line_of_arena arena in
@@ -82,37 +101,14 @@ let create arena alloc ~epoch_slot ~dir_slot =
   Arena.fence arena;
   Arena.root_set arena epoch_slot (Int64.of_int epoch_addr);
   Arena.root_set arena dir_slot (Int64.of_int dir_head);
-  {
-    arena;
-    alloc;
-    line;
-    epoch_addr;
-    cur_epoch = 1;
-    cells = [];
-    n_cells = 0;
-    registered = Hashtbl.create 256;
-    dir_tail = dir_head;
-    dir_fill = 0;
-  }
+  make arena alloc ~line ~epoch_addr ~epoch:1 ~dir_head
 
 let attach arena alloc ~epoch_slot ~dir_slot =
   let line = line_of_arena arena in
   let epoch_addr = Int64.to_int (Arena.root_get arena epoch_slot) in
   let dir_head = Int64.to_int (Arena.root_get arena dir_slot) in
-  let t =
-    {
-      arena;
-      alloc;
-      line;
-      epoch_addr;
-      cur_epoch = Int64.to_int (Arena.durable_read arena epoch_addr);
-      cells = [];
-      n_cells = 0;
-      registered = Hashtbl.create 256;
-      dir_tail = dir_head;
-      dir_fill = 0;
-    }
-  in
+  let epoch = Int64.to_int (Arena.durable_read arena epoch_addr) in
+  let t = make arena alloc ~line ~epoch_addr ~epoch ~dir_head in
   (* Rebuild the volatile cell list from the durable directory. *)
   let rec walk chunk =
     let fill = ref 0 in
@@ -121,7 +117,6 @@ let attach arena alloc ~epoch_slot ~dir_slot =
          let a = Int64.to_int (Arena.durable_read arena (chunk + (i * 8))) in
          if a = 0 then raise Exit;
          t.cells <- a :: t.cells;
-         t.n_cells <- t.n_cells + 1;
          Hashtbl.replace t.registered a ();
          incr fill
        done
@@ -156,20 +151,15 @@ let alloc_cell t =
   Arena.nt_write t.arena (t.dir_tail + (t.dir_fill * 8)) (Int64.of_int addr);
   t.dir_fill <- t.dir_fill + 1;
   t.cells <- addr :: t.cells;
-  t.n_cells <- t.n_cells + 1;
   Hashtbl.replace t.registered addr ();
   addr
-
-let read t addr = Arena.read t.arena addr
 
 (* The update path.  First store of the epoch: capture undo+tag (cached,
    same line), announced to the sanitizer as epoch coverage of the whole
    line *before* any of the three stores.  Later stores of the epoch:
    one cached store, nothing else — this is the ~1.0-lines-per-update
-   fast path the config exists for. *)
+   fast path the config exists for.  [addr] must be a registered cell. *)
 let store t ~addr ~value =
-  if not (Hashtbl.mem t.registered addr) then
-    Fmt.invalid_arg "Incll.store: %d is not a registered cell" addr;
   let st = Arena.stats t.arena in
   if Arena.read t.arena (addr + tag_off) <> Int64.of_int t.cur_epoch then begin
     st.Stats.incll_captures <- st.Stats.incll_captures + 1;
@@ -203,9 +193,11 @@ let advance t =
    Idempotent across nested crashes — rewinding writes [undo] into
    [data] and touches neither [undo] nor [tag], and the advance flushes
    everything before the counter bumps, so a crash anywhere inside
-   recovery replays to the same state.  Returns (cells scanned, cells
+   recovery replays to the same state.  Every open transaction died with
+   the crash, so its journal goes too.  Returns (cells scanned, cells
    rewound). *)
 let recover t =
+  Hashtbl.reset t.txns;
   let e = Int64.of_int t.cur_epoch in
   let rolled = ref 0 in
   List.iter
@@ -217,4 +209,75 @@ let recover t =
       end)
     t.cells;
   advance t;
-  (t.n_cells, !rolled)
+  (Hashtbl.length t.registered, !rolled)
+
+(* -- the transaction layer ------------------------------------------------ *)
+
+let journal t txn =
+  match Hashtbl.find_opt t.txns txn with
+  | Some j -> j
+  | None -> Fmt.invalid_arg "Incll: transaction %d is not open" txn
+
+(* Drop [txn]'s journal, returning its entries newest first. *)
+let close t txn =
+  let j = journal t txn in
+  Hashtbl.remove t.txns txn;
+  !j
+
+(* Restore journal entries newest first through the ordinary store path
+   (so a cell's in-line undo is re-captured if this is its first touch of
+   the epoch); the order is right for several writes to one cell. *)
+let undo t entries =
+  List.iter (fun (addr, old_value) -> store t ~addr ~value:old_value) entries
+
+let begin_txn t txn =
+  Sim_mutex.with_lock t.latch (fun () -> Hashtbl.replace t.txns txn (ref []))
+
+(* Check registration before journaling: a rejected address in the
+   journal would make the abort that follows raise before it restored
+   the transaction's earlier writes. *)
+let write t txn ~addr ~value =
+  if not (Hashtbl.mem t.registered addr) then
+    Fmt.invalid_arg "Incll.write: %d is not a registered cell" addr;
+  let old_value = Arena.read t.arena addr in
+  Sim_mutex.with_lock t.latch (fun () ->
+      let j = journal t txn in
+      j := (addr, old_value) :: !j);
+  store t ~addr ~value
+
+let commit t txn =
+  Sim_mutex.with_lock t.latch (fun () ->
+      ignore (close t txn);
+      Pmcheck.txn_settled t.arena ~txn)
+
+let rollback t txn =
+  undo t (Sim_mutex.with_lock t.latch (fun () -> close t txn));
+  Pmcheck.txn_settled t.arena ~txn
+
+let savepoint t txn =
+  Sim_mutex.with_lock t.latch (fun () -> List.length !(journal t txn))
+
+(* The journal is newest first: the entries past the savepoint's depth
+   are its first [depth - sp]. *)
+let rollback_to t txn sp =
+  undo t
+    (Sim_mutex.with_lock t.latch (fun () ->
+         let j = journal t txn in
+         let n = List.length !j - sp in
+         let undone = List.filteri (fun i _ -> i < n) !j in
+         j := List.filteri (fun i _ -> i >= n) !j;
+         undone))
+
+let active t = Hashtbl.length t.txns
+
+let advance_quiescent ~span t =
+  let n = active t in
+  if n > 0 then
+    Fmt.invalid_arg
+      "Incll.advance_quiescent: %d transaction(s) still in flight — the \
+       epoch boundary must be transaction-consistent"
+      n;
+  span (fun () -> advance t)
+
+let advance_if_quiescent ~span t =
+  if active t = 0 then span (fun () -> advance t)

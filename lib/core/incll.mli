@@ -6,12 +6,16 @@
     word, and an epoch tag.  The first store to a cell per epoch
     captures the old value into the undo word (two extra cached stores,
     same line — no extra NVM line write, no fence); later stores in the
-    epoch are a single cached store.  {!advance} is the group-commit
-    point: flush everything, fence, bump the durable epoch counter.
-    A crash rolls the state back to the last advance — which is
+    epoch are a single cached store.  The epoch advance is the
+    group-commit point: flush everything, fence, bump the durable epoch
+    counter.  A crash rolls the state back to the last advance — which is
     transaction-consistent, because the transaction layer only advances
-    at quiescence.  Used by {!Tm} when the configuration's [incll] flag
-    is set; the log/record machinery is bypassed entirely. *)
+    at quiescence.
+
+    This module is InCLL's whole transaction layer, which {!Tm} delegates
+    to under [config.incll], bypassing the log/record machinery: it keeps
+    each open transaction's volatile undo journal behind one latch, for
+    abort and savepoint rollback (crash rollback never reads it). *)
 
 open Rewind_nvm
 
@@ -34,29 +38,51 @@ val alloc_cell : t -> int
     equal a live epoch).  Returns the data-word address; the cell's undo
     word and tag live at fixed offsets behind it. *)
 
-val store : t -> addr:int -> value:int64 -> unit
-(** Update a registered cell, capturing the in-line undo first if this
-    is the cell's first store of the current epoch.  Raises
-    [Invalid_argument] for an unregistered address. *)
-
-val read : t -> int -> int64
-
-val advance : t -> unit
-(** The epoch checkpoint: flush all dirty lines, fence, bump the durable
-    epoch counter, fence.  Everything stored in the closing epoch
-    becomes durable as a group; the caller (see {!Tm.advance_epoch})
-    must ensure no transaction is in flight. *)
-
 val recover : t -> int * int
 (** Post-crash: rewind every cell whose tag equals the crashed epoch to
-    its undo word, then {!advance}.  Idempotent across crashes inside
-    recovery itself.  Returns (cells scanned, cells rewound). *)
+    its undo word, then advance the epoch.  Idempotent across crashes
+    inside recovery itself.  Drops every open transaction.  Returns
+    (cells scanned, cells rewound). *)
 
 val epoch : t -> int
 (** The current (cached) epoch. *)
 
-val cells : t -> int list
-(** Registered cell addresses, oldest first. *)
+(** {1 Transactions}
 
-val n_cells : t -> int
-val is_cell : t -> int -> bool
+    Ids are allocated by the caller.  Each function taking one raises
+    [Invalid_argument] if that transaction is not open. *)
+
+val begin_txn : t -> int -> unit
+
+val write : t -> int -> addr:int -> value:int64 -> unit
+(** Journal the cell's current value, then store, capturing the in-line
+    undo first if this is the cell's first store of the epoch.  Raises
+    [Invalid_argument] for an unregistered address {e before} journaling
+    it, so an abort still restores every earlier write. *)
+
+val commit : t -> int -> unit
+(** Drop the journal.  Nothing is written: the commit becomes durable
+    with its whole epoch at the next advance. *)
+
+val rollback : t -> int -> unit
+(** Restore every journaled value, newest first, and close. *)
+
+val savepoint : t -> int -> int
+(** The current journal depth. *)
+
+val rollback_to : t -> int -> int -> unit
+(** Restore the values journaled after the savepoint, newest first. *)
+
+val active : t -> int
+(** Open transactions. *)
+
+val advance_quiescent : span:((unit -> unit) -> unit) -> t -> unit
+(** The epoch checkpoint, run inside [span]: flush all dirty lines,
+    fence, bump the durable epoch counter, fence — everything stored in
+    the closing epoch becomes durable as a group.  Raises
+    [Invalid_argument] if a transaction is open, since the boundary must
+    be transaction-consistent. *)
+
+val advance_if_quiescent : span:((unit -> unit) -> unit) -> t -> unit
+(** Best effort: advance (inside [span]) only when no transaction is
+    open — deferring durability is always safe. *)

@@ -58,8 +58,11 @@ let config_lockfree ?(group = 8) () =
    durability, no WAL at all.  One partition, one layer by construction. *)
 let config_incll = { Tm.default_config with incll = true }
 
-(* Shard any configuration's log into [n] partitions (Section 4.7). *)
-let with_partitions n cfg = { cfg with partitions = n }
+(* Shard any configuration's log into [n] partitions (Section 4.7).  An
+   InCLL configuration is returned unchanged: it keeps no log to shard,
+   so config-generic callers need not special-case it. *)
+let with_partitions n cfg =
+  if cfg.incll then cfg else { cfg with partitions = n }
 
 (* Every named configuration the tooling accepts, in presentation order.
    Single source of truth for the CLI's [--config] parser, its help and

@@ -15,6 +15,11 @@
    independently, giving the paper's Simple/Optimized/Batch REWIND
    versions.
 
+   In-cache-line logging ([incll]) is not one of them: it keeps no
+   write-ahead log at all.  Every operation with an InCLL meaning
+   delegates to {!Incll}, which owns that protocol's transaction layer,
+   and the WAL-only operations refuse it.
+
    Partitioned logging (Section 4.7 / Section 5's multithreaded results):
    the log can be sharded into [partitions] independent partitions, each a
    full recoverable bucketed-ADLL log with its own latch, current-bucket
@@ -126,11 +131,6 @@ type t = {
   arena : Arena.t;
   parts : part array; (* empty under incll *)
   incll : Incll.t option;
-  incll_txns : (int, (int * int64) list ref) Hashtbl.t;
-      (* incll: txn -> volatile undo journal (addr, old value), newest
-         first.  Serves abort/savepoint rollback only — crash rollback
-         uses the in-line undo words, never this table. *)
-  incll_latch : Sim_mutex.t;
   next_seq : int Sim_atomic.t array;
       (* per-partition transaction sequence counters: partition [p]'s
          next id is [first_txn + seq * partitions + p], so the home
@@ -273,8 +273,6 @@ let make_t ?incll cfg alloc parts =
     arena = Alloc.arena alloc;
     parts;
     incll;
-    incll_txns = Hashtbl.create 16;
-    incll_latch = Sim_mutex.create ();
     next_seq = Array.init (max 1 (Array.length parts)) (fun _ -> Sim_atomic.make 0);
     next_home = Sim_atomic.make 0;
     next_lsn = Sim_atomic.make 1;
@@ -288,20 +286,17 @@ let make_t ?incll cfg alloc parts =
 
 (* Under incll the two slots a partition-0 log/index would use anchor
    the epoch counter and the cell directory instead. *)
-let incll_epoch_slot ~root_slot = part_log_slot ~root_slot 0
-let incll_dir_slot ~root_slot = part_index_slot ~root_slot 0
+let incll_region f ~root_slot =
+  f ~epoch_slot:(part_log_slot ~root_slot 0)
+    ~dir_slot:(part_index_slot ~root_slot 0)
 
 let create ?(cfg = default_config) alloc ~root_slot =
   check_cfg cfg ~root_slot;
   let arena = Alloc.arena alloc in
   Arena.root_set arena root_slot (Int64.of_int (config_word cfg));
   if cfg.incll then
-    let i =
-      Incll.create arena alloc
-        ~epoch_slot:(incll_epoch_slot ~root_slot)
-        ~dir_slot:(incll_dir_slot ~root_slot)
-    in
-    make_t ~incll:i cfg alloc [||]
+    make_t cfg alloc [||]
+      ~incll:(incll_region (Incll.create arena alloc) ~root_slot)
   else
   let parts =
     Array.init cfg.partitions (fun pid ->
@@ -327,10 +322,14 @@ let create ?(cfg = default_config) alloc ~root_slot =
 let config t = t.cfg
 let partitions t = max 1 (Array.length t.parts)
 
-let log t =
+(* The guard of the WAL-only entry points. *)
+let wal_only t op =
   if t.cfg.incll then
-    invalid_arg "Tm.log: an InCLL configuration keeps no log"
-  else t.parts.(0).log
+    invalid_arg (op ^ ": an InCLL configuration keeps no write-ahead log")
+
+let log t =
+  wal_only t "Tm.log";
+  t.parts.(0).log
 let logs t = Array.map (fun p -> p.log) t.parts
 let partition_appended t = Array.map (fun p -> Log.appended p.log) t.parts
 let commits t = t.commits
@@ -345,8 +344,10 @@ let hot_span t name f =
   | Some p -> Probe.span p (Arena.stats t.arena) name f
 
 let active_transactions t =
-  Hashtbl.length t.incll_txns
-  + Array.fold_left (fun acc p -> acc + Txn_table.size p.table) 0 t.parts
+  match t.incll with
+  | Some i -> Incll.active i
+  | None ->
+      Array.fold_left (fun acc p -> acc + Txn_table.size p.table) 0 t.parts
 
 let last_recovery t = t.last_recovery
 
@@ -396,29 +397,15 @@ let begin_txn ?home:home_opt t =
     | None -> Sim_atomic.fetch_and_add t.next_home 1 mod n
   in
   let id = first_txn + (Sim_atomic.fetch_and_add t.next_seq.(hp) 1 * n) + hp in
-  (match t.incll with
-  | Some _ ->
-      (* incll: open a volatile undo journal for abort support; the
-         durable side needs no per-transaction state at all. *)
-      Sim_mutex.with_lock t.incll_latch (fun () ->
-          Hashtbl.replace t.incll_txns id (ref []))
-  | None -> (
-      match t.cfg.layers with
-      | One_layer ->
-          ()  (* one-layer: no per-transaction state while logging *)
-      | Two_layer ->
-          (* two-layer: the transaction table is maintained while logging *)
-          let p = home t id in
-          Sim_mutex.with_lock p.latch (fun () ->
-              ignore (Txn_table.find_or_add p.table id))));
+  (match (t.incll, t.cfg.layers) with
+  | Some i, _ -> Incll.begin_txn i id
+  | None, One_layer -> ()  (* no per-transaction state while logging *)
+  | None, Two_layer ->
+      (* the transaction table is maintained while logging *)
+      let p = home t id in
+      Sim_mutex.with_lock p.latch (fun () ->
+          ignore (Txn_table.find_or_add p.table id)));
   id
-
-let incll_journal t txn_id =
-  match Hashtbl.find_opt t.incll_txns txn_id with
-  | Some j -> j
-  | None ->
-      invalid_arg
-        (Printf.sprintf "Tm: transaction %d is not open (InCLL)" txn_id)
 
 (* -- logging ------------------------------------------------------------ *)
 
@@ -434,6 +421,11 @@ let drain_deferred t p =
       (List.rev p.deferred);
     p.deferred <- []
   end
+
+(* Persist [p]'s pending Batch group, then release the stores it held. *)
+let flush_pending t p =
+  Log.flush_group p.log;
+  drain_deferred t p
 
 let user_write t p addr v =
   let durably = t.cfg.policy = Force in
@@ -486,8 +478,7 @@ let append_user_record t p txn_id r ~is_end =
    log the latch taken here is the transaction's home-partition latch —
    appends in different partitions never serialise against each other. *)
 let log_update t txn_id ~addr ~old_value ~new_value =
-  if t.cfg.incll then
-    invalid_arg "Tm.log_update: InCLL logs in-line; use Tm.write";
+  wal_only t "Tm.log_update";
   let p = home t txn_id in
   let lsn = fresh_lsn t in
   let inline =
@@ -517,41 +508,30 @@ let log_update t txn_id ~addr ~old_value ~new_value =
       Pmcheck.region_logged ~group:p.pid t.arena ~txn:txn_id ~addr ~len:8
         ~durable:(Log.pending p.log = 0))
 
-(* The paper's expanded-code pattern (Listing 2): log, then store.  The
-   InCLL path journals the old value for abort support and lets
-   {!Incll.store} handle the durable side — the in-line undo capture on
-   the epoch's first store, a bare cached store afterwards. *)
-let write_wal t txn_id ~addr ~value =
-  let old_value = Arena.read t.arena addr in
-  log_update t txn_id ~addr ~old_value ~new_value:value;
-  match (t.cfg.policy, t.cfg.variant) with
-  | No_force, (Log.Simple | Log.Optimized) ->
-      (* Thread-safe access to user data is the programmer's concern
-         (Section 4.7); the cached store itself needs no TM latch. *)
-      Arena.write t.arena addr value
-  | Force, _ | No_force, Log.Batch _ ->
-      (* The Batch deferral list is partition state: serialise on the
-         home latch. *)
-      let p = home t txn_id in
-      Sim_mutex.with_lock p.latch (fun () -> user_write t p addr value)
-
+(* The paper's expanded-code pattern (Listing 2): log, then store. *)
 let write t txn_id ~addr ~value =
   match t.incll with
-  | Some i ->
+  | Some i -> Incll.write i txn_id ~addr ~value
+  | None -> (
       let old_value = Arena.read t.arena addr in
-      Sim_mutex.with_lock t.incll_latch (fun () ->
-          let j = incll_journal t txn_id in
-          j := (addr, old_value) :: !j);
-      Incll.store i ~addr ~value
-  | None -> write_wal t txn_id ~addr ~value
+      log_update t txn_id ~addr ~old_value ~new_value:value;
+      match (t.cfg.policy, t.cfg.variant) with
+      | No_force, (Log.Simple | Log.Optimized) ->
+          (* Thread-safe access to user data is the programmer's concern
+             (Section 4.7); the cached store itself needs no TM latch. *)
+          Arena.write t.arena addr value
+      | Force, _ | No_force, Log.Batch _ ->
+          (* The Batch deferral list is partition state: serialise on the
+             home latch. *)
+          let p = home t txn_id in
+          Sim_mutex.with_lock p.latch (fun () -> user_write t p addr value))
 
 let read t _txn_id ~addr = Arena.read t.arena addr
 
 (* Record an intention to free NVM; the de-allocation itself happens only
    once the transaction's outcome is settled (Section 4.3). *)
 let log_delete t txn_id ~addr ~size =
-  if t.cfg.incll then
-    invalid_arg "Tm.log_delete: InCLL has no deferred-delete records";
+  wal_only t "Tm.log_delete";
   let p = home t txn_id in
   let lsn = fresh_lsn t in
   let r =
@@ -568,13 +548,12 @@ let log_delete t txn_id ~addr ~size =
 let record_txn t r = Record.txn t.arena r
 let record_typ t r = Record.typ t.arena r
 
-(* Remove one transaction's records; END last, so that an interrupted
-   clearing is re-attempted identically after a crash (Section 4.6). *)
-let clear_txn_records t p txn_id =
-  Log.remove_where p.log (fun r ->
-      record_txn t r = txn_id && record_typ t r <> Record.End);
-  Log.remove_where p.log (fun r ->
-      record_txn t r = txn_id && record_typ t r = Record.End)
+(* Remove the records of [p]'s log matching [pred]; END records last, so
+   that an interrupted clearing is re-attempted identically after a crash
+   (Section 4.6). *)
+let remove_end_last t p pred =
+  Log.remove_where p.log (fun r -> pred r && record_typ t r <> Record.End);
+  Log.remove_where p.log (fun r -> pred r && record_typ t r = Record.End)
 
 let free_deferred_deletes t p txn_id =
   let mine, rest =
@@ -583,91 +562,87 @@ let free_deferred_deletes t p txn_id =
   List.iter (fun (_, _, addr, size) -> Alloc.free t.alloc addr size) mine;
   p.deferred_deletes <- rest
 
-let drop_deferred_deletes _t p txn_id =
-  p.deferred_deletes <-
-    List.filter (fun (x, _, _, _) -> x <> txn_id) p.deferred_deletes
+(* Two-layer: [f] over a transaction's records along its back-chain from
+   [r], newest first. *)
+let rec iter_chain t r f =
+  if r <> 0 then begin
+    f r;
+    iter_chain t (Record.prev_same_txn t.arena r) f
+  end
 
-(* Two-layer clearing of one settled transaction: walk its back-chain and
-   delete each record's tree node, oldest first — so the END record (the
-   newest) goes last, and an interrupted clearing is re-attempted
-   identically after a crash (Section 4.6). *)
-let clear_txn_index t p idx txn_id =
-  match Txn_table.find p.table txn_id with
-  | None -> ()
-  | Some e ->
-      let rec collect r acc =
-        if r = 0 then acc
-        else collect (Record.prev_same_txn t.arena r) (r :: acc)
-      in
-      let oldest_first = collect e.Txn_table.last_record [] in
+(* Force-policy clearing of one settled transaction, END record last.
+   Two-layer: walk its back-chain and delete each record's tree node,
+   oldest first — the END record is the newest. *)
+let clear_txn t p txn_id =
+  match (p.index, Txn_table.find p.table txn_id) with
+  | None, _ -> remove_end_last t p (fun r -> record_txn t r = txn_id)
+  | Some _, None -> ()
+  | Some idx, Some e ->
+      let oldest_first = ref [] in
+      iter_chain t e.Txn_table.last_record (fun r ->
+          oldest_first := r :: !oldest_first);
       List.iter
         (fun r ->
           ignore (Avl_index.remove idx (Record.lsn t.arena r));
           Record.free t.alloc r)
-        oldest_first;
+        !oldest_first;
       Txn_table.remove p.table txn_id
 
 (* -- commit --------------------------------------------------------------- *)
 
-let append_end t p txn_id =
+(* Append a control record (END, CLR or PREPARE) to [p]: the compact
+   one-layer append — payload-free ENDs and small CLRs go inline — or,
+   under two layers, a full record the AAVLT indexes. *)
+let append_control t p txn_id ~typ ~is_end ?(addr = 0) ?(old_value = 0L)
+    ?(new_value = 0L) ?(undo_next = 0) () =
   match p.index with
   | None ->
-      (* One-layer END records carry no payload and always fit inline. *)
       ignore
-        (Log.append_record ~is_end:true p.log ~lsn:(fresh_lsn t) ~txn:txn_id
-           ~typ:Record.End ~addr:0 ~old_value:0L ~new_value:0L ~undo_next:0)
+        (Log.append_record ~is_end p.log ~lsn:(fresh_lsn t) ~txn:txn_id ~typ
+           ~addr ~old_value ~new_value ~undo_next)
   | Some _ ->
       let r =
-        Record.make t.alloc ~lsn:(fresh_lsn t) ~txn:txn_id ~typ:Record.End
-          ~addr:0 ~old_value:0L ~new_value:0L ~undo_next:0 ~prev_same_txn:0
+        Record.make t.alloc ~lsn:(fresh_lsn t) ~txn:txn_id ~typ ~addr
+          ~old_value ~new_value ~undo_next ~prev_same_txn:0
       in
-      append_user_record t p txn_id r ~is_end:true
+      append_user_record t p txn_id r ~is_end
+
+let append_end t p txn_id =
+  append_control t p txn_id ~typ:Record.End ~is_end:true ()
 
 (* [clear] exists for experiments that model a crash landing between the
    END record and commit-time clearing (Sections 5.1's recovery scenarios);
    production callers leave it true. *)
-let rec commit ?(clear = true) t txn_id =
+let commit ?(clear = true) t txn_id =
   hot_span t "commit" @@ fun () ->
   match t.incll with
-  | Some _ ->
-      (* InCLL commit is free: durability is epoch-granular (the commit
-         becomes durable at the next {!advance_epoch}, as a group), so
-         there is no END record, no fence, and no commit point to check —
-         dropping the volatile undo journal is the whole operation.  This
-         is the protocol's documented trade: a crash loses up to one
-         epoch of committed work, never consistency. *)
-      Sim_mutex.with_lock t.incll_latch (fun () ->
-          ignore (incll_journal t txn_id);
-          Hashtbl.remove t.incll_txns txn_id;
+  | Some i ->
+      (* free: the commit becomes durable with its epoch — a crash loses
+         up to one epoch of committed work, never consistency *)
+      Incll.commit i txn_id;
+      t.commits <- t.commits + 1
+  | None ->
+      let p = home t txn_id in
+      Sim_mutex.with_lock p.latch (fun () ->
           t.commits <- t.commits + 1;
+          (match t.cfg.policy with
+          | Force ->
+              (* All of the transaction's stores are already on their way
+                 to NVM; fence, log END, and clear immediately. *)
+              flush_pending t p;
+              Arena.fence t.arena;
+              append_end t p txn_id;
+              if clear then begin
+                clear_txn t p txn_id;
+                free_deferred_deletes t p txn_id
+              end
+          | No_force ->
+              (* The END record forces the batch group; buffered stores
+                 can then reach the (volatile) cache. *)
+              append_end t p txn_id;
+              drain_deferred t p;
+              Hashtbl.replace p.ended txn_id ());
           Pmcheck.txn_settled t.arena ~txn:txn_id)
-  | None -> commit_wal ~clear t txn_id
-
-and commit_wal ?(clear = true) t txn_id =
-  let p = home t txn_id in
-  Sim_mutex.with_lock p.latch (fun () ->
-      t.commits <- t.commits + 1;
-      (match t.cfg.policy with
-      | Force ->
-          (* All of the transaction's stores are already on their way to
-             NVM; fence, log END, and clear immediately. *)
-          Log.flush_group p.log;
-          drain_deferred t p;
-          Arena.fence t.arena;
-          append_end t p txn_id;
-          if clear then begin
-            (match p.index with
-            | None -> clear_txn_records t p txn_id
-            | Some idx -> clear_txn_index t p idx txn_id);
-            free_deferred_deletes t p txn_id
-          end
-      | No_force ->
-          (* The END record forces the batch group; buffered stores can
-             then reach the (volatile) cache. *)
-          append_end t p txn_id;
-          drain_deferred t p;
-          Hashtbl.replace p.ended txn_id ());
-      Pmcheck.txn_settled t.arena ~txn:txn_id)
 
 (* -- rollback -------------------------------------------------------------- *)
 
@@ -679,23 +654,12 @@ and commit_wal ?(clear = true) t txn_id =
 let undo_one t p txn_id rec_ ~durably =
   let addr = Record.addr t.arena rec_ in
   let restored = Record.old_value t.arena rec_ in
-  (match p.index with
-  | None ->
-      (* A CLR's old value is write-only (never read by redo or undo), so
-         the compact format drops it; small restores go inline. *)
-      ignore
-        (Log.append_record ~is_end:durably p.log ~lsn:(fresh_lsn t)
-           ~txn:txn_id ~typ:Record.Clr ~addr
-           ~old_value:(Record.new_value t.arena rec_) ~new_value:restored
-           ~undo_next:(Record.lsn t.arena rec_))
-  | Some _ ->
-      let clr =
-        Record.make t.alloc ~lsn:(fresh_lsn t) ~txn:txn_id ~typ:Record.Clr
-          ~addr
-          ~old_value:(Record.new_value t.arena rec_) ~new_value:restored
-          ~undo_next:(Record.lsn t.arena rec_) ~prev_same_txn:0
-      in
-      append_user_record t p txn_id clr ~is_end:durably);
+  let undo_next = Record.lsn t.arena rec_ in
+  (* write-only (never read by redo or undo): the compact one-layer format
+     drops it *)
+  let old_value = Record.new_value t.arena rec_ in
+  append_control t p txn_id ~typ:Record.Clr ~is_end:durably ~addr ~old_value
+    ~new_value:restored ~undo_next ();
   Pmcheck.region_logged ~group:p.pid t.arena ~txn:txn_id ~addr ~len:8
     ~durable:(Log.pending p.log = 0);
   (* Route the restore through the same WAL-ordered store path as forward
@@ -703,49 +667,22 @@ let undo_one t p txn_id rec_ ~durably =
      behind any still-pending forward store to the same line). *)
   user_write t p addr restored
 
-let rollback_one_layer t p txn_id =
-  (* One-layer: no per-transaction chain — a full backward scan of the
-     home partition skipping other transactions' records (the "skip
-     records" of Section 5.1).  Every record of [txn_id] lives in its
-     home partition, so other partitions need not be scanned.  The
-     Algorithm-2 CLR bound makes the scan idempotent: resolving an
-     in-doubt transaction as aborted after a crash mid-rollback must not
-     re-undo already-compensated updates. *)
-  let durably = t.cfg.policy = Force in
-  let bound = ref max_int in
-  Log.iter_back p.log (fun r ->
-      if record_txn t r = txn_id then
-        match record_typ t r with
-        | Record.Clr -> bound := Record.undo_next t.arena r
-        | Record.Update ->
-            if Record.lsn t.arena r < !bound then undo_one t p txn_id r ~durably
-        | Record.End | Record.Checkpoint | Record.Delete | Record.Rollback
-        | Record.Prepare ->
-            ())
-
-let rollback_two_layer t p idx txn_id =
-  let durably = t.cfg.policy = Force in
-  match Txn_table.find p.table txn_id with
-  | None -> ()
-  | Some e ->
-      let bound = ref max_int in
-      let rec go r =
-        if r <> 0 then begin
-          let next = Record.prev_same_txn t.arena r in
-          (* each record is retrieved through the AAVLT (Section 4.4) *)
-          ignore (Avl_index.find idx (Record.lsn t.arena r));
-          (match record_typ t r with
-          | Record.Clr -> bound := Record.undo_next t.arena r
-          | Record.Update ->
-              if Record.lsn t.arena r < !bound then
-                undo_one t p txn_id r ~durably
-          | Record.End | Record.Checkpoint | Record.Delete | Record.Rollback
-          | Record.Prepare ->
-              ());
-          go next
-        end
-      in
-      go e.Txn_table.last_record
+(* Algorithm 2's undo step, for one record of a backward walk over
+   [txn_id]'s records: a CLR lowers [bound] to the LSN its undo resumed
+   from, so already-compensated updates are skipped; an UPDATE below the
+   bound is undone, [before_undo] first.  [lsn] is forced only for an
+   UPDATE — each walk reads a record's LSN when it always has. *)
+let undo_step t p txn_id ~durably ~bound ?(before_undo = ignore) ~lsn r =
+  match record_typ t r with
+  | Record.Clr -> bound := Record.undo_next t.arena r
+  | Record.Update ->
+      if Lazy.force lsn < !bound then begin
+        before_undo ();
+        undo_one t p txn_id r ~durably
+      end
+  | Record.End | Record.Checkpoint | Record.Delete | Record.Rollback
+  | Record.Prepare ->
+      ()
 
 (* -- partial rollback (savepoints) ---------------------------------------
 
@@ -762,135 +699,112 @@ type savepoint = int
    everything after this point). *)
 let savepoint t txn_id =
   match t.incll with
-  | Some _ ->
-      Sim_mutex.with_lock t.incll_latch (fun () ->
-          List.length !(incll_journal t txn_id))
+  | Some i -> Incll.savepoint i txn_id
   | None -> Sim_atomic.get t.next_lsn
-
-let rollback_to_incll t i txn_id (sp : savepoint) =
-  let to_undo =
-    Sim_mutex.with_lock t.incll_latch (fun () ->
-        let j = incll_journal t txn_id in
-        let depth = List.length !j in
-        let undo, keep =
-          (* journal is newest-first: undo the first depth-sp entries *)
-          let rec split n l =
-            if n = 0 then ([], l)
-            else
-              match l with
-              | [] -> ([], [])
-              | x :: rest ->
-                  let u, k = split (n - 1) rest in
-                  (x :: u, k)
-          in
-          split (max 0 (depth - sp)) !j
-        in
-        j := keep;
-        undo)
-  in
-  List.iter (fun (addr, old_value) -> Incll.store i ~addr ~value:old_value)
-    to_undo
 
 let rollback_to t txn_id (sp : savepoint) =
   match t.incll with
-  | Some i -> rollback_to_incll t i txn_id sp
+  | Some i -> Incll.rollback_to i txn_id sp
   | None ->
-  let p = home t txn_id in
-  Sim_mutex.with_lock p.latch (fun () ->
-      let durably = t.cfg.policy = Force in
-      (match p.index with
-      | None ->
-          (* Backward scan with the Algorithm-2 bound so repeated partial
-             rollbacks never re-undo compensated updates; stop at the
-             first of this transaction's records below the savepoint. *)
+      let p = home t txn_id in
+      Sim_mutex.with_lock p.latch (fun () ->
+          let durably = t.cfg.policy = Force in
           let bound = ref max_int in
-          Log.iter_back_while p.log (fun r ->
-              if record_txn t r <> txn_id then true
-              else
-                let lsn = Record.lsn t.arena r in
-                if lsn < sp then false
-                else begin
-                  (match record_typ t r with
-                  | Record.Clr -> bound := Record.undo_next t.arena r
-                  | Record.Update ->
-                      if lsn < !bound then undo_one t p txn_id r ~durably
-                  | Record.End | Record.Checkpoint | Record.Delete
-                  | Record.Rollback | Record.Prepare ->
-                      ());
-                  true
-                end)
-      | Some idx -> (
-          match Txn_table.find p.table txn_id with
-          | None -> ()
-          | Some e ->
-              let bound = ref max_int in
-              let rec go r =
-                if r <> 0 then begin
-                  let next = Record.prev_same_txn t.arena r in
-                  let lsn = Record.lsn t.arena r in
-                  if lsn >= sp then begin
-                    (match record_typ t r with
-                    | Record.Clr -> bound := Record.undo_next t.arena r
-                    | Record.Update ->
-                        if lsn < !bound then begin
-                          ignore (Avl_index.find idx lsn);
-                          undo_one t p txn_id r ~durably
-                        end
-                    | Record.End | Record.Checkpoint | Record.Delete
-                    | Record.Rollback | Record.Prepare ->
-                        ());
-                    go next
-                  end
-                end
-              in
-              go e.Txn_table.last_record));
-      (* deferred de-allocations requested after the savepoint are void *)
-      p.deferred_deletes <-
-        List.filter
-          (fun (x, lsn, _, _) -> x <> txn_id || lsn < sp)
-          p.deferred_deletes)
-
-(* InCLL abort: replay the volatile journal newest-first through the
-   ordinary store path (so a cell's in-line undo is re-captured if this
-   is somehow its first touch of the epoch).  The journal orders restores
-   correctly for multiple writes to one cell within the transaction. *)
-let rollback_incll t i txn_id =
-  let entries =
-    Sim_mutex.with_lock t.incll_latch (fun () ->
-        let j = incll_journal t txn_id in
-        Hashtbl.remove t.incll_txns txn_id;
-        !j)
-  in
-  List.iter (fun (addr, old_value) -> Incll.store i ~addr ~value:old_value)
-    entries;
-  t.rollbacks <- t.rollbacks + 1;
-  Pmcheck.txn_settled t.arena ~txn:txn_id
+          (match p.index with
+          | None ->
+              (* Backward scan with the Algorithm-2 bound so repeated
+                 partial rollbacks never re-undo compensated updates; stop
+                 at the first of this transaction's records below the
+                 savepoint. *)
+              Log.iter_back_while p.log (fun r ->
+                  if record_txn t r <> txn_id then true
+                  else
+                    let lsn = Record.lsn t.arena r in
+                    if lsn < sp then false
+                    else begin
+                      undo_step t p txn_id ~durably ~bound
+                        ~lsn:(Lazy.from_val lsn) r;
+                      true
+                    end)
+          | Some idx -> (
+              match Txn_table.find p.table txn_id with
+              | None -> ()
+              | Some e ->
+                  let rec go r =
+                    if r <> 0 then begin
+                      let next = Record.prev_same_txn t.arena r in
+                      let lsn = Record.lsn t.arena r in
+                      if lsn >= sp then begin
+                        undo_step t p txn_id ~durably ~bound
+                          ~before_undo:(fun () ->
+                            ignore (Avl_index.find idx lsn))
+                          ~lsn:(Lazy.from_val lsn) r;
+                        go next
+                      end
+                    end
+                  in
+                  go e.Txn_table.last_record));
+          (* deferred de-allocations requested after the savepoint are
+             void *)
+          p.deferred_deletes <-
+            List.filter
+              (fun (x, lsn, _, _) -> x <> txn_id || lsn < sp)
+              p.deferred_deletes)
 
 let rollback t txn_id =
   match t.incll with
-  | Some i -> rollback_incll t i txn_id
+  | Some i ->
+      Incll.rollback i txn_id;
+      t.rollbacks <- t.rollbacks + 1
   | None ->
-  let p = home t txn_id in
-  Sim_mutex.with_lock p.latch (fun () ->
-      t.rollbacks <- t.rollbacks + 1;
-      (* Settle any deferred (Batch) user stores *before* undoing, or a
-         stale pending store could overwrite a restored value. *)
-      Log.flush_group p.log;
-      drain_deferred t p;
-      (match p.index with
-      | None -> rollback_one_layer t p txn_id
-      | Some idx -> rollback_two_layer t p idx txn_id);
-      Log.flush_group p.log;
-      append_end t p txn_id;
-      drain_deferred t p;
-      drop_deferred_deletes t p txn_id;
-      (match t.cfg.policy with
-      | Force -> (
-          match p.index with
-          | None -> clear_txn_records t p txn_id
-          | Some idx -> clear_txn_index t p idx txn_id)
-      | No_force -> Hashtbl.replace p.ended txn_id ());
-      Pmcheck.txn_settled t.arena ~txn:txn_id)
+      let p = home t txn_id in
+      Sim_mutex.with_lock p.latch (fun () ->
+          t.rollbacks <- t.rollbacks + 1;
+          (* Settle any deferred (Batch) user stores *before* undoing, or
+             a stale pending store could overwrite a restored value. *)
+          flush_pending t p;
+          let durably = t.cfg.policy = Force in
+          let bound = ref max_int in
+          (match p.index with
+          | None ->
+              (* No per-transaction chain: a full backward scan of the
+                 home partition skipping other transactions' records (the
+                 "skip records" of Section 5.1) — every record of [txn_id]
+                 lives there.  The Algorithm-2 bound makes the scan
+                 idempotent: resolving an in-doubt transaction as aborted
+                 after a crash mid-rollback must not re-undo
+                 already-compensated updates. *)
+              Log.iter_back p.log (fun r ->
+                  if record_txn t r = txn_id then
+                    undo_step t p txn_id ~durably ~bound
+                      ~lsn:(lazy (Record.lsn t.arena r))
+                      r)
+          | Some idx -> (
+              match Txn_table.find p.table txn_id with
+              | None -> ()
+              | Some e ->
+                  let rec go r =
+                    if r <> 0 then begin
+                      let next = Record.prev_same_txn t.arena r in
+                      (* each record is retrieved through the AAVLT
+                         (Section 4.4) *)
+                      ignore (Avl_index.find idx (Record.lsn t.arena r));
+                      undo_step t p txn_id ~durably ~bound
+                        ~lsn:(lazy (Record.lsn t.arena r))
+                        r;
+                      go next
+                    end
+                  in
+                  go e.Txn_table.last_record));
+          Log.flush_group p.log;
+          append_end t p txn_id;
+          drain_deferred t p;
+          p.deferred_deletes <-
+            List.filter (fun (x, _, _, _) -> x <> txn_id) p.deferred_deletes;
+          (match t.cfg.policy with
+          | Force -> clear_txn t p txn_id
+          | No_force -> Hashtbl.replace p.ended txn_id ());
+          Pmcheck.txn_settled t.arena ~txn:txn_id)
 
 (* -- two-phase commit: the participant side (Distributed REWIND) ----------- *)
 
@@ -902,29 +816,14 @@ let rollback t txn_id =
    undoes nor finishes it, because under presumed abort only the
    coordinator's durable decision record can settle it. *)
 let prepare t txn_id ~gtid =
-  if t.cfg.incll then
-    invalid_arg
-      "Tm.prepare: InCLL durability is epoch-granular and cannot hold a \
-       single transaction in doubt";
+  wal_only t "Tm.prepare";
   hot_span t "prepare" @@ fun () ->
   let p = home t txn_id in
   Sim_mutex.with_lock p.latch (fun () ->
-      Log.flush_group p.log;
-      drain_deferred t p;
+      flush_pending t p;
       Arena.fence t.arena;
-      (match p.index with
-      | None ->
-          ignore
-            (Log.append_record ~is_end:true p.log ~lsn:(fresh_lsn t)
-               ~txn:txn_id ~typ:Record.Prepare ~addr:0
-               ~old_value:(Int64.of_int gtid) ~new_value:0L ~undo_next:0)
-      | Some _ ->
-          let r =
-            Record.make t.alloc ~lsn:(fresh_lsn t) ~txn:txn_id
-              ~typ:Record.Prepare ~addr:0 ~old_value:(Int64.of_int gtid)
-              ~new_value:0L ~undo_next:0 ~prev_same_txn:0
-          in
-          append_user_record t p txn_id r ~is_end:true);
+      append_control t p txn_id ~typ:Record.Prepare ~is_end:true
+        ~old_value:(Int64.of_int gtid) ();
       (match Txn_table.find p.table txn_id with
       | Some e -> e.Txn_table.status <- Txn_table.Prepared
       | None -> ());
@@ -964,16 +863,8 @@ let rec with_all_latches t i f =
    new epoch boundary into a transaction-inconsistent recovery target. *)
 let advance_epoch t =
   match t.incll with
-  | None ->
-      invalid_arg "Tm.advance_epoch: not an InCLL configuration"
-  | Some i ->
-      if active_transactions t > 0 then
-        invalid_arg
-          (Printf.sprintf
-             "Tm.advance_epoch: %d transaction(s) still in flight — the \
-              epoch boundary must be transaction-consistent"
-             (active_transactions t));
-      hot_span t "epoch-advance" (fun () -> Incll.advance i)
+  | None -> invalid_arg "Tm.advance_epoch: not an InCLL configuration"
+  | Some i -> Incll.advance_quiescent ~span:(hot_span t "epoch-advance") i
 
 let current_epoch t =
   match t.incll with None -> None | Some i -> Some (Incll.epoch i)
@@ -987,18 +878,14 @@ let alloc_cell t =
   | Some i -> Incll.alloc_cell i
   | None -> Alloc.alloc t.alloc 8
 
-let rec checkpoint t =
+let checkpoint t =
   match t.incll with
   | Some i ->
-      (* Best-effort under load: with writers mid-transaction the advance
-         must wait for the next quiescent checkpoint — skipping is always
-         safe (durability is simply deferred), advancing non-quiescent
-         never is. *)
-      if Hashtbl.length t.incll_txns = 0 then
-        hot_span t "epoch-advance" (fun () -> Incll.advance i)
-  | None -> checkpoint_wal t
-
-and checkpoint_wal t =
+      (* best effort: under load the advance waits for a quiescent
+         checkpoint — deferring durability is safe, splitting a
+         transaction across epochs is not *)
+      Incll.advance_if_quiescent ~span:(hot_span t "epoch-advance") i
+  | None ->
   hot_span t "checkpoint" @@ fun () ->
   with_all_latches t 0 (fun () ->
       hot_span t "cp-persist" (fun () ->
@@ -1010,8 +897,7 @@ and checkpoint_wal t =
           let cps =
             Array.map
               (fun p ->
-                Log.flush_group p.log;
-                drain_deferred t p;
+                flush_pending t p;
                 let cp =
                   Record.make t.alloc ~lsn:(fresh_lsn t) ~txn:0
                     ~typ:Record.Checkpoint ~addr:0 ~old_value:0L
@@ -1042,36 +928,23 @@ and checkpoint_wal t =
              tombstone, so a crash leaves exactly a *prefix* of the
              global-LSN-ordered removal sequence applied. *)
           let settled p = Hashtbl.fold (fun id () acc -> id :: acc) p.ended [] in
+          (* (lsn, is END, removal) for every settled record; two-layer
+             reads the type only after the sort *)
+          let victims = ref [] in
           (match t.cfg.layers with
           | One_layer ->
-              let victims = ref [] in
               Array.iter
                 (fun p ->
-                    Log.iter_h p.log (fun h r ->
-                        let x = record_txn t r in
-                        if x <> 0 && Hashtbl.mem p.ended x then
-                          victims :=
-                            ( Record.lsn t.arena r,
-                              record_typ t r = Record.End,
-                              p,
-                              h )
-                            :: !victims))
-                t.parts;
-              let oldest_first =
-                List.sort
-                  (fun (l1, _, _, _) (l2, _, _, _) -> compare l1 l2)
-                  !victims
-              in
-              List.iter
-                (fun (_, is_end, p, h) ->
-                  if not is_end then Log.remove_handle p.log h)
-                oldest_first;
-              List.iter
-                (fun (_, is_end, p, h) ->
-                  if is_end then Log.remove_handle p.log h)
-                oldest_first
+                  Log.iter_h p.log (fun h r ->
+                      let x = record_txn t r in
+                      if x <> 0 && Hashtbl.mem p.ended x then
+                        victims :=
+                          ( Record.lsn t.arena r,
+                            Lazy.from_val (record_typ t r = Record.End),
+                            fun () -> Log.remove_handle p.log h )
+                          :: !victims))
+                t.parts
           | Two_layer ->
-              let records = ref [] in
               Array.iter
                 (fun p ->
                   match p.index with
@@ -1082,41 +955,32 @@ and checkpoint_wal t =
                           match Txn_table.find p.table id with
                           | None -> ()
                           | Some e ->
-                              let rec collect r =
-                                if r <> 0 then begin
-                                  records :=
-                                    (Record.lsn t.arena r, r, p, idx)
-                                    :: !records;
-                                  collect (Record.prev_same_txn t.arena r)
-                                end
-                              in
-                              collect e.Txn_table.last_record)
+                              iter_chain t e.Txn_table.last_record (fun r ->
+                                  let lsn = Record.lsn t.arena r in
+                                  victims :=
+                                    ( lsn,
+                                      lazy (record_typ t r = Record.End),
+                                      fun () ->
+                                        ignore (Avl_index.remove idx lsn);
+                                        Record.free t.alloc r )
+                                    :: !victims))
                         (settled p))
-                t.parts;
-              let oldest_first =
-                List.sort (fun (l1, _, _, _) (l2, _, _, _) -> compare l1 l2)
-                  !records
-              in
-              let remove (lsn, r, _, idx) =
-                ignore (Avl_index.remove idx lsn);
-                Record.free t.alloc r
-              in
-              let ends, others =
-                List.partition
-                  (fun (_, r, _, _) -> record_typ t r = Record.End)
-                  oldest_first
-              in
-              List.iter remove others;
-              List.iter remove ends;
-              Array.iter
-                (fun p ->
-                  List.iter
-                    (fun id -> Txn_table.remove p.table id)
-                    (settled p))
                 t.parts);
+          let ends, others =
+            List.partition
+              (fun (_, is_end, _) -> Lazy.force is_end)
+              (List.sort (fun (l1, _, _) (l2, _, _) -> compare l1 l2) !victims)
+          in
+          List.iter (fun (_, _, remove) -> remove ()) others;
+          List.iter (fun (_, _, remove) -> remove ()) ends;
           Array.iter
             (fun p ->
-              List.iter (fun id -> free_deferred_deletes t p id) (settled p);
+              List.iter
+                (fun id ->
+                  (* two-layer only: one-layer tables stay empty *)
+                  Txn_table.remove p.table id;
+                  free_deferred_deletes t p id)
+                (settled p);
               Hashtbl.reset p.ended;
               (* The checkpoint record has served its purpose. *)
               Log.remove_where p.log (fun r ->
@@ -1381,9 +1245,8 @@ let prune_in_doubt t =
       Txn_table.iter p.table (fun e ->
           if e.Txn_table.status = Txn_table.Prepared then
             Hashtbl.replace keep e.Txn_table.id
-              (match Hashtbl.find_opt t.prepared_gtids e.Txn_table.id with
-              | Some g -> g
-              | None -> 0)))
+              (Option.value ~default:0
+                 (Hashtbl.find_opt t.prepared_gtids e.Txn_table.id))))
     t.parts;
   Hashtbl.reset t.prepared_gtids;
   Hashtbl.iter (Hashtbl.replace t.prepared_gtids) keep
@@ -1430,16 +1293,11 @@ let undo_two_layer t ~on_torn =
                     on_torn ()
                   else begin
                     let next = Record.prev_same_txn t.arena r in
-                    (match record_typ t r with
-                    | Record.Clr -> bound := Record.undo_next t.arena r
-                    | Record.Update ->
-                        if Record.lsn t.arena r < !bound then begin
-                          ignore (Avl_index.find idx (Record.lsn t.arena r));
-                          undo_one t p x r ~durably
-                        end
-                    | Record.End | Record.Checkpoint | Record.Delete
-                    | Record.Rollback | Record.Prepare ->
-                        ());
+                    undo_step t p x ~durably ~bound
+                      ~before_undo:(fun () ->
+                        ignore (Avl_index.find idx (Record.lsn t.arena r)))
+                      ~lsn:(lazy (Record.lsn t.arena r))
+                      r;
                     go next
                   end
               in
@@ -1450,17 +1308,20 @@ let undo_two_layer t ~on_torn =
     t.parts;
   !total
 
+(* Persist every partition's pending group and deferred stores, then the
+   whole cache: the recovered state is durable before any clearing.
+   Buffered Batch stores must land before the flush or they would be
+   silently dropped. *)
+let persist_recovered t =
+  Array.iter (flush_pending t) t.parts;
+  Arena.flush_all t.arena;
+  Arena.fence t.arena
+
 (* Two-layer index clearing, ahead of the shared log clearing. *)
 let clear_indexes t prof =
   (* Make the redo/undo results durable *before* dropping records: a crash
      here must still find the log able to repeat history. *)
-  Array.iter
-    (fun p ->
-      Log.flush_group p.log;
-      drain_deferred t p)
-    t.parts;
-  Arena.flush_all t.arena;
-  Arena.fence t.arena;
+  persist_recovered t;
   (* every transaction except the in-doubt set is settled: free the
      settled records — wholesale (one atomic root swing per partition) when
      nothing is in doubt, selectively otherwise, so that in-doubt chains
@@ -1507,15 +1368,8 @@ let clear_after_recovery t =
      otherwise clearing is selective — an in-doubt transaction's records
      (UPDATE/DELETE/PREPARE and any CLRs from an interrupted abort
      resolution) must survive until [resolve_in_doubt], across any number
-     of further crashes.  Buffered Batch stores must land before the
-     flush or they would be silently dropped. *)
-  Array.iter
-    (fun p ->
-      Log.flush_group p.log;
-      drain_deferred t p)
-    t.parts;
-  Arena.flush_all t.arena;
-  Arena.fence t.arena;
+     of further crashes. *)
+  persist_recovered t;
   let in_doubt_txn x = Hashtbl.mem t.prepared_gtids x in
   Array.iter
     (fun p ->
@@ -1524,16 +1378,9 @@ let clear_after_recovery t =
           Log.clear_all p.log;
           Txn_table.clear p.table
       | One_layer, _ ->
-          (* tombstone everything settled, END records last (mirroring
-             [clear_txn_records], so a crash mid-clearing re-attempts
-             identically); one-layer resolution re-scans the log, so the
-             volatile table can go *)
-          Log.remove_where p.log (fun r ->
-              (not (in_doubt_txn (record_txn t r)))
-              && record_typ t r <> Record.End);
-          Log.remove_where p.log (fun r ->
-              (not (in_doubt_txn (record_txn t r)))
-              && record_typ t r = Record.End);
+          (* tombstone everything settled, END records last; one-layer
+             resolution re-scans the log, so the volatile table can go *)
+          remove_end_last t p (fun r -> not (in_doubt_txn (record_txn t r)));
           Txn_table.clear p.table
       | Two_layer, _ ->
           (* the bottom-layer (AAVLT-internal) log holds only settled
@@ -1570,50 +1417,14 @@ let clear_after_recovery t =
         | One_layer -> Log.iter p.log note
         | Two_layer ->
             Txn_table.iter p.table (fun e ->
-                let rec go r =
-                  if r <> 0 then begin
-                    note r;
-                    go (Record.prev_same_txn t.arena r)
-                  end
-                in
-                go e.Txn_table.last_record))
+                iter_chain t e.Txn_table.last_record note))
       t.parts
 
 let torn_truncated_logs t =
   Array.fold_left (fun acc p -> acc + Log.torn_truncated p.log) 0 t.parts
 
-(* Recovery proper, charging each phase to [prof].  The profile gives
-   every recovery its own counter scope: the arena's {!Stats} totals are
-   cumulative across attach cycles, so per-phase deltas are the only way
-   to report one recovery's NVM work without double-counting.  With more
-   than one partition the per-partition shares additionally appear as
-   "phase/pN" sub-spans. *)
-let recover_with t prof =
-  let pstats = Arena.stats t.arena in
-  Pmcheck.recovery_begin t.arena;
-  match t.incll with
-  | Some i ->
-      (* InCLL recovery: one pass over the durable cell directory
-         rewinding every cell tagged with the crashed epoch, then an
-         epoch advance that makes the rewound state the new durable
-         boundary.  No analysis/redo/undo distinction — the in-line tags
-         are the whole transaction table. *)
-      let scanned, rolled =
-        Probe.span prof pstats "epoch-scan" (fun () -> Incll.recover i)
-      in
-      Hashtbl.reset t.incll_txns;
-      Pmcheck.recovery_end t.arena;
-      t.last_recovery <-
-        Some
-          {
-            records_scanned = scanned;
-            torn_truncated = 0;
-            redo_applied = 0;
-            txns_finished = 0;
-            txns_undone = rolled;
-          };
-      t.last_recovery_profile <- Some prof
-  | None ->
+(* WAL recovery: analysis, redo (no-force), undo, clearing. *)
+let recover_wal t prof pstats =
   Hashtbl.reset t.prepared_gtids;
   (* two-layer only: AAVLT-indexed records failing their checksum *)
   let torn = ref 0 in
@@ -1650,6 +1461,34 @@ let recover_with t prof =
   Probe.span prof pstats "clearing" (fun () ->
       if t.cfg.layers = Two_layer then clear_indexes t prof;
       clear_after_recovery t);
+  report
+
+(* Recovery proper, charging each phase to [prof].  The profile gives
+   every recovery its own counter scope: the arena's {!Stats} totals are
+   cumulative across attach cycles, so per-phase deltas are the only way
+   to report one recovery's NVM work without double-counting.  With more
+   than one partition the per-partition shares additionally appear as
+   "phase/pN" sub-spans. *)
+let recover_with t prof =
+  let pstats = Arena.stats t.arena in
+  Pmcheck.recovery_begin t.arena;
+  let report =
+    match t.incll with
+    | Some i ->
+        (* no analysis/redo/undo: the in-line tags are the whole
+           transaction table *)
+        let scanned, rolled =
+          Probe.span prof pstats "epoch-scan" (fun () -> Incll.recover i)
+        in
+        {
+          records_scanned = scanned;
+          torn_truncated = 0;
+          redo_applied = 0;
+          txns_finished = 0;
+          txns_undone = rolled;
+        }
+    | None -> recover_wal t prof pstats
+  in
   Pmcheck.recovery_end t.arena;
   t.last_recovery <- Some report;
   t.last_recovery_profile <- Some prof
@@ -1666,46 +1505,42 @@ let attach ?(cfg = default_config) alloc ~root_slot =
   validate_stored_config arena cfg ~root_slot;
   let prof = Probe.create () in
   let pstats = Arena.stats arena in
-  if cfg.incll then begin
-    let i =
-      Probe.span prof pstats "dir-attach" (fun () ->
-          Incll.attach arena alloc
-            ~epoch_slot:(incll_epoch_slot ~root_slot)
-            ~dir_slot:(incll_dir_slot ~root_slot))
-    in
-    let t = make_t ~incll:i cfg alloc [||] in
-    recover_with t prof;
-    t
-  end
-  else
-  let parts =
-    Array.init cfg.partitions (fun pid ->
-        let log =
-          Probe.span prof pstats "log-attach" (fun () ->
-              (if cfg.partitions > 1 then
-                 Probe.span prof pstats (Printf.sprintf "log-attach/p%d" pid)
-               else fun f -> f ())
-              @@ fun () ->
-              Log.attach cfg.variant ~bucket_cap:cfg.bucket_cap alloc
-                ~root_slot:(part_log_slot ~root_slot pid))
-        in
-        Log.set_group_tag log pid;
-        let index =
-          match cfg.layers with
-          | One_layer -> None
-          | Two_layer ->
-              Probe.span prof pstats "index-rebuild" (fun () ->
-                  let root_ptr =
-                    Int64.to_int
-                      (Arena.root_get arena (part_index_slot ~root_slot pid))
-                  in
-                  let idx = Avl_index.attach alloc ~ilog:log ~root_ptr in
-                  Avl_index.recover idx;
-                  Some idx)
-        in
-        make_part cfg pid log index)
+  let t =
+    if cfg.incll then
+      make_t cfg alloc [||]
+        ~incll:
+          (Probe.span prof pstats "dir-attach" (fun () ->
+               incll_region (Incll.attach arena alloc) ~root_slot))
+    else
+      make_t cfg alloc
+        (Array.init cfg.partitions (fun pid ->
+             let log =
+               Probe.span prof pstats "log-attach" (fun () ->
+                   (if cfg.partitions > 1 then
+                      Probe.span prof pstats
+                        (Printf.sprintf "log-attach/p%d" pid)
+                    else fun f -> f ())
+                   @@ fun () ->
+                   Log.attach cfg.variant ~bucket_cap:cfg.bucket_cap alloc
+                     ~root_slot:(part_log_slot ~root_slot pid))
+             in
+             Log.set_group_tag log pid;
+             let index =
+               match cfg.layers with
+               | One_layer -> None
+               | Two_layer ->
+                   Probe.span prof pstats "index-rebuild" (fun () ->
+                       let root_ptr =
+                         Int64.to_int
+                           (Arena.root_get arena
+                              (part_index_slot ~root_slot pid))
+                       in
+                       let idx = Avl_index.attach alloc ~ilog:log ~root_ptr in
+                       Avl_index.recover idx;
+                       Some idx)
+             in
+             make_part cfg pid log index))
   in
-  let t = make_t cfg alloc parts in
   recover_with t prof;
   t
 

@@ -15,6 +15,12 @@
     The log implementation ({!Log.variant}) is chosen independently,
     giving the paper's Simple / Optimized / Batch versions.
 
+    In-cache-line logging ([config.incll]) is not a WAL configuration:
+    every operation with an InCLL meaning delegates to {!Incll}, which
+    owns that protocol's transaction layer, and the WAL-only operations
+    ({!log}, {!log_update}, {!log_delete}, {!prepare}) raise
+    [Invalid_argument] under it.
+
     {2 Partitioned logging}
 
     With [config.partitions = n > 1] the log is sharded into [n]
@@ -91,7 +97,8 @@ val config : t -> config
 
 val log : t -> Log.t
 (** Partition 0's log (the only one when [partitions = 1]).  Raises
-    [Failure] under an InCLL configuration, which keeps no log. *)
+    [Invalid_argument] under an InCLL configuration, which keeps no
+    log. *)
 
 val logs : t -> Log.t array
 (** All partitions' logs, indexed by partition id. *)
@@ -245,9 +252,9 @@ val alloc_cell : t -> int
 val advance_epoch : t -> unit
 (** The InCLL group-commit point: flush all dirty lines, fence, bump
     the durable epoch counter.  Everything stored since the previous
-    advance becomes durable as a group.  Raises [Failure] if the
-    configuration is not InCLL, or [Invalid_argument] if transactions
-    are in flight (the epoch boundary must be transaction-consistent).
+    advance becomes durable as a group.  Raises [Invalid_argument] if the
+    configuration is not InCLL, or if transactions are in flight (the
+    epoch boundary must be transaction-consistent).
     {!checkpoint} is the best-effort variant: it advances only when no
     transaction is active, and is a no-op otherwise. *)
 

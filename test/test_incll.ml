@@ -42,6 +42,17 @@ let setup ?(n_cells = 8) () =
   let cells = Array.init n_cells (fun _ -> Tm.alloc_cell tm) in
   (arena, tm, cells)
 
+(* Recover [arena] with the persistency sanitizer attached; any violation
+   fails [what]. *)
+let attach_sanitized what arena =
+  let alloc = Alloc.recover arena in
+  let san = San.attach ~mode:San.Collect arena in
+  let tm = Tm.attach ~cfg alloc ~root_slot in
+  check_int (what ^ ": recovery is sanitizer-clean") 0
+    (List.length (San.violations san));
+  San.detach san;
+  tm
+
 (* ------------------------------------------------------------------ *)
 (* Protocol basics: captures, elision, epoch numbering                 *)
 (* ------------------------------------------------------------------ *)
@@ -132,6 +143,31 @@ let test_rollback_and_savepoint () =
     (Arena.read arena cells.(0));
   check_i64 "aborted write never durable" 0L (Arena.read arena cells.(1))
 
+(* A rejected write (not a cell) must not enter the undo journal, or the
+   abort replays it first, raises again, and keeps the earlier writes. *)
+let test_abort_after_rejected_write () =
+  let arena = Arena.create ~size_bytes:(8 lsl 20) () in
+  let alloc = Alloc.create arena in
+  let tm = Tm.create ~cfg alloc ~root_slot in
+  let cell = Tm.alloc_cell tm in
+  let raw = Alloc.alloc alloc 8 in
+  (match
+     Tm.atomically tm (fun txn ->
+         Tm.write tm txn ~addr:cell ~value:42L;
+         Tm.write tm txn ~addr:raw ~value:1L)
+   with
+  | () -> Alcotest.fail "a write to a raw word must be rejected"
+  | exception Invalid_argument _ -> ());
+  check_i64 "the abort restored the cell" 0L (Arena.read arena cell);
+  check_int "the abort counted" 1 (Tm.rollbacks tm);
+  check_int "no transaction left open" 0 (Tm.active_transactions tm);
+  Tm.advance_epoch tm;
+  Arena.crash arena;
+  let alloc2 = Alloc.recover arena in
+  let _tm2 = Tm.attach ~cfg alloc2 ~root_slot in
+  check_i64 "the aborted write never became durable" 0L
+    (Arena.read arena cell)
+
 (* ------------------------------------------------------------------ *)
 (* Crash at every persistence event                                    *)
 (* ------------------------------------------------------------------ *)
@@ -183,14 +219,7 @@ let test_crash_sweep () =
     if Arena.crashed arena then begin
       incr tried;
       Arena.crash arena;
-      let alloc2 = Alloc.recover arena in
-      let san = San.attach ~mode:San.Collect arena in
-      let tm2 = Tm.attach ~cfg alloc2 ~root_slot in
-      check_int
-        (Fmt.str "k=%d: recovery is sanitizer-clean" k)
-        0
-        (List.length (San.violations san));
-      San.detach san;
+      let tm2 = attach_sanitized (Fmt.str "k=%d" k) arena in
       (* the durable epoch counter names the boundary recovery must land
          on: crashed epoch e (recovery reopened e+1) committed boundary
          e-1 *)
@@ -211,6 +240,46 @@ let test_crash_sweep () =
     end
   done;
   check_bool "sweep hit crash points" true (!tried > 0)
+
+(* ------------------------------------------------------------------ *)
+(* Crash during recovery                                               *)
+(* ------------------------------------------------------------------ *)
+
+(* The sweep workload, then a crash mid-epoch after 999/998's lines were
+   written back: recovery has cells to rewind and lines to flush. *)
+let idem_setup () =
+  let arena, tm, cells = setup ~n_cells:n_sweep_cells () in
+  sweep_workload tm cells;
+  Arena.flush_line arena cells.(0);
+  Arena.flush_line arena cells.(1);
+  Arena.crash arena;
+  (arena, cells)
+
+let recovered_state arena cells tm =
+  (Array.map (Arena.read arena) cells, Option.get (Tm.current_epoch tm))
+
+(* DESIGN §5d's idempotence: crash the recovery at each of its
+   persistence events; a second, sanitizer-attached recovery must reach
+   the uninterrupted recovery's cells and epoch. *)
+let test_recovery_idempotent () =
+  let arena, cells = idem_setup () in
+  let before = shadow_events arena in
+  let tm = Tm.attach ~cfg (Alloc.recover arena) ~root_slot in
+  let events = shadow_events arena - before in
+  check_bool "recovery persists events" true (events > 1);
+  let reference = recovered_state arena cells tm in
+  check_bool "reference: the last boundary, crashed epoch 4 + 1" true
+    (reference = (boundaries.(3), 5));
+  for k = 1 to events do
+    let arena, cells = idem_setup () in
+    Arena.arm_crash arena ~after:(k - 1);
+    (match Tm.attach ~cfg (Alloc.recover arena) ~root_slot with
+    | _ -> Alcotest.failf "k=%d/%d: recovery did not crash" k events
+    | exception Arena.Crash -> ());
+    let tm2 = attach_sanitized (Fmt.str "k=%d/%d" k events) arena in
+    if recovered_state arena cells tm2 <> reference then
+      Alcotest.failf "crash at recovery event %d/%d: state differs" k events
+  done
 
 (* ------------------------------------------------------------------ *)
 (* Enumerated crash states on the at-every-event grid                  *)
@@ -383,6 +452,8 @@ let () =
             test_epoch_rollback;
           Alcotest.test_case "volatile rollback and savepoints" `Quick
             test_rollback_and_savepoint;
+          Alcotest.test_case "abort after a rejected write" `Quick
+            test_abort_after_rejected_write;
           Alcotest.test_case "directory chunk growth" `Quick
             test_directory_chunks;
           Alcotest.test_case "config and API guards" `Quick test_guards;
@@ -393,6 +464,8 @@ let () =
         [
           Alcotest.test_case "crash at every persistence event" `Quick
             test_crash_sweep;
+          Alcotest.test_case "crash during recovery" `Quick
+            test_recovery_idempotent;
         ] );
       ( "enumerator",
         [
