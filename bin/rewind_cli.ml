@@ -709,9 +709,9 @@ let check_cmd =
 
 module Rbench = Rewind_benchlib.Recovery_bench
 
-(* Crash-and-reattach profiling across all six configurations: per-phase
-   recovery timings with NVM attribution, plus a sanitizer pass over each
-   recovery.  Emits a human table and, on request, BENCH_recovery.json and
+(* Crash-and-reattach profiling across the six configurations and two
+   four-partition ones: per-phase recovery timings with NVM attribution,
+   plus a sanitizer pass over each recovery.  Emits a human table and, on request, BENCH_recovery.json and
    a Prometheus-style text file.  Exits nonzero if any recovery raised
    persistency violations — CI runs this on every push. *)
 let run_profile ops json prom =

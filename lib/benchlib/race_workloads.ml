@@ -36,7 +36,8 @@
 open Rewind_nvm
 module Racecheck = Rewind_analysis.Racecheck
 
-(* The six standard WAL configurations (same set as {!Recovery_bench})
+(* The six standard WAL configurations (the single-partition ones of
+   {!Recovery_bench})
    plus the epoch-based InCLL config, whose checkpoint fiber exercises
    the other exemption: epoch-covered lines written back by the
    advance's [flush_all] while writers are mid-transaction. *)

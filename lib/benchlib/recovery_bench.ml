@@ -1,6 +1,8 @@
 (* Recovery-time benchmark: crash a populated manager and profile the
-   reattach, per phase, across all six REWIND configurations, several log
-   sizes and checkpoint intervals.
+   reattach, per phase, across all six REWIND configurations plus two
+   four-partition ones (whose per-partition attach and analysis run on
+   parallel recovery fibers), several log sizes and checkpoint
+   intervals.
 
    Each row reports the per-phase profile from [Tm.last_recovery_profile]
    — simulated time plus the NVM line-write/flush/fence deltas of exactly
@@ -22,6 +24,8 @@ let configs =
     ("2l-fp", Rewind.config_2l_fp);
     ("simple", Rewind.config_simple);
     ("batch8", Rewind.config_batch ());
+    ("1l-nfp-p4", Rewind.with_partitions 4 Rewind.config_1l_nfp);
+    ("2l-nfp-p4", Rewind.with_partitions 4 Rewind.config_2l_nfp);
   ]
 
 (* Short committed transactions over a small working set, a checkpoint
@@ -55,7 +59,11 @@ let run_one ~ops ~checkpoint_every (name, cfg) =
     Rewind.Tm.write tm live2 ~addr:cells.(i + txn_len)
       ~value:(Int64.of_int (-i - 100))
   done;
-  let log_records = Rewind.Log.length (Rewind.Tm.log tm) in
+  let log_records =
+    Array.fold_left
+      (fun n log -> n + Rewind.Log.length log)
+      0 (Rewind.Tm.logs tm)
+  in
   Arena.crash arena;
   let alloc2 = Alloc.recover arena in
   let san = San.attach ~mode:San.Collect arena in

@@ -28,16 +28,20 @@
    a *home partition* by its id (round-robin), so the append fast path
    touches only partition-local state; the LSN counter stays one process-
    wide instrumented atomic ({!Sim_atomic}), so a single global order over all records survives.
-   Recovery merges, reading the log once: analysis decodes every
-   partition into one stream in global LSN order (k-way merge by LSN
-   across the partition streams) and rebuilds each home partition's
-   transaction table from it, redo replays that stream, undo walks it
-   backwards (two-layer: each loser's back-chain within its home
-   partition) touching only losers' records, and clearing runs per
-   partition.  The checkpoint clears settled transactions in
-   global LSN order with END records last *across* the merged set, which
-   preserves the repeat-history invariant a crash mid-clearing depends
-   on. *)
+   Recovery merges, reading the log once.  The per-partition work runs
+   on one recovery fiber per partition ({!Sim_threads.fork_join}): each
+   partition's structural attach, then its analysis decode.  The fibers
+   join before the k-way merge by LSN that turns the partition streams
+   into one stream in global LSN order, from which analysis rebuilds each
+   home partition's transaction table; redo replays that stream, undo
+   walks it backwards (two-layer: each loser's back-chain within its home
+   partition) touching only losers' records, and clearing follows.  Those
+   three stay serial: their correctness depends on the global LSN order.
+   Both the checkpoint and recovery's selective clearing remove settled
+   records in global LSN order with END records last *across* the
+   partitions ({!remove_in_lsn_order}); recovery's wholesale clearing
+   first raises a durable LSN floor that analysis filters by.  Either
+   way a crash mid-clearing keeps the repeat-history invariant. *)
 
 open Rewind_nvm
 
@@ -141,6 +145,11 @@ type t = {
          did not pin one *)
   next_lsn : int Sim_atomic.t;  (* one global counter: LSNs order records
                                across all partitions *)
+  floor_slot : int option;
+      (* root slot of the durable LSN floor, with more than one partition:
+         records at or below it were cleared by a recovery whose
+         partition-by-partition wholesale clearing a crash may have
+         interrupted, and analysis ignores them *)
   prepared_gtids : (int, int) Hashtbl.t;
       (* local txn id -> global (2PC) transaction id, for every
          transaction currently in doubt: PREPARE logged, outcome not yet
@@ -160,12 +169,18 @@ let first_txn = 1
 (* Root-slot layout: the manager's first slot holds a durable
    configuration fingerprint (written once at [create]); partition [p]
    then anchors its log at [root_slot + 1 + 2*pid] and its AAVLT root at
-   [root_slot + 2 + 2*pid].  [attach] validates the fingerprint before
-   touching any log slot — re-attaching with, say, a different partition
-   count used to silently misassign home partitions and read other
-   partitions' anchors as its own. *)
+   [root_slot + 2 + 2*pid]; with more than one partition the LSN floor
+   follows the last partition's slots.  [attach] validates the
+   fingerprint before touching any log slot — re-attaching with, say, a
+   different partition count used to silently misassign home partitions
+   and read other partitions' anchors as its own. *)
 let part_log_slot ~root_slot pid = root_slot + 1 + (2 * pid)
 let part_index_slot ~root_slot pid = root_slot + 2 + (2 * pid)
+
+let floor_slot cfg ~root_slot =
+  if cfg.partitions > 1 then
+    Some (part_log_slot ~root_slot cfg.partitions)
+  else None
 
 (* The fingerprint packs every recovery-relevant config field into one
    word: magic tag, partition count, policy, layers, log variant (plus
@@ -218,7 +233,11 @@ let check_cfg cfg ~root_slot =
   if cfg.incll && cfg.layers <> One_layer then
     invalid_arg "Tm: incll keeps no record index; config.layers must be \
                  One_layer";
-  if part_index_slot ~root_slot (cfg.partitions - 1) >= 63 then
+  let last_slot =
+    Option.value (floor_slot cfg ~root_slot)
+      ~default:(part_index_slot ~root_slot (cfg.partitions - 1))
+  in
+  if last_slot >= 63 then
     invalid_arg
       (Printf.sprintf
          "Tm: %d partitions at root slot %d exceed the arena's 63 root slots"
@@ -266,7 +285,7 @@ let make_part cfg pid log index =
     deferred = [];
   }
 
-let make_t ?incll cfg alloc parts =
+let make_t ?incll cfg alloc ~root_slot parts =
   {
     cfg;
     alloc;
@@ -276,6 +295,7 @@ let make_t ?incll cfg alloc parts =
     next_seq = Array.init (max 1 (Array.length parts)) (fun _ -> Sim_atomic.make 0);
     next_home = Sim_atomic.make 0;
     next_lsn = Sim_atomic.make 1;
+    floor_slot = floor_slot cfg ~root_slot;
     prepared_gtids = Hashtbl.create 8;
     commits = 0;
     rollbacks = 0;
@@ -294,8 +314,13 @@ let create ?(cfg = default_config) alloc ~root_slot =
   check_cfg cfg ~root_slot;
   let arena = Alloc.arena alloc in
   Arena.root_set arena root_slot (Int64.of_int (config_word cfg));
+  (* a floor left behind by an earlier manager at this slot must not hide
+     the fresh log's records; written after the fingerprint, so that every
+     crash state of [create] still attaches *)
+  Option.iter (fun slot -> Arena.root_set arena slot 0L)
+    (floor_slot cfg ~root_slot);
   if cfg.incll then
-    make_t cfg alloc [||]
+    make_t cfg alloc ~root_slot [||]
       ~incll:(incll_region (Incll.create arena alloc) ~root_slot)
   else
   let parts =
@@ -317,7 +342,7 @@ let create ?(cfg = default_config) alloc ~root_slot =
         in
         make_part cfg pid log index)
   in
-  make_t cfg alloc parts
+  make_t cfg alloc ~root_slot parts
 
 let config t = t.cfg
 let partitions t = max 1 (Array.length t.parts)
@@ -569,6 +594,46 @@ let rec iter_chain t r f =
     f r;
     iter_chain t (Record.prev_same_txn t.arena r) f
   end
+
+(* The one removal discipline for clearing many transactions' records at
+   once, used by the checkpoint and by recovery's selective clearing: in
+   *global* LSN order across every partition, END records last.  Each
+   victim is its LSN, whether it is an END record (forced only after the
+   sort, so a two-layer caller reads the type once) and its removal.
+
+   Any other order breaks repeat history after a crash mid-clearing.
+   Per partition, it can leave transaction A's old update in one
+   partition's log after transaction B's newer committed update to the
+   same word was already removed from another's, and the redo pass then
+   resurrects the stale value.  Newest first, it can remove a committed
+   transaction's END before its updates, and the next recovery undoes
+   that transaction.  Each removal is one atomic tombstone or AAVLT
+   operation, so a crash leaves exactly a *prefix* of this sequence
+   applied. *)
+let remove_in_lsn_order victims =
+  let ends, others =
+    List.partition
+      (fun (_, is_end, _) -> Lazy.force is_end)
+      (List.sort (fun (l1, _, _) (l2, _, _) -> compare l1 l2) victims)
+  in
+  List.iter (fun (_, _, remove) -> remove ()) others;
+  List.iter (fun (_, _, remove) -> remove ()) ends
+
+(* One-layer victims for {!remove_in_lsn_order}: every live record [r] of
+   every partition [p]'s log with [pred p r]. *)
+let log_victims t pred =
+  let victims = ref [] in
+  Array.iter
+    (fun p ->
+      Log.iter_h p.log (fun h r ->
+          if pred p r then
+            victims :=
+              ( Record.lsn t.arena r,
+                Lazy.from_val (record_typ t r = Record.End),
+                fun () -> Log.remove_handle p.log h )
+              :: !victims))
+    t.parts;
+  !victims
 
 (* Force-policy clearing of one settled transaction, END record last.
    Two-layer: walk its back-chain and delete each record's tree node,
@@ -917,62 +982,39 @@ let checkpoint t =
                 ~what:"checkpoint record before log clearing")
             cps);
       hot_span t "cp-clear" (fun () ->
-          (* Clear settled transactions in *global* LSN order, END records
-             last, across every partition.  Clearing per partition (or
-             transaction by transaction, in whatever order the [ended]
-             tables yield) breaks repeat history: a crash mid-clearing can
-             leave transaction A's old update in one partition's log after
-             transaction B's newer committed update to the same word was
-             already removed from another's, and the redo pass then
-             resurrects the stale value.  Each removal is one atomic
-             tombstone, so a crash leaves exactly a *prefix* of the
-             global-LSN-ordered removal sequence applied. *)
+          (* Clear every settled transaction's records together, in
+             {!remove_in_lsn_order}. *)
           let settled p = Hashtbl.fold (fun id () acc -> id :: acc) p.ended [] in
-          (* (lsn, is END, removal) for every settled record; two-layer
-             reads the type only after the sort *)
-          let victims = ref [] in
-          (match t.cfg.layers with
-          | One_layer ->
-              Array.iter
-                (fun p ->
-                  Log.iter_h p.log (fun h r ->
-                      let x = record_txn t r in
-                      if x <> 0 && Hashtbl.mem p.ended x then
-                        victims :=
-                          ( Record.lsn t.arena r,
-                            Lazy.from_val (record_typ t r = Record.End),
-                            fun () -> Log.remove_handle p.log h )
-                          :: !victims))
-                t.parts
-          | Two_layer ->
-              Array.iter
-                (fun p ->
-                  match p.index with
-                  | None -> ()
-                  | Some idx ->
-                      List.iter
-                        (fun id ->
-                          match Txn_table.find p.table id with
-                          | None -> ()
-                          | Some e ->
-                              iter_chain t e.Txn_table.last_record (fun r ->
-                                  let lsn = Record.lsn t.arena r in
-                                  victims :=
-                                    ( lsn,
-                                      lazy (record_typ t r = Record.End),
-                                      fun () ->
-                                        ignore (Avl_index.remove idx lsn);
-                                        Record.free t.alloc r )
-                                    :: !victims))
-                        (settled p))
-                t.parts);
-          let ends, others =
-            List.partition
-              (fun (_, is_end, _) -> Lazy.force is_end)
-              (List.sort (fun (l1, _, _) (l2, _, _) -> compare l1 l2) !victims)
-          in
-          List.iter (fun (_, _, remove) -> remove ()) others;
-          List.iter (fun (_, _, remove) -> remove ()) ends;
+          remove_in_lsn_order
+            (match t.cfg.layers with
+            | One_layer ->
+                log_victims t (fun p r ->
+                    let x = record_txn t r in
+                    x <> 0 && Hashtbl.mem p.ended x)
+            | Two_layer ->
+                let victims = ref [] in
+                Array.iter
+                  (fun p ->
+                    match p.index with
+                    | None -> ()
+                    | Some idx ->
+                        List.iter
+                          (fun id ->
+                            match Txn_table.find p.table id with
+                            | None -> ()
+                            | Some e ->
+                                iter_chain t e.Txn_table.last_record (fun r ->
+                                    let lsn = Record.lsn t.arena r in
+                                    victims :=
+                                      ( lsn,
+                                        lazy (record_typ t r = Record.End),
+                                        fun () ->
+                                          ignore (Avl_index.remove idx lsn);
+                                          Record.free t.alloc r )
+                                      :: !victims))
+                          (settled p))
+                  t.parts;
+                !victims);
           Array.iter
             (fun p ->
               List.iter
@@ -997,10 +1039,43 @@ let checkpoint t =
 (* Per-partition sub-span: with one partition the phase totals are the
    whole story (and the pinned profile shape stays exactly as before);
    with several, each partition's share appears as "phase/pN". *)
-let part_span t prof name p f =
-  if Array.length t.parts > 1 then
-    Probe.span prof (Arena.stats t.arena) (Printf.sprintf "%s/p%d" name p.pid) f
+let sub_span prof stats ~parts name pid f =
+  if parts > 1 then Probe.span prof stats (Printf.sprintf "%s/p%d" name pid) f
   else f ()
+
+let part_span t prof name p f =
+  sub_span prof (Arena.stats t.arena) ~parts:(Array.length t.parts) name p.pid f
+
+(* Run [f pid] for each of [parts] partitions on its own recovery fiber,
+   every fiber starting at the same simulated instant; the caller's clock
+   resumes at the slowest one ({!Sim_threads.fork_join}).  Each
+   partition's share is its "name/pN" sub-span; the enclosing phase span
+   is charged once, at the join, so the top-level phases still add up to
+   the attach's simulated time.  Each fiber reads and repairs only its
+   own partition's log, index and records (the allocator, the one shared
+   structure, synchronises on its own lock), so the work really is
+   independent.  One partition runs inline. *)
+let on_partition_fibers prof stats ~parts name f =
+  Sim_threads.fork_join parts (fun pid ->
+      sub_span prof stats ~parts name pid (fun () -> f pid))
+
+(* The durable LSN floor (0 with one partition, which keeps none). *)
+let lsn_floor t =
+  match t.floor_slot with
+  | None -> 0
+  | Some slot -> Int64.to_int (Arena.root_get t.arena slot)
+
+(* Raise the floor over every LSN handed out so far.  Recovery's wholesale
+   clearing does this first: it swings one root per partition, and a
+   crash between two swings must not let the surviving partitions' older
+   records be redone over state that the cleared partitions' newer records
+   produced. *)
+let raise_lsn_floor t =
+  Option.iter
+    (fun slot ->
+      Arena.root_set t.arena slot
+        (Int64.of_int (Sim_atomic.get t.next_lsn - 1)))
+    t.floor_slot
 
 (* Checksum gate used by two-layer recovery before a tree-indexed record
    is interpreted: plausibly addressed, then CRC-intact.  (One-layer logs
@@ -1076,43 +1151,49 @@ let merge_ascending streams =
    concurrent appends into the same partition can land inverted — hence
    the sort (cheap on nearly-sorted input) before the k-way merge relies
    on it.  Two-layer: the AAVLT's in-order traversal; a record failing its
-   checksum is a torn write, reported to [on_torn] and dropped. *)
-let part_stream t ~payload ~on_torn p =
+   checksum is a torn write, reported to [on_torn] and dropped.  Records
+   at or below the LSN [floor] were already cleared and are dropped too. *)
+let part_stream t ~payload ~floor ~on_torn p =
   let acc = ref [] in
+  let keep r =
+    let e = decode t ~payload r in
+    if e.lsn > floor then acc := e :: !acc
+  in
   (match p.index with
-  | None -> Log.iter p.log (fun r -> acc := decode t ~payload r :: !acc)
+  | None -> Log.iter p.log keep
   | Some idx ->
       Avl_index.iter idx (fun n ->
           let r = Avl_index.head_record idx n in
-          if record_intact t r then acc := decode t ~payload r :: !acc
-          else on_torn ()));
+          if record_intact t r then keep r else on_torn ()));
   List.sort (fun a b -> compare a.lsn b.lsn) !acc
 
-(* Every partition's decoded stream merged into global LSN order: the
-   stream analysis builds and redo and undo replay. *)
-let decoded_log t prof ~payload ~on_torn =
+(* Every partition's decoded stream, each decoded on its own recovery
+   fiber, merged into global LSN order at the join: the stream analysis
+   builds and redo and undo replay. *)
+let decoded_log t prof ~payload ~floor ~on_torn =
   merge_ascending
-    (Array.map
-       (fun p ->
-         part_span t prof "analysis" p @@ fun () ->
-         part_stream t ~payload ~on_torn p)
-       t.parts)
+    (on_partition_fibers prof (Arena.stats t.arena)
+       ~parts:(Array.length t.parts) "analysis" (fun pid ->
+         part_stream t ~payload ~floor ~on_torn t.parts.(pid)))
 
 let merged_log_records t =
   List.map
     (fun e -> e.r)
-    (decoded_log t (Probe.create ()) ~payload:false ~on_torn:ignore)
+    (decoded_log t (Probe.create ()) ~payload:false ~floor:(lsn_floor t)
+       ~on_torn:ignore)
 
 (* Analysis: decode every partition once into the merged stream and
    rebuild each transaction's entry in its home partition's table (a
    transaction's records all live in its home partition).  The LSN and
    transaction-id high-water marks are global maxima over every
-   partition.  Returns the stream and the number of transactions found
-   finished. *)
+   partition, and LSNs continue above the floor even when every record
+   lies below it.  Returns the stream and the number of transactions
+   found finished. *)
 let analysis t prof ~on_torn =
   Array.iter (fun p -> Txn_table.clear p.table) t.parts;
+  let floor = lsn_floor t in
   let stream =
-    decoded_log t prof ~payload:(t.cfg.policy = No_force) ~on_torn
+    decoded_log t prof ~payload:(t.cfg.policy = No_force) ~floor ~on_torn
   in
   let max_lsn = ref 0 and max_txn = ref 0 in
   List.iter
@@ -1132,7 +1213,7 @@ let analysis t prof ~on_torn =
         | Record.Update | Record.Clr | Record.Delete | Record.Checkpoint -> ()
       end)
     stream;
-  Sim_atomic.set t.next_lsn (!max_lsn + 1);
+  Sim_atomic.set t.next_lsn (max !max_lsn floor + 1);
   reseed_txn_counters t !max_txn;
   let finished = ref 0 in
   Array.iter
@@ -1317,82 +1398,98 @@ let persist_recovered t =
   Arena.flush_all t.arena;
   Arena.fence t.arena
 
-(* Two-layer index clearing, ahead of the shared log clearing. *)
-let clear_indexes t prof =
-  (* Make the redo/undo results durable *before* dropping records: a crash
-     here must still find the log able to repeat history. *)
-  persist_recovered t;
-  (* every transaction except the in-doubt set is settled: free the
-     settled records — wholesale (one atomic root swing per partition) when
-     nothing is in doubt, selectively otherwise, so that in-doubt chains
-     survive until [resolve_in_doubt].  Torn records leak, like every
-     volatile free list across a crash. *)
-  Array.iter
-    (fun p ->
-      part_span t prof "clearing" p @@ fun () ->
-      match p.index with
-      | None -> ()
-      | Some idx ->
-          if Hashtbl.length t.prepared_gtids = 0 then begin
+(* Two-layer index clearing, ahead of the log clearing: wholesale, one
+   atomic root swing per partition, when nothing is in doubt; otherwise
+   every record outside the in-doubt set, in {!remove_in_lsn_order}, so
+   that in-doubt chains survive until [resolve_in_doubt].  Torn records
+   leak, like every volatile free list across a crash. *)
+let clear_indexes t prof ~wholesale =
+  if wholesale then
+    Array.iter
+      (fun p ->
+        part_span t prof "clearing" p @@ fun () ->
+        match p.index with
+        | None -> ()
+        | Some idx ->
             let records = ref [] in
             Avl_index.iter idx (fun n ->
                 let r = Avl_index.head_record idx n in
                 if record_intact t r then records := r :: !records);
             Avl_index.clear idx;
-            List.iter (fun r -> Record.free t.alloc r) !records
-          end
-          else begin
-            let victims = ref [] in
+            List.iter (fun r -> Record.free t.alloc r) !records)
+      t.parts
+  else begin
+    let victims = ref [] in
+    Array.iter
+      (fun p ->
+        match p.index with
+        | None -> ()
+        | Some idx ->
             Avl_index.iter idx (fun n ->
                 let r = Avl_index.head_record idx n in
-                let keep =
-                  record_intact t r
-                  && Hashtbl.mem t.prepared_gtids (record_txn t r)
-                in
-                if not keep then
+                let intact = record_intact t r in
+                if not (intact && Hashtbl.mem t.prepared_gtids (record_txn t r))
+                then begin
+                  let lsn = Avl_index.key idx n in
                   victims :=
-                    (Avl_index.key idx n, if record_intact t r then r else 0)
-                    :: !victims);
-            List.iter
-              (fun (lsn, r) ->
-                ignore (Avl_index.remove idx lsn);
-                if r <> 0 then Record.free t.alloc r)
-              !victims
-          end)
-    t.parts
+                    ( lsn,
+                      lazy (intact && record_typ t r = Record.End),
+                      fun () ->
+                        ignore (Avl_index.remove idx lsn);
+                        if intact then Record.free t.alloc r )
+                    :: !victims
+                end))
+      t.parts;
+    remove_in_lsn_order !victims
+  end
 
-let clear_after_recovery t =
+let clear_after_recovery t prof =
   (* Every transaction is settled except the in-doubt set; make the
-     recovered state durable, then clear the logs.  With nothing in doubt
-     this is the paper's wholesale three-step swap (Section 4.5);
-     otherwise clearing is selective — an in-doubt transaction's records
-     (UPDATE/DELETE/PREPARE and any CLRs from an interrupted abort
-     resolution) must survive until [resolve_in_doubt], across any number
-     of further crashes. *)
-  persist_recovered t;
+     recovered state durable *before* dropping records — a crash here
+     must still find the log able to repeat history — then clear the
+     logs.  With nothing in doubt this is the paper's wholesale three-step
+     swap (Section 4.5), one root swing per partition, behind a raised LSN
+     floor when there are several; otherwise clearing is selective — an
+     in-doubt transaction's records (UPDATE/DELETE/PREPARE and any CLRs
+     from an interrupted abort resolution) must survive until
+     [resolve_in_doubt], across any number of further crashes. *)
   let in_doubt_txn x = Hashtbl.mem t.prepared_gtids x in
-  Array.iter
-    (fun p ->
-      (match (t.cfg.layers, Hashtbl.length t.prepared_gtids) with
-      | _, 0 ->
+  let wholesale = Hashtbl.length t.prepared_gtids = 0 in
+  persist_recovered t;
+  if wholesale then raise_lsn_floor t;
+  if t.cfg.layers = Two_layer then begin
+    clear_indexes t prof ~wholesale;
+    persist_recovered t
+  end;
+  (match (t.cfg.layers, wholesale) with
+  | _, true ->
+      Array.iter
+        (fun p ->
           Log.clear_all p.log;
-          Txn_table.clear p.table
-      | One_layer, _ ->
-          (* tombstone everything settled, END records last; one-layer
-             resolution re-scans the log, so the volatile table can go *)
-          remove_end_last t p (fun r -> not (in_doubt_txn (record_txn t r)));
-          Txn_table.clear p.table
-      | Two_layer, _ ->
-          (* the bottom-layer (AAVLT-internal) log holds only settled
-             internal records; in-doubt user records live in the index,
-             which recovery already cleared selectively.  Keep the
-             in-doubt table entries: their chains drive resolution. *)
+          Txn_table.clear p.table)
+        t.parts
+  | One_layer, false ->
+      (* tombstone everything settled; one-layer resolution re-scans the
+         log, so the volatile tables can go *)
+      remove_in_lsn_order
+        (log_victims t (fun _ r -> not (in_doubt_txn (record_txn t r))));
+      Array.iter (fun p -> Txn_table.clear p.table) t.parts
+  | Two_layer, false ->
+      (* the bottom-layer (AAVLT-internal) logs hold only settled internal
+         records; in-doubt user records live in the indexes, cleared
+         selectively above.  Keep the in-doubt table entries: their
+         chains drive resolution. *)
+      Array.iter
+        (fun p ->
           Log.clear_all p.log;
           let dead = ref [] in
           Txn_table.iter p.table (fun e ->
               if e.Txn_table.status <> Txn_table.Prepared then
                 dead := e.Txn_table.id :: !dead);
-          List.iter (fun id -> Txn_table.remove p.table id) !dead);
+          List.iter (fun id -> Txn_table.remove p.table id) !dead)
+        t.parts);
+  Array.iter
+    (fun p ->
       Hashtbl.reset p.ended;
       p.deferred_deletes <- [];
       p.deferred <- [])
@@ -1400,7 +1497,7 @@ let clear_after_recovery t =
   (* Rebuild the in-doubt transactions' deferred de-allocation intentions
      from their surviving DELETE records: a commit decision frees them, an
      abort drops them. *)
-  if Hashtbl.length t.prepared_gtids > 0 then
+  if not wholesale then
     Array.iter
       (fun p ->
         let note r =
@@ -1458,9 +1555,7 @@ let recover_wal t prof pstats =
       txns_undone = undone;
     }
   in
-  Probe.span prof pstats "clearing" (fun () ->
-      if t.cfg.layers = Two_layer then clear_indexes t prof;
-      clear_after_recovery t);
+  Probe.span prof pstats "clearing" (fun () -> clear_after_recovery t prof);
   report
 
 (* Recovery proper, charging each phase to [prof].  The profile gives
@@ -1496,50 +1591,56 @@ let recover_with t prof =
 let recover t = recover_with t (Probe.create ())
 
 (* Reattach after a crash: recover each partition's log structure and
-   AAVLT, then run the merged transaction recovery.  Every phase —
-   including the structural log/index reattachment — is profiled; see
+   AAVLT — one recovery fiber per partition, joined phase by phase — then
+   run the merged transaction recovery.  Every phase, including the
+   structural log/index reattachment, is profiled; see
    {!last_recovery_profile}. *)
 let attach ?(cfg = default_config) alloc ~root_slot =
   check_cfg cfg ~root_slot;
   let arena = Alloc.arena alloc in
-  validate_stored_config arena cfg ~root_slot;
   let prof = Probe.create () in
   let pstats = Arena.stats arena in
+  (* its own phase, so that the phases add up to the attach *)
+  Probe.span prof pstats "config-check" (fun () ->
+      validate_stored_config arena cfg ~root_slot);
   let t =
     if cfg.incll then
-      make_t cfg alloc [||]
+      make_t cfg alloc ~root_slot [||]
         ~incll:
           (Probe.span prof pstats "dir-attach" (fun () ->
                incll_region (Incll.attach arena alloc) ~root_slot))
-    else
-      make_t cfg alloc
-        (Array.init cfg.partitions (fun pid ->
-             let log =
-               Probe.span prof pstats "log-attach" (fun () ->
-                   (if cfg.partitions > 1 then
-                      Probe.span prof pstats
-                        (Printf.sprintf "log-attach/p%d" pid)
-                    else fun f -> f ())
-                   @@ fun () ->
-                   Log.attach cfg.variant ~bucket_cap:cfg.bucket_cap alloc
-                     ~root_slot:(part_log_slot ~root_slot pid))
-             in
-             Log.set_group_tag log pid;
-             let index =
-               match cfg.layers with
-               | One_layer -> None
-               | Two_layer ->
-                   Probe.span prof pstats "index-rebuild" (fun () ->
-                       let root_ptr =
-                         Int64.to_int
-                           (Arena.root_get arena
-                              (part_index_slot ~root_slot pid))
-                       in
-                       let idx = Avl_index.attach alloc ~ilog:log ~root_ptr in
-                       Avl_index.recover idx;
-                       Some idx)
-             in
-             make_part cfg pid log index))
+    else begin
+      let parts = cfg.partitions in
+      let phase name f =
+        Probe.span prof pstats name (fun () ->
+            on_partition_fibers prof pstats ~parts name f)
+      in
+      let logs =
+        phase "log-attach" (fun pid ->
+            let log =
+              Log.attach cfg.variant ~bucket_cap:cfg.bucket_cap alloc
+                ~root_slot:(part_log_slot ~root_slot pid)
+            in
+            Log.set_group_tag log pid;
+            log)
+      in
+      let indexes =
+        match cfg.layers with
+        | One_layer -> Array.make parts None
+        | Two_layer ->
+            phase "index-rebuild" (fun pid ->
+                let root_ptr =
+                  Int64.to_int
+                    (Arena.root_get arena (part_index_slot ~root_slot pid))
+                in
+                let idx = Avl_index.attach alloc ~ilog:logs.(pid) ~root_ptr in
+                Avl_index.recover idx;
+                Some idx)
+      in
+      make_t cfg alloc ~root_slot
+        (Array.init parts (fun pid ->
+             make_part cfg pid logs.(pid) indexes.(pid)))
+    end
   in
   recover_with t prof;
   t

@@ -32,13 +32,16 @@
     partition's latch; appends in different partitions proceed in
     parallel.  LSNs still come from one process-wide atomic counter, so a
     single global order over all records survives, and recovery merges
-    the partitions, reading the log once: analysis decodes each partition
-    into one stream in global LSN order (a k-way merge by LSN over the
-    partition streams), redo replays that stream, undo walks it backwards
-    (two-layer: each loser's back-chain within its home partition)
-    reading only losers' records, and {!checkpoint} clears settled
-    transactions in global LSN order (ENDs last) {e across} the merged
-    set. *)
+    the partitions, reading the log once.  Each partition's structural
+    attach and analysis decode run on their own recovery fiber
+    ({!Rewind_nvm.Sim_threads.fork_join}), joined before a k-way merge
+    by LSN builds one stream in global LSN order; redo replays that
+    stream, undo walks it backwards (two-layer: each loser's back-chain
+    within its home partition) reading only losers' records.  Both
+    {!checkpoint} and recovery's selective clearing remove settled
+    records in global LSN order (ENDs last) {e across} the partitions;
+    recovery's wholesale clearing first raises a durable LSN floor, below
+    which the next analysis ignores records. *)
 
 type policy = Force | No_force
 type layers = One_layer | Two_layer
@@ -77,8 +80,9 @@ val create : ?cfg:config -> Rewind_nvm.Alloc.t -> root_slot:int -> t
 (** Fresh transaction manager anchored at [root_slot]: the slot itself
     durably records a configuration fingerprint (validated by {!attach}),
     partition [p]'s log lives at root slot [root_slot + 1 + 2p] and its
-    two-layer index at [root_slot + 2 + 2p].  Raises [Invalid_argument]
-    if the partitions do not fit the arena's 63 root slots. *)
+    two-layer index at [root_slot + 2 + 2p]; with [n > 1] partitions the
+    durable LSN floor lives at [root_slot + 1 + 2n].  Raises
+    [Invalid_argument] if these do not fit the arena's 63 root slots. *)
 
 val attach : ?cfg:config -> Rewind_nvm.Alloc.t -> root_slot:int -> t
 (** Reattach after a crash with the same configuration and root slot:
@@ -282,11 +286,16 @@ val last_recovery : t -> recovery_report option
 
 val last_recovery_profile : t -> Rewind_nvm.Probe.t option
 (** Per-phase profile of the most recent {!recover}/{!attach}: simulated
-    time and NVM counter deltas for [log-attach], [index-rebuild] (two-
-    layer), [analysis], [redo] (no-force), [undo] and [clearing].  Each
-    recovery gets a fresh probe, so the numbers cover exactly one
-    recovery — the arena's cumulative {!Rewind_nvm.Stats} totals cannot
-    be compared across a crash without double-counting earlier cycles. *)
+    time and NVM counter deltas for [config-check] (attach only),
+    [log-attach], [index-rebuild] (two-layer), [analysis], [redo]
+    (no-force), [undo] and [clearing].  After an {!attach} these
+    top-level phases sum exactly to its simulated time.  With several
+    partitions, [log-attach], [index-rebuild] and [analysis] run one
+    fiber per partition and are charged once, at the join; each
+    partition's share appears as a ["phase/pN"] sub-span.  Each recovery
+    gets a fresh probe, so the numbers cover exactly one recovery — the
+    arena's cumulative {!Rewind_nvm.Stats} totals cannot be compared
+    across a crash without double-counting earlier cycles. *)
 
 val set_probe : t -> Rewind_nvm.Probe.t option -> unit
 (** Attach a probe to the runtime hot paths: [commit], [checkpoint] and

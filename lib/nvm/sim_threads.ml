@@ -36,6 +36,10 @@ let run ~threads ~ops_per_thread f =
   let fresh = Array.make threads true in
   let finished = Array.make threads false in
   let saved_active = !scheduler_active and saved_clocks = !fiber_clocks in
+  let saved_fiber = !current_fiber in
+  (* The spawning thread: a fiber of an enclosing scheduler, or the main
+     thread (-1). *)
+  let parent = if saved_active then saved_fiber else -1 in
   scheduler_active := true;
   fiber_clocks := clocks;
   (* Race-detector vocabulary: the spawning thread happens-before every
@@ -96,18 +100,38 @@ let run ~threads ~ops_per_thread f =
       loop ()
     end
   in
-  Fun.protect
-    ~finally:(fun () ->
-      scheduler_active := saved_active;
-      fiber_clocks := saved_clocks)
-    (fun () ->
-      loop ();
+  let restore () =
+    scheduler_active := saved_active;
+    fiber_clocks := saved_clocks;
+    current_fiber := saved_fiber;
+    if sync then Trace.emit_sync (Trace.Fiber_switch { id = parent })
+  in
+  (match loop () with
+  | () ->
       (* All fibers ran to completion: control returns to the spawning
          thread, which joins every fiber. *)
-      if sync then begin
-        Trace.emit_sync (Trace.Fiber_switch { id = -1 });
+      restore ();
+      if sync then
         for i = 0 to threads - 1 do
           Trace.emit_sync (Trace.Fiber_join { id = i })
         done
-      end);
+  | exception e ->
+      restore ();
+      raise e);
   Array.fold_left max 0 clocks - base
+
+(* Fork-join over [run]: one fiber per task, so [f i]'s simulated cost is
+   charged to fiber [i] alone.  The results come back in index order and
+   the caller's clock is left at the join: start + the slowest task.  One
+   task runs inline, with no scheduler. *)
+let fork_join n f =
+  if n <= 1 then Array.init n f
+  else begin
+    let results = Array.make n None in
+    let start = Clock.now () in
+    let makespan =
+      run ~threads:n ~ops_per_thread:1 (fun i _ -> results.(i) <- Some (f i))
+    in
+    Clock.set (start + makespan);
+    Array.map Option.get results
+  end

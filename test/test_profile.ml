@@ -214,15 +214,19 @@ let crash_and_recover ~in_flight cfg =
     done
   end;
   Arena.crash arena;
-  let tm = Tm.attach ~cfg (Alloc.recover arena) ~root_slot in
+  let alloc = Alloc.recover arena in
+  let span = Clock.start () in
+  let tm = Tm.attach ~cfg alloc ~root_slot in
+  let attach_ns = Clock.elapsed span in
   ( arena,
     Option.get (Tm.last_recovery tm),
-    Option.get (Tm.last_recovery_profile tm) )
+    Option.get (Tm.last_recovery_profile tm),
+    attach_ns )
 
 (* Analysis decodes every record once; redo is then the cached stores
    alone — no load, one [dram_write_ns] per re-applied record. *)
 let test_redo_replays_stream (name, cfg) () =
-  let arena, report, prof = crash_and_recover ~in_flight:true cfg in
+  let arena, report, prof, _ = crash_and_recover ~in_flight:true cfg in
   let redo = Option.get (Probe.find prof "redo") in
   check_bool (name ^ ": redo re-applied records") true
     (report.Tm.redo_applied > 0);
@@ -237,11 +241,69 @@ let test_redo_replays_stream (name, cfg) () =
 (* With no transaction in flight there is no loser, so undo reads and
    writes nothing. *)
 let test_undo_without_losers (name, cfg) () =
-  let _, report, prof = crash_and_recover ~in_flight:false cfg in
+  let _, report, prof, _ = crash_and_recover ~in_flight:false cfg in
   let undo = Option.get (Probe.find prof "undo") in
   check_int (name ^ ": nothing undone") 0 report.Tm.txns_undone;
   check_int (name ^ ": undo took no simulated time") 0 undo.Probe.sim_ns;
   check_int (name ^ ": undo loads nothing") 0 undo.Probe.stats.Stats.loads
+
+(* Parallel recovery keeps the profile additive: the top-level phases sum
+   exactly to the attach's simulated time.  The fork-joined phases
+   (log-attach, index-rebuild, analysis) are charged once, at the join;
+   with several partitions each partition's share is a "phase/pN"
+   sub-span, the structural phases last exactly as long as their slowest
+   partition, and the shares overlap — they sum past the phase. *)
+let parallel_configs =
+  List.concat_map
+    (fun n ->
+      [
+        (Fmt.str "1l-nfp x%d" n, Rewind.with_partitions n Rewind.config_1l_nfp);
+        (Fmt.str "2l-nfp x%d" n, Rewind.with_partitions n Rewind.config_2l_nfp);
+      ])
+    [ 1; 4 ]
+
+let test_phases_sum_to_attach (name, cfg) () =
+  let _, _, prof, attach_ns = crash_and_recover ~in_flight:true cfg in
+  let phases = Probe.phases prof in
+  let top = List.filter (fun p -> not (String.contains p.Probe.name '/')) phases in
+  check_int
+    (name ^ ": top-level phases sum to the attach")
+    attach_ns
+    (List.fold_left (fun acc p -> acc + p.Probe.sim_ns) 0 top);
+  let joined =
+    "log-attach" :: "analysis"
+    :: (if cfg.Tm.layers = Tm.Two_layer then [ "index-rebuild" ] else [])
+  in
+  List.iter
+    (fun ph ->
+      let p = Option.get (Probe.find prof ph) in
+      check_int (Fmt.str "%s: %s charged once" name ph) 1 p.Probe.count;
+      let shares =
+        List.filter_map
+          (fun s ->
+            if String.starts_with ~prefix:(ph ^ "/p") s.Probe.name then
+              Some s.Probe.sim_ns
+            else None)
+          phases
+      in
+      if cfg.Tm.partitions = 1 then
+        check_int (Fmt.str "%s: %s has no sub-spans" name ph) 0
+          (List.length shares)
+      else begin
+        check_int (Fmt.str "%s: %s has a share per partition" name ph)
+          cfg.Tm.partitions (List.length shares);
+        let slowest = List.fold_left max 0 shares in
+        if ph = "analysis" then
+          (* plus the floor read and the merge *)
+          check_bool (Fmt.str "%s: analysis covers its slowest share" name)
+            true (p.Probe.sim_ns >= slowest)
+        else
+          check_int (Fmt.str "%s: %s lasts its slowest share" name ph) slowest
+            p.Probe.sim_ns;
+        check_bool (Fmt.str "%s: %s shares overlap" name ph) true
+          (List.fold_left ( + ) 0 shares > p.Probe.sim_ns)
+      end)
+    joined
 
 (* ------------------------------------------------------------------ *)
 (* 5. Hot-path spans via [Tm.set_probe]                                *)
@@ -289,7 +351,9 @@ let test_recovery_bench () =
   let totals, phases =
     List.partition (fun r -> Bench_row.label r "phase" = None) rows
   in
-  check_int "one totals row per config and point" (6 * 2) (List.length totals);
+  check_int "one totals row per config and point"
+    (List.length Rbench.configs * 2)
+    (List.length totals);
   let metric r name = Option.get (Bench_row.value r name) in
   List.iter
     (fun r ->
@@ -366,6 +430,14 @@ let () =
                 (test_undo_without_losers (cn, cfg));
             ])
           single_pass_configs );
+      ( "parallel-recovery",
+        List.map
+          (fun (cn, cfg) ->
+            Alcotest.test_case
+              (Fmt.str "phases sum to the attach [%s]" cn)
+              `Quick
+              (test_phases_sum_to_attach (cn, cfg)))
+          parallel_configs );
       ( "hot-path",
         [ Alcotest.test_case "commit/checkpoint spans" `Quick test_hot_path_probe ] );
       ( "bench",

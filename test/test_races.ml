@@ -158,6 +158,37 @@ let checkpoint_clean () =
   in
   Alcotest.(check (list race)) "checkpoint clean" [] (R.races rc)
 
+(* Parallel recovery: each partition's attach and analysis decode run on
+   their own recovery fiber.  A detector attached across the crash and a
+   four-partition reattach must find no data or persist race between
+   them. *)
+let parallel_recovery_clean (name, cfg) () =
+  let arena = Arena.create ~size_bytes:(16 lsl 20) () in
+  let rc = R.attach ~mode:Collect arena in
+  let alloc = Alloc.create arena in
+  let tm = Rewind.Tm.create ~cfg alloc ~root_slot:2 in
+  let cells = Array.init 16 (fun _ -> Alloc.alloc alloc 8) in
+  for tno = 1 to 12 do
+    let t = Rewind.Tm.begin_txn tm in
+    for i = 0 to 3 do
+      Rewind.Tm.write tm t ~addr:cells.((tno + i) mod 16)
+        ~value:(Int64.of_int tno)
+    done;
+    Rewind.Tm.commit tm t
+  done;
+  (* eight writes: a full Batch group, so the loser's records are durable *)
+  let live = Rewind.Tm.begin_txn tm in
+  for i = 0 to 7 do
+    Rewind.Tm.write tm live ~addr:cells.(i) ~value:99L
+  done;
+  Arena.crash arena;
+  let tm2 = Rewind.Tm.attach ~cfg (Alloc.recover arena) ~root_slot:2 in
+  R.detach rc;
+  Alcotest.(check (list race)) (name ^ " recovery clean") [] (R.races rc);
+  Alcotest.(check int) "four partitions" 4 (Rewind.Tm.partitions tm2);
+  Alcotest.(check int) "the live transaction was undone" 1
+    (Option.get (Rewind.Tm.last_recovery tm2)).Rewind.Tm.txns_undone
+
 (* -- 3. Sim_mutex misuse ------------------------------------------------ *)
 
 let misuse f =
@@ -221,6 +252,18 @@ let () =
           Alcotest.test_case "alloc reuse" `Quick test_alloc_reuse_clean;
           Alcotest.test_case "concurrent checkpoint" `Quick checkpoint_clean;
         ]
+        @ List.map
+            (fun (name, cfg) ->
+              Alcotest.test_case
+                (Fmt.str "parallel recovery %s" name)
+                `Quick
+                (parallel_recovery_clean
+                   (name, Rewind.with_partitions 4 cfg)))
+            [
+              ("1l-nfp x4", Rewind.config_1l_nfp);
+              ("2l-nfp x4", Rewind.config_2l_nfp);
+              ("batch8 x4", Rewind.config_batch ());
+            ]
         @ List.concat_map
             (fun cfg ->
               List.map

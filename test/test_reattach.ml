@@ -14,7 +14,8 @@
       reaches, including the in-doubt (prepared) transactions that
       recovery must preserve.  Swept at every persistence event of the
       attach, across all six named configurations and two partitioned
-      ones. *)
+      ones, with a prepared transaction (selective clearing) and without
+      one (wholesale clearing). *)
 
 open Rewind_nvm
 open Rewind
@@ -124,9 +125,10 @@ let test_attach_wrong_slot () =
 
 (* Deterministic history with work for every recovery phase: committed
    transactions overwriting a shared working set (redo + clearing), a
-   live transaction (undo), and a prepared transaction (in-doubt, must
-   survive any number of recoveries un-undone). *)
-let idem_setup cfg0 =
+   live transaction (undo), and, with [~prepared], a prepared transaction
+   (in-doubt, must survive any number of recoveries un-undone).  Without
+   it nothing is in doubt and recovery clears the logs wholesale. *)
+let idem_setup ~prepared cfg0 =
   let cfg = { cfg0 with Tm.bucket_cap = 8 } in
   let arena = Arena.create ~size_bytes:(16 lsl 20) () in
   let alloc = Alloc.create arena in
@@ -146,19 +148,25 @@ let idem_setup cfg0 =
   let live = Tm.begin_txn tm in
   Tm.write tm live ~addr:cells.(8) ~value:8881L;
   Tm.write tm live ~addr:cells.(9) ~value:8882L;
-  let prep = Tm.begin_txn tm in
-  Tm.write tm prep ~addr:cells.(10) ~value:4242L;
-  Tm.prepare tm prep ~gtid:77;
-  (* in-doubt writes survive recovery un-undone *)
-  expected.(10) <- 4242L;
-  (arena, cfg, cells, expected, prep)
+  let in_doubt =
+    if prepared then begin
+      let prep = Tm.begin_txn tm in
+      Tm.write tm prep ~addr:cells.(10) ~value:4242L;
+      Tm.prepare tm prep ~gtid:77;
+      (* in-doubt writes survive recovery un-undone *)
+      expected.(10) <- 4242L;
+      [ (prep, 77) ]
+    end
+    else []
+  in
+  (arena, cfg, cells, expected, in_doubt)
 
 let snapshot arena cells tm =
   (Array.map (fun c -> Arena.read arena c) cells, Tm.in_doubt tm)
 
-let test_recovery_idempotent (name, cfg0) () =
+let test_recovery_idempotent ~prepared (name, cfg0) () =
   (* Uninterrupted recovery: the reference state, and the event count. *)
-  let arena, cfg, cells, expected, prep = idem_setup cfg0 in
+  let arena, cfg, cells, expected, in_doubt = idem_setup ~prepared cfg0 in
   Arena.crash arena;
   let before = shadow_events arena in
   let alloc = Alloc.recover arena in
@@ -167,25 +175,27 @@ let test_recovery_idempotent (name, cfg0) () =
   check_bool (name ^ ": recovery persists events") true (events > 0);
   let ref_cells, ref_doubt = snapshot arena cells tm in
   Alcotest.(check (list (pair int int)))
-    (name ^ ": prepared txn in doubt")
-    [ (prep, 77) ] ref_doubt;
+    (name ^ ": in-doubt set")
+    in_doubt ref_doubt;
   Array.iteri
     (fun i v -> check_int (Fmt.str "%s: ref cell %d" name i)
         (Int64.to_int (if i < Array.length expected then expected.(i) else 0L))
         (Int64.to_int v))
     ref_cells;
-  (* Crash the recovery at each of its persistence events; the second,
-     uninterrupted recovery must reach the reference state. *)
+  (* Crash the recovery at each of its persistence events (the countdown
+     starts at the arming); the second, uninterrupted recovery must reach
+     the reference state. *)
   for k = 1 to events do
-    let arena, cfg, cells, _, _ = idem_setup cfg0 in
+    let arena, cfg, cells, _, _ = idem_setup ~prepared cfg0 in
     Arena.crash arena;
-    let base = shadow_events arena in
-    Arena.arm_crash arena ~after:(base + k - 1);
+    Arena.arm_crash arena ~after:(k - 1);
     (match
        let alloc = Alloc.recover arena in
        ignore (Tm.attach ~cfg alloc ~root_slot)
      with
-    | () -> ()
+    | () ->
+        Alcotest.failf "%s: recovery armed at event %d/%d did not crash" name
+          k events
     | exception Arena.Crash -> ());
     let alloc2 = Alloc.recover arena in
     let san = San.attach ~mode:San.Collect arena in
@@ -223,11 +233,17 @@ let () =
           Alcotest.test_case "wrong root slot" `Quick test_attach_wrong_slot;
         ] );
       ( "recovery-idempotence",
-        List.map
+        List.concat_map
           (fun (cn, cfg) ->
-            Alcotest.test_case
-              (Fmt.str "crash during recovery [%s]" cn)
-              `Slow
-              (test_recovery_idempotent (cn, cfg)))
+            [
+              Alcotest.test_case
+                (Fmt.str "crash during recovery [%s]" cn)
+                `Slow
+                (test_recovery_idempotent ~prepared:true (cn, cfg));
+              Alcotest.test_case
+                (Fmt.str "crash during recovery, nothing in doubt [%s]" cn)
+                `Slow
+                (test_recovery_idempotent ~prepared:false (cn, cfg));
+            ])
           (all_configs @ partitioned_configs) );
     ]

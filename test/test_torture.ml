@@ -239,6 +239,72 @@ let test_fiber_holds_lock_across_inner_yield () =
   in
   check_bool "terminates with sane duration" true (d >= 500 && d < 100_000)
 
+(* Fork-join: every task starts at the caller's instant, the results come
+   back in index order, and the caller resumes at the slowest task. *)
+let test_fork_join_results_and_join () =
+  let span = Clock.start () in
+  let starts = Array.make 4 (-1) in
+  let r =
+    Sim_threads.fork_join 4 (fun i ->
+        starts.(i) <- Clock.elapsed span;
+        Clock.advance ((4 - i) * 100);
+        i * i)
+  in
+  Alcotest.(check (array int)) "results in index order" [| 0; 1; 4; 9 |] r;
+  Alcotest.(check (array int)) "common start" (Array.make 4 0) starts;
+  Alcotest.(check int) "clock at the join" 400 (Clock.elapsed span);
+  check_bool "scheduler stopped" false (Sim_threads.active ());
+  let one = Sim_threads.fork_join 1 (fun _ -> Sim_threads.active ()) in
+  check_bool "one task runs inline" false one.(0);
+  Alcotest.(check int) "no task, no time" 400
+    (ignore (Sim_threads.fork_join 0 (fun _ -> Clock.advance 5));
+     Clock.elapsed span)
+
+(* A crash inside one task propagates, and the scheduler state is put back
+   so the next run starts clean. *)
+let test_fork_join_crash () =
+  let arena = Arena.create ~size_bytes:(1 lsl 16) () in
+  Arena.arm_crash arena ~after:0;
+  (match
+     Sim_threads.fork_join 3 (fun i ->
+         if i = 1 then Arena.nt_write arena 1024 1L;
+         Sim_threads.current ())
+   with
+  | _ -> Alcotest.fail "expected Arena.Crash"
+  | exception Arena.Crash -> ());
+  check_bool "scheduler stopped" false (Sim_threads.active ());
+  Alcotest.(check int) "a later run is unaffected" 10
+    (Sim_threads.run ~threads:2 ~ops_per_thread:1 (fun _ _ -> Clock.advance 10))
+
+(* Inside a running scheduler's fiber the fork-join runs as a nested
+   scheduler: the outer fiber resumes as itself, at its join. *)
+let test_fork_join_nested () =
+  let seen = ref [] in
+  ignore
+    (Sim_threads.run ~threads:2 ~ops_per_thread:1 (fun t _ ->
+         let span = Clock.start () in
+         let r =
+           Sim_threads.fork_join 3 (fun i ->
+               Clock.advance (10 * (i + 1));
+               i)
+         in
+         seen :=
+           ( t,
+             Sim_threads.current (),
+             Sim_threads.active (),
+             Clock.elapsed span,
+             Array.to_list r )
+           :: !seen));
+  Alcotest.(check int) "both outer fibers ran" 2 (List.length !seen);
+  List.iter
+    (fun (t, cur, active, took, r) ->
+      Alcotest.(check int) "current fiber restored" t cur;
+      check_bool "outer scheduler still active" true active;
+      Alcotest.(check int) "outer fiber resumes at the join" 30 took;
+      Alcotest.(check (list int)) "nested results" [ 0; 1; 2 ] r)
+    !seen;
+  check_bool "scheduler stopped" false (Sim_threads.active ())
+
 let () =
   let tc = Alcotest.test_case in
   let per_config name speed f =
@@ -259,5 +325,8 @@ let () =
           tc "lock contention" `Quick test_sim_mutex_contention_under_fibers;
           tc "no cross-lock contention" `Quick test_sim_mutex_no_contention_different_locks;
           tc "nested locks across yields" `Quick test_fiber_holds_lock_across_inner_yield;
+          tc "fork-join results and join" `Quick test_fork_join_results_and_join;
+          tc "fork-join crash" `Quick test_fork_join_crash;
+          tc "fork-join nested" `Quick test_fork_join_nested;
         ] );
     ]
