@@ -17,6 +17,7 @@
 open Cmdliner
 open Rewind_nvm
 open Rewind_benchlib
+module Harness = Rewind_analysis.Crash_harness
 
 (* -- shared ------------------------------------------------------------- *)
 
@@ -122,46 +123,61 @@ let figure_cmd =
 
 (* -- crash-demo --------------------------------------------------------- *)
 
+(* One crash at a user-chosen persistence event: the harness's
+   [crash_once], narrated.  A crash point past the workload wraps around
+   it, so the demo always crashes. *)
 let run_crash_demo cfg crash_after =
-  let arena = Arena.create ~size_bytes:(64 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Rewind.Tm.create ~cfg alloc ~root_slot:2 in
-  let cells = Array.init 8 (fun _ -> Alloc.alloc alloc 8) in
   Fmt.pr "configuration: %a@." Rewind.Tm.pp_config cfg;
   Fmt.pr "running transactions with a crash after %d persistence events...@."
     crash_after;
-  Arena.arm_crash arena ~after:crash_after;
-  let committed = ref [] in
-  (try
-     for tno = 1 to 1_000 do
-       let txn = Rewind.Tm.begin_txn tm in
-       for i = 0 to 7 do
-         Rewind.Tm.write tm txn ~addr:cells.(i) ~value:(Int64.of_int ((tno * 10) + i))
-       done;
-       Rewind.Tm.commit tm txn;
-       committed := tno :: !committed
-     done;
-     Arena.disarm_crash arena;
-     Fmt.pr "no crash occurred (crash point beyond the workload).@."
-   with Arena.Crash ->
-     Fmt.pr "*** crash after transaction %d committed ***@."
-       (match !committed with t :: _ -> t | [] -> 0));
-  if Arena.crashed arena then begin
-    let alloc = Alloc.recover arena in
-    let span = Clock.start () in
-    let _tm = Rewind.Tm.attach ~cfg alloc ~root_slot:2 in
-    Fmt.pr "recovery took %a (simulated)@." Clock.pp_ns (Clock.elapsed span);
-    let last = match !committed with t :: _ -> t | [] -> 0 in
-    let ok = ref true in
-    Array.iteri
-      (fun i c ->
-        let v = Arena.read arena c in
-        let expect = Int64.of_int ((last * 10) + i) in
-        if v <> expect && last > 0 then ok := false;
-        Fmt.pr "  cell %d = %Ld (expected %Ld)@." i v expect)
-      cells;
-    Fmt.pr "state %s@." (if !ok then "matches the last committed transaction" else "MISMATCH")
-  end
+  let last committed = match !committed with t :: _ -> t | [] -> 0 in
+  let scenario =
+    {
+      Harness.setup =
+        (fun () ->
+          let arena = Arena.create ~size_bytes:(64 lsl 20) () in
+          let alloc = Alloc.create arena in
+          let tm = Rewind.Tm.create ~cfg alloc ~root_slot:2 in
+          (arena, tm, Array.init 8 (fun _ -> Alloc.alloc alloc 8), ref []));
+      arenas = (fun (arena, _, _, _) -> [| arena |]);
+      window =
+        (fun (_, tm, cells, committed) ->
+          try
+            for tno = 1 to 1_000 do
+              let txn = Rewind.Tm.begin_txn tm in
+              for i = 0 to 7 do
+                Rewind.Tm.write tm txn ~addr:cells.(i)
+                  ~value:(Int64.of_int ((tno * 10) + i))
+              done;
+              Rewind.Tm.commit tm txn;
+              committed := tno :: !committed
+            done
+          with Arena.Crash ->
+            Fmt.pr "*** crash after transaction %d committed ***@."
+              (last committed));
+      recover =
+        (fun (_, _, cells, _) arena ->
+          let alloc = Alloc.recover arena in
+          let span = Clock.start () in
+          let _tm = Rewind.Tm.attach ~cfg alloc ~root_slot:2 in
+          Fmt.pr "recovery took %a (simulated)@." Clock.pp_ns (Clock.elapsed span);
+          Array.map (Arena.read arena) cells);
+      check =
+        (fun (_, _, _, committed) got ->
+          let last = last committed in
+          let ok = ref true in
+          Array.iteri
+            (fun i v ->
+              let expect = Int64.of_int ((last * 10) + i) in
+              if v <> expect && last > 0 then ok := false;
+              Fmt.pr "  cell %d = %Ld (expected %Ld)@." i v expect)
+            got;
+          if !ok then None else Some "MISMATCH");
+    }
+  in
+  match Harness.crash_once scenario ~after:crash_after with
+  | _ -> Fmt.pr "state matches the last committed transaction@."
+  | exception Harness.Failed _ -> Fmt.pr "state MISMATCH@."
 
 let crash_demo_cmd =
   let cfg =
@@ -178,7 +194,10 @@ let crash_demo_cmd =
   let after =
     Arg.(
       value & opt int 5_000
-      & info [ "crash-after" ] ~docv:"N" ~doc:"Crash after N persistence events.")
+      & info [ "crash-after" ] ~docv:"N"
+          ~doc:
+            "Crash after N persistence events (taken modulo the workload's \
+             event count).")
   in
   let partitions =
     Arg.(
@@ -331,245 +350,48 @@ module San = Rewind_analysis.Sanitizer
 module Enum = Rewind_analysis.Enumerator
 module Racecheck = Rewind_analysis.Racecheck
 
-(* A representative transactional workload: commits, a rollback, a partial
-   rollback to a savepoint, a checkpoint, then a crash mid-transaction and
-   recovery — all replayed against the sanitizer's shadow hardware model. *)
+(* The persistency sanitizer over one crash of each configuration's tour
+   (see {!Crash_scenarios.sanitizer_tour}): the report covers the whole
+   run, recovery included. *)
+let print_report name san =
+  let r = San.report san in
+  Fmt.pr "%-12s %a@." name San.pp_report r;
+  List.iter (fun v -> Fmt.pr "    %a@." San.pp_violation v) (San.violations san);
+  r.San.violation_count
+
 let check_one_config name cfg =
-  let arena = Arena.create ~size_bytes:(16 lsl 20) () in
-  let alloc = Alloc.create arena in
-  San.with_sanitizer ~mode:San.Collect arena (fun san ->
-      let tm = Rewind.Tm.create ~cfg alloc ~root_slot:2 in
-      let cells = Array.init 8 (fun _ -> Rewind.Tm.alloc_cell tm) in
-      let txn = Rewind.Tm.begin_txn tm in
-      Array.iteri
-        (fun i c -> Rewind.Tm.write tm txn ~addr:c ~value:(Int64.of_int (i + 1)))
-        cells;
-      Rewind.Tm.commit tm txn;
-      let txn = Rewind.Tm.begin_txn tm in
-      Rewind.Tm.write tm txn ~addr:cells.(0) ~value:99L;
-      Rewind.Tm.rollback tm txn;
-      let txn = Rewind.Tm.begin_txn tm in
-      Rewind.Tm.write tm txn ~addr:cells.(1) ~value:41L;
-      let sp = Rewind.Tm.savepoint tm txn in
-      Rewind.Tm.write tm txn ~addr:cells.(2) ~value:42L;
-      Rewind.Tm.rollback_to tm txn sp;
-      Rewind.Tm.commit tm txn;
-      Rewind.Tm.checkpoint tm;
-      (* Crash mid-protocol.  The WAL configurations produce persistence
-         events on every logged write, so an open transaction suffices;
-         InCLL writes are cached until the epoch advance, so its crash
-         must be provoked by advancing — landing the crash mid-advance. *)
-      (try
-         if cfg.Rewind.Tm.incll then begin
-           Arena.arm_crash arena ~after:5;
-           for i = 0 to 999 do
-             let txn = Rewind.Tm.begin_txn tm in
-             Rewind.Tm.write tm txn
-               ~addr:cells.(i mod Array.length cells)
-               ~value:(Int64.of_int (100 + i));
-             Rewind.Tm.commit tm txn;
-             if i mod 4 = 3 then Rewind.Tm.advance_epoch tm
-           done
-         end
-         else begin
-           let txn = Rewind.Tm.begin_txn tm in
-           Arena.arm_crash arena ~after:5;
-           for i = 0 to 999 do
-             Rewind.Tm.write tm txn
-               ~addr:cells.(i mod Array.length cells)
-               ~value:(Int64.of_int (100 + i))
-           done
-         end
-       with Arena.Crash -> ());
-      Arena.disarm_crash arena;
-      (if Arena.crashed arena then begin
-         let alloc = Alloc.recover arena in
-         let tm = Rewind.Tm.attach ~cfg alloc ~root_slot:2 in
-         let txn = Rewind.Tm.begin_txn tm in
-         Rewind.Tm.write tm txn ~addr:cells.(3) ~value:7L;
-         Rewind.Tm.commit tm txn
-       end);
-      let r = San.report san in
-      Fmt.pr "%-12s %a@." name San.pp_report r;
-      List.iter (fun v -> Fmt.pr "    %a@." San.pp_violation v) (San.violations san);
-      r.San.violation_count)
+  let scenario, san = Crash_scenarios.sanitizer_tour cfg in
+  ignore (Harness.crash_once scenario ~after:5);
+  print_report name (san ())
 
-(* The lock-free set under the sanitizer: the third persistence protocol
-   (linked-durable / link-and-persist) replayed sequentially — inserts,
-   removes, a traversal, a crash mid-insert, recovery via attach, and
-   post-recovery operations. *)
 let check_lfset () =
-  let arena = Arena.create ~size_bytes:(1 lsl 20) () in
-  let alloc = Alloc.create arena in
-  San.with_sanitizer ~mode:San.Collect arena (fun san ->
-      let set = Rewind_pds.Lfset.create ~nbuckets:8 ~nthreads:1 alloc in
-      Arena.root_set arena 3 (Int64.of_int (Rewind_pds.Lfset.base set));
-      for k = 0 to 15 do
-        ignore (Rewind_pds.Lfset.insert set k)
-      done;
-      for k = 0 to 7 do
-        ignore (Rewind_pds.Lfset.remove set (2 * k))
-      done;
-      ignore (Rewind_pds.Lfset.mem set 3);
-      (try
-         Arena.arm_crash arena ~after:3;
-         for k = 16 to 999 do
-           ignore (Rewind_pds.Lfset.insert set k)
-         done
-       with Arena.Crash -> ());
-      Arena.disarm_crash arena;
-      (if Arena.crashed arena then begin
-         let alloc = Alloc.recover arena in
-         let base = Int64.to_int (Arena.root_get arena 3) in
-         let set = Rewind_pds.Lfset.attach alloc ~base in
-         ignore (Rewind_pds.Lfset.insert set 100);
-         ignore (Rewind_pds.Lfset.mem set 100)
-       end);
-      let r = San.report san in
-      Fmt.pr "%-12s %a@." "lfset" San.pp_report r;
-      List.iter
-        (fun v -> Fmt.pr "    %a@." San.pp_violation v)
-        (San.violations san);
-      r.San.violation_count)
+  print_report "lfset" (Harness.crash_once (Crash_scenarios.lfset_tour ()) ~after:3)
 
-(* Exhaustive crash-state enumeration of small single-transaction traces:
-   every fence-boundary subset of dirty lines must recover to
-   all-or-nothing.  Two traces: the Simple log (record per list node),
-   and the Optimized log's inline fast path, where the three word updates
-   plus the END all encode as slot pairs and the last pair straddles a
-   cacheline — so the enumeration includes torn-pair states that recovery
-   must truncate rather than replay. *)
-let enumerate_one name cfg =
-  (* room for each partition's current bucket (8 KiB at the default
-     bucket capacity) plus the workload's records *)
-  let size_bytes = (64 * 1024) + (16 * 1024 * cfg.Rewind.Tm.partitions) in
-  let arena = Arena.create ~size_bytes () in
-  let alloc = Alloc.create arena in
-  let a = Alloc.alloc ~align:64 alloc 8 in
-  let b = Alloc.alloc ~align:64 alloc 8 in
-  let c = Alloc.alloc ~align:64 alloc 8 in
-  let stats =
-    Enum.run arena
-      ~workload:(fun () ->
-        let tm = Rewind.Tm.create ~cfg alloc ~root_slot:2 in
-        let txn = Rewind.Tm.begin_txn tm in
-        Rewind.Tm.write tm txn ~addr:a ~value:7L;
-        Rewind.Tm.write tm txn ~addr:b ~value:9L;
-        Rewind.Tm.write tm txn ~addr:c ~value:11L;
-        Rewind.Tm.commit tm txn)
-      ~recover:(fun crashed ->
-        let alloc = Alloc.recover crashed in
-        let _tm = Rewind.Tm.attach ~cfg alloc ~root_slot:2 in
-        (Arena.read crashed a, Arena.read crashed b, Arena.read crashed c))
-      ~check:(fun (va, vb, vc) ->
-        match (va, vb, vc) with
-        | 0L, 0L, 0L | 7L, 9L, 11L -> None
-        | _ -> Some (Fmt.str "partial state a=%Ld b=%Ld c=%Ld" va vb vc))
-  in
-  Fmt.pr "enumerator[%s]: %a — all crash states recover legally@." name
-    Enum.pp_stats stats
-
-(* The InCLL enumeration needs the finer capture grid: the protocol is
-   fence-free between epoch advances, so the sweep captures at every
-   durable store and dirty write-back ([at_every_event]) to reach the
-   first-store-of-epoch torn-line states and every point inside an
-   advance.  Legal recovered states are exactly the epoch boundaries:
-   nothing, the first advance's snapshot, or the second's. *)
-let enumerate_incll () =
-  let cfg = Rewind.config_incll in
-  let arena = Arena.create ~size_bytes:(64 * 1024) () in
-  let alloc = Alloc.create arena in
-  let addrs = ref [||] in
-  let stats =
-    Enum.run ~at_every_event:true arena
-      ~workload:(fun () ->
-        let tm = Rewind.Tm.create ~cfg alloc ~root_slot:2 in
-        let a = Rewind.Tm.alloc_cell tm in
-        let b = Rewind.Tm.alloc_cell tm in
-        let c = Rewind.Tm.alloc_cell tm in
-        addrs := [| a; b; c |];
-        let txn = Rewind.Tm.begin_txn tm in
-        Rewind.Tm.write tm txn ~addr:a ~value:7L;
-        Rewind.Tm.write tm txn ~addr:b ~value:9L;
-        Rewind.Tm.commit tm txn;
-        Rewind.Tm.advance_epoch tm;
-        let txn = Rewind.Tm.begin_txn tm in
-        Rewind.Tm.write tm txn ~addr:a ~value:8L;
-        Rewind.Tm.write tm txn ~addr:c ~value:11L;
-        Rewind.Tm.commit tm txn;
-        Rewind.Tm.advance_epoch tm)
-      ~recover:(fun crashed ->
-        let alloc = Alloc.recover crashed in
-        let _tm = Rewind.Tm.attach ~cfg alloc ~root_slot:2 in
-        let a = !addrs.(0) and b = !addrs.(1) and c = !addrs.(2) in
-        (Arena.read crashed a, Arena.read crashed b, Arena.read crashed c))
-      ~check:(fun (va, vb, vc) ->
-        match (va, vb, vc) with
-        | 0L, 0L, 0L | 7L, 9L, 0L | 8L, 9L, 11L -> None
-        | _ ->
-            Some (Fmt.str "non-epoch-boundary state a=%Ld b=%Ld c=%Ld" va vb vc))
-  in
-  Fmt.pr "enumerator[incll]: %a — all crash states recover legally@."
-    Enum.pp_stats stats
-
-(* Lock-free set sweep: crash at *every* persistence event of an
-   insert/remove/traversal trace.  There is no log — recovery is the
-   attach-time node scan — so the only legal recovered states are the
-   prefixes of the operation sequence (durable linearizability): each
-   op's links are flushed before its result is exposed, so at most the
-   in-flight op is undecided at any crash point. *)
-let enumerate_lfset () =
-  let arena = Arena.create ~size_bytes:(256 * 1024) () in
-  let alloc = Alloc.create arena in
-  let base = ref 0 in
-  let ops = [ `I 5; `I 1; `I 9; `R 5; `I 3; `R 1 ] in
-  let prefixes =
-    let cur = ref [] and acc = ref [ [] ] in
-    List.iter
-      (fun op ->
-        (match op with
-        | `I k -> if not (List.mem k !cur) then cur := k :: !cur
-        | `R k -> cur := List.filter (( <> ) k) !cur);
-        acc := List.sort compare !cur :: !acc)
-      ops;
-    !acc
-  in
-  let stats =
-    Enum.run ~at_every_event:true arena
-      ~workload:(fun () ->
-        let set = Rewind_pds.Lfset.create ~nbuckets:4 ~nthreads:1 alloc in
-        base := Rewind_pds.Lfset.base set;
-        List.iter
-          (function
-            | `I k -> ignore (Rewind_pds.Lfset.insert set k)
-            | `R k -> ignore (Rewind_pds.Lfset.remove set k))
-          ops;
-        ignore (Rewind_pds.Lfset.mem set 9))
-      ~recover:(fun crashed ->
-        let alloc = Alloc.recover crashed in
-        match Rewind_pds.Lfset.attach alloc ~base:!base with
-        | set -> Rewind_pds.Lfset.bindings set
-        | exception Rewind_pds.Lfset.Mismatch _ ->
-            (* crashed before the header persisted: the set was never
-               created, which is the empty prefix *)
-            [])
-      ~check:(fun ks ->
-        if List.mem ks prefixes then None
-        else
-          Some
-            (Fmt.str "recovered {%a}: not a prefix of the op sequence"
-               Fmt.(list ~sep:comma int)
-               ks))
-  in
-  Fmt.pr "enumerator[lfset]: %a — every crash state is a linearizable prefix@."
-    Enum.pp_stats stats
-
+(* Exhaustive crash-state enumeration of small traces: every
+   fence-boundary subset of dirty lines must recover to an allowed
+   state.  The Simple log (record per list node) and the Optimized log's
+   inline fast path, where the last slot pair straddles a cacheline so
+   the enumeration includes torn pairs recovery must truncate; InCLL and
+   the lock-free set on the finer at-every-event grid, since both are
+   nearly fence-free. *)
 let check_enumerate ?(shard = fun c -> c) () =
-  enumerate_one "simple"
-    (shard { Rewind.config_simple with Rewind.Tm.policy = Rewind.Tm.No_force });
-  enumerate_one "optimized-inline" (shard Rewind.config_1l_nfp);
-  enumerate_incll ();
-  enumerate_lfset ()
+  let enumerate ?at_every_event name scenario verdict =
+    Fmt.pr "enumerator[%s]: %a — %s@." name Enum.pp_stats
+      (Harness.every_fence_subset ?at_every_event scenario)
+      verdict
+  in
+  let legal = "all crash states recover legally" in
+  enumerate "simple"
+    (Crash_scenarios.wal_txn
+       (shard { Rewind.config_simple with Rewind.Tm.policy = Rewind.Tm.No_force }))
+    legal;
+  enumerate "optimized-inline"
+    (Crash_scenarios.wal_txn (shard Rewind.config_1l_nfp))
+    legal;
+  enumerate ~at_every_event:true "incll" (Crash_scenarios.incll_epochs ()) legal;
+  enumerate ~at_every_event:true "lfset"
+    (Crash_scenarios.lfset_prefix [| `I 5; `I 1; `I 9; `R 5; `I 3; `R 1 |])
+    "every crash state is a linearizable prefix"
 
 (* Happens-before race detection over the standard concurrent workloads:
    the PR-5 multi-writer scaling workload, the same workload with a
@@ -879,7 +701,7 @@ let run_2pc_enumerate nodes txns =
   | r ->
       Fmt.pr "2pc enumerator[%d nodes + coordinator]: %a@." nodes
         Tbench.pp_enum_report r
-  | exception Enum.Node_illegal { node; event; detail } ->
+  | exception Harness.Failed { arena = node; event; detail } ->
       Fmt.epr
         "2pc enumerator: INCONSISTENT recovery — %s crashed at persistence \
          event %d: %s@."

@@ -21,10 +21,10 @@
    exhaustive *at fence boundaries* — every durable state a crash-at-a-
    fence could leave is generated, because line write-backs are the only
    nondeterminism and each is tried both ways.  Crash points *between*
-   persistence events are covered by the arena's [arm_crash] countdown
-   (every intermediate state, in program order) and by the fault
-   campaign; the enumerator's contribution is the subsets, which
-   [arm_crash]'s single linear order cannot reach. *)
+   persistence events are covered by {!Crash_harness.every_event} (every
+   intermediate state, in program order) and by the fault campaign; the
+   enumerator's contribution is the subsets, which a single linear order
+   of crash points cannot reach. *)
 
 open Rewind_nvm
 
@@ -110,70 +110,3 @@ let run ?(max_lines = 14) ?(at_every_event = false) arena ~workload ~recover
     crash_states = !states;
     max_open_lines = !max_open;
   }
-
-(* -- multi-node crash-everywhere sweep ---------------------------------- *)
-
-(* The distributed analogue of a single [arm_crash] walk: a world of
-   several independent arenas (2PC coordinator plus participants), where
-   any ONE component may fail at any of its persistence events while the
-   others keep running.  A dry run counts each arena's events during the
-   workload; then for every (arena, event) pair a fresh world is built,
-   that arena is armed to crash at exactly that event, the workload runs
-   to completion around the failure, and the caller's check — which is
-   expected to run the cluster's log-only recovery — must find a globally
-   consistent outcome.
-
-   Exhaustiveness argument: within one world the workload is
-   deterministic (simulated clock, seeded message fabric), so the dry
-   run's event count for arena [i] enumerates every moment at which
-   component [i] can lose its volatile state.  Combined with {!run}'s
-   subset enumeration on a single arena, this covers every single-failure
-   durable state the simulator can produce. *)
-
-type node_sweep = {
-  swept_arenas : int;   (* arenas that had at least one event *)
-  crash_points : int;   (* (arena, event) pairs exercised *)
-}
-
-let pp_node_sweep ppf s =
-  Fmt.pf ppf "arenas=%d crash points=%d" s.swept_arenas s.crash_points
-
-exception Node_illegal of { node : int; event : int; detail : string }
-
-let persistence_events a =
-  let s = Arena.stats a in
-  s.Stats.nt_stores + s.Stats.flushes
-
-let sweep_nodes ~make ~arenas ~workload ~check =
-  (* Dry run: per-arena persistence-event counts over the workload. *)
-  let w0 = make () in
-  let as0 = arenas w0 in
-  let before = Array.map persistence_events as0 in
-  workload w0;
-  (match check w0 with
-  | None -> ()
-  | Some detail -> raise (Node_illegal { node = -1; event = 0; detail }));
-  let counts = Array.mapi (fun i a -> persistence_events a - before.(i)) as0 in
-  let points = ref 0 and swept = ref 0 in
-  Array.iteri
-    (fun i n_events ->
-      if n_events > 0 then incr swept;
-      for k = 1 to n_events do
-        incr points;
-        let w = make () in
-        let a = (arenas w).(i) in
-        (* [after] counts from the arena's creation; the world's setup
-           events are already behind us, so offset by the current total. *)
-        Arena.arm_crash a ~after:(persistence_events a + k - 1);
-        (* Workload drivers absorb their own components' crashes (a dead
-           component just stops answering); a crash that still escapes —
-           e.g. from driver-side bookkeeping — ends the run early, which
-           is itself a reachable schedule. *)
-        (try workload w with Arena.Crash -> ());
-        Arena.disarm_crash a;
-        match check w with
-        | None -> ()
-        | Some detail -> raise (Node_illegal { node = i; event = k; detail })
-      done)
-    counts;
-  { swept_arenas = !swept; crash_points = !points }

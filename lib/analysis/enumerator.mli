@@ -5,7 +5,8 @@
     and check the result is a legal serialization.
 
     Deterministic complement to the randomized fault campaign: where
-    [arm_crash] walks one linear order of persistence events and the
+    {!Crash_harness.every_event} walks one linear order of persistence
+    events and the
     fault model samples random eviction masks, the enumerator proves
     *every* fence-boundary subset recovers correctly. *)
 
@@ -50,37 +51,3 @@ val run :
     crash image changes with each cached store — the finer grid is what
     lets the sweep reach the first-store-of-epoch torn-line states and
     every point inside an epoch advance. *)
-
-(** {1 Multi-node crash-everywhere sweep}
-
-    The distributed analogue: a world of several independent arenas (a
-    2PC coordinator and its participants), any ONE of which may fail at
-    any of its persistence events while the others keep running. *)
-
-type node_sweep = {
-  swept_arenas : int;  (** arenas with at least one workload event *)
-  crash_points : int;  (** (arena, event) pairs exercised *)
-}
-
-val pp_node_sweep : node_sweep Fmt.t
-
-exception Node_illegal of { node : int; event : int; detail : string }
-(** Some (arena, event) crash recovered to an inconsistent world; [node]
-    is the arena's index in the caller's array ([-1] = the crash-free dry
-    run), [event] the 1-based persistence event it was armed at. *)
-
-val sweep_nodes :
-  make:(unit -> 'w) ->
-  arenas:('w -> Rewind_nvm.Arena.t array) ->
-  workload:('w -> unit) ->
-  check:('w -> string option) ->
-  node_sweep
-(** [sweep_nodes ~make ~arenas ~workload ~check] first dry-runs the
-    workload on a fresh world to count each arena's persistence events,
-    then for every (arena, event) pair builds a fresh world via [make],
-    arms that arena to crash at exactly that event, runs [workload] to
-    completion around the failure, and requires [check] — which should
-    run the cluster's log-only recovery and verify global consistency —
-    to return [None].  [Some detail] raises {!Node_illegal}.  [make] must
-    be deterministic (seeded fabric, simulated clock) so the dry run's
-    event counts transfer to the armed runs. *)

@@ -10,8 +10,7 @@
    against the outcome the coordinator reported to the client. *)
 
 open Rewind_nvm
-module San = Rewind_analysis.Sanitizer
-module Enum = Rewind_analysis.Enumerator
+module Harness = Rewind_analysis.Crash_harness
 module Twopc = Rewind_dist.Twopc
 
 (* Which nodes transaction [j] touches: even transactions span the whole
@@ -61,21 +60,11 @@ let run_workload w =
     end
   done
 
-(* Recover the cluster from its logs alone — sanitizers collecting on
-   every arena — and verify the global outcome of every transaction. *)
-let check_world w =
+(* The global outcome of every transaction, read after the cluster's
+   log-only recovery. *)
+let verify_outcomes w =
   let t = w.cluster in
-  let sans =
-    Array.map (fun a -> San.attach ~mode:San.Collect a) (Twopc.arenas t)
-  in
-  Twopc.recover t;
-  let violations =
-    Array.fold_left (fun n s -> n + List.length (San.violations s)) 0 sans
-  in
-  Array.iter San.detach sans;
-  if violations > 0 then
-    Some (Printf.sprintf "%d sanitizer violation(s) during recovery" violations)
-  else if Twopc.in_doubt_total t > 0 then
+  if Twopc.in_doubt_total t > 0 then
     Some
       (Printf.sprintf "%d transaction(s) still in doubt after recovery"
          (Twopc.in_doubt_total t))
@@ -121,6 +110,26 @@ let check_world w =
     !bad
   end
 
+(* The cluster as a crash scenario: any ONE component may fail at any of
+   its persistence events while the others keep running (the workload
+   absorbs the failure); recovery is the cluster's log-only restart of
+   every crashed component. *)
+let scenario make =
+  {
+    Harness.setup = make;
+    arenas = (fun w -> Twopc.arenas w.cluster);
+    window = run_workload;
+    recover = (fun w _ -> Twopc.recover w.cluster);
+    check = (fun w () -> verify_outcomes w);
+  }
+
+(* Recover the cluster from its logs alone — sanitizers collecting on
+   every arena — and verify the global outcome of every transaction. *)
+let check_world w =
+  match Harness.recover_checked (scenario (fun () -> w)) w with
+  | () -> None
+  | exception Harness.Failed { detail; _ } -> Some detail
+
 (* -- the crash-everywhere proof ----------------------------------------- *)
 
 type enum_report = {
@@ -136,45 +145,46 @@ let pp_enum_report ppf r =
      recover consistently"
     r.arenas_swept r.crash_points r.after_decision_states
 
-(* Raises {!Enum.Node_illegal} on the first inconsistent crash state. *)
+(* Raises {!Harness.Failed} on the first inconsistent crash state. *)
 let enumerate ?(nodes = 3) ?(txns = 6) () =
-  (* Every (component, persistence event) single-crash over a lossless
+  let fail_unless_consistent ~arena ~event w =
+    Option.iter
+      (fun detail -> raise (Harness.Failed { arena; event; detail }))
+      (check_world w)
+  in
+  let sweep make =
+    (* the crash-free run must already be consistent *)
+    (let w = make () in
+     run_workload w;
+     fail_unless_consistent ~arena:(-1) ~event:0 w);
+    Harness.every_event (scenario make)
+  in
+  (* Every (component, persistence event) single crash over a lossless
      run: participants and the coordinator (index 0) alike. *)
   let lossless =
-    Enum.sweep_nodes
-      ~make:(make_world ~nodes ~txns ~drop_1_in:0 ~seed:1 ~chaos_at:None)
-      ~arenas:(fun w -> Twopc.arenas w.cluster)
-      ~workload:run_workload ~check:check_world
+    sweep (make_world ~nodes ~txns ~drop_1_in:0 ~seed:1 ~chaos_at:None)
   in
   (* The same sweep under heavy message loss: dropped votes, COMMITs and
      ACKs force the retry/timeout paths and presumed aborts while the
      crash point moves. *)
   let lossy =
-    Enum.sweep_nodes
-      ~make:
-        (make_world ~nodes ~txns:(max 3 (txns / 2)) ~drop_1_in:3 ~seed:7
-           ~chaos_at:None)
-      ~arenas:(fun w -> Twopc.arenas w.cluster)
-      ~workload:run_workload ~check:check_world
+    sweep
+      (make_world ~nodes ~txns:(max 3 (txns / 2)) ~drop_1_in:3 ~seed:7
+         ~chaos_at:None)
   in
   (* No coordinator persistence event separates the decision append from
-     the COMMIT fan-out, so arm_crash cannot reach the classic worst
-     case: decision durable, every participant in doubt.  The chaos hook
-     plants the crash there for each transaction in turn. *)
-  let after_decision = ref 0 in
+     the COMMIT fan-out, so a crash armed at an event cannot reach the
+     classic worst case: decision durable, every participant in doubt.
+     The chaos hook plants the crash there for each transaction in turn. *)
   for j = 0 to txns - 1 do
     let w = make_world ~nodes ~txns ~drop_1_in:0 ~seed:1 ~chaos_at:(Some j) () in
     run_workload w;
-    incr after_decision;
-    match check_world w with
-    | None -> ()
-    | Some detail ->
-        raise (Enum.Node_illegal { node = 0; event = j; detail })
+    fail_unless_consistent ~arena:0 ~event:j w
   done;
   {
-    arenas_swept = lossless.Enum.swept_arenas;
-    crash_points = lossless.Enum.crash_points + lossy.Enum.crash_points;
-    after_decision_states = !after_decision;
+    arenas_swept = lossless.Harness.arenas_swept;
+    crash_points = lossless.Harness.crash_points + lossy.Harness.crash_points;
+    after_decision_states = txns;
   }
 
 (* -- benchmark ----------------------------------------------------------- *)

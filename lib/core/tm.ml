@@ -223,50 +223,91 @@ let config_of_word w =
 
 let semantic_config_bits w = w land lnot (1 lsl 60)
 
+(* -- misuse errors --------------------------------------------------------- *)
+
+type error =
+  | Invalid_config of string
+  | No_fingerprint of { root_slot : int }
+  | Not_a_fingerprint of { root_slot : int; found : int }
+  | Fingerprint_mismatch of {
+      root_slot : int;
+      stored : config;
+      requested : config;
+    }
+  | Wal_only of string
+  | Incll_only of string
+  | Home_out_of_range of { home : int; partitions : int }
+  | Not_in_doubt of int
+
+exception Error of error
+
+let error_message = function
+  | Invalid_config msg -> "Tm: " ^ msg
+  | No_fingerprint { root_slot } ->
+      Printf.sprintf
+        "Tm.attach: no durable configuration at root slot %d (this arena \
+         was never initialised with Tm.create here)"
+        root_slot
+  | Not_a_fingerprint { root_slot; found } ->
+      Printf.sprintf
+        "Tm.attach: root slot %d does not hold a Tm configuration \
+         fingerprint (found %#x)"
+        root_slot found
+  | Fingerprint_mismatch { root_slot; stored; requested } ->
+      Fmt.str
+        "Tm.attach: durable configuration mismatch at root slot %d: the \
+         arena was created with %a (%d partition(s)) but attach requested \
+         %a (%d partition(s))"
+        root_slot pp_config stored stored.partitions pp_config requested
+        requested.partitions
+  | Wal_only op -> op ^ ": an InCLL configuration keeps no write-ahead log"
+  | Incll_only op -> op ^ ": not an InCLL configuration"
+  | Home_out_of_range { home; partitions } ->
+      Printf.sprintf "Tm.begin_txn: home %d out of range [0, %d)" home
+        partitions
+  | Not_in_doubt txn ->
+      Printf.sprintf "Tm.resolve_in_doubt: transaction %d is not in doubt" txn
+
+let () =
+  Printexc.register_printer (function
+    | Error e -> Some (error_message e)
+    | _ -> None)
+
+let misuse e = raise (Error e)
+
 let check_cfg cfg ~root_slot =
-  if cfg.partitions < 1 then
-    invalid_arg "Tm: config.partitions must be at least 1";
+  let invalid msg = misuse (Invalid_config msg) in
+  if cfg.partitions < 1 then invalid "config.partitions must be at least 1";
   if cfg.incll && cfg.partitions <> 1 then
-    invalid_arg
-      "Tm: incll is epoch-granular, not log-partitioned; config.partitions \
-       must be 1";
+    invalid
+      "incll is epoch-granular, not log-partitioned; config.partitions must \
+       be 1";
   if cfg.incll && cfg.layers <> One_layer then
-    invalid_arg "Tm: incll keeps no record index; config.layers must be \
-                 One_layer";
+    invalid "incll keeps no record index; config.layers must be One_layer";
   let last_slot =
     Option.value (floor_slot cfg ~root_slot)
       ~default:(part_index_slot ~root_slot (cfg.partitions - 1))
   in
   if last_slot >= 63 then
-    invalid_arg
+    invalid
       (Printf.sprintf
-         "Tm: %d partitions at root slot %d exceed the arena's 63 root slots"
+         "%d partitions at root slot %d exceed the arena's 63 root slots"
          cfg.partitions root_slot)
 
 let validate_stored_config arena cfg ~root_slot =
   let stored = Int64.to_int (Arena.root_get arena root_slot) in
-  if stored = 0 then
-    failwith
-      (Printf.sprintf
-         "Tm.attach: no durable configuration at root slot %d (this arena \
-          was never initialised with Tm.create here)"
-         root_slot)
+  if stored = 0 then misuse (No_fingerprint { root_slot })
   else if stored land 0xFF <> config_magic then
-    failwith
-      (Printf.sprintf
-         "Tm.attach: root slot %d does not hold a Tm configuration \
-          fingerprint (found %#x)"
-         root_slot stored)
+    misuse (Not_a_fingerprint { root_slot; found = stored })
   else if semantic_config_bits stored <> semantic_config_bits (config_word cfg)
   then
-    failwith
-      (Fmt.str
-         "Tm.attach: durable configuration mismatch at root slot %d: the \
-          arena was created with %a (%d partition(s)) but attach requested \
-          %a (%d partition(s))"
-         root_slot pp_config (config_of_word stored)
-         ((stored lsr 8) land 0xFF)
-         pp_config cfg cfg.partitions)
+    misuse
+      (Fingerprint_mismatch
+         {
+           root_slot;
+           stored = config_of_word stored;
+           requested = cfg;
+         })
 
 let make_latch cfg =
   if cfg.lockfree_latch then
@@ -349,8 +390,7 @@ let partitions t = max 1 (Array.length t.parts)
 
 (* The guard of the WAL-only entry points. *)
 let wal_only t op =
-  if t.cfg.incll then
-    invalid_arg (op ^ ": an InCLL configuration keeps no write-ahead log")
+  if t.cfg.incll then misuse (Wal_only op)
 
 let log t =
   wal_only t "Tm.log";
@@ -416,8 +456,7 @@ let begin_txn ?home:home_opt t =
     match home_opt with
     | Some h ->
         if h < 0 || h >= n then
-          invalid_arg
-            (Printf.sprintf "Tm.begin_txn: home %d out of range [0, %d)" h n);
+          misuse (Home_out_of_range { home = h; partitions = n });
         h
     | None -> Sim_atomic.fetch_and_add t.next_home 1 mod n
   in
@@ -906,9 +945,7 @@ let in_doubt t =
    mid-resolution and the decision is re-applied after re-attach. *)
 let resolve_in_doubt t txn_id ~commit:do_commit =
   if not (Hashtbl.mem t.prepared_gtids txn_id) then
-    invalid_arg
-      (Printf.sprintf "Tm.resolve_in_doubt: transaction %d is not in doubt"
-         txn_id);
+    misuse (Not_in_doubt txn_id);
   if do_commit then commit t txn_id else rollback t txn_id;
   Hashtbl.remove t.prepared_gtids txn_id
 
@@ -928,7 +965,7 @@ let rec with_all_latches t i f =
    new epoch boundary into a transaction-inconsistent recovery target. *)
 let advance_epoch t =
   match t.incll with
-  | None -> invalid_arg "Tm.advance_epoch: not an InCLL configuration"
+  | None -> misuse (Incll_only "Tm.advance_epoch")
   | Some i -> Incll.advance_quiescent ~span:(hot_span t "epoch-advance") i
 
 let current_epoch t =

@@ -19,7 +19,7 @@
     every operation with an InCLL meaning delegates to {!Incll}, which
     owns that protocol's transaction layer, and the WAL-only operations
     ({!log}, {!log_update}, {!log_delete}, {!prepare}) raise
-    [Invalid_argument] under it.
+    {!Error} [Wal_only] under it.
 
     {2 Partitioned logging}
 
@@ -76,13 +76,43 @@ val pp_config : config Fmt.t
 type txn = int
 type t
 
+(** {1 Misuse errors}
+
+    Every misuse of the manager raises {!Error} with one constructor per
+    class; a registered printer renders the diagnostic text. *)
+
+type error =
+  | Invalid_config of string
+      (** {!create}/{!attach} given a configuration that cannot be laid
+          out (partition count, InCLL shape, root-slot budget) *)
+  | No_fingerprint of { root_slot : int }
+      (** {!attach} on a root slot {!create} never initialised *)
+  | Not_a_fingerprint of { root_slot : int; found : int }
+      (** {!attach} on a root slot holding something else *)
+  | Fingerprint_mismatch of {
+      root_slot : int;
+      stored : config;
+      requested : config;
+    }  (** {!attach} with a durable layout other than the stored one *)
+  | Wal_only of string  (** a WAL-only operation under InCLL *)
+  | Incll_only of string  (** an InCLL-only operation under WAL *)
+  | Home_out_of_range of { home : int; partitions : int }
+      (** {!begin_txn} [?home] outside [[0, partitions)] *)
+  | Not_in_doubt of txn
+      (** {!resolve_in_doubt} on a transaction that is not in doubt *)
+
+exception Error of error
+
+val error_message : error -> string
+
 val create : ?cfg:config -> Rewind_nvm.Alloc.t -> root_slot:int -> t
 (** Fresh transaction manager anchored at [root_slot]: the slot itself
     durably records a configuration fingerprint (validated by {!attach}),
     partition [p]'s log lives at root slot [root_slot + 1 + 2p] and its
     two-layer index at [root_slot + 2 + 2p]; with [n > 1] partitions the
     durable LSN floor lives at [root_slot + 1 + 2n].  Raises
-    [Invalid_argument] if these do not fit the arena's 63 root slots. *)
+    {!Error} [Invalid_config] if these do not fit the arena's 63 root
+    slots. *)
 
 val attach : ?cfg:config -> Rewind_nvm.Alloc.t -> root_slot:int -> t
 (** Reattach after a crash with the same configuration and root slot:
@@ -93,7 +123,7 @@ val attach : ?cfg:config -> Rewind_nvm.Alloc.t -> root_slot:int -> t
 
     The configuration is checked against the fingerprint {!create} stored
     at [root_slot]: attaching with a different partition count (or any
-    other recovery-relevant config field) raises [Failure] with a
+    other recovery-relevant config field) raises {!Error} with a
     diagnostic instead of silently misassigning home partitions.
     ([lockfree_latch] is volatile scheduling policy and may differ.) *)
 
@@ -101,7 +131,7 @@ val config : t -> config
 
 val log : t -> Log.t
 (** Partition 0's log (the only one when [partitions = 1]).  Raises
-    [Invalid_argument] under an InCLL configuration, which keeps no
+    {!Error} [Wal_only] under an InCLL configuration, which keeps no
     log. *)
 
 val logs : t -> Log.t array
@@ -134,8 +164,8 @@ val begin_txn : ?home:int -> t -> txn
     transaction stream serialises only on its own partition's latch) —
     the home is encoded in the returned id, so recovery recomputes it
     from the logged records alone.  Default: round-robin over the
-    partitions, yielding sequential ids.  Raises [Invalid_argument] if
-    [home] is outside [0, partitions). *)
+    partitions, yielding sequential ids.  Raises {!Error}
+    [Home_out_of_range] if [home] is outside [0, partitions). *)
 
 val write : t -> txn -> addr:int -> value:int64 -> unit
 (** The paper's expanded-code pattern (Listing 2): log the update — old
@@ -201,7 +231,7 @@ val resolve_in_doubt : t -> txn -> commit:bool -> unit
     redo-able), [commit:false] rolls it back with CLRs.  Idempotent
     across crashes mid-resolution — re-attach finds the transaction in
     doubt again and the decision can be re-applied.  Raises
-    [Invalid_argument] if the transaction is not in doubt. *)
+    {!Error} [Not_in_doubt] if the transaction is not in doubt. *)
 
 (** {1 Partial rollback}
 
@@ -256,9 +286,10 @@ val alloc_cell : t -> int
 val advance_epoch : t -> unit
 (** The InCLL group-commit point: flush all dirty lines, fence, bump
     the durable epoch counter.  Everything stored since the previous
-    advance becomes durable as a group.  Raises [Invalid_argument] if the
-    configuration is not InCLL, or if transactions are in flight (the
-    epoch boundary must be transaction-consistent).
+    advance becomes durable as a group.  Raises {!Error} [Incll_only] if
+    the configuration is not InCLL, and [Invalid_argument] if
+    transactions are in flight (the epoch boundary must be
+    transaction-consistent).
     {!checkpoint} is the best-effort variant: it advances only when no
     transaction is active, and is a no-op otherwise. *)
 

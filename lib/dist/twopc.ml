@@ -81,9 +81,9 @@ type t = {
   mutable decisions : int;
   mutable forgotten : int;
   (* Test hook: coordinator dies right after the decision record is
-     durable, before any COMMIT message is sent — the state arm_crash
-     cannot reach because no coordinator persistence event separates the
-     decision from the fan-out. *)
+     durable, before any COMMIT message is sent — the state a crash armed
+     at a persistence event cannot reach because no coordinator
+     persistence event separates the decision from the fan-out. *)
   mutable chaos_after_decision : bool;
 }
 
@@ -359,14 +359,10 @@ let submit t ops =
 
 (* -- recovery ----------------------------------------------------------- *)
 
-let revive_arena a =
-  Arena.disarm_crash a;
-  Arena.clear_crashed a
-
 let recover t =
   (* Coordinator first: its log is the sole commit authority. *)
   if t.c_log = None then begin
-    revive_arena t.c_arena;
+    Arena.clear_crashed t.c_arena;
     t.c_alloc <- Alloc.recover t.c_arena;
     t.c_log <-
       Some
@@ -386,7 +382,7 @@ let recover t =
   Array.iter
     (fun n ->
       if n.n_tm = None then begin
-        revive_arena n.n_arena;
+        Arena.clear_crashed n.n_arena;
         n.n_alloc <- Alloc.recover n.n_arena;
         Hashtbl.reset n.active;
         Hashtbl.reset n.prepared;

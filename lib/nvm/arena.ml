@@ -214,17 +214,21 @@ let evict_line t line =
   end
 
 (* Mark a line dirty and, under an armed fault model, remember it as an
-   eviction candidate and roll the clean-capacity-eviction die. *)
-let dirtied t line =
+   eviction candidate... *)
+let mark_dirty t line =
   Bytes.unsafe_set t.dirty line '\001';
   match t.fault with
   | None -> ()
-  | Some fm ->
+  | Some _ ->
       t.recent.(t.recent_n land (recent_cap - 1)) <- line;
-      t.recent_n <- t.recent_n + 1;
-      if Fault_model.roll_eviction fm then
-        evict_line t
-          t.recent.(Fault_model.choose fm (min t.recent_n recent_cap))
+      t.recent_n <- t.recent_n + 1
+
+(* ...and roll the clean-capacity-eviction die. *)
+let roll_eviction t =
+  match t.fault with
+  | Some fm when Fault_model.roll_eviction fm ->
+      evict_line t t.recent.(Fault_model.choose fm (min t.recent_n recent_cap))
+  | _ -> ()
 
 (* Does a cached read of [off] hit a media-faulty line?  Counts the hit. *)
 let media_hit t off =
@@ -257,10 +261,13 @@ let write t off v =
   t.stats.Stats.stores <- t.stats.Stats.stores + 1;
   Clock.advance t.config.Config.dram_write_ns;
   Bytes.set_int64_le t.volatile off v;
-  dirtied t (line_of t off);
-  match t.tracer with
+  mark_dirty t (line_of t off);
+  (* Trace the store before the eviction roll: a tracer must see a store
+     before the write-back that makes it durable. *)
+  (match t.tracer with
   | None -> ()
-  | Some f -> f (Trace.Store { off; len = 8; durable = false })
+  | Some f -> f (Trace.Store { off; len = 8; durable = false }));
+  roll_eviction t
 
 let read_byte t off =
   check_bounds t off 1;
@@ -275,10 +282,11 @@ let write_byte t off v =
   t.stats.Stats.stores <- t.stats.Stats.stores + 1;
   Clock.advance t.config.Config.dram_write_ns;
   Bytes.set t.volatile off (Char.chr (v land 0xff));
-  dirtied t (line_of t off);
-  match t.tracer with
+  mark_dirty t (line_of t off);
+  (match t.tracer with
   | None -> ()
-  | Some f -> f (Trace.Store { off; len = 1; durable = false })
+  | Some f -> f (Trace.Store { off; len = 1; durable = false }));
+  roll_eviction t
 
 let read_bytes t off len =
   check_bounds t off len;
@@ -307,11 +315,14 @@ let write_bytes t off s =
   Bytes.blit_string s 0 t.volatile off len;
   let first = line_of t off and last = line_of t (off + max 0 (len - 1)) in
   for l = first to last do
-    dirtied t l
+    mark_dirty t l
   done;
-  match t.tracer with
+  (match t.tracer with
   | None -> ()
-  | Some f -> if len > 0 then f (Trace.Store { off; len; durable = false })
+  | Some f -> if len > 0 then f (Trace.Store { off; len; durable = false }));
+  for _ = first to last do
+    roll_eviction t
+  done
 
 (* -- durable stores ---------------------------------------------------- *)
 

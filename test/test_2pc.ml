@@ -88,7 +88,7 @@ let test_resolve_unknown_txn () =
   let alloc = Alloc.create arena in
   let tm = Tm.create alloc ~root_slot in
   Alcotest.check_raises "resolving a never-prepared txn rejects"
-    (Invalid_argument "Tm.resolve_in_doubt: transaction 1 is not in doubt")
+    (Tm.Error (Tm.Not_in_doubt 1))
     (fun () ->
       let t = Tm.begin_txn tm in
       Tm.resolve_in_doubt tm t ~commit:true)

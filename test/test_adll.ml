@@ -4,6 +4,7 @@
 
 open Rewind_nvm
 open Rewind
+module Harness = Rewind_analysis.Crash_harness
 
 let fresh () =
   let arena = Arena.create ~size_bytes:(1 lsl 20) () in
@@ -82,121 +83,79 @@ let test_reattach_without_crash () =
 (* Crash exhaustion                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Run [op] with a crash armed after [k] persistence events for every k
-   until the operation completes without crashing.  After each crash,
-   recover and check the invariant; [valid] lists acceptable outcomes. *)
-let exhaust_crashes ~build ~op ~valid ~recovery_crashes () =
-  let k = ref 0 in
-  let completed = ref false in
-  let crash_points = ref 0 in
-  while not !completed do
-    let arena, l, state = build () in
-    Arena.arm_crash arena ~after:!k;
-    (try
-       op l state;
-       Arena.disarm_crash arena;
-       completed := true
-     with Arena.Crash -> incr crash_points);
-    if Arena.crashed arena then begin
-      (* Optionally crash during recovery itself, then recover again. *)
-      for j = 0 to recovery_crashes - 1 do
-        Arena.clear_crashed arena;
-        Arena.arm_crash arena ~after:j;
-        (try
-           Adll.recover l;
-           Arena.disarm_crash arena
-         with Arena.Crash -> ())
-      done;
-      Arena.disarm_crash arena;
-      Adll.recover l;
-      let elems = Adll.elements l in
-      if not (Adll.well_formed l) then
-        Alcotest.failf "crash point %d: list not well formed" !k;
-      if not (List.mem elems valid) then
-        Alcotest.failf "crash point %d: unexpected elements [%s]" !k
-          (String.concat ";" (List.map string_of_int elems))
-    end;
-    incr k
-  done;
-  !crash_points
+(* A list of [n] elements, then [op] as the crash window; recovery must
+   leave a well-formed list holding one of the [valid] outcomes. *)
+let scenario ?(n = 3) ~op ~valid () =
+  {
+    Harness.setup =
+      (fun () ->
+        let arena, alloc = fresh () in
+        let l = Adll.create alloc in
+        (arena, l, List.init n (fun i -> Adll.append l (i + 1))));
+    arenas = (fun (arena, _, _) -> [| arena |]);
+    window = (fun (_, l, nodes) -> op l nodes);
+    recover =
+      (fun (_, l, _) _ ->
+        Adll.recover l;
+        l);
+    check =
+      (fun _ l ->
+        let elems = Adll.elements l in
+        if not (Adll.well_formed l) then Some "list not well formed"
+        else if List.mem elems valid then None
+        else
+          Some
+            (Fmt.str "unexpected elements [%a]" Fmt.(list ~sep:semi int) elems));
+  }
 
-let build_list n () =
-  let arena, alloc = fresh () in
-  let l = Adll.create alloc in
-  let nodes = List.map (fun e -> Adll.append l e) (List.init n (fun i -> i + 1)) in
-  (arena, l, nodes)
+let append_99 l _ = ignore (Adll.append l 99)
+let remove_nth i l nodes = Adll.remove l (List.nth nodes i)
 
 let test_crash_append () =
-  let points =
-    exhaust_crashes
-      ~build:(build_list 3)
-      ~op:(fun l _ -> ignore (Adll.append l 99))
-      ~valid:[ [ 1; 2; 3 ]; [ 1; 2; 3; 99 ] ]
-      ~recovery_crashes:0 ()
+  let s =
+    Harness.every_event
+      (scenario ~op:append_99 ~valid:[ [ 1; 2; 3 ]; [ 1; 2; 3; 99 ] ] ())
   in
-  check_bool "several crash points exercised" true (points >= 3)
+  check_bool "several crash points exercised" true (s.Harness.crash_points >= 3)
 
 let test_crash_append_empty_list () =
   ignore
-    (exhaust_crashes
-       ~build:(build_list 0)
-       ~op:(fun l _ -> ignore (Adll.append l 99))
-       ~valid:[ []; [ 99 ] ]
-       ~recovery_crashes:0 ())
+    (Harness.every_event (scenario ~n:0 ~op:append_99 ~valid:[ []; [ 99 ] ] ()))
 
 let test_crash_remove_middle () =
   ignore
-    (exhaust_crashes
-       ~build:(build_list 3)
-       ~op:(fun l nodes -> Adll.remove l (List.nth nodes 1))
-       ~valid:[ [ 1; 2; 3 ]; [ 1; 3 ] ]
-       ~recovery_crashes:0 ())
+    (Harness.every_event
+       (scenario ~op:(remove_nth 1) ~valid:[ [ 1; 2; 3 ]; [ 1; 3 ] ] ()))
 
 let test_crash_remove_head () =
   ignore
-    (exhaust_crashes
-       ~build:(build_list 3)
-       ~op:(fun l nodes -> Adll.remove l (List.nth nodes 0))
-       ~valid:[ [ 1; 2; 3 ]; [ 2; 3 ] ]
-       ~recovery_crashes:0 ())
+    (Harness.every_event
+       (scenario ~op:(remove_nth 0) ~valid:[ [ 1; 2; 3 ]; [ 2; 3 ] ] ()))
 
 let test_crash_remove_tail () =
   ignore
-    (exhaust_crashes
-       ~build:(build_list 3)
-       ~op:(fun l nodes -> Adll.remove l (List.nth nodes 2))
-       ~valid:[ [ 1; 2; 3 ]; [ 1; 2 ] ]
-       ~recovery_crashes:0 ())
+    (Harness.every_event
+       (scenario ~op:(remove_nth 2) ~valid:[ [ 1; 2; 3 ]; [ 1; 2 ] ] ()))
 
 let test_crash_remove_only () =
   ignore
-    (exhaust_crashes
-       ~build:(build_list 1)
-       ~op:(fun l nodes -> Adll.remove l (List.nth nodes 0))
-       ~valid:[ [ 1 ]; [] ]
-       ~recovery_crashes:0 ())
+    (Harness.every_event (scenario ~n:1 ~op:(remove_nth 0) ~valid:[ [ 1 ]; [] ] ()))
 
 (* Crashes during recovery of a crashed append/remove: recovery must be
    re-runnable any number of times (redo-idempotence, Section 3.2). *)
 let test_crash_during_recovery_append () =
   ignore
-    (exhaust_crashes
-       ~build:(build_list 2)
-       ~op:(fun l _ -> ignore (Adll.append l 99))
-       ~valid:[ [ 1; 2 ]; [ 1; 2; 99 ] ]
-       ~recovery_crashes:8 ())
+    (Harness.recovery_chain ~from:`Every_event
+       (scenario ~n:2 ~op:append_99 ~valid:[ [ 1; 2 ]; [ 1; 2; 99 ] ] ()))
 
 let test_crash_during_recovery_remove () =
   ignore
-    (exhaust_crashes
-       ~build:(build_list 3)
-       ~op:(fun l nodes -> Adll.remove l (List.nth nodes 1))
-       ~valid:[ [ 1; 2; 3 ]; [ 1; 3 ] ]
-       ~recovery_crashes:8 ())
+    (Harness.recovery_chain ~from:`Every_event
+       (scenario ~op:(remove_nth 1) ~valid:[ [ 1; 2; 3 ]; [ 1; 3 ] ] ()))
 
 (* Recovery on a quiescent list must be a no-op. *)
 let test_recover_noop () =
-  let arena, l, _ = build_list 3 () in
+  let arena, l, _ = (scenario ~op:append_99 ~valid:[] ()).Harness.setup () in
   Arena.crash arena;
   Adll.recover l;
   check_list "unchanged" [ 1; 2; 3 ] (Adll.elements l)
@@ -245,19 +204,22 @@ let prop_crash_any_point =
   QCheck.Test.make ~name:"ADLL recovery from random crash points" ~count:300
     QCheck.(pair (int_bound 200) (int_range 1 20))
     (fun (crash_after, n_ops) ->
-      let arena, alloc = fresh () in
-      let l = Adll.create alloc in
-      Arena.arm_crash arena ~after:crash_after;
-      (try
-         for i = 1 to n_ops do
-           let n = Adll.append l i in
-           if i mod 3 = 0 then Adll.remove l n
-         done;
-         Arena.disarm_crash arena
-       with Arena.Crash -> ());
-      Arena.disarm_crash arena;
-      if Arena.crashed arena then Adll.recover l;
-      Adll.well_formed l)
+      let ops l _ =
+        for i = 1 to n_ops do
+          let n = Adll.append l i in
+          if i mod 3 = 0 then Adll.remove l n
+        done
+      in
+      let s = scenario ~n:0 ~op:ops ~valid:[] () in
+      ignore
+        (Harness.crash_once
+           {
+             s with
+             check =
+               (fun _ l -> if Adll.well_formed l then None else Some "malformed");
+           }
+           ~after:crash_after);
+      true)
 
 let () =
   let tc = Alcotest.test_case in

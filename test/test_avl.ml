@@ -4,6 +4,7 @@
 
 open Rewind_nvm
 open Rewind
+module Harness = Rewind_analysis.Crash_harness
 
 let fresh () =
   let arena = Arena.create ~size_bytes:(8 lsl 20) () in
@@ -85,64 +86,62 @@ let test_internal_log_cleared_after_op () =
 (* Crash exhaustion                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Run [op] on a freshly-built tree with a crash armed after every k and,
-   after recovery, require the tree to be either pre-op or post-op. *)
-let exhaust ~keys ~op ~pre ~post ~recovery_crashes =
-  let k = ref 0 in
-  let completed = ref false in
-  while not !completed do
-    let arena, _, _, idx = fresh () in
-    List.iter (fun key -> ignore (Avl_index.insert idx key)) keys;
-    Arena.arm_crash arena ~after:!k;
-    (try
-       op idx;
-       Arena.disarm_crash arena;
-       completed := true
-     with Arena.Crash -> ());
-    if Arena.crashed arena then begin
-      for j = 0 to recovery_crashes - 1 do
-        Arena.clear_crashed arena;
-        Arena.arm_crash arena ~after:j;
-        (try ignore (reattach arena) with Arena.Crash -> ())
-      done;
-      Arena.disarm_crash arena;
-      Arena.clear_crashed arena;
-      let idx2 = reattach arena in
-      if not (Avl_index.well_formed idx2) then
-        Alcotest.failf "crash point %d: AVL invariant broken" !k;
-      let ks = Avl_index.keys idx2 in
-      if ks <> pre && ks <> post then
-        Alcotest.failf "crash point %d: unexpected keys [%s]" !k
-          (String.concat ";" (List.map string_of_int ks))
-    end;
-    incr k
-  done
+(* A tree of [keys], then [op] as the crash window; after recovery the
+   tree must be well formed and either pre-op or post-op. *)
+let scenario ~keys ~op ~pre ~post =
+  {
+    Harness.setup =
+      (fun () ->
+        let arena, _, _, idx = fresh () in
+        List.iter (fun key -> ignore (Avl_index.insert idx key)) keys;
+        (arena, idx));
+    arenas = (fun (arena, _) -> [| arena |]);
+    window = (fun (_, idx) -> op idx);
+    recover = (fun _ arena -> reattach arena);
+    check =
+      (fun _ idx ->
+        let ks = Avl_index.keys idx in
+        if not (Avl_index.well_formed idx) then Some "AVL invariant broken"
+        else if ks = pre || ks = post then None
+        else
+          Some (Fmt.str "unexpected keys [%a]" Fmt.(list ~sep:semi int) ks));
+  }
 
 let test_crash_insert_rebalancing () =
   (* inserting 6 into [1..5] triggers rotations *)
-  exhaust ~keys:[ 1; 2; 3; 4; 5 ]
-    ~op:(fun idx -> ignore (Avl_index.insert idx 6))
-    ~pre:[ 1; 2; 3; 4; 5 ] ~post:[ 1; 2; 3; 4; 5; 6 ] ~recovery_crashes:0
+  ignore
+    (Harness.every_event
+       (scenario ~keys:[ 1; 2; 3; 4; 5 ]
+          ~op:(fun idx -> ignore (Avl_index.insert idx 6))
+          ~pre:[ 1; 2; 3; 4; 5 ] ~post:[ 1; 2; 3; 4; 5; 6 ]))
 
 let test_crash_insert_empty () =
-  exhaust ~keys:[]
-    ~op:(fun idx -> ignore (Avl_index.insert idx 1))
-    ~pre:[] ~post:[ 1 ] ~recovery_crashes:0
+  ignore
+    (Harness.every_event
+       (scenario ~keys:[]
+          ~op:(fun idx -> ignore (Avl_index.insert idx 1))
+          ~pre:[] ~post:[ 1 ]))
 
 let test_crash_remove_two_children () =
-  exhaust ~keys:[ 5; 3; 8; 1; 4; 9; 7 ]
-    ~op:(fun idx -> ignore (Avl_index.remove idx 5))
-    ~pre:[ 1; 3; 4; 5; 7; 8; 9 ] ~post:[ 1; 3; 4; 7; 8; 9 ] ~recovery_crashes:0
+  ignore
+    (Harness.every_event
+       (scenario ~keys:[ 5; 3; 8; 1; 4; 9; 7 ]
+          ~op:(fun idx -> ignore (Avl_index.remove idx 5))
+          ~pre:[ 1; 3; 4; 5; 7; 8; 9 ] ~post:[ 1; 3; 4; 7; 8; 9 ]))
 
 let test_crash_remove_with_recovery_crashes () =
-  exhaust ~keys:[ 2; 1; 3 ]
-    ~op:(fun idx -> ignore (Avl_index.remove idx 2))
-    ~pre:[ 1; 2; 3 ] ~post:[ 1; 3 ] ~recovery_crashes:6
+  ignore
+    (Harness.recovery_chain ~from:`Every_event
+       (scenario ~keys:[ 2; 1; 3 ]
+          ~op:(fun idx -> ignore (Avl_index.remove idx 2))
+          ~pre:[ 1; 2; 3 ] ~post:[ 1; 3 ]))
 
 let test_crash_insert_with_recovery_crashes () =
-  exhaust ~keys:[ 2; 1; 3 ]
-    ~op:(fun idx -> ignore (Avl_index.insert idx 4))
-    ~pre:[ 1; 2; 3 ] ~post:[ 1; 2; 3; 4 ] ~recovery_crashes:6
+  ignore
+    (Harness.recovery_chain ~from:`Every_event
+       (scenario ~keys:[ 2; 1; 3 ]
+          ~op:(fun idx -> ignore (Avl_index.insert idx 4))
+          ~pre:[ 1; 2; 3 ] ~post:[ 1; 2; 3; 4 ]))
 
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
@@ -171,22 +170,19 @@ let prop_crash_random =
   QCheck.Test.make ~name:"AAVLT survives random crash points" ~count:150
     QCheck.(pair (int_bound 600) (list_of_size (Gen.int_range 1 25) (int_bound 40)))
     (fun (crash_after, keys) ->
-      let arena, _, _, idx = fresh () in
-      Arena.arm_crash arena ~after:crash_after;
-      (try
-         List.iter
-           (fun k ->
-             ignore (Avl_index.insert idx k);
-             if k mod 3 = 0 then ignore (Avl_index.remove idx k))
-           keys;
-         Arena.disarm_crash arena
-       with Arena.Crash -> ());
-      Arena.disarm_crash arena;
-      if Arena.crashed arena then begin
-        let idx2 = reattach arena in
-        Avl_index.well_formed idx2
-      end
-      else true)
+      let ops idx =
+        List.iter
+          (fun k ->
+            ignore (Avl_index.insert idx k);
+            if k mod 3 = 0 then ignore (Avl_index.remove idx k))
+          keys
+      in
+      let s = scenario ~keys:[] ~op:ops ~pre:[] ~post:[] in
+      let well_formed _ idx =
+        if Avl_index.well_formed idx then None else Some "AVL invariant broken"
+      in
+      ignore (Harness.crash_once { s with check = well_formed } ~after:crash_after);
+      true)
 
 let () =
   let tc = Alcotest.test_case in

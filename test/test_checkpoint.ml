@@ -26,8 +26,9 @@
 
 open Rewind_nvm
 open Rewind
-module San = Rewind_analysis.Sanitizer
 module Enum = Rewind_analysis.Enumerator
+module Harness = Rewind_analysis.Crash_harness
+module Scenarios = Rewind_benchlib.Crash_scenarios
 
 let root_slot = 2
 
@@ -41,12 +42,7 @@ let all_configs =
     ("batch8", Rewind.config_batch ());
   ]
 
-let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
-
-let shadow_events arena =
-  let s = Arena.stats arena in
-  s.Stats.nt_stores + s.Stats.flushes
 
 (* ------------------------------------------------------------------ *)
 (* 1. Crash at every persistence event inside the checkpoint           *)
@@ -85,21 +81,17 @@ let workload tm cells =
   expected
 
 let test_crash_sweep (name, cfg0) () =
-  (* Dry run: count the persistence events inside an uninterrupted
-     checkpoint, and prove the sweep's coverage claims — under no-force
-     the clearing pass has settled records to remove, and for the
-     bucketed no-force configs the occupancy drops far enough that
-     compaction rewrites the log (so the sweep includes crash points
-     after the CHECKPOINT record, mid-clearing and mid-compaction). *)
-  let arena, tm, cells, _ = setup cfg0 in
+  (* Dry run: prove the sweep's coverage claims — under no-force the
+     clearing pass has settled records to remove, and for the bucketed
+     no-force configs the occupancy drops far enough that compaction
+     rewrites the log (so the sweep includes crash points after the
+     CHECKPOINT record, mid-clearing and mid-compaction). *)
+  let _, tm, cells, _ = setup cfg0 in
   let _ = workload tm cells in
   let log_before = Log.length (Tm.log tm) in
   let recs_before = List.sort compare (Log.records (Tm.log tm)) in
-  let before = shadow_events arena in
   Tm.checkpoint tm;
-  let events = shadow_events arena - before in
   let recs_after = List.sort compare (Log.records (Tm.log tm)) in
-  check_bool (name ^ ": checkpoint persists something") true (events > 0);
   (* two-layer configs keep user records in the AVL index rather than the
      bucket log, so the log-shape claims only apply to one-layer *)
   if cfg0.Tm.policy = Tm.No_force && cfg0.Tm.layers = Tm.One_layer then begin
@@ -109,35 +101,20 @@ let test_crash_sweep (name, cfg0) () =
       check_bool (name ^ ": compaction moved the live records") true
         (recs_after <> [] && recs_after <> recs_before)
   end;
-  (* The sweep proper: crash at the k-th event, recover, check state. *)
-  let tried = ref 0 in
-  for k = 1 to events do
-    let arena, tm, cells, cfg = setup cfg0 in
-    let expected = workload tm cells in
-    Arena.arm_crash arena ~after:(k - 1);
-    (match Tm.checkpoint tm with () -> () | exception Arena.Crash -> ());
-    if Arena.crashed arena then begin
-      incr tried;
-      Arena.crash arena;
-      let alloc2 = Alloc.recover arena in
-      let san = San.attach ~mode:San.Collect arena in
-      let _tm2 = Tm.attach ~cfg alloc2 ~root_slot in
-      check_int
-        (Fmt.str "%s k=%d: recovery is sanitizer-clean" name k)
-        0
-        (List.length (San.violations san));
-      San.detach san;
-      Array.iteri
-        (fun c exp ->
-          let exp = if c >= 8 then 0L else exp in
-          let got = Arena.read arena cells.(c) in
-          if got <> exp then
-            Alcotest.failf "%s: crash at event %d/%d: cell %d = %Ld, want %Ld"
-              name k events c got exp)
-        expected
-    end
-  done;
-  check_bool (name ^ ": sweep hit crash points") true (!tried > 0)
+  (* The sweep proper: crash at every event of the checkpoint; committed
+     values intact, the live transaction's cells (8..10) undone. *)
+  let s =
+    Harness.every_event
+      (Scenarios.tm_cells ~size_bytes:(32 lsl 20) ~n:16
+         { cfg0 with Tm.bucket_cap = 8 }
+         ~prepare:workload
+         ~window:(fun tm _ _ -> Tm.checkpoint tm)
+         ~check:(fun expected _ got ->
+           Scenarios.expect_cells
+             (fun c -> if c >= 8 then 0L else expected.(c))
+             got))
+  in
+  check_bool (name ^ ": sweep hit crash points") true (s.Harness.crash_points > 0)
 
 (* ------------------------------------------------------------------ *)
 (* 2. Enumerated crash states through a checkpoint, sanitizer attached *)
@@ -149,43 +126,39 @@ let test_crash_sweep (name, cfg0) () =
    write to c must always be undone. *)
 let test_enumerate_checkpoint (name, cfg0) () =
   let cfg = { cfg0 with Tm.bucket_cap = 4 } in
-  let arena = Arena.create ~size_bytes:(1 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
-  let a = Alloc.alloc ~align:64 alloc 8 in
-  let b = Alloc.alloc ~align:64 alloc 8 in
-  let c = Alloc.alloc ~align:64 alloc 8 in
   let stats =
-    Enum.run arena
-      ~workload:(fun () ->
-        let t1 = Tm.begin_txn tm in
-        Tm.write tm t1 ~addr:a ~value:7L;
-        Tm.commit tm t1;
-        let t2 = Tm.begin_txn tm in
-        Tm.write tm t2 ~addr:b ~value:9L;
-        Tm.commit tm t2;
-        let live = Tm.begin_txn tm in
-        Tm.write tm live ~addr:c ~value:11L;
-        Tm.checkpoint tm)
-      ~recover:(fun crashed ->
-        let alloc2 = Alloc.recover crashed in
-        let san = San.attach ~mode:San.Collect crashed in
-        let _tm = Tm.attach ~cfg alloc2 ~root_slot in
-        let violations = List.length (San.violations san) in
-        San.detach san;
-        ( Arena.read crashed a,
-          Arena.read crashed b,
-          Arena.read crashed c,
-          violations ))
-      ~check:(fun (va, vb, vc, violations) ->
-        if violations > 0 then
-          Some (Fmt.str "%d sanitizer violations during recovery" violations)
-        else if vc <> 0L then
-          Some (Fmt.str "live txn not undone: c = %Ld" vc)
-        else
-          match (va, vb) with
-          | 0L, 0L | 7L, 0L | 7L, 9L -> None
-          | _ -> Some (Fmt.str "illegal state a=%Ld b=%Ld" va vb))
+    Harness.every_fence_subset
+      {
+        Harness.setup =
+          (fun () ->
+            let arena = Arena.create ~size_bytes:(1 lsl 20) () in
+            let alloc = Alloc.create arena in
+            let tm = Tm.create ~cfg alloc ~root_slot in
+            (arena, tm, Array.init 3 (fun _ -> Alloc.alloc ~align:64 alloc 8)));
+        arenas = (fun (arena, _, _) -> [| arena |]);
+        window =
+          (fun (_, tm, cells) ->
+            let t1 = Tm.begin_txn tm in
+            Tm.write tm t1 ~addr:cells.(0) ~value:7L;
+            Tm.commit tm t1;
+            let t2 = Tm.begin_txn tm in
+            Tm.write tm t2 ~addr:cells.(1) ~value:9L;
+            Tm.commit tm t2;
+            let live = Tm.begin_txn tm in
+            Tm.write tm live ~addr:cells.(2) ~value:11L;
+            Tm.checkpoint tm);
+        recover =
+          (fun (_, _, cells) crashed ->
+            ignore (Tm.attach ~cfg (Alloc.recover crashed) ~root_slot);
+            Array.map (Arena.read crashed) cells);
+        check =
+          (fun _ v ->
+            if v.(2) <> 0L then Some (Fmt.str "live txn not undone: c = %Ld" v.(2))
+            else
+              match (v.(0), v.(1)) with
+              | 0L, 0L | 7L, 0L | 7L, 9L -> None
+              | va, vb -> Some (Fmt.str "illegal state a=%Ld b=%Ld" va vb));
+      }
   in
   check_bool
     (name ^ ": enumeration reached inside the checkpoint")

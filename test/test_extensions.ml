@@ -4,6 +4,8 @@
 
 open Rewind_nvm
 open Rewind
+module Harness = Rewind_analysis.Crash_harness
+module Scenarios = Rewind_benchlib.Crash_scenarios
 
 let root_slot = 2
 
@@ -60,34 +62,39 @@ let test_compact_noop_when_dense () =
 let test_compact_survives_crash () =
   (* crash at every point during a compaction: recovery must find either
      the old (gappy) or the new (dense) log, with the same live records *)
-  let k = ref 0 in
-  let completed = ref false in
-  while not !completed do
-    let arena = Arena.create ~size_bytes:(32 lsl 20) () in
-    let alloc = Alloc.create arena in
-    let log = Log.create Log.Optimized ~bucket_cap:8 alloc ~root_slot in
-    for i = 1 to 64 do
-      Log.append log (mk_record alloc ~lsn:i ~txn:(i mod 4))
-    done;
-    Log.remove_where log (fun r -> Record.txn arena r <> 1);
-    let expect = List.map (Record.lsn arena) (Log.records log) in
-    Arena.arm_crash arena ~after:!k;
-    (try
-       Log.compact log;
-       Arena.disarm_crash arena;
-       completed := true
-     with Arena.Crash -> ());
-    if Arena.crashed arena then begin
-      let alloc2 = Alloc.recover arena in
-      let log2 = Log.attach Log.Optimized ~bucket_cap:8 alloc2 ~root_slot in
-      let got = List.map (Record.lsn arena) (Log.records log2) in
-      if got <> expect then
-        Alcotest.failf "crash %d: records changed ([%s] vs [%s])" !k
-          (String.concat ";" (List.map string_of_int got))
-          (String.concat ";" (List.map string_of_int expect))
-    end;
-    incr k
-  done
+  ignore
+    (Harness.every_event
+       {
+         Harness.setup =
+           (fun () ->
+             let arena = Arena.create ~size_bytes:(32 lsl 20) () in
+             let alloc = Alloc.create arena in
+             let log = Log.create Log.Optimized ~bucket_cap:8 alloc ~root_slot in
+             for i = 1 to 64 do
+               Log.append log (mk_record alloc ~lsn:i ~txn:(i mod 4))
+             done;
+             Log.remove_where log (fun r -> Record.txn arena r <> 1);
+             (arena, log, List.map (Record.lsn arena) (Log.records log)));
+         arenas = (fun (arena, _, _) -> [| arena |]);
+         window = (fun (_, log, _) -> Log.compact log);
+         recover =
+           (fun _ arena ->
+             let log2 =
+               Log.attach Log.Optimized ~bucket_cap:8 (Alloc.recover arena)
+                 ~root_slot
+             in
+             List.map (Record.lsn arena) (Log.records log2));
+         check =
+           (fun (_, _, expect) got ->
+             if got = expect then None
+             else
+               Some
+                 (Fmt.str "records changed ([%a] vs [%a])"
+                    Fmt.(list ~sep:semi int)
+                    got
+                    Fmt.(list ~sep:semi int)
+                    expect));
+       })
 
 let test_checkpoint_triggers_compaction () =
   (* a long-running transaction pins records across buckets while others
@@ -159,44 +166,40 @@ let test_savepoint_then_full_rollback cfg () =
   Tm.rollback tm txn;
   check_i64 "full rollback to committed state" 5L (Arena.read arena a)
 
+(* A fresh manager over three cells, [prepare] run on it, [window] as
+   the crash window; recovery must leave the cells at [want]. *)
+let savepoint_scenario cfg ~prepare ~window ~want =
+  Scenarios.tm_cells ~size_bytes:(32 lsl 20) ~n:3 cfg ~prepare ~window
+    ~check:(fun _ _ got -> Scenarios.expect_cells (Array.get want) got)
+
+(* Run [s]'s window to completion, then power-fail and recover. *)
+let crash_after_window s =
+  let w = s.Harness.setup () in
+  s.window w;
+  Array.iter Arena.crash (s.arenas w);
+  ignore (Harness.recover_checked s w)
+
 let test_savepoint_crash_after_partial cfg () =
   (* crash after a partial rollback: the whole transaction is undone and
      the partial rollback's CLRs don't confuse recovery *)
-  let k = ref 0 in
-  let completed = ref false in
-  while not !completed do
-    let arena, alloc, tm = fresh ~cfg () in
-    let a = Alloc.alloc alloc 8 and b = Alloc.alloc alloc 8 in
-    Tm.atomically tm (fun txn -> Tm.write tm txn ~addr:a ~value:10L);
-    Arena.arm_crash arena ~after:!k;
-    (try
-       let txn = Tm.begin_txn tm in
-       Tm.write tm txn ~addr:a ~value:11L;
-       let sp = Tm.savepoint tm txn in
-       Tm.write tm txn ~addr:a ~value:12L;
-       Tm.write tm txn ~addr:b ~value:13L;
-       Tm.rollback_to tm txn sp;
-       Tm.write tm txn ~addr:b ~value:14L;
-       (* crash before commit: everything must roll back *)
-       Arena.disarm_crash arena;
-       completed := true
-     with Arena.Crash -> ());
-    if Arena.crashed arena then begin
-      let alloc2 = Alloc.recover arena in
-      let _tm2 = Tm.attach ~cfg alloc2 ~root_slot in
-      check_i64 (Fmt.str "crash %d: a" !k) 10L (Arena.read arena a);
-      check_i64 (Fmt.str "crash %d: b" !k) 0L (Arena.read arena b)
-    end
-    else begin
-      (* completed without crash: the still-open transaction must roll
-         back at recovery after an explicit crash *)
-      Arena.crash arena;
-      let alloc2 = Alloc.recover arena in
-      let _tm2 = Tm.attach ~cfg alloc2 ~root_slot in
-      check_i64 "uncommitted undone" 10L (Arena.read arena a)
-    end;
-    incr k
-  done
+  let s =
+    savepoint_scenario cfg
+      ~prepare:(fun tm c ->
+        Tm.atomically tm (fun txn -> Tm.write tm txn ~addr:c.(0) ~value:10L))
+      ~window:(fun tm c () ->
+        let txn = Tm.begin_txn tm in
+        Tm.write tm txn ~addr:c.(0) ~value:11L;
+        let sp = Tm.savepoint tm txn in
+        Tm.write tm txn ~addr:c.(0) ~value:12L;
+        Tm.write tm txn ~addr:c.(1) ~value:13L;
+        Tm.rollback_to tm txn sp;
+        Tm.write tm txn ~addr:c.(1) ~value:14L)
+      ~want:[| 10L; 0L; 0L |]
+  in
+  ignore (Harness.every_event s);
+  (* completed without crash: the still-open transaction must roll back
+     at recovery after a power failure *)
+  crash_after_window s
 
 let crash_crossing_configs =
   [ ("1L-NFP", Rewind.config_1l_nfp); ("1L-FP", Rewind.config_1l_fp);
@@ -208,45 +211,29 @@ let test_rollback_to_crosses_crash cfg () =
      recovery must settle at the transaction start (crashed while open)
      or, if the rollback completed and the transaction committed, at the
      savepoint state — never at an intermediate post-savepoint state *)
-  let k = ref 0 in
-  let completed = ref false in
-  while not !completed do
-    let arena, alloc, tm = fresh ~cfg () in
-    let a = Alloc.alloc alloc 8 and b = Alloc.alloc alloc 8
-    and c = Alloc.alloc alloc 8 in
+  let prepare tm c =
     Tm.atomically tm (fun txn ->
-        Tm.write tm txn ~addr:a ~value:1L;
-        Tm.write tm txn ~addr:b ~value:2L);
+        Tm.write tm txn ~addr:c.(0) ~value:1L;
+        Tm.write tm txn ~addr:c.(1) ~value:2L);
     let txn = Tm.begin_txn tm in
-    Tm.write tm txn ~addr:a ~value:10L;
+    Tm.write tm txn ~addr:c.(0) ~value:10L;
     let sp = Tm.savepoint tm txn in
-    Tm.write tm txn ~addr:a ~value:20L;
-    Tm.write tm txn ~addr:b ~value:21L;
-    Tm.write tm txn ~addr:c ~value:22L;
-    Arena.arm_crash arena ~after:!k;
-    (try
-       Tm.rollback_to tm txn sp;
-       Arena.disarm_crash arena;
-       completed := true
-     with Arena.Crash -> ());
-    if Arena.crashed arena then begin
-      let alloc2 = Alloc.recover arena in
-      let _tm2 = Tm.attach ~cfg alloc2 ~root_slot in
-      check_i64 (Fmt.str "crash %d: a at txn start" !k) 1L (Arena.read arena a);
-      check_i64 (Fmt.str "crash %d: b at txn start" !k) 2L (Arena.read arena b);
-      check_i64 (Fmt.str "crash %d: c at txn start" !k) 0L (Arena.read arena c)
-    end
-    else begin
-      Tm.commit tm txn;
-      Arena.crash arena;
-      let alloc2 = Alloc.recover arena in
-      let _tm2 = Tm.attach ~cfg alloc2 ~root_slot in
-      check_i64 "a keeps the pre-savepoint write" 10L (Arena.read arena a);
-      check_i64 "b back at the savepoint state" 2L (Arena.read arena b);
-      check_i64 "c back at the savepoint state" 0L (Arena.read arena c)
-    end;
-    incr k
-  done
+    Tm.write tm txn ~addr:c.(0) ~value:20L;
+    Tm.write tm txn ~addr:c.(1) ~value:21L;
+    Tm.write tm txn ~addr:c.(2) ~value:22L;
+    (txn, sp)
+  in
+  ignore
+    (Harness.every_event
+       (savepoint_scenario cfg ~prepare
+          ~window:(fun tm _ (txn, sp) -> Tm.rollback_to tm txn sp)
+          ~want:[| 1L; 2L; 0L |]));
+  crash_after_window
+    (savepoint_scenario cfg ~prepare
+       ~window:(fun tm _ (txn, sp) ->
+         Tm.rollback_to tm txn sp;
+         Tm.commit tm txn)
+       ~want:[| 10L; 2L; 0L |])
 
 let test_savepoint_drops_deletes () =
   let _, alloc, tm = fresh ~cfg:Rewind.config_1l_fp () in

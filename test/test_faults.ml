@@ -10,6 +10,8 @@
 open Rewind_nvm
 open Rewind
 module F = Rewind_benchlib.Faultcamp
+module Harness = Rewind_analysis.Crash_harness
+module Scenarios = Rewind_benchlib.Crash_scenarios
 
 let root_slot = 2
 
@@ -57,56 +59,21 @@ let fault_of_mask mask_seed =
     ~crash_survival_ppm:(125_000 * ((mask_seed mod 8) + 1))
     ~seed:(0x5EED0 + mask_seed) ()
 
-(* Post-recovery invariants: the log is empty, and every cell holds 0 or
-   a value written by a transaction that was not rolled back. *)
-let check_recovered ~ctx cfg arena cells =
-  let alloc2 = Alloc.recover arena in
-  let tm2 =
-    try Tm.attach ~cfg alloc2 ~root_slot
-    with e -> Alcotest.failf "%s: recovery raised %s" ctx (Printexc.to_string e)
-  in
-  if Log.length (Tm.log tm2) <> 0 then
-    Alcotest.failf "%s: log not cleared after recovery" ctx;
-  Array.iteri
-    (fun idx c ->
-      let v = Int64.to_int (Arena.read arena c) in
-      if v <> 0 && v / 100 mod 3 = 0 then
-        Alcotest.failf "%s: cell %d holds %d from rolled-back txn %d" ctx idx v
-          (v / 100))
-    cells;
-  tm2
-
-(* The tentpole sweep: every crash point x 8 eviction masks.  The event
-   count depends on the mask (a spontaneous eviction can turn a later
-   flush into a no-op), so it is measured per mask with the same seed. *)
-let test_partial_eviction_sweep (name, cfg) () =
+(* The tentpole sweep: every crash point x 8 eviction masks, the script
+   under each mask's adversary as the crash window.  The event count
+   depends on the mask (a spontaneous eviction can turn a later flush
+   into a no-op), so each mask's sweep takes its own dry run. *)
+let test_partial_eviction_sweep (_, cfg) () =
   for mask_seed = 0 to 7 do
-    let events =
-      let arena, tm, cells =
-        fresh_setup cfg ~fault:(Some (fault_of_mask mask_seed))
-      in
-      let s0 =
-        (Arena.stats arena).Stats.nt_stores + (Arena.stats arena).Stats.flushes
-      in
-      script tm cells;
-      (Arena.stats arena).Stats.nt_stores
-      + (Arena.stats arena).Stats.flushes - s0
-    in
-    for k = 0 to events + 2 do
-      let arena, tm, cells =
-        fresh_setup cfg ~fault:(Some (fault_of_mask mask_seed))
-      in
-      Arena.arm_crash arena ~after:k;
-      (try
-         script tm cells;
-         Arena.disarm_crash arena
-       with Arena.Crash -> ());
-      if Arena.crashed arena then
-        ignore
-          (check_recovered
-             ~ctx:(Fmt.str "%s mask %d crash %d" name mask_seed k)
-             cfg arena cells)
-    done
+    ignore
+      (Harness.every_event
+         (Scenarios.tm_cells ~size_bytes:(4 lsl 20) ~n:8
+            ~hook:(fun a ->
+              Arena.set_fault_model a (Some (fault_of_mask mask_seed)))
+            cfg
+            ~prepare:(fun _ _ -> ())
+            ~window:(fun tm cells () -> script tm cells)
+            ~check:Scenarios.no_rolled_back))
   done
 
 (* Heavy spontaneous evictions with no crash: the adversary writing lines

@@ -24,6 +24,7 @@ open Rewind_nvm
 open Rewind
 module San = Rewind_analysis.Sanitizer
 module Enum = Rewind_analysis.Enumerator
+module Harness = Rewind_analysis.Crash_harness
 
 let root_slot = 2
 let cfg = Rewind.config_incll
@@ -31,27 +32,12 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_i64 = Alcotest.(check int64)
 
-let shadow_events arena =
-  let s = Arena.stats arena in
-  s.Stats.nt_stores + s.Stats.flushes
-
 let setup ?(n_cells = 8) () =
   let arena = Arena.create ~size_bytes:(8 lsl 20) () in
   let alloc = Alloc.create arena in
   let tm = Tm.create ~cfg alloc ~root_slot in
   let cells = Array.init n_cells (fun _ -> Tm.alloc_cell tm) in
   (arena, tm, cells)
-
-(* Recover [arena] with the persistency sanitizer attached; any violation
-   fails [what]. *)
-let attach_sanitized what arena =
-  let alloc = Alloc.recover arena in
-  let san = San.attach ~mode:San.Collect arena in
-  let tm = Tm.attach ~cfg alloc ~root_slot in
-  check_int (what ^ ": recovery is sanitizer-clean") 0
-    (List.length (San.violations san));
-  San.detach san;
-  tm
 
 (* ------------------------------------------------------------------ *)
 (* Protocol basics: captures, elision, epoch numbering                 *)
@@ -200,86 +186,71 @@ let boundaries =
     Array.init n_sweep_cells (fun i -> Int64.of_int (300 + i));
   |]
 
+(* [window] on a fresh manager over the sweep cells.  The durable epoch
+   counter names the boundary recovery must land on: crashed epoch e
+   (recovery reopened e+1) committed boundary e-1. *)
+let epoch_scenario ~window =
+  {
+    Harness.setup = (fun () -> setup ~n_cells:n_sweep_cells ());
+    arenas = (fun (arena, _, _) -> [| arena |]);
+    window = (fun (arena, tm, cells) -> window arena tm cells);
+    recover =
+      (fun (_, _, cells) arena ->
+        let tm2 = Tm.attach ~cfg (Alloc.recover arena) ~root_slot in
+        (Option.get (Tm.current_epoch tm2), Array.map (Arena.read arena) cells));
+    check =
+      (fun _ (epoch, got) ->
+        let e_crash = epoch - 1 in
+        if e_crash < 1 || e_crash > Array.length boundaries then
+          Some (Fmt.str "crashed epoch %d out of range" e_crash)
+        else if got <> boundaries.(e_crash - 1) then
+          Some
+            (Fmt.str "epoch %d: cells [%a], want [%a]" e_crash
+               Fmt.(array ~sep:semi int64)
+               got
+               Fmt.(array ~sep:semi int64)
+               boundaries.(e_crash - 1))
+        else None);
+  }
+
+(* Every persistence event of the workload is inside an epoch advance —
+   the protocol's whole crash surface — so the sweep exercises each
+   advance point. *)
 let test_crash_sweep () =
-  (* Dry run: count the persistence events an uninterrupted run makes.
-     Every one of them is inside an epoch advance — the protocol's whole
-     crash surface — so the sweep below exercises each advance point. *)
-  let arena, tm, cells = setup ~n_cells:n_sweep_cells () in
-  let before = shadow_events arena in
-  sweep_workload tm cells;
-  let events = shadow_events arena - before in
-  check_bool "the workload persists something" true (events > 0);
-  let tried = ref 0 in
-  for k = 1 to events do
-    let arena, tm, cells = setup ~n_cells:n_sweep_cells () in
-    Arena.arm_crash arena ~after:(k - 1);
-    (match sweep_workload tm cells with
-    | () -> ()
-    | exception Arena.Crash -> ());
-    if Arena.crashed arena then begin
-      incr tried;
-      Arena.crash arena;
-      let tm2 = attach_sanitized (Fmt.str "k=%d" k) arena in
-      (* the durable epoch counter names the boundary recovery must land
-         on: crashed epoch e (recovery reopened e+1) committed boundary
-         e-1 *)
-      let e_crash = Option.get (Tm.current_epoch tm2) - 1 in
-      check_bool
-        (Fmt.str "k=%d: crashed epoch %d in range" k e_crash)
-        true
-        (e_crash >= 1 && e_crash <= Array.length boundaries);
-      let expect = boundaries.(e_crash - 1) in
-      Array.iteri
-        (fun i c ->
-          let got = Arena.read arena c in
-          if got <> expect.(i) then
-            Alcotest.failf
-              "crash at event %d/%d (epoch %d): cell %d = %Ld, want %Ld" k
-              events e_crash i got expect.(i))
-        cells
-    end
-  done;
-  check_bool "sweep hit crash points" true (!tried > 0)
+  let s =
+    Harness.every_event
+      (epoch_scenario ~window:(fun _ tm cells -> sweep_workload tm cells))
+  in
+  check_bool "sweep hit crash points" true (s.Harness.crash_points > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Crash during recovery                                               *)
 (* ------------------------------------------------------------------ *)
 
-(* The sweep workload, then a crash mid-epoch after 999/998's lines were
-   written back: recovery has cells to rewind and lines to flush. *)
-let idem_setup () =
-  let arena, tm, cells = setup ~n_cells:n_sweep_cells () in
-  sweep_workload tm cells;
-  Arena.flush_line arena cells.(0);
-  Arena.flush_line arena cells.(1);
-  Arena.crash arena;
-  (arena, cells)
-
-let recovered_state arena cells tm =
-  (Array.map (Arena.read arena) cells, Option.get (Tm.current_epoch tm))
-
-(* DESIGN §5d's idempotence: crash the recovery at each of its
+(* DESIGN §5d's idempotence: the sweep workload, then a crash mid-epoch
+   after 999/998's lines were written back, so recovery has cells to
+   rewind and lines to flush.  Recovery is crashed at each of its
    persistence events; a second, sanitizer-attached recovery must reach
-   the uninterrupted recovery's cells and epoch. *)
+   the uninterrupted recovery's cells and epoch — the last boundary,
+   crashed epoch 4 + 1. *)
 let test_recovery_idempotent () =
-  let arena, cells = idem_setup () in
-  let before = shadow_events arena in
-  let tm = Tm.attach ~cfg (Alloc.recover arena) ~root_slot in
-  let events = shadow_events arena - before in
-  check_bool "recovery persists events" true (events > 1);
-  let reference = recovered_state arena cells tm in
-  check_bool "reference: the last boundary, crashed epoch 4 + 1" true
-    (reference = (boundaries.(3), 5));
-  for k = 1 to events do
-    let arena, cells = idem_setup () in
-    Arena.arm_crash arena ~after:(k - 1);
-    (match Tm.attach ~cfg (Alloc.recover arena) ~root_slot with
-    | _ -> Alcotest.failf "k=%d/%d: recovery did not crash" k events
-    | exception Arena.Crash -> ());
-    let tm2 = attach_sanitized (Fmt.str "k=%d/%d" k events) arena in
-    if recovered_state arena cells tm2 <> reference then
-      Alcotest.failf "crash at recovery event %d/%d: state differs" k events
-  done
+  let s =
+    epoch_scenario ~window:(fun arena tm cells ->
+        sweep_workload tm cells;
+        Arena.flush_line arena cells.(0);
+        Arena.flush_line arena cells.(1))
+  in
+  let last_boundary w ((epoch, _) as r) =
+    if epoch <> 5 then Some (Fmt.str "recovered to epoch %d, want 5" epoch)
+    else s.check w r
+  in
+  let sweep =
+    Harness.during_recovery { s with check = last_boundary }
+      ~observe:(fun _ (epoch, cells) ->
+        Fmt.str "epoch %d [%a]" epoch Fmt.(array ~sep:semi int64) cells)
+  in
+  check_bool "recovery persists events" true
+    (sweep.Harness.recovery_crash_points > 1)
 
 (* ------------------------------------------------------------------ *)
 (* Enumerated crash states on the at-every-event grid                  *)
@@ -290,47 +261,9 @@ let test_recovery_idempotent () =
    state inside both advances.  Only the three boundaries are legal, and
    the sanitizer must stay clean through every recovery. *)
 let test_enumerate () =
-  let arena = Arena.create ~size_bytes:(64 * 1024) () in
-  let alloc = Alloc.create arena in
-  let addrs = ref [||] in
   let stats =
-    Enum.run ~at_every_event:true arena
-      ~workload:(fun () ->
-        let tm = Tm.create ~cfg alloc ~root_slot in
-        let a = Tm.alloc_cell tm in
-        let b = Tm.alloc_cell tm in
-        let c = Tm.alloc_cell tm in
-        addrs := [| a; b; c |];
-        let txn = Tm.begin_txn tm in
-        Tm.write tm txn ~addr:a ~value:7L;
-        Tm.write tm txn ~addr:b ~value:9L;
-        Tm.commit tm txn;
-        Tm.advance_epoch tm;
-        let txn = Tm.begin_txn tm in
-        Tm.write tm txn ~addr:a ~value:8L;
-        Tm.write tm txn ~addr:c ~value:11L;
-        Tm.commit tm txn;
-        Tm.advance_epoch tm)
-      ~recover:(fun crashed ->
-        let alloc2 = Alloc.recover crashed in
-        let san = San.attach ~mode:San.Collect crashed in
-        let _tm = Tm.attach ~cfg alloc2 ~root_slot in
-        let violations = List.length (San.violations san) in
-        San.detach san;
-        let a = !addrs.(0) and b = !addrs.(1) and c = !addrs.(2) in
-        ( Arena.read crashed a,
-          Arena.read crashed b,
-          Arena.read crashed c,
-          violations ))
-      ~check:(fun (va, vb, vc, violations) ->
-        if violations > 0 then
-          Some (Fmt.str "%d sanitizer violations during recovery" violations)
-        else
-          match (va, vb, vc) with
-          | 0L, 0L, 0L | 7L, 9L, 0L | 8L, 9L, 11L -> None
-          | _ ->
-              Some
-                (Fmt.str "non-epoch-boundary state a=%Ld b=%Ld c=%Ld" va vb vc))
+    Harness.every_fence_subset ~at_every_event:true
+      (Rewind_benchlib.Crash_scenarios.incll_epochs ())
   in
   check_bool "fine grid captured between fences" true
     (stats.Enum.capture_points > 6);
@@ -373,18 +306,29 @@ let expect_invalid_arg what f =
   | _ -> Alcotest.failf "%s: expected Invalid_argument" what
   | exception Invalid_argument _ -> ()
 
+(* Misuse caught by the manager itself, as a typed error. *)
+let expect_misuse what ~is f =
+  match f () with
+  | _ -> Alcotest.failf "%s: expected Tm.Error" what
+  | exception Tm.Error e when is e -> ()
+  | exception Tm.Error e ->
+      Alcotest.failf "%s: unexpected Tm.Error: %s" what (Tm.error_message e)
+
+let invalid_config = function Tm.Invalid_config _ -> true | _ -> false
+let wal_only = function Tm.Wal_only _ -> true | _ -> false
+
 let test_guards () =
   let arena = Arena.create ~size_bytes:(8 lsl 20) () in
   let alloc = Alloc.create arena in
-  expect_invalid_arg "partitioned incll" (fun () ->
+  expect_misuse "partitioned incll" ~is:invalid_config (fun () ->
       Tm.create ~cfg:{ cfg with Tm.partitions = 2 } alloc ~root_slot);
-  expect_invalid_arg "two-layer incll" (fun () ->
+  expect_misuse "two-layer incll" ~is:invalid_config (fun () ->
       Tm.create ~cfg:{ cfg with Tm.layers = Tm.Two_layer } alloc ~root_slot);
   let tm = Tm.create ~cfg alloc ~root_slot in
-  expect_invalid_arg "no log to expose" (fun () -> Tm.log tm);
-  expect_invalid_arg "no WAL records" (fun () ->
+  expect_misuse "no log to expose" ~is:wal_only (fun () -> Tm.log tm);
+  expect_misuse "no WAL records" ~is:wal_only (fun () ->
       Tm.log_update tm 1 ~addr:0 ~old_value:0L ~new_value:1L);
-  expect_invalid_arg "no delete records" (fun () ->
+  expect_misuse "no delete records" ~is:wal_only (fun () ->
       Tm.log_delete tm 1 ~addr:0 ~size:8);
   let cell = Tm.alloc_cell tm in
   let raw = Alloc.alloc alloc 8 in
@@ -392,7 +336,7 @@ let test_guards () =
   expect_invalid_arg "unregistered address" (fun () ->
       Tm.write tm txn ~addr:raw ~value:1L);
   Tm.write tm txn ~addr:cell ~value:1L;
-  expect_invalid_arg "no 2PC in-doubt state" (fun () ->
+  expect_misuse "no 2PC in-doubt state" ~is:wal_only (fun () ->
       Tm.prepare tm txn ~gtid:7);
   expect_invalid_arg "advance needs quiescence" (fun () ->
       Tm.advance_epoch tm);
@@ -408,7 +352,8 @@ let test_guards () =
   let arena2 = Arena.create ~size_bytes:(8 lsl 20) () in
   let alloc2 = Alloc.create arena2 in
   let wal = Tm.create alloc2 ~root_slot in
-  expect_invalid_arg "advance_epoch on a WAL config" (fun () ->
+  expect_misuse "advance_epoch on a WAL config"
+    ~is:(( = ) (Tm.Incll_only "Tm.advance_epoch")) (fun () ->
       Tm.advance_epoch wal);
   check_bool "WAL configs report no epoch" true (Tm.current_epoch wal = None)
 

@@ -9,6 +9,8 @@
 open Rewind_nvm
 open Rewind
 module Enum = Rewind_analysis.Enumerator
+module Harness = Rewind_analysis.Crash_harness
+module Scenarios = Rewind_benchlib.Crash_scenarios
 
 let root_slot = 2
 
@@ -186,42 +188,15 @@ let fresh_setup cfg =
   let cells = Array.init 8 (fun _ -> Alloc.alloc alloc 8) in
   (arena, tm, cells)
 
-let check_recovered ~ctx cfg arena cells =
-  let alloc2 = Alloc.recover arena in
-  let tm2 =
-    try Tm.attach ~cfg alloc2 ~root_slot
-    with e -> Alcotest.failf "%s: recovery raised %s" ctx (Printexc.to_string e)
-  in
-  if Log.length (Tm.log tm2) <> 0 then
-    Alcotest.failf "%s: log not cleared after recovery" ctx;
-  Array.iteri
-    (fun idx c ->
-      let v = Int64.to_int (Arena.read arena c) in
-      if v <> 0 && v / 100 mod 3 = 0 then
-        Alcotest.failf "%s: cell %d holds %d from rolled-back txn %d" ctx idx v
-          (v / 100))
-    cells
-
-let test_crash_sweep (name, cfg) () =
-  let events =
-    let arena, tm, cells = fresh_setup cfg in
-    let s0 =
-      (Arena.stats arena).Stats.nt_stores + (Arena.stats arena).Stats.flushes
-    in
-    script tm cells;
-    (Arena.stats arena).Stats.nt_stores
-    + (Arena.stats arena).Stats.flushes - s0
-  in
-  for k = 0 to events + 2 do
-    let arena, tm, cells = fresh_setup cfg in
-    Arena.arm_crash arena ~after:k;
-    (try
-       script tm cells;
-       Arena.disarm_crash arena
-     with Arena.Crash -> ());
-    if Arena.crashed arena then
-      check_recovered ~ctx:(Fmt.str "%s crash %d" name k) cfg arena cells
-  done
+(* Crash anywhere in the script: after recovery the log is empty and no
+   cell holds a value from a rolled-back transaction. *)
+let test_crash_sweep (_, cfg) () =
+  ignore
+    (Harness.every_event
+       (Scenarios.tm_cells ~size_bytes:(4 lsl 20) ~n:8 cfg
+          ~prepare:(fun _ _ -> ())
+          ~window:(fun tm cells () -> script tm cells)
+          ~check:Scenarios.no_rolled_back))
 
 (* With the fast path live, the one-layer bucketed configurations must
    actually take it for this small-write workload. *)
@@ -283,34 +258,12 @@ let test_torn_pair_truncated (name, cfg) () =
 (* ------------------------------------------------------------------ *)
 
 let test_enumerate (name, cfg) () =
-  let arena = Arena.create ~size_bytes:(64 * 1024) () in
-  let alloc = Alloc.create arena in
-  let a = Alloc.alloc ~align:64 alloc 8 in
-  let b = Alloc.alloc ~align:64 alloc 8 in
-  let c = Alloc.alloc ~align:64 alloc 8 in
-  let used_inline = ref false in
-  let stats =
-    Enum.run arena
-      ~workload:(fun () ->
-        let tm = Tm.create ~cfg alloc ~root_slot in
-        let txn = Tm.begin_txn tm in
-        Tm.write tm txn ~addr:a ~value:7L;
-        Tm.write tm txn ~addr:b ~value:9L;
-        (* third pair makes the END pair straddle a cacheline: the
-           enumeration then includes torn-pair crash states *)
-        Tm.write tm txn ~addr:c ~value:11L;
-        Tm.commit tm txn;
-        if Log.inline_appended (Tm.log tm) > 0 then used_inline := true)
-      ~recover:(fun crashed ->
-        let alloc2 = Alloc.recover crashed in
-        let _tm = Tm.attach ~cfg alloc2 ~root_slot in
-        (Arena.read crashed a, Arena.read crashed b, Arena.read crashed c))
-      ~check:(fun (va, vb, vc) ->
-        match (va, vb, vc) with
-        | 0L, 0L, 0L | 7L, 9L, 11L -> None
-        | _ -> Some (Fmt.str "partial state a=%Ld b=%Ld c=%Ld" va vb vc))
-  in
-  check_bool (name ^ ": inline path exercised") true !used_inline;
+  let scenario = Rewind_benchlib.Crash_scenarios.wal_txn cfg in
+  let w = scenario.Harness.setup () in
+  scenario.Harness.window w;
+  check_bool (name ^ ": inline path exercised") true
+    ((Arena.stats (scenario.arenas w).(0)).Stats.inline_records > 0);
+  let stats = Harness.every_fence_subset scenario in
   check_bool (name ^ ": crash states explored") true (stats.Enum.crash_states > 0)
 
 let () =

@@ -7,8 +7,9 @@
 
 open Rewind_nvm
 open Rewind_pds
-module San = Rewind_analysis.Sanitizer
 module Enum = Rewind_analysis.Enumerator
+module Harness = Rewind_analysis.Crash_harness
+module Scenarios = Rewind_benchlib.Crash_scenarios
 module Racecheck = Rewind_analysis.Racecheck
 
 let check_bool = Alcotest.(check bool)
@@ -128,134 +129,30 @@ let test_concurrent_contended_race_free () =
 let sweep_ops =
   [| `I 5; `I 1; `I 9; `I 5; `R 5; `I 3; `R 7; `R 1; `I 5 |]
 
-(* states.(i) = sorted contents after the first i ops;
-   results.(i) = the boolean op i returns when run to completion. *)
-let sweep_states, sweep_results =
-  let n = Array.length sweep_ops in
-  let states = Array.make (n + 1) [] in
-  let results = Array.make n false in
-  for i = 0 to n - 1 do
-    (match sweep_ops.(i) with
-    | `I k ->
-        results.(i) <- not (List.mem k states.(i));
-        states.(i + 1) <-
-          (if results.(i) then List.sort compare (k :: states.(i))
-           else states.(i))
-    | `R k ->
-        results.(i) <- List.mem k states.(i);
-        states.(i + 1) <- List.filter (( <> ) k) states.(i));
-  done;
-  (states, results)
-
-let run_sweep_workload s =
-  Array.iter
-    (function
-      | `I k -> ignore (Lfset.insert s k) | `R k -> ignore (Lfset.remove s k))
-    sweep_ops;
-  ignore (Lfset.mem s 9)
-
-let shadow_events arena =
-  let st = Arena.stats arena in
-  st.Stats.nt_stores + st.Stats.flushes
-
+(* Durable linearizability: the recovered contents are the prefix of the
+   op sequence that thread 0's announcement decides, the sanitizer stays
+   clean through recovery, and the recovered set stays operational. *)
 let test_crash_sweep () =
-  (* Dry run: count the persistence events of an uninterrupted trace. *)
-  let events =
-    let arena, alloc = fresh () in
-    let s = Lfset.create ~nbuckets:4 ~nthreads:1 alloc in
-    let before = shadow_events arena in
-    run_sweep_workload s;
-    shadow_events arena - before
-  in
-  check_bool "workload persists something" true (events > 0);
-  let tried = ref 0 in
-  for k = 1 to events do
-    let arena, alloc = fresh () in
-    let s = Lfset.create ~nbuckets:4 ~nthreads:1 alloc in
-    let base = Lfset.base s in
-    Arena.arm_crash arena ~after:(k - 1);
-    (match run_sweep_workload s with
-    | () -> ()
-    | exception Arena.Crash -> ());
-    Arena.disarm_crash arena;
-    if Arena.crashed arena then begin
-      incr tried;
-      let alloc2 = Alloc.recover arena in
-      let san = San.attach ~mode:San.Collect arena in
-      let s2 = Lfset.attach alloc2 ~base in
-      check_int
-        (Fmt.str "k=%d: recovery is sanitizer-clean" k)
-        0
-        (List.length (San.violations san));
-      San.detach san;
-      let got = Lfset.bindings s2 in
-      (* Durable linearizability: the recovered contents are a prefix of
-         the op sequence, and the announcement decides which one. *)
-      (match Lfset.announcement s2 ~thread:0 with
-      | None ->
-          check_ints (Fmt.str "k=%d: pre-first-op state" k) sweep_states.(0)
-            got
-      | Some a ->
-          let seq = a.Lfset.an_seq in
-          check_bool
-            (Fmt.str "k=%d: announced seq %d in range" k seq)
-            true
-            (seq >= 1 && seq <= Array.length sweep_ops);
-          let eff = Option.get (Lfset.op_took_effect s2 ~thread:0) in
-          (match a.Lfset.an_status with
-          | Lfset.Done r ->
-              (* Announced-completed op: its result and its state must
-                 both have survived — no completed op may be lost. *)
-              check_bool
-                (Fmt.str "k=%d: done result matches model" k)
-                true
-                (r = sweep_results.(seq - 1));
-              check_bool
-                (Fmt.str "k=%d: oracle agrees with done result" k)
-                true
-                (Some r = Lfset.op_took_effect s2 ~thread:0);
-              check_ints
-                (Fmt.str "k=%d: state after completed op %d" k seq)
-                sweep_states.(seq) got
-          | Lfset.In_progress ->
-              let expect =
-                if eff then sweep_states.(seq) else sweep_states.(seq - 1)
-              in
-              check_ints
-                (Fmt.str "k=%d: in-flight op %d decided by oracle (%b)" k seq
-                   eff)
-                expect got));
-      (* The recovered set must stay fully operational. *)
-      check_bool "post-recovery insert" true (Lfset.insert s2 1000);
-      check_bool "post-recovery mem" true (Lfset.mem s2 1000)
-    end
-  done;
-  check_bool "sweep hit crash points" true (!tried > 0)
+  let s = Harness.every_event (Scenarios.lfset sweep_ops) in
+  check_bool "sweep hit crash points" true (s.Harness.crash_points > 0)
 
-(* The enumerator drives the same argument through every fence-boundary
+(* Recovery unlinks marked nodes with write-backs, so it persists
+   something whenever a crash leaves one; crashing it there must not
+   change what a second recovery reaches. *)
+let test_crash_during_recovery () =
+  let s =
+    Harness.during_recovery ~from:`Every_event (Scenarios.lfset sweep_ops)
+      ~observe:Scenarios.lfset_bindings
+  in
+  check_bool "recovery persisted something to crash" true
+    (s.Harness.recovery_crash_points > 0)
+
+(* The enumerator drives the prefix claim through every fence-boundary
    *subset* of surviving dirty lines, not just whole-cache crashes. *)
 let test_enumerate_prefixes () =
-  let arena, alloc = fresh ~size:(256 * 1024) () in
-  let base = ref 0 in
-  let prefixes = Array.to_list sweep_states in
   let stats =
-    Enum.run ~at_every_event:true arena
-      ~workload:(fun () ->
-        let s = Lfset.create ~nbuckets:4 ~nthreads:1 alloc in
-        base := Lfset.base s;
-        run_sweep_workload s)
-      ~recover:(fun crashed ->
-        let alloc = Alloc.recover crashed in
-        match Lfset.attach alloc ~base:!base with
-        | s -> Lfset.bindings s
-        | exception Lfset.Mismatch _ -> [])
-      ~check:(fun ks ->
-        if List.mem ks prefixes then None
-        else
-          Some
-            (Fmt.str "recovered {%a}: not a prefix"
-               Fmt.(list ~sep:comma int)
-               ks))
+    Harness.every_fence_subset ~at_every_event:true
+      (Scenarios.lfset_prefix sweep_ops)
   in
   check_bool "enumerated some states" true (stats.Enum.crash_states > 0)
 
@@ -309,6 +206,7 @@ let () =
         [
           tc "sweep every persistence event" `Slow test_crash_sweep;
           tc "enumerate line subsets" `Slow test_enumerate_prefixes;
+          tc "crash during recovery" `Slow test_crash_during_recovery;
         ] );
       ("detectability", [ tc "announcements" `Quick test_announcements ]);
     ]

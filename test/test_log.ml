@@ -4,6 +4,7 @@
 
 open Rewind_nvm
 open Rewind
+module Harness = Rewind_analysis.Crash_harness
 
 let variants =
   [ ("simple", Log.Simple); ("optimized", Log.Optimized); ("batch8", Log.Batch 8) ]
@@ -192,29 +193,39 @@ let prop_crash_prefix variant =
     ~count:150
     QCheck.(int_bound 400)
     (fun crash_after ->
-      let arena, alloc = fresh () in
-      let log = Log.create variant ~bucket_cap:4 alloc ~root_slot:2 in
-      Arena.arm_crash arena ~after:crash_after;
-      (try
-         for i = 1 to 30 do
-           Log.append log (mk_record alloc ~lsn:i ~txn:1)
-         done;
-         Arena.disarm_crash arena
-       with Arena.Crash -> ());
-      Arena.disarm_crash arena;
-      if Arena.crashed arena then begin
-        let alloc = Alloc.recover arena in
-        let log2 = Log.attach variant ~bucket_cap:4 alloc ~root_slot:2 in
-        let ls = lsns arena log2 in
-        let expected_prefix = List.init (List.length ls) (fun i -> i + 1) in
-        ls = expected_prefix
-        && begin
-             Log.append log2 (mk_record alloc ~lsn:999 ~txn:1);
-             let ls' = lsns arena log2 in
-             ls' = expected_prefix @ [ 999 ]
-           end
-      end
-      else true)
+      ignore
+        (Harness.crash_once ~after:crash_after
+           {
+             Harness.setup =
+               (fun () ->
+                 let arena, alloc = fresh () in
+                 let log = Log.create variant ~bucket_cap:4 alloc ~root_slot:2 in
+                 (arena, alloc, log));
+             arenas = (fun (arena, _, _) -> [| arena |]);
+             window =
+               (fun (_, alloc, log) ->
+                 for i = 1 to 30 do
+                   Log.append log (mk_record alloc ~lsn:i ~txn:1)
+                 done);
+             recover =
+               (fun _ arena ->
+                 let alloc = Alloc.recover arena in
+                 let log = Log.attach variant ~bucket_cap:4 alloc ~root_slot:2 in
+                 (arena, alloc, log));
+             check =
+               (fun _ (arena, alloc, log2) ->
+                 let ls = lsns arena log2 in
+                 let expected_prefix =
+                   List.init (List.length ls) (fun i -> i + 1)
+                 in
+                 if ls <> expected_prefix then Some "not a prefix of the appends"
+                 else begin
+                   Log.append log2 (mk_record alloc ~lsn:999 ~txn:1);
+                   if lsns arena log2 = expected_prefix @ [ 999 ] then None
+                   else Some "a post-recovery append is lost"
+                 end);
+           });
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Occupancy-cache and clearing lifecycle                              *)

@@ -3,6 +3,7 @@
 
 open Rewind_nvm
 open Rewind
+module Harness = Rewind_analysis.Crash_harness
 open Rewind_pds
 
 let root_slot = 2
@@ -90,30 +91,33 @@ let test_bulk_load_rejects_unsorted () =
       Tm.atomically tm (fun txn -> Btree.bulk_load bt txn [ (2L, 0L); (1L, 0L) ]))
 
 let test_bulk_load_atomic_across_crash () =
-  (* crash at any point: afterwards the tree is either empty or complete *)
+  (* crash at every third point: afterwards the tree is either empty or
+     complete *)
   let bindings = List.init 60 (fun i -> (Int64.of_int i, Int64.of_int i)) in
-  let k = ref 0 in
-  let completed = ref false in
-  while not !completed do
-    let arena, alloc, tm = fresh () in
-    let bt = Btree.create (Btree.Logged tm) alloc in
-    let root_cell = Btree.root_cell bt in
-    Arena.arm_crash arena ~after:!k;
-    (try
-       Tm.atomically tm (fun txn -> Btree.bulk_load bt txn bindings);
-       Arena.disarm_crash arena;
-       completed := true
-     with Arena.Crash -> ());
-    if Arena.crashed arena then begin
-      let alloc2 = Alloc.recover arena in
-      let tm2 = Tm.attach ~cfg:Rewind.config_1l_nfp alloc2 ~root_slot in
-      let bt2 = Btree.attach (Btree.Logged tm2) alloc2 ~root_cell in
-      let n = Btree.size bt2 in
-      if n <> 0 && n <> 60 then Alcotest.failf "crash %d: partial load (%d)" !k n;
-      check_bool "well formed" true (Btree.well_formed bt2)
-    end;
-    k := !k + 3
-  done
+  ignore
+    (Harness.every_event ~stride:(fun _ -> 3)
+       {
+         Harness.setup =
+           (fun () ->
+             let arena, alloc, tm = fresh () in
+             (arena, tm, Btree.create (Btree.Logged tm) alloc));
+         arenas = (fun (arena, _, _) -> [| arena |]);
+         window =
+           (fun (_, tm, bt) ->
+             Tm.atomically tm (fun txn -> Btree.bulk_load bt txn bindings));
+         recover =
+           (fun (_, _, bt) arena ->
+             let alloc2 = Alloc.recover arena in
+             let tm2 = Tm.attach ~cfg:Rewind.config_1l_nfp alloc2 ~root_slot in
+             Btree.attach (Btree.Logged tm2) alloc2
+               ~root_cell:(Btree.root_cell bt));
+         check =
+           (fun _ bt2 ->
+             let n = Btree.size bt2 in
+             if n <> 0 && n <> 60 then Some (Fmt.str "partial load (%d)" n)
+             else if not (Btree.well_formed bt2) then Some "tree not well formed"
+             else None);
+       })
 
 (* ------------------------------------------------------------------ *)
 (* Soak: long random workload with periodic crashes                    *)
@@ -298,26 +302,34 @@ let test_payment_effects () =
 
 let test_payment_crash_consistency () =
   let open Rewind_tpcc in
-  let arena, tm, db = tpcc_db () in
-  let rng = Rng.create 17 in
-  for _ = 1 to 20 do
-    Payment.run_transactional db tm (Payment.gen_request rng)
-  done;
   (* crash mid-payment, at an arbitrary later persistence event *)
-  Arena.arm_crash arena ~after:500;
-  (try
-     for _ = 1 to 50 do
-       Payment.run_transactional db tm (Payment.gen_request rng)
-     done;
-     Arena.disarm_crash arena
-   with Arena.Crash -> ());
-  Arena.disarm_crash arena;
-  if Arena.crashed arena then begin
-    let alloc2 = Alloc.recover arena in
-    let _tm2 = Tm.attach ~cfg:Rewind.config_1l_nfp alloc2 ~root_slot:3 in
-    check_bool "d_ytd equals history sum after recovery" true
-      (Payment.check_consistency db)
-  end
+  ignore
+    (Harness.crash_once ~after:500
+       {
+         Harness.setup =
+           (fun () ->
+             let arena, tm, db = tpcc_db () in
+             let rng = Rng.create 17 in
+             for _ = 1 to 20 do
+               Payment.run_transactional db tm (Payment.gen_request rng)
+             done;
+             (arena, tm, db, rng));
+         arenas = (fun (arena, _, _, _) -> [| arena |]);
+         window =
+           (fun (_, tm, db, rng) ->
+             for _ = 1 to 50 do
+               Payment.run_transactional db tm (Payment.gen_request rng)
+             done);
+         recover =
+           (fun _ arena ->
+             ignore
+               (Tm.attach ~cfg:Rewind.config_1l_nfp (Alloc.recover arena)
+                  ~root_slot:3));
+         check =
+           (fun (_, _, db, _) () ->
+             if Payment.check_consistency db then None
+             else Some "d_ytd differs from the history sum after recovery");
+       })
 
 let test_payment_and_neworder_mix () =
   let open Rewind_tpcc in

@@ -6,6 +6,7 @@
 open Rewind_nvm
 open Rewind
 open Rewind_pds
+module Harness = Rewind_analysis.Crash_harness
 
 let root_slot = 2
 
@@ -125,6 +126,28 @@ let test_btree_rollback () =
   Alcotest.(check (list (pair int64 int64))) "state restored" before (Btree.bindings bt);
   check_bool "well formed after rollback" true (Btree.well_formed bt)
 
+(* A logged B+-tree on a fresh manager, [prepare]d in one transaction
+   when given. *)
+let btree_world ~cfg ~size prepare =
+  let arena, alloc, tm = fresh_tm ~cfg ~size () in
+  let bt = Btree.create (Btree.Logged tm) alloc in
+  Option.iter (fun p -> Tm.atomically tm (fun txn -> p bt txn)) prepare;
+  (arena, tm, bt)
+
+(* [window] on a prepared tree; recovery reattaches it. *)
+let btree_scenario ~cfg ~size ?prepare ~window ~check () =
+  {
+    Harness.setup = (fun () -> btree_world ~cfg ~size prepare);
+    arenas = (fun (arena, _, _) -> [| arena |]);
+    window;
+    recover =
+      (fun (_, _, bt) arena ->
+        let alloc2 = Alloc.recover arena in
+        let tm2 = Tm.attach ~cfg alloc2 ~root_slot in
+        Btree.attach (Btree.Logged tm2) alloc2 ~root_cell:(Btree.root_cell bt));
+    check;
+  }
+
 let test_btree_crash_recovery cfg () =
   let arena, alloc, tm = fresh_tm ~cfg () in
   let bt = Btree.create (Btree.Logged tm) alloc in
@@ -153,93 +176,73 @@ let prop_btree_random_crash cfg =
     ~count:60
     QCheck.(pair (int_bound 8000) (int_range 1 8))
     (fun (crash_after, txn_count) ->
-      let arena, alloc, tm = fresh_tm ~cfg () in
-      let bt = Btree.create (Btree.Logged tm) alloc in
-      let root_cell = Btree.root_cell bt in
       let committed = Hashtbl.create 64 in
       let maybe = Hashtbl.create 64 in
-      Arena.arm_crash arena ~after:crash_after;
-      (try
-         for tno = 1 to txn_count do
-           let txn = Tm.begin_txn tm in
-           let mine = ref [] in
-           for i = 1 to 10 do
-             let k = Int64.of_int (((tno * 31) + (i * 7)) mod 97) in
-             let v = Int64.of_int ((tno * 1000) + i) in
-             Btree.insert bt txn k v;
-             mine := (k, v) :: !mine
-           done;
-           Hashtbl.reset maybe;
-           List.iter (fun (k, v) -> Hashtbl.replace maybe k v) !mine;
-           Tm.commit tm txn;
-           Hashtbl.reset maybe;
-           List.iter (fun (k, v) -> Hashtbl.replace committed k v) !mine
-         done;
-         Arena.disarm_crash arena
-       with Arena.Crash -> ());
-      Arena.disarm_crash arena;
-      if Arena.crashed arena then begin
-        let alloc2 = Alloc.recover arena in
-        let tm2 = Tm.attach ~cfg alloc2 ~root_slot in
-        let bt2 = Btree.attach (Btree.Logged tm2) alloc2 ~root_cell in
-        if not (Btree.well_formed bt2) then false
-        else begin
-          let expect_with extra =
-            let m = Hashtbl.copy committed in
-            Hashtbl.iter (fun k v -> Hashtbl.replace m k v) extra;
-            m
-          in
-          let matches m =
-            Hashtbl.fold (fun k v acc -> acc && Btree.lookup bt2 k = Some v) m true
-            && Btree.size bt2 = Hashtbl.length m
-          in
-          matches committed || matches (expect_with maybe)
-        end
-      end
-      else true)
+      let window (_, tm, bt) =
+        Hashtbl.reset committed;
+        for tno = 1 to txn_count do
+          let txn = Tm.begin_txn tm in
+          let mine = ref [] in
+          for i = 1 to 10 do
+            let k = Int64.of_int (((tno * 31) + (i * 7)) mod 97) in
+            let v = Int64.of_int ((tno * 1000) + i) in
+            Btree.insert bt txn k v;
+            mine := (k, v) :: !mine
+          done;
+          Hashtbl.reset maybe;
+          List.iter (fun (k, v) -> Hashtbl.replace maybe k v) !mine;
+          Tm.commit tm txn;
+          Hashtbl.reset maybe;
+          List.iter (fun (k, v) -> Hashtbl.replace committed k v) !mine
+        done
+      in
+      let check _ bt2 =
+        let expect_with extra =
+          let m = Hashtbl.copy committed in
+          Hashtbl.iter (fun k v -> Hashtbl.replace m k v) extra;
+          m
+        in
+        let matches m =
+          Hashtbl.fold (fun k v acc -> acc && Btree.lookup bt2 k = Some v) m true
+          && Btree.size bt2 = Hashtbl.length m
+        in
+        if not (Btree.well_formed bt2) then Some "tree not well formed"
+        else if matches committed || matches (expect_with maybe) then None
+        else Some "neither the committed nor the in-flight state"
+      in
+      ignore
+        (Harness.crash_once ~after:crash_after
+           (btree_scenario ~cfg ~size:(32 lsl 20) ~window ~check ()));
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* B+-tree: exhaustive crash points over structure-changing operations *)
 (* ------------------------------------------------------------------ *)
 
-(* Enumerate every crash point of one operation on a prepared tree; after
-   recovery the tree must hold either the before- or after-state. *)
-let exhaust_btree ~prepare ~op ~stride () =
-  let k = ref 0 in
-  let completed = ref false in
-  while not !completed do
-    let arena, alloc, tm = fresh_tm ~size:(16 lsl 20) () in
-    let bt = Btree.create (Btree.Logged tm) alloc in
-    let root_cell = Btree.root_cell bt in
-    Tm.atomically tm (fun txn -> prepare bt txn);
-    let before = Btree.bindings bt in
-    let after =
-      (* learn the post-state on a shadow tree *)
-      let _, alloc2, tm2 = fresh_tm ~size:(16 lsl 20) () in
-      let sh = Btree.create (Btree.Logged tm2) alloc2 in
-      Tm.atomically tm2 (fun txn -> prepare sh txn);
-      Tm.atomically tm2 (fun txn -> op sh txn);
-      Btree.bindings sh
+(* Every crash point of one operation on a prepared tree; after recovery
+   the tree must hold either the before- or after-state. *)
+let exhaust_btree ~prepare ~op () =
+  let states =
+    (* learn the before- and post-state on a shadow tree *)
+    let _, tm, sh =
+      btree_world ~cfg:Rewind.config_1l_nfp ~size:(16 lsl 20) (Some prepare)
     in
-    Arena.arm_crash arena ~after:!k;
-    (try
-       Tm.atomically tm (fun txn -> op bt txn);
-       Arena.disarm_crash arena;
-       completed := true
-     with Arena.Crash -> ());
-    if Arena.crashed arena then begin
-      let alloc2 = Alloc.recover arena in
-      let tm2 = Tm.attach ~cfg:Rewind.config_1l_nfp alloc2 ~root_slot in
-      let bt2 = Btree.attach (Btree.Logged tm2) alloc2 ~root_cell in
-      if not (Btree.well_formed bt2) then
-        Alcotest.failf "crash %d: tree invariant broken" !k;
-      let got = Btree.bindings bt2 in
-      if got <> before && got <> after then
-        Alcotest.failf "crash %d: neither before- nor after-state (%d keys)" !k
-          (List.length got)
-    end;
-    k := !k + stride
-  done
+    let before = Btree.bindings sh in
+    Tm.atomically tm (fun txn -> op sh txn);
+    [ before; Btree.bindings sh ]
+  in
+  ignore
+    (Harness.every_event
+       (btree_scenario ~cfg:Rewind.config_1l_nfp ~size:(16 lsl 20) ~prepare
+          ~window:(fun (_, tm, bt) -> Tm.atomically tm (fun txn -> op bt txn))
+          ~check:(fun _ bt2 ->
+            if not (Btree.well_formed bt2) then Some "tree invariant broken"
+            else if List.mem (Btree.bindings bt2) states then None
+            else
+              Some
+                (Fmt.str "neither before- nor after-state (%d keys)"
+                   (Btree.size bt2)))
+          ()))
 
 (* Insert that splits a leaf and propagates to the root. *)
 let test_crash_insert_split () =
@@ -249,7 +252,7 @@ let test_crash_insert_split () =
         Btree.insert bt txn (Int64.of_int (i * 10)) (Int64.of_int i)
       done)
     ~op:(fun bt txn -> Btree.insert bt txn 85L 99L)
-    ~stride:1 ()
+    ()
 
 (* Delete that merges leaves and shrinks the root. *)
 let test_crash_delete_merge () =
@@ -264,7 +267,7 @@ let test_crash_delete_merge () =
     ~op:(fun bt txn ->
       ignore (Btree.delete bt txn 1L);
       ignore (Btree.delete bt txn 2L))
-    ~stride:1 ()
+    ()
 
 (* Delete that borrows from a sibling. *)
 let test_crash_delete_borrow () =
@@ -277,46 +280,46 @@ let test_crash_delete_borrow () =
       ignore (Btree.delete bt txn 8L);
       ignore (Btree.delete bt txn 9L);
       ignore (Btree.delete bt txn 10L))
-    ~stride:1 ()
+    ()
 
 (* Phash chain updates under exhaustive crash points. *)
 let test_crash_phash_ops () =
-  let k = ref 0 in
-  let completed = ref false in
-  while not !completed do
-    let arena, alloc, tm = fresh_tm ~size:(16 lsl 20) () in
-    let h = Phash.create ~nbuckets:2 tm alloc in
-    Tm.atomically tm (fun txn ->
-        for i = 1 to 8 do
-          Phash.put h txn (Int64.of_int i) (Int64.of_int i)
-        done);
-    Arena.arm_crash arena ~after:!k;
-    (try
-       Tm.atomically tm (fun txn ->
-           Phash.put h txn 9L 9L;
-           ignore (Phash.remove h txn 3L);
-           Phash.put h txn 1L 100L);
-       Arena.disarm_crash arena;
-       completed := true
-     with Arena.Crash -> ());
-    if Arena.crashed arena then begin
-      let alloc2 = Alloc.recover arena in
-      let tm2 = Tm.attach ~cfg:Rewind.config_1l_nfp alloc2 ~root_slot in
-      let h2 = Phash.attach ~nbuckets:2 tm2 alloc2 ~dir:(Phash.dir h) in
-      let before =
-        List.init 8 (fun i -> (Int64.of_int (i + 1), Int64.of_int (i + 1)))
-      in
-      let after =
-        ((1L, 100L) :: List.filteri (fun i _ -> i <> 0 && i <> 2) before)
-        @ [ (9L, 9L) ]
-        |> List.sort compare
-      in
-      let got = Phash.bindings h2 in
-      if got <> List.sort compare before && got <> after then
-        Alcotest.failf "crash %d: torn hash state" !k
-    end;
-    incr k
-  done
+  let before =
+    List.init 8 (fun i -> (Int64.of_int (i + 1), Int64.of_int (i + 1)))
+  in
+  let after =
+    ((1L, 100L) :: List.filteri (fun i _ -> i <> 0 && i <> 2) before)
+    @ [ (9L, 9L) ]
+    |> List.sort compare
+  in
+  ignore
+    (Harness.every_event
+       {
+         Harness.setup =
+           (fun () ->
+             let arena, alloc, tm = fresh_tm ~size:(16 lsl 20) () in
+             let h = Phash.create ~nbuckets:2 tm alloc in
+             Tm.atomically tm (fun txn ->
+                 List.iter (fun (k, v) -> Phash.put h txn k v) before);
+             (arena, tm, h));
+         arenas = (fun (arena, _, _) -> [| arena |]);
+         window =
+           (fun (_, tm, h) ->
+             Tm.atomically tm (fun txn ->
+                 Phash.put h txn 9L 9L;
+                 ignore (Phash.remove h txn 3L);
+                 Phash.put h txn 1L 100L));
+         recover =
+           (fun (_, _, h) arena ->
+             let alloc2 = Alloc.recover arena in
+             let tm2 = Tm.attach ~cfg:Rewind.config_1l_nfp alloc2 ~root_slot in
+             Phash.bindings
+               (Phash.attach ~nbuckets:2 tm2 alloc2 ~dir:(Phash.dir h)));
+         check =
+           (fun _ got ->
+             if got = List.sort compare before || got = after then None
+             else Some "torn hash state");
+       })
 
 (* ------------------------------------------------------------------ *)
 (* B+-tree vs model property                                           *)
@@ -496,8 +499,6 @@ let test_phash_attach_garbage () =
 (* Pqueue / Plist: crash at every persistence event                    *)
 (* ------------------------------------------------------------------ *)
 
-module San = Rewind_analysis.Sanitizer
-
 let sweep_configs =
   [
     ("1l-nfp", Rewind.config_1l_nfp);
@@ -506,58 +507,44 @@ let sweep_configs =
     ("batch8", Rewind.config_batch ());
   ]
 
-let shadow_events arena =
-  let s = Arena.stats arena in
-  s.Stats.nt_stores + s.Stats.flushes
-
 (* Generic sweep: [workload tm x] runs committed transactions against a
-   freshly created structure [x]; [reattach tm2 alloc2] rebuilds it on
-   the crashed arena; [legal] lists every committed boundary state.
-   With the batch config a committed transaction may still be in an
-   unpersisted group, so recovery may land on *any* boundary, not just
-   the latest — the check is membership, not equality. *)
-let sweep_structure ~cfg_name ~cfg ~create ~workload ~reattach ~legal () =
-  let events =
-    let arena, alloc, tm = fresh_tm ~cfg ~size:(8 lsl 20) () in
-    let x = create tm alloc in
-    let before = shadow_events arena in
-    workload tm x;
-    shadow_events arena - before
+   freshly created structure [x]; [reattach x tm2 alloc2] rebuilds it on
+   the crashed arena and reports whether it is well formed; [legal] lists
+   every committed boundary state.  With the batch config a committed
+   transaction may still be in an unpersisted group, so recovery may land
+   on *any* boundary, not just the latest — the check is membership, not
+   equality. *)
+let sweep_structure ~cfg ~create ~workload ~reattach ~legal () =
+  let s =
+    Harness.every_event
+      {
+        Harness.setup =
+          (fun () ->
+            let arena, alloc, tm = fresh_tm ~cfg ~size:(8 lsl 20) () in
+            (arena, tm, create tm alloc));
+        arenas = (fun (arena, _, _) -> [| arena |]);
+        window = (fun (_, tm, x) -> workload tm x);
+        recover =
+          (fun (_, _, x) arena ->
+            let alloc2 = Alloc.recover arena in
+            reattach x (Tm.attach ~cfg alloc2 ~root_slot) alloc2);
+        check =
+          (fun _ (well_formed, got) ->
+            if not well_formed then Some "recovered structure malformed"
+            else if List.mem got legal then None
+            else
+              Some
+                (Fmt.str "recovered %a, not a committed boundary"
+                   Fmt.(list ~sep:semi int64)
+                   got));
+      }
   in
-  Alcotest.(check bool)
-    (cfg_name ^ ": workload persists something")
-    true (events > 0);
-  let tried = ref 0 in
-  for k = 1 to events do
-    let arena, alloc, tm = fresh_tm ~cfg ~size:(8 lsl 20) () in
-    let x = create tm alloc in
-    Arena.arm_crash arena ~after:(k - 1);
-    (match workload tm x with () -> () | exception Arena.Crash -> ());
-    Arena.disarm_crash arena;
-    if Arena.crashed arena then begin
-      incr tried;
-      Arena.crash arena;
-      let alloc2 = Alloc.recover arena in
-      let san = San.attach ~mode:San.Collect arena in
-      let tm2 = Tm.attach ~cfg alloc2 ~root_slot in
-      let got = reattach x tm2 alloc2 in
-      check_int
-        (Printf.sprintf "%s k=%d: recovery is sanitizer-clean" cfg_name k)
-        0
-        (List.length (San.violations san));
-      San.detach san;
-      if not (List.mem got legal) then
-        Alcotest.failf "%s k=%d: recovered %s, not a committed boundary"
-          cfg_name k
-          (String.concat ";" (List.map Int64.to_string got))
-    end
-  done;
-  Alcotest.(check bool) (cfg_name ^ ": sweep hit crash points") true (!tried > 0)
+  Alcotest.(check bool) "sweep hit crash points" true (s.Harness.crash_points > 0)
 
 (* FIFO queue drained to empty and refilled: the boundary states include
    the tricky dequeue-to-empty transition (tail cell must fold back). *)
-let test_pqueue_crash_sweep (cfg_name, cfg) () =
-  sweep_structure ~cfg_name ~cfg
+let test_pqueue_crash_sweep (_, cfg) () =
+  sweep_structure ~cfg
     ~create:(fun tm alloc -> Pqueue.create tm alloc)
     ~workload:(fun tm q ->
       Tm.atomically tm (fun txn ->
@@ -571,17 +558,14 @@ let test_pqueue_crash_sweep (cfg_name, cfg) () =
         Pqueue.attach tm2 alloc2 ~head_cell:(Pqueue.head_cell q)
           ~tail_cell:(Pqueue.tail_cell q)
       in
-      Alcotest.(check bool)
-        (cfg_name ^ ": recovered queue well-formed")
-        true (Pqueue.well_formed q2);
-      Pqueue.to_list q2)
+      (Pqueue.well_formed q2, Pqueue.to_list q2))
     ~legal:[ []; [ 1L; 2L ]; [ 2L ]; [ 3L ] ]
     ()
 
 (* Doubly-linked list shrunk node by node: the second remove unlinks the
    only remaining node (head and tail cells both rewritten). *)
-let test_plist_crash_sweep (cfg_name, cfg) () =
-  sweep_structure ~cfg_name ~cfg
+let test_plist_crash_sweep (_, cfg) () =
+  sweep_structure ~cfg
     ~create:(fun tm alloc -> Plist.create tm alloc)
     ~workload:(fun tm l ->
       let n10 = ref 0 and n20 = ref 0 in
@@ -596,10 +580,7 @@ let test_plist_crash_sweep (cfg_name, cfg) () =
         Plist.attach tm2 alloc2 ~head_cell:(Plist.head_cell l)
           ~tail_cell:(Plist.tail_cell l)
       in
-      Alcotest.(check bool)
-        (cfg_name ^ ": recovered list well-formed")
-        true (Plist.well_formed l2);
-      Plist.to_list l2)
+      (Plist.well_formed l2, Plist.to_list l2))
     ~legal:[ []; [ 10L; 20L ]; [ 20L ]; [ 30L ] ]
     ()
 

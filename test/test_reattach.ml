@@ -19,7 +19,8 @@
 
 open Rewind_nvm
 open Rewind
-module San = Rewind_analysis.Sanitizer
+module Harness = Rewind_analysis.Crash_harness
+module Scenarios = Rewind_benchlib.Crash_scenarios
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
@@ -44,10 +45,6 @@ let partitioned_configs =
     ("batch4 x2", Rewind.with_partitions 2 (Rewind.config_batch ~group:4 ()));
   ]
 
-let shadow_events arena =
-  let s = Arena.stats arena in
-  s.Stats.nt_stores + s.Stats.flushes
-
 (* ------------------------------------------------------------------ *)
 (* 1. Configuration fingerprint                                        *)
 (* ------------------------------------------------------------------ *)
@@ -60,7 +57,8 @@ let contains hay needle =
 let expect_failure name needle f =
   match f () with
   | _ -> Alcotest.failf "%s: expected attach to fail" name
-  | exception Failure msg ->
+  | exception Tm.Error e ->
+      let msg = Tm.error_message e in
       if not (contains msg needle) then
         Alcotest.failf "%s: error %S does not mention %S" name msg needle
 
@@ -128,12 +126,7 @@ let test_attach_wrong_slot () =
    live transaction (undo), and, with [~prepared], a prepared transaction
    (in-doubt, must survive any number of recoveries un-undone).  Without
    it nothing is in doubt and recovery clears the logs wholesale. *)
-let idem_setup ~prepared cfg0 =
-  let cfg = { cfg0 with Tm.bucket_cap = 8 } in
-  let arena = Arena.create ~size_bytes:(16 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
-  let cells = Array.init 12 (fun _ -> Alloc.alloc alloc 8) in
+let history ~prepared tm cells =
   let expected = Array.make 12 0L in
   for tno = 1 to 6 do
     let txn = Tm.begin_txn tm in
@@ -159,68 +152,33 @@ let idem_setup ~prepared cfg0 =
     end
     else []
   in
-  (arena, cfg, cells, expected, in_doubt)
+  (expected, in_doubt)
 
-let snapshot arena cells tm =
-  (Array.map (fun c -> Arena.read arena c) cells, Tm.in_doubt tm)
+let pp_doubt = Fmt.(Dump.list (Dump.pair int int))
 
+(* Crash the recovery at each of its persistence events (the countdown
+   starts at the arming); the second, uninterrupted recovery must reach
+   the state an uninterrupted recovery reaches: every committed value,
+   the live transaction undone, the prepared one still in doubt. *)
 let test_recovery_idempotent ~prepared (name, cfg0) () =
-  (* Uninterrupted recovery: the reference state, and the event count. *)
-  let arena, cfg, cells, expected, in_doubt = idem_setup ~prepared cfg0 in
-  Arena.crash arena;
-  let before = shadow_events arena in
-  let alloc = Alloc.recover arena in
-  let tm = Tm.attach ~cfg alloc ~root_slot in
-  let events = shadow_events arena - before in
-  check_bool (name ^ ": recovery persists events") true (events > 0);
-  let ref_cells, ref_doubt = snapshot arena cells tm in
-  Alcotest.(check (list (pair int int)))
-    (name ^ ": in-doubt set")
-    in_doubt ref_doubt;
-  Array.iteri
-    (fun i v -> check_int (Fmt.str "%s: ref cell %d" name i)
-        (Int64.to_int (if i < Array.length expected then expected.(i) else 0L))
-        (Int64.to_int v))
-    ref_cells;
-  (* Crash the recovery at each of its persistence events (the countdown
-     starts at the arming); the second, uninterrupted recovery must reach
-     the reference state. *)
-  for k = 1 to events do
-    let arena, cfg, cells, _, _ = idem_setup ~prepared cfg0 in
-    Arena.crash arena;
-    Arena.arm_crash arena ~after:(k - 1);
-    (match
-       let alloc = Alloc.recover arena in
-       ignore (Tm.attach ~cfg alloc ~root_slot)
-     with
-    | () ->
-        Alcotest.failf "%s: recovery armed at event %d/%d did not crash" name
-          k events
-    | exception Arena.Crash -> ());
-    let alloc2 = Alloc.recover arena in
-    let san = San.attach ~mode:San.Collect arena in
-    let tm2 = Tm.attach ~cfg alloc2 ~root_slot in
-    check_int
-      (Fmt.str "%s k=%d/%d: second recovery sanitizer-clean" name k events)
-      0
-      (List.length (San.violations san));
-    San.detach san;
-    let got_cells, got_doubt = snapshot arena cells tm2 in
-    if got_doubt <> ref_doubt then
-      Alcotest.failf "%s: crash at recovery event %d/%d: in-doubt %a, want %a"
-        name k events
-        Fmt.(Dump.list (Dump.pair int int))
-        got_doubt
-        Fmt.(Dump.list (Dump.pair int int))
-        ref_doubt;
-    Array.iteri
-      (fun i v ->
-        if v <> ref_cells.(i) then
-          Alcotest.failf
-            "%s: crash at recovery event %d/%d: cell %d = %Ld, want %Ld" name
-            k events i v ref_cells.(i))
-      got_cells
-  done
+  let s =
+    Harness.during_recovery
+      (Scenarios.tm_cells ~size_bytes:(16 lsl 20) ~n:12
+         { cfg0 with Tm.bucket_cap = 8 }
+         ~prepare:(history ~prepared)
+         ~window:(fun _ _ _ -> ())
+         ~check:(fun (expected, in_doubt) tm got ->
+           if Tm.in_doubt tm <> in_doubt then
+             Some
+               (Fmt.str "in-doubt %a, want %a" pp_doubt (Tm.in_doubt tm)
+                  pp_doubt in_doubt)
+           else Scenarios.expect_cells (Array.get expected) got))
+      ~observe:(fun _ (tm, got) ->
+        Fmt.str "%a in doubt %a" Fmt.(Dump.array int64) got pp_doubt
+          (Tm.in_doubt tm))
+  in
+  check_bool (name ^ ": recovery persists events") true
+    (s.Harness.recovery_crash_points > 0)
 
 let () =
   Alcotest.run "reattach"

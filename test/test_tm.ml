@@ -5,6 +5,8 @@
 
 open Rewind_nvm
 open Rewind
+module Harness = Rewind_analysis.Crash_harness
+module Scenarios = Rewind_benchlib.Crash_scenarios
 
 let all_configs =
   [
@@ -158,83 +160,65 @@ let test_uncommitted_rolled_back cfg () =
   check_i64 "cell 0 back to committed value" 1L (Arena.read arena c.(0));
   check_i64 "cell 1 back to zero" 0L (Arena.read arena c.(1))
 
+(* A fresh manager over ten cells, [prepare] run on it (its result is
+   handed to the window), then [window] as the crash window.  [allowed]
+   lists the legal recovered outcomes, each as (cell, value) pairs. *)
+let scenario cfg ~prepare ~window ~allowed =
+  Scenarios.tm_cells cfg ~prepare ~window ~check:(fun _ _ v ->
+      if List.exists (List.for_all (fun (i, e) -> v.(i) = e)) allowed then None
+      else
+        Some
+          (Fmt.str "cells [%a] match no allowed outcome"
+             Fmt.(array ~sep:semi int64)
+             v))
+
+let commit_one tm c cell v =
+  let t = Tm.begin_txn tm in
+  Tm.write tm t ~addr:c.(cell) ~value:v;
+  Tm.commit tm t
+
 let test_crash_mid_rollback cfg () =
   (* Crash during an explicit rollback; recovery must complete the undo. *)
-  let exercised = ref 0 in
-  let k = ref 0 in
-  let completed = ref false in
-  while not !completed do
-    let arena, alloc, tm = fresh cfg in
-    let c = cells alloc in
-    let t1 = Tm.begin_txn tm in
-    Tm.write tm t1 ~addr:c.(0) ~value:1L;
-    Tm.commit tm t1;
-    let t2 = Tm.begin_txn tm in
-    Tm.write tm t2 ~addr:c.(0) ~value:50L;
-    Tm.write tm t2 ~addr:c.(1) ~value:60L;
-    Arena.arm_crash arena ~after:!k;
-    (try
-       Tm.rollback tm t2;
-       Arena.disarm_crash arena;
-       completed := true
-     with Arena.Crash -> incr exercised);
-    if Arena.crashed arena then begin
-      let _tm2 = reattach cfg arena in
-      check_i64 (Fmt.str "crash %d: cell0" !k) 1L (Arena.read arena c.(0));
-      check_i64 (Fmt.str "crash %d: cell1" !k) 0L (Arena.read arena c.(1))
-    end;
-    incr k
-  done;
-  check_bool "exercised crash points" true (!exercised > 0)
+  let s =
+    Harness.every_event
+      (scenario cfg
+         ~prepare:(fun tm c ->
+           commit_one tm c 0 1L;
+           let t2 = Tm.begin_txn tm in
+           Tm.write tm t2 ~addr:c.(0) ~value:50L;
+           Tm.write tm t2 ~addr:c.(1) ~value:60L;
+           t2)
+         ~window:(fun tm _ t2 -> Tm.rollback tm t2)
+         ~allowed:[ [ (0, 1L); (1, 0L) ] ])
+  in
+  check_bool "exercised crash points" true (s.Harness.crash_points > 0)
 
 let test_crash_mid_commit_atomic cfg () =
   (* Crash at every point of commit: afterwards the transaction is either
      fully applied or fully undone. *)
-  let k = ref 0 in
-  let completed = ref false in
-  while not !completed do
-    let arena, alloc, tm = fresh cfg in
-    let c = cells alloc in
-    let t = Tm.begin_txn tm in
-    Tm.write tm t ~addr:c.(0) ~value:10L;
-    Tm.write tm t ~addr:c.(1) ~value:20L;
-    Arena.arm_crash arena ~after:!k;
-    (try
-       Tm.commit tm t;
-       Arena.disarm_crash arena;
-       completed := true
-     with Arena.Crash -> ());
-    if Arena.crashed arena then begin
-      let _tm2 = reattach cfg arena in
-      let v0 = Arena.read arena c.(0) and v1 = Arena.read arena c.(1) in
-      if not ((v0 = 10L && v1 = 20L) || (v0 = 0L && v1 = 0L)) then
-        Alcotest.failf "crash %d: torn commit (%Ld, %Ld)" !k v0 v1
-    end;
-    incr k
-  done
+  ignore
+    (Harness.every_event
+       (scenario cfg
+          ~prepare:(fun tm c ->
+            let t = Tm.begin_txn tm in
+            Tm.write tm t ~addr:c.(0) ~value:10L;
+            Tm.write tm t ~addr:c.(1) ~value:20L;
+            t)
+          ~window:(fun tm _ t -> Tm.commit tm t)
+          ~allowed:[ [ (0, 10L); (1, 20L) ]; [ (0, 0L); (1, 0L) ] ]))
 
 let test_double_crash_recovery cfg () =
-  (* Crash during recovery itself, repeatedly; the final recovery must
-     still yield a consistent state. *)
-  let arena, alloc, tm = fresh cfg in
-  let c = cells alloc in
-  let t1 = Tm.begin_txn tm in
-  Tm.write tm t1 ~addr:c.(0) ~value:5L;
-  Tm.commit tm t1;
-  let t2 = Tm.begin_txn tm in
-  Tm.write tm t2 ~addr:c.(0) ~value:70L;
-  Tm.write tm t2 ~addr:c.(1) ~value:80L;
-  Arena.crash arena;
-  for j = 0 to 25 do
-    Arena.clear_crashed arena;
-    Arena.arm_crash arena ~after:j;
-    try ignore (reattach cfg arena) with Arena.Crash -> ()
-  done;
-  Arena.disarm_crash arena;
-  Arena.clear_crashed arena;
-  let _tm = reattach cfg arena in
-  check_i64 "cell0 is committed value" 5L (Arena.read arena c.(0));
-  check_i64 "cell1 is rolled back" 0L (Arena.read arena c.(1))
+  (* Crash during recovery itself, repeatedly, until a recovery
+     completes; that recovery must still yield a consistent state. *)
+  ignore
+    (Harness.recovery_chain
+       (scenario cfg
+          ~prepare:(fun tm c -> commit_one tm c 0 5L)
+          ~window:(fun tm c () ->
+            let t2 = Tm.begin_txn tm in
+            Tm.write tm t2 ~addr:c.(0) ~value:70L;
+            Tm.write tm t2 ~addr:c.(1) ~value:80L)
+          ~allowed:[ [ (0, 5L); (1, 0L) ] ]))
 
 let test_crash_after_checkpoint cfg () =
   let arena, alloc, tm = fresh cfg in
@@ -255,31 +239,15 @@ let test_crash_after_checkpoint cfg () =
   check_i64 "in-flight rolled back" 0L (Arena.read arena c.(2))
 
 let test_crash_mid_checkpoint cfg () =
-  let k = ref 0 in
-  let completed = ref false in
-  while not !completed do
-    let arena, alloc, tm = fresh cfg in
-    let c = cells alloc in
-    let t1 = Tm.begin_txn tm in
-    Tm.write tm t1 ~addr:c.(0) ~value:9L;
-    Tm.commit tm t1;
-    let t2 = Tm.begin_txn tm in
-    Tm.write tm t2 ~addr:c.(1) ~value:33L;
-    Arena.arm_crash arena ~after:!k;
-    (try
-       Tm.checkpoint tm;
-       Arena.disarm_crash arena;
-       completed := true
-     with Arena.Crash -> ());
-    if Arena.crashed arena then begin
-      let _tm2 = reattach cfg arena in
-      check_i64 (Fmt.str "crash %d: committed survives" !k) 9L
-        (Arena.read arena c.(0));
-      check_i64 (Fmt.str "crash %d: uncommitted undone" !k) 0L
-        (Arena.read arena c.(1))
-    end;
-    incr k
-  done
+  ignore
+    (Harness.every_event
+       (scenario cfg
+          ~prepare:(fun tm c ->
+            commit_one tm c 0 9L;
+            let t2 = Tm.begin_txn tm in
+            Tm.write tm t2 ~addr:c.(1) ~value:33L)
+          ~window:(fun tm _ () -> Tm.checkpoint tm)
+          ~allowed:[ [ (0, 9L); (1, 0L) ] ]))
 
 (* The deleted region is reusable only after the transaction's outcome is
    settled: its offset reappears from the (size=48, align=8) free list. *)
@@ -334,49 +302,97 @@ let prop_crash_consistency (name, cfg) =
     QCheck.(pair (int_bound 1500) (list_of_size (Gen.int_range 1 12)
             (list_of_size (Gen.int_range 1 5) (pair (int_bound 9) (int_range 1 100)))))
     (fun (crash_after, txns) ->
-      let arena, alloc, tm = fresh cfg in
-      let c = cells alloc in
       let committed = Array.make 10 0L in  (* model *)
       let in_flight = Hashtbl.create 4 in  (* txn writes of interrupted commit *)
-      Arena.arm_crash arena ~after:crash_after;
-      (try
-         List.iter
-           (fun writes ->
-             let txn = Tm.begin_txn tm in
-             let mine = Hashtbl.create 4 in
-             Hashtbl.reset in_flight;
-             List.iter
-               (fun (cell, v) ->
-                 let v = Int64.of_int v in
-                 Tm.write tm txn ~addr:c.(cell) ~value:v;
-                 Hashtbl.replace mine cell v)
-               writes;
-             (* commit may crash mid-way: remember what it would change *)
-             Hashtbl.iter (fun k v -> Hashtbl.replace in_flight k v) mine;
-             Tm.commit tm txn;
-             Hashtbl.reset in_flight;
-             Hashtbl.iter (fun k v -> committed.(k) <- v) mine)
-           txns;
-         Arena.disarm_crash arena
-       with Arena.Crash -> ());
-      Arena.disarm_crash arena;
-      if Arena.crashed arena then begin
-        let _tm2 = reattach cfg arena in
-        (* Either the interrupted commit took effect entirely, or not at all. *)
+      let run tm c () =
+        Array.fill committed 0 10 0L;
+        Hashtbl.reset in_flight;
+        List.iter
+          (fun writes ->
+            let txn = Tm.begin_txn tm in
+            let mine = Hashtbl.create 4 in
+            Hashtbl.reset in_flight;
+            List.iter
+              (fun (cell, v) ->
+                let v = Int64.of_int v in
+                Tm.write tm txn ~addr:c.(cell) ~value:v;
+                Hashtbl.replace mine cell v)
+              writes;
+            (* commit may crash mid-way: remember what it would change *)
+            Hashtbl.iter (fun k v -> Hashtbl.replace in_flight k v) mine;
+            Tm.commit tm txn;
+            Hashtbl.reset in_flight;
+            Hashtbl.iter (fun k v -> committed.(k) <- v) mine)
+          txns
+      in
+      let s = scenario cfg ~prepare:(fun _ _ -> ()) ~window:run ~allowed:[] in
+      (* Either the interrupted commit took effect entirely, or not at all. *)
+      let as_flight i =
+        Option.value (Hashtbl.find_opt in_flight i) ~default:committed.(i)
+      in
+      let check _ (_, v) =
         let matches model =
-          Array.for_all
-            (fun i -> Arena.read arena c.(i) = model i)
-            (Array.init 10 (fun i -> i))
+          Array.for_all Fun.id (Array.mapi (fun i x -> x = model i) v)
         in
-        let as_committed i = committed.(i) in
-        let as_flight i =
-          match Hashtbl.find_opt in_flight i with
-          | Some v -> v
-          | None -> committed.(i)
-        in
-        matches as_committed || matches as_flight
-      end
-      else true)
+        if matches (Array.get committed) || matches as_flight then None
+        else Some "recovered state is neither the committed nor the in-flight model"
+      in
+      ignore (Harness.crash_once { s with check } ~after:crash_after);
+      true)
+
+(* ------------------------------------------------------------------ *)
+(* Misuse errors: one typed constructor per class                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [f] must raise [Tm.Error] matching [is], and the registered printer
+   must render the diagnostic text. *)
+let expect_error ~is f () =
+  match f () with
+  | _ -> Alcotest.fail "expected Tm.Error"
+  | exception (Tm.Error e as exn) ->
+      check_bool "constructor" true (is e);
+      Alcotest.(check string) "printer renders the message" (Tm.error_message e)
+        (Printexc.to_string exn)
+
+let crashed_alloc () =
+  let arena, _, _ = fresh Rewind.config_1l_nfp in
+  Arena.crash arena;
+  Alloc.recover arena
+
+let on_fresh cfg f () = f (let _, _, tm = fresh cfg in tm)
+
+let error_cases =
+  let tc name is f = Alcotest.test_case name `Quick (expect_error ~is f) in
+  [
+    tc "invalid config"
+      (( = ) (Tm.Invalid_config "config.partitions must be at least 1"))
+      (fun () -> fresh { Rewind.config_1l_nfp with partitions = 0 });
+    tc "no fingerprint"
+      (( = ) (Tm.No_fingerprint { root_slot = 10 }))
+      (fun () -> Tm.attach (crashed_alloc ()) ~root_slot:10);
+    tc "not a fingerprint"
+      (( = ) (Tm.Not_a_fingerprint { root_slot = 12; found = 0xDEAD }))
+      (fun () ->
+        let alloc = crashed_alloc () in
+        Arena.root_set (Alloc.arena alloc) 12 0xDEADL;
+        Tm.attach alloc ~root_slot:12);
+    tc "fingerprint mismatch"
+      (function Tm.Fingerprint_mismatch { root_slot = 2; _ } -> true | _ -> false)
+      (fun () -> Tm.attach ~cfg:Rewind.config_1l_fp (crashed_alloc ()) ~root_slot);
+    tc "WAL only"
+      (( = ) (Tm.Wal_only "Tm.log"))
+      (on_fresh Rewind.config_incll Tm.log);
+    tc "InCLL only"
+      (( = ) (Tm.Incll_only "Tm.advance_epoch"))
+      (on_fresh Rewind.config_1l_nfp Tm.advance_epoch);
+    tc "home out of range"
+      (( = ) (Tm.Home_out_of_range { home = 1; partitions = 1 }))
+      (on_fresh Rewind.config_1l_nfp (Tm.begin_txn ~home:1));
+    tc "not in doubt"
+      (( = ) (Tm.Not_in_doubt 1))
+      (on_fresh Rewind.config_1l_nfp (fun tm ->
+           Tm.resolve_in_doubt tm (Tm.begin_txn tm) ~commit:true));
+  ]
 
 let () =
   let tc = Alcotest.test_case in
@@ -415,4 +431,5 @@ let () =
         List.map
           (fun nc -> QCheck_alcotest.to_alcotest (prop_crash_consistency nc))
           all_configs );
+      ("errors", error_cases);
     ]

@@ -5,8 +5,8 @@
 
 open Rewind_nvm
 open Rewind
-
-let root_slot = 2
+module Harness = Rewind_analysis.Crash_harness
+module Scenarios = Rewind_benchlib.Crash_scenarios
 
 let configs =
   [
@@ -23,7 +23,7 @@ let check_bool = Alcotest.(check bool)
 (* A deterministic mixed script over 8 cells: commit, rollback and
    checkpoint interleaved.  Returns the model: cell -> last committed
    value. *)
-let script tm arena cells =
+let script tm cells =
   let model = Array.make 8 0L in
   let apply_txn tno ~commit_it =
     let txn = Tm.begin_txn tm in
@@ -44,84 +44,36 @@ let script tm arena cells =
     apply_txn tno ~commit_it:(tno mod 3 <> 0);
     if tno = 6 then Tm.checkpoint tm
   done;
-  ignore arena;
   model
 
-(* Crash at every persistence event of the script; after recovery every
-   cell must hold its model value (the model is replayed up to the same
-   point on a shadow run, accepting the one in-flight commit either way
-   via the weaker check below: cells must equal a value some *committed*
-   transaction wrote, or the in-flight transaction's).  For simplicity we
-   assert the strong invariant used throughout the paper: committed
-   transactions survive, uncommitted ones leave no trace — validated by
-   comparing against an uncrashed shadow execution prefix. *)
-let test_exhaustive_script cfg () =
-  (* shadow run to learn the total number of persistence events *)
-  let shadow_events =
-    let arena = Arena.create ~size_bytes:(16 lsl 20) () in
-    let alloc = Alloc.create arena in
-    let tm = Tm.create ~cfg alloc ~root_slot in
-    let cells = Array.init 8 (fun _ -> Alloc.alloc alloc 8) in
-    let s0 = (Arena.stats arena).Stats.nt_stores + (Arena.stats arena).Stats.flushes in
-    ignore (script tm arena cells);
-    (Arena.stats arena).Stats.nt_stores + (Arena.stats arena).Stats.flushes - s0
-  in
-  let stride = max 1 (shadow_events / 150) in
-  let k = ref 0 in
-  while !k < shadow_events + 10 do
-    let arena = Arena.create ~size_bytes:(16 lsl 20) () in
-    let alloc = Alloc.create arena in
-    let tm = Tm.create ~cfg alloc ~root_slot in
-    let cells = Array.init 8 (fun _ -> Alloc.alloc alloc 8) in
-    Arena.arm_crash arena ~after:!k;
-    (try
-       ignore (script tm arena cells);
-       Arena.disarm_crash arena
-     with Arena.Crash -> ());
-    if Arena.crashed arena then begin
-      let alloc2 = Alloc.recover arena in
-      let _tm2 = Tm.attach ~cfg alloc2 ~root_slot in
-      (* Strong structural checks: *)
-      check_bool "log cleared after recovery" true (Log.length (Tm.log _tm2) = 0);
-      (* Cell-level sanity: values are either 0 or something some
-         transaction wrote; and triples of one transaction are
-         consistent: if cell holds t*100+i, the transaction that wrote it
-         must not have been one we rolled back explicitly. *)
-      Array.iteri
-        (fun _ c ->
-          let v = Int64.to_int (Arena.read arena c) in
-          if v <> 0 then begin
-            let tno = v / 100 in
-            if tno mod 3 = 0 then
-              Alcotest.failf "crash %d: rolled-back txn %d left value %d" !k tno v
-          end)
-        cells
-    end;
-    k := !k + stride
-  done
+(* A fresh manager over [n_cells] cells, then [window] as the crash
+   window.  By default recovery must clear the log and leave no value of
+   a transaction the script's encoding marks rolled back
+   ([tno * 100 + i] with [tno mod 3 = 0]). *)
+let scenario ?(n_cells = 8) ?(check = Scenarios.no_rolled_back) cfg window =
+  Scenarios.tm_cells ~size_bytes:(16 lsl 20) ~n:n_cells cfg
+    ~prepare:(fun _ _ -> ())
+    ~window:(fun tm cells () -> window tm cells)
+    ~check
 
-(* Crash during recovery repeatedly, then verify a final recovery. *)
+(* Crash at every persistence event of the script, sampled down to about
+   150 points: committed transactions survive, rolled-back ones leave no
+   trace. *)
+let test_exhaustive_script cfg () =
+  ignore
+    (Harness.every_event ~stride:(fun n -> n / 150)
+       (scenario cfg (fun tm cells -> ignore (script tm cells))))
+
+(* Crash during recovery repeatedly, until a recovery completes.  The
+   in-flight write 77777 encodes transaction 777, which the check treats
+   as rolled back: it must not survive. *)
 let test_recovery_chain cfg () =
-  let arena = Arena.create ~size_bytes:(16 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
-  let cells = Array.init 8 (fun _ -> Alloc.alloc alloc 8) in
-  ignore (script tm arena cells);
-  (* one transaction left in flight *)
-  let txn = Tm.begin_txn tm in
-  Tm.write tm txn ~addr:cells.(0) ~value:77777L;
-  Arena.crash arena;
-  (* chain of interrupted recoveries at increasing depth *)
-  for j = 0 to 60 do
-    Arena.clear_crashed arena;
-    Arena.arm_crash arena ~after:j;
-    (try ignore (Tm.attach ~cfg (Alloc.recover arena) ~root_slot)
-     with Arena.Crash -> ())
-  done;
-  Arena.disarm_crash arena;
-  Arena.clear_crashed arena;
-  let _tm = Tm.attach ~cfg (Alloc.recover arena) ~root_slot in
-  check_bool "in-flight write gone" true (Arena.read arena cells.(0) <> 77777L)
+  ignore
+    (Harness.recovery_chain
+       (scenario cfg (fun tm cells ->
+            ignore (script tm cells);
+            let txn = Tm.begin_txn tm in
+            Tm.write tm txn ~addr:cells.(0) ~value:77777L)))
 
 (* WAL invariant: at any crash point, a durable user-cell value that is
    neither the initial value nor restorable from the durable log would be
@@ -136,43 +88,39 @@ let prop_wal_order cfg =
     ~count:150
     QCheck.(pair (int_bound 3000) (int_range 1 15))
     (fun (crash_after, n_txns) ->
-      let arena = Arena.create ~size_bytes:(16 lsl 20) () in
-      let alloc = Alloc.create arena in
-      let tm = Tm.create ~cfg alloc ~root_slot in
-      let cells = Array.init 4 (fun _ -> Alloc.alloc alloc 8) in
       let committed = Hashtbl.create 16 in
-      Arena.arm_crash arena ~after:crash_after;
-      (try
-         for tno = 1 to n_txns do
-           let txn = Tm.begin_txn tm in
-           for i = 0 to 1 do
-             Tm.write tm txn
-               ~addr:cells.((tno + i) mod 4)
-               ~value:(Int64.of_int ((tno * 10) + i))
-           done;
-           if tno mod 4 = 0 then Tm.rollback tm txn
-           else begin
-             Tm.commit tm txn;
-             Hashtbl.replace committed tno ()
-           end;
-           if tno mod 5 = 0 then Tm.checkpoint tm
-         done;
-         Arena.disarm_crash arena
-       with Arena.Crash -> ());
-      Arena.disarm_crash arena;
-      if Arena.crashed arena then begin
-        let _tm = Tm.attach ~cfg (Alloc.recover arena) ~root_slot in
-        Array.for_all
-          (fun c ->
-            let v = Int64.to_int (Arena.read arena c) in
-            v = 0
-            || Hashtbl.mem committed (v / 10)
-            (* the transaction whose commit was interrupted may have
-               persisted its END without reaching our table *)
-            || v / 10 > Hashtbl.length committed)
-          cells
-      end
-      else true)
+      let window tm cells =
+        Hashtbl.reset committed;
+        for tno = 1 to n_txns do
+          let txn = Tm.begin_txn tm in
+          for i = 0 to 1 do
+            Tm.write tm txn
+              ~addr:cells.((tno + i) mod 4)
+              ~value:(Int64.of_int ((tno * 10) + i))
+          done;
+          if tno mod 4 = 0 then Tm.rollback tm txn
+          else begin
+            Tm.commit tm txn;
+            Hashtbl.replace committed tno ()
+          end;
+          if tno mod 5 = 0 then Tm.checkpoint tm
+        done
+      in
+      let check () _ got =
+        Array.to_list got
+        |> List.find_opt (fun v ->
+               let v = Int64.to_int v in
+               v <> 0
+               && (not (Hashtbl.mem committed (v / 10)))
+               (* the transaction whose commit was interrupted may have
+                  persisted its END without reaching our table *)
+               && v / 10 <= Hashtbl.length committed)
+        |> Option.map (Fmt.str "cell holds uncommitted %Ld")
+      in
+      ignore
+        (Harness.crash_once (scenario ~n_cells:4 ~check cfg window)
+           ~after:crash_after);
+      true)
 
 (* ------------------------------------------------------------------ *)
 (* Simulated threads                                                   *)
@@ -263,16 +211,29 @@ let test_fork_join_results_and_join () =
 (* A crash inside one task propagates, and the scheduler state is put back
    so the next run starts clean. *)
 let test_fork_join_crash () =
-  let arena = Arena.create ~size_bytes:(1 lsl 16) () in
-  Arena.arm_crash arena ~after:0;
-  (match
-     Sim_threads.fork_join 3 (fun i ->
-         if i = 1 then Arena.nt_write arena 1024 1L;
-         Sim_threads.current ())
-   with
-  | _ -> Alcotest.fail "expected Arena.Crash"
-  | exception Arena.Crash -> ());
-  check_bool "scheduler stopped" false (Sim_threads.active ());
+  let escaped = ref false in
+  Harness.crash_once ~after:0
+    {
+      Harness.setup = (fun () -> Arena.create ~size_bytes:(1 lsl 16) ());
+      arenas = (fun arena -> [| arena |]);
+      window =
+        (fun arena ->
+          match
+            Sim_threads.fork_join 3 (fun i ->
+                if i = 1 then Arena.nt_write arena 1024 1L;
+                Sim_threads.current ())
+          with
+          | _ -> ()
+          | exception Arena.Crash ->
+              escaped := true;
+              raise Arena.Crash);
+      recover = (fun _ _ -> ());
+      check =
+        (fun _ () ->
+          if not !escaped then Some "expected Arena.Crash out of the fork-join"
+          else if Sim_threads.active () then Some "scheduler still active"
+          else None);
+    };
   Alcotest.(check int) "a later run is unaffected" 10
     (Sim_threads.run ~threads:2 ~ops_per_thread:1 (fun _ _ -> Clock.advance 10))
 

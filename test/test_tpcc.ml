@@ -8,7 +8,7 @@
 
 open Rewind_nvm
 open Rewind_tpcc
-module San = Rewind_analysis.Sanitizer
+module Harness = Rewind_analysis.Crash_harness
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -379,10 +379,6 @@ let sweep_configs =
     ("2l-nfp", Rewind.config_2l_nfp);
   ]
 
-let shadow_events arena =
-  let s = Arena.stats arena in
-  s.Stats.nt_stores + s.Stats.flushes
-
 let mix_sweep_setup cfg =
   let arena = Arena.create ~size_bytes:(16 lsl 20) () in
   let alloc = Alloc.create arena in
@@ -419,42 +415,30 @@ let mix_sweep_workload tm db =
 
 let test_mix_crash_sweep (cname, cfg0) n_parts () =
   let cfg = Rewind.with_partitions n_parts cfg0 in
-  (* Dry run: count the persistence events of the scripted mix. *)
-  let arena, tm, db = mix_sweep_setup cfg in
-  let before = shadow_events arena in
+  (* The uncrashed mix is consistent. *)
+  let _, tm, db = mix_sweep_setup cfg in
   mix_sweep_workload tm db;
-  let events = shadow_events arena - before in
-  check_bool (Fmt.str "%s p%d: mix persists events" cname n_parts) true
-    (events > 50);
   check_bool (Fmt.str "%s p%d: dry run consistent" cname n_parts) true
     (Workload.check_mix_consistency db);
-  let tried = ref 0 in
-  for k = 1 to events do
-    let arena, tm, db = mix_sweep_setup cfg in
-    (* arm_crash counts down from the arming point, so [k - 1] makes the
-       k-th workload-window persistence event the crash. *)
-    Arena.arm_crash arena ~after:(k - 1);
-    (match mix_sweep_workload tm db with
-    | () -> Arena.disarm_crash arena
-    | exception Arena.Crash -> ());
-    if Arena.crashed arena then begin
-      incr tried;
-      let alloc2 = Alloc.recover arena in
-      let san = San.attach ~mode:San.Collect arena in
-      let tm2 = Rewind.Tm.attach ~cfg alloc2 ~root_slot:sweep_root in
-      check_int
-        (Fmt.str "%s p%d k=%d: recovery sanitizer-clean" cname n_parts k)
-        0
-        (List.length (San.violations san));
-      San.detach san;
-      let db2 = Schema.rebind ~alloc:alloc2 db (Rewind_pds.Btree.Logged tm2) in
-      if not (Workload.check_mix_consistency db2) then
-        Alcotest.failf "%s p%d: crash at event %d/%d: inconsistent recovery"
-          cname n_parts k events
-    end
-  done;
-  check_bool (Fmt.str "%s p%d: sweep hit crash points" cname n_parts) true
-    (!tried > 0)
+  let s =
+    Harness.every_event
+      {
+        Harness.setup = (fun () -> mix_sweep_setup cfg);
+        arenas = (fun (arena, _, _) -> [| arena |]);
+        window = (fun (_, tm, db) -> mix_sweep_workload tm db);
+        recover =
+          (fun (_, _, db) arena ->
+            let alloc2 = Alloc.recover arena in
+            let tm2 = Rewind.Tm.attach ~cfg alloc2 ~root_slot:sweep_root in
+            Schema.rebind ~alloc:alloc2 db (Rewind_pds.Btree.Logged tm2));
+        check =
+          (fun _ db2 ->
+            if Workload.check_mix_consistency db2 then None
+            else Some "inconsistent recovery");
+      }
+  in
+  check_bool (Fmt.str "%s p%d: mix persists events" cname n_parts) true
+    (s.Harness.crash_points > 50)
 
 (* ------------------------------------------------------------------ *)
 

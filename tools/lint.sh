@@ -1,7 +1,7 @@
 #!/bin/sh
 # Source lint: keep the simulation's instrumentation boundary tight.
 #
-# Two rules, both enforced by grep so they run anywhere dune does:
+# Three rules, all enforced by grep so they run anywhere dune does:
 #
 #   1. No raw Stdlib.Mutex / Stdlib.Atomic outside lib/nvm.  Every piece
 #      of synchronization must go through Sim_mutex / Sim_atomic so that
@@ -13,6 +13,12 @@
 #   2. No Clock.now outside lib/nvm and lib/benchlib.  Core code must
 #      not make decisions from the simulated wall clock; timing belongs
 #      to the memory/device models and the benchmark harness.
+#
+#   3. No Arena.arm_crash outside lib/nvm and the crash harness
+#      (lib/analysis/crash_harness.ml).  Every crash sweep goes through
+#      the harness, which checks that each armed trial really crashed
+#      and sanitizes every recovery; a hand-rolled arm/run/recover loop
+#      gets neither.
 #
 # Allowlist: one file per line, repo-relative.  Seeded with the current
 # legitimate sites; add to it deliberately, with a comment here saying
@@ -31,6 +37,19 @@ test/test_baselines.ml
 
 # No current exceptions: all synchronization goes through the wrappers.
 ALLOW_SYNC='
+'
+
+# test/test_nvm.ml: tests the arming primitive itself.
+# lib/benchlib/faultcamp.ml: a random fault campaign (one trial per seed,
+#   minimized on failure), not a sweep.
+# examples/*: user-facing demos that show the raw API.
+ALLOW_CRASH='
+test/test_nvm.ml
+lib/benchlib/faultcamp.ml
+examples/kv_store.ml
+examples/linked_list_crash.ml
+examples/task_queue.ml
+examples/tpcc_demo.ml
 '
 
 allowed() {
@@ -77,6 +96,18 @@ clock_hits=$(
     done
 )
 report "Clock.now outside lib/nvm + lib/benchlib (core code must not branch on simulated time)" "$clock_hits"
+
+# --- rule 3: Arena.arm_crash outside lib/nvm + the crash harness -------
+crash_hits=$(
+    grep -rn --include='*.ml' --include='*.mli' \
+         -e '\bArena\.arm_crash\b' \
+         lib bin bench examples test 2>/dev/null |
+    grep -v '^lib/nvm/\|^lib/analysis/crash_harness\.ml:' |
+    while IFS=: read -r file rest; do
+        allowed "$ALLOW_CRASH" "$file" || printf '%s:%s\n' "$file" "$rest"
+    done
+)
+report "Arena.arm_crash outside lib/nvm + lib/analysis/crash_harness.ml (sweep through Crash_harness so every armed trial must crash)" "$crash_hits"
 
 if [ "$fail" -ne 0 ]; then
     echo "lint: failed" >&2
