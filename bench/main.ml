@@ -19,62 +19,6 @@ open Rewind_benchlib
    series. *)
 let csv_dir = ref None
 
-let emit series =
-  Series.print series;
-  match !csv_dir with
-  | Some dir -> Fmt.pr "# csv: %s@." (Series.to_csv series dir)
-  | None -> ()
-
-let figures quick =
-  let s v q = if quick then q else v in
-  [
-    ("fig3-left", fun () -> emit (Figures.fig3_left ~n_ops:(s 10_000 2_000) ()));
-    ("fig3-right", fun () -> emit (Figures.fig3_right ~target_updates:(s 60 20) ()));
-    ("fig4-left", fun () -> emit (Figures.fig4_left ~target_updates:(s 60 20) ()));
-    ("fig4-right", fun () -> emit (Figures.fig4_right ~target_updates:(s 60 20) ()));
-    ( "fig5",
-      fun () ->
-        emit (Figures.fig5 ~n_txns:(s 400 350) ~updates_each:(s 10 4) ()) );
-    ("fig6", fun () -> emit (Figures.fig6 ~n_records:(s 120_000 30_000) ()));
-    ( "fig7-left",
-      fun () ->
-        emit
-          (Figures.fig7_left ~n_records:(s 10_000 2_000) ~n_ops:(s 20_000 4_000) ()) );
-    ( "fig7-right",
-      fun () ->
-        emit
-          (Figures.fig7_right ~n_records:(s 10_000 2_000) ~n_ops:(s 20_000 4_000) ()) );
-    ("fig8-left", fun () -> emit (Figures.fig8_left ~n_records:(s 10_000 2_000) ()));
-    ("fig8-right", fun () -> emit (Figures.fig8_right ~n_records:(s 10_000 2_000) ()));
-    ( "fig9",
-      fun () ->
-        emit
-          (Figures.fig9 ~ops_per_thread:(s 10_000 2_000) ~n_records:(s 4_000 1_000) ()) );
-    ( "fig10",
-      fun () ->
-        emit (Figures.fig10 ~n_records:(s 5_000 1_000) ~n_ops:(s 10_000 2_000) ()) );
-    ( "fig11",
-      fun () ->
-        let bars = Figures.fig11 ~txns_per_terminal:(s 300 60) () in
-        Series.print_bars ~id:"fig11" ~title:"TPC-C new-order throughput"
-          ~ylabel:"thousand transactions per simulated minute" bars;
-        match !csv_dir with
-        | Some dir ->
-            Fmt.pr "# csv: %s@."
-              (Series.bars_to_csv ~id:"fig11" ~ylabel:"ktpm" bars dir)
-        | None -> () );
-    ("ablation-bucket", fun () -> emit (Figures.ablation_bucket_size ()));
-    ("ablation-group", fun () -> emit (Figures.ablation_group ()));
-    ("ablation-policy", fun () -> emit (Figures.ablation_policy ~n_txns:(s 2_000 500) ()));
-    ("ablation-lockfree", fun () -> emit (Figures.ablation_lockfree ()));
-    ( "append",
-      fun () ->
-        let rows = Append_bench.run ~n_ops:(s 20_000 4_000) () in
-        Fmt.pr "@.== append: inline vs full-record log appends ==@.%a"
-          Bench_row.pp_table rows;
-        Bench_row.write_rows ~json:"BENCH_append.json" rows );
-  ]
-
 (* ------------------------------------------------------------------ *)
 (* Bechamel wall-clock micro-benchmarks                                 *)
 (* ------------------------------------------------------------------ *)
@@ -193,23 +137,22 @@ let () =
   in
   let args = strip_csv [] args in
   let names = List.filter (fun a -> a <> "--quick") args in
-  let all = figures quick in
   let to_run =
-    match names with [] -> List.map fst all @ [ "micro" ] | ns -> ns
+    match names with [] -> Figures.names @ [ "micro" ] | ns -> ns
   in
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun name ->
       if name = "micro" then micro ()
       else
-        match List.assoc_opt name all with
+        match List.assoc_opt name Figures.table with
         | Some f ->
             let s = Unix.gettimeofday () in
-            f ();
+            f ~quick ~csv:!csv_dir;
             Fmt.pr "# %s completed in %.1fs wall@." name (Unix.gettimeofday () -. s);
             Gc.compact ()
         | None ->
             Fmt.epr "unknown figure %S; available: %s micro@." name
-              (String.concat " " (List.map fst all)))
+              (String.concat " " Figures.names))
     to_run;
   Fmt.pr "@.# total wall time: %.1fs@." (Unix.gettimeofday () -. t0)

@@ -72,49 +72,13 @@ let quick =
 
 (* -- figure ------------------------------------------------------------- *)
 
-let figure_names =
-  [
-    "fig3-left"; "fig3-right"; "fig4-left"; "fig4-right"; "fig5"; "fig6";
-    "fig7-left"; "fig7-right"; "fig8-left"; "fig8-right"; "fig9"; "fig10";
-    "fig11"; "scaling"; "ablation-bucket"; "ablation-group";
-    "ablation-policy"; "ablation-lockfree";
-  ]
-
-let run_figure quick name =
-  let s v q = if quick then q else v in
-  match name with
-  | "fig3-left" -> Series.print (Figures.fig3_left ~n_ops:(s 10_000 2_000) ())
-  | "fig3-right" -> Series.print (Figures.fig3_right ~target_updates:(s 60 20) ())
-  | "fig4-left" -> Series.print (Figures.fig4_left ~target_updates:(s 60 20) ())
-  | "fig4-right" -> Series.print (Figures.fig4_right ~target_updates:(s 60 20) ())
-  | "fig5" -> Series.print (Figures.fig5 ~n_txns:(s 400 350) ~updates_each:(s 10 4) ())
-  | "fig6" -> Series.print (Figures.fig6 ~n_records:(s 120_000 30_000) ())
-  | "fig7-left" ->
-      Series.print (Figures.fig7_left ~n_records:(s 10_000 2_000) ~n_ops:(s 20_000 4_000) ())
-  | "fig7-right" ->
-      Series.print (Figures.fig7_right ~n_records:(s 10_000 2_000) ~n_ops:(s 20_000 4_000) ())
-  | "fig8-left" -> Series.print (Figures.fig8_left ~n_records:(s 10_000 2_000) ())
-  | "fig8-right" -> Series.print (Figures.fig8_right ~n_records:(s 10_000 2_000) ())
-  | "fig9" ->
-      Series.print (Figures.fig9 ~ops_per_thread:(s 10_000 2_000) ~n_records:(s 4_000 1_000) ())
-  | "fig10" ->
-      Series.print (Figures.fig10 ~n_records:(s 5_000 1_000) ~n_ops:(s 10_000 2_000) ())
-  | "fig11" ->
-      Series.print_bars ~id:"fig11" ~title:"TPC-C new-order throughput"
-        ~ylabel:"thousand transactions per simulated minute"
-        (Figures.fig11 ~txns_per_terminal:(s 300 60) ())
-  | "scaling" -> Series.print (Figures.scaling ~txns_per_thread:(s 400 100) ())
-  | "ablation-bucket" -> Series.print (Figures.ablation_bucket_size ())
-  | "ablation-group" -> Series.print (Figures.ablation_group ())
-  | "ablation-policy" -> Series.print (Figures.ablation_policy ())
-  | "ablation-lockfree" -> Series.print (Figures.ablation_lockfree ())
-  | other -> Fmt.epr "unknown figure %S@." other
+let run_figure quick name = (List.assoc name Figures.table) ~quick ~csv:None
 
 let figure_cmd =
   let name_arg =
     Arg.(
       required
-      & pos 0 (some (enum (List.map (fun n -> (n, n)) figure_names))) None
+      & pos 0 (some (enum (List.map (fun n -> (n, n)) Figures.names))) None
       & info [] ~docv:"FIGURE" ~doc:"Figure id, e.g. fig7-left.")
   in
   Cmd.v
@@ -124,60 +88,37 @@ let figure_cmd =
 (* -- crash-demo --------------------------------------------------------- *)
 
 (* One crash at a user-chosen persistence event: the harness's
-   [crash_once], narrated.  A crash point past the workload wraps around
-   it, so the demo always crashes. *)
+   [crash_once] over {!Crash_scenarios.demo}, narrated.  A crash point
+   past the workload wraps around it, so the demo always crashes.  Exits
+   1 if the recovered state is not the protocol's durable point. *)
 let run_crash_demo cfg crash_after =
+  let point =
+    if cfg.Rewind.Tm.incll then "the last epoch boundary"
+    else "the last committed transaction"
+  in
   Fmt.pr "configuration: %a@." Rewind.Tm.pp_config cfg;
   Fmt.pr "running transactions with a crash after %d persistence events...@."
     crash_after;
-  let last committed = match !committed with t :: _ -> t | [] -> 0 in
-  let scenario =
-    {
-      Harness.setup =
-        (fun () ->
-          let arena = Arena.create ~size_bytes:(64 lsl 20) () in
-          let alloc = Alloc.create arena in
-          let tm = Rewind.Tm.create ~cfg alloc ~root_slot:2 in
-          (arena, tm, Array.init 8 (fun _ -> Alloc.alloc alloc 8), ref []));
-      arenas = (fun (arena, _, _, _) -> [| arena |]);
-      window =
-        (fun (_, tm, cells, committed) ->
-          try
-            for tno = 1 to 1_000 do
-              let txn = Rewind.Tm.begin_txn tm in
-              for i = 0 to 7 do
-                Rewind.Tm.write tm txn ~addr:cells.(i)
-                  ~value:(Int64.of_int ((tno * 10) + i))
-              done;
-              Rewind.Tm.commit tm txn;
-              committed := tno :: !committed
-            done
-          with Arena.Crash ->
-            Fmt.pr "*** crash after transaction %d committed ***@."
-              (last committed));
-      recover =
-        (fun (_, _, cells, _) arena ->
-          let alloc = Alloc.recover arena in
-          let span = Clock.start () in
-          let _tm = Rewind.Tm.attach ~cfg alloc ~root_slot:2 in
-          Fmt.pr "recovery took %a (simulated)@." Clock.pp_ns (Clock.elapsed span);
-          Array.map (Arena.read arena) cells);
-      check =
-        (fun (_, _, _, committed) got ->
-          let last = last committed in
-          let ok = ref true in
-          Array.iteri
-            (fun i v ->
-              let expect = Int64.of_int ((last * 10) + i) in
-              if v <> expect && last > 0 then ok := false;
-              Fmt.pr "  cell %d = %Ld (expected %Ld)@." i v expect)
-            got;
-          if !ok then None else Some "MISMATCH");
-    }
+  let s = Crash_scenarios.demo cfg in
+  let recover w arena =
+    let d : Crash_scenarios.demo = w.Crash_scenarios.x in
+    Fmt.pr "*** crash: recovery must reach %s (transaction %d) ***@." point
+      d.durable;
+    let span = Clock.start () in
+    let ((_, got) as r) = s.recover w arena in
+    Fmt.pr "recovery took %a (simulated)@." Clock.pp_ns (Clock.elapsed span);
+    Array.iteri
+      (fun i v ->
+        Fmt.pr "  cell %d = %Ld (expected %Ld)@." i v
+          (Crash_scenarios.demo_value d.durable i))
+      got;
+    r
   in
-  match Harness.crash_once scenario ~after:crash_after with
-  | _ -> Fmt.pr "state matches the last committed transaction@."
-  | exception Harness.Failed _ -> Fmt.pr "state MISMATCH@."
+  match Harness.crash_once { s with recover } ~after:crash_after with
+  | _ -> Fmt.pr "state matches %s@." point
+  | exception Harness.Failed { detail; _ } ->
+      Fmt.pr "state MISMATCH: %s@." detail;
+      exit 1
 
 let crash_demo_cmd =
   let cfg =

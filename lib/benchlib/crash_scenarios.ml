@@ -63,6 +63,8 @@ let expect_cells want got =
   in
   first 0
 
+let pp_cells = Fmt.(array ~sep:sp int64)
+
 (* Recovery cleared the log and left no value of a rolled-back
    transaction: values encode their writer as [tno * 100 + i], and every
    third transaction rolls back. *)
@@ -74,6 +76,46 @@ let no_rolled_back _ tm got =
     |> List.find_opt (fun (_, v) -> v <> 0 && v / 100 mod 3 = 0)
     |> Option.map (fun (i, v) ->
            Fmt.str "cell %d holds %d from rolled-back txn %d" i v (v / 100))
+
+(* -- the crash demo --------------------------------------------------------- *)
+
+(* `rewind crash-demo`'s workload: 1 000 transactions, each writing
+   [tno * 10 + i] to cell [i] of eight, with a checkpoint after every
+   hundredth.  [durable] is the protocol's own durable point: the last
+   committed transaction (WAL) or the transaction the last epoch
+   boundary covers (InCLL); [pending] is the point a crash may have
+   interrupted on its way there, a commit or an epoch advance. *)
+type demo = { mutable durable : int; mutable pending : int }
+
+let demo_value tno i = if tno = 0 then 0L else Int64.of_int ((tno * 10) + i)
+
+let demo cfg =
+  tm_cells ~n:8 cfg
+    ~prepare:(fun _ _ -> { durable = 0; pending = 0 })
+    ~window:(fun tm cells d ->
+      (* run [f], which moves the durable point to [tno] if [moves] *)
+      let reach ~moves tno f =
+        if moves then d.pending <- tno;
+        f ();
+        if moves then d.durable <- tno
+      in
+      let incll = cfg.Tm.incll in
+      for tno = 1 to 1_000 do
+        let txn = Tm.begin_txn tm in
+        Array.iteri
+          (fun i c -> Tm.write tm txn ~addr:c ~value:(demo_value tno i))
+          cells;
+        reach ~moves:(not incll) tno (fun () -> Tm.commit tm txn);
+        if tno mod 100 = 0 then
+          reach ~moves:incll tno (fun () -> Tm.checkpoint tm)
+      done)
+    ~check:(fun d _ got ->
+      let is tno = got = Array.init 8 (demo_value tno) in
+      if is d.durable || is d.pending then None
+      else
+        Some
+          (Fmt.str "recovered %a, want transaction %d's values" pp_cells got
+             d.durable))
 
 (* -- transactional worlds ------------------------------------------------- *)
 
@@ -87,8 +129,6 @@ let arena_of w = [| Alloc.arena w.alloc |]
 let recovered_cells cfg w arena =
   ignore (Tm.attach ~cfg (Alloc.recover arena) ~root_slot);
   Array.map (Arena.read arena) w.cells
-
-let pp_cells = Fmt.(array ~sep:sp int64)
 
 (* WAL, one three-write transaction.  The manager is created inside the
    window, so the crash points include its creation.  The cells sit a

@@ -756,3 +756,65 @@ let ablation_policy ?(n_txns = 2_000) () =
   Series.make ~id:"ablation-policy"
     ~title:"Force + commit clearing vs no-force + checkpoints"
     ~xlabel:"updates/txn" ~ylabel:"ns/txn" ~series_names:[ "1L-FP"; "1L-NFP" ] rows
+
+(* ------------------------------------------------------------------ *)
+(* The figure table                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* Every figure `rewind figure` and bench/main.exe run, by name, with the
+   parameters EXPERIMENTS.md was generated with; [quick] picks the
+   CI-sized ones.  A runner prints its result and, given [csv], also
+   writes it to a CSV file in that directory; [append] writes its bench
+   rows to BENCH_append.json. *)
+let table : (string * (quick:bool -> csv:string option -> unit)) list =
+  let csv_note = Option.iter (Fmt.pr "# csv: %s@.") in
+  let lines f ~quick ~csv =
+    let t = f (fun v q -> if quick then q else v) in
+    Series.print t;
+    csv_note (Option.map (Series.to_csv t) csv)
+  in
+  [
+    ("fig3-left", lines (fun s -> fig3_left ~n_ops:(s 10_000 2_000) ()));
+    ("fig3-right", lines (fun s -> fig3_right ~target_updates:(s 60 20) ()));
+    ("fig4-left", lines (fun s -> fig4_left ~target_updates:(s 60 20) ()));
+    ("fig4-right", lines (fun s -> fig4_right ~target_updates:(s 60 20) ()));
+    ( "fig5",
+      lines (fun s -> fig5 ~n_txns:(s 400 350) ~updates_each:(s 10 4) ()) );
+    ("fig6", lines (fun s -> fig6 ~n_records:(s 120_000 30_000) ()));
+    ( "fig7-left",
+      lines (fun s ->
+          fig7_left ~n_records:(s 10_000 2_000) ~n_ops:(s 20_000 4_000) ()) );
+    ( "fig7-right",
+      lines (fun s ->
+          fig7_right ~n_records:(s 10_000 2_000) ~n_ops:(s 20_000 4_000) ()) );
+    ("fig8-left", lines (fun s -> fig8_left ~n_records:(s 10_000 2_000) ()));
+    ("fig8-right", lines (fun s -> fig8_right ~n_records:(s 10_000 2_000) ()));
+    ( "fig9",
+      lines (fun s ->
+          fig9 ~ops_per_thread:(s 10_000 2_000) ~n_records:(s 4_000 1_000) ())
+    );
+    ( "fig10",
+      lines (fun s ->
+          fig10 ~n_records:(s 5_000 1_000) ~n_ops:(s 10_000 2_000) ()) );
+    ( "fig11",
+      fun ~quick ~csv ->
+        let id = "fig11" in
+        let bars = fig11 ~txns_per_terminal:(if quick then 60 else 300) () in
+        Series.print_bars ~id ~title:"TPC-C new-order throughput"
+          ~ylabel:"thousand transactions per simulated minute" bars;
+        csv_note (Option.map (Series.bars_to_csv ~id ~ylabel:"ktpm" bars) csv)
+    );
+    ("scaling", lines (fun s -> scaling ~txns_per_thread:(s 400 100) ()));
+    ("ablation-bucket", lines (fun _ -> ablation_bucket_size ()));
+    ("ablation-group", lines (fun _ -> ablation_group ()));
+    ("ablation-policy", lines (fun s -> ablation_policy ~n_txns:(s 2_000 500) ()));
+    ("ablation-lockfree", lines (fun _ -> ablation_lockfree ()));
+    ( "append",
+      fun ~quick ~csv:_ ->
+        let rows = Append_bench.run ~n_ops:(if quick then 4_000 else 20_000) () in
+        Fmt.pr "@.== append: inline vs full-record log appends ==@.%a"
+          Bench_row.pp_table rows;
+        Bench_row.write_rows ~json:"BENCH_append.json" rows );
+  ]
+
+let names = List.map fst table

@@ -213,10 +213,13 @@ let recover t =
 
 (* -- the transaction layer ------------------------------------------------ *)
 
+exception Not_open of int
+exception Unregistered_cell of int
+
 let journal t txn =
   match Hashtbl.find_opt t.txns txn with
   | Some j -> j
-  | None -> Fmt.invalid_arg "Incll: transaction %d is not open" txn
+  | None -> raise (Not_open txn)
 
 (* Drop [txn]'s journal, returning its entries newest first. *)
 let close t txn =
@@ -237,8 +240,7 @@ let begin_txn t txn =
    journal would make the abort that follows raise before it restored
    the transaction's earlier writes. *)
 let write t txn ~addr ~value =
-  if not (Hashtbl.mem t.registered addr) then
-    Fmt.invalid_arg "Incll.write: %d is not a registered cell" addr;
+  if not (Hashtbl.mem t.registered addr) then raise (Unregistered_cell addr);
   let old_value = Arena.read t.arena addr in
   Sim_mutex.with_lock t.latch (fun () ->
       let j = journal t txn in

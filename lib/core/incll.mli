@@ -50,15 +50,18 @@ val epoch : t -> int
 (** {1 Transactions}
 
     Ids are allocated by the caller.  Each function taking one raises
-    [Invalid_argument] if that transaction is not open. *)
+    {!Not_open} if that transaction is not open. *)
+
+exception Not_open of int
+exception Unregistered_cell of int
 
 val begin_txn : t -> int -> unit
 
 val write : t -> int -> addr:int -> value:int64 -> unit
 (** Journal the cell's current value, then store, capturing the in-line
     undo first if this is the cell's first store of the epoch.  Raises
-    [Invalid_argument] for an unregistered address {e before} journaling
-    it, so an abort still restores every earlier write. *)
+    {!Unregistered_cell} for an unregistered address {e before}
+    journaling it, so an abort still restores every earlier write. *)
 
 val commit : t -> int -> unit
 (** Drop the journal.  Nothing is written: the commit becomes durable

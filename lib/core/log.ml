@@ -405,40 +405,6 @@ let iter_back t f =
             end
           done)
 
-(* Forward scan that also yields each record's removal handle, so a
-   caller can collect records from several log partitions, order them
-   globally (e.g. by LSN), and remove them one by one with
-   {!remove_handle} — each removal one atomic tombstone, exactly like
-   scan-based clearing.  The partitioned checkpoint uses this to keep
-   the clearing order global across partitions. *)
-let iter_h t f =
-  match t.variant with
-  | Simple ->
-      Adll.iter t.chain (fun n ->
-          charge_miss t;
-          f (Node n) (Adll.element t.chain n))
-  | Optimized | Batch _ ->
-      Adll.iter t.chain (fun node ->
-          let b = Adll.element t.chain node in
-          let bound = bucket_bound t b in
-          let i = ref 0 in
-          while !i < bound do
-            charge_seq t;
-            let off = slot_off b !i in
-            let v = rd t off in
-            if trusted_pair t ~off ~i:!i ~bound v then begin
-              f (Slot { node; bucket = b; slot = !i }) (Record.inline_ref off);
-              i := !i + 2
-            end
-            else begin
-              if live_record t v then begin
-                charge_miss t;
-                f (Slot { node; bucket = b; slot = !i }) v
-              end;
-              incr i
-            end
-          done)
-
 exception Stop
 
 (* Backward scan with early exit, used by rollback of a single
@@ -475,11 +441,7 @@ let remove_where t pred =
       let victims = ref [] in
       Adll.iter t.chain (fun n ->
           if pred (Adll.element t.chain n) then victims := n :: !victims);
-      (* Remove oldest-first: a crash mid-clearing then leaves a *suffix*
-         of each transaction's records, which repeat-history replays to
-         the correct state.  (Removing a CLR while keeping the UPDATE it
-         compensates would let redo re-apply the update with nothing to
-         re-undo it.) *)
+      (* oldest first, once the walk is done *)
       List.iter
         (fun n ->
           let r = Adll.element t.chain n in

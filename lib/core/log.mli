@@ -124,14 +124,6 @@ val appended : t -> int
 val iter : t -> (int -> unit) -> unit
 val iter_back : t -> (int -> unit) -> unit
 
-val iter_h : t -> (handle -> int -> unit) -> unit
-(** Like {!iter}, but also yields each live record's removal handle.
-    Callers that must clear records from several log partitions in a
-    single global order (the partitioned checkpoint) collect
-    [(sort key, handle)] pairs from every partition and then call
-    {!remove_handle} in the merged order.  The handles stay valid while
-    no other removal or compaction runs in between. *)
-
 val iter_back_while : t -> (int -> bool) -> unit
 (** Backward scan with early exit: stops when the callback returns
     [false]. *)
@@ -145,7 +137,10 @@ val records : t -> int list
 val remove_where : t -> (int -> bool) -> unit
 (** Tombstone (and free) every record satisfying the predicate; unlink
     buckets that become empty.  Each tombstone is a single atomic word
-    store, so a crash mid-clearing leaves a well-formed log. *)
+    store, so a crash mid-clearing leaves a well-formed log holding some
+    subset of the removals.  Callers therefore remove only records that
+    recovery ignores whichever subset survives: {!Tm} clears below its
+    durable LSN horizon. *)
 
 val clear_all : t -> unit
 (** The paper's three-step wholesale clearing: build a fresh log, swing

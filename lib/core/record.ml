@@ -20,7 +20,6 @@ type typ =
   | Update
   | Clr
   | End
-  | Checkpoint
   | Delete
   | Rollback
   | Prepare
@@ -29,7 +28,6 @@ let int_of_typ = function
   | Update -> 1
   | Clr -> 2
   | End -> 3
-  | Checkpoint -> 4
   | Delete -> 5
   | Rollback -> 6
   | Prepare -> 7
@@ -38,7 +36,6 @@ let typ_of_int = function
   | 1 -> Update
   | 2 -> Clr
   | 3 -> End
-  | 4 -> Checkpoint
   | 5 -> Delete
   | 6 -> Rollback
   | 7 -> Prepare
@@ -50,7 +47,6 @@ let pp_typ ppf t =
     | Update -> "UPDATE"
     | Clr -> "CLR"
     | End -> "END"
-    | Checkpoint -> "CHECKPOINT"
     | Delete -> "DELETE"
     | Rollback -> "ROLLBACK"
     | Prepare -> "PREPARE")
@@ -134,7 +130,7 @@ module Inline = struct
     | Update -> Some 0
     | Clr -> Some 1
     | End -> Some 2
-    | Checkpoint | Delete | Rollback | Prepare -> None
+    | Delete | Rollback | Prepare -> None
 
   let typ_of_typ2 = function
     | 0 -> Update
@@ -210,7 +206,7 @@ module Inline = struct
                   pack ~fmt:0 ~payload ~a16:(Int64.to_int old_value)
                     ~b16:(Int64.to_int new_value)
                 else None
-            | Checkpoint | Delete | Rollback | Prepare -> None
+            | Delete | Rollback | Prepare -> None
 end
 
 (* An inline ref is the pair's first-slot address with the low bit set. *)

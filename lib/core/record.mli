@@ -8,7 +8,6 @@ type typ =
   | Update      (** a logged user (or AAVLT-internal) store *)
   | Clr         (** compensation record written by undo *)
   | End         (** transaction finished (committed or rolled back) *)
-  | Checkpoint  (** durable point marker (Section 4.6) *)
   | Delete      (** deferred de-allocation intention (Section 4.3) *)
   | Rollback    (** rollback started (Algorithm 2) *)
   | Prepare     (** 2PC vote: transaction is in doubt until resolved *)

@@ -37,11 +37,12 @@
    walks it backwards (two-layer: each loser's back-chain within its home
    partition) touching only losers' records, and clearing follows.  Those
    three stay serial: their correctness depends on the global LSN order.
-   Both the checkpoint and recovery's selective clearing remove settled
-   records in global LSN order with END records last *across* the
-   partitions ({!remove_in_lsn_order}); recovery's wholesale clearing
-   first raises a durable LSN floor that analysis filters by.  Either
-   way a crash mid-clearing keeps the repeat-history invariant. *)
+
+   Clearing many transactions at once follows one rule, the durable LSN
+   horizon H = min(next LSN, first LSN of every unsettled transaction):
+   every record below H is settled and durable, analysis skips it, and
+   removing it needs no order.  Only force-policy clearing of a single
+   transaction keeps one (END last, {!remove_end_last}). *)
 
 open Rewind_nvm
 
@@ -118,7 +119,9 @@ type part = {
   index : Avl_index.t option;  (* 2L only *)
   table : Txn_table.t;
   latch : Sim_mutex.t;
-  ended : (int, unit) Hashtbl.t;  (* committed/rolled back, awaiting clearing *)
+  ended : (int, int) Hashtbl.t;
+      (* no-force transactions settled since they were last retired:
+         txn -> the LSN of its END record *)
   mutable deferred_deletes : (txn * int * int * int) list;
       (* txn, DELETE record lsn, addr, size *)
   mutable deferred : (int * bool) list;
@@ -145,11 +148,10 @@ type t = {
          did not pin one *)
   next_lsn : int Sim_atomic.t;  (* one global counter: LSNs order records
                                across all partitions *)
-  floor_slot : int option;
-      (* root slot of the durable LSN floor, with more than one partition:
-         records at or below it were cleared by a recovery whose
-         partition-by-partition wholesale clearing a crash may have
-         interrupted, and analysis ignores them *)
+  horizon_slot : int;  (* root slot of the durable LSN horizon *)
+  first_lsns : (txn, int) Hashtbl.t;
+      (* every unsettled transaction that has taken an LSN -> its first
+         one: the horizon may not pass it *)
   prepared_gtids : (int, int) Hashtbl.t;
       (* local txn id -> global (2PC) transaction id, for every
          transaction currently in doubt: PREPARE logged, outcome not yet
@@ -169,18 +171,19 @@ let first_txn = 1
 (* Root-slot layout: the manager's first slot holds a durable
    configuration fingerprint (written once at [create]); partition [p]
    then anchors its log at [root_slot + 1 + 2*pid] and its AAVLT root at
-   [root_slot + 2 + 2*pid]; with more than one partition the LSN floor
-   follows the last partition's slots.  [attach] validates the
+   [root_slot + 2 + 2*pid]; the LSN horizon follows the last partition's
+   slots.  InCLL uses the partition-0 pair for its epoch counter and
+   cell directory, and keeps no horizon.  [attach] validates the
    fingerprint before touching any log slot — re-attaching with, say, a
    different partition count used to silently misassign home partitions
    and read other partitions' anchors as its own. *)
 let part_log_slot ~root_slot pid = root_slot + 1 + (2 * pid)
 let part_index_slot ~root_slot pid = root_slot + 2 + (2 * pid)
 
-let floor_slot cfg ~root_slot =
-  if cfg.partitions > 1 then
-    Some (part_log_slot ~root_slot cfg.partitions)
-  else None
+let horizon_slot (cfg : config) ~root_slot =
+  part_log_slot ~root_slot cfg.partitions
+
+let root_slots (cfg : config) = if cfg.incll then 3 else 2 + (2 * cfg.partitions)
 
 (* The fingerprint packs every recovery-relevant config field into one
    word: magic tag, partition count, policy, layers, log variant (plus
@@ -238,6 +241,8 @@ type error =
   | Incll_only of string
   | Home_out_of_range of { home : int; partitions : int }
   | Not_in_doubt of int
+  | Unregistered_cell of int
+  | Txn_not_open of int
 
 exception Error of error
 
@@ -267,6 +272,9 @@ let error_message = function
         partitions
   | Not_in_doubt txn ->
       Printf.sprintf "Tm.resolve_in_doubt: transaction %d is not in doubt" txn
+  | Unregistered_cell addr ->
+      Printf.sprintf "Tm.write: %d is not a Tm.alloc_cell cell" addr
+  | Txn_not_open txn -> Printf.sprintf "Tm: transaction %d is not open" txn
 
 let () =
   Printexc.register_printer (function
@@ -274,6 +282,12 @@ let () =
     | _ -> None)
 
 let misuse e = raise (Error e)
+
+(* An InCLL operation, its misuse typed at the manager's boundary. *)
+let incll_op f =
+  try f () with
+  | Incll.Unregistered_cell addr -> misuse (Unregistered_cell addr)
+  | Incll.Not_open txn -> misuse (Txn_not_open txn)
 
 let check_cfg cfg ~root_slot =
   let invalid msg = misuse (Invalid_config msg) in
@@ -284,15 +298,13 @@ let check_cfg cfg ~root_slot =
        be 1";
   if cfg.incll && cfg.layers <> One_layer then
     invalid "incll keeps no record index; config.layers must be One_layer";
-  let last_slot =
-    Option.value (floor_slot cfg ~root_slot)
-      ~default:(part_index_slot ~root_slot (cfg.partitions - 1))
-  in
-  if last_slot >= 63 then
+  let directory = Arena.reserved_bytes / 8 in
+  if root_slot < 1 || root_slot + root_slots cfg > directory then
     invalid
       (Printf.sprintf
-         "%d partitions at root slot %d exceed the arena's 63 root slots"
-         cfg.partitions root_slot)
+         "%d root slots from root slot %d run past the arena's root \
+          directory (slots 1-%d)"
+         (root_slots cfg) root_slot (directory - 1))
 
 let validate_stored_config arena cfg ~root_slot =
   let stored = Int64.to_int (Arena.root_get arena root_slot) in
@@ -336,7 +348,8 @@ let make_t ?incll cfg alloc ~root_slot parts =
     next_seq = Array.init (max 1 (Array.length parts)) (fun _ -> Sim_atomic.make 0);
     next_home = Sim_atomic.make 0;
     next_lsn = Sim_atomic.make 1;
-    floor_slot = floor_slot cfg ~root_slot;
+    horizon_slot = horizon_slot cfg ~root_slot;
+    first_lsns = Hashtbl.create 16;
     prepared_gtids = Hashtbl.create 8;
     commits = 0;
     rollbacks = 0;
@@ -355,11 +368,11 @@ let create ?(cfg = default_config) alloc ~root_slot =
   check_cfg cfg ~root_slot;
   let arena = Alloc.arena alloc in
   Arena.root_set arena root_slot (Int64.of_int (config_word cfg));
-  (* a floor left behind by an earlier manager at this slot must not hide
-     the fresh log's records; written after the fingerprint, so that every
-     crash state of [create] still attaches *)
-  Option.iter (fun slot -> Arena.root_set arena slot 0L)
-    (floor_slot cfg ~root_slot);
+  (* a horizon left behind by an earlier manager at this slot must not
+     hide the fresh log's records; written after the fingerprint, so that
+     every crash state of [create] still attaches *)
+  if not cfg.incll then
+    Arena.root_set arena (horizon_slot cfg ~root_slot) 0L;
   if cfg.incll then
     make_t cfg alloc ~root_slot [||]
       ~incll:(incll_region (Incll.create arena alloc) ~root_slot)
@@ -416,7 +429,19 @@ let active_transactions t =
 
 let last_recovery t = t.last_recovery
 
-let fresh_lsn t = Sim_atomic.fetch_and_add t.next_lsn 1
+(* The next LSN, taken by [txn]; its first registers it in [first_lsns]
+   in the same scheduler step (nothing here yields), before it can wait
+   for its home latch. *)
+let fresh_lsn t txn =
+  let lsn = Sim_atomic.fetch_and_add t.next_lsn 1 in
+  if not (Hashtbl.mem t.first_lsns txn) then
+    Hashtbl.replace t.first_lsns txn lsn;
+  lsn
+
+(* [txn] is settled: the horizon may pass its records. *)
+let settled t txn =
+  Hashtbl.remove t.first_lsns txn;
+  Pmcheck.txn_settled t.arena ~txn
 
 (* A transaction's home partition, a pure function of its id: round-robin
    over the partitions.  Deterministic, so recovery needs no pinning map —
@@ -540,11 +565,12 @@ let append_user_record t p txn_id r ~is_end =
    record line.  (Two-layer user records stay full: the AAVLT indexes
    them by address and threads their back-chains.)  With a partitioned
    log the latch taken here is the transaction's home-partition latch —
-   appends in different partitions never serialise against each other. *)
-let log_update t txn_id ~addr ~old_value ~new_value =
+   appends in different partitions never serialise against each other.
+   [store] runs in the same latch section, right after the append. *)
+let log_update_then t txn_id ~addr ~old_value ~new_value ~store =
   wal_only t "Tm.log_update";
   let p = home t txn_id in
-  let lsn = fresh_lsn t in
+  let lsn = fresh_lsn t txn_id in
   let inline =
     match p.index with
     | Some _ -> None
@@ -570,25 +596,29 @@ let log_update t txn_id ~addr ~old_value ~new_value =
          in which case the covered store must not reach NVM before the
          {!Pmcheck.group_persisted} of this partition. *)
       Pmcheck.region_logged ~group:p.pid t.arena ~txn:txn_id ~addr ~len:8
-        ~durable:(Log.pending p.log = 0))
+        ~durable:(Log.pending p.log = 0);
+      store p)
+
+let log_update t txn_id ~addr ~old_value ~new_value =
+  log_update_then t txn_id ~addr ~old_value ~new_value ~store:ignore
 
 (* The paper's expanded-code pattern (Listing 2): log, then store. *)
 let write t txn_id ~addr ~value =
   match t.incll with
-  | Some i -> Incll.write i txn_id ~addr ~value
+  | Some i -> incll_op (fun () -> Incll.write i txn_id ~addr ~value)
   | None -> (
       let old_value = Arena.read t.arena addr in
-      log_update t txn_id ~addr ~old_value ~new_value:value;
       match (t.cfg.policy, t.cfg.variant) with
       | No_force, (Log.Simple | Log.Optimized) ->
+          log_update t txn_id ~addr ~old_value ~new_value:value;
           (* Thread-safe access to user data is the programmer's concern
              (Section 4.7); the cached store itself needs no TM latch. *)
           Arena.write t.arena addr value
       | Force, _ | No_force, Log.Batch _ ->
-          (* The Batch deferral list is partition state: serialise on the
-             home latch. *)
-          let p = home t txn_id in
-          Sim_mutex.with_lock p.latch (fun () -> user_write t p addr value))
+          (* The Batch deferral list is partition state: the store runs in
+             the append's home-latch section. *)
+          log_update_then t txn_id ~addr ~old_value ~new_value:value
+            ~store:(fun p -> user_write t p addr value))
 
 let read t _txn_id ~addr = Arena.read t.arena addr
 
@@ -597,7 +627,7 @@ let read t _txn_id ~addr = Arena.read t.arena addr
 let log_delete t txn_id ~addr ~size =
   wal_only t "Tm.log_delete";
   let p = home t txn_id in
-  let lsn = fresh_lsn t in
+  let lsn = fresh_lsn t txn_id in
   let r =
     Record.make t.alloc ~lsn ~txn:txn_id ~typ:Record.Delete ~addr
       ~old_value:(Int64.of_int size) ~new_value:0L ~undo_next:0
@@ -634,45 +664,49 @@ let rec iter_chain t r f =
     iter_chain t (Record.prev_same_txn t.arena r) f
   end
 
-(* The one removal discipline for clearing many transactions' records at
-   once, used by the checkpoint and by recovery's selective clearing: in
-   *global* LSN order across every partition, END records last.  Each
-   victim is its LSN, whether it is an END record (forced only after the
-   sort, so a two-layer caller reads the type once) and its removal.
+(* The horizon the current state allows: min(next LSN, first LSN of
+   every unsettled transaction).  The next LSN is read first — a
+   transaction that registers after the read takes an LSN at or above
+   it. *)
+let horizon t =
+  let next = Sim_atomic.get t.next_lsn in
+  Hashtbl.fold (fun _ first h -> min first h) t.first_lsns next
 
-   Any other order breaks repeat history after a crash mid-clearing.
-   Per partition, it can leave transaction A's old update in one
-   partition's log after transaction B's newer committed update to the
-   same word was already removed from another's, and the redo pass then
-   resurrects the stale value.  Newest first, it can remove a committed
-   transaction's END before its updates, and the next recovery undoes
-   that transaction.  Each removal is one atomic tombstone or AAVLT
-   operation, so a crash leaves exactly a *prefix* of this sequence
-   applied. *)
-let remove_in_lsn_order victims =
-  let ends, others =
-    List.partition
-      (fun (_, is_end, _) -> Lazy.force is_end)
-      (List.sort (fun (l1, _, _) (l2, _, _) -> compare l1 l2) victims)
-  in
-  List.iter (fun (_, _, remove) -> remove ()) others;
-  List.iter (fun (_, _, remove) -> remove ()) ends
+let durable_horizon t = Int64.to_int (Arena.root_get t.arena t.horizon_slot)
 
-(* One-layer victims for {!remove_in_lsn_order}: every live record [r] of
-   every partition [p]'s log with [pred p r]. *)
-let log_victims t pred =
-  let victims = ref [] in
-  Array.iter
-    (fun p ->
-      Log.iter_h p.log (fun h r ->
-          if pred p r then
-            victims :=
-              ( Record.lsn t.arena r,
-                Lazy.from_val (record_typ t r = Record.End),
-                fun () -> Log.remove_handle p.log h )
-              :: !victims))
-    t.parts;
-  !victims
+(* Persist every partition's pending group and deferred stores, then the
+   whole cache: every settled transaction's effects are durable, and the
+   horizon may pass them.  Buffered Batch stores must land before the
+   flush or they would be silently dropped. *)
+let persist_all t =
+  Array.iter (flush_pending t) t.parts;
+  Arena.flush_all t.arena;
+  Arena.fence t.arena
+
+(* Durably store the horizon [h] ([Arena.root_set] fences); the caller
+   has just run {!persist_all}. *)
+let set_horizon t h = Arena.root_set t.arena t.horizon_slot (Int64.of_int h)
+
+(* Remove every record of [p] below the horizon [h], in any order: one
+   tombstone pass over the log (one layer), or one ascending AAVLT key
+   walk that stops at [h] (two layers; [intact] guards each record's
+   free, since recovery may meet torn records). *)
+let clear_below t p h ~intact =
+  match p.index with
+  | None -> Log.remove_where p.log (fun r -> Record.lsn t.arena r < h)
+  | Some idx ->
+      let below = ref [] in
+      (try
+         Avl_index.iter idx (fun n ->
+             let lsn = Avl_index.key idx n in
+             if lsn >= h then raise Exit;
+             below := (lsn, Avl_index.head_record idx n) :: !below)
+       with Exit -> ());
+      List.iter
+        (fun (lsn, r) ->
+          ignore (Avl_index.remove idx lsn);
+          if intact r then Record.free t.alloc r)
+        (List.rev !below)
 
 (* Force-policy clearing of one settled transaction, END record last.
    Two-layer: walk its back-chain and delete each record's tree node,
@@ -696,20 +730,22 @@ let clear_txn t p txn_id =
 
 (* Append a control record (END, CLR or PREPARE) to [p]: the compact
    one-layer append — payload-free ENDs and small CLRs go inline — or,
-   under two layers, a full record the AAVLT indexes. *)
+   under two layers, a full record the AAVLT indexes.  Returns its LSN. *)
 let append_control t p txn_id ~typ ~is_end ?(addr = 0) ?(old_value = 0L)
     ?(new_value = 0L) ?(undo_next = 0) () =
-  match p.index with
+  let lsn = fresh_lsn t txn_id in
+  (match p.index with
   | None ->
       ignore
-        (Log.append_record ~is_end p.log ~lsn:(fresh_lsn t) ~txn:txn_id ~typ
-           ~addr ~old_value ~new_value ~undo_next)
+        (Log.append_record ~is_end p.log ~lsn ~txn:txn_id ~typ ~addr
+           ~old_value ~new_value ~undo_next)
   | Some _ ->
       let r =
-        Record.make t.alloc ~lsn:(fresh_lsn t) ~txn:txn_id ~typ ~addr
-          ~old_value ~new_value ~undo_next ~prev_same_txn:0
+        Record.make t.alloc ~lsn ~txn:txn_id ~typ ~addr ~old_value ~new_value
+          ~undo_next ~prev_same_txn:0
       in
-      append_user_record t p txn_id r ~is_end
+      append_user_record t p txn_id r ~is_end);
+  lsn
 
 let append_end t p txn_id =
   append_control t p txn_id ~typ:Record.End ~is_end:true ()
@@ -723,7 +759,7 @@ let commit ?(clear = true) t txn_id =
   | Some i ->
       (* free: the commit becomes durable with its epoch — a crash loses
          up to one epoch of committed work, never consistency *)
-      Incll.commit i txn_id;
+      incll_op (fun () -> Incll.commit i txn_id);
       t.commits <- t.commits + 1
   | None ->
       let p = home t txn_id in
@@ -735,7 +771,7 @@ let commit ?(clear = true) t txn_id =
                  to NVM; fence, log END, and clear immediately. *)
               flush_pending t p;
               Arena.fence t.arena;
-              append_end t p txn_id;
+              ignore (append_end t p txn_id);
               if clear then begin
                 clear_txn t p txn_id;
                 free_deferred_deletes t p txn_id
@@ -743,10 +779,10 @@ let commit ?(clear = true) t txn_id =
           | No_force ->
               (* The END record forces the batch group; buffered stores
                  can then reach the (volatile) cache. *)
-              append_end t p txn_id;
+              let end_lsn = append_end t p txn_id in
               drain_deferred t p;
-              Hashtbl.replace p.ended txn_id ());
-          Pmcheck.txn_settled t.arena ~txn:txn_id)
+              Hashtbl.replace p.ended txn_id end_lsn);
+          settled t txn_id)
 
 (* -- rollback -------------------------------------------------------------- *)
 
@@ -762,8 +798,9 @@ let undo_one t p txn_id rec_ ~durably =
   (* write-only (never read by redo or undo): the compact one-layer format
      drops it *)
   let old_value = Record.new_value t.arena rec_ in
-  append_control t p txn_id ~typ:Record.Clr ~is_end:durably ~addr ~old_value
-    ~new_value:restored ~undo_next ();
+  ignore
+    (append_control t p txn_id ~typ:Record.Clr ~is_end:durably ~addr
+       ~old_value ~new_value:restored ~undo_next ());
   Pmcheck.region_logged ~group:p.pid t.arena ~txn:txn_id ~addr ~len:8
     ~durable:(Log.pending p.log = 0);
   (* Route the restore through the same WAL-ordered store path as forward
@@ -784,8 +821,7 @@ let undo_step t p txn_id ~durably ~bound ?(before_undo = ignore) ~lsn r =
         before_undo ();
         undo_one t p txn_id r ~durably
       end
-  | Record.End | Record.Checkpoint | Record.Delete | Record.Rollback
-  | Record.Prepare ->
+  | Record.End | Record.Delete | Record.Rollback | Record.Prepare ->
       ()
 
 (* -- partial rollback (savepoints) ---------------------------------------
@@ -803,12 +839,12 @@ type savepoint = int
    everything after this point). *)
 let savepoint t txn_id =
   match t.incll with
-  | Some i -> Incll.savepoint i txn_id
+  | Some i -> incll_op (fun () -> Incll.savepoint i txn_id)
   | None -> Sim_atomic.get t.next_lsn
 
 let rollback_to t txn_id (sp : savepoint) =
   match t.incll with
-  | Some i -> Incll.rollback_to i txn_id sp
+  | Some i -> incll_op (fun () -> Incll.rollback_to i txn_id sp)
   | None ->
       let p = home t txn_id in
       Sim_mutex.with_lock p.latch (fun () ->
@@ -858,7 +894,7 @@ let rollback_to t txn_id (sp : savepoint) =
 let rollback t txn_id =
   match t.incll with
   | Some i ->
-      Incll.rollback i txn_id;
+      incll_op (fun () -> Incll.rollback i txn_id);
       t.rollbacks <- t.rollbacks + 1
   | None ->
       let p = home t txn_id in
@@ -901,14 +937,14 @@ let rollback t txn_id =
                   in
                   go e.Txn_table.last_record));
           Log.flush_group p.log;
-          append_end t p txn_id;
+          let end_lsn = append_end t p txn_id in
           drain_deferred t p;
           p.deferred_deletes <-
             List.filter (fun (x, _, _, _) -> x <> txn_id) p.deferred_deletes;
           (match t.cfg.policy with
           | Force -> clear_txn t p txn_id
-          | No_force -> Hashtbl.replace p.ended txn_id ());
-          Pmcheck.txn_settled t.arena ~txn:txn_id)
+          | No_force -> Hashtbl.replace p.ended txn_id end_lsn);
+          settled t txn_id)
 
 (* -- two-phase commit: the participant side (Distributed REWIND) ----------- *)
 
@@ -926,8 +962,9 @@ let prepare t txn_id ~gtid =
   Sim_mutex.with_lock p.latch (fun () ->
       flush_pending t p;
       Arena.fence t.arena;
-      append_control t p txn_id ~typ:Record.Prepare ~is_end:true
-        ~old_value:(Int64.of_int gtid) ();
+      ignore
+        (append_control t p txn_id ~typ:Record.Prepare ~is_end:true
+           ~old_value:(Int64.of_int gtid) ());
       (match Txn_table.find p.table txn_id with
       | Some e -> e.Txn_table.status <- Txn_table.Prepared
       | None -> ());
@@ -980,6 +1017,17 @@ let alloc_cell t =
   | Some i -> Incll.alloc_cell i
   | None -> Alloc.alloc t.alloc 8
 
+(* A settled no-force transaction retires once its END record lies below
+   the horizon [h], so no record of it survives for redo to replay: its
+   two-layer table entry goes, and its deferred de-allocations run. *)
+let retire t p h =
+  Hashtbl.fold (fun id end_lsn acc -> if end_lsn < h then id :: acc else acc)
+    p.ended []
+  |> List.iter (fun id ->
+         Hashtbl.remove p.ended id;
+         Txn_table.remove p.table id;
+         free_deferred_deletes t p id)
+
 let checkpoint t =
   match t.incll with
   | Some i ->
@@ -990,80 +1038,20 @@ let checkpoint t =
   | None ->
   hot_span t "checkpoint" @@ fun () ->
   with_all_latches t 0 (fun () ->
-      hot_span t "cp-persist" (fun () ->
-          (* Persist every partition's batch cursor first: otherwise
-             flushed user data could refer to untrusted log slots after a
-             crash.  Each partition then gets its own CHECKPOINT record
-             marking the durable point, inserted before the cache
-             flush. *)
-          let cps =
-            Array.map
-              (fun p ->
-                flush_pending t p;
-                let cp =
-                  Record.make t.alloc ~lsn:(fresh_lsn t) ~txn:0
-                    ~typ:Record.Checkpoint ~addr:0 ~old_value:0L
-                    ~new_value:0L ~undo_next:0 ~prev_same_txn:0
-                in
-                Log.append ~is_end:true p.log cp;
-                cp)
-              t.parts
-          in
-          Arena.flush_all t.arena;
-          Arena.fence t.arena;
-          (* Section 4.6: the CHECKPOINT records and every user update are
-             now durable; clearing may begin. *)
-          Array.iter
-            (fun cp ->
-              Pmcheck.expect_persisted t.arena ~addr:cp ~len:Record.size_bytes
-                ~what:"checkpoint record before log clearing")
-            cps);
+      (* Section 4.6: the horizon, stored once the pending groups and the
+         cache are durable, takes the place of the CHECKPOINT record. *)
+      let h =
+        hot_span t "cp-persist" (fun () ->
+            persist_all t;
+            let h = horizon t in
+            set_horizon t h;
+            h)
+      in
       hot_span t "cp-clear" (fun () ->
-          (* Clear every settled transaction's records together, in
-             {!remove_in_lsn_order}. *)
-          let settled p = Hashtbl.fold (fun id () acc -> id :: acc) p.ended [] in
-          remove_in_lsn_order
-            (match t.cfg.layers with
-            | One_layer ->
-                log_victims t (fun p r ->
-                    let x = record_txn t r in
-                    x <> 0 && Hashtbl.mem p.ended x)
-            | Two_layer ->
-                let victims = ref [] in
-                Array.iter
-                  (fun p ->
-                    match p.index with
-                    | None -> ()
-                    | Some idx ->
-                        List.iter
-                          (fun id ->
-                            match Txn_table.find p.table id with
-                            | None -> ()
-                            | Some e ->
-                                iter_chain t e.Txn_table.last_record (fun r ->
-                                    let lsn = Record.lsn t.arena r in
-                                    victims :=
-                                      ( lsn,
-                                        lazy (record_typ t r = Record.End),
-                                        fun () ->
-                                          ignore (Avl_index.remove idx lsn);
-                                          Record.free t.alloc r )
-                                      :: !victims))
-                          (settled p))
-                  t.parts;
-                !victims);
           Array.iter
             (fun p ->
-              List.iter
-                (fun id ->
-                  (* two-layer only: one-layer tables stay empty *)
-                  Txn_table.remove p.table id;
-                  free_deferred_deletes t p id)
-                (settled p);
-              Hashtbl.reset p.ended;
-              (* The checkpoint record has served its purpose. *)
-              Log.remove_where p.log (fun r ->
-                  record_typ t r = Record.Checkpoint))
+              clear_below t p h ~intact:(fun _ -> true);
+              retire t p h)
             t.parts);
       (* Compact any partition that clearing left mostly gaps
          (long-running transactions spanning otherwise-empty buckets,
@@ -1095,24 +1083,6 @@ let part_span t prof name p f =
 let on_partition_fibers prof stats ~parts name f =
   Sim_threads.fork_join parts (fun pid ->
       sub_span prof stats ~parts name pid (fun () -> f pid))
-
-(* The durable LSN floor (0 with one partition, which keeps none). *)
-let lsn_floor t =
-  match t.floor_slot with
-  | None -> 0
-  | Some slot -> Int64.to_int (Arena.root_get t.arena slot)
-
-(* Raise the floor over every LSN handed out so far.  Recovery's wholesale
-   clearing does this first: it swings one root per partition, and a
-   crash between two swings must not let the surviving partitions' older
-   records be redone over state that the cleared partitions' newer records
-   produced. *)
-let raise_lsn_floor t =
-  Option.iter
-    (fun slot ->
-      Arena.root_set t.arena slot
-        (Int64.of_int (Sim_atomic.get t.next_lsn - 1)))
-    t.floor_slot
 
 (* Checksum gate used by two-layer recovery before a tree-indexed record
    is interpreted: plausibly addressed, then CRC-intact.  (One-layer logs
@@ -1189,12 +1159,12 @@ let merge_ascending streams =
    the sort (cheap on nearly-sorted input) before the k-way merge relies
    on it.  Two-layer: the AAVLT's in-order traversal; a record failing its
    checksum is a torn write, reported to [on_torn] and dropped.  Records
-   at or below the LSN [floor] were already cleared and are dropped too. *)
-let part_stream t ~payload ~floor ~on_torn p =
+   below the [horizon] are settled and durable, and are dropped too. *)
+let part_stream t ~payload ~horizon ~on_torn p =
   let acc = ref [] in
   let keep r =
     let e = decode t ~payload r in
-    if e.lsn > floor then acc := e :: !acc
+    if e.lsn >= horizon then acc := e :: !acc
   in
   (match p.index with
   | None -> Log.iter p.log keep
@@ -1207,30 +1177,32 @@ let part_stream t ~payload ~floor ~on_torn p =
 (* Every partition's decoded stream, each decoded on its own recovery
    fiber, merged into global LSN order at the join: the stream analysis
    builds and redo and undo replay. *)
-let decoded_log t prof ~payload ~floor ~on_torn =
+let decoded_log t prof ~payload ~horizon ~on_torn =
   merge_ascending
     (on_partition_fibers prof (Arena.stats t.arena)
        ~parts:(Array.length t.parts) "analysis" (fun pid ->
-         part_stream t ~payload ~floor ~on_torn t.parts.(pid)))
+         part_stream t ~payload ~horizon ~on_torn t.parts.(pid)))
 
 let merged_log_records t =
   List.map
     (fun e -> e.r)
-    (decoded_log t (Probe.create ()) ~payload:false ~floor:(lsn_floor t)
-       ~on_torn:ignore)
+    (decoded_log t (Probe.create ()) ~payload:false
+       ~horizon:(durable_horizon t) ~on_torn:ignore)
 
 (* Analysis: decode every partition once into the merged stream and
    rebuild each transaction's entry in its home partition's table (a
-   transaction's records all live in its home partition).  The LSN and
-   transaction-id high-water marks are global maxima over every
-   partition, and LSNs continue above the floor even when every record
-   lies below it.  Returns the stream and the number of transactions
+   transaction's records all live in its home partition), registering
+   each transaction at its first LSN until recovery settles it.  The LSN
+   and transaction-id high-water marks are global maxima over every
+   partition, and LSNs continue from the horizon even when no record
+   lies above it.  Returns the stream and the number of transactions
    found finished. *)
 let analysis t prof ~on_torn =
   Array.iter (fun p -> Txn_table.clear p.table) t.parts;
-  let floor = lsn_floor t in
+  Hashtbl.reset t.first_lsns;
+  let horizon = durable_horizon t in
   let stream =
-    decoded_log t prof ~payload:(t.cfg.policy = No_force) ~floor ~on_torn
+    decoded_log t prof ~payload:(t.cfg.policy = No_force) ~horizon ~on_torn
   in
   let max_lsn = ref 0 and max_txn = ref 0 in
   List.iter
@@ -1238,6 +1210,8 @@ let analysis t prof ~on_torn =
       if e.lsn > !max_lsn then max_lsn := e.lsn;
       if e.txn > !max_txn then max_txn := e.txn;
       if e.txn <> 0 then begin
+        if not (Hashtbl.mem t.first_lsns e.txn) then
+          Hashtbl.replace t.first_lsns e.txn e.lsn;
         let te = Txn_table.find_or_add (home t e.txn).table e.txn in
         te.Txn_table.last_record <- e.r;
         match e.typ with
@@ -1247,10 +1221,10 @@ let analysis t prof ~on_torn =
             te.Txn_table.status <- Txn_table.Prepared;
             Hashtbl.replace t.prepared_gtids e.txn
               (Int64.to_int (Record.old_value t.arena e.r))
-        | Record.Update | Record.Clr | Record.Delete | Record.Checkpoint -> ()
+        | Record.Update | Record.Clr | Record.Delete -> ()
       end)
     stream;
-  Sim_atomic.set t.next_lsn (max !max_lsn floor + 1);
+  Sim_atomic.set t.next_lsn (max (!max_lsn + 1) horizon);
   reseed_txn_counters t !max_txn;
   let finished = ref 0 in
   Array.iter
@@ -1274,8 +1248,7 @@ let redo t stream =
       | Record.Update | Record.Clr ->
           Arena.write t.arena e.addr e.value;
           applied + 1
-      | Record.End | Record.Checkpoint | Record.Delete | Record.Rollback
-      | Record.Prepare ->
+      | Record.End | Record.Delete | Record.Rollback | Record.Prepare ->
           applied)
     0 stream
 
@@ -1319,8 +1292,8 @@ let undo_one_layer t stream =
                   | None -> false
                 in
                 if not skip then undo_one t p e.txn e.r ~durably
-            | Record.End | Record.Checkpoint | Record.Delete | Record.Rollback
-            | Record.Prepare ->
+            | Record.End | Record.Delete | Record.Rollback | Record.Prepare
+              ->
                 ())
         | Some _ | None ->
             (* finished, or in doubt: a prepared transaction voted yes and
@@ -1342,12 +1315,14 @@ let undo_one_layer t stream =
             incr losers;
             (if Hashtbl.mem to_mark_rollback e.Txn_table.id then
                let r =
-                 Record.make t.alloc ~lsn:(fresh_lsn t) ~txn:e.Txn_table.id
+                 Record.make t.alloc
+                   ~lsn:(fresh_lsn t e.Txn_table.id)
+                   ~txn:e.Txn_table.id
                    ~typ:Record.Rollback ~addr:0 ~old_value:0L ~new_value:0L
                    ~undo_next:0 ~prev_same_txn:0
                in
                Log.append p.log r);
-            append_end t p e.Txn_table.id;
+            ignore (append_end t p e.Txn_table.id);
             e.Txn_table.status <- Txn_table.Finished
           end))
     t.parts;
@@ -1420,113 +1395,70 @@ let undo_two_layer t ~on_torn =
                   end
               in
               go head;
-              append_end t p x;
+              ignore (append_end t p x);
               e.Txn_table.status <- Txn_table.Finished)
             losers)
     t.parts;
   !total
 
-(* Persist every partition's pending group and deferred stores, then the
-   whole cache: the recovered state is durable before any clearing.
-   Buffered Batch stores must land before the flush or they would be
-   silently dropped. *)
-let persist_recovered t =
-  Array.iter (flush_pending t) t.parts;
-  Arena.flush_all t.arena;
-  Arena.fence t.arena
-
 (* Two-layer index clearing, ahead of the log clearing: wholesale, one
    atomic root swing per partition, when nothing is in doubt; otherwise
-   every record outside the in-doubt set, in {!remove_in_lsn_order}, so
-   that in-doubt chains survive until [resolve_in_doubt].  Torn records
-   leak, like every volatile free list across a crash. *)
-let clear_indexes t prof ~wholesale =
-  if wholesale then
-    Array.iter
-      (fun p ->
-        part_span t prof "clearing" p @@ fun () ->
-        match p.index with
-        | None -> ()
-        | Some idx ->
-            let records = ref [] in
-            Avl_index.iter idx (fun n ->
-                let r = Avl_index.head_record idx n in
-                if record_intact t r then records := r :: !records);
-            Avl_index.clear idx;
-            List.iter (fun r -> Record.free t.alloc r) !records)
-      t.parts
-  else begin
-    let victims = ref [] in
-    Array.iter
-      (fun p ->
-        match p.index with
-        | None -> ()
-        | Some idx ->
-            Avl_index.iter idx (fun n ->
-                let r = Avl_index.head_record idx n in
-                let intact = record_intact t r in
-                if not (intact && Hashtbl.mem t.prepared_gtids (record_txn t r))
-                then begin
-                  let lsn = Avl_index.key idx n in
-                  victims :=
-                    ( lsn,
-                      lazy (intact && record_typ t r = Record.End),
-                      fun () ->
-                        ignore (Avl_index.remove idx lsn);
-                        if intact then Record.free t.alloc r )
-                    :: !victims
-                end))
-      t.parts;
-    remove_in_lsn_order !victims
-  end
-
-let clear_after_recovery t prof =
-  (* Every transaction is settled except the in-doubt set; make the
-     recovered state durable *before* dropping records — a crash here
-     must still find the log able to repeat history — then clear the
-     logs.  With nothing in doubt this is the paper's wholesale three-step
-     swap (Section 4.5), one root swing per partition, behind a raised LSN
-     floor when there are several; otherwise clearing is selective — an
-     in-doubt transaction's records (UPDATE/DELETE/PREPARE and any CLRs
-     from an interrupted abort resolution) must survive until
-     [resolve_in_doubt], across any number of further crashes. *)
-  let in_doubt_txn x = Hashtbl.mem t.prepared_gtids x in
-  let wholesale = Hashtbl.length t.prepared_gtids = 0 in
-  persist_recovered t;
-  if wholesale then raise_lsn_floor t;
-  if t.cfg.layers = Two_layer then begin
-    clear_indexes t prof ~wholesale;
-    persist_recovered t
-  end;
-  (match (t.cfg.layers, wholesale) with
-  | _, true ->
-      Array.iter
-        (fun p ->
-          Log.clear_all p.log;
-          Txn_table.clear p.table)
-        t.parts
-  | One_layer, false ->
-      (* tombstone everything settled; one-layer resolution re-scans the
-         log, so the volatile tables can go *)
-      remove_in_lsn_order
-        (log_victims t (fun _ r -> not (in_doubt_txn (record_txn t r))));
-      Array.iter (fun p -> Txn_table.clear p.table) t.parts
-  | Two_layer, false ->
-      (* the bottom-layer (AAVLT-internal) logs hold only settled internal
-         records; in-doubt user records live in the indexes, cleared
-         selectively above.  Keep the in-doubt table entries: their
-         chains drive resolution. *)
-      Array.iter
-        (fun p ->
-          Log.clear_all p.log;
-          let dead = ref [] in
-          Txn_table.iter p.table (fun e ->
-              if e.Txn_table.status <> Txn_table.Prepared then
-                dead := e.Txn_table.id :: !dead);
-          List.iter (fun id -> Txn_table.remove p.table id) !dead)
-        t.parts);
+   everything below the horizon [h], so that in-doubt chains survive
+   until [resolve_in_doubt].  Torn records leak, like every volatile free
+   list across a crash. *)
+let clear_indexes t prof ~wholesale h =
   Array.iter
     (fun p ->
+      part_span t prof "clearing" p @@ fun () ->
+      match p.index with
+      | None -> ()
+      | Some _ when not wholesale -> clear_below t p h ~intact:(record_intact t)
+      | Some idx ->
+          let records = ref [] in
+          Avl_index.iter idx (fun n ->
+              let r = Avl_index.head_record idx n in
+              if record_intact t r then records := r :: !records);
+          Avl_index.clear idx;
+          List.iter (fun r -> Record.free t.alloc r) !records)
+    t.parts
+
+let clear_after_recovery t prof stream =
+  (* Every transaction is settled except the in-doubt set; make the
+     recovered state durable *before* dropping records — a crash here
+     must still find the log able to repeat history — then raise the
+     horizon over every settled transaction and clear below it.  With
+     nothing in doubt the horizon is the next LSN and clearing is the
+     paper's wholesale three-step swap (Section 4.5), one root swing per
+     partition; otherwise the horizon stops at the oldest in-doubt
+     transaction's first LSN, whose records (UPDATE/DELETE/PREPARE and
+     any CLRs from an interrupted abort resolution) must survive until
+     [resolve_in_doubt], across any number of further crashes.  The
+     bottom-layer (AAVLT-internal) logs of two layers hold only settled
+     internal records and always go wholesale. *)
+  let in_doubt_txn x = Hashtbl.mem t.prepared_gtids x in
+  let wholesale = Hashtbl.length t.prepared_gtids = 0 in
+  Hashtbl.filter_map_inplace
+    (fun x first -> if in_doubt_txn x then Some first else None)
+    t.first_lsns;
+  persist_all t;
+  let h = horizon t in
+  set_horizon t h;
+  if t.cfg.layers = Two_layer then begin
+    clear_indexes t prof ~wholesale h;
+    persist_all t
+  end;
+  Array.iter
+    (fun p ->
+      (match p.index with
+      | None when not wholesale -> clear_below t p h ~intact:(fun _ -> true)
+      | _ -> Log.clear_all p.log);
+      (* two-layer in-doubt chains drive resolution; one-layer resolution
+         re-scans the log *)
+      let drop = ref [] in
+      Txn_table.iter p.table (fun e ->
+          if p.index = None || e.Txn_table.status <> Txn_table.Prepared then
+            drop := e.Txn_table.id :: !drop);
+      List.iter (Txn_table.remove p.table) !drop;
       Hashtbl.reset p.ended;
       p.deferred_deletes <- [];
       p.deferred <- [])
@@ -1534,25 +1466,17 @@ let clear_after_recovery t prof =
   (* Rebuild the in-doubt transactions' deferred de-allocation intentions
      from their surviving DELETE records: a commit decision frees them, an
      abort drops them. *)
-  if not wholesale then
-    Array.iter
-      (fun p ->
-        let note r =
-          let x = record_txn t r in
-          if in_doubt_txn x && record_typ t r = Record.Delete then
-            p.deferred_deletes <-
-              ( x,
-                Record.lsn t.arena r,
-                Record.addr t.arena r,
-                Int64.to_int (Record.old_value t.arena r) )
-              :: p.deferred_deletes
-        in
-        match t.cfg.layers with
-        | One_layer -> Log.iter p.log note
-        | Two_layer ->
-            Txn_table.iter p.table (fun e ->
-                iter_chain t e.Txn_table.last_record note))
-      t.parts
+  List.iter
+    (fun e ->
+      if e.typ = Record.Delete && in_doubt_txn e.txn then
+        let p = home t e.txn in
+        p.deferred_deletes <-
+          ( e.txn,
+            e.lsn,
+            Record.addr t.arena e.r,
+            Int64.to_int (Record.old_value t.arena e.r) )
+          :: p.deferred_deletes)
+    stream
 
 let torn_truncated_logs t =
   Array.fold_left (fun acc p -> acc + Log.torn_truncated p.log) 0 t.parts
@@ -1592,7 +1516,8 @@ let recover_wal t prof pstats =
       txns_undone = undone;
     }
   in
-  Probe.span prof pstats "clearing" (fun () -> clear_after_recovery t prof);
+  Probe.span prof pstats "clearing" (fun () ->
+      clear_after_recovery t prof stream);
   report
 
 (* Recovery proper, charging each phase to [prof].  The profile gives

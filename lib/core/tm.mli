@@ -100,6 +100,10 @@ type error =
       (** {!begin_txn} [?home] outside [[0, partitions)] *)
   | Not_in_doubt of txn
       (** {!resolve_in_doubt} on a transaction that is not in doubt *)
+  | Unregistered_cell of int
+      (** an InCLL {!write} to an address {!alloc_cell} did not return *)
+  | Txn_not_open of txn
+      (** an InCLL operation on a transaction that is not open *)
 
 exception Error of error
 
@@ -109,10 +113,15 @@ val create : ?cfg:config -> Rewind_nvm.Alloc.t -> root_slot:int -> t
 (** Fresh transaction manager anchored at [root_slot]: the slot itself
     durably records a configuration fingerprint (validated by {!attach}),
     partition [p]'s log lives at root slot [root_slot + 1 + 2p] and its
-    two-layer index at [root_slot + 2 + 2p]; with [n > 1] partitions the
-    durable LSN floor lives at [root_slot + 1 + 2n].  Raises
-    {!Error} [Invalid_config] if these do not fit the arena's 63 root
-    slots. *)
+    two-layer index at [root_slot + 2 + 2p], and the durable LSN horizon
+    at [root_slot + 1 + 2n] for [n] partitions ({!root_slots} in all).
+    Raises {!Error} [Invalid_config] if these run past the arena's root
+    directory (slots 1-63). *)
+
+val root_slots : config -> int
+(** The consecutive root slots a manager occupies from its [root_slot]
+    (3 under InCLL, which keeps no horizon): managers sharing an arena
+    sit at least this far apart. *)
 
 val attach : ?cfg:config -> Rewind_nvm.Alloc.t -> root_slot:int -> t
 (** Reattach after a crash with the same configuration and root slot:
@@ -247,19 +256,20 @@ val rollback_to : t -> txn -> savepoint -> unit
 
 val checkpoint : t -> unit
 (** The "cache-consistent" checkpoint of Section 4.6: persist pending log
-    state, flush the cache, then clear settled transactions' records —
-    END records last — and process their deferred de-allocations.
+    state, flush the cache, durably store the LSN horizon — the first
+    LSN of the oldest unsettled transaction, or the next LSN if none is
+    open — then remove every record below it and run the deferred
+    de-allocations of the transactions whose records are all gone.
 
     Checkpointing with transactions in flight is fully supported — this
     is the point of Section 4.6's design, and what distinguishes REWIND
     from redo-only baselines (e.g. {!Rewind_baselines.Paged_kv}, whose
     checkpoint must refuse active transactions because it has no undo
-    information).  Live transactions' back-chains survive clearing
-    untouched; only settled (committed or rolled-back) transactions are
-    removed, in {e global LSN order} with END records last, so a crash at
-    any point during the checkpoint — including mid-clearing and
-    mid-compaction — recovers by repeat-history + undo to the same state
-    as an uninterrupted checkpoint. *)
+    information).  Records at or above the horizon — every live
+    transaction's, and settled ones a later checkpoint removes — survive
+    untouched.  Recovery ignores every record below it, so the removal
+    order is free: a crash at any point during the checkpoint recovers
+    to the same state as an uninterrupted checkpoint. *)
 
 val recover : t -> unit
 (** Run recovery explicitly (normally done by {!attach}). *)

@@ -54,13 +54,13 @@ type result = {
 let max_conflict_retries = 5
 let conflict_backoff_ns = 2_000
 
-(* TM root slots: 3 for the shared manager (config word + log + index =
-   slots 3-5), 6.. for the per-terminal distributed logs at three slots
-   apiece (ten terminals end at slot 35, within the arena's 63). *)
-let shared_root = 3
-let dlog_root term = 6 + (3 * term)
-
 let tm_config = { Rewind.config_1l_nfp with variant = Rewind.Log.Batch 8 }
+
+(* TM root slots: the shared manager's footprint from slot 3, then one
+   footprint per terminal's distributed log ({!Rewind.Tm.root_slots}
+   apiece: ten terminals end at slot 46, within the arena's 63). *)
+let shared_root = 3
+let dlog_root term = shared_root + (Rewind.Tm.root_slots tm_config * (term + 1))
 
 let setup ~config ~params arena =
   let alloc = Alloc.create arena in

@@ -143,7 +143,7 @@ let test_abort_after_rejected_write () =
          Tm.write tm txn ~addr:raw ~value:1L)
    with
   | () -> Alcotest.fail "a write to a raw word must be rejected"
-  | exception Invalid_argument _ -> ());
+  | exception Tm.Error (Tm.Unregistered_cell _) -> ());
   check_i64 "the abort restored the cell" 0L (Arena.read arena cell);
   check_int "the abort counted" 1 (Tm.rollbacks tm);
   check_int "no transaction left open" 0 (Tm.active_transactions tm);
@@ -333,8 +333,12 @@ let test_guards () =
   let cell = Tm.alloc_cell tm in
   let raw = Alloc.alloc alloc 8 in
   let txn = Tm.begin_txn tm in
-  expect_invalid_arg "unregistered address" (fun () ->
-      Tm.write tm txn ~addr:raw ~value:1L);
+  expect_misuse "unregistered address"
+    ~is:(( = ) (Tm.Unregistered_cell raw))
+    (fun () -> Tm.write tm txn ~addr:raw ~value:1L);
+  expect_misuse "transaction not open"
+    ~is:(( = ) (Tm.Txn_not_open (txn + 1)))
+    (fun () -> Tm.commit tm (txn + 1));
   Tm.write tm txn ~addr:cell ~value:1L;
   expect_misuse "no 2PC in-doubt state" ~is:wal_only (fun () ->
       Tm.prepare tm txn ~gtid:7);

@@ -102,7 +102,7 @@ let test_ineligible_fields () =
   none ~ctx:"negative image" (enc ~new_value:(-1L) ());
   none ~ctx:"unaligned addr" (enc ~addr:65 ());
   none ~ctx:"addr out of range" (enc ~addr:(1 lsl 31) ());
-  none ~ctx:"checkpoint not compact" (enc ~typ:Record.Checkpoint ());
+  none ~ctx:"delete not compact" (enc ~typ:Record.Delete ());
   none ~ctx:"update with undo_next" (enc ~undo_next:5 ());
   (* internal eligibility is wider on images, narrower on provenance *)
   check_bool "internal wide image ok" true

@@ -129,6 +129,39 @@ let test_checkpoint_clears cfg () =
       Alcotest.(check int) "log empty after checkpoint" 0 (Log.length (Tm.log tm))
   | Tm.Two_layer -> ()
 
+(* Two managers side by side on one arena, [Tm.root_slots] apart: each
+   checkpoints with a transaction of its own still open, the arena
+   crashes, and each recovers exactly its own state.  Closer together,
+   the first manager's horizon would land on the second's fingerprint. *)
+let test_adjacent_managers cfg () =
+  let arena = Arena.create ~size_bytes:(8 lsl 20) () in
+  let alloc = Alloc.create arena in
+  let slots = [| root_slot; root_slot + Tm.root_slots cfg |] in
+  let tms = Array.map (fun root_slot -> Tm.create ~cfg alloc ~root_slot) slots in
+  let c = Array.map (fun _ -> cells alloc) slots in
+  Array.iteri
+    (fun m tm ->
+      let t = Tm.begin_txn tm in
+      Tm.write tm t ~addr:c.(m).(0) ~value:(Int64.of_int (m + 1));
+      Tm.commit tm t;
+      let live = Tm.begin_txn tm in
+      Tm.write tm live ~addr:c.(m).(1) ~value:99L;
+      Tm.checkpoint tm)
+    tms;
+  Arena.crash arena;
+  let alloc = Alloc.recover arena in
+  Array.iteri
+    (fun m root_slot ->
+      ignore (Tm.attach ~cfg alloc ~root_slot);
+      check_i64 (Fmt.str "manager %d: committed write" m)
+        (Int64.of_int (m + 1))
+        (Arena.read arena c.(m).(0));
+      check_i64 (Fmt.str "manager %d: open transaction undone" m) 0L
+        (Arena.read arena c.(m).(1)))
+    slots;
+  (* the last footprint that fits the root directory (slots 1-63) *)
+  ignore (Tm.create ~cfg alloc ~root_slot:(64 - Tm.root_slots cfg))
+
 (* ------------------------------------------------------------------ *)
 (* Crash + recovery                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -392,6 +425,19 @@ let error_cases =
       (( = ) (Tm.Not_in_doubt 1))
       (on_fresh Rewind.config_1l_nfp (fun tm ->
            Tm.resolve_in_doubt tm (Tm.begin_txn tm) ~commit:true));
+    tc "footprint past the root directory"
+      (function Tm.Invalid_config _ -> true | _ -> false)
+      (fun () ->
+        let _, alloc, _ = fresh Rewind.config_1l_nfp in
+        Tm.create alloc
+          ~root_slot:(65 - Tm.root_slots Rewind.config_1l_nfp));
+    tc "unregistered cell"
+      (function Tm.Unregistered_cell _ -> true | _ -> false)
+      (on_fresh Rewind.config_incll (fun tm ->
+           Tm.write tm (Tm.begin_txn tm) ~addr:4096 ~value:1L));
+    tc "transaction not open"
+      (( = ) (Tm.Txn_not_open 77))
+      (on_fresh Rewind.config_incll (fun tm -> Tm.commit tm 77));
   ]
 
 let () =
@@ -410,6 +456,8 @@ let () =
       ("atomically", per_config "atomically" `Quick test_atomically);
       ("clearing", per_config "force clears log" `Quick test_force_clears_log);
       ("checkpoint", per_config "checkpoint clears" `Quick test_checkpoint_clears);
+      ( "root-slots",
+        per_config "adjacent managers" `Quick test_adjacent_managers );
       ( "crash-committed",
         per_config "committed survives" `Quick test_committed_survives_crash );
       ( "crash-uncommitted",
