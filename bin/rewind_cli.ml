@@ -479,7 +479,7 @@ module Rbench = Rewind_benchlib.Recovery_bench
    persistency violations — CI runs this on every push. *)
 let run_profile ops json prom =
   let sizes = [ ops / 4; ops ] in
-  let intervals = [ 0; 50 ] in
+  let intervals = [ 0; 50; 200 ] in
   Fmt.pr
     "recovery profile — per-phase simulated time and NVM attribution@.@.";
   let rows = Rbench.run ~sizes ~intervals () in

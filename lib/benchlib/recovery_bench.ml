@@ -9,9 +9,12 @@
    that recovery (the arena's cumulative totals would double-count the
    pre-crash workload) — and the violation count of a persistency
    sanitizer attached for the duration of recovery.  Each point is one
-   row of totals plus one row per phase (labelled [phase]); they land in
-   BENCH_recovery.json and a Prometheus-style text file so CI can gate,
-   archive and alert on them. *)
+   row of totals plus one row per phase (labelled [phase]).  A point that
+   checkpoints also reports its checkpoints, from the hot-path probe: one
+   [checkpoint] row per sub-span (labelled [phase]: the whole checkpoint
+   and each [cp-*] part), with per-checkpoint simulated time, line writes
+   and fences.  All of it lands in BENCH_recovery.json and a
+   Prometheus-style text file so CI can gate, archive and alert on it. *)
 
 open Rewind_nvm
 module San = Rewind_analysis.Sanitizer
@@ -28,6 +31,32 @@ let configs =
     ("2l-nfp-p4", Rewind.with_partitions 4 Rewind.config_2l_nfp);
   ]
 
+(* The checkpoint and each of its sub-spans, per checkpoint: a sub-span
+   that runs once per partition is summed over the partitions. *)
+let checkpoint_rows hot ~labels =
+  match Probe.find hot "checkpoint" with
+  | None -> []
+  | Some whole ->
+      let per v = float_of_int v /. float_of_int whole.Probe.count in
+      Probe.phases hot
+      |> List.filter (fun p ->
+             p.Probe.name = "checkpoint"
+             || String.starts_with ~prefix:"cp-" p.Probe.name)
+      |> List.map (fun p ->
+             let s = p.Probe.stats in
+             {
+               Bench_row.bench = "checkpoint";
+               labels = labels @ [ ("phase", p.Probe.name) ];
+               metrics =
+                 Bench_row.
+                   [
+                     info_int "checkpoints" whole.Probe.count;
+                     lower "sim_ns" (per p.Probe.sim_ns);
+                     lower "line_writes" (per s.Stats.nvm_writes);
+                     lower "fences" (per s.Stats.fences);
+                   ];
+             })
+
 (* Short committed transactions over a small working set, a checkpoint
    every [checkpoint_every] commits, two transactions left in flight at
    the crash — so recovery exercises analysis, redo (no-force), undo and
@@ -36,6 +65,8 @@ let run_one ~ops ~checkpoint_every (name, cfg) =
   let arena = Arena.create ~size_bytes:(256 lsl 20) () in
   let alloc = Alloc.create arena in
   let tm = Rewind.Tm.create ~cfg alloc ~root_slot:2 in
+  let hot = Probe.create () in
+  Rewind.Tm.set_probe tm (Some hot);
   let cells = Array.init 64 (fun _ -> Alloc.alloc alloc 8) in
   let txn_len = 8 in
   let committed = ref 0 in
@@ -125,12 +156,13 @@ let run_one ~ops ~checkpoint_every (name, cfg) =
     | Some prof -> List.map phase (Probe.phases prof)
     | None -> []
   in
-  (totals, phases)
+  (totals, phases @ checkpoint_rows hot ~labels)
 
 let default_sizes = [ 2_000; 8_000 ]
 let default_intervals = [ 0; 100 ]
 
-(* Every point's totals row, then every point's phase rows. *)
+(* Every point's totals row, then every point's phase and checkpoint
+   rows. *)
 let run ?(sizes = default_sizes) ?(intervals = default_intervals) () =
   let points =
     List.concat_map

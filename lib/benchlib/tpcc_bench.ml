@@ -20,10 +20,10 @@
    terminal right after the triggering transaction, per the spec's
    deferred-execution semantics: they occupy the terminal (adding to
    later arrivals' queueing) but are not part of the triggering
-   transaction's response time.  Latencies are charged to a {!Probe}
-   phase, and the reported p50/p99/p999 are lower bounds of its log2
-   histogram buckets — deterministic, machine-independent numbers a
-   committed baseline can gate exactly. *)
+   transaction's response time.  Every latency is recorded, and the
+   reported p50/p99/p999 are exact nearest-rank percentiles of them —
+   deterministic, machine-independent numbers a committed baseline can
+   gate exactly. *)
 
 open Rewind_nvm
 open Rewind_tpcc
@@ -33,19 +33,12 @@ open Rewind_tpcc
 let max_conflict_retries = 5
 let conflict_backoff_ns = 2_000
 
-let percentile phase q =
-  let total = phase.Probe.count in
-  if total = 0 then 0
-  else begin
-    let need = int_of_float (ceil (q *. float_of_int total)) in
-    let need = max 1 (min total need) in
-    let rec scan acc = function
-      | [] -> 0
-      | (lower, n) :: rest ->
-          if acc + n >= need then lower else scan (acc + n) rest
-    in
-    scan 0 (Probe.hist_buckets phase)
-  end
+(* Nearest-rank percentile of an ascending array, [permille]/1000 in
+   exact integer arithmetic: the smallest latency with at least that
+   share of the samples at or below it. *)
+let percentile sorted permille =
+  let n = Array.length sorted in
+  if n = 0 then 0 else sorted.(max 1 (((permille * n) + 999) / 1000) - 1)
 
 (* Exponential inter-arrival gap at [rate] arrivals per simulated second,
    rounded to whole simulated nanoseconds (at least 1). *)
@@ -72,7 +65,7 @@ let run ?(warehouses = 4) ?(partitions = 4) ?(rate = 10_000.)
   let db = Schema.rebind db (Rewind_pds.Btree.Logged tm) in
   let queue = Delivery.queue_create () in
   let rng = Rng.create seed in
-  let probe = Probe.create () in
+  let latencies = Array.make arrivals 0 in
   (* free_at.(w-1).(i): simulated time terminal [i] of warehouse [w]
      finishes its current work. *)
   let free_at = Array.make_matrix warehouses terminals_per_warehouse 0 in
@@ -80,7 +73,7 @@ let run ?(warehouses = 4) ?(partitions = 4) ?(rate = 10_000.)
   let new_orders = ref 0 and deliveries = ref 0 in
   let makespan = ref 0 in
   let arrival = ref 0 in
-  for _ = 1 to arrivals do
+  for a = 0 to arrivals - 1 do
     arrival := !arrival + exp_gap_ns rng rate;
     let warehouse = Rng.int rng 1 warehouses in
     let home = (warehouse - 1) mod partitions in
@@ -114,9 +107,7 @@ let run ?(warehouses = 4) ?(partitions = 4) ?(rate = 10_000.)
     | Mix.Aborted -> incr aborted);
     let service = Clock.elapsed span in
     let completion = start + service in
-    Probe.charge probe "latency"
-      ~sim_ns:(completion - !arrival)
-      ~stats:(Stats.create ());
+    latencies.(a) <- completion - !arrival;
     (* Deferred deliveries occupy the terminal after the response. *)
     let span = Clock.start () in
     deliveries := !deliveries + Mix.drain_deliveries ~home db tm queue;
@@ -124,11 +115,7 @@ let run ?(warehouses = 4) ?(partitions = 4) ?(rate = 10_000.)
     servers.(server) <- completion + drained;
     if servers.(server) > !makespan then makespan := servers.(server)
   done;
-  let lat =
-    match Probe.find probe "latency" with
-    | Some p -> p
-    | None -> assert false (* arrivals >= 1 charges the phase *)
-  in
+  Array.sort compare latencies;
   let minutes = float_of_int !makespan /. 60e9 in
   let row =
     {
@@ -154,9 +141,9 @@ let run ?(warehouses = 4) ?(partitions = 4) ?(rate = 10_000.)
             higher "tpmc_throughput"
               (if minutes > 0. then float_of_int !new_orders /. minutes
                else 0.);
-            lower_int "latency_p50_sim_ns" (percentile lat 0.50);
-            lower_int "latency_p99_sim_ns" (percentile lat 0.99);
-            lower_int "latency_p999_sim_ns" (percentile lat 0.999);
+            lower_int "latency_p50_sim_ns" (percentile latencies 500);
+            lower_int "latency_p99_sim_ns" (percentile latencies 990);
+            lower_int "latency_p999_sim_ns" (percentile latencies 999);
             lower_int "makespan_sim_ns" !makespan;
           ];
     }

@@ -18,6 +18,14 @@
    occupancy and the insert cursor are volatile and reconstructed during
    the analysis phase after a crash, exactly as in the paper.
 
+   Each bucket also keeps a volatile maximum LSN, noted at append from
+   the LSN the caller already holds.  A full bucket whose maximum lies
+   below the caller's durable horizon holds nothing recovery reads, so
+   [unlink_below] drops it whole with one crash-atomic ADLL removal
+   instead of tombstoning its slots (Sections 3.3 and 4.6).  Buckets
+   rebuilt by [attach] or [compact], and appends made without an LSN,
+   are unknown and never unlinked this way.
+
    Slot values: 0 = never used, 1 = tombstone (cleared record), low three
    bits 6/7 = the first/second word of an inline record pair (see
    {!Record.inline_encode}), otherwise the NVM address of a log record.
@@ -44,11 +52,19 @@ let pp_variant ppf = function
 
 let tombstone = 1
 
+(* The maximum LSN of a bucket that has taken an append without one:
+   never below any horizon. *)
+let unknown_lsn = max_int
+
 (* Bucket layout: word 0 = last persistent index (count of trusted slots),
    words 1..cap = slots. *)
 let b_idx = 0
 let slot_off b i = b + 8 + (8 * i)
 let bucket_bytes cap = 8 * (1 + cap)
+
+(* Volatile per-bucket state: the ADLL node holding the bucket, its live
+   records, and the largest LSN appended to it. *)
+type cell = { node : int; mutable live : int; mutable max_lsn : int }
 
 type t = {
   variant : variant;
@@ -62,10 +78,10 @@ type t = {
   mutable cur_node : int;    (* ADLL node holding cur_bucket *)
   mutable next_slot : int;   (* next free slot index in cur_bucket *)
   mutable pending : int;     (* slots appended since the last persist point *)
-  occupancy : (int, int ref) Hashtbl.t;  (* bucket -> live records (volatile) *)
-  mutable cur_occ : int ref;
-      (* the current bucket's occupancy cell, cached so the append/clear
-         hot path skips the [occupancy] hash lookup *)
+  cells : (int, cell) Hashtbl.t;  (* bucket -> its volatile cell *)
+  mutable cur_cell : cell;
+      (* the current bucket's cell, cached so the append/clear hot path
+         skips the [cells] hash lookup *)
   mutable inline_ok : bool;  (* inline-pair encoding enabled (default) *)
   mutable inline_appended : int;  (* appends that took the inline path *)
   mutable appended : int;  (* total records ever appended (stat) *)
@@ -94,13 +110,16 @@ let wr_nt t off v = Arena.nt_write t.arena off (Int64.of_int v)
 let charge_seq t = Clock.advance (Arena.config t.arena).Config.read_seq_ns
 let charge_miss t = Clock.advance (Arena.config t.arena).Config.read_miss_ns
 
+(* The cell of no bucket, until the first one exists. *)
+let no_cell () = { node = 0; live = 0; max_lsn = unknown_lsn }
+
 let new_bucket t =
   (* Fresh allocation: durably zero, so 0-slots are trustworthy. *)
   let b = Alloc.alloc_fresh ~align:64 t.alloc (bucket_bytes t.bucket_cap) in
   let node = Adll.append t.chain b in
-  let occ = ref 0 in
-  Hashtbl.replace t.occupancy b occ;
-  t.cur_occ <- occ;
+  let c = { node; live = 0; max_lsn = min_int } in
+  Hashtbl.replace t.cells b c;
+  t.cur_cell <- c;
   t.cur_bucket <- b;
   t.cur_node <- node;
   t.next_slot <- 0;
@@ -122,8 +141,8 @@ let create variant ?(bucket_cap = 1000) alloc ~root_slot =
       cur_node = 0;
       next_slot = 0;
       pending = 0;
-      occupancy = Hashtbl.create 64;
-      cur_occ = ref 0;
+      cells = Hashtbl.create 64;
+      cur_cell = no_cell ();
       inline_ok = true;
       inline_appended = 0;
       appended = 0;
@@ -162,7 +181,14 @@ let flush_group t =
 
 (* -- append ------------------------------------------------------------ *)
 
-let append_slot t r ~force_persist =
+(* Count one more live record in the current bucket, appended with [lsn]
+   ({!unknown_lsn} when the appender has none). *)
+let note_append t ~lsn =
+  let c = t.cur_cell in
+  c.live <- c.live + 1;
+  if lsn > c.max_lsn then c.max_lsn <- lsn
+
+let append_slot t r ~lsn ~force_persist =
   if t.next_slot >= t.bucket_cap then begin
     flush_group t;
     ignore (new_bucket t)
@@ -170,7 +196,7 @@ let append_slot t r ~force_persist =
   let b = t.cur_bucket in
   let i = t.next_slot in
   t.next_slot <- i + 1;
-  incr t.cur_occ;
+  note_append t ~lsn;
   (match t.variant with
   | Simple -> assert false
   | Optimized ->
@@ -190,7 +216,7 @@ let append_slot t r ~force_persist =
    straddles a bucket boundary: with one slot left we roll to a fresh
    bucket and the orphan slot stays durably zero, which every scan skips
    and the Batch trust rule never covers. *)
-let put_pair_slots t w0 w1 ~force_persist =
+let put_pair_slots t w0 w1 ~lsn ~force_persist =
   if t.next_slot + 2 > t.bucket_cap then begin
     flush_group t;
     ignore (new_bucket t)
@@ -198,7 +224,7 @@ let put_pair_slots t w0 w1 ~force_persist =
   let b = t.cur_bucket in
   let i = t.next_slot in
   t.next_slot <- i + 2;
-  incr t.cur_occ;
+  note_append t ~lsn;
   let off = slot_off b i in
   (match t.variant with
   | Simple -> assert false
@@ -228,18 +254,18 @@ let put_pair_slots t w0 w1 ~force_persist =
    way after every tree operation). *)
 type handle = Node of int | Slot of { node : int; bucket : int; slot : int }
 
-let append_pair ?(is_end = false) t ~txn w0 w1 =
+let append_pair ?(is_end = false) ?(lsn = unknown_lsn) t ~txn w0 w1 =
   t.appended <- t.appended + 1;
   t.inline_appended <- t.inline_appended + 1;
   let s = Arena.stats t.arena in
   s.Stats.inline_records <- s.Stats.inline_records + 1;
-  let b, i = put_pair_slots t w0 w1 ~force_persist:is_end in
+  let b, i = put_pair_slots t w0 w1 ~lsn ~force_persist:is_end in
   if is_end && txn <> 0 && Arena.traced t.arena then
     Pmcheck.commit_point t.arena ~txn ~addr:(slot_off b i) ~len:16
       ~what:"END inline pair";
   Slot { node = t.cur_node; bucket = b; slot = i }
 
-let append_h ?(is_end = false) t r =
+let append_h ?(is_end = false) ?(lsn = unknown_lsn) t r =
   t.appended <- t.appended + 1;
   (let s = Arena.stats t.arena in
    s.Stats.full_records <- s.Stats.full_records + 1);
@@ -251,7 +277,7 @@ let append_h ?(is_end = false) t r =
         Arena.fence t.arena;
         Node (Adll.append t.chain r)
     | Optimized | Batch _ ->
-        append_slot t r ~force_persist:is_end;
+        append_slot t r ~lsn ~force_persist:is_end;
         Slot { node = t.cur_node; bucket = t.cur_bucket; slot = t.next_slot - 1 }
   in
   (* An END append is the transaction's commit point: the record and the
@@ -271,7 +297,7 @@ let append_h ?(is_end = false) t r =
      end);
   h
 
-let append ?(is_end = false) t r = ignore (append_h ~is_end t r)
+let append ?is_end ?lsn t r = ignore (append_h ?is_end ?lsn t r)
 
 (* Inline eligibility is per-log: bucketed variants only, and a bucket
    must fit at least one pair. *)
@@ -286,22 +312,24 @@ let inline_appended t = t.inline_appended
 (* Append by fields: encode inline when the record fits the compact
    format, fall back to an off-line 64-byte record otherwise.  The choice
    is invisible to readers — both come back as record refs that the
-   {!Record} accessors decode. *)
+   {!Record} accessors decode.  The AAVLT's internal records (txn 0)
+   carry no LSN, so they leave their bucket's maximum unknown. *)
 let append_record ?(is_end = false) t ~lsn ~txn ~typ ~addr ~old_value
     ~new_value ~undo_next =
+  let max_lsn = if txn = 0 then unknown_lsn else lsn in
   match
     if inline_eligible t then
       Record.inline_encode ~lsn ~txn ~typ ~addr ~old_value ~new_value
         ~undo_next
     else None
   with
-  | Some (w0, w1) -> append_pair ~is_end t ~txn w0 w1
+  | Some (w0, w1) -> append_pair ~is_end ~lsn:max_lsn t ~txn w0 w1
   | None ->
       let r =
         Record.make t.alloc ~lsn ~txn ~typ ~addr ~old_value ~new_value
           ~undo_next ~prev_same_txn:0
       in
-      append_h ~is_end t r
+      append_h ~is_end ~lsn:max_lsn t r
 
 let appended t = t.appended
 let torn_truncated t = t.torn
@@ -336,12 +364,14 @@ let live_record t v =
 (* Number of slots of [b] that iteration may trust.  The Batch
    last-persistent-index word shares a line with the first slots, so a
    corrupted read of it must not send a scan past the bucket. *)
+let durable_bound t b =
+  match t.variant with
+  | Batch _ -> max 0 (min (rd t (b + b_idx)) t.bucket_cap)
+  | Optimized | Simple -> t.bucket_cap
+
 let bucket_bound t b =
   if b = t.cur_bucket && t.cur_bucket <> 0 then t.next_slot
-  else
-    match t.variant with
-    | Batch _ -> max 0 (min (rd t (b + b_idx)) t.bucket_cap)
-    | Optimized | Simple -> t.bucket_cap
+  else durable_bound t b
 
 let iter t f =
   match t.variant with
@@ -428,7 +458,7 @@ let records t =
 
 let free_bucket t b node =
   Adll.remove t.chain node;
-  Hashtbl.remove t.occupancy b;
+  Hashtbl.remove t.cells b;
   Alloc.free ~align:64 t.alloc b (bucket_bytes t.bucket_cap)
 
 (* Tombstone every record satisfying [pred]; free the record memory; unlink
@@ -455,9 +485,9 @@ let remove_where t pred =
           let bound = bucket_bound t b in
           (* The scan classifies every slot anyway, so re-derive the
              bucket's occupancy absolutely instead of decrementing a
-             cached cell: the volatile cache is re-synced even if it had
+             cached count: the volatile cache is re-synced even if it had
              drifted.  The cell object is kept (not replaced) so the
-             [cur_occ] alias for the current bucket stays live. *)
+             [cur_cell] alias for the current bucket stays live. *)
           let survivors = ref 0 in
           let i = ref 0 in
           while !i < bound do
@@ -484,12 +514,12 @@ let remove_where t pred =
               incr i
             end
           done;
-          (match Hashtbl.find_opt t.occupancy b with
-          | Some c -> c := !survivors
+          (match Hashtbl.find_opt t.cells b with
+          | Some c -> c.live <- !survivors
           | None ->
-              let c = ref !survivors in
-              Hashtbl.replace t.occupancy b c;
-              if b = t.cur_bucket then t.cur_occ <- c);
+              let c = { node; live = !survivors; max_lsn = unknown_lsn } in
+              Hashtbl.replace t.cells b c;
+              if b = t.cur_bucket then t.cur_cell <- c);
           if !survivors = 0 && b <> t.cur_bucket then
             empty := (b, node) :: !empty);
       List.iter (fun (b, node) -> free_bucket t b node) !empty
@@ -519,11 +549,58 @@ let remove_handle t h =
         else false
       in
       if removed then
-        match Hashtbl.find_opt t.occupancy bucket with
-        | Some occ ->
-            decr occ;
-            if !occ = 0 && bucket <> t.cur_bucket then free_bucket t bucket node
+        match Hashtbl.find_opt t.cells bucket with
+        | Some c ->
+            c.live <- c.live - 1;
+            if c.live = 0 && bucket <> t.cur_bucket then
+              free_bucket t bucket node
         | None -> ()
+
+(* Free the full records among the first [bound] slots of [b], then [b]
+   itself — volatile free-list operations only.  Inline pairs live in the
+   bucket: nothing to free. *)
+let release_bucket t b ~bound =
+  let i = ref 0 in
+  while !i < bound do
+    let off = slot_off b !i in
+    let v = rd t off in
+    if trusted_pair t ~off ~i:!i ~bound v then i := !i + 2
+    else begin
+      if live_record t v then Record.free t.alloc v;
+      incr i
+    end
+  done;
+  Alloc.free ~align:64 t.alloc b (bucket_bytes t.bucket_cap)
+
+(* Unlink every bucket other than the current one whose maximum LSN lies
+   below [h], oldest first, with one crash-atomic ADLL removal each
+   (Section 3.3): no tombstones, no slot scan.  The caller's durable
+   horizon makes every such record invisible to recovery, so a crash
+   between two removals leaves a log recovery reads correctly.  The
+   buckets come back still allocated, for {!reclaim}. *)
+let unlink_below t h =
+  match t.variant with
+  | Simple -> []
+  | Optimized | Batch _ ->
+      let dead =
+        Hashtbl.fold
+          (fun b c acc ->
+            if b <> t.cur_bucket && c.max_lsn < h then (b, c.node) :: acc
+            else acc)
+          t.cells []
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+      in
+      List.iter
+        (fun (b, node) ->
+          Adll.remove t.chain node;
+          Hashtbl.remove t.cells b)
+        dead;
+      List.map fst dead
+
+(* Free what {!unlink_below} handed back.  The buckets are unreachable,
+   so this needs no latch. *)
+let reclaim t buckets =
+  List.iter (fun b -> release_bucket t b ~bound:(durable_bound t b)) buckets
 
 (* Clear the whole log in the paper's three steps: remember the old chain,
    install a new one, then de-allocate the old (Section 4.5). *)
@@ -537,7 +614,7 @@ let clear_all t =
   let old_cur_bucket = t.cur_bucket and old_next_slot = t.next_slot in
   let new_chain = Adll.create t.alloc in
   t.chain <- new_chain;
-  Hashtbl.reset t.occupancy;
+  Hashtbl.reset t.cells;
   t.cur_bucket <- 0;
   t.cur_node <- 0;
   t.next_slot <- 0;
@@ -555,24 +632,9 @@ let clear_all t =
           (* [bucket_bound] now reflects the *new* cursor, so compute the
              old bound from the captured cursor state. *)
           let bound =
-            if b = old_cur_bucket then old_next_slot
-            else
-              match t.variant with
-              | Batch _ -> max 0 (min (rd t (b + b_idx)) t.bucket_cap)
-              | Optimized | Simple -> t.bucket_cap
+            if b = old_cur_bucket then old_next_slot else durable_bound t b
           in
-          let i = ref 0 in
-          while !i < bound do
-            let off = slot_off b !i in
-            let v = rd t off in
-            (* inline pairs live in the bucket itself: nothing to free *)
-            if trusted_pair t ~off ~i:!i ~bound v then i := !i + 2
-            else begin
-              if live_record t v then Record.free t.alloc v;
-              incr i
-            end
-          done;
-          Alloc.free ~align:64 t.alloc b (bucket_bytes t.bucket_cap)));
+          release_bucket t b ~bound));
   Adll.free_structure old_chain
 
 (* -- compaction --------------------------------------------------------- *)
@@ -642,7 +704,7 @@ let compact ?(threshold = 0.5) t =
         (* build the new log off-line *)
         let new_chain = Adll.create t.alloc in
         t.chain <- new_chain;
-        Hashtbl.reset t.occupancy;
+        Hashtbl.reset t.cells;
         t.cur_bucket <- 0;
         t.cur_node <- 0;
         t.next_slot <- 0;
@@ -650,10 +712,15 @@ let compact ?(threshold = 0.5) t =
         ignore (new_bucket t);
         List.iter
           (function
-            | `Full r -> append_slot t r ~force_persist:false
+            | `Full r ->
+                append_slot t r ~lsn:unknown_lsn ~force_persist:false
             | `Pair (w0, w1) ->
-                ignore (put_pair_slots t w0 w1 ~force_persist:false))
+                ignore
+                  (put_pair_slots t w0 w1 ~lsn:unknown_lsn
+                     ~force_persist:false))
           (List.rev !survivors);
+        (* even with no survivor, the new current bucket is rebuilt *)
+        t.cur_cell.max_lsn <- unknown_lsn;
         flush_group t;
         (* the atomic switch *)
         Arena.root_set t.arena t.root_slot (Int64.of_int (Adll.base t.chain));
@@ -666,10 +733,16 @@ let compact ?(threshold = 0.5) t =
         Adll.free_structure old_chain
   end
 
+(* The buckets in chain order, the current one last (tests). *)
+let buckets t =
+  match t.variant with
+  | Simple -> []
+  | Optimized | Batch _ -> Adll.elements t.chain
+
 (* -- volatile-cache invariant check (tests) ----------------------------- *)
 
 (* Recount every bucket's live records from the durable layout and compare
-   with the volatile occupancy cells and the cached [cur_occ] ref.  Returns
+   with the volatile cells and the cached [cur_cell].  Returns
    the mismatches; the regression tests assert it is empty after any
    interleaving of appends, clears, checkpoints and compactions. *)
 let check_occupancy t =
@@ -695,14 +768,14 @@ let check_occupancy t =
             end
           done;
           let cached =
-            match Hashtbl.find_opt t.occupancy b with
-            | Some c -> !c
+            match Hashtbl.find_opt t.cells b with
+            | Some c -> c.live
             | None -> min_int
           in
           if cached <> !actual then
             bad := (b, cached, !actual) :: !bad;
-          if b = t.cur_bucket && cached <> !(t.cur_occ) then
-            bad := (b, !(t.cur_occ), !actual) :: !bad);
+          if b = t.cur_bucket && cached <> t.cur_cell.live then
+            bad := (b, t.cur_cell.live, !actual) :: !bad);
       !bad
 
 (* -- post-crash attachment --------------------------------------------- *)
@@ -745,8 +818,8 @@ let attach variant ?(bucket_cap = 1000) alloc ~root_slot =
         cur_node = 0;
         next_slot = 0;
         pending = 0;
-        occupancy = Hashtbl.create 64;
-        cur_occ = ref 0;
+        cells = Hashtbl.create 64;
+        cur_cell = no_cell ();
         inline_ok = true;
         inline_appended = 0;
         appended = 0;
@@ -768,11 +841,7 @@ let attach variant ?(bucket_cap = 1000) alloc ~root_slot =
     | Optimized | Batch _ ->
         Adll.iter chain (fun node ->
             let b = Adll.element chain node in
-            let bound =
-              match variant with
-              | Batch _ -> max 0 (min (rd t (b + b_idx)) bucket_cap)
-              | Optimized | Simple -> bucket_cap
-            in
+            let bound = durable_bound t b in
             let occ = ref 0 in
             let last_used = ref (-1) in
             (* Truncate an inline word that cannot be trusted as half of a
@@ -834,14 +903,16 @@ let attach variant ?(bucket_cap = 1000) alloc ~root_slot =
                 incr i
               end
             done;
-            Hashtbl.replace t.occupancy b occ;
-            t.cur_occ <- occ;
+            let c = { node; live = !occ; max_lsn = unknown_lsn } in
+            Hashtbl.replace t.cells b c;
+            t.cur_cell <- c;
             t.cur_bucket <- b;
             t.cur_node <- node;
             t.next_slot <-
               (match variant with
               | Batch _ -> bound
               | Optimized | Simple -> !last_used + 1));
-        if t.cur_bucket = 0 then ignore (new_bucket t));
+        if t.cur_bucket = 0 then ignore (new_bucket t);
+        t.cur_cell.max_lsn <- unknown_lsn);
     t
   end

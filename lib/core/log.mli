@@ -13,7 +13,10 @@
 
     Bucket occupancy and the insertion cursor are volatile and
     reconstructed by {!attach} after a crash, as in the paper's analysis
-    phase. *)
+    phase.  So is each bucket's maximum LSN, which {!unlink_below} reads:
+    it is noted at append from the caller's LSN, and a bucket rebuilt by
+    {!attach} or {!compact}, or given an append without an LSN, counts as
+    unknown. *)
 
 type variant = Simple | Optimized | Batch of int
 
@@ -52,15 +55,18 @@ val group_tag : t -> int
 
 (** {1 Appending} *)
 
-val append : ?is_end:bool -> t -> int -> unit
+val append : ?is_end:bool -> ?lsn:int -> t -> int -> unit
 (** Append a record (by NVM address).  [is_end] marks END records, which
-    force the pending batch group to persist immediately (Section 3.3). *)
+    force the pending batch group to persist immediately (Section 3.3).
+    [lsn] is the record's LSN as the caller already knows it (the log
+    does not read it back); without it the bucket's maximum LSN becomes
+    unknown. *)
 
 (** Handle to an appended record's location, for O(1) removal by the
     owner (the AAVLT clears its own records this way). *)
 type handle = Node of int | Slot of { node : int; bucket : int; slot : int }
 
-val append_h : ?is_end:bool -> t -> int -> handle
+val append_h : ?is_end:bool -> ?lsn:int -> t -> int -> handle
 val remove_handle : t -> handle -> unit
 
 (** {2 Inline fast path}
@@ -84,9 +90,12 @@ val append_record :
   undo_next:int ->
   handle
 (** Append by fields: inline pair when eligible and the fields fit the
-    compact format, otherwise an off-line full record. *)
+    compact format, otherwise an off-line full record.  [lsn] is noted as
+    the bucket's maximum, except for the AAVLT's internal records
+    ([txn = 0]), which carry none. *)
 
-val append_pair : ?is_end:bool -> t -> txn:int -> int -> int -> handle
+val append_pair :
+  ?is_end:bool -> ?lsn:int -> t -> txn:int -> int -> int -> handle
 (** Append a pre-encoded inline pair (the two words from
     {!Record.inline_encode}).  The caller is responsible for only passing
     words produced by the encoder; [txn] drives the END commit-point
@@ -142,6 +151,18 @@ val remove_where : t -> (int -> bool) -> unit
     recovery ignores whichever subset survives: {!Tm} clears below its
     durable LSN horizon. *)
 
+val unlink_below : t -> int -> int list
+(** [unlink_below t h] unlinks every bucket other than the current one
+    whose maximum LSN is known and below [h], with one crash-atomic
+    {!Adll.remove} each, and returns them (by address, oldest first),
+    still allocated.  No slot is read or tombstoned.  The caller must have
+    made [h] a durable horizon below which recovery reads nothing.  The
+    Simple variant has no buckets and returns [[]]. *)
+
+val reclaim : t -> int list -> unit
+(** Free the full records and the memory of buckets returned by
+    {!unlink_below}.  They are unreachable, so no latch is needed. *)
+
 val clear_all : t -> unit
 (** The paper's three-step wholesale clearing: build a fresh log, swing
     the root atomically, de-allocate the old one. *)
@@ -154,6 +175,10 @@ val compact : ?threshold:float -> t -> unit
 
 val occupancy_stats : t -> int * int
 (** (live records, trusted slots). *)
+
+val buckets : t -> int list
+(** The buckets by address, in chain order: the current one last.
+    Empty for the Simple variant.  Test helper; reads the ADLL. *)
 
 val check_occupancy : t -> (int * int * int) list
 (** Cross-check the volatile per-bucket occupancy cells (and the cached

@@ -413,6 +413,11 @@ let partition_appended t = Array.map (fun p -> Log.appended p.log) t.parts
 let commits t = t.commits
 let rollbacks t = t.rollbacks
 let set_probe t p = t.probe <- p
+
+(* Per partition latch: simulated ns acquirers waited for it, and ns it
+   was held ({!Sim_mutex.wait_ns}, {!Sim_mutex.hold_ns}). *)
+let latch_wait_ns t = Array.map (fun p -> Sim_mutex.wait_ns p.latch) t.parts
+let latch_hold_ns t = Array.map (fun p -> Sim_mutex.hold_ns p.latch) t.parts
 let last_recovery_profile t = t.last_recovery_profile
 
 (* Charge [f] to phase [name] of the attached hot-path probe, if any. *)
@@ -538,10 +543,11 @@ let user_write t p addr v =
    records by their LSN (Section 3.4): every record becomes a tree node
    whose payload is the record's address, inserted in one atomic AAVLT
    operation, and the record is threaded onto its transaction's back-chain
-   via the volatile transaction table. *)
-let append_user_record t p txn_id r ~is_end =
+   via the volatile transaction table.  [lsn] is [r]'s, as the caller
+   took it. *)
+let append_user_record t p txn_id r ~lsn ~is_end =
   match p.index with
-  | None -> Log.append ~is_end p.log r
+  | None -> Log.append ~is_end ~lsn p.log r
   | Some idx ->
       let e = Txn_table.find_or_add p.table txn_id in
       (* Chain before the record becomes reachable. *)
@@ -589,8 +595,8 @@ let log_update_then t txn_id ~addr ~old_value ~new_value ~store =
   in
   Sim_mutex.with_lock p.latch (fun () ->
       (match inline with
-      | Some (w0, w1) -> ignore (Log.append_pair p.log ~txn:txn_id w0 w1)
-      | None -> append_user_record t p txn_id r ~is_end:false);
+      | Some (w0, w1) -> ignore (Log.append_pair ~lsn p.log ~txn:txn_id w0 w1)
+      | None -> append_user_record t p txn_id r ~lsn ~is_end:false);
       (* WAL declaration: [addr] now has an undo record.  Under Batch the
          record may still sit in an unpersisted group ([Log.pending] > 0),
          in which case the covered store must not reach NVM before the
@@ -634,7 +640,7 @@ let log_delete t txn_id ~addr ~size =
       ~prev_same_txn:0
   in
   Sim_mutex.with_lock p.latch (fun () ->
-      append_user_record t p txn_id r ~is_end:false;
+      append_user_record t p txn_id r ~lsn ~is_end:false;
       p.deferred_deletes <- (txn_id, lsn, addr, size) :: p.deferred_deletes)
 
 (* -- clearing ------------------------------------------------------------ *)
@@ -744,7 +750,7 @@ let append_control t p txn_id ~typ ~is_end ?(addr = 0) ?(old_value = 0L)
         Record.make t.alloc ~lsn ~txn:txn_id ~typ ~addr ~old_value ~new_value
           ~undo_next ~prev_same_txn:0
       in
-      append_user_record t p txn_id r ~is_end);
+      append_user_record t p txn_id r ~lsn ~is_end);
   lsn
 
 let append_end t p txn_id =
@@ -1028,6 +1034,16 @@ let retire t p h =
          Txn_table.remove p.table id;
          free_deferred_deletes t p id)
 
+(* Only storing the horizon needs the world stopped: once H is durable,
+   recovery reads nothing below it, and every later record takes an LSN
+   at or above it.  So every latch is held for [persist_all] and the
+   horizon store alone.  Each partition is then cleared under its own
+   latch: its all-dead buckets unlinked whole (Section 3.3), the records
+   below H left in the current and mixed buckets tombstoned, and the
+   settled transactions retired.  Compaction follows once every
+   partition is cleared, again under each partition's own latch, so its
+   allocations still come after all of the clearing's frees; the
+   unlinked buckets are freed last, with no latch held. *)
 let checkpoint t =
   match t.incll with
   | Some i ->
@@ -1037,27 +1053,39 @@ let checkpoint t =
       Incll.advance_if_quiescent ~span:(hot_span t "epoch-advance") i
   | None ->
   hot_span t "checkpoint" @@ fun () ->
-  with_all_latches t 0 (fun () ->
-      (* Section 4.6: the horizon, stored once the pending groups and the
-         cache are durable, takes the place of the CHECKPOINT record. *)
-      let h =
+  (* Section 4.6: the horizon, stored once the pending groups and the
+     cache are durable, takes the place of the CHECKPOINT record. *)
+  let h =
+    with_all_latches t 0 (fun () ->
         hot_span t "cp-persist" (fun () ->
             persist_all t;
             let h = horizon t in
             set_horizon t h;
-            h)
-      in
-      hot_span t "cp-clear" (fun () ->
-          Array.iter
-            (fun p ->
-              clear_below t p h ~intact:(fun _ -> true);
-              retire t p h)
-            t.parts);
-      (* Compact any partition that clearing left mostly gaps
-         (long-running transactions spanning otherwise-empty buckets,
-         Section 3.3). *)
-      hot_span t "cp-compact" (fun () ->
-          Array.iter (fun p -> Log.compact ~threshold:0.25 p.log) t.parts))
+            h))
+  in
+  let dead =
+    Array.map
+      (fun p ->
+        Sim_mutex.with_lock p.latch (fun () ->
+            let dead =
+              hot_span t "cp-unlink" (fun () -> Log.unlink_below p.log h)
+            in
+            hot_span t "cp-clear" (fun () ->
+                clear_below t p h ~intact:(fun _ -> true);
+                retire t p h);
+            dead))
+      t.parts
+  in
+  (* Compact any partition that clearing left mostly gaps
+     (long-running transactions spanning otherwise-empty buckets). *)
+  Array.iter
+    (fun p ->
+      Sim_mutex.with_lock p.latch (fun () ->
+          hot_span t "cp-compact" (fun () ->
+              Log.compact ~threshold:0.25 p.log)))
+    t.parts;
+  hot_span t "cp-reclaim" (fun () ->
+      Array.iteri (fun i p -> Log.reclaim p.log dead.(i)) t.parts)
 
 (* -- recovery (Section 4.5) -------------------------------------------------- *)
 
@@ -1314,14 +1342,13 @@ let undo_one_layer t stream =
           then begin
             incr losers;
             (if Hashtbl.mem to_mark_rollback e.Txn_table.id then
+               let lsn = fresh_lsn t e.Txn_table.id in
                let r =
-                 Record.make t.alloc
-                   ~lsn:(fresh_lsn t e.Txn_table.id)
-                   ~txn:e.Txn_table.id
+                 Record.make t.alloc ~lsn ~txn:e.Txn_table.id
                    ~typ:Record.Rollback ~addr:0 ~old_value:0L ~new_value:0L
                    ~undo_next:0 ~prev_same_txn:0
                in
-               Log.append p.log r);
+               Log.append ~lsn p.log r);
             ignore (append_end t p e.Txn_table.id);
             e.Txn_table.status <- Txn_table.Finished
           end))

@@ -269,7 +269,14 @@ val checkpoint : t -> unit
     transaction's, and settled ones a later checkpoint removes — survive
     untouched.  Recovery ignores every record below it, so the removal
     order is free: a crash at any point during the checkpoint recovers
-    to the same state as an uninterrupted checkpoint. *)
+    to the same state as an uninterrupted checkpoint.
+
+    Every partition latch is held only while the pending state is
+    persisted and the horizon stored.  Each partition is then cleaned
+    under its own latch alone — buckets wholly below the horizon
+    unlinked whole ({!Log.unlink_below}), the remaining records below it
+    tombstoned, the log compacted if mostly gaps — and the unlinked
+    buckets are freed with no latch held. *)
 
 val recover : t -> unit
 (** Run recovery explicitly (normally done by {!attach}). *)
@@ -340,9 +347,19 @@ val last_recovery_profile : t -> Rewind_nvm.Probe.t option
 
 val set_probe : t -> Rewind_nvm.Probe.t option -> unit
 (** Attach a probe to the runtime hot paths: [commit], [checkpoint] and
-    the checkpoint sub-phases [cp-persist] / [cp-clear] / [cp-compact]
-    charge spans to it.  [None] (the default) disables hot-path
-    profiling; recovery profiling is always on. *)
+    the checkpoint sub-phases [cp-persist] (every latch held),
+    [cp-unlink] / [cp-clear] / [cp-compact] (one partition's latch held)
+    and [cp-reclaim] (no latch held) charge spans to it.  [None] (the
+    default) disables hot-path profiling; recovery profiling is always
+    on. *)
+
+val latch_wait_ns : t -> int array
+(** Per partition latch, the total simulated ns acquirers waited for it
+    ({!Rewind_nvm.Sim_mutex.wait_ns}).  Empty under InCLL. *)
+
+val latch_hold_ns : t -> int array
+(** Per partition latch, the total simulated ns it was held
+    ({!Rewind_nvm.Sim_mutex.hold_ns}).  Empty under InCLL. *)
 
 val commits : t -> int
 val rollbacks : t -> int

@@ -19,7 +19,11 @@
    acquire/release to {!Trace.emit_sync}, so the race detector sees the
    full synchronisation order — including the [contention_free] CAS
    path, which excludes without ever waiting but still orders its
-   critical sections. *)
+   critical sections.
+
+   Each lock also accumulates, without moving any clock, the simulated
+   time acquirers spent waiting for it (the spans [Clock.advance_to]
+   skips) and the time it was held (acquire to release). *)
 
 exception Misuse of string
 
@@ -33,6 +37,9 @@ type t = {
       (* model a lock-free fast path: pay the CAS, never wait.  Real
          mutual exclusion is still provided (real mutex under domains;
          no preemption inside the section under the fiber scheduler). *)
+  mutable acquired_at : int;  (* simulated ns the current hold began *)
+  mutable wait_ns : int;      (* total simulated ns acquirers waited *)
+  mutable hold_ns : int;      (* total simulated ns the lock was held *)
 }
 
 let next_id = Atomic.make 0
@@ -45,12 +52,31 @@ let create ?(acquire_ns = 20) ?(contention_free = false) () =
     holder = -1;
     acquire_ns;
     contention_free;
+    acquired_at = 0;
+    wait_ns = 0;
+    hold_ns = 0;
   }
 
 let id t = t.id
 let holding t = Sim_threads.active () && t.holder = Sim_threads.current ()
 let trace_acquire t = Trace.emit_sync (Trace.Acquire { lock = t.id })
 let trace_release t = Trace.emit_sync (Trace.Release { lock = t.id })
+
+let wait_ns t = t.wait_ns
+let hold_ns t = t.hold_ns
+
+(* [Clock.advance_to target], adding the span it skips to the lock's wait
+   total. *)
+let wait_until t target =
+  let now = Clock.now () in
+  if target > now then t.wait_ns <- t.wait_ns + (target - now);
+  Clock.advance_to target
+
+(* The acquire is complete: charge its fixed cost, start the hold. *)
+let acquired t =
+  Clock.advance t.acquire_ns;
+  t.acquired_at <- Clock.now ();
+  trace_acquire t
 
 (* Fiber-mode ownership bookkeeping.  The holder field is what makes
    double-unlock and unlock-by-non-holder detectable: outside the fiber
@@ -76,8 +102,7 @@ let lock t =
   if t.contention_free then begin
     (* lock-free fast path: CAS cost only, no simulated waiting *)
     if Sim_threads.active () then take_fiber t else Mutex.lock t.mu;
-    Clock.advance t.acquire_ns;
-    trace_acquire t
+    acquired t
   end
   else if Sim_threads.active () then begin
     (* Reschedule first: a fiber with a smaller clock must reach this
@@ -86,19 +111,17 @@ let lock t =
     Sim_threads.yield ();
     while t.holder >= 0 do
       (* Busy in simulated time: catch up to the holder and let it run. *)
-      Clock.advance_to (Sim_threads.clock_of t.holder + 1);
+      wait_until t (Sim_threads.clock_of t.holder + 1);
       Sim_threads.yield ()
     done;
     take_fiber t;
-    Clock.advance_to t.released_at;
-    Clock.advance t.acquire_ns;
-    trace_acquire t
+    wait_until t t.released_at;
+    acquired t
   end
   else begin
     Mutex.lock t.mu;
-    Clock.advance_to t.released_at;
-    Clock.advance t.acquire_ns;
-    trace_acquire t
+    wait_until t t.released_at;
+    acquired t
   end
 
 let try_lock t =
@@ -117,16 +140,14 @@ let try_lock t =
     end
     else begin
       take_fiber t;
-      Clock.advance_to t.released_at;
-      Clock.advance t.acquire_ns;
-      trace_acquire t;
+      wait_until t t.released_at;
+      acquired t;
       true
     end
   end
   else if Mutex.try_lock t.mu then begin
-    Clock.advance_to t.released_at;
-    Clock.advance t.acquire_ns;
-    trace_acquire t;
+    wait_until t t.released_at;
+    acquired t;
     true
   end
   else begin
@@ -136,6 +157,7 @@ let try_lock t =
 
 let unlock t =
   trace_release t;
+  t.hold_ns <- t.hold_ns + max 0 (Clock.now () - t.acquired_at);
   if t.contention_free then begin
     if Sim_threads.active () then release_fiber t
     else if t.holder >= 0 then t.holder <- -1

@@ -8,7 +8,10 @@
 
     Each lock has a process-unique {!id} and reports acquires and
     releases through {!Trace.emit_sync}, so an attached race detector
-    sees every synchronisation edge. *)
+    sees every synchronisation edge.
+
+    Each lock accumulates its wait and hold time in simulated ns
+    ({!wait_ns}, {!hold_ns}) without moving any clock. *)
 
 type t
 
@@ -41,3 +44,12 @@ val holding : t -> bool
     meaningful under the fiber scheduler; false otherwise. *)
 
 val with_lock : t -> (unit -> 'a) -> 'a
+
+val wait_ns : t -> int
+(** Total simulated ns acquirers of this lock spent waiting for it: the
+    clock span an acquire skips to reach the holder's progress or the
+    last release.  The fixed [acquire_ns] is not waiting. *)
+
+val hold_ns : t -> int
+(** Total simulated ns this lock was held: from the end of each acquire,
+    its fixed cost paid, to the matching release. *)

@@ -325,6 +325,112 @@ let prop_occupancy_coherent variant =
       done;
       Log.check_occupancy log = [])
 
+(* The unlink rule: over a random interleaving of appends (with an LSN,
+   without one, full or inline), [unlink_below], [remove_where],
+   [compact], [clear_all] and crash-and-[attach], [unlink_below h] never
+   takes the current bucket, a bucket that existed right after an
+   [attach] or a [compact], a bucket that took an append without an LSN,
+   or one that took an LSN at or above [h]; the records it removes all
+   lie below [h]; and the occupancy cache stays coherent. *)
+let prop_unlink_rule variant =
+  QCheck.Test.make
+    ~name:(Fmt.str "%a: unlink_below takes only dead buckets" Log.pp_variant
+             variant)
+    ~count:80
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let arena, alloc0 = fresh () in
+      let alloc = ref alloc0 in
+      let log = ref (Log.create variant ~bucket_cap:4 !alloc ~root_slot:2) in
+      let state = ref (seed + 1) in
+      let rand bound =
+        state := (!state * 1103515245) + 12345;
+        (!state lsr 16) mod bound
+      in
+      (* buckets never to be unlinked, and each bucket's largest LSN *)
+      let kept = Hashtbl.create 16 and max_lsn = Hashtbl.create 16 in
+      let keep_all () =
+        List.iter (fun b -> Hashtbl.replace kept b ()) (Log.buckets !log)
+      in
+      let note b lsn =
+        let m = Option.value ~default:min_int (Hashtbl.find_opt max_lsn b) in
+        Hashtbl.replace max_lsn b (max m lsn)
+      in
+      let lsn = ref 0 in
+      let failure = ref None in
+      let fail fmt =
+        Fmt.kstr (fun m -> if !failure = None then failure := Some m) fmt
+      in
+      for _ = 1 to 80 do
+        match rand 16 with
+        | 0 | 1 | 2 | 3 | 4 | 5 -> (
+            incr lsn;
+            let r = mk_record !alloc ~lsn:!lsn ~txn:(1 + rand 3) in
+            match Log.append_h ~is_end:(rand 4 = 0) ~lsn:!lsn !log r with
+            | Log.Slot { bucket; _ } -> note bucket !lsn
+            | Log.Node _ -> ())
+        | 6 -> (
+            incr lsn;
+            match
+              Log.append_record !log ~lsn:!lsn ~txn:(1 + rand 3)
+                ~typ:Record.Update ~addr:(8 * !lsn) ~old_value:0L
+                ~new_value:1L ~undo_next:0
+            with
+            | Log.Slot { bucket; _ } -> note bucket !lsn
+            | Log.Node _ -> ())
+        | 7 -> (
+            (* no LSN: the bucket becomes unknown *)
+            incr lsn;
+            match Log.append_h !log (mk_record !alloc ~lsn:!lsn ~txn:1) with
+            | Log.Slot { bucket; _ } -> note bucket max_int
+            | Log.Node _ -> ())
+        | 8 | 9 | 10 ->
+            let h = rand (!lsn + 2) in
+            let cur = List.rev (Log.buckets !log) in
+            let before = lsns arena !log in
+            let dead = Log.unlink_below !log h in
+            (match cur with
+            | c :: _ when List.mem c dead -> fail "took the current bucket"
+            | _ -> ());
+            List.iter
+              (fun b ->
+                if Hashtbl.mem kept b then
+                  fail "took bucket %d from an attach or a compact" b;
+                match Hashtbl.find_opt max_lsn b with
+                | Some m when m < h -> ()
+                | _ -> fail "took bucket %d holding an LSN at or above %d" b h)
+              dead;
+            let after = lsns arena !log in
+            List.iter
+              (fun l ->
+                if l >= h && not (List.mem l after) then
+                  fail "removed record %d at or above %d" l h)
+              before;
+            Log.reclaim !log dead
+        | 11 ->
+            let t = 1 + rand 3 in
+            Log.remove_where !log (fun r -> Record.txn arena r = t)
+        | 12 ->
+            let before = Log.buckets !log in
+            Log.compact ~threshold:(float_of_int (rand 11) /. 10.) !log;
+            (* a compaction that ran rebuilt every bucket afresh *)
+            if Log.buckets !log <> before then keep_all ()
+        | 13 -> Log.clear_all !log
+        | 14 ->
+            Log.flush_group !log;
+            Arena.crash arena;
+            alloc := Alloc.recover arena;
+            log := Log.attach variant ~bucket_cap:4 !alloc ~root_slot:2;
+            keep_all ()
+        | _ -> Log.flush_group !log
+      done;
+      (match Log.check_occupancy !log with
+      | [] -> ()
+      | ms -> fail "occupancy cache diverged (%d buckets)" (List.length ms));
+      match !failure with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report m)
+
 let () =
   let tc = Alcotest.test_case in
   let per_variant name f =
@@ -342,6 +448,10 @@ let () =
         @ List.map
             (fun (_, v) -> QCheck_alcotest.to_alcotest (prop_occupancy_coherent v))
             variants );
+      ( "unlink",
+        List.map
+          (fun (_, v) -> QCheck_alcotest.to_alcotest (prop_unlink_rule v))
+          variants );
       ("crash-reattach", per_variant "crash reattach" test_crash_reattach);
       ( "batch-semantics",
         [

@@ -518,6 +518,54 @@ let test_sim_mutex_no_wait_when_ahead () =
   check_int "no artificial wait" 500 (Clock.now ());
   Sim_mutex.unlock m
 
+(* Wait and hold on a hand-computed two-fiber schedule (acquire 10 ns).
+   Both fibers start at 0; ties go to fiber 0.
+   - fiber 0 locks (yield, resumes first: free) at 0, pays 10: holds from
+     10; works 100 to 110 and yields inside the section;
+   - fiber 1 (clock 0) works 30, reaches the lock at 30, finds it held
+     and chases the holder: its clock jumps to 110 + 1 = 111 (wait 81)
+     and it yields;
+   - fiber 0 (110 < 111) releases at 110: hold 100;
+   - fiber 1 finds the lock free; the release at 110 is behind its 111,
+     so no further wait; it pays 10 and holds from 121 to 171: hold 50.
+   Totals: wait 81, hold 150 — and the schedule's clocks are exactly
+   those of the lock without any accounting. *)
+let test_sim_mutex_wait_hold () =
+  let m = Sim_mutex.create ~acquire_ns:10 () in
+  Clock.reset ();
+  let finish = Array.make 2 0 in
+  let makespan =
+    Sim_threads.run ~threads:2 ~ops_per_thread:1 (fun f _ ->
+        if f = 0 then begin
+          Sim_mutex.lock m;
+          Clock.advance 100;
+          Sim_threads.yield ();
+          Sim_mutex.unlock m
+        end
+        else begin
+          Clock.advance 30;
+          Sim_mutex.with_lock m (fun () -> Clock.advance 50)
+        end;
+        finish.(f) <- Clock.now ())
+  in
+  check_int "fiber 0 ends at its release" 110 finish.(0);
+  check_int "fiber 1 ends after its own section" 171 finish.(1);
+  check_int "makespan" 171 makespan;
+  check_int "wait" 81 (Sim_mutex.wait_ns m);
+  check_int "hold" 150 (Sim_mutex.hold_ns m)
+
+(* Outside the scheduler the release-time rule is the whole wait. *)
+let test_sim_mutex_wait_domain () =
+  let m = Sim_mutex.create ~acquire_ns:0 () in
+  Clock.reset ();
+  Sim_mutex.with_lock m (fun () -> Clock.advance 100);
+  Clock.set 10;
+  Sim_mutex.with_lock m (fun () -> Clock.advance 5);
+  Clock.set 500;
+  Sim_mutex.with_lock m ignore;
+  check_int "waited from 10 to the release at 100" 90 (Sim_mutex.wait_ns m);
+  check_int "held 100 + 5 + 0" 105 (Sim_mutex.hold_ns m)
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -663,6 +711,8 @@ let () =
         [
           tc "serialises time" `Quick test_sim_mutex_serialises_time;
           tc "no wait when ahead" `Quick test_sim_mutex_no_wait_when_ahead;
+          tc "wait and hold, two fibers" `Quick test_sim_mutex_wait_hold;
+          tc "wait and hold, no scheduler" `Quick test_sim_mutex_wait_domain;
         ] );
       ( "properties",
         [

@@ -329,7 +329,10 @@ let test_hot_path_probe () =
   List.iter
     (fun n ->
       check_bool ("checkpoint sub-phase " ^ n) true (List.mem n names))
-    [ "checkpoint"; "cp-persist"; "cp-clear"; "cp-compact" ];
+    [
+      "checkpoint"; "cp-persist"; "cp-unlink"; "cp-clear"; "cp-compact";
+      "cp-reclaim";
+    ];
   (* detaching the probe stops accumulation *)
   Tm.set_probe tm None;
   let t = Tm.begin_txn tm in
@@ -377,6 +380,46 @@ let test_recovery_bench () =
          totals)
   in
   check_bool "checkpoints shrink the recovered log" true (log_at "5" < log_at "0");
+  (* a checkpointing point reports its checkpoints, whole and per
+     sub-span; a point without checkpoints reports none *)
+  let checkpoint_rows ckpt =
+    List.filter
+      (fun r ->
+        r.Bench_row.bench = "checkpoint"
+        && Bench_row.label r "checkpoint_every" = Some ckpt)
+      rows
+  in
+  check_int "no checkpoint rows without checkpoints" 0
+    (List.length (checkpoint_rows "0"));
+  List.iter
+    (fun (config, _) ->
+      let mine =
+        List.filter
+          (fun r -> Bench_row.label r "config" = Some config)
+          (checkpoint_rows "5")
+      in
+      let phase ph =
+        List.find_opt (fun r -> Bench_row.label r "phase" = Some ph) mine
+      in
+      List.iter
+        (fun ph ->
+          check_bool (Fmt.str "%s: %s row" config ph) true (phase ph <> None))
+        [ "checkpoint"; "cp-persist"; "cp-clear"; "cp-compact" ];
+      let whole = Option.get (phase "checkpoint") in
+      check_bool (config ^ ": 160 updates, 20 commits, 4 checkpoints") true
+        (metric whole "checkpoints" = 4.);
+      (* the sub-spans add up to no more than the whole checkpoint *)
+      let parts =
+        List.fold_left
+          (fun acc r ->
+            if Bench_row.label r "phase" <> Some "checkpoint" then
+              acc +. metric r "sim_ns"
+            else acc)
+          0. mine
+      in
+      check_bool (config ^ ": sub-spans within the checkpoint") true
+        (parts <= metric whole "sim_ns" && metric whole "sim_ns" > 0.))
+    Rbench.configs;
   let json = Bench_row.to_json rows in
   check_bool "json array" true
     (String.length json > 2 && json.[0] = '[');
