@@ -7,7 +7,15 @@
 
     Each write that reaches NVM charges the cost model's write latency to the
     calling domain's {!Clock}, merging consecutive writes to one cacheline.
-    {!fence} charges the fence latency and breaks write-combining. *)
+    {!fence} charges the fence latency and breaks write-combining.
+
+    Both images are stored in fixed 64 KiB chunks, materialised on the
+    first store, pin or {!corrupt} to each; an untouched chunk reads as
+    zeros and costs nothing.  {!create} is O(size / 64 KiB), and
+    {!crash}, {!flush_all}, {!capture} and {!materialize} visit only the
+    chunks a run touched, always in ascending line order, so they cost
+    what the run touched rather than the arena's size.  The cacheline
+    size must be a power of two no larger than 64 KiB. *)
 
 type t
 
@@ -26,7 +34,8 @@ val read : t -> int -> int64
 (** [read t off] loads the word at byte offset [off] (volatile view). *)
 
 val write : t -> int -> int64 -> unit
-(** [write t off v] is a cached store: volatile until its line is flushed. *)
+(** [write t off v] is a cached store: volatile until its line is flushed.
+    An unaligned word that spans two cachelines dirties both. *)
 
 val read_byte : t -> int -> int
 val write_byte : t -> int -> int -> unit
@@ -42,7 +51,10 @@ val flush_line : t -> int -> unit
 (** Write back the cacheline containing the offset, if dirty. *)
 
 val flush_range : t -> int -> int -> unit
+
 val flush_all : t -> unit
+(** Write back every dirty line in ascending line order; costs the dirty
+    lines, not the arena's size. *)
 
 val fence : t -> unit
 (** Persistent memory fence: orders and charges [fence_ns]. *)
@@ -56,7 +68,8 @@ val crash : t -> unit
 (** Discard all dirty lines; only durable state remains visible.  Under an
     attached {!Fault_model}, each dirty line instead survives
     independently with the model's per-line probability (the
-    partial-eviction adversary). *)
+    partial-eviction adversary), rolled in ascending line order.  Costs
+    the chunks holding a dirty or pinned line, not the arena's size. *)
 
 val arm_crash : t -> after:int -> unit
 (** Make the [after]+1-th persistence event (non-temporal store or dirty-line
@@ -147,7 +160,8 @@ val corrupt : t -> int -> int -> unit
 type image
 
 val capture : t -> image
-(** Freeze the arena's durable/volatile images and dirty/pinned maps. *)
+(** Freeze the arena's durable/volatile images and dirty/pinned maps,
+    copying only the chunks the arena has materialised. *)
 
 val image_dirty_lines : image -> int list
 (** Line numbers whose survival a crash leaves open: dirty and unpinned. *)

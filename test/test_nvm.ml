@@ -622,6 +622,463 @@ let prop_alloc_disjoint =
       in
       disjoint regions)
 
+(* ------------------------------------------------------------------ *)
+(* Differential test: the chunked arena against a flat model           *)
+(* ------------------------------------------------------------------ *)
+
+(* The oracle: the arena's semantics over two flat images and one flag
+   per line, with no chunks.  It counts the statistics and records the
+   trace events the arena must (loads untraced, clock not modelled). *)
+module Flat = struct
+  type t = {
+    size : int;
+    shift : int;
+    vol : Bytes.t;
+    dur : Bytes.t;
+    dirty : bool array;
+    pinned : bool array;
+    st : Stats.t;
+    fault : Fault_model.t option;
+    recent : int array;
+    mutable recent_n : int;
+    mutable last_line : int;
+    mutable countdown : int;
+    mutable since_fence : bool;
+    events : Trace.event list ref;  (* newest first *)
+  }
+
+  let create ?fault ~events ~line size =
+    let lines = (size + line - 1) / line in
+    let shift = ref 0 in
+    while 1 lsl !shift < line do incr shift done;
+    { size; shift = !shift; vol = Bytes.make size '\000';
+      dur = Bytes.make size '\000'; dirty = Array.make lines false;
+      pinned = Array.make lines false; st = Stats.create (); fault;
+      recent = Array.make 64 0; recent_n = 0; last_line = -1;
+      countdown = -1; since_fence = false; events }
+
+  let ev m e = m.events := e :: !(m.events)
+  let line m off = off lsr m.shift
+
+  let span m l =
+    let b = l lsl m.shift in
+    (b, min (1 lsl m.shift) (m.size - b))
+
+  let crash m =
+    Array.iteri
+      (fun l d ->
+        if d && not m.pinned.(l) then
+          match m.fault with
+          | Some fm when Fault_model.survives_crash fm ->
+              let b, n = span m l in
+              Bytes.blit m.vol b m.dur b n;
+              m.st.crash_survivals <- m.st.crash_survivals + 1
+          | _ -> ())
+      m.dirty;
+    Bytes.blit m.dur 0 m.vol 0 m.size;
+    Array.fill m.dirty 0 (Array.length m.dirty) false;
+    Array.fill m.pinned 0 (Array.length m.pinned) false;
+    m.last_line <- -1;
+    m.countdown <- -1;
+    m.st.crashes <- m.st.crashes + 1;
+    ev m Trace.Crash
+
+  let persist_event m =
+    if m.countdown = 0 then begin crash m; raise Arena.Crash end
+    else if m.countdown > 0 then m.countdown <- m.countdown - 1
+
+  let charge m l =
+    if l <> m.last_line then begin
+      m.last_line <- l;
+      m.st.nvm_writes <- m.st.nvm_writes + 1
+    end
+
+  let evict m l =
+    if m.dirty.(l) && not m.pinned.(l) then begin
+      let b, n = span m l in
+      Bytes.blit m.vol b m.dur b n;
+      m.dirty.(l) <- false;
+      m.st.evictions <- m.st.evictions + 1;
+      ev m (Trace.Evict { off = b })
+    end
+
+  let mark m l =
+    m.dirty.(l) <- true;
+    if m.fault <> None then begin
+      m.recent.(m.recent_n land 63) <- l;
+      m.recent_n <- m.recent_n + 1
+    end
+
+  let roll m =
+    match m.fault with
+    | Some fm when Fault_model.roll_eviction fm ->
+        evict m m.recent.(Fault_model.choose fm (min m.recent_n 64))
+    | _ -> ()
+
+  let media m off =
+    match m.fault with
+    | Some fm when Fault_model.media_faulty fm ~line:(line m off) ->
+        m.st.media_faults <- m.st.media_faults + 1;
+        true
+    | _ -> false
+
+  let lines_touched m off len =
+    if len <= 0 then 1 else line m (off + len - 1) - line m off + 1
+
+  let read m off =
+    m.st.loads <- m.st.loads + 1;
+    let v = Bytes.get_int64_le m.vol off in
+    if media m off then Int64.logxor v 0xA5A5A5A5A5A5A5A5L else v
+
+  let write m off v =
+    m.st.stores <- m.st.stores + 1;
+    Bytes.set_int64_le m.vol off v;
+    mark m (line m off);
+    if line m (off + 7) <> line m off then mark m (line m (off + 7));
+    ev m (Trace.Store { off; len = 8; durable = false });
+    roll m
+
+  let read_byte m off =
+    m.st.loads <- m.st.loads + 1;
+    let v = Char.code (Bytes.get m.vol off) in
+    if media m off then v lxor 0xA5 else v
+
+  let write_byte m off v =
+    m.st.stores <- m.st.stores + 1;
+    Bytes.set m.vol off (Char.chr (v land 0xff));
+    mark m (line m off);
+    ev m (Trace.Store { off; len = 1; durable = false });
+    roll m
+
+  let read_bytes m off len =
+    m.st.loads <- m.st.loads + lines_touched m off len;
+    String.init len (fun i ->
+        let c = Char.code (Bytes.get m.vol (off + i)) in
+        Char.chr (if media m (off + i) then c lxor 0xA5 else c))
+
+  let write_bytes m off s =
+    let len = String.length s in
+    m.st.stores <- m.st.stores + lines_touched m off len;
+    Bytes.blit_string s 0 m.vol off len;
+    let first = line m off and last = line m (off + max 0 (len - 1)) in
+    if off < m.size then for l = first to last do mark m l done;
+    if len > 0 then ev m (Trace.Store { off; len; durable = false });
+    for _ = first to last do roll m done
+
+  let nt_write m off v =
+    persist_event m;
+    m.st.nt_stores <- m.st.nt_stores + 1;
+    Bytes.set_int64_le m.vol off v;
+    Bytes.set_int64_le m.dur off v;
+    charge m (line m off);
+    m.since_fence <- true;
+    ev m (Trace.Store { off; len = 8; durable = true })
+
+  let flush_line m off =
+    let l = line m off in
+    if m.dirty.(l) then begin
+      persist_event m;
+      m.st.flushes <- m.st.flushes + 1;
+      let b, n = span m l in
+      Bytes.blit m.vol b m.dur b n;
+      m.dirty.(l) <- false;
+      m.pinned.(l) <- false;
+      charge m l;
+      m.since_fence <- true;
+      ev m (Trace.Flush { off = b; dirty = true })
+    end
+    else begin
+      m.st.redundant_flushes <- m.st.redundant_flushes + 1;
+      ev m (Trace.Flush { off; dirty = false })
+    end
+
+  let flush_range m off len =
+    if len > 0 then
+      for l = line m off to line m (off + len - 1) do
+        flush_line m (l lsl m.shift)
+      done
+
+  let flush_all m =
+    Array.iteri (fun l d -> if d then flush_line m (l lsl m.shift)) m.dirty
+
+  let fence m =
+    m.st.fences <- m.st.fences + 1;
+    if not m.since_fence then
+      m.st.redundant_fences <- m.st.redundant_fences + 1;
+    m.since_fence <- false;
+    m.last_line <- -1;
+    ev m Trace.Fence
+
+  let pin m off =
+    m.pinned.(line m off) <- true;
+    ev m (Trace.Pin { off })
+
+  let unpin m off =
+    m.pinned.(line m off) <- false;
+    ev m (Trace.Unpin { off })
+
+  let corrupt m off len =
+    for i = off to off + len - 1 do
+      let flip b = Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xff)) in
+      flip m.dur;
+      flip m.vol
+    done
+
+  let open_lines m =
+    List.filter
+      (fun l -> m.dirty.(l) && not m.pinned.(l))
+      (List.init (Array.length m.dirty) Fun.id)
+
+  let materialize m ~survivors =
+    let n = create ~events:m.events ~line:(1 lsl m.shift) m.size in
+    Bytes.blit m.dur 0 n.dur 0 m.size;
+    List.iter
+      (fun l ->
+        let b, len = span m l in
+        Bytes.blit m.vol b n.dur b len)
+      survivors;
+    Bytes.blit n.dur 0 n.vol 0 m.size;
+    n
+end
+
+let chunk = 65536
+
+type op =
+  | Read of int
+  | Write of int * int64
+  | Read_byte of int
+  | Write_byte of int * int
+  | Read_bytes of int * int
+  | Write_bytes of int * string
+  | Nt_write of int * int64
+  | Flush_line of int
+  | Flush_range of int * int
+  | Flush_all
+  | Fence
+  | Pin of int
+  | Unpin of int
+  | Corrupt of int * int
+  | Crash
+  | Arm of int
+  | Image of int  (* capture + materialize; the survivor-mask seed *)
+
+type case = {
+  size : int;
+  line : int;
+  fault : (int * int * int * int list) option;
+      (* seed, eviction ppm, crash-survival ppm, media-faulty lines *)
+  ops : op list;
+}
+
+(* Offsets crowd chunk boundaries and the arena's end; the property
+   clamps each into the arena, so an offset past the end lands on the
+   last bytes. *)
+let gen_case =
+  let open QCheck.Gen in
+  let off =
+    frequency
+      [
+        (3, int_bound (3 * chunk));
+        (3, map2 (fun k d -> (k * chunk) - d) (int_range 1 3) (int_bound 24));
+        (1, map (fun d -> max_int - d) (int_bound 8));
+      ]
+  in
+  let word = map Int64.of_int int in
+  let op =
+    frequency
+      [
+        (4, map (fun o -> Read o) off);
+        (6, map2 (fun o v -> Write (o, v)) off word);
+        (2, map (fun o -> Read_byte o) off);
+        (2, map2 (fun o v -> Write_byte (o, v)) off (int_bound 255));
+        (2, map2 (fun o n -> Read_bytes (o, n)) off (int_bound 200));
+        ( 3,
+          map2 (fun o s -> Write_bytes (o, s)) off
+            (string_size ~gen:printable (int_bound 200)) );
+        (3, map2 (fun o v -> Nt_write (o, v)) off word);
+        (3, map (fun o -> Flush_line o) off);
+        (2, map2 (fun o n -> Flush_range (o, n)) off (int_bound 300));
+        (1, return Flush_all);
+        (3, return Fence);
+        (2, map (fun o -> Pin o) off);
+        (1, map (fun o -> Unpin o) off);
+        (1, map2 (fun o n -> Corrupt (o, n)) off (int_range 1 12));
+        (1, return Crash);
+        (1, map (fun k -> Arm k) (int_bound 6));
+        (1, map (fun s -> Image s) int);
+      ]
+  in
+  let fault =
+    opt
+      (map3
+         (fun seed (ev, sv) media -> (seed, ev, sv, media))
+         int
+         (pair (oneofl [ 0; 100_000; 400_000 ]) (oneofl [ 0; 500_000; 1_000_000 ]))
+         (list_size (int_bound 3) (int_bound 3000)))
+  in
+  map3
+    (fun (size, line) fault ops -> { size; line; fault; ops })
+    (pair
+       (oneofl [ (3 * chunk) + 100; chunk + 4037; (2 * chunk) - 24; 1000 ])
+       (oneofl [ 32; 64; 256 ]))
+    fault
+    (list_size (int_range 1 120) op)
+
+let print_case c =
+  Printf.sprintf "size=%d line=%d fault=%b ops=%d" c.size c.line
+    (c.fault <> None) (List.length c.ops)
+
+let prop_differential =
+  QCheck.Test.make ~name:"chunked arena matches the flat model" ~count:400
+    (QCheck.make ~print:print_case gen_case)
+    (fun c ->
+      let config = Config.default () in
+      config.cacheline_bytes <- c.line;
+      let fault () =
+        Option.map
+          (fun (seed, eviction_ppm, crash_survival_ppm, media) ->
+            let fm = Fault_model.create ~eviction_ppm ~crash_survival_ppm ~seed () in
+            List.iter (fun l -> Fault_model.set_media_fault fm ~line:l) media;
+            fm)
+          c.fault
+      in
+      let got = ref [] and want = ref [] in
+      let attach a = Arena.set_tracer a (Some (fun e -> got := e :: !got)) in
+      let ar = ref (Arena.create ~config ~size_bytes:c.size ()) in
+      Arena.set_fault_model !ar (fault ());
+      attach !ar;
+      let md = ref (Flat.create ?fault:(fault ()) ~events:want ~line:c.line c.size) in
+      let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
+      let same_stats () =
+        if Arena.stats !ar <> !md.Flat.st then
+          fail "stats differ: %s vs %s"
+            (Fmt.str "%a" Stats.pp (Arena.stats !ar))
+            (Fmt.str "%a" Stats.pp !md.Flat.st)
+      in
+      let at need o = max 0 (min o (c.size - need)) in
+      let both f g =
+        let r x = try Ok (x ()) with Arena.Crash -> Error () in
+        let x = r f and y = r g in
+        if x <> y then fail "results differ"
+      in
+      let probe off =
+        let off = at 8 off in
+        if Arena.durable_read !ar off <> Bytes.get_int64_le !md.dur off then
+          fail "durable_read %d differs" off;
+        let l = Flat.line !md off in
+        if Arena.is_dirty !ar off <> !md.dirty.(l) then fail "is_dirty %d differs" off;
+        if Arena.is_pinned !ar off <> !md.pinned.(l) then fail "is_pinned %d differs" off
+      in
+      List.iter
+        (fun op ->
+          let a = !ar and m = !md in
+          (match op with
+          | Read o -> let o = at 8 o in both (fun () -> Arena.read a o) (fun () -> Flat.read m o)
+          | Write (o, v) ->
+              let o = at 8 o in
+              both (fun () -> Arena.write a o v) (fun () -> Flat.write m o v)
+          | Read_byte o ->
+              let o = at 1 o in
+              both (fun () -> Arena.read_byte a o) (fun () -> Flat.read_byte m o)
+          | Write_byte (o, v) ->
+              let o = at 1 o in
+              both (fun () -> Arena.write_byte a o v) (fun () -> Flat.write_byte m o v)
+          | Read_bytes (o, n) ->
+              let o = at n o in
+              both (fun () -> Arena.read_bytes a o n) (fun () -> Flat.read_bytes m o n)
+          | Write_bytes (o, s) ->
+              let o = at (String.length s) o in
+              both (fun () -> Arena.write_bytes a o s) (fun () -> Flat.write_bytes m o s)
+          | Nt_write (o, v) ->
+              let o = at 8 o in
+              both (fun () -> Arena.nt_write a o v) (fun () -> Flat.nt_write m o v)
+          | Flush_line o ->
+              let o = at 1 o in
+              both (fun () -> Arena.flush_line a o) (fun () -> Flat.flush_line m o)
+          | Flush_range (o, n) ->
+              let o = at n o in
+              both (fun () -> Arena.flush_range a o n) (fun () -> Flat.flush_range m o n)
+          | Flush_all -> both (fun () -> Arena.flush_all a) (fun () -> Flat.flush_all m)
+          | Fence -> both (fun () -> Arena.fence a) (fun () -> Flat.fence m)
+          | Pin o -> let o = at 1 o in both (fun () -> Arena.pin_line a o) (fun () -> Flat.pin m o)
+          | Unpin o ->
+              let o = at 1 o in
+              both (fun () -> Arena.unpin_line a o) (fun () -> Flat.unpin m o)
+          | Corrupt (o, n) ->
+              let o = at n o in
+              both (fun () -> Arena.corrupt a o n) (fun () -> Flat.corrupt m o n)
+          | Crash -> both (fun () -> Arena.crash a) (fun () -> Flat.crash m)
+          | Arm k ->
+              Arena.arm_crash a ~after:k;
+              m.countdown <- k
+          | Image seed ->
+              let img = Arena.capture a in
+              let lines = Arena.image_dirty_lines img in
+              if lines <> Flat.open_lines m then fail "image_dirty_lines differ";
+              let survivors = List.filter (fun l -> Hashtbl.hash (seed, l) land 1 = 0) lines in
+              same_stats ();
+              let a' = Arena.materialize img ~survivors in
+              attach a';
+              let m' = Flat.materialize m ~survivors in
+              if not (Arena.crashed a') then fail "materialized arena not crashed";
+              Arena.set_fault_model a' (fault ());
+              ar := a';
+              md := { m' with fault = fault () });
+          match op with
+          | Read o | Write (o, _) | Read_byte o | Write_byte (o, _) | Read_bytes (o, _)
+          | Write_bytes (o, _) | Nt_write (o, _) | Flush_line o | Flush_range (o, _)
+          | Pin o | Unpin o | Corrupt (o, _) ->
+              probe o;
+              probe (o + 64)
+          | _ -> probe 0)
+        c.ops;
+      (* The whole of both images, every line's flags, the counters and
+         the event streams. *)
+      both (fun () -> Arena.read_bytes !ar 0 c.size) (fun () -> Flat.read_bytes !md 0 c.size);
+      for w = 0 to (c.size / 8) - 1 do
+        probe (w * 8)
+      done;
+      probe c.size;
+      for l = 0 to Array.length !md.dirty - 1 do
+        probe (l * c.line)
+      done;
+      same_stats ();
+      if !got <> !want then fail "trace event streams differ";
+      true)
+
+(* Size independence: on a 1 GiB arena, create, crash, flush_all,
+   capture and materialize each allocate what the three touched lines
+   need — under 1 MiB — and not what the arena spans. *)
+let test_cost_follows_touched_lines () =
+  let size = 1 lsl 30 in
+  let offs = [ 1024; (size / 2) + 8; size - 8 ] in
+  let allocates what f =
+    let before = Gc.allocated_bytes () in
+    let r = f () in
+    let bytes = Gc.allocated_bytes () -. before in
+    if bytes >= 1048576. then
+      Alcotest.failf "%s allocated %.0f bytes on a 1 GiB arena" what bytes;
+    r
+  in
+  let a = allocates "create" (fun () -> Arena.create ~size_bytes:size ()) in
+  let store v = List.iter (fun o -> Arena.write a o v) offs in
+  store 1L;
+  allocates "crash" (fun () -> Arena.crash a);
+  List.iter (fun o -> check_i64 "crash lost the store" 0L (Arena.read a o)) offs;
+  store 2L;
+  allocates "flush_all" (fun () -> Arena.flush_all a);
+  List.iter (fun o -> check_i64 "flushed" 2L (Arena.durable_read a o)) offs;
+  store 3L;
+  let img = allocates "capture" (fun () -> Arena.capture a) in
+  let lines = Arena.image_dirty_lines img in
+  check_int "three open lines" 3 (List.length lines);
+  let b =
+    allocates "materialize" (fun () ->
+        Arena.materialize img ~survivors:[ List.hd lines ])
+  in
+  check_i64 "survivor line written back" 3L (Arena.read b (List.hd offs));
+  List.iter (fun o -> check_i64 "lost line durable" 2L (Arena.read b o)) (List.tl offs)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "nvm"
@@ -639,6 +1096,7 @@ let () =
           tc "dirty tracking" `Quick test_dirty_tracking;
           tc "bytes roundtrip" `Quick test_bytes_roundtrip;
           tc "bounds check" `Quick test_bounds_check;
+          tc "cost follows touched lines" `Quick test_cost_follows_touched_lines;
         ] );
       ( "arena-flush-range",
         [
@@ -718,5 +1176,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_durability;
           QCheck_alcotest.to_alcotest prop_alloc_disjoint;
+          QCheck_alcotest.to_alcotest prop_differential;
         ] );
     ]
