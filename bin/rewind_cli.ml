@@ -157,8 +157,8 @@ let crash_demo_cmd =
 (* -- tpcc --------------------------------------------------------------- *)
 
 (* Open-loop five-transaction TPC-C: arrivals at --rate transactions per
-   simulated second, home-warehouse log sharding, latency percentiles
-   from the log2 histogram.  (The closed-loop Figure 11 four-way
+   simulated second, home-warehouse log sharding, exact nearest-rank
+   latency percentiles.  (The closed-loop Figure 11 four-way
    comparison lives under `rewind figure fig11`.)  Exits nonzero if the
    database fails the mixed-workload consistency probes afterwards. *)
 let run_tpcc warehouses partitions rate txns json =

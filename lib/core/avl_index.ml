@@ -98,13 +98,6 @@ let clear_internal_handles t ~end_handle =
   Log.remove_handle t.ilog end_handle;
   t.op_handles <- []
 
-(* Scan-based clearing for recovery, when no handles survive the crash. *)
-let clear_internal_scan t =
-  Log.remove_where t.ilog (fun r ->
-      is_internal t r && Record.typ t.arena r <> Record.End);
-  Log.remove_where t.ilog (fun r ->
-      is_internal t r && Record.typ t.arena r = Record.End)
-
 (* Run [f] as one atomic tree operation. *)
 let op t f =
   t.deferred_free <- [];
@@ -136,7 +129,8 @@ let recover t =
           Arena.nt_write t.arena (Record.addr t.arena r)
             (Record.old_value t.arena r))
       !records;
-  clear_internal_scan t
+  (* no handle survives the crash: clear by scanning *)
+  Log.remove_end_last t.ilog (is_internal t)
 
 (* -- plain node accessors (reads are unlogged) -------------------------- *)
 

@@ -18,6 +18,12 @@
    occupancy and the insert cursor are volatile and reconstructed during
    the analysis phase after a crash, exactly as in the paper.
 
+   Every forward scan of a bucket — iteration, clearing, freeing,
+   occupancy counts, compaction and [attach]'s truncating pass — is one
+   walk, [walk_slots], over the buckets [iter_buckets] hands it; only
+   [iter_back] walks backwards.  [remove_end_last] is the one two-pass
+   clearing that leaves END records for last.
+
    Each bucket also keeps a volatile maximum LSN, noted at append from
    the LSN the caller already holds.  A full bucket whose maximum lies
    below the caller's durable horizon holds nothing recovery reads, so
@@ -62,9 +68,14 @@ let b_idx = 0
 let slot_off b i = b + 8 + (8 * i)
 let bucket_bytes cap = 8 * (1 + cap)
 
-(* Volatile per-bucket state: the ADLL node holding the bucket, its live
-   records, and the largest LSN appended to it. *)
-type cell = { node : int; mutable live : int; mutable max_lsn : int }
+(* Volatile per-bucket state: the bucket, the ADLL node holding it, its
+   live records, and the largest LSN appended to it. *)
+type cell = {
+  bucket : int;
+  node : int;
+  mutable live : int;
+  mutable max_lsn : int;
+}
 
 type t = {
   variant : variant;
@@ -74,14 +85,12 @@ type t = {
   root_slot : int;
   mutable chain : Adll.t;  (* of records (Simple) or of buckets *)
   (* volatile cursor (bucketed variants) *)
-  mutable cur_bucket : int;  (* 0 when none *)
-  mutable cur_node : int;    (* ADLL node holding cur_bucket *)
-  mutable next_slot : int;   (* next free slot index in cur_bucket *)
+  mutable cur : cell;
+      (* the current bucket's cell (bucket 0 when none), held here so the
+         append/clear hot path skips the [cells] hash lookup *)
+  mutable next_slot : int;   (* next free slot index in the current bucket *)
   mutable pending : int;     (* slots appended since the last persist point *)
   cells : (int, cell) Hashtbl.t;  (* bucket -> its volatile cell *)
-  mutable cur_cell : cell;
-      (* the current bucket's cell, cached so the append/clear hot path
-         skips the [cells] hash lookup *)
   mutable inline_ok : bool;  (* inline-pair encoding enabled (default) *)
   mutable inline_appended : int;  (* appends that took the inline path *)
   mutable appended : int;  (* total records ever appended (stat) *)
@@ -111,48 +120,60 @@ let charge_seq t = Clock.advance (Arena.config t.arena).Config.read_seq_ns
 let charge_miss t = Clock.advance (Arena.config t.arena).Config.read_miss_ns
 
 (* The cell of no bucket, until the first one exists. *)
-let no_cell () = { node = 0; live = 0; max_lsn = unknown_lsn }
+let no_cell () = { bucket = 0; node = 0; live = 0; max_lsn = unknown_lsn }
+
+let bucketed t =
+  match t.variant with Simple -> false | Optimized | Batch _ -> true
 
 let new_bucket t =
   (* Fresh allocation: durably zero, so 0-slots are trustworthy. *)
   let b = Alloc.alloc_fresh ~align:64 t.alloc (bucket_bytes t.bucket_cap) in
   let node = Adll.append t.chain b in
-  let c = { node; live = 0; max_lsn = min_int } in
+  let c = { bucket = b; node; live = 0; max_lsn = min_int } in
   Hashtbl.replace t.cells b c;
-  t.cur_cell <- c;
-  t.cur_bucket <- b;
-  t.cur_node <- node;
-  t.next_slot <- 0;
-  b
+  t.cur <- c;
+  t.next_slot <- 0
+
+(* A log over [chain] with no cursor yet: what [create] and [attach]
+   start from. *)
+let make variant bucket_cap alloc ~root_slot chain =
+  {
+    variant;
+    bucket_cap;
+    alloc;
+    arena = Alloc.arena alloc;
+    root_slot;
+    chain;
+    cur = no_cell ();
+    next_slot = 0;
+    pending = 0;
+    cells = Hashtbl.create 64;
+    inline_ok = true;
+    inline_appended = 0;
+    appended = 0;
+    torn = 0;
+    chaos_drop_group_fence = false;
+    group_tag = 0;
+  }
+
+(* The atomic switch to the current chain: one durable root update. *)
+let set_root t =
+  Arena.root_set t.arena t.root_slot (Int64.of_int (Adll.base t.chain))
 
 let create variant ?(bucket_cap = 1000) alloc ~root_slot =
-  let arena = Alloc.arena alloc in
-  let chain = Adll.create alloc in
-  Arena.root_set arena root_slot (Int64.of_int (Adll.base chain));
-  let t =
-    {
-      variant;
-      bucket_cap;
-      alloc;
-      arena;
-      root_slot;
-      chain;
-      cur_bucket = 0;
-      cur_node = 0;
-      next_slot = 0;
-      pending = 0;
-      cells = Hashtbl.create 64;
-      cur_cell = no_cell ();
-      inline_ok = true;
-      inline_appended = 0;
-      appended = 0;
-      torn = 0;
-      chaos_drop_group_fence = false;
-      group_tag = 0;
-    }
-  in
-  (match variant with Simple -> () | Optimized | Batch _ -> ignore (new_bucket t));
+  let t = make variant bucket_cap alloc ~root_slot (Adll.create alloc) in
+  set_root t;
+  if bucketed t then new_bucket t;
   t
+
+(* Install a fresh, empty chain (with its first bucket) and reset the
+   cursor, for [clear_all] and [compact]; the caller swings the root. *)
+let reset_chain t =
+  t.chain <- Adll.create t.alloc;
+  Hashtbl.reset t.cells;
+  t.next_slot <- 0;
+  t.pending <- 0;
+  if bucketed t then new_bucket t
 
 let set_chaos_drop_group_fence t b = t.chaos_drop_group_fence <- b
 
@@ -163,7 +184,7 @@ let set_chaos_drop_group_fence t b = t.chaos_drop_group_fence <- b
 let flush_group t =
   match t.variant with
   | Batch _ when t.pending > 0 ->
-      let first = slot_off t.cur_bucket (t.next_slot - t.pending) in
+      let first = slot_off t.cur.bucket (t.next_slot - t.pending) in
       let len = 8 * t.pending in
       Arena.flush_range t.arena first len;
       if not t.chaos_drop_group_fence then Arena.fence t.arena;
@@ -172,7 +193,7 @@ let flush_group t =
          last-persistent-index store makes them trusted. *)
       Pmcheck.expect_persisted t.arena ~addr:first ~len
         ~what:"batch group slots before last-persistent-index advance";
-      wr_nt t (t.cur_bucket + b_idx) t.next_slot;
+      wr_nt t (t.cur.bucket + b_idx) t.next_slot;
       (let s = Arena.stats t.arena in
        s.Stats.group_flushes <- s.Stats.group_flushes + 1);
       Pmcheck.group_persisted ~group:t.group_tag t.arena;
@@ -184,16 +205,16 @@ let flush_group t =
 (* Count one more live record in the current bucket, appended with [lsn]
    ({!unknown_lsn} when the appender has none). *)
 let note_append t ~lsn =
-  let c = t.cur_cell in
+  let c = t.cur in
   c.live <- c.live + 1;
   if lsn > c.max_lsn then c.max_lsn <- lsn
 
 let append_slot t r ~lsn ~force_persist =
   if t.next_slot >= t.bucket_cap then begin
     flush_group t;
-    ignore (new_bucket t)
+    new_bucket t
   end;
-  let b = t.cur_bucket in
+  let b = t.cur.bucket in
   let i = t.next_slot in
   t.next_slot <- i + 1;
   note_append t ~lsn;
@@ -219,9 +240,9 @@ let append_slot t r ~lsn ~force_persist =
 let put_pair_slots t w0 w1 ~lsn ~force_persist =
   if t.next_slot + 2 > t.bucket_cap then begin
     flush_group t;
-    ignore (new_bucket t)
+    new_bucket t
   end;
-  let b = t.cur_bucket in
+  let b = t.cur.bucket in
   let i = t.next_slot in
   t.next_slot <- i + 2;
   note_append t ~lsn;
@@ -263,7 +284,7 @@ let append_pair ?(is_end = false) ?(lsn = unknown_lsn) t ~txn w0 w1 =
   if is_end && txn <> 0 && Arena.traced t.arena then
     Pmcheck.commit_point t.arena ~txn ~addr:(slot_off b i) ~len:16
       ~what:"END inline pair";
-  Slot { node = t.cur_node; bucket = b; slot = i }
+  Slot { node = t.cur.node; bucket = b; slot = i }
 
 let append_h ?(is_end = false) ?(lsn = unknown_lsn) t r =
   t.appended <- t.appended + 1;
@@ -278,7 +299,8 @@ let append_h ?(is_end = false) ?(lsn = unknown_lsn) t r =
         Node (Adll.append t.chain r)
     | Optimized | Batch _ ->
         append_slot t r ~lsn ~force_persist:is_end;
-        Slot { node = t.cur_node; bucket = t.cur_bucket; slot = t.next_slot - 1 }
+        Slot
+          { node = t.cur.node; bucket = t.cur.bucket; slot = t.next_slot - 1 }
   in
   (* An END append is the transaction's commit point: the record and the
      word that makes it reachable must be durable when commit returns.
@@ -301,9 +323,7 @@ let append ?is_end ?lsn t r = ignore (append_h ?is_end ?lsn t r)
 
 (* Inline eligibility is per-log: bucketed variants only, and a bucket
    must fit at least one pair. *)
-let inline_eligible t =
-  t.inline_ok && t.bucket_cap >= 2
-  && (match t.variant with Optimized | Batch _ -> true | Simple -> false)
+let inline_eligible t = t.inline_ok && t.bucket_cap >= 2 && bucketed t
 
 let set_inline t b = t.inline_ok <- b
 let inline_enabled t = t.inline_ok
@@ -339,17 +359,6 @@ let pending t = t.pending
 
 (* -- traversal --------------------------------------------------------- *)
 
-(* Is [v] even addressable as a record?  A slot or list element should
-   only ever hold 0, the tombstone, an inline tag word, or a
-   cacheline-aligned in-bounds record address — anything else is
-   corruption caught before a scan dereferences it.  A media-faulty slot
-   line serves garbage on {e every} read (truncation cannot stick), so
-   scans must classify defensively, not just [attach]. *)
-let plausible_record t v =
-  v >= 0
-  && v land (Record.size_bytes - 1) = 0
-  && v + Record.size_bytes <= Arena.size t.arena
-
 (* Trust the inline first word [v] at slot [i] (NVM offset [off]) only if
    its partner word is inside [bound] and the pair CRC matches. *)
 let trusted_pair t ~off ~i ~bound v =
@@ -357,9 +366,14 @@ let trusted_pair t ~off ~i ~bound v =
   && i + 1 < bound
   && Record.inline_pair_valid ~w0:v ~w1:(rd t (off + 8))
 
-(* A full-record slot word a scan may dereference. *)
+(* A full-record slot word a scan may dereference.  A slot or list
+   element should only ever hold 0, the tombstone, an inline tag word, or
+   a plausible record address ({!Record.plausible}) — anything else is
+   corruption caught before a scan dereferences it.  A media-faulty slot
+   line serves garbage on {e every} read (truncation cannot stick), so
+   scans must classify defensively, not just [attach]. *)
 let live_record t v =
-  v > tombstone && (not (Record.is_inline_word v)) && plausible_record t v
+  v > tombstone && (not (Record.is_inline_word v)) && Record.plausible t.arena v
 
 (* Number of slots of [b] that iteration may trust.  The Batch
    last-persistent-index word shares a line with the first slots, so a
@@ -370,8 +384,33 @@ let durable_bound t b =
   | Optimized | Simple -> t.bucket_cap
 
 let bucket_bound t b =
-  if b = t.cur_bucket && t.cur_bucket <> 0 then t.next_slot
-  else durable_bound t b
+  if b = t.cur.bucket then t.next_slot else durable_bound t b
+
+(* [f node b bound] for every bucket [b] of the chain, oldest first, with
+   the number of its slots a scan may trust. *)
+let iter_buckets t f =
+  Adll.iter t.chain (fun node ->
+      let b = Adll.element t.chain node in
+      f node b (bucket_bound t b))
+
+(* The one forward walk over the first [bound] slots of bucket [b]; with
+   [seq], each step is charged as a sequential read.
+   A trusted inline pair goes to [pair i off w0], its first word already
+   read, and covers two slots.  Any other word goes to [word i off v],
+   which returns how many slots it consumed: more than one only when it
+   read ahead itself. *)
+let walk_slots ?(seq = false) t b ~bound ~pair ~word =
+  let i = ref 0 in
+  while !i < bound do
+    if seq then charge_seq t;
+    let off = slot_off b !i in
+    let v = rd t off in
+    if trusted_pair t ~off ~i:!i ~bound v then begin
+      pair !i off v;
+      i := !i + 2
+    end
+    else i := !i + word !i off v
+  done
 
 let iter t f =
   match t.variant with
@@ -380,28 +419,18 @@ let iter t f =
           charge_miss t;
           f (Adll.element t.chain n))
   | Optimized | Batch _ ->
-      Adll.iter t.chain (fun n ->
-          let b = Adll.element t.chain n in
-          let bound = bucket_bound t b in
-          let i = ref 0 in
-          while !i < bound do
-            charge_seq t;
-            let off = slot_off b !i in
-            let v = rd t off in
-            if trusted_pair t ~off ~i:!i ~bound v then begin
+      iter_buckets t (fun _ b bound ->
+          walk_slots ~seq:true t b ~bound
+            ~pair:(fun _ off _ ->
               (* an inline pair decodes from the slot line already read *)
-              f (Record.inline_ref off);
-              i := !i + 2
-            end
-            else begin
+              f (Record.inline_ref off))
+            ~word:(fun _ _ v ->
               if live_record t v then begin
                 (* examining a full record touches its own cacheline *)
                 charge_miss t;
                 f v
               end;
-              incr i
-            end
-          done)
+              1))
 
 let iter_back t f =
   match t.variant with
@@ -480,49 +509,40 @@ let remove_where t pred =
         (List.rev !victims)
   | Optimized | Batch _ ->
       let empty = ref [] in
-      Adll.iter t.chain (fun node ->
-          let b = Adll.element t.chain node in
-          let bound = bucket_bound t b in
-          (* The scan classifies every slot anyway, so re-derive the
-             bucket's occupancy absolutely instead of decrementing a
-             cached count: the volatile cache is re-synced even if it had
-             drifted.  The cell object is kept (not replaced) so the
-             [cur_cell] alias for the current bucket stays live. *)
+      iter_buckets t (fun node b bound ->
           let survivors = ref 0 in
-          let i = ref 0 in
-          while !i < bound do
-            charge_seq t;
-            let off = slot_off b !i in
-            let v = rd t off in
-            if trusted_pair t ~off ~i:!i ~bound v then begin
-              (if pred (Record.inline_ref off) then begin
-                 (* first word first: a crash in between leaves a stray
-                    second word, which [attach] tombstones *)
-                 wr_nt t off tombstone;
-                 wr_nt t (off + 8) tombstone
-               end
-               else incr survivors);
-              i := !i + 2
-            end
-            else begin
+          walk_slots ~seq:true t b ~bound
+            ~pair:(fun _ off _ ->
+              if pred (Record.inline_ref off) then begin
+                (* first word first: a crash in between leaves a stray
+                   second word, which [attach] tombstones *)
+                wr_nt t off tombstone;
+                wr_nt t (off + 8) tombstone
+              end
+              else incr survivors)
+            ~word:(fun _ off v ->
               (if live_record t v then
                  if pred v then begin
                    wr_nt t off tombstone;
                    Record.free t.alloc v
                  end
                  else incr survivors);
-              incr i
-            end
-          done;
-          (match Hashtbl.find_opt t.cells b with
-          | Some c -> c.live <- !survivors
-          | None ->
-              let c = { node; live = !survivors; max_lsn = unknown_lsn } in
-              Hashtbl.replace t.cells b c;
-              if b = t.cur_bucket then t.cur_cell <- c);
-          if !survivors = 0 && b <> t.cur_bucket then
+              1);
+          (* The scan classified every slot, so re-derive the bucket's
+             occupancy absolutely: the volatile cell is re-synced even if
+             it had drifted.  The cell is updated in place, so the current
+             bucket's [cur] stays the same object. *)
+          (Hashtbl.find t.cells b).live <- !survivors;
+          if !survivors = 0 && b <> t.cur.bucket then
             empty := (b, node) :: !empty);
       List.iter (fun (b, node) -> free_bucket t b node) !empty
+
+(* Remove the records matching [pred], END records last, so that an
+   interrupted clearing is re-attempted identically after a crash
+   (Section 4.6). *)
+let remove_end_last t pred =
+  remove_where t (fun r -> pred r && Record.typ t.arena r <> Record.End);
+  remove_where t (fun r -> pred r && Record.typ t.arena r = Record.End)
 
 (* O(1) removal through a handle returned by [append_h].  The tombstone is
    one atomic word store, exactly like scan-based clearing. *)
@@ -552,7 +572,7 @@ let remove_handle t h =
         match Hashtbl.find_opt t.cells bucket with
         | Some c ->
             c.live <- c.live - 1;
-            if c.live = 0 && bucket <> t.cur_bucket then
+            if c.live = 0 && bucket <> t.cur.bucket then
               free_bucket t bucket node
         | None -> ()
 
@@ -560,16 +580,11 @@ let remove_handle t h =
    itself — volatile free-list operations only.  Inline pairs live in the
    bucket: nothing to free. *)
 let release_bucket t b ~bound =
-  let i = ref 0 in
-  while !i < bound do
-    let off = slot_off b !i in
-    let v = rd t off in
-    if trusted_pair t ~off ~i:!i ~bound v then i := !i + 2
-    else begin
+  walk_slots t b ~bound
+    ~pair:(fun _ _ _ -> ())
+    ~word:(fun _ _ v ->
       if live_record t v then Record.free t.alloc v;
-      incr i
-    end
-  done;
+      1);
   Alloc.free ~align:64 t.alloc b (bucket_bytes t.bucket_cap)
 
 (* Unlink every bucket other than the current one whose maximum LSN lies
@@ -585,7 +600,7 @@ let unlink_below t h =
       let dead =
         Hashtbl.fold
           (fun b c acc ->
-            if b <> t.cur_bucket && c.max_lsn < h then (b, c.node) :: acc
+            if b <> t.cur.bucket && c.max_lsn < h then (b, c.node) :: acc
             else acc)
           t.cells []
         |> List.sort (fun (a, _) (b, _) -> compare a b)
@@ -608,20 +623,10 @@ let clear_all t =
   let old_chain = t.chain in
   (* Capture the volatile cursor *before* the swap: the old current
      bucket of a Batch log can hold appended-but-unflushed slots past its
-     durable last-persistent-index, and their records must be freed too.
-     (Reading the durable index word here instead used to leak every
-     pending record on each wholesale clear.) *)
-  let old_cur_bucket = t.cur_bucket and old_next_slot = t.next_slot in
-  let new_chain = Adll.create t.alloc in
-  t.chain <- new_chain;
-  Hashtbl.reset t.cells;
-  t.cur_bucket <- 0;
-  t.cur_node <- 0;
-  t.next_slot <- 0;
-  t.pending <- 0;
-  (match t.variant with Simple -> () | Optimized | Batch _ -> ignore (new_bucket t));
-  (* The atomic switch: one durable root update. *)
-  Arena.root_set t.arena t.root_slot (Int64.of_int (Adll.base t.chain));
+     durable last-persistent-index, and their records must be freed too. *)
+  let old_cur = t.cur.bucket and old_next_slot = t.next_slot in
+  reset_chain t;
+  set_root t;
   (* De-allocate the old log wholesale — volatile free-list operations only. *)
   (match t.variant with
   | Simple ->
@@ -629,10 +634,8 @@ let clear_all t =
   | Optimized | Batch _ ->
       Adll.iter old_chain (fun node ->
           let b = Adll.element old_chain node in
-          (* [bucket_bound] now reflects the *new* cursor, so compute the
-             old bound from the captured cursor state. *)
           let bound =
-            if b = old_cur_bucket then old_next_slot else durable_bound t b
+            if b = old_cur then old_next_slot else durable_bound t b
           in
           release_bucket t b ~bound));
   Adll.free_structure old_chain
@@ -647,24 +650,13 @@ let occupancy_stats t =
       (n, n)
   | Optimized | Batch _ ->
       let live = ref 0 and slots = ref 0 in
-      Adll.iter t.chain (fun node ->
-          let b = Adll.element t.chain node in
-          let bound = bucket_bound t b in
+      iter_buckets t (fun _ b bound ->
           slots := !slots + bound;
-          let i = ref 0 in
-          while !i < bound do
-            let off = slot_off b !i in
-            let v = rd t off in
-            if trusted_pair t ~off ~i:!i ~bound v then begin
-              (* a live pair occupies two slots *)
-              live := !live + 2;
-              i := !i + 2
-            end
-            else begin
+          walk_slots t b ~bound
+            ~pair:(fun _ _ _ -> live := !live + 2)  (* a pair fills two slots *)
+            ~word:(fun _ _ v ->
               if live_record t v then incr live;
-              incr i
-            end
-          done);
+              1));
       (!live, !slots)
 
 (* Section 3.3's compaction: when tombstone gaps (e.g. left by the records
@@ -680,36 +672,19 @@ let compact ?(threshold = 0.5) t =
     | Simple -> ()  (* node-per-record: removal leaves no gaps *)
     | Optimized | Batch _ ->
         let old_chain = t.chain in
-        let old_cap = t.bucket_cap in
         (* Collect survivors preserving their representation: a full
            record moves by address, an inline pair by its two raw words
            (its CRC is position-independent). *)
         let survivors = ref [] in
-        Adll.iter t.chain (fun node ->
-            let b = Adll.element t.chain node in
-            let bound = bucket_bound t b in
-            let i = ref 0 in
-            while !i < bound do
-              let off = slot_off b !i in
-              let v = rd t off in
-              if trusted_pair t ~off ~i:!i ~bound v then begin
-                survivors := `Pair (v, rd t (off + 8)) :: !survivors;
-                i := !i + 2
-              end
-              else begin
+        iter_buckets t (fun _ b bound ->
+            walk_slots t b ~bound
+              ~pair:(fun _ off w0 ->
+                survivors := `Pair (w0, rd t (off + 8)) :: !survivors)
+              ~word:(fun _ _ v ->
                 if live_record t v then survivors := `Full v :: !survivors;
-                incr i
-              end
-            done);
+                1));
         (* build the new log off-line *)
-        let new_chain = Adll.create t.alloc in
-        t.chain <- new_chain;
-        Hashtbl.reset t.cells;
-        t.cur_bucket <- 0;
-        t.cur_node <- 0;
-        t.next_slot <- 0;
-        t.pending <- 0;
-        ignore (new_bucket t);
+        reset_chain t;
         List.iter
           (function
             | `Full r ->
@@ -720,16 +695,15 @@ let compact ?(threshold = 0.5) t =
                      ~force_persist:false))
           (List.rev !survivors);
         (* even with no survivor, the new current bucket is rebuilt *)
-        t.cur_cell.max_lsn <- unknown_lsn;
+        t.cur.max_lsn <- unknown_lsn;
         flush_group t;
-        (* the atomic switch *)
-        Arena.root_set t.arena t.root_slot (Int64.of_int (Adll.base t.chain));
+        set_root t;
         (* de-allocate the old structure (volatile bookkeeping only; the
            records themselves moved, not their memory) *)
         Adll.iter old_chain (fun node ->
             Alloc.free ~align:64 t.alloc
               (Adll.element old_chain node)
-              (bucket_bytes old_cap));
+              (bucket_bytes t.bucket_cap));
         Adll.free_structure old_chain
   end
 
@@ -742,31 +716,21 @@ let buckets t =
 (* -- volatile-cache invariant check (tests) ----------------------------- *)
 
 (* Recount every bucket's live records from the durable layout and compare
-   with the volatile cells and the cached [cur_cell].  Returns
-   the mismatches; the regression tests assert it is empty after any
+   with the volatile cells and the current [cur].  Returns the
+   mismatches; the regression tests assert it is empty after any
    interleaving of appends, clears, checkpoints and compactions. *)
 let check_occupancy t =
   match t.variant with
   | Simple -> []
   | Optimized | Batch _ ->
       let bad = ref [] in
-      Adll.iter t.chain (fun node ->
-          let b = Adll.element t.chain node in
-          let bound = bucket_bound t b in
+      iter_buckets t (fun _ b bound ->
           let actual = ref 0 in
-          let i = ref 0 in
-          while !i < bound do
-            let off = slot_off b !i in
-            let v = rd t off in
-            if trusted_pair t ~off ~i:!i ~bound v then begin
-              incr actual;
-              i := !i + 2
-            end
-            else begin
+          walk_slots t b ~bound
+            ~pair:(fun _ _ _ -> incr actual)
+            ~word:(fun _ _ v ->
               if live_record t v then incr actual;
-              incr i
-            end
-          done;
+              1);
           let cached =
             match Hashtbl.find_opt t.cells b with
             | Some c -> c.live
@@ -774,60 +738,35 @@ let check_occupancy t =
           in
           if cached <> !actual then
             bad := (b, cached, !actual) :: !bad;
-          if b = t.cur_bucket && cached <> t.cur_cell.live then
-            bad := (b, t.cur_cell.live, !actual) :: !bad);
+          if b = t.cur.bucket && cached <> t.cur.live then
+            bad := (b, t.cur.live, !actual) :: !bad);
       !bad
 
 (* -- post-crash attachment --------------------------------------------- *)
 
-(* Checksum-verify a reachable record during analysis; count and report a
-   failure as a torn write. *)
-let record_intact t v =
-  let ok = plausible_record t v && Record.verify t.arena v in
-  if not ok then begin
-    t.torn <- t.torn + 1;
-    let s = Arena.stats t.arena in
-    s.Stats.torn_records <- s.Stats.torn_records + 1
-  end;
-  ok
+(* A record that failed its integrity check during analysis: count it as
+   a torn write. *)
+let count_torn t =
+  t.torn <- t.torn + 1;
+  let s = Arena.stats t.arena in
+  s.Stats.torn_records <- s.Stats.torn_records + 1
 
 (* Reconstruct the volatile cursor and occupancy from the durable image:
    recover the ADLL itself, then scan the buckets, counting live slots and
    locating the insertion point in the last bucket (the paper's analysis-
    phase reconstruction of Section 3.3).  Every reachable record is
-   checksum-verified first: a record that fails is a torn write (or media
-   corruption) and is truncated out of the log — tombstoned in its slot,
-   or unlinked from the Simple chain — instead of being replayed as
-   garbage. *)
+   checked with {!Record.intact} first: a record that fails is a torn
+   write (or media corruption) and is truncated out of the log —
+   tombstoned in its slot, or unlinked from the Simple chain — instead of
+   being replayed as garbage. *)
 let attach variant ?(bucket_cap = 1000) alloc ~root_slot =
-  let arena = Alloc.arena alloc in
-  let base = Int64.to_int (Arena.root_get arena root_slot) in
+  let base = Int64.to_int (Arena.root_get (Alloc.arena alloc) root_slot) in
   if base = 0 then create variant ~bucket_cap alloc ~root_slot
   else begin
     let chain = Adll.attach alloc ~base in
     Adll.recover chain;
-    let t =
-      {
-        variant;
-        bucket_cap;
-        alloc;
-        arena;
-        root_slot;
-        chain;
-        cur_bucket = 0;
-        cur_node = 0;
-        next_slot = 0;
-        pending = 0;
-        cells = Hashtbl.create 64;
-        cur_cell = no_cell ();
-        inline_ok = true;
-        inline_appended = 0;
-        appended = 0;
-        torn = 0;
-        chaos_drop_group_fence = false;
-        group_tag = 0;
-      }
-    in
+    let t = make variant bucket_cap alloc ~root_slot chain in
+    let intact r = Record.intact t.arena r || (count_torn t; false) in
     (match variant with
     | Simple ->
         (* Unlink torn records from the chain.  Their memory is leaked —
@@ -835,84 +774,64 @@ let attach variant ?(bucket_cap = 1000) alloc ~root_slot =
            truncation leaks nothing extra worth tracking. *)
         let bad = ref [] in
         Adll.iter chain (fun node ->
-            if not (record_intact t (Adll.element chain node)) then
+            if not (intact (Adll.element chain node)) then
               bad := node :: !bad);
         List.iter (fun node -> Adll.remove chain node) !bad
     | Optimized | Batch _ ->
-        Adll.iter chain (fun node ->
-            let b = Adll.element chain node in
-            let bound = durable_bound t b in
+        iter_buckets t (fun node b bound ->
             let occ = ref 0 in
             let last_used = ref (-1) in
             (* Truncate an inline word that cannot be trusted as half of a
                valid pair — the pair analogue of a bad-CRC record. *)
-            let truncate_inline i =
-              wr_nt t (slot_off b i) tombstone;
-              t.torn <- t.torn + 1;
-              let s = Arena.stats t.arena in
-              s.Stats.torn_records <- s.Stats.torn_records + 1
+            let truncate_inline off =
+              wr_nt t off tombstone;
+              count_torn t
             in
-            let i = ref 0 in
-            while !i < bound do
-              let off = slot_off b !i in
-              let v = rd t off in
-              if Record.is_inline_first_word v then begin
-                if
-                  !i + 1 < bound
-                  && Record.inline_pair_valid ~w0:v ~w1:(rd t (off + 8))
-                then begin
-                  incr occ;
-                  last_used := !i + 1;
-                  i := !i + 2
-                end
-                else begin
+            walk_slots t b ~bound
+              ~pair:(fun i _ _ ->
+                incr occ;
+                last_used := i + 1)
+              ~word:(fun i off v ->
+                if Record.is_inline_first_word v then begin
                   (* torn pair: the second word is beyond the trusted
                      bound, lost to the crash, or CRC-mismatched *)
-                  truncate_inline !i;
-                  last_used := !i;
-                  incr i;
+                  truncate_inline off;
+                  last_used := i;
                   (* consume a leftover second word as part of the same
                      tear, not a second one *)
                   if
-                    !i < bound
-                    && Record.is_inline_second_word (rd t (slot_off b !i))
+                    i + 1 < bound
+                    && Record.is_inline_second_word (rd t (off + 8))
                   then begin
-                    wr_nt t (slot_off b !i) tombstone;
-                    last_used := !i;
-                    incr i
+                    wr_nt t (off + 8) tombstone;
+                    last_used := i + 1;
+                    2
                   end
+                  else 1
                 end
-              end
-              else if Record.is_inline_second_word v then begin
-                (* stray second word — its first was lost to a torn
-                   append or already tombstoned by an interrupted
-                   removal *)
-                truncate_inline !i;
-                last_used := !i;
-                incr i
-              end
-              else begin
-                (if v > tombstone then begin
-                   if record_intact t v then incr occ
-                   else
-                     (* torn write: truncate the record out of the log *)
-                     wr_nt t off tombstone;
-                   last_used := !i
-                 end
-                 else if v = tombstone then last_used := !i);
-                incr i
-              end
-            done;
-            let c = { node; live = !occ; max_lsn = unknown_lsn } in
+                else begin
+                  if Record.is_inline_second_word v then
+                    (* stray second word — its first was lost to a torn
+                       append or already tombstoned by an interrupted
+                       removal *)
+                    truncate_inline off
+                  else if v > tombstone then begin
+                    if intact v then incr occ
+                    else
+                      (* torn write: truncate the record out of the log *)
+                      wr_nt t off tombstone
+                  end;
+                  if v >= tombstone then last_used := i;
+                  1
+                end);
+            let c = { bucket = b; node; live = !occ; max_lsn = unknown_lsn } in
             Hashtbl.replace t.cells b c;
-            t.cur_cell <- c;
-            t.cur_bucket <- b;
-            t.cur_node <- node;
+            t.cur <- c;
             t.next_slot <-
               (match variant with
               | Batch _ -> bound
               | Optimized | Simple -> !last_used + 1));
-        if t.cur_bucket = 0 then ignore (new_bucket t);
-        t.cur_cell.max_lsn <- unknown_lsn);
+        if t.cur.bucket = 0 then new_bucket t;
+        t.cur.max_lsn <- unknown_lsn);
     t
   end

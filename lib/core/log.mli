@@ -16,7 +16,12 @@
     phase.  So is each bucket's maximum LSN, which {!unlink_below} reads:
     it is noted at append from the caller's LSN, and a bucket rebuilt by
     {!attach} or {!compact}, or given an append without an LSN, counts as
-    unknown. *)
+    unknown.
+
+    Every forward bucket scan — {!iter}, {!remove_where}, {!compact},
+    {!occupancy_stats}, {!check_occupancy}, {!reclaim}, {!clear_all} and
+    {!attach} — reads the slots through one walk, so all of them classify
+    a slot alike. *)
 
 type variant = Simple | Optimized | Batch of int
 
@@ -151,6 +156,13 @@ val remove_where : t -> (int -> bool) -> unit
     recovery ignores whichever subset survives: {!Tm} clears below its
     durable LSN horizon. *)
 
+val remove_end_last : t -> (int -> bool) -> unit
+(** {!remove_where} in two passes: the matching records other than END
+    records, then the matching END records, so that a clearing a crash
+    interrupts is re-attempted identically (Section 4.6).  Clears one
+    force-policy transaction, and the AAVLT's internal records after a
+    crash. *)
+
 val unlink_below : t -> int -> int list
 (** [unlink_below t h] unlinks every bucket other than the current one
     whose maximum LSN is known and below [h], with one crash-atomic
@@ -181,8 +193,8 @@ val buckets : t -> int list
     Empty for the Simple variant.  Test helper; reads the ADLL. *)
 
 val check_occupancy : t -> (int * int * int) list
-(** Cross-check the volatile per-bucket occupancy cells (and the cached
-    current-bucket ref) against a recount from the durable layout.
+(** Cross-check the volatile per-bucket occupancy cells (and the current
+    bucket's cell) against a recount from the durable layout.
     Returns [(bucket, cached, actual)] mismatches — empty when the cache
     is coherent.  Test helper; O(log size). *)
 

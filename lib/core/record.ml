@@ -297,6 +297,13 @@ let verify a r =
         ~old_value:(w o_old) ~new_value:(w o_new) ~undo_next:(w o_undo_next)
         ~prev_same_txn:(w o_prev_same_txn)
 
+(* Could [r] address a full record: 64-aligned and inside the arena?
+   Checked before anything dereferences a record address read from NVM. *)
+let plausible a r =
+  r >= 0 && r land (size_bytes - 1) = 0 && r + size_bytes <= Arena.size a
+
+let intact a r = plausible a r && verify a r
+
 (* Create a record with cached stores and one write-back.  No fence is
    issued here: the caller decides when the record must be ordered before
    subsequent writes (immediately for Simple/Optimized logging; at the

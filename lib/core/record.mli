@@ -62,6 +62,15 @@ val verify : Rewind_nvm.Arena.t -> int -> bool
 (** Recompute and compare the checksum.  Interprets no field, so it is
     safe to call on a suspect (torn or corrupted) record. *)
 
+val plausible : Rewind_nvm.Arena.t -> int -> bool
+(** Could this address a full record: aligned to {!size_bytes} and
+    inside the arena?  The test every scan applies to an address read
+    from NVM before dereferencing it. *)
+
+val intact : Rewind_nvm.Arena.t -> int -> bool
+(** {!plausible}, then {!verify}: the one validity check recovery applies
+    to a full record before interpreting it. *)
+
 val free : Rewind_nvm.Alloc.t -> int -> unit
 (** Return a full record's line to the allocator; no-op on inline refs
     (their storage is the bucket's own slots). *)

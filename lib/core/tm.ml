@@ -42,7 +42,7 @@
    horizon H = min(next LSN, first LSN of every unsettled transaction):
    every record below H is settled and durable, analysis skips it, and
    removing it needs no order.  Only force-policy clearing of a single
-   transaction keeps one (END last, {!remove_end_last}). *)
+   transaction keeps one (END last, {!Log.remove_end_last}). *)
 
 open Rewind_nvm
 
@@ -648,13 +648,6 @@ let log_delete t txn_id ~addr ~size =
 let record_txn t r = Record.txn t.arena r
 let record_typ t r = Record.typ t.arena r
 
-(* Remove the records of [p]'s log matching [pred]; END records last, so
-   that an interrupted clearing is re-attempted identically after a crash
-   (Section 4.6). *)
-let remove_end_last t p pred =
-  Log.remove_where p.log (fun r -> pred r && record_typ t r <> Record.End);
-  Log.remove_where p.log (fun r -> pred r && record_typ t r = Record.End)
-
 let free_deferred_deletes t p txn_id =
   let mine, rest =
     List.partition (fun (x, _, _, _) -> x = txn_id) p.deferred_deletes
@@ -662,12 +655,13 @@ let free_deferred_deletes t p txn_id =
   List.iter (fun (_, _, addr, size) -> Alloc.free t.alloc addr size) mine;
   p.deferred_deletes <- rest
 
-(* Two-layer: [f] over a transaction's records along its back-chain from
-   [r], newest first. *)
-let rec iter_chain t r f =
-  if r <> 0 then begin
-    f r;
-    iter_chain t (Record.prev_same_txn t.arena r) f
+(* Two-layer: walk a transaction's back-chain from [r], newest first.
+   Each record must pass [readable] before its link is read; then [f]
+   sees it, and the walk goes on while [f] returns [true]. *)
+let rec iter_chain ?(readable = fun _ -> true) t r f =
+  if r <> 0 && readable r then begin
+    let next = Record.prev_same_txn t.arena r in
+    if f r then iter_chain ~readable t next f
   end
 
 (* The horizon the current state allows: min(next LSN, first LSN of
@@ -719,12 +713,13 @@ let clear_below t p h ~intact =
    oldest first — the END record is the newest. *)
 let clear_txn t p txn_id =
   match (p.index, Txn_table.find p.table txn_id) with
-  | None, _ -> remove_end_last t p (fun r -> record_txn t r = txn_id)
+  | None, _ -> Log.remove_end_last p.log (fun r -> record_txn t r = txn_id)
   | Some _, None -> ()
   | Some idx, Some e ->
       let oldest_first = ref [] in
       iter_chain t e.Txn_table.last_record (fun r ->
-          oldest_first := r :: !oldest_first);
+          oldest_first := r :: !oldest_first;
+          true);
       List.iter
         (fun r ->
           ignore (Avl_index.remove idx (Record.lsn t.arena r));
@@ -876,20 +871,16 @@ let rollback_to t txn_id (sp : savepoint) =
               match Txn_table.find p.table txn_id with
               | None -> ()
               | Some e ->
-                  let rec go r =
-                    if r <> 0 then begin
-                      let next = Record.prev_same_txn t.arena r in
+                  iter_chain t e.Txn_table.last_record (fun r ->
                       let lsn = Record.lsn t.arena r in
-                      if lsn >= sp then begin
-                        undo_step t p txn_id ~durably ~bound
-                          ~before_undo:(fun () ->
-                            ignore (Avl_index.find idx lsn))
-                          ~lsn:(Lazy.from_val lsn) r;
-                        go next
-                      end
-                    end
-                  in
-                  go e.Txn_table.last_record));
+                      lsn >= sp
+                      && begin
+                           undo_step t p txn_id ~durably ~bound
+                             ~before_undo:(fun () ->
+                               ignore (Avl_index.find idx lsn))
+                             ~lsn:(Lazy.from_val lsn) r;
+                           true
+                         end)));
           (* deferred de-allocations requested after the savepoint are
              void *)
           p.deferred_deletes <-
@@ -929,19 +920,14 @@ let rollback t txn_id =
               match Txn_table.find p.table txn_id with
               | None -> ()
               | Some e ->
-                  let rec go r =
-                    if r <> 0 then begin
-                      let next = Record.prev_same_txn t.arena r in
+                  iter_chain t e.Txn_table.last_record (fun r ->
                       (* each record is retrieved through the AAVLT
                          (Section 4.4) *)
                       ignore (Avl_index.find idx (Record.lsn t.arena r));
                       undo_step t p txn_id ~durably ~bound
                         ~lsn:(lazy (Record.lsn t.arena r))
                         r;
-                      go next
-                    end
-                  in
-                  go e.Txn_table.last_record));
+                      true)));
           Log.flush_group p.log;
           let end_lsn = append_end t p txn_id in
           drain_deferred t p;
@@ -1112,16 +1098,6 @@ let on_partition_fibers prof stats ~parts name f =
   Sim_threads.fork_join parts (fun pid ->
       sub_span prof stats ~parts name pid (fun () -> f pid))
 
-(* Checksum gate used by two-layer recovery before a tree-indexed record
-   is interpreted: plausibly addressed, then CRC-intact.  (One-layer logs
-   truncate torn records at attach, so every record they yield is
-   intact.) *)
-let record_intact t r =
-  r >= 0
-  && r land (Record.size_bytes - 1) = 0
-  && r + Record.size_bytes <= Arena.size t.arena
-  && Record.verify t.arena r
-
 (* One log record as recovery sees it.  Analysis reads every live record
    exactly once into this form — its ref, LSN, transaction and type, plus,
    for UPDATE/CLR under no-force, the address and new value that redo
@@ -1185,9 +1161,11 @@ let merge_ascending streams =
    are fetched from the global counter outside the latch, so two
    concurrent appends into the same partition can land inverted — hence
    the sort (cheap on nearly-sorted input) before the k-way merge relies
-   on it.  Two-layer: the AAVLT's in-order traversal; a record failing its
-   checksum is a torn write, reported to [on_torn] and dropped.  Records
-   below the [horizon] are settled and durable, and are dropped too. *)
+   on it.  Two-layer: the AAVLT's in-order traversal; a record failing
+   {!Record.intact} is a torn write, reported to [on_torn] and dropped
+   (one-layer logs truncate torn records at attach, so every record they
+   yield is intact).  Records below the [horizon] are settled and
+   durable, and are dropped too. *)
 let part_stream t ~payload ~horizon ~on_torn p =
   let acc = ref [] in
   let keep r =
@@ -1199,7 +1177,7 @@ let part_stream t ~payload ~horizon ~on_torn p =
   | Some idx ->
       Avl_index.iter idx (fun n ->
           let r = Avl_index.head_record idx n in
-          if record_intact t r then keep r else on_torn ()));
+          if Record.intact t.arena r then keep r else on_torn ()));
   List.sort (fun a b -> compare a.lsn b.lsn) !acc
 
 (* Every partition's decoded stream, each decoded on its own recovery
@@ -1405,23 +1383,21 @@ let undo_two_layer t ~on_torn =
                    (Record.addr t.arena head)
                    (Record.new_value t.arena head));
               let bound = ref max_int in
-              let rec go r =
-                if r <> 0 then
-                  if not (record_intact t r) then
-                    (* torn link: the chain beyond it predates the tear
-                       and was settled by earlier groups — stop here *)
-                    on_torn ()
-                  else begin
-                    let next = Record.prev_same_txn t.arena r in
-                    undo_step t p x ~durably ~bound
-                      ~before_undo:(fun () ->
-                        ignore (Avl_index.find idx (Record.lsn t.arena r)))
-                      ~lsn:(lazy (Record.lsn t.arena r))
-                      r;
-                    go next
-                  end
-              in
-              go head;
+              iter_chain t head
+                ~readable:(fun r ->
+                  Record.intact t.arena r
+                  ||
+                  (* torn link: the chain beyond it predates the tear
+                     and was settled by earlier groups — stop here *)
+                  (on_torn ();
+                   false))
+                (fun r ->
+                  undo_step t p x ~durably ~bound
+                    ~before_undo:(fun () ->
+                      ignore (Avl_index.find idx (Record.lsn t.arena r)))
+                    ~lsn:(lazy (Record.lsn t.arena r))
+                    r;
+                  true);
               ignore (append_end t p x);
               e.Txn_table.status <- Txn_table.Finished)
             losers)
@@ -1439,12 +1415,13 @@ let clear_indexes t prof ~wholesale h =
       part_span t prof "clearing" p @@ fun () ->
       match p.index with
       | None -> ()
-      | Some _ when not wholesale -> clear_below t p h ~intact:(record_intact t)
+      | Some _ when not wholesale ->
+          clear_below t p h ~intact:(Record.intact t.arena)
       | Some idx ->
           let records = ref [] in
           Avl_index.iter idx (fun n ->
               let r = Avl_index.head_record idx n in
-              if record_intact t r then records := r :: !records);
+              if Record.intact t.arena r then records := r :: !records);
           Avl_index.clear idx;
           List.iter (fun r -> Record.free t.alloc r) !records)
     t.parts

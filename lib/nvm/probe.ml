@@ -1,15 +1,11 @@
 (* Span/phase profiler: named accumulators of simulated time and NVM
-   counter deltas, with a per-phase log2 duration histogram.  See the
-   interface for the attribution story. *)
-
-let hist_size = 48 (* 2^47 ns ≈ 39 hours of simulated time: plenty *)
+   counter deltas.  See the interface for the attribution story. *)
 
 type phase = {
   name : string;
   mutable count : int;
   mutable sim_ns : int;
   stats : Stats.t;
-  hist : int array;
 }
 
 type t = {
@@ -23,38 +19,16 @@ let get t name =
   match Hashtbl.find_opt t.tbl name with
   | Some p -> p
   | None ->
-      let p =
-        {
-          name;
-          count = 0;
-          sim_ns = 0;
-          stats = Stats.create ();
-          hist = Array.make hist_size 0;
-        }
-      in
+      let p = { name; count = 0; sim_ns = 0; stats = Stats.create () } in
       Hashtbl.replace t.tbl name p;
       t.order <- p :: t.order;
       p
-
-let log2_bucket ns =
-  if ns <= 0 then 0
-  else begin
-    let b = ref 0 in
-    let v = ref ns in
-    while !v > 1 && !b < hist_size - 1 do
-      v := !v lsr 1;
-      incr b
-    done;
-    !b
-  end
 
 let charge t name ~sim_ns ~stats =
   let p = get t name in
   p.count <- p.count + 1;
   p.sim_ns <- p.sim_ns + sim_ns;
-  Stats.add p.stats stats;
-  let b = log2_bucket sim_ns in
-  p.hist.(b) <- p.hist.(b) + 1
+  Stats.add p.stats stats
 
 let span t stats name f =
   let before = Stats.snapshot stats in
@@ -75,15 +49,6 @@ let find t name = Hashtbl.find_opt t.tbl name
 
 let total_sim_ns t =
   List.fold_left (fun acc p -> acc + p.sim_ns) 0 (phases t)
-
-(* Bucket 0 holds [0,2); bucket i>0 holds [2^i, 2^{i+1}). *)
-let hist_buckets p =
-  let res = ref [] in
-  for i = Array.length p.hist - 1 downto 0 do
-    if p.hist.(i) > 0 then
-      res := ((if i = 0 then 0 else 1 lsl i), p.hist.(i)) :: !res
-  done;
-  !res
 
 let pp ppf t =
   List.iter

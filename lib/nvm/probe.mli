@@ -8,15 +8,13 @@
     cumulative across the whole run (and across crashes).
 
     Phases are keyed by name and keep first-entry order.  Re-entering a
-    phase accumulates; a log2 histogram of individual span durations is
-    kept per phase so outliers stay visible next to the totals. *)
+    phase accumulates. *)
 
 type phase = {
   name : string;
   mutable count : int;  (** spans charged to this phase *)
   mutable sim_ns : int;  (** accumulated simulated duration *)
   stats : Stats.t;  (** accumulated NVM counter deltas *)
-  hist : int array;  (** log2 buckets of span durations, [2^i..2^{i+1}) ns *)
 }
 
 type t
@@ -39,9 +37,6 @@ val phases : t -> phase list
 
 val find : t -> string -> phase option
 val total_sim_ns : t -> int
-
-val hist_buckets : phase -> (int * int) list
-(** Non-empty histogram buckets as [(lower_bound_ns, count)]. *)
 
 val pp : t Fmt.t
 (** One line per phase: name, count, simulated time, line

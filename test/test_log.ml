@@ -180,6 +180,126 @@ let test_batch_cheaper_than_optimized_than_simple () =
   check_bool "optimized beats simple" true (opt < simple);
   check_bool "batch beats optimized" true (batch < opt)
 
+(* One fixed script per variant over every scan, clearing and attach
+   path, pinned to the exact NVM counters and simulated time of each
+   step: [loads; nvm_writes; nt_stores; flushes; fences; sim ns].  A
+   change to how the log walks its buckets must keep every read, store,
+   flush, fence and clock charge.  The attach runs over a torn record:
+   for the bucketed variants, a durable inline END pair whose second
+   word keeps its tag but fails the CRC, so the tear must consume it. *)
+let cost_script variant =
+  let arena, alloc = fresh () in
+  let log = ref (Log.create variant ~bucket_cap:8 alloc ~root_slot:2) in
+  let costs = ref [] in
+  let step name f =
+    let t0 = Clock.now () in
+    let (), d = Stats.scoped (Arena.stats arena) f in
+    costs :=
+      ( name,
+        Stats.
+          [ d.loads; d.nvm_writes; d.nt_stores; d.flushes; d.fences;
+            Clock.now () - t0 ] )
+      :: !costs
+  in
+  let small ?is_end ~lsn ~txn typ =
+    Log.append_record ?is_end !log ~lsn ~txn ~typ ~addr:(8 * lsn)
+      ~old_value:0L ~new_value:(Int64.of_int lsn) ~undo_next:0
+  in
+  let full =
+    Array.init 13 (fun lsn -> mk_record alloc ~lsn ~txn:(1 + (lsn mod 2)))
+  in
+  step "append" (fun () ->
+      for lsn = 1 to 12 do
+        if lsn mod 3 = 0 then Log.append ~lsn !log full.(lsn)
+        else ignore (small ~lsn ~txn:(1 + (lsn mod 2)) Record.Update)
+      done;
+      ignore (small ~is_end:true ~lsn:13 ~txn:1 Record.End));
+  step "iter" (fun () -> Log.iter !log ignore);
+  step "iter_back" (fun () -> Log.iter_back !log ignore);
+  step "remove_where" (fun () ->
+      Log.remove_where !log (fun r -> Record.txn arena r = 2));
+  step "unlink_below+reclaim" (fun () ->
+      Log.reclaim !log (Log.unlink_below !log 8));
+  step "compact" (fun () -> Log.compact ~threshold:1.0 !log);
+  let h = ref None in
+  step "append_h" (fun () ->
+      h := Some (Log.append_h ~lsn:20 !log (mk_record alloc ~lsn:20 ~txn:3)));
+  step "remove_handle" (fun () -> Log.remove_handle !log (Option.get !h));
+  step "clear_all" (fun () -> Log.clear_all !log);
+  let last = ref (Log.Node 0) in
+  step "append again" (fun () ->
+      ignore (small ~lsn:30 ~txn:4 Record.Update);
+      last := small ~is_end:true ~lsn:31 ~txn:4 Record.End);
+  (match !last with
+  | Log.Slot { bucket; slot; _ } ->
+      let w1 = bucket + 16 + (8 * slot) in
+      Arena.nt_write arena w1 (Int64.logxor (Arena.read arena w1) 8L)
+  | Log.Node _ ->
+      let r = List.hd (List.rev (Log.records !log)) in
+      Arena.nt_write arena r (Int64.add (Arena.read arena r) 1L));
+  Arena.fence arena;
+  Arena.crash arena;
+  let alloc = Alloc.recover arena in
+  step "attach" (fun () ->
+      log := Log.attach variant ~bucket_cap:8 alloc ~root_slot:2);
+  check_int "the torn record was truncated" 1 (Log.torn_truncated !log);
+  check_list "only the record before the tear survives" [ 30 ]
+    (lsns arena !log);
+  List.rev !costs
+
+let expected_costs = function
+  | Log.Simple ->
+      [
+        ("append", [ 27; 77; 105; 9; 52; 16849 ]);
+        ("iter", [ 27; 0; 0; 0; 0; 807 ]);
+        ("iter_back", [ 27; 0; 0; 0; 0; 807 ]);
+        ("remove_where", [ 70; 24; 24; 0; 12; 4870 ]);
+        ("unlink_below+reclaim", [ 0; 0; 0; 0; 0; 0 ]);
+        ("compact", [ 8; 0; 0; 0; 0; 8 ]);
+        ("append_h", [ 2; 7; 8; 1; 4; 1460 ]);
+        ("remove_handle", [ 5; 4; 4; 0; 2; 805 ]);
+        ("clear_all", [ 24; 2; 2; 0; 1; 424 ]);
+        ("append again", [ 4; 11; 16; 2; 8; 2470 ]);
+        ("attach", [ 28; 4; 4; 0; 2; 828 ]);
+      ]
+  | Log.Optimized ->
+      [
+        ("append", [ 6; 23; 22; 9; 19; 5374 ]);
+        ("iter", [ 30; 0; 0; 0; 0; 382 ]);
+        ("iter_back", [ 39; 0; 0; 0; 0; 391 ]);
+        ("remove_where", [ 43; 4; 10; 0; 0; 755 ]);
+        ("unlink_below+reclaim", [ 12; 4; 4; 0; 2; 812 ]);
+        ("compact", [ 55; 10; 13; 4; 9; 2461 ]);
+        ("append_h", [ 3; 9; 10; 1; 4; 1761 ]);
+        ("remove_handle", [ 1; 0; 1; 0; 0; 1 ]);
+        ("clear_all", [ 21; 6; 11; 0; 4; 1321 ]);
+        ("append again", [ 0; 2; 0; 2; 2; 504 ]);
+        ("attach", [ 15; 1; 2; 0; 0; 165 ]);
+      ]
+  | Log.Batch _ ->
+      [
+        ("append", [ 6; 23; 24; 7; 12; 4678 ]);
+        ("iter", [ 31; 0; 0; 0; 0; 375 ]);
+        ("iter_back", [ 40; 0; 0; 0; 0; 384 ]);
+        ("remove_where", [ 44; 4; 10; 0; 0; 748 ]);
+        ("unlink_below+reclaim", [ 12; 4; 4; 0; 2; 812 ]);
+        ("compact", [ 57; 10; 13; 3; 6; 2165 ]);
+        ("append_h", [ 3; 8; 9; 1; 3; 1512 ]);
+        ("remove_handle", [ 1; 1; 1; 0; 0; 151 ]);
+        ("clear_all", [ 22; 6; 11; 0; 4; 1322 ]);
+        ("append again", [ 0; 2; 1; 1; 1; 404 ]);
+        ("attach", [ 12; 1; 2; 0; 0; 162 ]);
+      ]
+
+let test_cost_pin variant () =
+  List.iter2
+    (fun (name, want) (name', got) ->
+      Alcotest.(check string) "step" name name';
+      Alcotest.(check (list int))
+        (name ^ ": loads, nvm_writes, nt_stores, flushes, fences, sim ns")
+        want got)
+    (expected_costs variant) (cost_script variant)
+
 (* ------------------------------------------------------------------ *)
 (* Crash-point property                                                *)
 (* ------------------------------------------------------------------ *)
@@ -295,6 +415,27 @@ let test_occupancy_lifecycle variant () =
   check_list "records survive the round trip" (survivors @ [ 100 ])
     (lsns arena log2)
 
+(* The log's walkers agree after any sequence of operations: [iter_back]
+   yields [iter]'s records in reverse, [occupancy_stats] counts as many
+   live slots as [iter] visits (an inline pair fills two), and the
+   occupancy cache matches a recount of the durable layout. *)
+let walkers_disagree log =
+  let fwd = Log.records log in
+  let back = ref [] in
+  Log.iter_back log (fun r -> back := r :: !back);
+  let slots =
+    List.fold_left (fun n r -> n + if Record.is_inline r then 2 else 1) 0 fwd
+  in
+  let live, _ = Log.occupancy_stats log in
+  if !back <> fwd then Some "iter_back is not iter reversed"
+  else if live <> slots then
+    Some (Fmt.str "occupancy_stats counts %d live slots, iter %d" live slots)
+  else
+    match Log.check_occupancy log with
+    | [] -> None
+    | ms ->
+        Some (Fmt.str "occupancy cache diverged (%d buckets)" (List.length ms))
+
 (* Property: a random interleaving of appends, selective removals, group
    flushes and compactions never desynchronises the occupancy cache. *)
 let prop_occupancy_coherent variant =
@@ -323,7 +464,9 @@ let prop_occupancy_coherent variant =
         | 8 -> Log.flush_group log
         | _ -> Log.compact ~threshold:(float_of_int (rand 11) /. 10.) log
       done;
-      Log.check_occupancy log = [])
+      match walkers_disagree log with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report m)
 
 (* The unlink rule: over a random interleaving of appends (with an LSN,
    without one, full or inline), [unlink_below], [remove_where],
@@ -424,9 +567,7 @@ let prop_unlink_rule variant =
             keep_all ()
         | _ -> Log.flush_group !log
       done;
-      (match Log.check_occupancy !log with
-      | [] -> ()
-      | ms -> fail "occupancy cache diverged (%d buckets)" (List.length ms));
+      Option.iter (fail "%s") (walkers_disagree !log);
       match !failure with
       | None -> true
       | Some m -> QCheck.Test.fail_report m)
@@ -463,7 +604,12 @@ let () =
         [
           tc "fence counts" `Quick test_fence_counts;
           tc "variant ordering" `Quick test_batch_cheaper_than_optimized_than_simple;
-        ] );
+        ]
+        @ List.map
+            (fun v ->
+              tc (Fmt.str "cost pin (%a)" Log.pp_variant v) `Quick
+                (test_cost_pin v))
+            [ Log.Simple; Log.Optimized; Log.Batch 4 ] );
       ( "properties",
         List.map
           (fun (_, v) -> QCheck_alcotest.to_alcotest (prop_crash_prefix v))

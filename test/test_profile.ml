@@ -62,9 +62,7 @@ let test_probe_spans () =
   let idle = Option.get (Probe.find p "idle") in
   check_int "idle span saw no flushes" 0 idle.Probe.stats.Stats.flushes;
   check_int "total is the sum" (w.Probe.sim_ns + idle.Probe.sim_ns)
-    (Probe.total_sim_ns p);
-  check_int "histogram holds every span" 2
-    (List.fold_left (fun acc (_, n) -> acc + n) 0 (Probe.hist_buckets w))
+    (Probe.total_sim_ns p)
 
 (* A span must charge even when the body raises — a crash inside a
    checkpoint still belongs to the checkpoint's account. *)
