@@ -329,6 +329,9 @@ let check_enumerate ?(shard = fun c -> c) () =
   enumerate "optimized-inline"
     (Crash_scenarios.wal_txn (shard Rewind.config_1l_nfp))
     legal;
+  enumerate "batch8"
+    (Crash_scenarios.wal_txn (shard (Rewind.config_batch ())))
+    legal;
   enumerate ~at_every_event:true "incll" (Crash_scenarios.incll_epochs ()) legal;
   enumerate ~at_every_event:true "lfset"
     (Crash_scenarios.lfset_prefix [| `I 5; `I 1; `I 9; `R 5; `I 3; `R 1 |])

@@ -114,6 +114,10 @@ type t = {
   mode : mode;
   line_bytes : int;
   words : (int, word_state) Hashtbl.t; (* word = addr lsr 3; absent = durable *)
+  mutable written_back : int list;
+      (* words made Written_back since the last fence, so a fence costs
+         what was written back, not the whole table; a word may repeat or
+         have turned Volatile again *)
   cover : (int, coverage) Hashtbl.t;
   tracked : (int, unit) Hashtbl.t;
   freed : (int, unit) Hashtbl.t;
@@ -127,7 +131,8 @@ type t = {
   red_fence : (string, int ref) Hashtbl.t; (* preceding-event site -> count *)
   mutable linked_pending : (int * int) list;
       (* CAS-linked (addr, len) ranges awaiting the op's Linked_exposed *)
-  mutable last_event : string;
+  mutable last_event : Trace.event option;
+      (* formatted only when a redundant fence names it *)
   mutable persisted_since_fence : bool;
   mutable in_recovery : bool;
   mutable events : int;
@@ -200,15 +205,24 @@ let on_writeback t ~base ~how =
       match Hashtbl.find_opt t.words w with
       | Some Volatile ->
           durability_check t w ~how;
-          Hashtbl.replace t.words w Written_back
+          Hashtbl.replace t.words w Written_back;
+          t.written_back <- w :: t.written_back
       | Some Written_back | None -> ())
 
+let pp_last_event ppf = function
+  | None -> Fmt.string ppf "(start)"
+  | Some ev -> Trace.pp ppf ev
+
 let on_fence t =
-  if not t.persisted_since_fence then bump t.red_fence t.last_event;
+  if not t.persisted_since_fence then
+    bump t.red_fence (Fmt.str "%a" pp_last_event t.last_event);
   t.persisted_since_fence <- false;
-  Hashtbl.filter_map_inplace
-    (fun _ st -> match st with Written_back -> None | Volatile -> Some st)
-    t.words
+  List.iter
+    (fun w ->
+      if Hashtbl.find_opt t.words w = Some Written_back then
+        Hashtbl.remove t.words w)
+    t.written_back;
+  t.written_back <- []
 
 (* Check a region that the program claims is durable and fence-ordered. *)
 let check_persisted t ~addr ~len ~what ~kind_volatile =
@@ -226,6 +240,7 @@ let on_crash t =
   (* Volatile ordering obligations die with the caches; tracked and freed
      address sets describe durable layout and survive. *)
   Hashtbl.reset t.words;
+  t.written_back <- [];
   Hashtbl.reset t.cover;
   Hashtbl.reset t.commit_points;
   Hashtbl.reset t.pending_cov;
@@ -347,7 +362,7 @@ let handle t ev =
   | Trace.Load _ | Trace.Acquire _ | Trace.Release _ | Trace.Atomic_rmw _
   | Trace.Fiber_spawn _ | Trace.Fiber_switch _ | Trace.Fiber_join _ ->
       ());
-  t.last_event <- Fmt.str "%a" Trace.pp ev
+  t.last_event <- Some ev
 
 let attach ?(mode = Raise) arena =
   let t =
@@ -356,6 +371,7 @@ let attach ?(mode = Raise) arena =
       mode;
       line_bytes = (Arena.config arena).Config.cacheline_bytes;
       words = Hashtbl.create 1024;
+      written_back = [];
       cover = Hashtbl.create 256;
       tracked = Hashtbl.create 256;
       freed = Hashtbl.create 256;
@@ -367,7 +383,7 @@ let attach ?(mode = Raise) arena =
       red_flush = Hashtbl.create 64;
       red_fence = Hashtbl.create 64;
       linked_pending = [];
-      last_event = "(start)";
+      last_event = None;
       persisted_since_fence = false;
       in_recovery = false;
       events = 0;

@@ -33,19 +33,22 @@
    are unknown and never unlinked this way.
 
    Slot values: 0 = never used, 1 = tombstone (cleared record), low three
-   bits 6/7 = the first/second word of an inline record pair (see
-   {!Record.inline_encode}), otherwise the NVM address of a log record.
+   bits 2 = an END word, 6/7 = the first/second word of an inline record
+   pair (see {!Record}), otherwise the NVM address of a full log record.
 
-   Inline pairs are the bucketed variants' small-write fast path: a
-   word-sized record is encoded into two adjacent slots of the bucket
-   itself, so an Optimized append costs one line write-back plus one
-   fence (the pair almost always shares a cacheline) instead of a record
-   line write-back, a fence, a slot store and its ordering.  A pair never
-   straddles a bucket boundary, and under Batch the last-persistent-index
-   store happens only in [flush_group], after both words — so the trust
-   rule can never expose half a pair.  A reachable pair whose second word
-   is untrusted or fails its CRC is a torn record: [attach] truncates it
-   exactly like a bad-checksum full record. *)
+   The compact forms are the bucketed variants' fast path.  A commit's
+   END is one slot word, so an insert is the one word write of
+   Section 3.3; a word-sized UPDATE or CLR is a pair of adjacent slots.
+   Either way an Optimized append costs one line write-back plus one
+   fence (a pair that straddles a line pays a second write-back) instead
+   of a record line write-back, a fence, a slot store and its ordering.
+   A pair never straddles a bucket boundary, and under Batch the
+   last-persistent-index store happens only in [flush_group], after both
+   words — so the trust rule can never expose half a pair.  A reachable
+   pair whose second word is untrusted or fails its CRC, or an END word
+   that fails its CRC, is a torn record: [attach] truncates it exactly
+   like a bad-checksum full record.  [walk_slots] hands a compact record
+   to its caller with its width (1 or 2 slots). *)
 
 open Rewind_nvm
 
@@ -232,41 +235,41 @@ let append_slot t r ~lsn ~force_persist =
       t.pending <- t.pending + 1;
       if force_persist || t.pending >= group then flush_group t)
 
-(* Store an inline pair into the next two slots (raw words, no counters —
-   shared by [append_pair] and compaction's re-append).  A pair never
+(* Store a compact record — an END word ([width] 1, [w1] unused) or an
+   inline pair ([width] 2) — into the next slots (raw words, no counters —
+   shared by [append_inline] and compaction's re-append).  A pair never
    straddles a bucket boundary: with one slot left we roll to a fresh
    bucket and the orphan slot stays durably zero, which every scan skips
    and the Batch trust rule never covers. *)
-let put_pair_slots t w0 w1 ~lsn ~force_persist =
-  if t.next_slot + 2 > t.bucket_cap then begin
+let put_compact t ~width w0 w1 ~lsn ~force_persist =
+  if t.next_slot + width > t.bucket_cap then begin
     flush_group t;
     new_bucket t
   end;
   let b = t.cur.bucket in
   let i = t.next_slot in
-  t.next_slot <- i + 2;
+  t.next_slot <- i + width;
   note_append t ~lsn;
   let off = slot_off b i in
+  let last = off + (8 * (width - 1)) in
+  Arena.write t.arena off (Int64.of_int w0);
+  if width = 2 then Arena.write t.arena last (Int64.of_int w1);
   (match t.variant with
   | Simple -> assert false
   | Optimized ->
-      (* The pair *is* the record: two cached stores, one write-back (two
-         when the pair straddles a line — slot parity is not fixed), one
-         fence.  No off-line record line, no separate slot ordering. *)
-      Arena.write t.arena off (Int64.of_int w0);
-      Arena.write t.arena (off + 8) (Int64.of_int w1);
+      (* The words *are* the record: one write-back (two when a pair
+         straddles a line — slot parity is not fixed), one fence.  No
+         off-line record line, no separate slot ordering. *)
       Arena.flush_line t.arena off;
-      if (off + 8) lsr 6 <> off lsr 6 then Arena.flush_line t.arena (off + 8);
+      if last lsr 6 <> off lsr 6 then Arena.flush_line t.arena last;
       Arena.fence t.arena;
-      Pmcheck.expect_persisted t.arena ~addr:off ~len:16
-        ~what:"inline record pair"
+      Pmcheck.expect_persisted t.arena ~addr:off ~len:(8 * width)
+        ~what:"inline record"
   | Batch group ->
-      (* Both words stay cached; [flush_group] persists them and only then
+      (* The words stay cached; [flush_group] persists them and only then
          advances the last-persistent-index, so trusted slots never cut a
-         pair in half.  A pair counts two slots toward the group. *)
-      Arena.write t.arena off (Int64.of_int w0);
-      Arena.write t.arena (off + 8) (Int64.of_int w1);
-      t.pending <- t.pending + 2;
+         pair in half.  A record counts its slots toward the group. *)
+      t.pending <- t.pending + width;
       if force_persist || t.pending >= group then flush_group t);
   (b, i)
 
@@ -275,16 +278,19 @@ let put_pair_slots t w0 w1 ~lsn ~force_persist =
    way after every tree operation). *)
 type handle = Node of int | Slot of { node : int; bucket : int; slot : int }
 
-let append_pair ?(is_end = false) ?(lsn = unknown_lsn) t ~txn w0 w1 =
+let append_inline ?(is_end = false) ?(lsn = unknown_lsn) t ~txn ~width w0 w1 =
   t.appended <- t.appended + 1;
   t.inline_appended <- t.inline_appended + 1;
   let s = Arena.stats t.arena in
   s.Stats.inline_records <- s.Stats.inline_records + 1;
-  let b, i = put_pair_slots t w0 w1 ~lsn ~force_persist:is_end in
+  let b, i = put_compact t ~width w0 w1 ~lsn ~force_persist:is_end in
   if is_end && txn <> 0 && Arena.traced t.arena then
-    Pmcheck.commit_point t.arena ~txn ~addr:(slot_off b i) ~len:16
-      ~what:"END inline pair";
+    Pmcheck.commit_point t.arena ~txn ~addr:(slot_off b i) ~len:(8 * width)
+      ~what:"END inline record";
   Slot { node = t.cur.node; bucket = b; slot = i }
+
+let append_pair ?is_end ?lsn t ~txn w0 w1 =
+  append_inline ?is_end ?lsn t ~txn ~width:2 w0 w1
 
 let append_h ?(is_end = false) ?(lsn = unknown_lsn) t r =
   t.appended <- t.appended + 1;
@@ -322,34 +328,41 @@ let append_h ?(is_end = false) ?(lsn = unknown_lsn) t r =
 let append ?is_end ?lsn t r = ignore (append_h ?is_end ?lsn t r)
 
 (* Inline eligibility is per-log: bucketed variants only, and a bucket
-   must fit at least one pair. *)
+   must fit at least one pair.  It covers both compact forms. *)
 let inline_eligible t = t.inline_ok && t.bucket_cap >= 2 && bucketed t
 
 let set_inline t b = t.inline_ok <- b
 let inline_enabled t = t.inline_ok
 let inline_appended t = t.inline_appended
 
-(* Append by fields: encode inline when the record fits the compact
-   format, fall back to an off-line 64-byte record otherwise.  The choice
-   is invisible to readers — both come back as record refs that the
-   {!Record} accessors decode.  The AAVLT's internal records (txn 0)
-   carry no LSN, so they leave their bucket's maximum unknown. *)
+(* Append by fields: an END word when the record is a payload-free END
+   whose fields fit it, else an inline pair when it fits the compact
+   format, else an off-line 64-byte record.  The choice is invisible to
+   readers — all come back as record refs that the {!Record} accessors
+   decode.  The AAVLT's internal records (txn 0) carry no LSN, so they
+   leave their bucket's maximum unknown. *)
 let append_record ?(is_end = false) t ~lsn ~txn ~typ ~addr ~old_value
     ~new_value ~undo_next =
   let max_lsn = if txn = 0 then unknown_lsn else lsn in
-  match
-    if inline_eligible t then
-      Record.inline_encode ~lsn ~txn ~typ ~addr ~old_value ~new_value
-        ~undo_next
-    else None
-  with
-  | Some (w0, w1) -> append_pair ~is_end ~lsn:max_lsn t ~txn w0 w1
-  | None ->
-      let r =
-        Record.make t.alloc ~lsn ~txn ~typ ~addr ~old_value ~new_value
-          ~undo_next ~prev_same_txn:0
-      in
-      append_h ~is_end ~lsn:max_lsn t r
+  let full () =
+    append_h ~is_end ~lsn:max_lsn t
+      (Record.make t.alloc ~lsn ~txn ~typ ~addr ~old_value ~new_value
+         ~undo_next ~prev_same_txn:0)
+  in
+  if not (inline_eligible t) then full ()
+  else
+    match
+      Record.word_encode ~lsn ~txn ~typ ~addr ~old_value ~new_value ~undo_next
+    with
+    | Some w -> append_inline ~is_end ~lsn:max_lsn t ~txn ~width:1 w 0
+    | None -> (
+        match
+          Record.inline_encode ~lsn ~txn ~typ ~addr ~old_value ~new_value
+            ~undo_next
+        with
+        | Some (w0, w1) ->
+            append_inline ~is_end ~lsn:max_lsn t ~txn ~width:2 w0 w1
+        | None -> full ())
 
 let appended t = t.appended
 let torn_truncated t = t.torn
@@ -359,21 +372,28 @@ let pending t = t.pending
 
 (* -- traversal --------------------------------------------------------- *)
 
-(* Trust the inline first word [v] at slot [i] (NVM offset [off]) only if
-   its partner word is inside [bound] and the pair CRC matches. *)
-let trusted_pair t ~off ~i ~bound v =
-  Record.is_inline_first_word v
-  && i + 1 < bound
-  && Record.inline_pair_valid ~w0:v ~w1:(rd t (off + 8))
+(* The slots of the trusted compact record whose first word [v] sits at
+   slot [i] (NVM offset [off]): 1 for an END word whose CRC matches, 2 for
+   a pair whose partner word is inside [bound] and whose CRC matches, 0
+   for any other word. *)
+let compact_width t ~off ~i ~bound v =
+  if Record.end_word_valid v then 1
+  else if
+    Record.is_inline_first_word v
+    && i + 1 < bound
+    && Record.inline_pair_valid ~w0:v ~w1:(rd t (off + 8))
+  then 2
+  else 0
 
 (* A full-record slot word a scan may dereference.  A slot or list
    element should only ever hold 0, the tombstone, an inline tag word, or
    a plausible record address ({!Record.plausible}) — anything else is
    corruption caught before a scan dereferences it.  A media-faulty slot
    line serves garbage on {e every} read (truncation cannot stick), so
-   scans must classify defensively, not just [attach]. *)
+   scans must classify defensively, not just [attach].  A tagged compact
+   word has non-zero low bits, so it is never a plausible address. *)
 let live_record t v =
-  v > tombstone && (not (Record.is_inline_word v)) && Record.plausible t.arena v
+  v > tombstone && Record.plausible t.arena v
 
 (* Number of slots of [b] that iteration may trust.  The Batch
    last-persistent-index word shares a line with the first slots, so a
@@ -395,19 +415,20 @@ let iter_buckets t f =
 
 (* The one forward walk over the first [bound] slots of bucket [b]; with
    [seq], each step is charged as a sequential read.
-   A trusted inline pair goes to [pair i off w0], its first word already
-   read, and covers two slots.  Any other word goes to [word i off v],
-   which returns how many slots it consumed: more than one only when it
-   read ahead itself. *)
-let walk_slots ?(seq = false) t b ~bound ~pair ~word =
+   A trusted compact record goes to [compact i off w0 width], its first
+   word already read, and covers [width] slots (1 for an END word, 2 for
+   a pair).  Any other word goes to [word i off v], which returns how many
+   slots it consumed: more than one only when it read ahead itself. *)
+let walk_slots ?(seq = false) t b ~bound ~compact ~word =
   let i = ref 0 in
   while !i < bound do
     if seq then charge_seq t;
     let off = slot_off b !i in
     let v = rd t off in
-    if trusted_pair t ~off ~i:!i ~bound v then begin
-      pair !i off v;
-      i := !i + 2
+    let width = compact_width t ~off ~i:!i ~bound v in
+    if width > 0 then begin
+      compact !i off v width;
+      i := !i + width
     end
     else i := !i + word !i off v
   done
@@ -421,9 +442,9 @@ let iter t f =
   | Optimized | Batch _ ->
       iter_buckets t (fun _ b bound ->
           walk_slots ~seq:true t b ~bound
-            ~pair:(fun _ off _ ->
-              (* an inline pair decodes from the slot line already read *)
-              f (Record.inline_ref off))
+            ~compact:(fun _ off _ width ->
+              (* a compact record decodes from the slot line already read *)
+              f (Record.inline_ref ~width off))
             ~word:(fun _ _ v ->
               if live_record t v then begin
                 (* examining a full record touches its own cacheline *)
@@ -445,14 +466,19 @@ let iter_back t f =
           let i = ref (bound - 1) in
           while !i >= 0 do
             charge_seq t;
-            let v = rd t (slot_off b !i) in
+            let off = slot_off b !i in
+            let v = rd t off in
             let off1 = slot_off b (!i - 1) in
-            if
+            if Record.end_word_valid v then begin
+              f (Record.inline_ref ~width:1 off);
+              decr i
+            end
+            else if
               Record.is_inline_second_word v
               && !i > 0
-              && trusted_pair t ~off:off1 ~i:(!i - 1) ~bound (rd t off1)
+              && compact_width t ~off:off1 ~i:(!i - 1) ~bound (rd t off1) = 2
             then begin
-              f (Record.inline_ref off1);
+              f (Record.inline_ref ~width:2 off1);
               i := !i - 2
             end
             else begin
@@ -512,12 +538,12 @@ let remove_where t pred =
       iter_buckets t (fun node b bound ->
           let survivors = ref 0 in
           walk_slots ~seq:true t b ~bound
-            ~pair:(fun _ off _ ->
-              if pred (Record.inline_ref off) then begin
+            ~compact:(fun _ off _ width ->
+              if pred (Record.inline_ref ~width off) then begin
                 (* first word first: a crash in between leaves a stray
                    second word, which [attach] tombstones *)
                 wr_nt t off tombstone;
-                wr_nt t (off + 8) tombstone
+                if width = 2 then wr_nt t (off + 8) tombstone
               end
               else incr survivors)
             ~word:(fun _ off v ->
@@ -556,9 +582,9 @@ let remove_handle t h =
       let off = slot_off bucket slot in
       let v = rd t off in
       let removed =
-        if Record.is_inline_first_word v then begin
+        if Record.is_inline_first_word v || Record.is_end_word v then begin
           wr_nt t off tombstone;
-          wr_nt t (off + 8) tombstone;
+          if Record.is_inline_first_word v then wr_nt t (off + 8) tombstone;
           true
         end
         else if live_record t v then begin
@@ -577,11 +603,11 @@ let remove_handle t h =
         | None -> ()
 
 (* Free the full records among the first [bound] slots of [b], then [b]
-   itself — volatile free-list operations only.  Inline pairs live in the
-   bucket: nothing to free. *)
+   itself — volatile free-list operations only.  Compact records live in
+   the bucket: nothing to free. *)
 let release_bucket t b ~bound =
   walk_slots t b ~bound
-    ~pair:(fun _ _ _ -> ())
+    ~compact:(fun _ _ _ _ -> ())
     ~word:(fun _ _ v ->
       if live_record t v then Record.free t.alloc v;
       1);
@@ -653,7 +679,7 @@ let occupancy_stats t =
       iter_buckets t (fun _ b bound ->
           slots := !slots + bound;
           walk_slots t b ~bound
-            ~pair:(fun _ _ _ -> live := !live + 2)  (* a pair fills two slots *)
+            ~compact:(fun _ _ _ width -> live := !live + width)
             ~word:(fun _ _ v ->
               if live_record t v then incr live;
               1));
@@ -673,13 +699,14 @@ let compact ?(threshold = 0.5) t =
     | Optimized | Batch _ ->
         let old_chain = t.chain in
         (* Collect survivors preserving their representation: a full
-           record moves by address, an inline pair by its two raw words
-           (its CRC is position-independent). *)
+           record moves by address, a compact record by its raw words
+           (their CRC is position-independent). *)
         let survivors = ref [] in
         iter_buckets t (fun _ b bound ->
             walk_slots t b ~bound
-              ~pair:(fun _ off w0 ->
-                survivors := `Pair (w0, rd t (off + 8)) :: !survivors)
+              ~compact:(fun _ off w0 width ->
+                let w1 = if width = 2 then rd t (off + 8) else 0 in
+                survivors := `Compact (width, w0, w1) :: !survivors)
               ~word:(fun _ _ v ->
                 if live_record t v then survivors := `Full v :: !survivors;
                 1));
@@ -689,9 +716,9 @@ let compact ?(threshold = 0.5) t =
           (function
             | `Full r ->
                 append_slot t r ~lsn:unknown_lsn ~force_persist:false
-            | `Pair (w0, w1) ->
+            | `Compact (width, w0, w1) ->
                 ignore
-                  (put_pair_slots t w0 w1 ~lsn:unknown_lsn
+                  (put_compact t ~width w0 w1 ~lsn:unknown_lsn
                      ~force_persist:false))
           (List.rev !survivors);
         (* even with no survivor, the new current bucket is rebuilt *)
@@ -727,7 +754,7 @@ let check_occupancy t =
       iter_buckets t (fun _ b bound ->
           let actual = ref 0 in
           walk_slots t b ~bound
-            ~pair:(fun _ _ _ -> incr actual)
+            ~compact:(fun _ _ _ _ -> incr actual)
             ~word:(fun _ _ v ->
               if live_record t v then incr actual;
               1);
@@ -781,16 +808,16 @@ let attach variant ?(bucket_cap = 1000) alloc ~root_slot =
         iter_buckets t (fun node b bound ->
             let occ = ref 0 in
             let last_used = ref (-1) in
-            (* Truncate an inline word that cannot be trusted as half of a
-               valid pair — the pair analogue of a bad-CRC record. *)
+            (* Truncate a compact word that cannot be trusted — the
+               analogue of a bad-CRC record. *)
             let truncate_inline off =
               wr_nt t off tombstone;
               count_torn t
             in
             walk_slots t b ~bound
-              ~pair:(fun i _ _ ->
+              ~compact:(fun i _ _ width ->
                 incr occ;
-                last_used := i + 1)
+                last_used := i + width - 1)
               ~word:(fun i off v ->
                 if Record.is_inline_first_word v then begin
                   (* torn pair: the second word is beyond the trusted
@@ -818,7 +845,9 @@ let attach variant ?(bucket_cap = 1000) alloc ~root_slot =
                   else if v > tombstone then begin
                     if intact v then incr occ
                     else
-                      (* torn write: truncate the record out of the log *)
+                      (* torn write: truncate the record out of the log
+                         (an END word whose CRC fails lands here too: it
+                         is no plausible record address) *)
                       wr_nt t off tombstone
                   end;
                   if v >= tombstone then last_used := i;

@@ -18,7 +18,9 @@
     {!attach} or {!compact}, or given an append without an LSN, counts as
     unknown.
 
-    Every forward bucket scan — {!iter}, {!remove_where}, {!compact},
+    A bucket slot holds a full record's address or a compact record: a
+    one-slot END word or a two-slot inline pair (see {!Record}).  Every
+    forward bucket scan — {!iter}, {!remove_where}, {!compact},
     {!occupancy_stats}, {!check_occupancy}, {!reclaim}, {!clear_all} and
     {!attach} — reads the slots through one walk, so all of them classify
     a slot alike. *)
@@ -76,7 +78,8 @@ val remove_handle : t -> handle -> unit
 
 (** {2 Inline fast path}
 
-    Bucketed variants encode a small record directly into a tagged pair
+    Bucketed variants encode a payload-free END into one tagged slot word
+    ({!Record.word_encode}) and a small UPDATE or CLR into a tagged pair
     of adjacent slots ({!Record.inline_encode}): an Optimized append then
     costs one line write-back plus one fence instead of a record
     write-back, a fence and an ordered slot store; Batch appends stay
@@ -94,10 +97,11 @@ val append_record :
   new_value:int64 ->
   undo_next:int ->
   handle
-(** Append by fields: inline pair when eligible and the fields fit the
-    compact format, otherwise an off-line full record.  [lsn] is noted as
-    the bucket's maximum, except for the AAVLT's internal records
-    ([txn = 0]), which carry none. *)
+(** Append by fields: when inline encoding is eligible, an END word if
+    the record is a payload-free END whose fields fit it, else an inline
+    pair if the fields fit the pair; otherwise an off-line full record.
+    [lsn] is noted as the bucket's maximum, except for the AAVLT's
+    internal records ([txn = 0]), which carry none. *)
 
 val append_pair :
   ?is_end:bool -> ?lsn:int -> t -> txn:int -> int -> int -> handle
@@ -108,11 +112,12 @@ val append_pair :
 
 val inline_eligible : t -> bool
 (** Inline encoding enabled, and this log's variant/bucket size support
-    pairs. *)
+    pairs (and so END words). *)
 
 val set_inline : t -> bool -> unit
-(** Enable/disable the inline fast path (benchmarks use this to measure
-    the full-record path on the same variant). *)
+(** Enable/disable the inline fast path — END words and pairs alike
+    (benchmarks use this to measure the full-record path on the same
+    variant). *)
 
 val inline_enabled : t -> bool
 

@@ -1,8 +1,14 @@
-(* Log records.
+(* Log records, in three forms.
 
-   A record occupies exactly one 64-byte cacheline (eight words), so that
-   creating one "off-line" — cached stores followed by a single write-back —
-   costs one NVM write before it is atomically linked into the log.  The
+   A full record occupies exactly one 64-byte cacheline (eight words), so
+   that creating one "off-line" — cached stores followed by a single
+   write-back — costs one NVM write before it is atomically linked into
+   the log.  The bucketed logs also hold two compact forms in their own
+   slots (layouts below): a one-slot END word for a payload-free user END
+   (txn < 2^17, LSN < 2^26), and a two-slot pair for word-sized
+   UPDATE/CLR records (txn < 2^14, LSN < 2^26, 16-bit images) and the
+   AAVLT's internal records (36-bit images).  A record that fits neither
+   is a full record.  The
    fields mirror ARIES/REWIND: LSN, transaction id, record type, affected
    address, before/after images, the undo-next pointer used by CLRs, and
    the previous-record-of-same-transaction chain used by two-layer logging.
@@ -82,24 +88,38 @@ let image_crc ~lsn ~txn ~typw ~addr ~old_value ~new_value ~undo_next
 
 (* -- inline compact records --------------------------------------------- *)
 
-(* A small record — word-sized before/after images, which covers one-layer
-   UPDATE/CLR/END records and every AAVLT-internal record — can be encoded
-   directly into a tagged *pair of adjacent bucket slots* instead of a
-   heap-allocated 64-byte line.  Slot values are otherwise 0 (never used),
-   1 (tombstone) or a 64-byte-aligned record address, so the low three
-   bits of a slot word are free: tag 6 (0b110) marks the first word of a
-   pair, tag 7 (0b111) the second.  Both words keep bits 62-63 zero, so
-   they survive the arena's [Int64.to_int] round-trip as non-negative
-   OCaml ints and never compare as record addresses.
+(* A small record can live in the bucket's own slots instead of a
+   heap-allocated 64-byte line.  Slot values are otherwise 0 (never
+   used), 1 (tombstone) or a 64-byte-aligned record address, so the low
+   three bits of a slot word are free to tag two compact forms.  Every
+   compact word keeps bits 62-63 zero, so it survives the arena's
+   [Int64.to_int] round-trip as a non-negative OCaml int and never
+   compares as a record address.
+
+   The END word — one slot, tag 2 (0b010) — is a payload-free user END
+   (txn > 0: every commit and rollback end):
+
+     [2:0]=2  [18:3]=crc16  [35:19]=txn(17 bits)  [61:36]=lsn(26 bits)
+
+   crc16 is the folded CRC-32 of the word with the crc field zeroed.  A
+   word cannot tear, but a media-faulty line can serve garbage, so the
+   checksum stays.
+
+   The pair — two adjacent slots, tag 6 (0b110) on the first word, tag 7
+   (0b111) on the second — holds word-sized before/after images, which
+   covers one-layer UPDATE/CLR records and every AAVLT-internal record:
 
    word 0:  [2:0]=6  [3]=fmt  [5:4]=typ  [21:6]=crc16  [61:22]=payload
    word 1:  [2:0]=7  [29:3]=addr/8  [45:30]=a16  [61:46]=b16
 
    fmt 0 ("user"):     payload = txn(14 bits) | lsn(26 bits) << 14;
-                       UPDATE/END: a16 = old value, b16 = new value;
+                       UPDATE: a16 = old value, b16 = new value;
                        CLR: a16 = undo-next LSN, b16 = new (restored)
                        value — a CLR's old value is write-only throughout
                        the system, so it is not stored and decodes as 0.
+                       The encoder emits no user END (the END word
+                       holds those); the decoder still reads one, so
+                       older images attach unchanged.
    fmt 1 ("internal"): an AAVLT record (txn 0, lsn 0); payload =
                        old[35:16](20 bits) | new[35:16](20 bits) << 20,
                        a16/b16 = the low halves — 36-bit images cover
@@ -109,11 +129,42 @@ let image_crc ~lsn ~txn ~typw ~addr ~old_value ~new_value ~undo_next
    pair whose second word is missing, untrusted or mismatched is a torn
    record, truncated by recovery exactly like a bad-CRC full record.
 
-   An inline record is addressed by an *inline ref*: the NVM address of
-   its first slot word with the low bit set.  Slot offsets are 8-aligned
-   and real record addresses 64-aligned, so refs are odd and unambiguous;
-   every accessor below branches on the tag bit, which keeps the
-   recovery/rollback algorithms in [Tm] format-agnostic. *)
+   A compact record is addressed by an *inline ref*: the NVM address of
+   its first slot with low bits 0b001 for a pair and 0b011 for an END
+   word.  Slot offsets are 8-aligned and real record addresses 64-aligned,
+   so refs are odd and unambiguous; every accessor below branches on the
+   ref bits, never on a load, which keeps the recovery/rollback
+   algorithms in [Tm] format-agnostic. *)
+
+let fold16 c = (c lxor (c lsr 16)) land 0xFFFF
+let fits n bits = n >= 0 && n lsr bits = 0
+
+module Word = struct
+  let tag = 2
+
+  let is_word w = w >= 0 && w land 7 = tag
+  let stored_crc w = (w lsr 3) land 0xFFFF
+  let txn w = (w lsr 19) land 0x1FFFF
+  let lsn w = (w lsr 36) land 0x3FFFFFF
+
+  let crc16 w =
+    fold16
+      (Crc32.finish
+         (Crc32.update_int64 Crc32.init
+            (Int64.of_int (w land lnot (0xFFFF lsl 3)))))
+
+  let valid w = is_word w && crc16 w = stored_crc w
+
+  (* A payload-free user END, or [None]: the caller tries the pair next. *)
+  let encode ~lsn ~txn ~typ ~addr ~old_value ~new_value ~undo_next =
+    if
+      typ = End && addr = 0 && old_value = 0L && new_value = 0L
+      && undo_next = 0 && txn > 0 && fits txn 17 && fits lsn 26
+    then
+      let w = tag lor (txn lsl 19) lor (lsn lsl 36) in
+      Some (w lor (crc16 w lsl 3))
+    else None
+end
 
 module Inline = struct
   let tag_first = 6
@@ -124,7 +175,6 @@ module Inline = struct
      rejected here before any field is interpreted. *)
   let is_first_word w = w >= 0 && w land 7 = tag_first
   let is_second_word w = w >= 0 && w land 7 = tag_second
-  let is_inline_word w = w >= 0 && w land 7 >= tag_first
 
   let typ2_of_typ = function
     | Update -> Some 0
@@ -146,7 +196,7 @@ module Inline = struct
            (Crc32.update_int64 Crc32.init (Int64.of_int w0z))
            (Int64.of_int w1))
     in
-    (c lxor (c lsr 16)) land 0xFFFF
+    fold16 c
 
   (* field extraction *)
   let fmt w0 = (w0 lsr 3) land 1
@@ -160,13 +210,13 @@ module Inline = struct
   let valid ~w0 ~w1 =
     is_first_word w0 && is_second_word w1 && crc16 ~w0 ~w1 = stored_crc w0
 
-  let fits n bits = n >= 0 && n lsr bits = 0
   let fits64 v bits =
     Int64.compare v 0L >= 0
     && Int64.compare v (Int64.shift_left 1L bits) < 0
 
-  (* Encode, or [None] when any field exceeds the compact format — the
-     caller falls back to a full record, so eligibility is pure policy. *)
+  (* Encode, or [None] when any field exceeds the compact format or the
+     record is a user END — the caller falls back to a full record, so
+     eligibility is pure policy. *)
   let encode ~lsn ~txn ~typ ~addr ~old_value ~new_value ~undo_next =
     match typ2_of_typ typ with
     | None -> None
@@ -200,46 +250,55 @@ module Inline = struct
                   pack ~fmt:0 ~payload ~a16:undo_next
                     ~b16:(Int64.to_int new_value)
                 else None
-            | Update | End ->
+            | Update ->
                 if undo_next = 0 && fits64 old_value 16 && fits64 new_value 16
                 then
                   pack ~fmt:0 ~payload ~a16:(Int64.to_int old_value)
                     ~b16:(Int64.to_int new_value)
                 else None
-            | Delete | Rollback | Prepare -> None
+            | End | Delete | Rollback | Prepare -> None
 end
 
-(* An inline ref is the pair's first-slot address with the low bit set. *)
+(* An inline ref is the record's first-slot address with low bits 0b001
+   (a pair) or 0b011 (an END word). *)
 let is_inline r = r land 1 = 1
-let inline_ref pair_addr = pair_addr lor 1
-let inline_pair r = r land lnot 1
+let is_word r = r land 3 = 3
+let inline_ref ~width slot = if width = 1 then slot lor 3 else slot lor 1
+let inline_slot r = r land lnot 7
+let width r = if r land 3 = 1 then 2 else 1
 
-let iw0 a r = Int64.to_int (Arena.read a (inline_pair r))
-let iw1 a r = Int64.to_int (Arena.read a (inline_pair r + 8))
+let iw0 a r = Int64.to_int (Arena.read a (inline_slot r))
+let iw1 a r = Int64.to_int (Arena.read a (inline_slot r + 8))
 
 let lsn a r =
-  if is_inline r then
+  if is_word r then Word.lsn (iw0 a r)
+  else if is_inline r then
     let w0 = iw0 a r in
     if Inline.fmt w0 = 1 then 0 else (Inline.payload w0 lsr 14) land 0x3FFFFFF
   else Int64.to_int (Arena.read a (r + o_lsn))
 
 let txn a r =
-  if is_inline r then
+  if is_word r then Word.txn (iw0 a r)
+  else if is_inline r then
     let w0 = iw0 a r in
     if Inline.fmt w0 = 1 then 0 else Inline.payload w0 land 0x3FFF
   else Int64.to_int (Arena.read a (r + o_txn))
 
 let typ a r =
-  if is_inline r then Inline.typ_of_typ2 (Inline.typ2 (iw0 a r))
+  if is_word r then End
+  else if is_inline r then Inline.typ_of_typ2 (Inline.typ2 (iw0 a r))
   else
     typ_of_int (Int64.to_int (Int64.logand (Arena.read a (r + o_typ)) 0xFFFFFFFFL))
 
+(* An END word carries no address, images or chain: they decode as 0. *)
 let addr a r =
-  if is_inline r then Inline.addr_of (iw1 a r)
+  if is_word r then 0
+  else if is_inline r then Inline.addr_of (iw1 a r)
   else Int64.to_int (Arena.read a (r + o_addr))
 
 let old_value a r =
-  if is_inline r then
+  if is_word r then 0L
+  else if is_inline r then
     let w0 = iw0 a r in
     if Inline.fmt w0 = 1 then
       Int64.of_int (((Inline.payload w0 land 0xFFFFF) lsl 16) lor Inline.a16 (iw1 a r))
@@ -250,7 +309,8 @@ let old_value a r =
   else Arena.read a (r + o_old)
 
 let new_value a r =
-  if is_inline r then
+  if is_word r then 0L
+  else if is_inline r then
     let w0 = iw0 a r in
     if Inline.fmt w0 = 1 then
       Int64.of_int
@@ -259,7 +319,8 @@ let new_value a r =
   else Arena.read a (r + o_new)
 
 let undo_next a r =
-  if is_inline r then
+  if is_word r then 0
+  else if is_inline r then
     let w0 = iw0 a r in
     if Inline.fmt w0 = 0 && Inline.typ2 w0 = 1 then Inline.a16 (iw1 a r) else 0
   else Int64.to_int (Arena.read a (r + o_undo_next))
@@ -268,12 +329,15 @@ let prev_same_txn a r =
   if is_inline r then 0
   else Int64.to_int (Arena.read a (r + o_prev_same_txn))
 
-(* Re-exported word predicates, used by the log's pair-aware scans. *)
+(* Re-exported word predicates and encoders, used by the log's scans and
+   appends. *)
 let is_inline_first_word = Inline.is_first_word
 let is_inline_second_word = Inline.is_second_word
-let is_inline_word = Inline.is_inline_word
+let is_end_word = Word.is_word
 let inline_pair_valid ~w0 ~w1 = Inline.valid ~w0 ~w1
+let end_word_valid = Word.valid
 let inline_encode = Inline.encode
+let word_encode = Word.encode
 
 let pack_typ_word ~typw ~crc =
   Int64.logor
@@ -281,13 +345,15 @@ let pack_typ_word ~typw ~crc =
     (Int64.shift_left (Int64.of_int crc) 32)
 
 let checksum a r =
-  if is_inline r then Inline.stored_crc (iw0 a r)
+  if is_word r then Word.stored_crc (iw0 a r)
+  else if is_inline r then Inline.stored_crc (iw0 a r)
   else Int64.to_int (Int64.shift_right_logical (Arena.read a (r + o_typ)) 32)
 
 (* Recompute the CRC from the record as currently readable and compare it
    with the stored one.  Interprets no field, so it is safe on garbage. *)
 let verify a r =
-  if is_inline r then Inline.valid ~w0:(iw0 a r) ~w1:(iw1 a r)
+  if is_word r then Word.valid (iw0 a r)
+  else if is_inline r then Inline.valid ~w0:(iw0 a r) ~w1:(iw1 a r)
   else
     let w o = Arena.read a (r + o) in
     let typw = w o_typ in
@@ -346,7 +412,7 @@ let set_prev_same_txn a r v =
   in
   Arena.nt_write a (r + o_typ) (pack_typ_word ~typw ~crc)
 
-(* Inline records live in their bucket's slots: nothing to free. *)
+(* Compact records live in their bucket's slots: nothing to free. *)
 let free alloc r =
   if not (is_inline r) then Alloc.free ~align:size_bytes alloc r size_bytes
 

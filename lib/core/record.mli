@@ -1,8 +1,10 @@
-(** Log records: one 64-byte cacheline each, created "off-line" (cached
-    stores plus a single write-back) before being atomically linked into
-    the log.  Fields follow ARIES/REWIND: LSN, transaction id, type,
-    affected address, before/after images, the CLR undo-next pointer, and
-    the same-transaction back-chain used by two-layer logging. *)
+(** Log records.  A full record is one 64-byte cacheline, created
+    "off-line" (cached stores plus a single write-back) before being
+    atomically linked into the log; the bucketed logs also store small
+    records in their own slots (see {!section:compact}).  Fields follow
+    ARIES/REWIND: LSN, transaction id, type, affected address,
+    before/after images, the CLR undo-next pointer, and the
+    same-transaction back-chain used by two-layer logging. *)
 
 type typ =
   | Update      (** a logged user (or AAVLT-internal) store *)
@@ -77,17 +79,33 @@ val free : Rewind_nvm.Alloc.t -> int -> unit
 
 val pp : Rewind_nvm.Arena.t -> int Fmt.t
 
-(** {1 Inline compact records}
+(** {1:compact Inline compact records}
 
-    A small record — word-sized before/after images — can be encoded into
-    a tagged pair of adjacent bucket slots instead of a 64-byte line: tag
-    6 (low three bits) marks the pair's first word, tag 7 the second, and
-    a folded 16-bit CRC covers both.  The pair is addressed by an {e
-    inline ref} (the first slot's NVM address with the low bit set, odd
-    and therefore disjoint from 64-aligned record addresses); every field
-    accessor above transparently decodes inline refs, so recovery and
-    rollback code is format-agnostic.  See [record.ml] for the exact bit
-    layout and eligibility rules. *)
+    Two compact forms live in a bucket's own slots instead of a 64-byte
+    line.  An {e END word} is one slot, tag 2 (low three bits): a
+    payload-free user END with a 17-bit transaction id, a 26-bit LSN and a
+    16-bit CRC.  A {e pair} is two adjacent slots, tag 6 on the first word
+    and 7 on the second, under a folded 16-bit CRC: a word-sized UPDATE or
+    CLR, or an AAVLT-internal record.  A compact record is addressed by an
+    {e inline ref}: its first slot's NVM address with low bits [0b001]
+    (pair) or [0b011] (END word), odd and therefore disjoint from
+    64-aligned record addresses.  Every field accessor above decodes
+    inline refs by their bits alone, so recovery and rollback code is
+    format-agnostic; an END word's address, images and chains decode as
+    0.  See [record.ml] for the exact bit layouts and eligibility rules. *)
+
+val word_encode :
+  lsn:int ->
+  txn:int ->
+  typ:typ ->
+  addr:int ->
+  old_value:int64 ->
+  new_value:int64 ->
+  undo_next:int ->
+  int option
+(** The END word, or [None] unless the record is an END with no payload
+    ([addr], images and [undo_next] all 0), [txn] in [1, 2^17) and [lsn]
+    below 2^26. *)
 
 val inline_encode :
   lsn:int ->
@@ -99,25 +117,37 @@ val inline_encode :
   undo_next:int ->
   (int * int) option
 (** The pair's two slot words, or [None] when a field exceeds the compact
-    format (the caller then falls back to {!make}).  A CLR's old value is
-    write-only system-wide and is not stored: it decodes as 0. *)
+    format or the record is a user END (the caller then tries
+    {!word_encode} or falls back to {!make}).  A CLR's old value is
+    write-only system-wide and is not stored: it decodes as 0.  The
+    decoder still reads user END pairs. *)
 
 val is_inline : int -> bool
-(** Is this record address an inline ref? *)
+(** Is this record address an inline ref (pair or END word)? *)
 
-val inline_ref : int -> int
-(** The inline ref addressing the pair whose first word sits at the given
-    (8-aligned) slot address. *)
+val is_word : int -> bool
+(** Is this record address an END-word ref? *)
 
-val inline_pair : int -> int
-(** Inverse of {!inline_ref}: the pair's first-slot address. *)
+val inline_ref : width:int -> int -> int
+(** The inline ref of the compact record whose first word sits at the
+    given (8-aligned) slot address: an END word for [width] 1, a pair for
+    [width] 2. *)
 
-(** Slot-word classification, used by the log's pair-aware scans. *)
+val inline_slot : int -> int
+(** Inverse of {!inline_ref}: the record's first-slot address. *)
+
+val width : int -> int
+(** Bucket slots the record fills: 2 for a pair, 1 otherwise. *)
+
+(** Slot-word classification, used by the log's scans. *)
 
 val is_inline_first_word : int -> bool
 val is_inline_second_word : int -> bool
-val is_inline_word : int -> bool
+val is_end_word : int -> bool
 
 val inline_pair_valid : w0:int -> w1:int -> bool
 (** Tags present and the stored CRC-16 matches — the integrity gate
     recovery applies before trusting a pair; a failure is a torn write. *)
+
+val end_word_valid : int -> bool
+(** Tag present and the stored CRC-16 matches: the END word's gate. *)

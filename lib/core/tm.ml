@@ -730,8 +730,9 @@ let clear_txn t p txn_id =
 (* -- commit --------------------------------------------------------------- *)
 
 (* Append a control record (END, CLR or PREPARE) to [p]: the compact
-   one-layer append — payload-free ENDs and small CLRs go inline — or,
-   under two layers, a full record the AAVLT indexes.  Returns its LSN. *)
+   one-layer append — an END is one slot word, a small CLR a slot pair —
+   or, under two layers, a full record the AAVLT indexes.  Returns its
+   LSN. *)
 let append_control t p txn_id ~typ ~is_end ?(addr = 0) ?(old_value = 0L)
     ?(new_value = 0L) ?(undo_next = 0) () =
   let lsn = fresh_lsn t txn_id in

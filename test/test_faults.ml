@@ -132,9 +132,11 @@ let test_corrupt_record_truncated (name, cfg) () =
   check_bool (name ^ ": records present pre-crash") true (recs <> []);
   Arena.crash arena;
   (* corrupt the newest record in place: garbage address and values (for
-     an inline pair, tear its second word) *)
+     an inline pair, tear its second word; for an END word, its CRC) *)
   let r = List.hd (List.rev recs) in
-  if Record.is_inline r then Arena.corrupt arena (Record.inline_pair r + 8) 8
+  if Record.is_word r then Arena.corrupt arena (Record.inline_slot r + 1) 1
+  else if Record.is_inline r then
+    Arena.corrupt arena (Record.inline_slot r + 8) 8
   else Arena.corrupt arena (r + 24) 16;
   let tm2 = attach_ok ~ctx:(name ^ " corrupt") cfg arena in
   check_bool

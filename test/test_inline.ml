@@ -1,8 +1,10 @@
 (* Inline compact log records: the allocation-free small-write fast path.
 
-   Covers the encoding itself (roundtrips, eligibility edges), the append
+   Covers the encodings themselves (roundtrips, eligibility edges, the
+   END word at its field limits, an older image's END pair), the append
    path on both bucketed variants, crash sweeps over every configuration
-   with inline-eligible workloads, a deliberately torn inline pair that
+   with inline-eligible workloads and over transaction ids that straddle
+   the pair's 14-bit limit, a deliberately torn pair and END word that
    recovery must truncate (mirroring test_faults.ml's full-record torn
    tests), and exhaustive crash-state enumeration over inline appends. *)
 
@@ -104,11 +106,77 @@ let test_ineligible_fields () =
   none ~ctx:"addr out of range" (enc ~addr:(1 lsl 31) ());
   none ~ctx:"delete not compact" (enc ~typ:Record.Delete ());
   none ~ctx:"update with undo_next" (enc ~undo_next:5 ());
+  none ~ctx:"user END is an END word, not a pair"
+    (enc ~typ:Record.End ~addr:0 ~old_value:0L ~new_value:0L ());
   (* internal eligibility is wider on images, narrower on provenance *)
   check_bool "internal wide image ok" true
     (enc ~lsn:0 ~txn:0 ~old_value:(Int64.of_int ((1 lsl 36) - 1)) () <> None);
   none ~ctx:"internal image too wide"
     (enc ~lsn:0 ~txn:0 ~old_value:(Int64.of_int (1 lsl 36)) ())
+
+(* The END word holds a payload-free user END up to each field's limit;
+   one past a limit, or any payload, and the END is a full record. *)
+let test_end_word_limits () =
+  let end_at ?(addr = 0) ~lsn ~txn () =
+    let arena, _alloc, log = fresh_log Log.Optimized in
+    ignore
+      (Log.append_record ~is_end:true log ~lsn ~txn ~typ:Record.End ~addr
+         ~old_value:0L ~new_value:0L ~undo_next:0);
+    match Log.records log with
+    | [ r ] -> (arena, r)
+    | l -> Alcotest.failf "expected 1 record, got %d" (List.length l)
+  in
+  let max_txn = (1 lsl 17) - 1 and max_lsn = (1 lsl 26) - 1 in
+  let arena, r = end_at ~lsn:max_lsn ~txn:max_txn () in
+  check_bool "END word at both limits" true (Record.is_word r);
+  check_int "one slot" 1 (Record.width r);
+  check_int "lsn" max_lsn (Record.lsn arena r);
+  check_int "txn" max_txn (Record.txn arena r);
+  check_bool "typ" true (Record.typ arena r = Record.End);
+  check_int "addr" 0 (Record.addr arena r);
+  check_i64 "old" 0L (Record.old_value arena r);
+  check_i64 "new" 0L (Record.new_value arena r);
+  check_int "undo_next" 0 (Record.undo_next arena r);
+  check_bool "verify" true (Record.verify arena r);
+  let full ctx (_, r) = check_bool ctx false (Record.is_inline r) in
+  full "txn 2^17 is a full record" (end_at ~lsn:1 ~txn:(1 lsl 17) ());
+  full "lsn 2^26 is a full record" (end_at ~lsn:(1 lsl 26) ~txn:1 ());
+  full "an END with a payload is a full record"
+    (end_at ~addr:64 ~lsn:1 ~txn:1 ());
+  check_bool "txn 0 (AAVLT-internal) takes no END word" true
+    (Record.word_encode ~lsn:0 ~txn:0 ~typ:Record.End ~addr:0 ~old_value:0L
+       ~new_value:0L ~undo_next:0
+    = None)
+
+(* A user END pair, as logs written before the END word hold them: the
+   pair decoder still reads it, and [attach] keeps it.  The words are
+   built by hand from the layout in record.ml. *)
+let test_old_end_pair variant () =
+  let arena, _alloc, log = fresh_log variant in
+  let txn = 9 and lsn = 4242 in
+  let w0 = 6 lor (2 lsl 4) lor ((txn lor (lsn lsl 14)) lsl 22) and w1 = 7 in
+  let c =
+    Crc32.finish
+      (Crc32.update_int64
+         (Crc32.update_int64 Crc32.init (Int64.of_int w0))
+         (Int64.of_int w1))
+  in
+  let w0 = w0 lor (((c lxor (c lsr 16)) land 0xFFFF) lsl 6) in
+  ignore (Log.append_pair ~is_end:true ~lsn log ~txn w0 w1);
+  let decoded log =
+    match Log.records log with
+    | [ r ] ->
+        check_bool "a pair" true (Record.is_inline r && Record.width r = 2);
+        check_bool "typ" true (Record.typ arena r = Record.End);
+        check_int "txn" txn (Record.txn arena r);
+        check_int "lsn" lsn (Record.lsn arena r)
+    | l -> Alcotest.failf "expected 1 record, got %d" (List.length l)
+  in
+  decoded log;
+  Arena.crash arena;
+  let log2 = Log.attach variant (Alloc.recover arena) ~root_slot in
+  check_int "nothing torn" 0 (Log.torn_truncated log2);
+  decoded log2
 
 let test_fallback_to_full () =
   let arena, _alloc, log = fresh_log Log.Optimized in
@@ -163,6 +231,19 @@ let test_remove_inline variant () =
   check_int "odd-txn records remain" 5 (Log.length log);
   Log.iter log (fun r -> check_int "survivor txn" 1 (Record.txn arena r))
 
+(* An END word's handle removes exactly its one slot. *)
+let test_remove_end_word_handle variant () =
+  let _arena, _alloc, log = fresh_log variant in
+  let append_end lsn =
+    Log.append_record ~is_end:true log ~lsn ~txn:1 ~typ:Record.End ~addr:0
+      ~old_value:0L ~new_value:0L ~undo_next:0
+  in
+  let h = append_end 1 in
+  ignore (append_end 2);
+  Log.remove_handle log h;
+  check_int "one END word left" 1 (Log.length log);
+  check_bool "occupancy coherent" true (Log.check_occupancy log = [])
+
 (* ------------------------------------------------------------------ *)
 (* Crash sweep: small-write workload over every configuration          *)
 (* ------------------------------------------------------------------ *)
@@ -214,14 +295,37 @@ let test_sweep_uses_inline () =
       ("batch8", Rewind.config_batch ());
     ]
 
+(* Crash sweep over transaction ids that straddle 2^14: the pair's txn
+   field ends there, so the window's UPDATEs and CLRs switch from pairs to
+   full records mid-script while every END stays an END word. *)
+let straddling cfg =
+  Scenarios.tm_cells ~size_bytes:(4 lsl 20) ~n:8 cfg
+    ~prepare:(fun tm _ ->
+      (* the window's six transactions get ids 16381 .. 16386 *)
+      for _ = 1 to (1 lsl 14) - 4 do
+        ignore (Tm.begin_txn tm)
+      done)
+    ~window:(fun tm cells () -> script tm cells)
+    ~check:Scenarios.no_rolled_back
+
+let test_straddle_sweep cfg () =
+  let scenario = straddling cfg in
+  let w = scenario.Harness.setup () in
+  scenario.Harness.window w;
+  let s = Arena.stats (scenario.Harness.arenas w).(0) in
+  check_bool "pairs and full records both logged" true
+    (s.Stats.inline_records > 0 && s.Stats.full_records > 0);
+  ignore (Harness.every_event scenario)
+
 (* ------------------------------------------------------------------ *)
-(* Torn inline pair                                                    *)
+(* Torn compact records                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Mirror of test_faults.ml's corrupt-record test, pinned to the inline
-   representation: tear the pair's second word after the crash and
-   require recovery to truncate it via the pair CRC. *)
-let test_torn_pair_truncated (name, cfg) () =
+(* Mirror of test_faults.ml's corrupt-record test, pinned to the compact
+   forms: after the crash, tear the newest record — an UPDATE pair's
+   second word, or (with [commit_last]) the committing END word's CRC —
+   and require recovery to truncate it by its checksum. *)
+let test_torn_truncated ~commit_last (name, cfg) () =
   let arena, tm, cells = fresh_setup cfg in
   let txn = Tm.begin_txn tm in
   Tm.write tm txn ~addr:cells.(0) ~value:42L;
@@ -229,13 +333,17 @@ let test_torn_pair_truncated (name, cfg) () =
   let txn2 = Tm.begin_txn tm in
   Tm.write tm txn2 ~addr:cells.(1) ~value:43L;
   Tm.write tm txn2 ~addr:cells.(2) ~value:44L;
+  if commit_last then Tm.commit ~clear:false tm txn2;
   Log.flush_group (Tm.log tm);
   let recs = Log.records (Tm.log tm) in
   check_bool (name ^ ": records present pre-crash") true (recs <> []);
   let r = List.hd (List.rev recs) in
-  check_bool (name ^ ": newest record is inline") true (Record.is_inline r);
+  check_bool (name ^ ": newest record's form") true
+    (if commit_last then Record.is_word r
+     else Record.is_inline r && not (Record.is_word r));
   Arena.crash arena;
-  Arena.corrupt arena (Record.inline_pair r + 8) 8;
+  if commit_last then Arena.corrupt arena (Record.inline_slot r + 1) 1
+  else Arena.corrupt arena (Record.inline_slot r + 8) 8;
   let alloc2 = Alloc.recover arena in
   let tm2 =
     try Tm.attach ~cfg alloc2 ~root_slot
@@ -243,7 +351,7 @@ let test_torn_pair_truncated (name, cfg) () =
       Alcotest.failf "%s: recovery raised %s" name (Printexc.to_string e)
   in
   check_bool
-    (name ^ ": torn pair counted in stats")
+    (name ^ ": torn record counted in stats")
     true
     ((Arena.stats arena).Stats.torn_records >= 1);
   (match Tm.last_recovery tm2 with
@@ -251,7 +359,10 @@ let test_torn_pair_truncated (name, cfg) () =
   | Some rep ->
       check_bool (name ^ ": report shows truncation") true
         (rep.Tm.torn_truncated >= 1));
-  check_int (name ^ ": log cleared") 0 (Log.length (Tm.log tm2))
+  check_int (name ^ ": log cleared") 0 (Log.length (Tm.log tm2));
+  (* without its END, the second transaction is undone *)
+  check_i64 (name ^ ": torn transaction undone") 0L
+    (Arena.read arena cells.(1))
 
 (* ------------------------------------------------------------------ *)
 (* Exhaustive crash-state enumeration over inline appends              *)
@@ -265,6 +376,36 @@ let test_enumerate (name, cfg) () =
     ((Arena.stats (scenario.arenas w).(0)).Stats.inline_records > 0);
   let stats = Harness.every_fence_subset scenario in
   check_bool (name ^ ": crash states explored") true (stats.Enum.crash_states > 0)
+
+(* Every crash state of a transaction whose UPDATE pairs include one
+   that straddles a cacheline, the pair that can tear between its two
+   write-backs: the transaction is all-or-nothing. *)
+let test_enumerate_straddling_pair (name, cfg) () =
+  let straddles r =
+    Record.width r = 2
+    && Record.inline_slot r / 64 <> (Record.inline_slot r + 8) / 64
+  in
+  let scenario =
+    Scenarios.tm_cells ~size_bytes:(1 lsl 20) ~n:4 cfg
+      ~prepare:(fun _ _ -> ref false)
+      ~window:(fun tm cells straddled ->
+        let txn = Tm.begin_txn tm in
+        Array.iteri
+          (fun i c -> Tm.write tm txn ~addr:c ~value:(Int64.of_int (i + 1)))
+          cells;
+        straddled := List.exists straddles (Log.records (Tm.log tm));
+        Tm.commit tm txn)
+      ~check:(fun _ _ got ->
+        match Array.to_list got with
+        | [ 0L; 0L; 0L; 0L ] | [ 1L; 2L; 3L; 4L ] -> None
+        | _ -> Some (Fmt.str "partial state %a" Scenarios.pp_cells got))
+  in
+  let w = scenario.Harness.setup () in
+  scenario.Harness.window w;
+  check_bool (name ^ ": a pair straddles a line") true !(w.Scenarios.x);
+  let stats = Harness.every_fence_subset scenario in
+  check_bool (name ^ ": crash states explored") true
+    (stats.Enum.crash_states > 0)
 
 let () =
   let tc = Alcotest.test_case in
@@ -283,6 +424,10 @@ let () =
           tc "clr roundtrip" `Quick test_roundtrip_clr;
           tc "internal roundtrip" `Quick test_roundtrip_internal;
           tc "ineligible fields" `Quick test_ineligible_fields;
+          tc "END word at its limits" `Quick test_end_word_limits;
+          tc "older END pair [optimized]" `Quick
+            (test_old_end_pair Log.Optimized);
+          tc "older END pair [batch8]" `Quick (test_old_end_pair (Log.Batch 8));
           tc "fallback to full record" `Quick test_fallback_to_full;
         ] );
       ( "append",
@@ -291,16 +436,36 @@ let () =
           tc "readback [batch8]" `Quick (test_append_readback (Log.Batch 8));
           tc "remove_where [optimized]" `Quick (test_remove_inline Log.Optimized);
           tc "remove_where [batch8]" `Quick (test_remove_inline (Log.Batch 8));
+          tc "remove END word by handle [optimized]" `Quick
+            (test_remove_end_word_handle Log.Optimized);
+          tc "remove END word by handle [batch8]" `Quick
+            (test_remove_end_word_handle (Log.Batch 8));
           tc "small-write workload goes inline" `Quick test_sweep_uses_inline;
         ] );
       ("crash-sweep", per_config "crash everywhere" `Slow test_crash_sweep);
-      ( "torn-pair",
-        List.filter_map
+      ( "txn-straddle",
+        List.concat_map
+          (fun (vn, cfg) ->
+            List.map
+              (fun p ->
+                tc (Fmt.str "crash everywhere [%s x%d]" vn p) `Slow
+                  (test_straddle_sweep (Rewind.with_partitions p cfg)))
+              [ 1; 4 ])
+          [
+            ("1L-NFP", Rewind.config_1l_nfp);
+            ("batch8", Rewind.config_batch ());
+          ] );
+      ( "torn",
+        List.concat_map
           (fun ((cn, cfg) as c) ->
             if one_layer_bucketed c then
-              Some (tc ("torn pair [" ^ cn ^ "]") `Quick
-                      (test_torn_pair_truncated (cn, cfg)))
-            else None)
+              [
+                tc ("torn pair [" ^ cn ^ "]") `Quick
+                  (test_torn_truncated ~commit_last:false (cn, cfg));
+                tc ("torn END word [" ^ cn ^ "]") `Quick
+                  (test_torn_truncated ~commit_last:true (cn, cfg));
+              ]
+            else [])
           configs );
       ( "enumerate",
         List.filter_map
@@ -309,5 +474,13 @@ let () =
               Some (tc ("all crash states [" ^ cn ^ "]") `Slow
                       (test_enumerate (cn, cfg)))
             else None)
-          configs );
+          configs
+        @ List.filter_map
+            (fun ((cn, cfg) as c) ->
+              if one_layer_bucketed c then
+                Some
+                  (tc ("straddling pair [" ^ cn ^ "]") `Slow
+                     (test_enumerate_straddling_pair (cn, cfg)))
+              else None)
+            configs );
     ]

@@ -180,13 +180,18 @@ let test_batch_cheaper_than_optimized_than_simple () =
   check_bool "optimized beats simple" true (opt < simple);
   check_bool "batch beats optimized" true (batch < opt)
 
+(* A payload-free END by fields: an END word on the bucketed variants. *)
+let append_end log ~lsn ~txn =
+  Log.append_record ~is_end:true log ~lsn ~txn ~typ:Record.End ~addr:0
+    ~old_value:0L ~new_value:0L ~undo_next:0
+
 (* One fixed script per variant over every scan, clearing and attach
    path, pinned to the exact NVM counters and simulated time of each
    step: [loads; nvm_writes; nt_stores; flushes; fences; sim ns].  A
    change to how the log walks its buckets must keep every read, store,
    flush, fence and clock charge.  The attach runs over a torn record:
-   for the bucketed variants, a durable inline END pair whose second
-   word keeps its tag but fails the CRC, so the tear must consume it. *)
+   for the bucketed variants, a durable END word that keeps its tag but
+   fails its CRC, so the tear must consume it. *)
 let cost_script variant =
   let arena, alloc = fresh () in
   let log = ref (Log.create variant ~bucket_cap:8 alloc ~root_slot:2) in
@@ -213,7 +218,7 @@ let cost_script variant =
         if lsn mod 3 = 0 then Log.append ~lsn !log full.(lsn)
         else ignore (small ~lsn ~txn:(1 + (lsn mod 2)) Record.Update)
       done;
-      ignore (small ~is_end:true ~lsn:13 ~txn:1 Record.End));
+      ignore (append_end !log ~lsn:13 ~txn:1));
   step "iter" (fun () -> Log.iter !log ignore);
   step "iter_back" (fun () -> Log.iter_back !log ignore);
   step "remove_where" (fun () ->
@@ -229,11 +234,11 @@ let cost_script variant =
   let last = ref (Log.Node 0) in
   step "append again" (fun () ->
       ignore (small ~lsn:30 ~txn:4 Record.Update);
-      last := small ~is_end:true ~lsn:31 ~txn:4 Record.End);
+      last := append_end !log ~lsn:31 ~txn:4);
   (match !last with
   | Log.Slot { bucket; slot; _ } ->
-      let w1 = bucket + 16 + (8 * slot) in
-      Arena.nt_write arena w1 (Int64.logxor (Arena.read arena w1) 8L)
+      let w = bucket + 8 + (8 * slot) in
+      Arena.nt_write arena w (Int64.logxor (Arena.read arena w) 8L)
   | Log.Node _ ->
       let r = List.hd (List.rev (Log.records !log)) in
       Arena.nt_write arena r (Int64.add (Arena.read arena r) 1L));
@@ -264,31 +269,31 @@ let expected_costs = function
       ]
   | Log.Optimized ->
       [
-        ("append", [ 6; 23; 22; 9; 19; 5374 ]);
-        ("iter", [ 30; 0; 0; 0; 0; 382 ]);
-        ("iter_back", [ 39; 0; 0; 0; 0; 391 ]);
-        ("remove_where", [ 43; 4; 10; 0; 0; 755 ]);
+        ("append", [ 6; 23; 22; 9; 19; 5373 ]);
+        ("iter", [ 29; 0; 0; 0; 0; 381 ]);
+        ("iter_back", [ 37; 0; 0; 0; 0; 389 ]);
+        ("remove_where", [ 42; 4; 10; 0; 0; 754 ]);
         ("unlink_below+reclaim", [ 12; 4; 4; 0; 2; 812 ]);
-        ("compact", [ 55; 10; 13; 4; 9; 2461 ]);
-        ("append_h", [ 3; 9; 10; 1; 4; 1761 ]);
+        ("compact", [ 52; 9; 13; 3; 9; 2307 ]);
+        ("append_h", [ 0; 2; 1; 1; 1; 408 ]);
         ("remove_handle", [ 1; 0; 1; 0; 0; 1 ]);
-        ("clear_all", [ 21; 6; 11; 0; 4; 1321 ]);
-        ("append again", [ 0; 2; 0; 2; 2; 504 ]);
-        ("attach", [ 15; 1; 2; 0; 0; 165 ]);
+        ("clear_all", [ 17; 7; 11; 0; 4; 1467 ]);
+        ("append again", [ 0; 2; 0; 2; 2; 503 ]);
+        ("attach", [ 14; 1; 1; 0; 0; 164 ]);
       ]
   | Log.Batch _ ->
       [
-        ("append", [ 6; 23; 24; 7; 12; 4678 ]);
-        ("iter", [ 31; 0; 0; 0; 0; 375 ]);
-        ("iter_back", [ 40; 0; 0; 0; 0; 384 ]);
-        ("remove_where", [ 44; 4; 10; 0; 0; 748 ]);
+        ("append", [ 6; 23; 24; 7; 12; 4677 ]);
+        ("iter", [ 30; 0; 0; 0; 0; 374 ]);
+        ("iter_back", [ 38; 0; 0; 0; 0; 382 ]);
+        ("remove_where", [ 43; 4; 10; 0; 0; 747 ]);
         ("unlink_below+reclaim", [ 12; 4; 4; 0; 2; 812 ]);
-        ("compact", [ 57; 10; 13; 3; 6; 2165 ]);
-        ("append_h", [ 3; 8; 9; 1; 3; 1512 ]);
+        ("compact", [ 54; 9; 13; 2; 6; 2011 ]);
+        ("append_h", [ 0; 1; 0; 1; 0; 159 ]);
         ("remove_handle", [ 1; 1; 1; 0; 0; 151 ]);
-        ("clear_all", [ 22; 6; 11; 0; 4; 1322 ]);
-        ("append again", [ 0; 2; 1; 1; 1; 404 ]);
-        ("attach", [ 12; 1; 2; 0; 0; 162 ]);
+        ("clear_all", [ 17; 7; 11; 0; 4; 1467 ]);
+        ("append again", [ 0; 2; 1; 1; 1; 403 ]);
+        ("attach", [ 10; 1; 1; 0; 0; 160 ]);
       ]
 
 let test_cost_pin variant () =
@@ -417,15 +422,14 @@ let test_occupancy_lifecycle variant () =
 
 (* The log's walkers agree after any sequence of operations: [iter_back]
    yields [iter]'s records in reverse, [occupancy_stats] counts as many
-   live slots as [iter] visits (an inline pair fills two), and the
-   occupancy cache matches a recount of the durable layout. *)
+   live slots as [iter] visits (an inline pair fills two, an END word
+   one), and the occupancy cache matches a recount of the durable
+   layout. *)
 let walkers_disagree log =
   let fwd = Log.records log in
   let back = ref [] in
   Log.iter_back log (fun r -> back := r :: !back);
-  let slots =
-    List.fold_left (fun n r -> n + if Record.is_inline r then 2 else 1) 0 fwd
-  in
+  let slots = List.fold_left (fun n r -> n + Record.width r) 0 fwd in
   let live, _ = Log.occupancy_stats log in
   if !back <> fwd then Some "iter_back is not iter reversed"
   else if live <> slots then
@@ -436,8 +440,9 @@ let walkers_disagree log =
     | ms ->
         Some (Fmt.str "occupancy cache diverged (%d buckets)" (List.length ms))
 
-(* Property: a random interleaving of appends, selective removals, group
-   flushes and compactions never desynchronises the occupancy cache. *)
+(* Property: a random interleaving of appends (full records and END
+   words), selective removals, group flushes and compactions never
+   desynchronises the occupancy cache. *)
 let prop_occupancy_coherent variant =
   QCheck.Test.make
     ~name:(Fmt.str "%a: occupancy cache coherent" Log.pp_variant variant)
@@ -453,11 +458,14 @@ let prop_occupancy_coherent variant =
       in
       let lsn = ref 0 in
       for _ = 1 to 60 do
-        match rand 10 with
+        match rand 11 with
         | 0 | 1 | 2 | 3 | 4 | 5 ->
             incr lsn;
             Log.append ~is_end:(rand 4 = 0) log
               (mk_record alloc ~lsn:!lsn ~txn:(rand 3))
+        | 10 ->
+            incr lsn;
+            ignore (append_end log ~lsn:!lsn ~txn:(1 + rand 2))
         | 6 | 7 ->
             let t = rand 3 in
             Log.remove_where log (fun r -> Record.txn arena r = t)
@@ -469,7 +477,7 @@ let prop_occupancy_coherent variant =
       | Some m -> QCheck.Test.fail_report m)
 
 (* The unlink rule: over a random interleaving of appends (with an LSN,
-   without one, full or inline), [unlink_below], [remove_where],
+   without one, full, inline pair or END word), [unlink_below], [remove_where],
    [compact], [clear_all] and crash-and-[attach], [unlink_below h] never
    takes the current bucket, a bucket that existed right after an
    [attach] or a [compact], a bucket that took an append without an LSN,
@@ -505,7 +513,7 @@ let prop_unlink_rule variant =
         Fmt.kstr (fun m -> if !failure = None then failure := Some m) fmt
       in
       for _ = 1 to 80 do
-        match rand 16 with
+        match rand 17 with
         | 0 | 1 | 2 | 3 | 4 | 5 -> (
             incr lsn;
             let r = mk_record !alloc ~lsn:!lsn ~txn:(1 + rand 3) in
@@ -565,6 +573,11 @@ let prop_unlink_rule variant =
             alloc := Alloc.recover arena;
             log := Log.attach variant ~bucket_cap:4 !alloc ~root_slot:2;
             keep_all ()
+        | 15 -> (
+            incr lsn;
+            match append_end !log ~lsn:!lsn ~txn:(1 + rand 3) with
+            | Log.Slot { bucket; _ } -> note bucket !lsn
+            | Log.Node _ -> ())
         | _ -> Log.flush_group !log
       done;
       Option.iter (fail "%s") (walkers_disagree !log);

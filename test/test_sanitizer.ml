@@ -318,6 +318,186 @@ let test_enumerate_catches_torn_pair () =
   check_bool "torn pair detected" true caught
 
 (* ------------------------------------------------------------------ *)
+(* Differential property: the sanitizer against a reference model      *)
+(* ------------------------------------------------------------------ *)
+
+(* A reference shadow model of the rules the sanitizer applies word by
+   word.  It keeps no state between events: every question is answered
+   by replaying the trace before the event in question, so it shares none
+   of the sanitizer's incremental bookkeeping (the words written back
+   since the last fence, the unformatted last event).  It covers the
+   vocabulary [gen_event] draws from: stores, write-backs, fences,
+   crashes, expected-persisted regions and batch-group coverage. *)
+module Reference = struct
+  type st = Durable | Volatile | Written_back
+
+  let line = 64
+  let covers ~off ~len w = w >= off lsr 3 && w <= (off + len - 1) lsr 3
+  let words_of off len = List.init ((len + 7) / 8) (fun i -> (off lsr 3) + i)
+
+  (* The word's ordering state just before event [k]. *)
+  let state trace k w =
+    let st = ref Durable in
+    for i = 0 to k - 1 do
+      match trace.(i) with
+      | Trace.Store { off; len; durable } when covers ~off ~len w ->
+          st := if durable then Durable else Volatile
+      | (Trace.Flush { off; dirty = true } | Trace.Evict { off })
+        when covers ~off ~len:line w ->
+          if !st = Volatile then st := Written_back
+      | Trace.Fence -> if !st = Written_back then st := Durable
+      | Trace.Crash -> st := Durable
+      | _ -> ()
+    done;
+    !st
+
+  (* The word's undo coverage just before event [k]: [Some durable]. *)
+  let cover trace k w =
+    let c = ref None in
+    for i = 0 to k - 1 do
+      match trace.(i) with
+      | Trace.Region_logged { addr; len; durable; group; _ }
+        when covers ~off:addr ~len w ->
+          c := Some (group, durable)
+      | Trace.Group_persisted { group } -> (
+          match !c with
+          | Some (g, false) when g = group -> c := Some (g, true)
+          | _ -> ())
+      | Trace.Crash -> c := None
+      | _ -> ()
+    done;
+    Option.map snd !c
+
+  let tracked trace k w =
+    let r = ref false in
+    for i = 0 to k - 1 do
+      match trace.(i) with
+      | Trace.Region_logged { addr; len; _ } when covers ~off:addr ~len w ->
+          r := true
+      | _ -> ()
+    done;
+    !r
+
+  (* Was there a non-temporal store or a dirty write-back since the last
+     fence or crash before event [k]? *)
+  let rec persisted_since trace k =
+    k > 0
+    &&
+    match trace.(k - 1) with
+    | Trace.Store { durable = true; _ } | Trace.Flush { dirty = true; _ } ->
+        true
+    | Trace.Fence | Trace.Crash -> false
+    | _ -> persisted_since trace (k - 1)
+
+  let bump tbl key =
+    Hashtbl.replace tbl key
+      (1 + Option.value ~default:0 (Hashtbl.find_opt tbl key))
+
+  (* Violations as (kind, address, event number), oldest first, and the
+     redundant-flush and redundant-fence sites, sorted. *)
+  let run trace =
+    let viol = ref [] in
+    let red_flush = Hashtbl.create 8 and red_fence = Hashtbl.create 8 in
+    Array.iteri
+      (fun k ev ->
+        let v kind w = viol := (kind, w lsl 3, k + 1) :: !viol in
+        let becomes_durable w =
+          if cover trace k w = Some false then v Sanitizer.Wal_order w
+        in
+        match ev with
+        | Trace.Store { off; len; durable } ->
+            List.iter
+              (fun w ->
+                if tracked trace k w && cover trace k w = None then
+                  v Sanitizer.Store_unlogged w;
+                if durable then becomes_durable w)
+              (words_of off len)
+        | Trace.Flush { off; dirty = true } | Trace.Evict { off } ->
+            List.iter
+              (fun w -> if state trace k w = Volatile then becomes_durable w)
+              (words_of off line)
+        | Trace.Flush { off; dirty = false } ->
+            bump red_flush (off land lnot (line - 1))
+        | Trace.Fence ->
+            if not (persisted_since trace k) then
+              bump red_fence
+                (if k = 0 then "(start)"
+                 else Fmt.str "%a" Trace.pp trace.(k - 1))
+        | Trace.Expect_persisted { addr; len; _ } ->
+            List.iter
+              (fun w ->
+                match state trace k w with
+                | Durable -> ()
+                | Volatile -> v Sanitizer.Unpersisted_commit w
+                | Written_back -> v Sanitizer.Unfenced w)
+              (words_of addr len)
+        | _ -> ())
+      trace;
+    let sorted tbl =
+      List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) tbl [])
+    in
+    (List.rev !viol, sorted red_flush, sorted red_fence)
+end
+
+(* Events over three lines (24 words), weighted toward stores,
+   write-backs and fences. *)
+let gen_event =
+  let open QCheck.Gen in
+  let word = map (fun w -> 8 * w) (int_bound 23) in
+  let line = map (fun l -> 64 * l) (int_bound 2) in
+  frequency
+    [
+      ( 6,
+        map3
+          (fun off len durable -> Trace.Store { off; len; durable })
+          word (oneofl [ 8; 8; 16 ]) (frequencyl [ (3, false); (1, true) ]) );
+      (3, map2 (fun off dirty -> Trace.Flush { off; dirty }) line bool);
+      (3, return Trace.Fence);
+      (1, map (fun off -> Trace.Evict { off }) line);
+      (1, return Trace.Crash);
+      ( 2,
+        map2
+          (fun addr len ->
+            Trace.Expect_persisted { addr; len; what = "region" })
+          word (oneofl [ 8; 16 ]) );
+      ( 2,
+        map3
+          (fun addr durable group ->
+            Trace.Region_logged { txn = 1; addr; len = 8; durable; group })
+          word bool (int_bound 1) );
+      (1, map (fun group -> Trace.Group_persisted { group }) (int_bound 1));
+    ]
+
+let prop_matches_reference =
+  let print evs = String.concat "; " (List.map (Fmt.str "%a" Trace.pp) evs) in
+  QCheck.Test.make ~name:"sanitizer matches the reference model" ~count:500
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 1 120) gen_event))
+    (fun evs ->
+      let trace = Array.of_list evs in
+      let arena = Arena.create ~size_bytes:(1 lsl 16) () in
+      let s = Sanitizer.attach ~mode:Sanitizer.Collect arena in
+      Array.iter (Arena.emit arena) trace;
+      Sanitizer.detach s;
+      let r = Sanitizer.report s in
+      let got =
+        ( List.map
+            (fun (v : Sanitizer.violation) -> (v.kind, v.addr, v.event_no))
+            (Sanitizer.violations s),
+          List.sort compare r.Sanitizer.redundant_flush_sites,
+          List.sort compare r.Sanitizer.redundant_fence_sites )
+      in
+      let ((wv, wfl, wfe) as want) = Reference.run trace in
+      got = want
+      ||
+      let gv, gfl, gfe = got in
+      QCheck.Test.fail_reportf
+        "violations %d (want %d), redundant flush sites %d (want %d), \
+         redundant fence sites %d (want %d)%s"
+        (List.length gv) (List.length wv) (List.length gfl) (List.length wfl)
+        (List.length gfe) (List.length wfe)
+        (if gv <> wv then ": the violations differ" else ""))
+
+(* ------------------------------------------------------------------ *)
 
 let per_config name f =
   List.map
@@ -347,6 +527,7 @@ let () =
           Alcotest.test_case "redundant flush/fence counters" `Quick
             test_redundant_diagnostics;
         ] );
+      ("reference", [ QCheck_alcotest.to_alcotest prop_matches_reference ]);
       ( "enumerator",
         [
           Alcotest.test_case "simple-log single transaction" `Quick
