@@ -9,30 +9,28 @@
    slot-line write-back.  Recovery is measured by crashing with one
    transaction in flight and timing [Tm.attach] over the populated log.
 
-   The "-wide" scenarios write values wider than 16 bits, so every
-   UPDATE is a full record and only the commit's END takes the compact
-   path (one slot word): their [inline_hit] measures the END path alone.
-
    Results also land in BENCH_append.json so CI can gate and archive
    them. *)
 
 open Rewind_nvm
 
 (* [None] = the WAL-free InCLL config; [Some inline] = a WAL variant with
-   the inline fast path forced on or off.  [wide] sets bit 20 of every
-   value written. *)
+   the inline fast path forced on or off. *)
 let scenarios =
-  let with_variant variant = { Rewind.Tm.default_config with variant } in
-  let optimized = with_variant Rewind.Log.Optimized
-  and batch8 = with_variant (Rewind.Log.Batch 8) in
   [
-    ("optimized-inline", optimized, Some true, false);
-    ("optimized-full", optimized, Some false, false);
-    ("optimized-wide", optimized, Some true, true);
-    ("batch8-inline", batch8, Some true, false);
-    ("batch8-full", batch8, Some false, false);
-    ("batch8-wide", batch8, Some true, true);
-    ("incll", Rewind.config_incll, None, false);
+    ( "optimized-inline",
+      { Rewind.Tm.default_config with variant = Rewind.Log.Optimized },
+      Some true );
+    ( "optimized-full",
+      { Rewind.Tm.default_config with variant = Rewind.Log.Optimized },
+      Some false );
+    ( "batch8-inline",
+      { Rewind.Tm.default_config with variant = Rewind.Log.Batch 8 },
+      Some true );
+    ( "batch8-full",
+      { Rewind.Tm.default_config with variant = Rewind.Log.Batch 8 },
+      Some false );
+    ("incll", Rewind.config_incll, None);
   ]
 
 (* InCLL epoch cadence: one advance per full pass over the 64 cells, so
@@ -41,7 +39,7 @@ let scenarios =
    epoch counter per 64 ops). *)
 let advance_every = 64
 
-let run_one ~n_ops (name, cfg, inline, wide) =
+let run_one ~n_ops (name, cfg, inline) =
   let arena = Arena.create ~size_bytes:(64 lsl 20) () in
   let alloc = Alloc.create arena in
   let tm = Rewind.Tm.create ~cfg alloc ~root_slot:2 in
@@ -56,7 +54,7 @@ let run_one ~n_ops (name, cfg, inline, wide) =
   for i = 1 to n_ops do
     Rewind.Tm.write tm !txn
       ~addr:cells.(i mod Array.length cells)
-      ~value:(Int64.of_int ((i land 0xFFF) lor if wide then 1 lsl 20 else 0));
+      ~value:(Int64.of_int (i land 0xFFF));
     if i mod txn_len = 0 then begin
       Rewind.Tm.commit tm !txn;
       if cfg.Rewind.Tm.incll && i mod advance_every = 0 then

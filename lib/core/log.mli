@@ -191,7 +191,8 @@ val compact : ?threshold:float -> t -> unit
     and atomically swing the root.  Crash-safe: the root moves last. *)
 
 val occupancy_stats : t -> int * int
-(** (live records, trusted slots). *)
+(** (live slots, trusted slots): a pair fills two slots, an END word or a
+    full record's address one. *)
 
 val buckets : t -> int list
 (** The buckets by address, in chain order: the current one last.

@@ -265,7 +265,6 @@ let is_inline r = r land 1 = 1
 let is_word r = r land 3 = 3
 let inline_ref ~width slot = if width = 1 then slot lor 3 else slot lor 1
 let inline_slot r = r land lnot 7
-let width r = if r land 3 = 1 then 2 else 1
 
 let iw0 a r = Int64.to_int (Arena.read a (inline_slot r))
 let iw1 a r = Int64.to_int (Arena.read a (inline_slot r + 8))

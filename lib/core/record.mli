@@ -125,9 +125,6 @@ val inline_encode :
 val is_inline : int -> bool
 (** Is this record address an inline ref (pair or END word)? *)
 
-val is_word : int -> bool
-(** Is this record address an END-word ref? *)
-
 val inline_ref : width:int -> int -> int
 (** The inline ref of the compact record whose first word sits at the
     given (8-aligned) slot address: an END word for [width] 1, a pair for
@@ -135,9 +132,6 @@ val inline_ref : width:int -> int -> int
 
 val inline_slot : int -> int
 (** Inverse of {!inline_ref}: the record's first-slot address. *)
-
-val width : int -> int
-(** Bucket slots the record fills: 2 for a pair, 1 otherwise. *)
 
 (** Slot-word classification, used by the log's scans. *)
 

@@ -16,7 +16,7 @@ type t = {
   mutable torn_records : int;    (** bad-checksum log records truncated by recovery *)
   mutable redundant_flushes : int; (** flushes issued on a clean line (no write-back) *)
   mutable redundant_fences : int;  (** fences with no persistence event since the last *)
-  mutable inline_records : int; (** log appends encoded as inline slot pairs *)
+  mutable inline_records : int; (** log appends as compact records (END words, pairs) *)
   mutable full_records : int;   (** log appends of heap-allocated 64-byte records *)
   mutable group_flushes : int;  (** batch-group persistence points (per log partition) *)
   mutable epoch_advances : int; (** durable epoch bumps (InCLL checkpoints) *)

@@ -134,7 +134,8 @@ let test_corrupt_record_truncated (name, cfg) () =
   (* corrupt the newest record in place: garbage address and values (for
      an inline pair, tear its second word; for an END word, its CRC) *)
   let r = List.hd (List.rev recs) in
-  if Record.is_word r then Arena.corrupt arena (Record.inline_slot r + 1) 1
+  if Record.is_inline r && Record.typ arena r = Record.End then
+    Arena.corrupt arena (Record.inline_slot r + 1) 1
   else if Record.is_inline r then
     Arena.corrupt arena (Record.inline_slot r + 8) 8
   else Arena.corrupt arena (r + 24) 16;

@@ -123,13 +123,13 @@ let test_end_word_limits () =
       (Log.append_record ~is_end:true log ~lsn ~txn ~typ:Record.End ~addr
          ~old_value:0L ~new_value:0L ~undo_next:0);
     match Log.records log with
-    | [ r ] -> (arena, r)
+    | [ r ] -> (arena, log, r)
     | l -> Alcotest.failf "expected 1 record, got %d" (List.length l)
   in
   let max_txn = (1 lsl 17) - 1 and max_lsn = (1 lsl 26) - 1 in
-  let arena, r = end_at ~lsn:max_lsn ~txn:max_txn () in
-  check_bool "END word at both limits" true (Record.is_word r);
-  check_int "one slot" 1 (Record.width r);
+  let arena, log, r = end_at ~lsn:max_lsn ~txn:max_txn () in
+  check_bool "END word at both limits" true (Record.is_inline r);
+  check_int "one slot" 1 (fst (Log.occupancy_stats log));
   check_int "lsn" max_lsn (Record.lsn arena r);
   check_int "txn" max_txn (Record.txn arena r);
   check_bool "typ" true (Record.typ arena r = Record.End);
@@ -138,7 +138,7 @@ let test_end_word_limits () =
   check_i64 "new" 0L (Record.new_value arena r);
   check_int "undo_next" 0 (Record.undo_next arena r);
   check_bool "verify" true (Record.verify arena r);
-  let full ctx (_, r) = check_bool ctx false (Record.is_inline r) in
+  let full ctx (_, _, r) = check_bool ctx false (Record.is_inline r) in
   full "txn 2^17 is a full record" (end_at ~lsn:1 ~txn:(1 lsl 17) ());
   full "lsn 2^26 is a full record" (end_at ~lsn:(1 lsl 26) ~txn:1 ());
   full "an END with a payload is a full record"
@@ -166,7 +166,8 @@ let test_old_end_pair variant () =
   let decoded log =
     match Log.records log with
     | [ r ] ->
-        check_bool "a pair" true (Record.is_inline r && Record.width r = 2);
+        check_bool "a pair" true
+          (Record.is_inline r && fst (Log.occupancy_stats log) = 2);
         check_bool "typ" true (Record.typ arena r = Record.End);
         check_int "txn" txn (Record.txn arena r);
         check_int "lsn" lsn (Record.lsn arena r)
@@ -339,8 +340,7 @@ let test_torn_truncated ~commit_last (name, cfg) () =
   check_bool (name ^ ": records present pre-crash") true (recs <> []);
   let r = List.hd (List.rev recs) in
   check_bool (name ^ ": newest record's form") true
-    (if commit_last then Record.is_word r
-     else Record.is_inline r && not (Record.is_word r));
+    (Record.is_inline r && (Record.typ arena r = Record.End) = commit_last);
   Arena.crash arena;
   if commit_last then Arena.corrupt arena (Record.inline_slot r + 1) 1
   else Arena.corrupt arena (Record.inline_slot r + 8) 8;
@@ -381,8 +381,9 @@ let test_enumerate (name, cfg) () =
    that straddles a cacheline, the pair that can tear between its two
    write-backs: the transaction is all-or-nothing. *)
 let test_enumerate_straddling_pair (name, cfg) () =
-  let straddles r =
-    Record.width r = 2
+  let straddles arena r =
+    Record.is_inline r
+    && Record.typ arena r <> Record.End
     && Record.inline_slot r / 64 <> (Record.inline_slot r + 8) / 64
   in
   let scenario =
@@ -393,7 +394,8 @@ let test_enumerate_straddling_pair (name, cfg) () =
         Array.iteri
           (fun i c -> Tm.write tm txn ~addr:c ~value:(Int64.of_int (i + 1)))
           cells;
-        straddled := List.exists straddles (Log.records (Tm.log tm));
+        let log = Tm.log tm in
+        straddled := List.exists (straddles (Log.arena log)) (Log.records log);
         Tm.commit tm txn)
       ~check:(fun _ _ got ->
         match Array.to_list got with
