@@ -102,6 +102,9 @@ let run_crash_demo cfg crash_after =
   let s = Crash_scenarios.demo cfg in
   let recover w arena =
     let d : Crash_scenarios.demo = w.Crash_scenarios.x in
+    let recycled = (Arena.stats arena).Stats.buckets_recycled in
+    if recycled > 0 then
+      Fmt.pr "log buckets recycled before the crash: %d@." recycled;
     Fmt.pr "*** crash: recovery must reach %s (transaction %d) ***@." point
       d.durable;
     let span = Clock.start () in
@@ -110,7 +113,7 @@ let run_crash_demo cfg crash_after =
     Array.iteri
       (fun i v ->
         Fmt.pr "  cell %d = %Ld (expected %Ld)@." i v
-          (Crash_scenarios.demo_value d.durable i))
+          (d.value d.durable i))
       got;
     r
   in
@@ -331,6 +334,10 @@ let check_enumerate ?(shard = fun c -> c) () =
     legal;
   enumerate "batch8"
     (Crash_scenarios.wal_txn (shard (Rewind.config_batch ())))
+    legal;
+  enumerate "batch-recycle"
+    (Crash_scenarios.any_committed_prefix
+       (Crash_scenarios.batch_recycle (shard Crash_scenarios.recycle_cfg)))
     legal;
   enumerate ~at_every_event:true "incll" (Crash_scenarios.incll_epochs ()) legal;
   enumerate ~at_every_event:true "lfset"

@@ -60,10 +60,9 @@ let events a =
   s.Stats.nt_stores + s.Stats.flushes
 
 (* Run [f] (a recovery) with a collecting sanitizer on every untraced
-   arena of [arenas].  A violation [benign] does not accept wins over
-   whatever [f] did, including a crash; otherwise [f]'s result or
-   exception passes through. *)
-let sanitized ?(benign = fun _ -> false) arenas f =
+   arena of [arenas].  A violation wins over whatever [f] did, including
+   a crash; otherwise [f]'s result or exception passes through. *)
+let sanitized arenas f =
   let sans =
     List.fold_left
       (fun acc a ->
@@ -72,10 +71,7 @@ let sanitized ?(benign = fun _ -> false) arenas f =
   in
   let result = match f () with r -> Ok r | exception e -> Error e in
   List.iter San.detach sans;
-  let violations =
-    List.filter (fun v -> not (benign v)) (List.concat_map San.violations sans)
-  in
-  match (violations, result) with
+  match (List.concat_map San.violations sans, result) with
   | (v :: _ as vs), _ ->
       Error
         (Fmt.str "%d sanitizer violation(s) during recovery, first: %a"
@@ -89,7 +85,7 @@ let sanitized ?(benign = fun _ -> false) arenas f =
    persistence-event count (the check's own events excluded).  The armed
    crash passes through; any other exception in recovery is a failed
    trial. *)
-let recover_at ?benign ?arm s w ~arena ~event =
+let recover_at ?arm s w ~arena ~event =
   let a = (s.arenas w).(0) in
   let before = events a in
   let recover () =
@@ -99,11 +95,7 @@ let recover_at ?benign ?arm s w ~arena ~event =
       (fun () -> s.recover w a)
   in
   let outcome =
-    match
-      sanitized ?benign:(Option.map (fun f -> f w) benign)
-        (Array.to_list (s.arenas w))
-        recover
-    with
+    match sanitized (Array.to_list (s.arenas w)) recover with
     | Error detail -> Error detail
     | Ok r -> (
         let n = events a - before in
@@ -152,11 +144,11 @@ let crashed_world s (i, k) =
   Array.iter Arena.clear_crashed arenas;
   w
 
-let every_event ?benign ?stride s =
+let every_event ?stride s =
   let points = window_points ?stride s in
   List.iter
     (fun ((i, k) as p) ->
-      ignore (recover_at ?benign s (crashed_world s p) ~arena:i ~event:k))
+      ignore (recover_at s (crashed_world s p) ~arena:i ~event:k))
     points;
   sweep points 0
 

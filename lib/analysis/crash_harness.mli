@@ -12,9 +12,7 @@
     - every recovery the harness runs is watched by a
       {!Sanitizer} (collect mode) on each of the world's arenas, and a
       violation fails the trial.  A scenario that already traces an
-      arena (its own sanitizer or race detector) keeps that tracer.
-      Only {!every_event} can excuse a report, and only one shown to be
-      a false positive. *)
+      arena (its own sanitizer or race detector) keeps that tracer. *)
 
 type ('w, 'r) scenario = {
   setup : unit -> 'w;
@@ -53,7 +51,6 @@ type sweep = {
 (** {1 Drivers} *)
 
 val every_event :
-  ?benign:('w -> Sanitizer.violation -> bool) ->
   ?stride:(int -> int) ->
   ('w, 'r) scenario ->
   sweep
@@ -61,11 +58,7 @@ val every_event :
     Trial k (k = 1, 1 + s, 1 + 2s, … ≤ N, where s = [stride N], by
     default 1) arms that arena at k − 1, runs the window, fails unless the arena
     crashed, then recovers and checks.  A single-arena sweep is the
-    one-element case of the multi-node (2PC) one.
-
-    [benign] excuses the recovery sanitizer reports it accepts; every
-    other report still fails the trial.  Pass it only for a report shown
-    to be a false positive, with the reason at the call site. *)
+    one-element case of the multi-node (2PC) one. *)
 
 val every_fence_subset :
   ?at_every_event:bool -> ('w, 'r) scenario -> Enumerator.stats

@@ -79,19 +79,26 @@ let no_rolled_back _ tm got =
 
 (* -- the crash demo --------------------------------------------------------- *)
 
-(* `rewind crash-demo`'s workload: 1 000 transactions, each writing
-   [tno * 10 + i] to cell [i] of eight, with a checkpoint after every
-   hundredth.  [durable] is the protocol's own durable point: the last
-   committed transaction (WAL) or the transaction the last epoch
-   boundary covers (InCLL); [pending] is the point a crash may have
-   interrupted on its way there, a commit or an epoch advance. *)
-type demo = { mutable durable : int; mutable pending : int }
+(* `rewind crash-demo`'s workload: [txns] transactions (default 1 000),
+   each writing [value tno i] (default [tno * 10 + i]; 0 for [tno] 0) to
+   cell [i] of [n] (default 8), with a checkpoint after every
+   [checkpoint_every]-th (default 100).  [durable] is the protocol's own
+   durable point: the last committed transaction (WAL) or the
+   transaction the last epoch boundary covers (InCLL); [pending] is the
+   point a crash may have interrupted on its way there, a commit or an
+   epoch advance. *)
+type demo = {
+  value : int -> int -> int64;
+  mutable durable : int;
+  mutable pending : int;
+}
 
 let demo_value tno i = if tno = 0 then 0L else Int64.of_int ((tno * 10) + i)
 
-let demo cfg =
-  tm_cells ~n:8 cfg
-    ~prepare:(fun _ _ -> { durable = 0; pending = 0 })
+let demo ?(txns = 1_000) ?(checkpoint_every = 100) ?(n = 8)
+    ?(value = demo_value) cfg =
+  tm_cells ~n cfg
+    ~prepare:(fun _ _ -> { value; durable = 0; pending = 0 })
     ~window:(fun tm cells d ->
       (* run [f], which moves the durable point to [tno] if [moves] *)
       let reach ~moves tno f =
@@ -100,22 +107,52 @@ let demo cfg =
         if moves then d.durable <- tno
       in
       let incll = cfg.Tm.incll in
-      for tno = 1 to 1_000 do
+      for tno = 1 to txns do
         let txn = Tm.begin_txn tm in
         Array.iteri
-          (fun i c -> Tm.write tm txn ~addr:c ~value:(demo_value tno i))
+          (fun i c -> Tm.write tm txn ~addr:c ~value:(value tno i))
           cells;
         reach ~moves:(not incll) tno (fun () -> Tm.commit tm txn);
-        if tno mod 100 = 0 then
+        if tno mod checkpoint_every = 0 then
           reach ~moves:incll tno (fun () -> Tm.checkpoint tm)
       done)
     ~check:(fun d _ got ->
-      let is tno = got = Array.init 8 (demo_value tno) in
+      let is tno = got = Array.init n (value tno) in
       if is d.durable || is d.pending then None
       else
         Some
           (Fmt.str "recovered %a, want transaction %d's values" pp_cells got
              d.durable))
+
+(* [demo]'s allowed set for a driver that checks every crash state
+   against the world after the whole window (the crash-state
+   enumerator): the state after some transaction up to the last. *)
+let any_committed_prefix s =
+  {
+    s with
+    Harness.check =
+      (fun w (_, got) ->
+        let is tno = got = Array.init (Array.length got) (w.x.value tno) in
+        if List.exists is (List.init (w.x.durable + 1) Fun.id) then None
+        else Some (Fmt.str "recovered %a, no committed prefix" pp_cells got));
+  }
+
+(* A Batch log that recycles its buckets: Batch(4) over 8-slot buckets,
+   two cells a transaction — an inline pair, a full record (its value is
+   wider than a pair holds) and an END word, so a bucket fills every two
+   transactions — and a checkpoint after every third.  Each checkpoint unlinks the filled buckets whole; the next
+   bucket rolls take them back from the free list and relink them, so
+   the crash points fall before, inside and after a recycled bucket's
+   first group flush.  The arena's [Stats.buckets_recycled] counts the
+   reuses.  [recycle_cfg] may be sharded into partitions. *)
+let recycle_cfg = { (Rewind.config_batch ~group:4 ()) with Tm.bucket_cap = 8 }
+
+let batch_recycle ?(txns = 12) cfg =
+  let value tno i =
+    if i = 0 || tno = 0 then demo_value tno i
+    else Int64.add (demo_value tno i) 1_000_000L
+  in
+  demo ~txns ~checkpoint_every:3 ~n:2 ~value cfg
 
 (* -- transactional worlds ------------------------------------------------- *)
 

@@ -9,7 +9,11 @@
       cached until [g] records accumulate (or an END record arrives, or
       the bucket fills), then one write-back + fence + a non-temporal
       update of the bucket's last-persistent-index word covers the whole
-      group.  Recovery trusts only slots up to that index.
+      group.  Recovery trusts only slots up to that index, so a new
+      bucket reuses a freed one when the allocator has one, its index
+      durably reset to 0 before it is linked
+      ({!Rewind_nvm.Stats.t.buckets_recycled} counts them).  Optimized
+      buckets always come fresh and durably zero.
 
     Bucket occupancy and the insertion cursor are volatile and
     reconstructed by {!attach} after a crash, as in the paper's analysis
@@ -171,7 +175,7 @@ val remove_end_last : t -> (int -> bool) -> unit
 val unlink_below : t -> int -> int list
 (** [unlink_below t h] unlinks every bucket other than the current one
     whose maximum LSN is known and below [h], with one crash-atomic
-    {!Adll.remove} each, and returns them (by address, oldest first),
+    {!Adll.remove} each, and returns them in chain order, oldest first,
     still allocated.  No slot is read or tombstoned.  The caller must have
     made [h] a durable horizon below which recovery reads nothing.  The
     Simple variant has no buckets and returns [[]]. *)

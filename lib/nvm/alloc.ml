@@ -9,7 +9,10 @@
    volatile size-class free list — reuse is safe because REWIND only frees
    memory whose last transactional use has committed — and is simply leaked
    if the system crashes before reuse, mirroring the paper's observation
-   that de-allocation cannot be undone without OS support.
+   that de-allocation cannot be undone without OS support.  [alloc]
+   reuses that space; [alloc_fresh] never does (its space is durably
+   zero); [alloc_recycled] only does, for callers that reset what their
+   recovery reads (Batch log buckets).
 
    Consecutive allocations write the same cursor cacheline, so the arena's
    write-combining makes the durability of allocation nearly free. *)
@@ -128,44 +131,54 @@ let bump_small t ~align size =
 
 let with_mu t f = Sim_mutex.with_lock t.mu f
 
+(* Validate an allocation request; the 8-byte-aligned size. *)
+let checked fn ~align size =
+  if size <= 0 then invalid_arg (fn ^ ": non-positive size");
+  if align land (align - 1) <> 0 then invalid_arg (fn ^ ": align");
+  align8 size
+
+(* Hand out [off] for [size] bytes (caller holds [mu]). *)
+let hand_out t off size =
+  t.allocations <- t.allocations + 1;
+  t.live_bytes <- t.live_bytes + size;
+  Hashtbl.replace t.live off size;
+  Hashtbl.remove t.freed_set off;
+  Pmcheck.allocated t.arena ~addr:off ~len:size;
+  off
+
+(* Pop a freed block of exactly this (size, align) class (caller holds
+   [mu]). *)
+let pop_free t ~align size =
+  match Hashtbl.find_opt t.free_lists (size, align) with
+  | Some ({ contents = off :: rest } as cell) ->
+      cell := rest;
+      Some off
+  | Some _ | None -> None
+
 let alloc ?(align = 8) t size =
-  if size <= 0 then invalid_arg "Alloc.alloc: non-positive size";
-  if align land (align - 1) <> 0 then invalid_arg "Alloc.alloc: align";
-  let size = align8 size in
+  let size = checked "Alloc.alloc" ~align size in
   with_mu t (fun () ->
-      t.allocations <- t.allocations + 1;
-      t.live_bytes <- t.live_bytes + size;
       let off =
-        match Hashtbl.find_opt t.free_lists (size, align) with
-        | Some ({ contents = off :: rest } as cell) ->
-            cell := rest;
-            off
-        | Some _ | None ->
+        match pop_free t ~align size with
+        | Some off -> off
+        | None ->
             if size <= slab_max_size && size land (align - 1) = 0 then
               bump_small t ~align size
             else bump t ~align size
       in
-      Hashtbl.replace t.live off size;
-      Hashtbl.remove t.freed_set off;
-      Pmcheck.allocated t.arena ~addr:off ~len:size;
-      off)
+      hand_out t off size)
 
-(* Callers that rely on durably-zeroed cells (log buckets, where 0 means
-   "empty slot" even after a crash) must bypass free-list reuse: the bump
-   cursor is monotone, so space past it has never been written and is
-   durably zero by construction. *)
+(* Space past the monotone bump cursor has never been written, so it is
+   durably zero by construction: what callers need whose recovery treats
+   0 as "empty" even after a crash. *)
 let alloc_fresh ?(align = 8) t size =
-  if size <= 0 then invalid_arg "Alloc.alloc_fresh: non-positive size";
-  if align land (align - 1) <> 0 then invalid_arg "Alloc.alloc_fresh: align";
-  let size = align8 size in
+  let size = checked "Alloc.alloc_fresh" ~align size in
+  with_mu t (fun () -> hand_out t (bump t ~align size) size)
+
+let alloc_recycled ?(align = 8) t size =
+  let size = checked "Alloc.alloc_recycled" ~align size in
   with_mu t (fun () ->
-      t.allocations <- t.allocations + 1;
-      t.live_bytes <- t.live_bytes + size;
-      let off = bump t ~align size in
-      Hashtbl.replace t.live off size;
-      Hashtbl.remove t.freed_set off;
-      Pmcheck.allocated t.arena ~addr:off ~len:size;
-      off)
+      Option.map (fun off -> hand_out t off size) (pop_free t ~align size))
 
 (* [free] validates its argument instead of trusting the caller (the
    analogue of Sim_mutex's double-unlock check): a double free would put

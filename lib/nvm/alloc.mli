@@ -33,7 +33,15 @@ val alloc : ?align:int -> t -> int -> int
 val alloc_fresh : ?align:int -> t -> int -> int
 (** Like {!alloc} but never reuses freed space: the returned region has
     never been written and is durably zero — required by structures whose
-    recovery treats zero as "empty" (log buckets). *)
+    recovery treats zero as "empty": Optimized log buckets, ADLL headers,
+    InCLL cells and directories.  Batch log buckets do not need it: their
+    recovery trusts only the slots below a durable index, which a recycled
+    bucket resets. *)
+
+val alloc_recycled : ?align:int -> t -> int -> int option
+(** Pop a freed region of exactly this [(size, align)] class, or [None]
+    when there is none; never advances the cursor.  The region holds
+    whatever its last owner left in it. *)
 
 val free : ?align:int -> t -> int -> int -> unit
 (** [free t off size] returns a region to the (volatile) free list.  Only

@@ -19,6 +19,7 @@ type t = {
   mutable inline_records : int; (** log appends as compact records (END words, pairs) *)
   mutable full_records : int;   (** log appends of heap-allocated 64-byte records *)
   mutable group_flushes : int;  (** batch-group persistence points (per log partition) *)
+  mutable buckets_recycled : int; (** Batch log buckets reused from the free list *)
   mutable epoch_advances : int; (** durable epoch bumps (InCLL checkpoints) *)
   mutable incll_captures : int; (** first-store-of-epoch in-line undo captures *)
   mutable incll_elided : int;   (** same-epoch repeat stores that needed no undo *)
@@ -42,6 +43,7 @@ let create () =
     inline_records = 0;
     full_records = 0;
     group_flushes = 0;
+    buckets_recycled = 0;
     epoch_advances = 0;
     incll_captures = 0;
     incll_elided = 0;
@@ -64,6 +66,7 @@ let reset s =
   s.inline_records <- 0;
   s.full_records <- 0;
   s.group_flushes <- 0;
+  s.buckets_recycled <- 0;
   s.epoch_advances <- 0;
   s.incll_captures <- 0;
   s.incll_elided <- 0
@@ -86,6 +89,7 @@ let diff a b =
     inline_records = a.inline_records - b.inline_records;
     full_records = a.full_records - b.full_records;
     group_flushes = a.group_flushes - b.group_flushes;
+    buckets_recycled = a.buckets_recycled - b.buckets_recycled;
     epoch_advances = a.epoch_advances - b.epoch_advances;
     incll_captures = a.incll_captures - b.incll_captures;
     incll_elided = a.incll_elided - b.incll_elided;
@@ -110,6 +114,7 @@ let add dst src =
   dst.inline_records <- dst.inline_records + src.inline_records;
   dst.full_records <- dst.full_records + src.full_records;
   dst.group_flushes <- dst.group_flushes + src.group_flushes;
+  dst.buckets_recycled <- dst.buckets_recycled + src.buckets_recycled;
   dst.epoch_advances <- dst.epoch_advances + src.epoch_advances;
   dst.incll_captures <- dst.incll_captures + src.incll_captures;
   dst.incll_elided <- dst.incll_elided + src.incll_elided
@@ -137,6 +142,8 @@ let pp ppf s =
     Fmt.pf ppf " inline_records=%d full_records=%d" s.inline_records
       s.full_records;
   if s.group_flushes > 0 then Fmt.pf ppf " group_flushes=%d" s.group_flushes;
+  if s.buckets_recycled > 0 then
+    Fmt.pf ppf " buckets_recycled=%d" s.buckets_recycled;
   if s.epoch_advances + s.incll_captures + s.incll_elided > 0 then
     Fmt.pf ppf " epoch_advances=%d incll_captures=%d incll_elided=%d"
       s.epoch_advances s.incll_captures s.incll_elided

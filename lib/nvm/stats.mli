@@ -19,6 +19,7 @@ type t = {
   mutable inline_records : int; (** log appends as compact records (END words, pairs) *)
   mutable full_records : int;   (** log appends of heap-allocated 64-byte records *)
   mutable group_flushes : int;  (** batch-group persistence points (per log partition) *)
+  mutable buckets_recycled : int; (** Batch log buckets reused from the free list *)
   mutable epoch_advances : int; (** durable epoch bumps (InCLL checkpoints) *)
   mutable incll_captures : int; (** first-store-of-epoch in-line undo captures *)
   mutable incll_elided : int;   (** same-epoch repeat stores that needed no undo *)

@@ -3,7 +3,7 @@
    does not crash fails the sweep, a failed check names its trial, a
    recovery chain stops at the first recovery that completes, a
    recovery that is not idempotent is caught, and a sanitizer report in
-   recovery fails the sweep unless [benign] accepts that report. *)
+   recovery fails the sweep. *)
 
 open Rewind_nvm
 module Harness = Rewind_analysis.Crash_harness
@@ -135,16 +135,7 @@ let test_sanitizer_report_fails () =
   let _, event =
     expect_failed ~needle:"unpersisted-commit" (fun () -> Harness.every_event s)
   in
-  check_int "the first trial is named" 1 event;
-  ignore
-    (expect_failed ~needle:"unpersisted-commit" (fun () ->
-         Harness.every_event s ~benign:(fun _ v ->
-             v.San.kind = San.Wal_order)));
-  let sweep =
-    Harness.every_event s ~benign:(fun _ v ->
-        v.San.kind = San.Unpersisted_commit)
-  in
-  check_int "an excused report passes every trial" 2 sweep.Harness.crash_points
+  check_int "the first trial is named" 1 event
 
 let test_crash_once_wraps () =
   let survived = Harness.crash_once (stores (fun () -> 4)) ~after:9 in
@@ -166,7 +157,7 @@ let () =
           tc "non-idempotent recovery is caught" `Quick
             test_during_recovery_catches_non_idempotence;
           tc "crash_once wraps its point" `Quick test_crash_once_wraps;
-          tc "a sanitizer report fails unless excused" `Quick
+          tc "a sanitizer report fails the sweep" `Quick
             test_sanitizer_report_fails;
         ] );
     ]

@@ -171,6 +171,77 @@ let test_media_fault_record_truncated (name, cfg) () =
     true
     ((Arena.stats arena).Stats.media_faults >= 1)
 
+(* A media-faulty header line on a recycled current bucket: the Batch
+   last-persistent-index in it reads back as garbage.  On a fresh bucket
+   that exposed only zero slots; a recycled one still holds the slots of
+   its last life: copies of live records that a compaction moved, and
+   addresses of freed records whose memory now holds live ones.  A
+   long-running transaction and a checkpoint make the log unlink two
+   buckets and compact the third; transactions of four full records and
+   an END word then roll the log through the three freed buckets, each
+   roll at a write.  Trial [k] crashes as the [k]-th freed bucket is
+   relinked, before its first group flush, and faults its header line:
+   recovery must reach the committed prefix. *)
+let test_media_fault_recycled_header () =
+  let cfg = { (Rewind.config_batch ~group:4 ()) with Tm.bucket_cap = 16 } in
+  (* big values take full records *)
+  let value k = Int64.of_int (1_000_000 + k) in
+  let tested = ref [] and compacted = ref 0 in
+  for k = 1 to 3 do
+    let arena = Arena.create ~size_bytes:(4 lsl 20) () in
+    let alloc = Alloc.create arena in
+    let tm = Tm.create ~cfg alloc ~root_slot in
+    let cells = Array.init 6 (fun _ -> Tm.alloc_cell tm) in
+    let committed = Array.make 6 0L in
+    for i = 1 to 20 do
+      let txn = Tm.begin_txn tm in
+      Tm.write tm txn ~addr:cells.(1) ~value:(value i);
+      Tm.commit tm txn;
+      committed.(1) <- value i
+    done;
+    let long = Tm.begin_txn tm in
+    Tm.write tm long ~addr:cells.(0) ~value:(value 0);
+    let current () = List.hd (List.rev (Log.buckets (Tm.log tm))) in
+    compacted := current ();
+    Tm.checkpoint tm;
+    check_bool "the checkpoint compacted the log" false
+      (List.mem !compacted (Log.buckets (Tm.log tm)));
+    let recycled () = (Arena.stats arena).Stats.buckets_recycled in
+    (try
+       for i = 21 to 100 do
+         let txn = Tm.begin_txn tm in
+         for c = 2 to 5 do
+           Tm.write tm txn ~addr:cells.(c) ~value:(value i);
+           if recycled () = k then raise Exit
+         done;
+         Tm.commit tm txn;
+         Array.fill committed 2 4 (value i);
+         if recycled () = k then Alcotest.failf "bucket %d recycled at a commit" k
+       done;
+       Alcotest.failf "no bucket %d recycled" k
+     with Exit -> ());
+    let b = current () in
+    tested := b :: !tested;
+    check_int "nothing durable in it yet" 0
+      (Int64.to_int (Arena.durable_read arena b));
+    Arena.crash arena;
+    let fm = Fault_model.create ~seed:k () in
+    Fault_model.set_media_fault fm ~line:(b / 64);
+    Arena.set_fault_model arena (Some fm);
+    let ctx = Fmt.str "recycled bucket %d" k in
+    ignore (attach_ok ~ctx cfg arena);
+    check_bool (ctx ^ ": media fault observed") true
+      ((Arena.stats arena).Stats.media_faults >= 1);
+    Array.iteri
+      (fun c want ->
+        Alcotest.(check int64)
+          (Fmt.str "%s: cell %d is the committed prefix" ctx c)
+          want (Arena.read arena cells.(c)))
+      committed
+  done;
+  check_bool "the compacted bucket was among them" true
+    (List.mem !compacted !tested)
+
 (* ------------------------------------------------------------------ *)
 (* Campaign determinism and health                                     *)
 (* ------------------------------------------------------------------ *)
@@ -219,7 +290,11 @@ let () =
         per_config ~filter:one_layer "corrupt record truncated" `Quick
           test_corrupt_record_truncated
         @ per_config ~filter:one_layer "media-fault record truncated" `Quick
-            test_media_fault_record_truncated );
+            test_media_fault_record_truncated
+        @ [
+            tc "media-faulty header of a recycled bucket" `Quick
+              test_media_fault_recycled_header;
+          ] );
       ( "campaign",
         [
           tc "deterministic schedules and verdicts" `Slow

@@ -291,10 +291,10 @@ let expected_costs = function
         ("iter_back", [ 38; 0; 0; 0; 0; 382 ]);
         ("remove_where", [ 43; 4; 10; 0; 0; 747 ]);
         ("unlink_below+reclaim", [ 12; 4; 4; 0; 2; 812 ]);
-        ("compact", [ 54; 9; 13; 2; 6; 2011 ]);
+        ("compact", [ 53; 10; 13; 2; 6; 2160 ]);
         ("append_h", [ 0; 1; 0; 1; 0; 159 ]);
         ("remove_handle", [ 1; 1; 1; 0; 0; 151 ]);
-        ("clear_all", [ 17; 7; 11; 0; 4; 1467 ]);
+        ("clear_all", [ 16; 8; 11; 0; 4; 1616 ]);
         ("append again", [ 0; 2; 1; 1; 1; 403 ]);
         ("attach", [ 11; 1; 2; 0; 0; 161 ]);
       ]
@@ -484,13 +484,132 @@ let prop_occupancy_coherent variant =
       | None -> true
       | Some m -> QCheck.Test.fail_report m)
 
+(* ------------------------------------------------------------------ *)
+(* Recycled buckets                                                    *)
+(* ------------------------------------------------------------------ *)
+
+(* Append one record with LSN [lsn]: a full record when [full], else by
+   fields (an END word when [is_end], an inline pair otherwise). *)
+let append_kind log alloc ~full ~is_end lsn =
+  if full then Log.append ~is_end ~lsn log (mk_record alloc ~lsn ~txn:1)
+  else
+    ignore
+      (Log.append_record ~is_end log ~lsn ~txn:1
+         ~typ:(if is_end then Record.End else Record.Update)
+         ~addr:(if is_end then 0 else 8 * lsn)
+         ~old_value:0L
+         ~new_value:(if is_end then 0L else Int64.of_int lsn)
+         ~undo_next:0)
+
+(* Once buckets recycle, a bucket's address says nothing of its age:
+   [unlink_below] must still hand back the dead buckets in chain order,
+   oldest first. *)
+let test_unlink_chain_order () =
+  let arena, alloc = fresh () in
+  let log = Log.create (Log.Batch 4) ~bucket_cap:4 alloc ~root_slot:2 in
+  let lsn = ref 0 in
+  let fill n =
+    for _ = 1 to n do
+      incr lsn;
+      Log.append ~lsn:!lsn log (mk_record alloc ~lsn:!lsn ~txn:1)
+    done
+  in
+  (* four full buckets, the last one current; the first three die *)
+  fill 16;
+  Log.reclaim log (Log.unlink_below log (!lsn + 1));
+  (* the next three rolls take them back, newest-freed first *)
+  fill 16;
+  check_int "three buckets recycled" 3
+    (Arena.stats arena).Stats.buckets_recycled;
+  let chain = Log.buckets log in
+  let dead = Log.unlink_below log (!lsn + 1) in
+  check_list "chain order, oldest first"
+    (List.filter (fun b -> List.mem b dead) chain)
+    dead;
+  check_int "every bucket but the current one" (List.length chain - 1)
+    (List.length dead);
+  check_bool "address order would differ" true (dead <> List.sort compare dead)
+
+(* The Optimized trust rule reads every non-zero slot, so its buckets
+   always come fresh, durably zero: freed ones are never reused. *)
+let test_optimized_never_recycles () =
+  let arena, alloc = fresh () in
+  let log = Log.create Log.Optimized ~bucket_cap:4 alloc ~root_slot:2 in
+  let lsn = ref 0 in
+  let fill n =
+    for _ = 1 to n do
+      incr lsn;
+      Log.append ~lsn:!lsn log (mk_record alloc ~lsn:!lsn ~txn:1)
+    done
+  in
+  fill 16;
+  let dead = Log.unlink_below log (!lsn + 1) in
+  Log.reclaim log dead;
+  fill 16;
+  check_int "nothing recycled" 0 (Arena.stats arena).Stats.buckets_recycled;
+  List.iter
+    (fun b ->
+      check_bool "a freed bucket is not back in the chain" false
+        (List.mem b (Log.buckets log)))
+    dead
+
+(* The Batch trust rule on a recycled bucket: its stale slots hold
+   CRC-valid END words, inline pairs and addresses of full records that
+   are still intact in memory, yet none of them is below the reset
+   last-persistent-index, so no reader sees them — not before a crash,
+   and not after one that lands before the new generation's first group
+   flush. *)
+let test_recycled_stale_slots () =
+  let arena, alloc = fresh () in
+  let log = Log.create (Log.Batch 4) ~bucket_cap:8 alloc ~root_slot:2 in
+  let stale = List.hd (Log.buckets log) in
+  (* fill the first bucket: pair, END, full, pair, END, full *)
+  List.iteri
+    (fun i (full, is_end) -> append_kind log alloc ~full ~is_end (i + 1))
+    [
+      (false, false); (false, true); (true, false); (false, false);
+      (false, true); (true, false);
+    ];
+  (* a second bucket, full and durable, then the first one dies *)
+  for lsn = 7 to 14 do
+    append_kind log alloc ~full:true ~is_end:(lsn = 14) lsn
+  done;
+  check_list "the first bucket unlinked" [ stale ] (Log.unlink_below log 7);
+  Log.reclaim log [ stale ];
+  let held = List.init 8 (fun i -> Arena.durable_read arena (stale + 8 + (8 * i))) in
+  (* the next roll recycles it; the new record stays in an open group *)
+  append_kind log alloc ~full:false ~is_end:false 15;
+  check_int "recycled" 1 (Arena.stats arena).Stats.buckets_recycled;
+  check_int "the stale bucket is current again" stale
+    (List.hd (List.rev (Log.buckets log)));
+  check_bool "its slots 2..7 still hold the old words" true
+    (List.filteri (fun i _ -> i >= 2) held
+    = List.init 6 (fun i -> Arena.durable_read arena (stale + 24 + (8 * i))));
+  check_bool "among them a CRC-valid END word" true
+    (List.exists (fun w -> Record.end_word_valid (Int64.to_int w)) held);
+  let readers name log ~want ~slots =
+    check_list (name ^ ": iter") want (lsns arena log);
+    check_list (name ^ ": iter_back") (List.rev want) (lsns_back arena log);
+    check_int (name ^ ": live slots") slots (fst (Log.occupancy_stats log));
+    occupancy_clean name log
+  in
+  (* eight full records, then the new pair's two slots *)
+  readers "before the crash" log ~want:(List.init 9 (fun i -> i + 7)) ~slots:10;
+  Arena.crash arena;
+  let log2 =
+    Log.attach (Log.Batch 4) ~bucket_cap:8 (Alloc.recover arena) ~root_slot:2
+  in
+  check_int "nothing torn" 0 (Log.torn_truncated log2);
+  readers "after attach" log2 ~want:(List.init 8 (fun i -> i + 7)) ~slots:8
+
 (* The unlink rule: over a random interleaving of appends (with an LSN,
    without one, full, inline pair or END word), [unlink_below], [remove_where],
    [compact], [clear_all] and crash-and-[attach], [unlink_below h] never
    takes the current bucket, a bucket that existed right after an
    [attach] or a [compact], a bucket that took an append without an LSN,
-   or one that took an LSN at or above [h]; the records it removes all
-   lie below [h]; and the occupancy cache stays coherent. *)
+   or one that took an LSN at or above [h]; it returns its buckets in
+   chain order; the records it removes all lie below [h]; and the
+   occupancy cache stays coherent. *)
 let prop_unlink_rule variant =
   QCheck.Test.make
     ~name:(Fmt.str "%a: unlink_below takes only dead buckets" Log.pp_variant
@@ -515,12 +634,25 @@ let prop_unlink_rule variant =
         let m = Option.value ~default:min_int (Hashtbl.find_opt max_lsn b) in
         Hashtbl.replace max_lsn b (max m lsn)
       in
+      (* A freed bucket's address may come back as a new Batch bucket:
+         forget what was noted about buckets no longer in the chain. *)
+      let forget_freed () =
+        let chain = Log.buckets !log in
+        let still tbl =
+          Hashtbl.filter_map_inplace
+            (fun b v -> if List.mem b chain then Some v else None)
+            tbl
+        in
+        still kept;
+        still max_lsn
+      in
       let lsn = ref 0 in
       let failure = ref None in
       let fail fmt =
         Fmt.kstr (fun m -> if !failure = None then failure := Some m) fmt
       in
       for _ = 1 to 80 do
+        forget_freed ();
         match rand 17 with
         | 0 | 1 | 2 | 3 | 4 | 5 -> (
             incr lsn;
@@ -547,7 +679,10 @@ let prop_unlink_rule variant =
             let h = rand (!lsn + 2) in
             let cur = List.rev (Log.buckets !log) in
             let before = lsns arena !log in
+            let chain = Log.buckets !log in
             let dead = Log.unlink_below !log h in
+            if List.filter (fun b -> List.mem b dead) chain <> dead then
+              fail "unlinked out of chain order";
             (match cur with
             | c :: _ when List.mem c dead -> fail "took the current bucket"
             | _ -> ());
@@ -615,6 +750,12 @@ let () =
           (fun (_, v) -> QCheck_alcotest.to_alcotest (prop_unlink_rule v))
           variants );
       ("crash-reattach", per_variant "crash reattach" test_crash_reattach);
+      ( "recycle",
+        [
+          tc "unlink in chain order" `Quick test_unlink_chain_order;
+          tc "Optimized never recycles" `Quick test_optimized_never_recycles;
+          tc "stale slots untrusted" `Quick test_recycled_stale_slots;
+        ] );
       ( "batch-semantics",
         [
           tc "untrusted tail dropped" `Quick test_batch_untrusted_tail;

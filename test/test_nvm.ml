@@ -467,6 +467,58 @@ let test_free_after_recover () =
   Alloc.free al2 x 32;
   expect_misuse "double free after recovery" (fun () -> Alloc.free al2 x 32)
 
+(* [alloc_recycled] pops only a freed block of the exact (size, align)
+   class, never bumps the cursor, and hands the block out under the same
+   bookkeeping as [alloc]. *)
+let test_alloc_recycled_empty () =
+  let a = arena () in
+  let al = Alloc.create a in
+  let cursor = Alloc.cursor al in
+  check_bool "nothing freed: None" true
+    (Alloc.alloc_recycled ~align:64 al 128 = None);
+  check_int "the cursor did not move" cursor (Alloc.cursor al);
+  check_int "no allocation counted" 0 (Alloc.allocations al)
+
+let test_alloc_recycled_exact () =
+  let a = arena () in
+  let al = Alloc.create a in
+  let x = Alloc.alloc ~align:64 al 128 in
+  Alloc.free ~align:64 al x 128;
+  check_bool "another size: None" true
+    (Alloc.alloc_recycled ~align:64 al 192 = None);
+  check_bool "another alignment: None" true
+    (Alloc.alloc_recycled ~align:8 al 128 = None);
+  check_bool "the exact class: the freed block" true
+    (Alloc.alloc_recycled ~align:64 al 128 = Some x);
+  check_bool "popped once" true (Alloc.alloc_recycled ~align:64 al 128 = None)
+
+let test_alloc_recycled_accounting () =
+  let a = arena () in
+  let al = Alloc.create a in
+  let x = Alloc.alloc ~align:64 al 128 in
+  Alloc.free ~align:64 al x 128;
+  let live = Alloc.live_bytes al and n = Alloc.allocations al in
+  let y = Option.get (Alloc.alloc_recycled ~align:64 al 128) in
+  check_int "live bytes grow by the block" (live + 128) (Alloc.live_bytes al);
+  check_int "one more allocation" (n + 1) (Alloc.allocations al);
+  (* the reused block is live again: one free is legal, a second is not *)
+  Alloc.free ~align:64 al y 128;
+  check_int "live bytes back" live (Alloc.live_bytes al);
+  expect_misuse "double free after reuse" (fun () ->
+      Alloc.free ~align:64 al y 128)
+
+let test_alloc_recycled_annotated () =
+  let a = arena () in
+  let al = Alloc.create a in
+  let x = Alloc.alloc ~align:64 al 128 in
+  Alloc.free ~align:64 al x 128;
+  let seen = ref [] in
+  Arena.set_tracer a (Some (fun e -> seen := e :: !seen));
+  ignore (Alloc.alloc_recycled ~align:64 al 128);
+  Arena.set_tracer a None;
+  check_bool "Pmcheck.allocated emitted for the reused block" true
+    (List.mem (Trace.Allocated { addr = x; len = 128 }) !seen)
+
 (* ------------------------------------------------------------------ *)
 (* Block device                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -1157,6 +1209,13 @@ let () =
           tc "never-allocated free" `Quick test_free_never_allocated;
           tc "size-mismatch free" `Quick test_free_size_mismatch;
           tc "free after recovery" `Quick test_free_after_recover;
+          tc "recycled: None when nothing is free" `Quick
+            test_alloc_recycled_empty;
+          tc "recycled: exact class only" `Quick test_alloc_recycled_exact;
+          tc "recycled: accounting and double free" `Quick
+            test_alloc_recycled_accounting;
+          tc "recycled: allocation annotated" `Quick
+            test_alloc_recycled_annotated;
         ] );
       ( "block-dev",
         [

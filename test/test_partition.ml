@@ -1,6 +1,6 @@
 (* Partitioned per-thread logging (Section 4.7) with merged recovery.
 
-   Four attacks:
+   Five attacks:
 
    1. functional smoke across every configuration at 2 and 4 partitions:
       committed transactions survive a crash, a rolled-back and a live
@@ -24,7 +24,12 @@
    4. properties: the merged record stream {!Tm.merged_log_records} is
       strictly ascending by LSN and is exactly the union of the
       partitions' logs; and recovery at 4 partitions reaches the same
-      cell state as at 1 partition for the same transaction history. *)
+      cell state as at 1 partition for the same transaction history;
+
+   5. a crash sweep at 1, 2 and 4 partitions over Batch logs whose
+      checkpoints free buckets that later bucket rolls reuse: a crash at
+      every persistence event, before, inside and after a recycled
+      bucket's relinking, must recover the committed prefix. *)
 
 open Rewind_nvm
 open Rewind
@@ -161,18 +166,8 @@ let sweep_workload tm cells =
          Tm.commit tm txn))
 
 let test_concurrent_sweep n_parts () =
-  (* At 4 partitions, recovery's undo restores a cell that shares its
-     cacheline with another partition's bucket tail (bucket_cap 8 makes
-     72-byte buckets), and that partition's group flush writes the line
-     back before the undo's CLR group persists.  The sanitizer reports
-     wal-order on the restored cell, but the undone record is still in
-     the log, so a crash there re-runs the same idempotent restore.  Only
-     that report is excused; the bucket layout is open in ROADMAP. *)
-  let benign (w : _ Scenarios.cells) (v : San.violation) =
-    n_parts = 4 && v.kind = San.Wal_order && Array.mem v.addr w.cells
-  in
   let s =
-    Harness.every_event ~benign
+    Harness.every_event
       (Scenarios.tm_cells ~size_bytes:(32 lsl 20)
          ~n:(sweep_threads * sweep_ops * 3)
          (sweep_cfg n_parts)
@@ -396,6 +391,30 @@ let test_equivalence () =
     one
 
 (* ------------------------------------------------------------------ *)
+(* 5. Crash sweep over a log that recycles its buckets                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_recycle_sweep n_parts () =
+  let s =
+    Scenarios.batch_recycle ~txns:24
+      (Rewind.with_partitions n_parts Scenarios.recycle_cfg)
+  in
+  (* the window must relink freed buckets, or the sweep proves nothing *)
+  let w = s.Harness.setup () in
+  let recycled () = (Arena.stats w.Scenarios.arena).Stats.buckets_recycled in
+  let before = recycled () in
+  s.Harness.window w;
+  check_bool
+    (Fmt.str "p%d: the window recycles buckets" n_parts)
+    true
+    (recycled () > before);
+  let sweep = Harness.every_event s in
+  check_bool
+    (Fmt.str "p%d: run persists events" n_parts)
+    true
+    (sweep.Harness.crash_points > 0)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   let per_config n_parts =
@@ -423,6 +442,13 @@ let () =
           Alcotest.test_case "2 partitions" `Slow (test_checkpoint_sweep 2);
           Alcotest.test_case "4 partitions" `Slow (test_checkpoint_sweep 4);
         ] );
+      ( "recycle-crash-sweep",
+        List.map
+          (fun n ->
+            Alcotest.test_case
+              (Fmt.str "%d partition(s), crash at every event" n)
+              `Slow (test_recycle_sweep n))
+          [ 1; 2; 4 ] );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_merged_order;

@@ -105,6 +105,40 @@ let test_clean_collect cfg () =
         0
         (List.length (Sanitizer.violations s)))
 
+(* A forward run shaped like the benchmark's [update] workload: eight
+   closed-loop writers, four writes a transaction, the first writer
+   checkpointing, over Batch logs whose checkpoints free buckets that
+   later rolls recycle.  Each transaction also writes a cell allocated
+   just before it, so user words land between buckets: a group flush
+   that wrote back a line shared with one would make the user store
+   durable ahead of its undo record.  The collecting sanitizer reports
+   nothing. *)
+let test_recycling_update_clean ~partitions ~bucket_cap ~txns () =
+  let cfg =
+    Rewind.with_partitions partitions
+      { (Rewind.config_batch ()) with Tm.bucket_cap }
+  in
+  let arena, alloc, tm = fresh ~size_bytes:(16 lsl 20) cfg in
+  let cells =
+    Array.init 8 (fun _ -> Array.init 8 (fun _ -> Alloc.alloc alloc 8))
+  in
+  Sanitizer.with_sanitizer ~mode:Sanitizer.Collect arena (fun s ->
+      ignore
+        (Sim_threads.run ~threads:8 ~ops_per_thread:txns (fun f i ->
+             let fresh_cell = Tm.alloc_cell tm in
+             let txn = Tm.begin_txn ~home:(f mod partitions) tm in
+             for k = 0 to 3 do
+               Tm.write tm txn
+                 ~addr:cells.(f).((i + k) mod 8)
+                 ~value:(Int64.of_int ((i * 10) + k + 1))
+             done;
+             Tm.write tm txn ~addr:fresh_cell ~value:(Int64.of_int (i + 1));
+             Tm.commit tm txn;
+             if f = 0 && (i + 1) mod (txns / 15) = 0 then Tm.checkpoint tm));
+      check_bool "buckets recycled" true
+        ((Arena.stats arena).Stats.buckets_recycled > 0);
+      check_int "no violations" 0 (List.length (Sanitizer.violations s)))
+
 (* ------------------------------------------------------------------ *)
 (* 2. Detection of deliberate violations                               *)
 (* ------------------------------------------------------------------ *)
@@ -510,6 +544,19 @@ let () =
     [
       ("clean-bill", per_config "full workload clean" test_clean_workload);
       ("clean-collect", per_config "collect mode empty" test_clean_collect);
+      ( "clean-recycling",
+        Alcotest.test_case "update shape: 2 partitions, 1000-slot buckets"
+          `Quick
+          (test_recycling_update_clean ~partitions:2 ~bucket_cap:1000
+             ~txns:1500)
+        :: List.map
+             (fun partitions ->
+               Alcotest.test_case
+                 (Fmt.str "%d partition(s), 16-slot buckets" partitions)
+                 `Quick
+                 (test_recycling_update_clean ~partitions ~bucket_cap:16
+                    ~txns:60))
+             [ 1; 2; 4 ] );
       ( "detection",
         [
           Alcotest.test_case "wal-order: store flushed before group" `Quick
