@@ -7,8 +7,11 @@
    seed) with a hot-path probe on the manager, twice: as the suite runs
    it, and with no checkpoint at all.  Prints the latency percentiles,
    each checkpoint sub-span per checkpoint (summed over the partitions),
-   and each partition latch's total wait and hold.  The latch wait the
-   checkpoints cause is the difference between the two runs.
+   and each partition latch's total wait and hold.  The run without
+   checkpoints is a different schedule, not a baseline: at seed 7 each
+   of its latches waits longer (latch 0: 82.2 against 64.8 ms) and its
+   p50 is higher (3.015 against 2.500 sim-us), so the difference of the
+   two runs' waits is not a cost of the checkpoints.
 
      dune exec bench/checkpoint_split.exe -- [--seed N] *)
 
@@ -87,8 +90,7 @@ let run ~seed ~checkpoint_every =
   let wait = Tm.latch_wait_ns tm and hold = Tm.latch_hold_ns tm in
   Array.iteri
     (fun i w -> Fmt.pr "latch %d: wait %d ns  hold %d ns@." i w hold.(i))
-    wait;
-  Array.fold_left ( + ) 0 wait
+    wait
 
 let () =
   let seed = ref 7 in
@@ -97,7 +99,6 @@ let () =
     (fun _ -> raise (Arg.Bad "no positional arguments"))
     "checkpoint_split [--seed N]";
   Fmt.pr "== update, seed %d, a checkpoint every 500 of fiber 0's txns@." !seed;
-  let with_ = run ~seed:!seed ~checkpoint_every:(Some 500) in
+  run ~seed:!seed ~checkpoint_every:(Some 500);
   Fmt.pr "@.== the same, no checkpoint@.";
-  let without = run ~seed:!seed ~checkpoint_every:None in
-  Fmt.pr "@.latch wait the checkpoints cause: %d ns@." (with_ - without)
+  run ~seed:!seed ~checkpoint_every:None

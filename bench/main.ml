@@ -8,16 +8,13 @@
      bench/main.exe --quick         smaller parameters (CI-sized)
      bench/main.exe fig7-left fig9  run selected figures only
      bench/main.exe micro           run only the Bechamel micro-benches
+     bench/main.exe --json FILE ... also write every figure row to FILE
 
    Table 1 of the paper is qualitative (pros/cons of FS vs DBMS vs
    library); it has no measurable series and is discussed in
    EXPERIMENTS.md. *)
 
 open Rewind_benchlib
-
-(* Optional CSV sink: `--csv DIR` writes <figure>.csv next to the printed
-   series. *)
-let csv_dir = ref None
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel wall-clock micro-benchmarks                                 *)
@@ -125,34 +122,37 @@ let micro () =
   Fmt.pr "@."
 
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let quick = List.mem "--quick" args in
-  let rec strip_csv acc = function
-    | "--csv" :: dir :: rest ->
-        csv_dir := Some dir;
-        (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-        strip_csv acc rest
-    | x :: rest -> strip_csv (x :: acc) rest
-    | [] -> List.rev acc
+  let rec parse json names = function
+    | "--json" :: file :: rest -> parse (Some file) names rest
+    | "--quick" :: rest -> parse json names rest
+    | name :: rest -> parse json (name :: names) rest
+    | [] -> (json, List.rev names)
   in
-  let args = strip_csv [] args in
-  let names = List.filter (fun a -> a <> "--quick") args in
+  let args = List.tl (Array.to_list Sys.argv) in
+  let quick = List.mem "--quick" args in
+  let json, names = parse None [] args in
   let to_run =
     match names with [] -> Figures.names @ [ "micro" ] | ns -> ns
   in
   let t0 = Unix.gettimeofday () in
-  List.iter
-    (fun name ->
-      if name = "micro" then micro ()
-      else
-        match List.assoc_opt name Figures.table with
-        | Some f ->
-            let s = Unix.gettimeofday () in
-            f ~quick ~csv:!csv_dir;
-            Fmt.pr "# %s completed in %.1fs wall@." name (Unix.gettimeofday () -. s);
-            Gc.compact ()
-        | None ->
-            Fmt.epr "unknown figure %S; available: %s micro@." name
-              (String.concat " " Figures.names))
-    to_run;
+  let rows =
+    List.concat_map
+      (fun name ->
+        if name = "micro" then (micro (); [])
+        else
+          match Figures.find name with
+          | Some e ->
+              let s = Unix.gettimeofday () in
+              let rows = Figures.run ~quick e in
+              Fmt.pr "# %s completed in %.1fs wall@." name
+                (Unix.gettimeofday () -. s);
+              Gc.compact ();
+              rows
+          | None ->
+              Fmt.epr "unknown figure %S; available: %s micro@." name
+                (String.concat " " Figures.names);
+              [])
+      to_run
+  in
+  Bench_row.write_rows ?json rows;
   Fmt.pr "@.# total wall time: %.1fs@." (Unix.gettimeofday () -. t0)

@@ -72,7 +72,8 @@ let quick =
 
 (* -- figure ------------------------------------------------------------- *)
 
-let run_figure quick name = (List.assoc name Figures.table) ~quick ~csv:None
+let run_figure quick name =
+  Option.iter (fun e -> ignore (Figures.run ~quick e)) (Figures.find name)
 
 let figure_cmd =
   let name_arg =

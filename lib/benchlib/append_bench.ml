@@ -9,8 +9,8 @@
    slot-line write-back.  Recovery is measured by crashing with one
    transaction in flight and timing [Tm.attach] over the populated log.
 
-   Results also land in BENCH_append.json so CI can gate and archive
-   them. *)
+   CI writes the rows to BENCH_append.json (`bench/main.exe --quick
+   --json BENCH_append.json append`) to gate and archive them. *)
 
 open Rewind_nvm
 

@@ -1,8 +1,9 @@
 (* One runner per table/figure of the paper's evaluation (Section 5), plus
-   the ablation benches DESIGN.md calls out.  Every runner prints a
-   {!Series} in the paper's axes.  Parameters are scaled down from the
-   paper's (documented per figure and in EXPERIMENTS.md); [scale] lets the
-   caller restore the original sizes. *)
+   the ablation benches DESIGN.md calls out.  Every runner returns
+   {!Bench_row} rows in the paper's axes: one row per x point, the x value
+   a label named after the axis, and each series an [Info] metric named
+   after it.  Parameters are scaled down from the paper's (documented per
+   figure and in EXPERIMENTS.md). *)
 
 open Rewind_nvm
 open Rewind
@@ -11,558 +12,372 @@ open Rewind_baselines
 
 let root_slot = 2
 
+(* One row of [bench] per point [p] of the x axis [x], labelled
+   [label p]; each series [(name, f)] is the metric [name] = [f p]. *)
+let labelled_rows label bench ~x points series =
+  List.map
+    (fun p ->
+      {
+        Bench_row.bench;
+        labels = [ (x, label p) ];
+        metrics = List.map (fun (name, f) -> Bench_row.info name (f p)) series;
+      })
+    points
+
+let rows = labelled_rows string_of_int
+let secs ns = float_of_int ns /. 1e9
+let tens = List.init 10 (fun i -> (i + 1) * 10)
+
 (* ------------------------------------------------------------------ *)
 (* Figure 3 (left): logging overhead vs update intensity               *)
 (* ------------------------------------------------------------------ *)
 
 let fig3_left ?(n_ops = 10_000) () =
-  let configs = Rewind.all_figure3_configs in
-  let points = [ 10; 20; 30; 40; 50; 60; 70; 80; 90; 100 ] in
-  let rows =
-    List.map
-      (fun intensity ->
-        {
-          Series.x = float_of_int intensity;
-          ys =
-            List.map
-              (fun (_, cfg) -> Workloads.logging_overhead ~cfg ~intensity ~n_ops)
-              configs;
-        })
-      points
-  in
-  Series.make ~id:"fig3-left" ~title:"Logging overhead vs update intensity"
-    ~xlabel:"update-intensity%" ~ylabel:"slowdown vs non-recoverable"
-    ~series_names:(List.map fst configs) rows
+  rows "fig3-left" ~x:"update-intensity%" tens
+    (List.map
+       (fun (name, cfg) ->
+         ( name,
+           fun intensity -> Workloads.logging_overhead ~cfg ~intensity ~n_ops ))
+       Rewind.all_figure3_configs)
 
 (* ------------------------------------------------------------------ *)
-(* Figure 3 (right): logging overhead vs skip records (force policy)   *)
+(* Figures 3 (right) and 4: force-policy cost vs skip records          *)
 (* ------------------------------------------------------------------ *)
+
+(* [f ~cfg ~skip] for both force configurations at 100..1000 skip
+   records. *)
+let skip_figure bench f =
+  rows bench ~x:"skip-records"
+    (List.map (( * ) 10) tens)
+    (List.map
+       (fun (name, cfg) -> (name, fun skip -> f ~cfg ~skip))
+       [ ("2L-FP", Rewind.config_2l_fp); ("1L-FP", Rewind.config_1l_fp) ])
 
 let fig3_right ?(target_updates = 60) () =
-  let points = [ 100; 200; 300; 400; 500; 600; 700; 800; 900; 1000 ] in
-  let rows =
-    List.map
-      (fun skip ->
-        {
-          Series.x = float_of_int skip;
-          ys =
-            [
-              Workloads.skip_commit_overhead ~cfg:Rewind.config_2l_fp
-                ~target_updates ~skip;
-              Workloads.skip_commit_overhead ~cfg:Rewind.config_1l_fp
-                ~target_updates ~skip;
-            ];
-        })
-      points
-  in
-  Series.make ~id:"fig3-right" ~title:"Logging overhead vs skip records"
-    ~xlabel:"skip-records" ~ylabel:"slowdown vs non-recoverable"
-    ~series_names:[ "2L-FP"; "1L-FP" ] rows
-
-(* ------------------------------------------------------------------ *)
-(* Figure 4: rollback (left) and recovery (right) vs skip records      *)
-(* ------------------------------------------------------------------ *)
+  skip_figure "fig3-right" (Workloads.skip_commit_overhead ~target_updates)
 
 let fig4_left ?(target_updates = 60) () =
-  let points = [ 100; 200; 300; 400; 500; 600; 700; 800; 900; 1000 ] in
-  let rows =
-    List.map
-      (fun skip ->
-        {
-          Series.x = float_of_int skip;
-          ys =
-            [
-              Series.ns_to_ms
-                (Workloads.skip_rollback_duration ~cfg:Rewind.config_2l_fp
-                   ~target_updates ~skip);
-              Series.ns_to_ms
-                (Workloads.skip_rollback_duration ~cfg:Rewind.config_1l_fp
-                   ~target_updates ~skip);
-            ];
-        })
-      points
-  in
-  Series.make ~id:"fig4-left" ~title:"Single-transaction rollback vs skip records"
-    ~xlabel:"skip-records" ~ylabel:"rollback (ms)"
-    ~series_names:[ "2L-FP"; "1L-FP" ] rows
+  skip_figure "fig4-left" (fun ~cfg ~skip ->
+      float_of_int (Workloads.skip_rollback_duration ~cfg ~target_updates ~skip)
+      /. 1e6)
 
 let fig4_right ?(target_updates = 60) () =
-  let points = [ 100; 200; 300; 400; 500; 600; 700; 800; 900; 1000 ] in
-  let rows =
-    List.map
-      (fun skip ->
-        {
-          Series.x = float_of_int skip;
-          ys =
-            [
-              Series.ns_to_s
-                (Workloads.skip_recovery_duration ~cfg:Rewind.config_2l_fp
-                   ~target_updates ~skip);
-              Series.ns_to_s
-                (Workloads.skip_recovery_duration ~cfg:Rewind.config_1l_fp
-                   ~target_updates ~skip);
-            ];
-        })
-      points
-  in
-  Series.make ~id:"fig4-right" ~title:"Recovery of one transaction vs skip records"
-    ~xlabel:"skip-records" ~ylabel:"recovery (s)" ~series_names:[ "2L-FP"; "1L-FP" ]
-    rows
+  skip_figure "fig4-right" (fun ~cfg ~skip ->
+      secs (Workloads.skip_recovery_duration ~cfg ~target_updates ~skip))
 
 (* ------------------------------------------------------------------ *)
 (* Figure 5: total cost vs fraction of transactions recovered          *)
 (* ------------------------------------------------------------------ *)
 
 let fig5 ?(n_txns = 60) ?(updates_each = 40) () =
-  let skips = [ 10; 150; 300 ] in
-  let fractions = [ 0.0; 0.1; 0.2; 0.3; 0.4; 0.5; 0.6; 0.7; 0.8; 0.9; 1.0 ] in
-  let names =
-    List.concat_map
-      (fun s -> [ Fmt.str "1L-NFP-%d" s; Fmt.str "1L-FP-%d" s ])
-      skips
+  let cost cfg skip fraction =
+    secs
+      (Workloads.fraction_recovered_cost ~cfg ~n_txns ~updates_each ~skip
+         ~fraction)
   in
-  let rows =
-    List.map
-      (fun fraction ->
-        {
-          Series.x = fraction;
-          ys =
-            List.concat_map
-              (fun skip ->
-                [
-                  Series.ns_to_s
-                    (Workloads.fraction_recovered_cost ~cfg:Rewind.config_1l_nfp
-                       ~n_txns ~updates_each ~skip ~fraction);
-                  Series.ns_to_s
-                    (Workloads.fraction_recovered_cost ~cfg:Rewind.config_1l_fp
-                       ~n_txns ~updates_each ~skip ~fraction);
-                ])
-              skips;
-        })
-      fractions
-  in
-  Series.make ~id:"fig5" ~title:"Logging + commit/recovery vs fraction recovered"
-    ~xlabel:"fraction-recovered" ~ylabel:"duration (s)" ~series_names:names rows
+  labelled_rows (Printf.sprintf "%g") "fig5" ~x:"fraction-recovered"
+    (List.init 11 (fun i -> float_of_int i /. 10.))
+    (List.concat_map
+       (fun skip ->
+         [
+           (Fmt.str "1L-NFP-%d" skip, cost Rewind.config_1l_nfp skip);
+           (Fmt.str "1L-FP-%d" skip, cost Rewind.config_1l_fp skip);
+         ])
+       [ 10; 150; 300 ])
 
 (* ------------------------------------------------------------------ *)
 (* Figure 6: checkpoint overhead                                        *)
 (* ------------------------------------------------------------------ *)
 
 let fig6 ?(n_records = 120_000) () =
-  let variants =
-    [ ("Simple", Log.Simple); ("Optimized", Log.Optimized); ("Batch", Log.Batch 8) ]
-  in
-  let freqs = [ 2.; 4.; 6.; 8.; 10.; 12.; 14. ] in
-  let rows =
-    List.map
-      (fun freq_s ->
-        {
-          Series.x = freq_s;
-          ys =
-            List.map
-              (fun (_, variant) ->
-                Workloads.checkpoint_overhead ~variant ~n_records ~freq_s)
-              variants;
-        })
-      freqs
-  in
-  Series.make ~id:"fig6" ~title:"Checkpoint overhead vs checkpoint frequency"
-    ~xlabel:"ckpt-freq (s, paper scale)" ~ylabel:"% overhead vs no checkpoints"
-    ~series_names:(List.map fst variants) rows
+  rows "fig6" ~x:"ckpt-freq (s, paper scale)"
+    (List.init 7 (fun i -> (i + 1) * 2))
+    (List.map
+       (fun (name, variant) ->
+         ( name,
+           fun freq ->
+             Workloads.checkpoint_overhead ~variant ~n_records
+               ~freq_s:(float_of_int freq) ))
+       [
+         ("Simple", Log.Simple);
+         ("Optimized", Log.Optimized);
+         ("Batch", Log.Batch 8);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Figures 7-10: B+-tree workloads                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Load a B+-tree with [n_records] keys in the given persistence mode. *)
-let load_tree mode alloc ~n_records =
+(* A key-value store as the B+-tree workloads drive it.  [load n] inserts
+   keys 2, 4, .., 2n in one transaction; a store without transactions
+   begins transaction 0 and commits nothing. *)
+type store = {
+  load : int -> unit;
+  begin_ : unit -> int;
+  insert : int -> int64 -> unit;
+  delete : int -> int64 -> unit;
+  lookup : int64 -> unit;
+  commit : int -> unit;
+}
+
+(* A B+-tree: logged through its [Tm], or raw ([Direct_nvm], [Dram]). *)
+let tree mode alloc =
   let bt = Btree.create mode alloc in
-  let txn = match mode with Btree.Logged tm -> Tm.begin_txn tm | _ -> 0 in
-  for k = 1 to n_records do
-    Btree.insert bt txn (Int64.of_int (k * 2)) (Int64.of_int k)
-  done;
-  (match mode with Btree.Logged tm -> Tm.commit tm txn | _ -> ());
-  bt
+  let begin_, commit =
+    match mode with
+    | Btree.Logged tm -> ((fun () -> Tm.begin_txn tm), Tm.commit tm)
+    | _ -> ((fun () -> 0), ignore)
+  in
+  let load n =
+    let txn = begin_ () in
+    for k = 1 to n do
+      Btree.insert bt txn (Int64.of_int (k * 2)) (Int64.of_int k)
+    done;
+    commit txn
+  in
+  {
+    load;
+    begin_;
+    commit;
+    insert = (fun txn k -> Btree.insert bt txn k 1L);
+    delete = (fun txn k -> ignore (Btree.delete bt txn k));
+    lookup = (fun k -> ignore (Btree.lookup bt k));
+  }
+
+(* A page-based baseline; its load ends with a checkpoint. *)
+let paged kv =
+  let load n =
+    let txn = Paged_kv.begin_txn kv in
+    for k = 1 to n do
+      Paged_kv.put kv txn (Int64.of_int (k * 2)) (Int64.of_int k)
+    done;
+    Paged_kv.commit kv txn;
+    Paged_kv.checkpoint kv
+  in
+  {
+    load;
+    begin_ = (fun () -> Paged_kv.begin_txn kv);
+    commit = Paged_kv.commit kv;
+    insert = (fun txn k -> Paged_kv.put kv txn k 1L);
+    delete = (fun txn k -> ignore (Paged_kv.delete kv txn k));
+    lookup = (fun k -> ignore (Paged_kv.lookup kv k));
+  }
+
+let baselines =
+  Paged_kv.
+    [
+      ("Shore-MT", shore_profile);
+      ("BerkeleyDB", bdb_profile);
+      ("Stasis", stasis_profile);
+    ]
+
+(* A transaction manager in [cfg] over a fresh [mb] MiB arena. *)
+let logged ?config ~mb cfg =
+  let arena = Arena.create ?config ~size_bytes:(mb lsl 20) () in
+  let alloc = Alloc.create arena in
+  (arena, alloc, Tm.create ~cfg alloc ~root_slot)
+
+let nfp variant = { Rewind.config_1l_nfp with variant }
+let batch8 = nfp (Log.Batch 8)
+
+let logged_tree ~mb cfg =
+  let _, alloc, tm = logged ~mb cfg in
+  tree (Btree.Logged tm) alloc
 
 (* The Figure 7 workload: [n_ops] operations, a fraction of them updates
-   (alternating insert of a fresh key / delete of an existing one — the
-   tree size stays constant), the rest lookups.  Transaction per
-   operation.  Returns simulated ns. *)
-let btree_workload_rewind ~cfg ~n_records ~n_ops ~update_pct =
-  let arena = Arena.create ~size_bytes:(256 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
-  let bt = load_tree (Btree.Logged tm) alloc ~n_records in
+   (alternating insert of a fresh key / delete of it — the tree size stays
+   constant) in a transaction each, the rest lookups.  Returns simulated
+   ns. *)
+let op_mix st ~n_records ~n_ops ~update_pct =
+  st.load n_records;
   let rng = Rewind_tpcc.Rng.create 5 in
   let s = Clock.start () in
   let next_fresh = ref ((n_records * 2) + 1) in
   for i = 0 to n_ops - 1 do
-    if i * 100 / n_ops mod 100 < update_pct then
+    if i * 100 / n_ops mod 100 < update_pct then begin
+      let txn = st.begin_ () in
       if i land 1 = 0 then begin
-        let txn = Tm.begin_txn tm in
-        Btree.insert bt txn (Int64.of_int !next_fresh) 1L;
-        incr next_fresh;
-        Tm.commit tm txn
+        st.insert txn (Int64.of_int !next_fresh);
+        incr next_fresh
       end
+      else st.delete txn (Int64.of_int (!next_fresh - 1));
+      st.commit txn
+    end
+    else st.lookup (Int64.of_int (2 * Rewind_tpcc.Rng.int rng 1 n_records))
+  done;
+  Clock.elapsed s
+
+(* Mixed insert/delete run of [n_ops] on a loaded store, committing every
+   [ops_per_txn] operations (0 = one transaction for the whole run).
+   Returns the last transaction, still open, and a span started after the
+   load. *)
+let mixed_run st ~n_records ~n_ops ~ops_per_txn =
+  st.load n_records;
+  let next_fresh = ref ((n_records * 2) + 1) in
+  let s = Clock.start () in
+  let txn = ref (st.begin_ ()) in
+  for i = 0 to n_ops - 1 do
+    if ops_per_txn > 0 && i > 0 && i mod ops_per_txn = 0 then begin
+      st.commit !txn;
+      txn := st.begin_ ()
+    end;
+    if i land 1 = 0 then begin
+      st.insert !txn (Int64.of_int !next_fresh);
+      incr next_fresh
+    end
+    else st.delete !txn (Int64.of_int (!next_fresh - 1))
+  done;
+  (!txn, s)
+
+(* Each of [threads] fibers performs [ops_per_thread] operations: with
+   [lookups], a lookup at its assigned ratio (20-80 %); otherwise a
+   transaction inserting and deleting one fresh key, counting up from
+   [fresh t].  [stores] loaded stores come from [make]: one per thread, or
+   one that every thread shares. *)
+let lookup_ratio thread = 20 + (thread * 60 / 7) mod 61
+
+let per_thread_run make ~stores ~threads ~ops_per_thread ~n_records ~lookups
+    ~fresh =
+  let loaded =
+    Array.init stores (fun _ ->
+        let st = make () in
+        st.load n_records;
+        st)
+  in
+  let rngs = Array.init threads (fun t -> Rewind_tpcc.Rng.create (77 + t)) in
+  let next_fresh = Array.init threads fresh in
+  Sim_threads.run ~threads ~ops_per_thread (fun t _ ->
+      let st = loaded.(t mod stores) and rng = rngs.(t) in
+      if lookups && Rewind_tpcc.Rng.int rng 1 100 <= lookup_ratio t then
+        st.lookup (Int64.of_int (2 * Rewind_tpcc.Rng.int rng 1 n_records))
       else begin
-        let txn = Tm.begin_txn tm in
-        ignore (Btree.delete bt txn (Int64.of_int (!next_fresh - 1)));
-        Tm.commit tm txn
-      end
-    else
-      ignore (Btree.lookup bt (Int64.of_int (2 * Rewind_tpcc.Rng.int rng 1 n_records)))
-  done;
-  Clock.elapsed s
+        let txn = st.begin_ () in
+        let k = Int64.of_int next_fresh.(t) in
+        st.insert txn k;
+        st.delete txn k;
+        next_fresh.(t) <- next_fresh.(t) + 1;
+        st.commit txn
+      end)
 
-let btree_workload_raw ~mode ~n_records ~n_ops ~update_pct =
-  let arena = Arena.create ~size_bytes:(128 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let bt = load_tree mode alloc ~n_records in
-  let rng = Rewind_tpcc.Rng.create 5 in
-  let s = Clock.start () in
-  let next_fresh = ref ((n_records * 2) + 1) in
-  for i = 0 to n_ops - 1 do
-    if i * 100 / n_ops mod 100 < update_pct then begin
-      if i land 1 = 0 then begin
-        Btree.insert bt 0 (Int64.of_int !next_fresh) 1L;
-        incr next_fresh
-      end
-      else ignore (Btree.delete bt 0 (Int64.of_int (!next_fresh - 1)))
-    end
-    else
-      ignore (Btree.lookup bt (Int64.of_int (2 * Rewind_tpcc.Rng.int rng 1 n_records)))
-  done;
-  Clock.elapsed s
+(* ------------------------------------------------------------------ *)
+(* Figure 7: B+-tree logging vs update fraction                         *)
+(* ------------------------------------------------------------------ *)
 
-let kv_workload_baseline ~make ~n_records ~n_ops ~update_pct =
-  let kv = make () in
-  let t0 = Paged_kv.begin_txn kv in
-  for k = 1 to n_records do
-    Paged_kv.put kv t0 (Int64.of_int (k * 2)) (Int64.of_int k)
-  done;
-  Paged_kv.commit kv t0;
-  Paged_kv.checkpoint kv;
-  let rng = Rewind_tpcc.Rng.create 5 in
-  let s = Clock.start () in
-  let next_fresh = ref ((n_records * 2) + 1) in
-  for i = 0 to n_ops - 1 do
-    if i * 100 / n_ops mod 100 < update_pct then begin
-      let txn = Paged_kv.begin_txn kv in
-      if i land 1 = 0 then begin
-        Paged_kv.put kv txn (Int64.of_int !next_fresh) 1L;
-        incr next_fresh
-      end
-      else ignore (Paged_kv.delete kv txn (Int64.of_int (!next_fresh - 1)));
-      Paged_kv.commit kv txn
-    end
-    else
-      ignore (Paged_kv.lookup kv (Int64.of_int (2 * Rewind_tpcc.Rng.int rng 1 n_records)))
-  done;
-  Clock.elapsed s
-
-let update_fractions = [ 10; 20; 30; 40; 50; 60; 70; 80; 90; 100 ]
+let fig7 bench ~n_records ~n_ops series =
+  rows bench ~x:"update-fraction%" tens
+    (List.map
+       (fun (name, make) ->
+         ( name,
+           fun update_pct ->
+             secs (op_mix (make ()) ~n_records ~n_ops ~update_pct) ))
+       series)
 
 let fig7_left ?(n_records = 10_000) ?(n_ops = 20_000) () =
-  let simple = { Rewind.config_1l_nfp with variant = Log.Simple } in
-  let opt = Rewind.config_1l_nfp in
-  let batch = { Rewind.config_1l_nfp with variant = Log.Batch 8 } in
-  let rows =
-    List.map
-      (fun pct ->
-        {
-          Series.x = float_of_int pct;
-          ys =
-            [
-              Series.ns_to_s
-                (btree_workload_rewind ~cfg:simple ~n_records ~n_ops ~update_pct:pct);
-              Series.ns_to_s
-                (btree_workload_rewind ~cfg:opt ~n_records ~n_ops ~update_pct:pct);
-              Series.ns_to_s
-                (btree_workload_rewind ~cfg:batch ~n_records ~n_ops ~update_pct:pct);
-              Series.ns_to_s
-                (btree_workload_raw ~mode:Btree.Direct_nvm ~n_records ~n_ops
-                   ~update_pct:pct);
-              Series.ns_to_s
-                (btree_workload_raw ~mode:Btree.Dram ~n_records ~n_ops
-                   ~update_pct:pct);
-            ];
-        })
-      update_fractions
+  let rewind variant () = logged_tree ~mb:256 (nfp variant) in
+  let raw mode () =
+    tree mode (Alloc.create (Arena.create ~size_bytes:(128 lsl 20) ()))
   in
-  Series.make ~id:"fig7-left" ~title:"B+-tree logging: REWIND vs no recoverability"
-    ~xlabel:"update-fraction%" ~ylabel:"response time (s)"
-    ~series_names:[ "REWIND"; "REWIND-Opt"; "REWIND-Batch"; "NVM"; "DRAM" ] rows
+  fig7 "fig7-left" ~n_records ~n_ops
+    [
+      ("REWIND", rewind Log.Simple);
+      ("REWIND-Opt", rewind Log.Optimized);
+      ("REWIND-Batch", rewind (Log.Batch 8));
+      ("NVM", raw Btree.Direct_nvm);
+      ("DRAM", raw Btree.Dram);
+    ]
 
 let fig7_right ?(n_records = 10_000) ?(n_ops = 20_000) () =
-  let batch = { Rewind.config_1l_nfp with variant = Log.Batch 8 } in
-  let rows =
-    List.map
-      (fun pct ->
-        {
-          Series.x = float_of_int pct;
-          ys =
-            [
-              Series.ns_to_s
-                (kv_workload_baseline
-                   ~make:(fun () -> Bdb_like.create ())
-                   ~n_records ~n_ops ~update_pct:pct);
-              Series.ns_to_s
-                (kv_workload_baseline
-                   ~make:(fun () -> Stasis_like.create ())
-                   ~n_records ~n_ops ~update_pct:pct);
-              Series.ns_to_s
-                (btree_workload_rewind ~cfg:batch ~n_records ~n_ops ~update_pct:pct);
-              Series.ns_to_s
-                (kv_workload_baseline
-                   ~make:(fun () -> Shore_like.create ())
-                   ~n_records ~n_ops ~update_pct:pct);
-            ];
-        })
-      update_fractions
-  in
-  Series.make ~id:"fig7-right"
-    ~title:"B+-tree logging: REWIND vs Stasis, BerkeleyDB, Shore-MT"
-    ~xlabel:"update-fraction%" ~ylabel:"response time (s)"
-    ~series_names:[ "BerkeleyDB"; "Stasis"; "REWIND-Batch"; "Shore-MT" ] rows
+  let baseline profile () = paged (Paged_kv.create profile) in
+  fig7 "fig7-right" ~n_records ~n_ops
+    [
+      ("BerkeleyDB", baseline Paged_kv.bdb_profile);
+      ("Stasis", baseline Paged_kv.stasis_profile);
+      ("REWIND-Batch", fun () -> logged_tree ~mb:256 batch8);
+      ("Shore-MT", baseline Paged_kv.shore_profile);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Figure 8: rollback (left) and multi-transaction recovery (right)    *)
 (* ------------------------------------------------------------------ *)
 
-(* Mixed insert/delete run of [n_ops] on a pre-loaded tree; one
-   transaction per [ops_per_txn] operations (0 = one transaction for the
-   whole run).  Finishes with a rollback (single transaction) or a crash +
-   recovery (multiple). *)
-let rewind_mixed_run ~n_records ~n_ops ~ops_per_txn =
-  let cfg = { Rewind.config_1l_nfp with variant = Log.Batch 8 } in
-  let arena = Arena.create ~size_bytes:(640 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
-  let bt = load_tree (Btree.Logged tm) alloc ~n_records in
-  let next_fresh = ref ((n_records * 2) + 1) in
-  let txn = ref (Tm.begin_txn tm) in
-  let open_txn = ref true in
-  for i = 0 to n_ops - 1 do
-    if ops_per_txn > 0 && i > 0 && i mod ops_per_txn = 0 then begin
-      Tm.commit tm !txn;
-      txn := Tm.begin_txn tm;
-      open_txn := true
-    end;
-    if i land 1 = 0 then begin
-      Btree.insert bt !txn (Int64.of_int !next_fresh) 1L;
-      incr next_fresh
-    end
-    else ignore (Btree.delete bt !txn (Int64.of_int (!next_fresh - 1)))
-  done;
-  (arena, tm, !txn, !open_txn)
-
-let fig8_ops = [ 8_000; 16_000; 24_000; 32_000; 40_000; 48_000; 56_000; 64_000; 72_000; 80_000 ]
-
-let baseline_mixed_run kv ~n_records ~n_ops ~ops_per_txn =
-  let t0 = Paged_kv.begin_txn kv in
-  for k = 1 to n_records do
-    Paged_kv.put kv t0 (Int64.of_int (k * 2)) (Int64.of_int k)
-  done;
-  Paged_kv.commit kv t0;
-  Paged_kv.checkpoint kv;
-  let next_fresh = ref ((n_records * 2) + 1) in
-  let txn = ref (Paged_kv.begin_txn kv) in
-  for i = 0 to n_ops - 1 do
-    if ops_per_txn > 0 && i > 0 && i mod ops_per_txn = 0 then begin
-      Paged_kv.commit kv !txn;
-      txn := Paged_kv.begin_txn kv
-    end;
-    if i land 1 = 0 then begin
-      Paged_kv.put kv !txn (Int64.of_int !next_fresh) 1L;
-      incr next_fresh
-    end
-    else ignore (Paged_kv.delete kv !txn (Int64.of_int (!next_fresh - 1)))
-  done;
-  !txn
+(* A mixed run of 8k..80k operations on each baseline and on a Batch(8)
+   REWIND tree.  [baseline kv txn] and [rewind arena tm txn] finish the
+   run's last transaction and return the step to time, in simulated
+   seconds. *)
+let fig8 bench ~n_records ~ops_per_txn ~baseline ~rewind =
+  let time f =
+    let s = Clock.start () in
+    f ();
+    secs (Clock.elapsed s)
+  in
+  rows bench ~x:"thousand-ops" (List.map (( * ) 8) (List.init 10 succ))
+    (List.map
+       (fun (name, profile) ->
+         ( name,
+           fun k ->
+             let kv = Paged_kv.create profile in
+             let txn, _ =
+               mixed_run (paged kv) ~n_records ~n_ops:(k * 1000) ~ops_per_txn
+             in
+             time (baseline kv txn) ))
+       baselines
+    @ [
+        ( "REWIND-Batch",
+          fun k ->
+            let arena, alloc, tm = logged ~mb:640 batch8 in
+            let txn, _ =
+              mixed_run (tree (Btree.Logged tm) alloc) ~n_records
+                ~n_ops:(k * 1000) ~ops_per_txn
+            in
+            time (rewind arena tm txn) );
+      ])
 
 let fig8_left ?(n_records = 10_000) () =
-  let rollback_rewind n_ops =
-    let _, tm, txn, _ = rewind_mixed_run ~n_records ~n_ops ~ops_per_txn:0 in
-    let s = Clock.start () in
-    Tm.rollback tm txn;
-    Clock.elapsed s
-  in
-  let rollback_baseline make n_ops =
-    let kv = make () in
-    let txn = baseline_mixed_run kv ~n_records ~n_ops ~ops_per_txn:0 in
-    let s = Clock.start () in
-    Paged_kv.rollback kv txn;
-    Clock.elapsed s
-  in
-  let rows =
-    List.map
-      (fun n_ops ->
-        {
-          Series.x = float_of_int n_ops /. 1000.;
-          ys =
-            [
-              Series.ns_to_s (rollback_baseline (fun () -> Shore_like.create ()) n_ops);
-              Series.ns_to_s (rollback_baseline (fun () -> Bdb_like.create ()) n_ops);
-              Series.ns_to_s (rollback_baseline (fun () -> Stasis_like.create ()) n_ops);
-              Series.ns_to_s (rollback_rewind n_ops);
-            ];
-        })
-      fig8_ops
-  in
-  Series.make ~id:"fig8-left" ~title:"B+-tree single-transaction rollback"
-    ~xlabel:"thousand-ops" ~ylabel:"duration (s)"
-    ~series_names:[ "Shore-MT"; "BerkeleyDB"; "Stasis"; "REWIND-Batch" ] rows
+  fig8 "fig8-left" ~n_records ~ops_per_txn:0
+    ~baseline:(fun kv txn () -> Paged_kv.rollback kv txn)
+    ~rewind:(fun _ tm txn () -> Tm.rollback tm txn)
 
 let fig8_right ?(n_records = 10_000) () =
-  let recover_rewind n_ops =
-    let arena, tm, txn, open_txn = rewind_mixed_run ~n_records ~n_ops ~ops_per_txn:200 in
-    if open_txn then Tm.commit tm txn;
-    Arena.crash arena;
-    let alloc = Alloc.recover arena in
-    let cfg = { Rewind.config_1l_nfp with variant = Log.Batch 8 } in
-    let s = Clock.start () in
-    let _tm = Tm.attach ~cfg alloc ~root_slot in
-    Clock.elapsed s
-  in
-  let recover_baseline make n_ops =
-    let kv = make () in
-    let txn = baseline_mixed_run kv ~n_records ~n_ops ~ops_per_txn:200 in
-    Paged_kv.commit kv txn;
-    Paged_kv.crash kv;
-    let s = Clock.start () in
-    Paged_kv.recover kv;
-    Clock.elapsed s
-  in
-  let rows =
-    List.map
-      (fun n_ops ->
-        {
-          Series.x = float_of_int n_ops /. 1000.;
-          ys =
-            [
-              Series.ns_to_s (recover_baseline (fun () -> Shore_like.create ()) n_ops);
-              Series.ns_to_s (recover_baseline (fun () -> Bdb_like.create ()) n_ops);
-              Series.ns_to_s (recover_baseline (fun () -> Stasis_like.create ()) n_ops);
-              Series.ns_to_s (recover_rewind n_ops);
-            ];
-        })
-      fig8_ops
-  in
-  Series.make ~id:"fig8-right" ~title:"B+-tree multi-transaction recovery"
-    ~xlabel:"thousand-ops" ~ylabel:"duration (s)"
-    ~series_names:[ "Shore-MT"; "BerkeleyDB"; "Stasis"; "REWIND-Batch" ] rows
+  fig8 "fig8-right" ~n_records ~ops_per_txn:200
+    ~baseline:(fun kv txn ->
+      Paged_kv.commit kv txn;
+      Paged_kv.crash kv;
+      fun () -> Paged_kv.recover kv)
+    ~rewind:(fun arena tm txn ->
+      Tm.commit tm txn;
+      Arena.crash arena;
+      let alloc = Alloc.recover arena in
+      fun () -> ignore (Tm.attach ~cfg:batch8 alloc ~root_slot))
 
 (* ------------------------------------------------------------------ *)
 (* Figure 9: multithreaded B+-tree logging                              *)
 (* ------------------------------------------------------------------ *)
 
-(* Each thread performs [ops_per_thread] operations at its assigned
-   lookup ratio (20-80 %): a lookup, or an insert/delete pair.  REWIND:
-   per-thread trees over one shared transaction manager (its log latch is
-   the contention point).  Baselines: one shared store; writers take the
-   partition lock, readers are lock-free. *)
-let lookup_ratio thread = 20 + (thread * 60 / 7) mod 61
-
-let fig9_rewind ?(partitions = 1) ~threads ~ops_per_thread ~n_records () =
-  let cfg =
-    Rewind.with_partitions partitions
-      { Rewind.config_1l_nfp with variant = Log.Batch 8 }
-  in
-  let arena = Arena.create ~size_bytes:(384 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
-  let trees =
-    Array.init threads (fun _ -> load_tree (Btree.Logged tm) alloc ~n_records)
-  in
-  let rngs = Array.init threads (fun t -> Rewind_tpcc.Rng.create (77 + t)) in
-  let next_fresh =
-    Array.init threads (fun t -> (n_records * 2) + 1 + (t * 10_000_000))
-  in
-  Sim_threads.run ~threads ~ops_per_thread (fun t _ ->
-      let bt = trees.(t) and rng = rngs.(t) in
-      let ratio = lookup_ratio t in
-      if Rewind_tpcc.Rng.int rng 1 100 <= ratio then
-        ignore
-          (Btree.lookup bt (Int64.of_int (2 * Rewind_tpcc.Rng.int rng 1 n_records)))
-      else begin
-        let txn = Tm.begin_txn tm in
-        Btree.insert bt txn (Int64.of_int next_fresh.(t)) 1L;
-        ignore (Btree.delete bt txn (Int64.of_int next_fresh.(t)));
-        next_fresh.(t) <- next_fresh.(t) + 1;
-        Tm.commit tm txn
-      end)
-
-let fig9_baseline ~make ~threads ~ops_per_thread ~n_records =
-  let kv = make () in
-  let t0 = Paged_kv.begin_txn kv in
-  for k = 1 to n_records do
-    Paged_kv.put kv t0 (Int64.of_int (k * 2)) (Int64.of_int k)
-  done;
-  Paged_kv.commit kv t0;
-  Paged_kv.checkpoint kv;
-  let rngs = Array.init threads (fun t -> Rewind_tpcc.Rng.create (77 + t)) in
-  let next_fresh = Array.init threads (fun t -> 1_000_000 * (t + 1)) in
-  Sim_threads.run ~threads ~ops_per_thread (fun t _ ->
-      let rng = rngs.(t) in
-      let ratio = lookup_ratio t in
-      if Rewind_tpcc.Rng.int rng 1 100 <= ratio then
-        ignore
-          (Paged_kv.lookup kv (Int64.of_int (2 * Rewind_tpcc.Rng.int rng 1 n_records)))
-      else begin
-        let txn = Paged_kv.begin_txn kv in
-        Paged_kv.put kv txn (Int64.of_int next_fresh.(t)) 1L;
-        ignore (Paged_kv.delete kv txn (Int64.of_int next_fresh.(t)));
-        next_fresh.(t) <- next_fresh.(t) + 1;
-        Paged_kv.commit kv txn
-      end)
+(* REWIND: per-thread trees over one shared transaction manager (its log
+   latch is the contention point).  Baselines: one shared store; writers
+   take the partition lock, readers are lock-free. *)
+let tree_fresh n_records t = (n_records * 2) + 1 + (t * 10_000_000)
 
 let fig9 ?(ops_per_thread = 10_000) ?(n_records = 4_000) () =
-  let rows =
-    List.map
-      (fun threads ->
-        {
-          Series.x = float_of_int threads;
-          ys =
-            [
-              Series.ns_to_s
-                (fig9_baseline
-                   ~make:(fun () -> Shore_like.create ())
-                   ~threads ~ops_per_thread ~n_records);
-              Series.ns_to_s
-                (fig9_baseline
-                   ~make:(fun () -> Bdb_like.create ())
-                   ~threads ~ops_per_thread ~n_records);
-              Series.ns_to_s
-                (fig9_baseline
-                   ~make:(fun () -> Stasis_like.create ())
-                   ~threads ~ops_per_thread ~n_records);
-              Series.ns_to_s (fig9_rewind ~threads ~ops_per_thread ~n_records ());
-              Series.ns_to_s
-                (fig9_rewind ~partitions:8 ~threads ~ops_per_thread ~n_records ());
-            ];
-        })
-      [ 1; 2; 3; 4; 5; 6; 7; 8 ]
+  let run make ~stores ~fresh threads =
+    secs
+      (per_thread_run make ~stores ~threads ~ops_per_thread ~n_records
+         ~lookups:true ~fresh)
   in
-  Series.make ~id:"fig9" ~title:"Multithreaded B+-tree logging"
-    ~xlabel:"threads" ~ylabel:"processing time (s)"
-    ~series_names:
-      [ "Shore-MT"; "BerkeleyDB"; "Stasis"; "REWIND-Batch"; "REWIND-Batch-P8" ]
-    rows
-
-(* Partition scaling on its own: fixed thread count, varying partition
-   count (the {!Scaling_bench} workload rendered as a series). *)
-let scaling ?(threads = 8) ?(txns_per_thread = 400) () =
-  let rows =
-    List.map
-      (fun (p, tput) -> { Series.x = float_of_int p; ys = [ tput ] })
-      (* partitioned rows only: the InCLL row is not a partition count *)
-      (Scaling_bench.batch_series
-         (Scaling_bench.run ~threads ~txns_per_thread ()))
+  let baseline profile =
+    run (fun () -> paged (Paged_kv.create profile)) ~stores:1 ~fresh:(fun t ->
+        1_000_000 * (t + 1))
   in
-  Series.make ~id:"scaling" ~title:"Partitioned-log write scaling"
-    ~xlabel:"partitions" ~ylabel:"updates per simulated second"
-    ~series_names:[ Printf.sprintf "%d threads" threads ]
-    rows
+  let rewind partitions threads =
+    let _, alloc, tm =
+      logged ~mb:384 (Rewind.with_partitions partitions batch8)
+    in
+    run (fun () -> tree (Btree.Logged tm) alloc) ~stores:threads
+      ~fresh:(tree_fresh n_records) threads
+  in
+  rows "fig9" ~x:"threads" (List.init 8 succ)
+    (List.map (fun (name, profile) -> (name, baseline profile)) baselines
+    @ [ ("REWIND-Batch", rewind 1); ("REWIND-Batch-P8", rewind 8) ])
 
 (* ------------------------------------------------------------------ *)
 (* Figure 10: memory-fence sensitivity                                  *)
@@ -572,51 +387,22 @@ let fig10 ?(n_records = 5_000) ?(n_ops = 10_000) () =
   (* Fifty operations per transaction: log-record groups then span many
      records between END records, which is what lets larger group sizes
      amortise the fence (Section 3.3's reordering across user writes). *)
-  let run variant fence_ns =
+  let run variant us =
     let config = Config.default () in
-    config.Config.fence_ns <- fence_ns;
-    let arena = Arena.create ~config ~size_bytes:(192 lsl 20) () in
-    let alloc = Alloc.create arena in
-    let cfg = { Rewind.config_1l_nfp with variant } in
-    let tm = Tm.create ~cfg alloc ~root_slot in
-    let bt = load_tree (Btree.Logged tm) alloc ~n_records in
-    let next_fresh = ref ((n_records * 2) + 1) in
-    let s = Clock.start () in
-    let txn = ref (Tm.begin_txn tm) in
-    for i = 0 to n_ops - 1 do
-      if i > 0 && i mod 50 = 0 then begin
-        Tm.commit tm !txn;
-        txn := Tm.begin_txn tm
-      end;
-      if i land 1 = 0 then begin
-        Btree.insert bt !txn (Int64.of_int !next_fresh) 1L;
-        incr next_fresh
-      end
-      else ignore (Btree.delete bt !txn (Int64.of_int (!next_fresh - 1)))
-    done;
-    Tm.commit tm !txn;
-    Clock.elapsed s
+    config.Config.fence_ns <- us * 1000;
+    let _, alloc, tm = logged ~config ~mb:192 (nfp variant) in
+    let st = tree (Btree.Logged tm) alloc in
+    let txn, s = mixed_run st ~n_records ~n_ops ~ops_per_txn:50 in
+    st.commit txn;
+    secs (Clock.elapsed s)
   in
-  let latencies_us = [ 0; 1; 2; 3; 4; 5 ] in
-  let rows =
-    List.map
-      (fun us ->
-        let f = us * 1000 in
-        {
-          Series.x = float_of_int us;
-          ys =
-            [
-              Series.ns_to_s (run (Log.Batch 32) f);
-              Series.ns_to_s (run (Log.Batch 16) f);
-              Series.ns_to_s (run (Log.Batch 8) f);
-              Series.ns_to_s (run Log.Optimized f);
-            ];
-        })
-      latencies_us
-  in
-  Series.make ~id:"fig10" ~title:"Memory-fence latency sensitivity"
-    ~xlabel:"fence-latency (us)" ~ylabel:"duration (s)"
-    ~series_names:[ "Batch-32"; "Batch-16"; "Batch-8"; "Optimized" ] rows
+  rows "fig10" ~x:"fence-latency (us)" (List.init 6 Fun.id)
+    [
+      ("Batch-32", run (Log.Batch 32));
+      ("Batch-16", run (Log.Batch 16));
+      ("Batch-8", run (Log.Batch 8));
+      ("Optimized", run Log.Optimized);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Figure 11: TPC-C new-order throughput                                *)
@@ -624,16 +410,20 @@ let fig10 ?(n_records = 5_000) ?(n_ops = 10_000) () =
 
 let fig11 ?(txns_per_terminal = 300) ?(params = Rewind_tpcc.Datagen.small) () =
   let open Rewind_tpcc in
-  let run config =
-    (Workload.run ~txns_per_terminal ~params ~arena_mb:384 ~config ()).Workload.tpm
-    /. 1000.
-  in
-  [
-    ("Simple NVM B+Trees", run Workload.Nvm_naive);
-    ("REWIND Opt. Data Structure D.Log", run Workload.Rewind_opt_dlog);
-    ("REWIND Opt. Data Structure", run Workload.Rewind_opt);
-    ("REWIND Naive Data Structure", run Workload.Rewind_naive);
-  ]
+  labelled_rows fst "fig11" ~x:"configuration"
+    Workload.
+      [
+        ("Simple NVM B+Trees", Nvm_naive);
+        ("REWIND Opt. Data Structure D.Log", Rewind_opt_dlog);
+        ("REWIND Opt. Data Structure", Rewind_opt);
+        ("REWIND Naive Data Structure", Rewind_naive);
+      ]
+    [
+      ( "ktpm",
+        fun (_, config) ->
+          (Workload.run ~txns_per_terminal ~params ~arena_mb:384 ~config ())
+            .Workload.tpm /. 1000. );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Ablations (DESIGN.md section 5)                                      *)
@@ -641,28 +431,23 @@ let fig11 ?(txns_per_terminal = 300) ?(params = Rewind_tpcc.Datagen.small) () =
 
 (* Bucket size of the Optimized log: logging cost per record. *)
 let ablation_bucket_size ?(n_ops = 20_000) () =
-  let rows =
-    List.map
-      (fun cap ->
-        let cfg = { Rewind.config_1l_nfp with bucket_cap = cap } in
-        let env = Workloads.make_env ~cfg () in
-        let t = Workloads.rewind_time env ~n_ops ~intensity:100 in
-        { Series.x = float_of_int cap; ys = [ float_of_int t /. float_of_int n_ops ] })
-      [ 10; 50; 100; 500; 1000; 5000 ]
-  in
-  Series.make ~id:"ablation-bucket" ~title:"Optimized-log bucket size"
-    ~xlabel:"bucket-capacity" ~ylabel:"ns/record" ~series_names:[ "1L-NFP" ] rows
+  rows "ablation-bucket" ~x:"bucket-capacity" [ 10; 50; 100; 500; 1000; 5000 ]
+    [
+      ( "1L-NFP",
+        fun cap ->
+          let cfg = { Rewind.config_1l_nfp with bucket_cap = cap } in
+          let env = Workloads.make_env ~cfg () in
+          float_of_int (Workloads.rewind_time env ~n_ops ~intensity:100)
+          /. float_of_int n_ops );
+    ]
 
 (* Batch group size at two fence costs: the pure write-overhead side of
    Figure 10. *)
 let ablation_group ?(n_ops = 20_000) () =
-  let cost group fence_ns =
+  let cost fence_ns group =
     let config = Config.default () in
     config.Config.fence_ns <- fence_ns;
-    let arena = Arena.create ~config ~size_bytes:(128 lsl 20) () in
-    let alloc = Alloc.create arena in
-    let cfg = { Rewind.config_1l_nfp with variant = Log.Batch group } in
-    let tm = Tm.create ~cfg alloc ~root_slot in
+    let _, alloc, tm = logged ~config ~mb:128 (nfp (Log.Batch group)) in
     let table = Ptable.create alloc ~slots:4096 in
     let s = Clock.start () in
     let txn = Tm.begin_txn tm in
@@ -672,53 +457,25 @@ let ablation_group ?(n_ops = 20_000) () =
     Tm.commit tm txn;
     float_of_int (Clock.elapsed s) /. float_of_int n_ops
   in
-  let rows =
-    List.map
-      (fun g ->
-        { Series.x = float_of_int g; ys = [ cost g 100; cost g 1000 ] })
-      [ 1; 2; 4; 8; 16; 32; 64 ]
-  in
-  Series.make ~id:"ablation-group" ~title:"Batch group size vs fence cost"
-    ~xlabel:"group-size" ~ylabel:"ns/record"
-    ~series_names:[ "fence=100ns"; "fence=1us" ] rows
+  rows "ablation-group" ~x:"group-size" (List.init 7 (( lsl ) 1))
+    [ ("fence=100ns", cost 100); ("fence=1us", cost 1000) ]
 
 (* Section 7 future work, measured: the lock-free log fast path vs the
    latched log under the shared-log multithreaded workload of Figure 9. *)
 let ablation_lockfree ?(ops_per_thread = 5_000) ?(n_records = 2_000) () =
   let run cfg threads =
-    let arena = Arena.create ~size_bytes:(384 lsl 20) () in
-    let alloc = Alloc.create arena in
-    let tm = Tm.create ~cfg alloc ~root_slot in
-    let trees =
-      Array.init threads (fun _ -> load_tree (Btree.Logged tm) alloc ~n_records)
-    in
-    let next_fresh =
-      Array.init threads (fun t -> (n_records * 2) + 1 + (t * 10_000_000))
-    in
-    Sim_threads.run ~threads ~ops_per_thread (fun t _ ->
-        let txn = Tm.begin_txn tm in
-        Btree.insert trees.(t) txn (Int64.of_int next_fresh.(t)) 1L;
-        ignore (Btree.delete trees.(t) txn (Int64.of_int next_fresh.(t)));
-        next_fresh.(t) <- next_fresh.(t) + 1;
-        Tm.commit tm txn)
+    let _, alloc, tm = logged ~mb:384 (cfg ()) in
+    secs
+      (per_thread_run
+         (fun () -> tree (Btree.Logged tm) alloc)
+         ~stores:threads ~threads ~ops_per_thread ~n_records ~lookups:false
+         ~fresh:(tree_fresh n_records))
   in
-  let rows =
-    List.map
-      (fun threads ->
-        {
-          Series.x = float_of_int threads;
-          ys =
-            [
-              Series.ns_to_s (run (Rewind.config_batch ()) threads);
-              Series.ns_to_s (run (Rewind.config_lockfree ()) threads);
-            ];
-        })
-      [ 1; 2; 4; 8 ]
-  in
-  Series.make ~id:"ablation-lockfree"
-    ~title:"Latched vs lock-free log under shared-log multithreading"
-    ~xlabel:"threads" ~ylabel:"duration (s)"
-    ~series_names:[ "latched"; "lock-free" ] rows
+  rows "ablation-lockfree" ~x:"threads" [ 1; 2; 4; 8 ]
+    [
+      ("latched", run (fun () -> Rewind.config_batch ()));
+      ("lock-free", run (fun () -> Rewind.config_lockfree ()));
+    ]
 
 (* Force + commit-time clearing vs no-force + checkpointing at equal
    workload: cost per transaction for varying transaction sizes. *)
@@ -740,81 +497,91 @@ let ablation_policy ?(n_txns = 2_000) () =
     done;
     float_of_int (Clock.elapsed s) /. float_of_int n_txns
   in
-  let rows =
-    List.map
-      (fun updates ->
-        {
-          Series.x = float_of_int updates;
-          ys =
-            [
-              cost Rewind.config_1l_fp updates;
-              cost Rewind.config_1l_nfp updates;
-            ];
-        })
-      [ 1; 5; 10; 50; 100 ]
-  in
-  Series.make ~id:"ablation-policy"
-    ~title:"Force + commit clearing vs no-force + checkpoints"
-    ~xlabel:"updates/txn" ~ylabel:"ns/txn" ~series_names:[ "1L-FP"; "1L-NFP" ] rows
+  rows "ablation-policy" ~x:"updates/txn" [ 1; 5; 10; 50; 100 ]
+    [
+      ("1L-FP", cost Rewind.config_1l_fp);
+      ("1L-NFP", cost Rewind.config_1l_nfp);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The figure table                                                     *)
 (* ------------------------------------------------------------------ *)
 
 (* Every figure `rewind figure` and bench/main.exe run, by name, with the
-   parameters EXPERIMENTS.md was generated with; [quick] picks the
-   CI-sized ones.  A runner prints its result and, given [csv], also
-   writes it to a CSV file in that directory; [append] writes its bench
-   rows to BENCH_append.json. *)
-let table : (string * (quick:bool -> csv:string option -> unit)) list =
-  let csv_note = Option.iter (Fmt.pr "# csv: %s@.") in
-  let lines f ~quick ~csv =
-    let t = f (fun v q -> if quick then q else v) in
-    Series.print t;
-    csv_note (Option.map (Series.to_csv t) csv)
-  in
+   title and y unit its header prints and the parameters EXPERIMENTS.md
+   was generated with; [quick] picks the CI-sized ones. *)
+type entry = {
+  name : string;
+  title : string;
+  unit : string;
+  run : quick:bool -> Bench_row.t list;
+}
+
+let table =
+  let e name title unit run = { name; title; unit; run } in
+  let sz quick full small = if quick then small else full in
+  let response = "response time (s)" and dur = "duration (s)" in
   [
-    ("fig3-left", lines (fun s -> fig3_left ~n_ops:(s 10_000 2_000) ()));
-    ("fig3-right", lines (fun s -> fig3_right ~target_updates:(s 60 20) ()));
-    ("fig4-left", lines (fun s -> fig4_left ~target_updates:(s 60 20) ()));
-    ("fig4-right", lines (fun s -> fig4_right ~target_updates:(s 60 20) ()));
-    ( "fig5",
-      lines (fun s -> fig5 ~n_txns:(s 400 350) ~updates_each:(s 10 4) ()) );
-    ("fig6", lines (fun s -> fig6 ~n_records:(s 120_000 30_000) ()));
-    ( "fig7-left",
-      lines (fun s ->
-          fig7_left ~n_records:(s 10_000 2_000) ~n_ops:(s 20_000 4_000) ()) );
-    ( "fig7-right",
-      lines (fun s ->
-          fig7_right ~n_records:(s 10_000 2_000) ~n_ops:(s 20_000 4_000) ()) );
-    ("fig8-left", lines (fun s -> fig8_left ~n_records:(s 10_000 2_000) ()));
-    ("fig8-right", lines (fun s -> fig8_right ~n_records:(s 10_000 2_000) ()));
-    ( "fig9",
-      lines (fun s ->
-          fig9 ~ops_per_thread:(s 10_000 2_000) ~n_records:(s 4_000 1_000) ())
-    );
-    ( "fig10",
-      lines (fun s ->
-          fig10 ~n_records:(s 5_000 1_000) ~n_ops:(s 10_000 2_000) ()) );
-    ( "fig11",
-      fun ~quick ~csv ->
-        let id = "fig11" in
-        let bars = fig11 ~txns_per_terminal:(if quick then 60 else 300) () in
-        Series.print_bars ~id ~title:"TPC-C new-order throughput"
-          ~ylabel:"thousand transactions per simulated minute" bars;
-        csv_note (Option.map (Series.bars_to_csv ~id ~ylabel:"ktpm" bars) csv)
-    );
-    ("scaling", lines (fun s -> scaling ~txns_per_thread:(s 400 100) ()));
-    ("ablation-bucket", lines (fun _ -> ablation_bucket_size ()));
-    ("ablation-group", lines (fun _ -> ablation_group ()));
-    ("ablation-policy", lines (fun s -> ablation_policy ~n_txns:(s 2_000 500) ()));
-    ("ablation-lockfree", lines (fun _ -> ablation_lockfree ()));
-    ( "append",
-      fun ~quick ~csv:_ ->
-        let rows = Append_bench.run ~n_ops:(if quick then 4_000 else 20_000) () in
-        Fmt.pr "@.== append: inline vs full-record log appends ==@.%a"
-          Bench_row.pp_table rows;
-        Bench_row.write_rows ~json:"BENCH_append.json" rows );
+    e "fig3-left" "Logging overhead vs update intensity"
+      "slowdown vs non-recoverable" (fun ~quick ->
+        fig3_left ~n_ops:(sz quick 10_000 2_000) ());
+    e "fig3-right" "Logging overhead vs skip records"
+      "slowdown vs non-recoverable" (fun ~quick ->
+        fig3_right ~target_updates:(sz quick 60 20) ());
+    e "fig4-left" "Single-transaction rollback vs skip records" "rollback (ms)"
+      (fun ~quick -> fig4_left ~target_updates:(sz quick 60 20) ());
+    e "fig4-right" "Recovery of one transaction vs skip records" "recovery (s)"
+      (fun ~quick -> fig4_right ~target_updates:(sz quick 60 20) ());
+    e "fig5" "Logging + commit/recovery vs fraction recovered" dur
+      (fun ~quick ->
+        fig5 ~n_txns:(sz quick 400 350) ~updates_each:(sz quick 10 4) ());
+    e "fig6" "Checkpoint overhead vs checkpoint frequency"
+      "% overhead vs no checkpoints" (fun ~quick ->
+        fig6 ~n_records:(sz quick 120_000 30_000) ());
+    e "fig7-left" "B+-tree logging: REWIND vs no recoverability" response
+      (fun ~quick ->
+        fig7_left ~n_records:(sz quick 10_000 2_000)
+          ~n_ops:(sz quick 20_000 4_000) ());
+    e "fig7-right" "B+-tree logging: REWIND vs Stasis, BerkeleyDB, Shore-MT"
+      response (fun ~quick ->
+        fig7_right ~n_records:(sz quick 10_000 2_000)
+          ~n_ops:(sz quick 20_000 4_000) ());
+    e "fig8-left" "B+-tree single-transaction rollback" dur (fun ~quick ->
+        fig8_left ~n_records:(sz quick 10_000 2_000) ());
+    e "fig8-right" "B+-tree multi-transaction recovery" dur (fun ~quick ->
+        fig8_right ~n_records:(sz quick 10_000 2_000) ());
+    e "fig9" "Multithreaded B+-tree logging" "processing time (s)"
+      (fun ~quick ->
+        fig9 ~ops_per_thread:(sz quick 10_000 2_000)
+          ~n_records:(sz quick 4_000 1_000) ());
+    e "fig10" "Memory-fence latency sensitivity" dur (fun ~quick ->
+        fig10 ~n_records:(sz quick 5_000 1_000)
+          ~n_ops:(sz quick 10_000 2_000) ());
+    e "fig11" "TPC-C new-order throughput"
+      "thousand transactions per simulated minute" (fun ~quick ->
+        fig11 ~txns_per_terminal:(sz quick 300 60) ());
+    e "scaling" "Partitioned-log write scaling" "in each metric's name"
+      (fun ~quick ->
+        Scaling_bench.run ~txns_per_thread:(sz quick 400 100) ());
+    e "ablation-bucket" "Optimized-log bucket size" "ns/record" (fun ~quick:_ ->
+        ablation_bucket_size ());
+    e "ablation-group" "Batch group size vs fence cost" "ns/record"
+      (fun ~quick:_ -> ablation_group ());
+    e "ablation-policy" "Force + commit clearing vs no-force + checkpoints"
+      "ns/txn" (fun ~quick -> ablation_policy ~n_txns:(sz quick 2_000 500) ());
+    e "ablation-lockfree"
+      "Latched vs lock-free log under shared-log multithreading" dur
+      (fun ~quick:_ -> ablation_lockfree ());
+    e "append" "inline vs full-record log appends" "in each metric's name"
+      (fun ~quick -> Append_bench.run ~n_ops:(sz quick 20_000 4_000) ());
   ]
 
-let names = List.map fst table
+let names = List.map (fun e -> e.name) table
+let find name = List.find_opt (fun e -> e.name = name) table
+
+(* Print [e]'s header and its rows as a table, and return the rows. *)
+let run ~quick e =
+  Fmt.pr "@.== %s: %s ==@.# y = %s@." e.name e.title e.unit;
+  let rows = e.run ~quick in
+  Bench_row.pp_table Fmt.stdout rows;
+  rows

@@ -133,7 +133,6 @@ let bucket_bytes t =
 
 let variant t = t.variant
 let arena t = t.arena
-let allocator t = t.alloc
 let set_group_tag t g = t.group_tag <- g
 let group_tag t = t.group_tag
 
@@ -388,7 +387,6 @@ let append ?is_end ?lsn t r = ignore (append_h ?is_end ?lsn t r)
 let inline_eligible t = t.inline_ok && t.bucket_cap >= 2 && bucketed t
 
 let set_inline t b = t.inline_ok <- b
-let inline_enabled t = t.inline_ok
 let inline_appended t = t.inline_appended
 
 (* Append by fields: an END word when the record is a payload-free END
@@ -563,8 +561,6 @@ let length t =
   let n = ref 0 in
   iter t (fun _ -> incr n);
   !n
-
-let is_empty t = length t = 0
 
 let records t =
   let acc = ref [] in

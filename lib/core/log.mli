@@ -54,7 +54,6 @@ val torn_truncated : t -> int
 
 val variant : t -> variant
 val arena : t -> Rewind_nvm.Arena.t
-val allocator : t -> Rewind_nvm.Alloc.t
 
 val set_group_tag : t -> int -> unit
 (** Stamp this log's sanitizer annotations with a partition id: each
@@ -123,8 +122,6 @@ val set_inline : t -> bool -> unit
     (benchmarks use this to measure the full-record path on the same
     variant). *)
 
-val inline_enabled : t -> bool
-
 val inline_appended : t -> int
 (** Appends that took the inline path (see also
     {!Rewind_nvm.Stats.t.inline_records}). *)
@@ -152,7 +149,6 @@ val iter_back_while : t -> (int -> bool) -> unit
     [false]. *)
 
 val length : t -> int
-val is_empty : t -> bool
 val records : t -> int list
 
 (** {1 Clearing} *)

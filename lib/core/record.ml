@@ -47,16 +47,6 @@ let typ_of_int = function
   | 7 -> Prepare
   | n -> Fmt.invalid_arg "Record.typ_of_int: %d" n
 
-let pp_typ ppf t =
-  Fmt.string ppf
-    (match t with
-    | Update -> "UPDATE"
-    | Clr -> "CLR"
-    | End -> "END"
-    | Delete -> "DELETE"
-    | Rollback -> "ROLLBACK"
-    | Prepare -> "PREPARE")
-
 let size_bytes = 64
 
 (* Word offsets within a record. *)
@@ -414,8 +404,3 @@ let set_prev_same_txn a r v =
 (* Compact records live in their bucket's slots: nothing to free. *)
 let free alloc r =
   if not (is_inline r) then Alloc.free ~align:size_bytes alloc r size_bytes
-
-let pp arena ppf r =
-  Fmt.pf ppf "@[<h>#%d %a txn=%d addr=%d old=%Ld new=%Ld undo_next=%d@]"
-    (lsn arena r) pp_typ (typ arena r) (txn arena r) (addr arena r)
-    (old_value arena r) (new_value arena r) (undo_next arena r)

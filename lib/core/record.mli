@@ -14,8 +14,6 @@ type typ =
   | Rollback    (** rollback started (Algorithm 2) *)
   | Prepare     (** 2PC vote: transaction is in doubt until resolved *)
 
-val pp_typ : typ Fmt.t
-
 val size_bytes : int
 (** 64: records are cacheline-sized and cacheline-aligned. *)
 
@@ -76,8 +74,6 @@ val intact : Rewind_nvm.Arena.t -> int -> bool
 val free : Rewind_nvm.Alloc.t -> int -> unit
 (** Return a full record's line to the allocator; no-op on inline refs
     (their storage is the bucket's own slots). *)
-
-val pp : Rewind_nvm.Arena.t -> int Fmt.t
 
 (** {1:compact Inline compact records}
 

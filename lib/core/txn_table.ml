@@ -3,24 +3,14 @@
    Volatile by design: REWIND reconstructs it during recovery in every
    configuration (one-layer logging does not even maintain it while
    logging; the two-layer configuration mirrors it in the AAVLT nodes).
-   Entries carry the transaction's status, its most recent record and the
-   next record to undo. *)
+   Entries carry the transaction's status and its most recent record. *)
 
 type status = Running | Aborted | Prepared | Finished
-
-let pp_status ppf s =
-  Fmt.string ppf
-    (match s with
-    | Running -> "RUNNING"
-    | Aborted -> "ABORTED"
-    | Prepared -> "PREPARED"
-    | Finished -> "FINISHED")
 
 type entry = {
   id : int;
   mutable status : status;
   mutable last_record : int;  (* NVM address of the latest record; 0 if none *)
-  mutable undo_next : int;    (* LSN bound: records >= this are already undone *)
 }
 
 type t = { entries : (int, entry) Hashtbl.t }
@@ -32,7 +22,7 @@ let find_or_add t id =
   match Hashtbl.find_opt t.entries id with
   | Some e -> e
   | None ->
-      let e = { id; status = Running; last_record = 0; undo_next = max_int } in
+      let e = { id; status = Running; last_record = 0 } in
       Hashtbl.add t.entries id e;
       e
 

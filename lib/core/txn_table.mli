@@ -6,13 +6,10 @@
 
 type status = Running | Aborted | Prepared | Finished
 
-val pp_status : status Fmt.t
-
 type entry = {
   id : int;
   mutable status : status;
   mutable last_record : int;  (** NVM address of the latest record; 0 if none *)
-  mutable undo_next : int;    (** LSN bound: records >= this are already undone *)
 }
 
 type t

@@ -7,8 +7,10 @@ open Rewind_benchlib
 
 let check_bool = Alcotest.(check bool)
 
-let ys_of series = List.map (fun r -> r.Series.ys) series.Series.rows
-let col i rows = List.map (fun ys -> List.nth ys i) rows
+(* Figure values are read by series name, each a column over the x
+   points.  The figure runs are shared with the round-trip case below. *)
+let col name rows = List.map (fun r -> Option.get (Bench_row.value r name)) rows
+let last name rows = List.nth (col name rows) (List.length rows - 1)
 
 let increasing xs =
   let rec go = function
@@ -19,21 +21,44 @@ let increasing xs =
 
 let strictly_dominates a b = List.for_all2 (fun x y -> x > y) a b
 
+let fig3_left = lazy (Figures.fig3_left ~n_ops:1_000 ())
+let fig3_right = lazy (Figures.fig3_right ~target_updates:15 ())
+let fig4_left = lazy (Figures.fig4_left ~target_updates:15 ())
+let fig4_right = lazy (Figures.fig4_right ~target_updates:15 ())
+let fig7_left = lazy (Figures.fig7_left ~n_records:800 ~n_ops:1_500 ())
+let fig7_right = lazy (Figures.fig7_right ~n_records:800 ~n_ops:1_500 ())
+let fig8_left = lazy (Figures.fig8_left ~n_records:800 ())
+let fig8_right = lazy (Figures.fig8_right ~n_records:800 ())
+let fig10 = lazy (Figures.fig10 ~n_records:500 ~n_ops:1_000 ())
+let fig9 = lazy (Figures.fig9 ~ops_per_thread:800 ~n_records:400 ())
+
+let lockfree =
+  lazy (Figures.ablation_lockfree ~ops_per_thread:500 ~n_records:300 ())
+
+let fig11 = lazy (Figures.fig11 ~txns_per_terminal:40 ())
+let ablation_group = lazy (Figures.ablation_group ~n_ops:4_000 ())
+
+let figures =
+  [
+    fig3_left; fig3_right; fig4_left; fig4_right; fig7_left; fig7_right;
+    fig8_left; fig8_right; fig10; fig9; lockfree; fig11; ablation_group;
+  ]
+
 (* fig3-left: 2L-FP > 2L-NFP > 1L-FP > 1L-NFP, and all overheads decrease
    with lower update intensity *)
 let test_fig3_left_shape () =
-  let s = Figures.fig3_left ~n_ops:1_000 () in
-  let rows = ys_of s in
-  check_bool "2L-FP worst" true (strictly_dominates (col 0 rows) (col 1 rows));
-  check_bool "2L-NFP > 1L-FP" true (strictly_dominates (col 1 rows) (col 2 rows));
-  check_bool "1L-FP > 1L-NFP" true (strictly_dominates (col 2 rows) (col 3 rows));
-  check_bool "overhead grows with intensity" true (increasing (col 3 rows))
+  let rows = Lazy.force fig3_left in
+  let above a b = strictly_dominates (col a rows) (col b rows) in
+  check_bool "2L-FP worst" true (above "2L-FP" "2L-NFP");
+  check_bool "2L-NFP > 1L-FP" true (above "2L-NFP" "1L-FP");
+  check_bool "1L-FP > 1L-NFP" true (above "1L-FP" "1L-NFP");
+  check_bool "overhead grows with intensity" true
+    (increasing (col "1L-NFP" rows))
 
 (* fig3-right: 1L grows with skip records, 2L stays flat (within 25 %) *)
 let test_fig3_right_shape () =
-  let s = Figures.fig3_right ~target_updates:15 () in
-  let rows = ys_of s in
-  let two_l = col 0 rows and one_l = col 1 rows in
+  let rows = Lazy.force fig3_right in
+  let two_l = col "2L-FP" rows and one_l = col "1L-FP" rows in
   check_bool "1L grows" true
     (List.nth one_l (List.length one_l - 1) > 3. *. List.hd one_l);
   let mn = List.fold_left min (List.hd two_l) two_l in
@@ -42,90 +67,76 @@ let test_fig3_right_shape () =
 
 (* fig4-left: 1L rollback linear in skip records; crossover exists *)
 let test_fig4_left_shape () =
-  let s = Figures.fig4_left ~target_updates:15 () in
-  let rows = ys_of s in
-  let two_l = col 0 rows and one_l = col 1 rows in
-  check_bool "1L grows" true (increasing one_l);
+  let rows = Lazy.force fig4_left in
+  check_bool "1L grows" true (increasing (col "1L-FP" rows));
   check_bool "1L eventually exceeds 2L" true
-    (List.nth one_l (List.length one_l - 1)
-    > List.nth two_l (List.length two_l - 1))
+    (last "1L-FP" rows > last "2L-FP" rows)
 
 (* fig4-right: one-layer recovery beats two-layer at every point *)
 let test_fig4_right_shape () =
-  let s = Figures.fig4_right ~target_updates:15 () in
-  let rows = ys_of s in
-  check_bool "1L recovery cheaper" true (strictly_dominates (col 0 rows) (col 1 rows))
+  let rows = Lazy.force fig4_right in
+  check_bool "1L recovery cheaper" true
+    (strictly_dominates (col "2L-FP" rows) (col "1L-FP" rows))
 
 (* fig7: Simple > Optimized > Batch > NVM >= DRAM at 100 % updates, and
    the baselines are at least an order of magnitude above REWIND *)
 let test_fig7_shape () =
-  let s = Figures.fig7_left ~n_records:800 ~n_ops:1_500 () in
-  let last = List.nth (ys_of s) (List.length s.Series.rows - 1) in
-  (match last with
-  | [ simple; opt; batch; nvm; dram ] ->
-      check_bool "simple > opt" true (simple > opt);
-      check_bool "opt > batch" true (opt > batch);
-      check_bool "batch > nvm" true (batch > nvm);
-      check_bool "nvm >= dram" true (nvm >= dram)
-  | _ -> Alcotest.fail "unexpected series");
-  let s = Figures.fig7_right ~n_records:800 ~n_ops:1_500 () in
-  let last = List.nth (ys_of s) (List.length s.Series.rows - 1) in
-  match last with
-  | [ bdb; stasis; rewind; shore ] ->
-      check_bool "shore worst" true (shore > bdb && bdb > stasis);
-      check_bool "rewind 10x better than stasis" true (stasis > 10. *. rewind)
-  | _ -> Alcotest.fail "unexpected series"
+  let rows = Lazy.force fig7_left in
+  let simple = last "REWIND" rows and opt = last "REWIND-Opt" rows in
+  let batch = last "REWIND-Batch" rows and nvm = last "NVM" rows in
+  check_bool "simple > opt" true (simple > opt);
+  check_bool "opt > batch" true (opt > batch);
+  check_bool "batch > nvm" true (batch > nvm);
+  check_bool "nvm >= dram" true (nvm >= last "DRAM" rows);
+  let rows = Lazy.force fig7_right in
+  let bdb = last "BerkeleyDB" rows and stasis = last "Stasis" rows in
+  check_bool "shore worst" true (last "Shore-MT" rows > bdb && bdb > stasis);
+  check_bool "rewind 10x better than stasis" true
+    (stasis > 10. *. last "REWIND-Batch" rows)
 
 (* fig8: rollback/recovery ordering Stasis > BDB > Shore > REWIND *)
 let test_fig8_shape () =
-  let check s =
-    let last = List.nth (ys_of s) (List.length s.Series.rows - 1) in
-    match last with
-    | [ shore; bdb; stasis; rewind ] ->
-        check_bool "stasis > bdb" true (stasis > bdb);
-        check_bool "bdb > shore" true (bdb > shore);
-        check_bool "shore > rewind" true (shore > rewind)
-    | _ -> Alcotest.fail "unexpected series"
+  let check rows =
+    let bdb = last "BerkeleyDB" rows and shore = last "Shore-MT" rows in
+    check_bool "stasis > bdb" true (last "Stasis" rows > bdb);
+    check_bool "bdb > shore" true (bdb > shore);
+    check_bool "shore > rewind" true (shore > last "REWIND-Batch" rows)
   in
-  check (Figures.fig8_left ~n_records:800 ());
-  check (Figures.fig8_right ~n_records:800 ())
+  check (Lazy.force fig8_left);
+  check (Lazy.force fig8_right)
 
 (* fig10: larger batch groups are less fence-sensitive; the optimized log
    is the most sensitive *)
 let test_fig10_shape () =
-  let s = Figures.fig10 ~n_records:500 ~n_ops:1_000 () in
-  let rows = ys_of s in
-  let slope col_i =
-    let c = col col_i rows in
+  let rows = Lazy.force fig10 in
+  let slope name =
+    let c = col name rows in
     List.nth c (List.length c - 1) /. List.hd c
   in
-  check_bool "batch32 least sensitive" true (slope 0 < slope 2);
-  check_bool "batch8 < optimized" true (slope 2 < slope 3)
+  check_bool "batch32 least sensitive" true
+    (slope "Batch-32" < slope "Batch-8");
+  check_bool "batch8 < optimized" true (slope "Batch-8" < slope "Optimized")
 
 (* fig9 + lockfree: REWIND scales far better than the baselines; the
    lock-free latch beats the latched log at 8 threads *)
 let test_fig9_shape () =
-  let s = Figures.fig9 ~ops_per_thread:800 ~n_records:400 () in
-  let rows = ys_of s in
-  let last = List.nth rows (List.length rows - 1) in
-  (match last with
-  | [ _shore; bdb; _stasis; rewind; rewind_p8 ] ->
-      check_bool "rewind beats bdb at 8 threads" true (bdb > 5. *. rewind);
-      check_bool "8 partitions beat the single latch at 8 threads" true
-        (rewind_p8 < rewind)
-  | _ -> Alcotest.fail "unexpected series");
-  let s = Figures.ablation_lockfree ~ops_per_thread:500 ~n_records:300 () in
-  let rows = ys_of s in
-  let last = List.nth rows (List.length rows - 1) in
-  match last with
-  | [ latched; lockfree ] ->
-      check_bool "lock-free wins at 8 threads" true (lockfree < latched)
-  | _ -> Alcotest.fail "unexpected series"
+  let rows = Lazy.force fig9 in
+  let rewind = last "REWIND-Batch" rows in
+  check_bool "rewind beats bdb at 8 threads" true
+    (last "BerkeleyDB" rows > 5. *. rewind);
+  check_bool "8 partitions beat the single latch at 8 threads" true
+    (last "REWIND-Batch-P8" rows < rewind);
+  let rows = Lazy.force lockfree in
+  check_bool "lock-free wins at 8 threads" true
+    (last "lock-free" rows < last "latched" rows)
 
 (* fig11: NVM fastest; distributed log within 1.5x; naive REWIND worst *)
 let test_fig11_shape () =
-  let bars = Figures.fig11 ~txns_per_terminal:40 () in
-  let get name = List.assoc name bars in
+  let rows = Lazy.force fig11 in
+  let get name =
+    List.filter (fun r -> Bench_row.label r "configuration" = Some name) rows
+    |> last "ktpm"
+  in
   let nvm = get "Simple NVM B+Trees" in
   let dlog = get "REWIND Opt. Data Structure D.Log" in
   let opt = get "REWIND Opt. Data Structure" in
@@ -138,16 +149,12 @@ let test_fig11_shape () =
 (* ablation-group: per-record cost decreases with group size and the gap
    widens with fence cost *)
 let test_ablation_group_shape () =
-  let s = Figures.ablation_group ~n_ops:4_000 () in
-  let rows = ys_of s in
-  check_bool "cheap fences: decreasing" true
-    (increasing (List.rev (col 0 rows)));
-  check_bool "expensive fences: decreasing" true
-    (increasing (List.rev (col 1 rows)));
-  let first = List.hd rows and last = List.nth rows (List.length rows - 1) in
-  let gain col_i a b = List.nth a col_i /. List.nth b col_i in
-  check_bool "grouping matters more at 1us fences" true
-    (gain 1 first last > gain 0 first last)
+  let rows = Lazy.force ablation_group in
+  let cheap = col "fence=100ns" rows and dear = col "fence=1us" rows in
+  check_bool "cheap fences: decreasing" true (increasing (List.rev cheap));
+  check_bool "expensive fences: decreasing" true (increasing (List.rev dear));
+  let gain c = List.hd c /. List.nth c (List.length c - 1) in
+  check_bool "grouping matters more at 1us fences" true (gain dear > gain cheap)
 
 (* benchdiff file handling: a gate that cannot run (missing, unreadable,
    malformed or ambiguous input) must say which file and why, as an
@@ -334,7 +341,8 @@ let test_benchdiff_direction_from_file () =
     (List.map (fun r -> r.Benchdiff.metric) o.Benchdiff.regressions
     = [ "x/ops=10/throughput" ])
 
-(* Every bench's rows, at its smallest size, read back unchanged. *)
+(* Every bench's rows, at its smallest size, and the figure rows above
+   read back unchanged. *)
 let test_rows_round_trip () =
   let rows =
     Append_bench.run ~n_ops:64 ()
@@ -342,6 +350,7 @@ let test_rows_round_trip () =
     @ Scaling_bench.run ~threads:2 ~partitions:[ 1; 2 ] ~txns_per_thread:4 ()
     @ fst (Tpcc_bench.run ~warehouses:1 ~partitions:1 ~arrivals:20 ~arena_mb:64 ())
     @ Twopc_bench.run ~txns:4 ()
+    @ List.concat_map Lazy.force figures
   in
   List.iter
     (fun bench ->
