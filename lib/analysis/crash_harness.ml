@@ -213,9 +213,12 @@ let recovery_chain ?(from = `Window_end) s =
     points;
   sweep points !crashes
 
+let window_events s =
+  List.length (List.filter (fun (i, _) -> i = 0) (window_points s))
+
 let crash_once s ~after =
-  match List.filter (fun (i, _) -> i = 0) (window_points s) with
-  | [] -> fail ~arena:0 ~event:0 "the window has no persistence events"
-  | points ->
-      let k = (after mod List.length points) + 1 in
+  match window_events s with
+  | 0 -> fail ~arena:0 ~event:0 "the window has no persistence events"
+  | n ->
+      let k = (after mod n) + 1 in
       fst (recover_at s (crashed_world s (0, k)) ~arena:0 ~event:k)

@@ -87,11 +87,16 @@ val recovery_chain : ?from:origin -> ('w, 'r) scenario -> sweep
     There is no depth bound: a recovery that never completes is a
     liveness bug the test should hang on. *)
 
+val window_events : ('w, 'r) scenario -> int
+(** A dry run's count of the first arena's window persistence events:
+    the N of {!crash_once}. *)
+
 val crash_once : ('w, 'r) scenario -> after:int -> 'r
 (** One crash for the randomized tests: a dry run counts the first
-    arena's window events N, the trial crashes at event
-    [after mod N + 1], and the recovered state is checked and returned.
-    Fails if the window has no events or the armed run did not crash. *)
+    arena's window events N ({!window_events}), the trial crashes at
+    event [after mod N + 1], and the recovered state is checked and
+    returned.  Fails if the window has no events or the armed run did
+    not crash. *)
 
 val recover_checked : ('w, 'r) scenario -> 'w -> 'r
 (** Recover and check a world the caller crashed by other means (a

@@ -21,8 +21,15 @@ type profile = {
 }
 
 val stasis_profile : profile
+(** Stasis [27]: compact logical records, lean code path. *)
+
 val bdb_profile : profile
+(** BerkeleyDB [22], deployed as in the paper: lock manager disabled,
+    cache and log-buffer sizes matching the Stasis configuration. *)
+
 val shore_profile : profile
+(** Shore-MT in the NVM-adapted variant of Wang & Johnson [33]: one
+    distributed log per core (up to four), durable-cache commit. *)
 
 type t
 

@@ -356,10 +356,14 @@ let to_prometheus rows =
 
 (* -- human table ---------------------------------------------------------- *)
 
+(* Four decimals below 100, but never fewer than four significant
+   digits: 0.00104 prints as 0.001040. *)
 let cell v =
   if Float.is_integer v then Printf.sprintf "%.0f" v
   else if Float.abs v >= 100. then Printf.sprintf "%.2f" v
-  else Printf.sprintf "%.4f" v
+  else
+    let magnitude = int_of_float (Float.floor (Float.log10 (Float.abs v))) in
+    Printf.sprintf "%.*f" (max 4 (3 - magnitude)) v
 
 (* Consecutive rows of one bench with the same labels and metrics share a
    header; labels are left-aligned, metric values right-aligned. *)

@@ -65,9 +65,38 @@ let expect_cells want got =
 
 let pp_cells = Fmt.(array ~sep:sp int64)
 
+(* -- the mixed world -------------------------------------------------------- *)
+
+(* The WAL configurations the mixed world's sweeps and the fault
+   campaign run. *)
+let wal_configs =
+  [
+    ("1L-NFP", Rewind.config_1l_nfp);
+    ("1L-FP", Rewind.config_1l_fp);
+    ("2L-NFP", Rewind.config_2l_nfp);
+    ("2L-FP", Rewind.config_2l_fp);
+    ("simple", Rewind.config_simple);
+    ("batch8", Rewind.config_batch ());
+  ]
+
+(* Commits, rollbacks and a checkpoint over 8 cells: [txns] transactions
+   (default 12) of [writes] writes each (default 3), every third rolled
+   back, a checkpoint after transaction [checkpoint_at] (default 6).
+   Values encode their writer as [tno * 100 + i + 1]. *)
+let mixed_script ?(txns = 12) ?(writes = 3) ?(checkpoint_at = 6) tm cells =
+  for tno = 1 to txns do
+    let txn = Tm.begin_txn tm in
+    for i = 0 to writes - 1 do
+      Tm.write tm txn
+        ~addr:cells.((tno + i) mod 8)
+        ~value:(Int64.of_int ((tno * 100) + i + 1))
+    done;
+    if tno mod 3 <> 0 then Tm.commit tm txn else Tm.rollback tm txn;
+    if tno = checkpoint_at then Tm.checkpoint tm
+  done
+
 (* Recovery cleared the log and left no value of a rolled-back
-   transaction: values encode their writer as [tno * 100 + i], and every
-   third transaction rolls back. *)
+   transaction of [mixed_script]. *)
 let no_rolled_back _ tm got =
   if Log.length (Tm.log tm) <> 0 then Some "log not cleared after recovery"
   else
@@ -76,6 +105,14 @@ let no_rolled_back _ tm got =
     |> List.find_opt (fun (_, v) -> v <> 0 && v / 100 mod 3 = 0)
     |> Option.map (fun (i, v) ->
            Fmt.str "cell %d holds %d from rolled-back txn %d" i v (v / 100))
+
+(* [mixed_script] as the crash window over a fresh manager. *)
+let mixed ?size_bytes ?hook ?txns ?writes ?checkpoint_at cfg =
+  tm_cells ?size_bytes ~n:8 ?hook cfg
+    ~prepare:(fun _ _ -> ())
+    ~window:(fun tm cells () ->
+      mixed_script ?txns ?writes ?checkpoint_at tm cells)
+    ~check:no_rolled_back
 
 (* -- the crash demo --------------------------------------------------------- *)
 

@@ -1,13 +1,15 @@
 (* Deterministic fault-injection campaign (the "faultcamp").
 
-   A campaign enumerates trials over the six log configurations.  Each
-   trial runs a fixed mixed workload (commits, rollbacks, a checkpoint)
-   against an arena with a seeded {!Rewind_nvm.Fault_model} attached,
-   crashes it at a chosen persistence event, recovers, and checks the
-   recovery invariants.  Every parameter of a trial is recorded in the
-   {!trial} record, so any verdict is reproducible from the one line the
-   campaign prints on failure — independently of the rest of the
-   schedule.
+   A campaign enumerates trials over the six WAL configurations.  Each
+   trial is one {!Crash_scenarios.mixed} crash (commits, rollbacks, a
+   checkpoint) run by {!Rewind_analysis.Crash_harness.crash_once}, with
+   a seeded {!Rewind_nvm.Fault_model} attached to the arena: the trial
+   crashes at its chosen persistence event (modulo the window's events),
+   recovers under the harness's sanitizer, and checks the allowed set
+   and that a second attach changes nothing.  Every parameter of a trial
+   is recorded in the {!trial} record, so any verdict is reproducible
+   from the one line the campaign prints on failure — independently of
+   the rest of the schedule.
 
    Determinism: the schedule is a pure function of the base seed (one
    [Random.State] drives it), and within a trial the eviction mask is a
@@ -17,65 +19,24 @@
 
 open Rewind_nvm
 open Rewind
+module Harness = Rewind_analysis.Crash_harness
 
-let root_slot = 2
-
-let configs =
-  [
-    ("1L-NFP", Rewind.config_1l_nfp);
-    ("1L-FP", Rewind.config_1l_fp);
-    ("2L-NFP", Rewind.config_2l_nfp);
-    ("2L-FP", Rewind.config_2l_fp);
-    ("simple", Rewind.config_simple);
-    ("batch8", Rewind.config_batch ());
-  ]
-
+let configs = Crash_scenarios.wal_configs
 let config_names = List.map fst configs
 let find_config name = List.assoc_opt name configs
+let scenario ?hook cfg =
+  Crash_scenarios.mixed ~size_bytes:(16 lsl 20) ?hook cfg
 
-(* ------------------------------------------------------------------ *)
-(* The workload                                                        *)
-(* ------------------------------------------------------------------ *)
-
-(* Mirrors the torture-test script: 12 transactions over 8 cells, every
-   third rolled back, a checkpoint midway.  Values encode their writer
-   as [tno * 100 + i], so a recovered cell tells us which transaction
-   produced it. *)
-let n_cells = 8
-let n_txns = 12
-
-let run_script tm cells =
-  for tno = 1 to n_txns do
-    let txn = Tm.begin_txn tm in
-    for i = 0 to 2 do
-      let cell = (tno + i) mod n_cells in
-      Tm.write tm txn ~addr:cells.(cell) ~value:(Int64.of_int ((tno * 100) + i + 1))
-    done;
-    if tno mod 3 <> 0 then Tm.commit tm txn else Tm.rollback tm txn;
-    if tno = 6 then Tm.checkpoint tm
-  done
-
-(* Persistence events the uncrashed workload generates, per config.
-   Spontaneous evictions never tick the crash countdown, so this is
-   independent of the fault seed. *)
+(* Window persistence events of the fault-free world, per config: the
+   range the schedule draws crash points from. *)
 let shadow_events =
   let tbl = Hashtbl.create 8 in
   fun cfg_name ->
     match Hashtbl.find_opt tbl cfg_name with
     | Some n -> n
     | None ->
-        let cfg = List.assoc cfg_name configs in
-        let arena = Arena.create ~size_bytes:(16 lsl 20) () in
-        let alloc = Alloc.create arena in
-        let tm = Tm.create ~cfg alloc ~root_slot in
-        let cells = Array.init n_cells (fun _ -> Alloc.alloc alloc 8) in
-        let s0 =
-          (Arena.stats arena).Stats.nt_stores + (Arena.stats arena).Stats.flushes
-        in
-        run_script tm cells;
         let n =
-          (Arena.stats arena).Stats.nt_stores
-          + (Arena.stats arena).Stats.flushes - s0
+          Harness.window_events (scenario (List.assoc cfg_name configs))
         in
         Hashtbl.replace tbl cfg_name n;
         n
@@ -102,70 +63,39 @@ let pp_verdict ppf = function
   | Pass -> Fmt.string ppf "pass"
   | Fail m -> Fmt.pf ppf "FAIL: %s" m
 
+(* Recovery must be idempotent: a second attach finds a clean log and
+   changes nothing. *)
+let second_attach cfg { Crash_scenarios.arena; cells; _ } =
+  let before = Array.map (Arena.read arena) cells in
+  let tm =
+    Tm.attach ~cfg (Alloc.recover arena) ~root_slot:Crash_scenarios.root_slot
+  in
+  if Log.length (Tm.log tm) <> 0 then
+    Some "second recovery left a non-empty log"
+  else if Array.map (Arena.read arena) cells <> before then
+    Some "second recovery changed user data"
+  else None
+
 (* Run one trial; any escaped exception is a failure (recovery must
    truncate torn state, never raise). *)
 let run_trial t =
   match find_config t.config_name with
   | None -> Fail (Fmt.str "unknown config %S" t.config_name)
   | Some cfg -> (
-      try
-        let arena = Arena.create ~size_bytes:(16 lsl 20) () in
-        let fm =
-          Fault_model.create ~eviction_ppm:t.eviction_ppm
-            ~crash_survival_ppm:t.survival_ppm ~seed:t.fault_seed ()
-        in
-        Arena.set_fault_model arena (Some fm);
-        let alloc = Alloc.create arena in
-        let tm = Tm.create ~cfg alloc ~root_slot in
-        let cells = Array.init n_cells (fun _ -> Alloc.alloc alloc 8) in
-        Arena.arm_crash arena ~after:t.crash_after;
-        (try
-           run_script tm cells;
-           Arena.disarm_crash arena
-         with Arena.Crash -> ());
-        if not (Arena.crashed arena) then Pass
-        else begin
-          let alloc2 = Alloc.recover arena in
-          let tm2 = Tm.attach ~cfg alloc2 ~root_slot in
-          if Log.length (Tm.log tm2) <> 0 then
-            Fail "log not cleared after recovery"
-          else begin
-            (* Every recovered cell must be 0 or a value written by a
-               transaction we did not roll back: rolled-back and
-               crash-interrupted transactions leave no trace. *)
-            let bad = ref None in
-            Array.iteri
-              (fun idx c ->
-                let v = Int64.to_int (Arena.read arena c) in
-                if v <> 0 then begin
-                  let tno = v / 100 in
-                  if tno mod 3 = 0 then
-                    bad :=
-                      Some
-                        (Fmt.str "cell %d holds %d from rolled-back txn %d"
-                           idx v tno)
-                end)
-              cells;
-            match !bad with
-            | Some m -> Fail m
-            | None ->
-                (* Recovery must be idempotent: a second attach finds a
-                   clean log and changes nothing. *)
-                let snapshot = Array.map (Arena.read arena) cells in
-                let tm3 = Tm.attach ~cfg (Alloc.recover arena) ~root_slot in
-                if Log.length (Tm.log tm3) <> 0 then
-                  Fail "second recovery left a non-empty log"
-                else if
-                  Array.exists2
-                    (fun before c -> Arena.read arena c <> before)
-                    snapshot cells
-                then Fail "second recovery changed user data"
-                else Pass
-          end
-        end
-      with
-      | Arena.Crash -> Fail "crash escaped recovery"
-      | e -> Fail (Fmt.str "exception: %s" (Printexc.to_string e)))
+      let fault a =
+        Arena.set_fault_model a
+          (Some
+             (Fault_model.create ~eviction_ppm:t.eviction_ppm
+                ~crash_survival_ppm:t.survival_ppm ~seed:t.fault_seed ()))
+      in
+      let s = scenario ~hook:fault cfg in
+      let check w r =
+        match s.check w r with None -> second_attach cfg w | bad -> bad
+      in
+      match Harness.crash_once { s with check } ~after:t.crash_after with
+      | _ -> Pass
+      | exception Harness.Failed { detail; _ } -> Fail detail
+      | exception e -> Fail (Fmt.str "exception: %s" (Printexc.to_string e)))
 
 (* Shrink a failing trial to a smaller reproducer: drop spontaneous
    evictions if the failure survives without them, then find a smaller
@@ -193,9 +123,8 @@ let eviction_levels = [| 0; 20_000; 100_000 |]
 let survival_levels = [| 0; 250_000; 500_000; 750_000; 1_000_000 |]
 
 (* [seeds] trials per configuration, derived from [base_seed] alone.
-   Crash points sweep the whole event range (plus a margin past the end,
-   where the crash never fires and the trial degenerates to an uncrashed
-   run). *)
+   Crash points sweep the whole event range, plus a margin of 8 past the
+   end that wraps around it. *)
 let schedule ?(config_filter = None) ~base_seed ~seeds () =
   let rng = Random.State.make [| base_seed; 0xFA17; base_seed lxor 0x2545F491 |] in
   let selected =

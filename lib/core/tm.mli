@@ -37,11 +37,14 @@
     ({!Rewind_nvm.Sim_threads.fork_join}), joined before a k-way merge
     by LSN builds one stream in global LSN order; redo replays that
     stream, undo walks it backwards (two-layer: each loser's back-chain
-    within its home partition) reading only losers' records.  Both
-    {!checkpoint} and recovery's selective clearing remove settled
-    records in global LSN order (ENDs last) {e across} the partitions;
-    recovery's wholesale clearing first raises a durable LSN floor, below
-    which the next analysis ignores records. *)
+    within its home partition) reading only losers' records.
+
+    {!checkpoint} and recovery's clearing follow one rule, the durable
+    LSN horizon H = min(next LSN, first LSN of every unsettled
+    transaction): every record below H, in any partition, is settled and
+    durable, analysis skips it, and removing it needs no order.  Only
+    force-policy clearing of a single transaction keeps one (END last,
+    {!Log.remove_end_last}). *)
 
 type policy = Force | No_force
 type layers = One_layer | Two_layer

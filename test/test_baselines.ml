@@ -7,9 +7,9 @@ open Rewind_baselines
 
 let systems =
   [
-    ("stasis", fun () -> Stasis_like.create ~nbuckets:64 ());
-    ("bdb", fun () -> Bdb_like.create ~nbuckets:64 ());
-    ("shore", fun () -> Shore_like.create ~nbuckets:64 ());
+    ("stasis", fun () -> Paged_kv.create ~nbuckets:64 Paged_kv.stasis_profile);
+    ("bdb", fun () -> Paged_kv.create ~nbuckets:64 Paged_kv.bdb_profile);
+    ("shore", fun () -> Paged_kv.create ~nbuckets:64 Paged_kv.shore_profile);
   ]
 
 let check_i64o = Alcotest.(check (option int64))
@@ -188,8 +188,8 @@ let test_rollback_cost_ordering () =
     Paged_kv.rollback kv t;
     Clock.elapsed s
   in
-  let stasis = cost (fun () -> Stasis_like.create ~nbuckets:64 ()) in
-  let shore = cost (fun () -> Shore_like.create ~nbuckets:64 ()) in
+  let stasis = cost (List.assoc "stasis" systems) in
+  let shore = cost (List.assoc "shore" systems) in
   check_bool "shore rollback cheaper than stasis" true (shore < stasis)
 
 let () =

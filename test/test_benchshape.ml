@@ -360,6 +360,22 @@ let test_rows_round_trip () =
   check_bool "of_json (to_json rows) = rows" true
     (Bench_row.of_json (Bench_row.to_json rows) = Ok rows)
 
+(* Small values keep four significant digits, so 0.00104 and 0.00096
+   no longer both print as 0.0010; larger ones print as before. *)
+let test_table_cells () =
+  List.iter
+    (fun (v, want) ->
+      Alcotest.(check string) (string_of_float v) want (Bench_row.cell v))
+    [
+      (0.00104, "0.001040");
+      (0.00096, "0.0009600");
+      (-0.0123456, "-0.01235");
+      (0.5, "0.5000");
+      (12.5, "12.5000");
+      (1234.5, "1234.50");
+      (42., "42");
+    ]
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "benchshape"
@@ -382,6 +398,7 @@ let () =
           tc "direction read from the baseline" `Quick
             test_benchdiff_direction_from_file;
           tc "every bench's rows round-trip" `Quick test_rows_round_trip;
+          tc "table cells keep 4 significant digits" `Quick test_table_cells;
         ] );
       ( "figures",
         [

@@ -2,8 +2,9 @@
    persistence events are plain non-temporal stores: an armed trial that
    does not crash fails the sweep, a failed check names its trial, a
    recovery chain stops at the first recovery that completes, a
-   recovery that is not idempotent is caught, and a sanitizer report in
-   recovery fails the sweep. *)
+   recovery that is not idempotent is caught, a sanitizer report in
+   recovery fails the sweep, and [window_events] counts the points a
+   sweep crashes at. *)
 
 open Rewind_nvm
 module Harness = Rewind_analysis.Crash_harness
@@ -144,6 +145,11 @@ let test_crash_once_wraps () =
     (expect_failed ~needle:"no persistence events" (fun () ->
          Harness.crash_once (stores (fun () -> 0)) ~after:0))
 
+let test_window_events_counts_points () =
+  let s = stores (fun () -> 7) in
+  check_int "every_event's crash points" (Harness.every_event s).crash_points
+    (Harness.window_events s)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "crash_harness"
@@ -157,6 +163,8 @@ let () =
           tc "non-idempotent recovery is caught" `Quick
             test_during_recovery_catches_non_idempotence;
           tc "crash_once wraps its point" `Quick test_crash_once_wraps;
+          tc "window_events counts the sweep's points" `Quick
+            test_window_events_counts_points;
           tc "a sanitizer report fails the sweep" `Quick
             test_sanitizer_report_fails;
         ] );

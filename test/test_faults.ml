@@ -15,33 +15,14 @@ module Scenarios = Rewind_benchlib.Crash_scenarios
 
 let root_slot = 2
 
-let configs =
-  [
-    ("1L-NFP", Rewind.config_1l_nfp);
-    ("1L-FP", Rewind.config_1l_fp);
-    ("2L-NFP", Rewind.config_2l_nfp);
-    ("2L-FP", Rewind.config_2l_fp);
-    ("simple", Rewind.config_simple);
-    ("batch8", Rewind.config_batch ());
-  ]
+let configs = Scenarios.wal_configs
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* Small mixed script (6 txns over 8 cells, every third rolled back, one
-   checkpoint) so that full crash-point enumeration stays cheap.  Values
-   encode their writer as [tno * 100 + i]. *)
-let script tm cells =
-  for tno = 1 to 6 do
-    let txn = Tm.begin_txn tm in
-    for i = 0 to 1 do
-      Tm.write tm txn
-        ~addr:cells.((tno + i) mod 8)
-        ~value:(Int64.of_int ((tno * 100) + i + 1))
-    done;
-    if tno mod 3 <> 0 then Tm.commit tm txn else Tm.rollback tm txn;
-    if tno = 4 then Tm.checkpoint tm
-  done
+(* The small mixed world (6 txns of 2 writes, a checkpoint after the
+   4th), so that full crash-point enumeration stays cheap. *)
+let script = Scenarios.mixed_script ~txns:6 ~writes:2 ~checkpoint_at:4
 
 let fresh_setup cfg ~fault =
   let arena = Arena.create ~size_bytes:(4 lsl 20) () in
@@ -67,13 +48,11 @@ let test_partial_eviction_sweep (_, cfg) () =
   for mask_seed = 0 to 7 do
     ignore
       (Harness.every_event
-         (Scenarios.tm_cells ~size_bytes:(4 lsl 20) ~n:8
+         (Scenarios.mixed ~size_bytes:(4 lsl 20) ~txns:6 ~writes:2
+            ~checkpoint_at:4
             ~hook:(fun a ->
               Arena.set_fault_model a (Some (fault_of_mask mask_seed)))
-            cfg
-            ~prepare:(fun _ _ -> ())
-            ~window:(fun tm cells () -> script tm cells)
-            ~check:Scenarios.no_rolled_back))
+            cfg))
   done
 
 (* Heavy spontaneous evictions with no crash: the adversary writing lines

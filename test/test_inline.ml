@@ -16,15 +16,7 @@ module Scenarios = Rewind_benchlib.Crash_scenarios
 
 let root_slot = 2
 
-let configs =
-  [
-    ("1L-NFP", Rewind.config_1l_nfp);
-    ("1L-FP", Rewind.config_1l_fp);
-    ("2L-NFP", Rewind.config_2l_nfp);
-    ("2L-FP", Rewind.config_2l_fp);
-    ("simple", Rewind.config_simple);
-    ("batch8", Rewind.config_batch ());
-  ]
+let configs = Scenarios.wal_configs
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -249,19 +241,9 @@ let test_remove_end_word_handle variant () =
 (* Crash sweep: small-write workload over every configuration          *)
 (* ------------------------------------------------------------------ *)
 
-(* Same shape as test_faults.ml's script: inline-eligible values encode
+(* test_faults.ml's small mixed world: inline-eligible values encode
    their writer so recovery invariants are checkable. *)
-let script tm cells =
-  for tno = 1 to 6 do
-    let txn = Tm.begin_txn tm in
-    for i = 0 to 1 do
-      Tm.write tm txn
-        ~addr:cells.((tno + i) mod 8)
-        ~value:(Int64.of_int ((tno * 100) + i + 1))
-    done;
-    if tno mod 3 <> 0 then Tm.commit tm txn else Tm.rollback tm txn;
-    if tno = 4 then Tm.checkpoint tm
-  done
+let script = Scenarios.mixed_script ~txns:6 ~writes:2 ~checkpoint_at:4
 
 let fresh_setup cfg =
   let arena = Arena.create ~size_bytes:(4 lsl 20) () in
@@ -275,10 +257,8 @@ let fresh_setup cfg =
 let test_crash_sweep (_, cfg) () =
   ignore
     (Harness.every_event
-       (Scenarios.tm_cells ~size_bytes:(4 lsl 20) ~n:8 cfg
-          ~prepare:(fun _ _ -> ())
-          ~window:(fun tm cells () -> script tm cells)
-          ~check:Scenarios.no_rolled_back))
+       (Scenarios.mixed ~size_bytes:(4 lsl 20) ~txns:6 ~writes:2
+          ~checkpoint_at:4 cfg))
 
 (* With the fast path live, the one-layer bucketed configurations must
    actually take it for this small-write workload. *)

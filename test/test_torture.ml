@@ -8,61 +8,26 @@ open Rewind
 module Harness = Rewind_analysis.Crash_harness
 module Scenarios = Rewind_benchlib.Crash_scenarios
 
-let configs =
-  [
-    ("1L-NFP", Rewind.config_1l_nfp);
-    ("1L-FP", Rewind.config_1l_fp);
-    ("2L-NFP", Rewind.config_2l_nfp);
-    ("2L-FP", Rewind.config_2l_fp);
-    ("simple", Rewind.config_simple);
-    ("batch8", Rewind.config_batch ());
-  ]
+let configs = Scenarios.wal_configs
 
 let check_bool = Alcotest.(check bool)
 
-(* A deterministic mixed script over 8 cells: commit, rollback and
-   checkpoint interleaved.  Returns the model: cell -> last committed
-   value. *)
-let script tm cells =
-  let model = Array.make 8 0L in
-  let apply_txn tno ~commit_it =
-    let txn = Tm.begin_txn tm in
-    let touched = ref [] in
-    for i = 0 to 2 do
-      let cell = (tno + i) mod 8 in
-      let v = Int64.of_int ((tno * 100) + i + 1) in
-      Tm.write tm txn ~addr:cells.(cell) ~value:v;
-      touched := (cell, v) :: !touched
-    done;
-    if commit_it then begin
-      Tm.commit tm txn;
-      List.iter (fun (c, v) -> model.(c) <- v) !touched
-    end
-    else Tm.rollback tm txn
-  in
-  for tno = 1 to 12 do
-    apply_txn tno ~commit_it:(tno mod 3 <> 0);
-    if tno = 6 then Tm.checkpoint tm
-  done;
-  model
-
 (* A fresh manager over [n_cells] cells, then [window] as the crash
    window.  By default recovery must clear the log and leave no value of
-   a transaction the script's encoding marks rolled back
-   ([tno * 100 + i] with [tno mod 3 = 0]). *)
+   a transaction the mixed script's encoding marks rolled back. *)
 let scenario ?(n_cells = 8) ?(check = Scenarios.no_rolled_back) cfg window =
   Scenarios.tm_cells ~size_bytes:(16 lsl 20) ~n:n_cells cfg
     ~prepare:(fun _ _ -> ())
     ~window:(fun tm cells () -> window tm cells)
     ~check
 
-(* Crash at every persistence event of the script, sampled down to about
-   150 points: committed transactions survive, rolled-back ones leave no
-   trace. *)
+(* Crash at every persistence event of the mixed script, sampled down to
+   about 150 points: committed transactions survive, rolled-back ones
+   leave no trace. *)
 let test_exhaustive_script cfg () =
   ignore
     (Harness.every_event ~stride:(fun n -> n / 150)
-       (scenario cfg (fun tm cells -> ignore (script tm cells))))
+       (Scenarios.mixed ~size_bytes:(16 lsl 20) cfg))
 
 (* Crash during recovery repeatedly, until a recovery completes.  The
    in-flight write 77777 encodes transaction 777, which the check treats
@@ -71,7 +36,7 @@ let test_recovery_chain cfg () =
   ignore
     (Harness.recovery_chain
        (scenario cfg (fun tm cells ->
-            ignore (script tm cells);
+            Scenarios.mixed_script tm cells;
             let txn = Tm.begin_txn tm in
             Tm.write tm txn ~addr:cells.(0) ~value:77777L)))
 

@@ -40,12 +40,9 @@ ALLOW_SYNC='
 '
 
 # test/test_nvm.ml: tests the arming primitive itself.
-# lib/benchlib/faultcamp.ml: a random fault campaign (one trial per seed,
-#   minimized on failure), not a sweep.
 # examples/*: user-facing demos that show the raw API.
 ALLOW_CRASH='
 test/test_nvm.ml
-lib/benchlib/faultcamp.ml
 examples/kv_store.ml
 examples/linked_list_crash.ml
 examples/task_queue.ml
