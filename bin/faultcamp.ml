@@ -13,7 +13,7 @@ let run ~base_seed ~seeds ~config ~crash ~evict_ppm ~survive_ppm ~quiet =
   match crash with
   | Some crash_after ->
       (* single-trial reproducer mode *)
-      let config = Option.value ~default:"1L-NFP" config in
+      let config = Option.value ~default:"1l-nfp" config in
       let t =
         {
           F.config_name = config;
@@ -63,8 +63,8 @@ let () =
     Arg.(
       value & opt (some string) None
       & info [ "config" ] ~docv:"NAME"
-          ~doc:"Restrict to one log configuration (1L-NFP, 1L-FP, 2L-NFP, \
-                2L-FP, simple, batch8).")
+          ~doc:"Restrict to one log configuration (1l-nfp, 1l-fp, 2l-nfp, \
+                2l-fp, simple, batch).")
   in
   let crash =
     Arg.(

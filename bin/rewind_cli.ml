@@ -9,7 +9,6 @@
      rewind scaling [--json F]             partitioned-log throughput
      rewind benchdiff --baseline F --current F   regression gate
      rewind 2pc [--enumerate|--json F]     distributed commit
-     rewind autotune                       configuration advisor
 
    The bench subcommands print their rows as a table and write them with
    {!Bench_row.write_rows}. *)
@@ -60,7 +59,7 @@ let config_of_string s =
            (Fmt.str
               "unknown configuration %S (expected one of: %s; any name except \
                incll also takes a -pN partition suffix, e.g. batch-p4 or \
-               lockfree-p8)"
+               2l-fp-p8)"
               s config_name_list))
 
 let config_conv =
@@ -352,14 +351,19 @@ let check_enumerate ?(shard = fun c -> c) () =
    data race or persist race — fails the run. *)
 let run_races config_filter partitions threads =
   let partitions = max 1 partitions in
+  (* every named configuration; InCLL's checkpoint fiber exercises the
+     other exemption: epoch-covered lines written back by the advance's
+     [flush_all] while writers are mid-transaction *)
   let selected =
     match config_filter with
-    | None -> Race_workloads.configs
     | Some "lfset" -> [] (* no WAL configuration applies to the set *)
-    | Some n -> (
-        match List.assoc_opt n Race_workloads.configs with
-        | Some c -> [ (n, c) ]
-        | None -> [ (n, (List.assoc n config_names) ()) ])
+    | _ ->
+        List.filter_map
+          (fun (n, mk) ->
+            if config_filter = None || config_filter = Some n then
+              Some (n, mk ())
+            else None)
+          config_names
   in
   Fmt.pr
     "happens-before race detector — vector clocks over the trace stream@.";
@@ -751,67 +755,6 @@ let twopc_cmd =
              crash-everywhere enumeration, benchmark")
     Term.(const run_2pc $ nodes $ txns $ drop $ enumerate $ json)
 
-(* -- autotune ------------------------------------------------------------ *)
-
-(* Run a synthetic workload at the requested interleaving/rollback profile
-   and print what the advisor would configure. *)
-let run_autotune interleave rollback_pct updates small_pct =
-  let tuner = Rewind.Autotune.create () in
-  let group = max 1 (interleave + 1) in
-  let n_txns = max group 200 in
-  let live = Array.init group (fun i ->
-      Rewind.Autotune.on_begin tuner i;
-      i)
-  in
-  let next = ref group in
-  let done_updates = Array.make (Array.length live + n_txns + 1) 0 in
-  let settled = ref 0 in
-  while !settled < n_txns do
-    Array.iteri
-      (fun slot txn ->
-        if !settled < n_txns then begin
-          (* deterministic small-write mix at the requested percentage *)
-          let word_sized = done_updates.(txn) * small_pct mod 100 < small_pct in
-          Rewind.Autotune.on_write ~word_sized tuner txn;
-          done_updates.(txn) <- done_updates.(txn) + 1;
-          if done_updates.(txn) >= updates then begin
-            (if txn * 100 mod (n_txns * 100) < rollback_pct * n_txns then
-               Rewind.Autotune.on_rollback tuner txn
-             else Rewind.Autotune.on_commit tuner txn);
-            incr settled;
-            let fresh = !next in
-            incr next;
-            Rewind.Autotune.on_begin tuner fresh;
-            live.(slot) <- fresh
-          end
-        end)
-      live
-  done;
-  Fmt.pr "%a@." Rewind.Autotune.pp tuner
-
-let autotune_cmd =
-  let interleave =
-    Arg.(value & opt int 50
-         & info [ "interleave" ] ~docv:"N" ~doc:"Concurrent transactions (skip records).")
-  in
-  let rollback =
-    Arg.(value & opt int 5
-         & info [ "rollback" ] ~docv:"PCT" ~doc:"Percentage of transactions rolled back.")
-  in
-  let updates =
-    Arg.(value & opt int 20
-         & info [ "updates" ] ~docv:"N" ~doc:"Updates per transaction.")
-  in
-  let small =
-    Arg.(value & opt int 0
-         & info [ "small-writes" ] ~docv:"PCT"
-             ~doc:"Percentage of updates that are word-sized (inline-eligible).")
-  in
-  Cmd.v
-    (Cmd.info "autotune"
-       ~doc:"Simulate a workload profile and print the advisor's recommendation")
-    Term.(const run_autotune $ interleave $ rollback $ updates $ small)
-
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
   exit
@@ -820,4 +763,4 @@ let () =
           (Cmd.info "rewind" ~version:"1.0.0"
              ~doc:"REWIND: recovery write-ahead system for in-memory non-volatile data structures")
           [ figure_cmd; crash_demo_cmd; tpcc_cmd; costs_cmd; check_cmd;
-            profile_cmd; scaling_cmd; benchdiff_cmd; twopc_cmd; autotune_cmd ]))
+            profile_cmd; scaling_cmd; benchdiff_cmd; twopc_cmd ]))

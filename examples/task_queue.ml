@@ -1,9 +1,9 @@
 (* A crash-safe task queue built from the extension modules: a persistent
-   FIFO (Pqueue) per log partition of one transaction manager, with the
-   autotuner watching the workload.  A producer enqueues work and a
-   consumer marks results in a persistent table — each consumption is one
-   transaction, so a task is never both lost and unprocessed, even across
-   the power failure this demo injects.
+   FIFO (Pqueue) per log partition of one transaction manager.  A
+   producer enqueues work and a consumer marks results in a persistent
+   table — each consumption is one transaction, so a task is never both
+   lost and unprocessed, even across the power failure this demo
+   injects.
 
      dune exec examples/task_queue.exe                                     *)
 
@@ -18,7 +18,6 @@ let () =
   let alloc = Alloc.create arena in
   let cfg = Rewind.with_partitions partitions Tm.default_config in
   let tm = Tm.create ~cfg alloc ~root_slot:4 in
-  let tuner = Autotune.create () in
 
   (* One queue per partition, one shared result table; each transaction
      is pinned to its queue's partition. *)
@@ -29,10 +28,7 @@ let () =
   for task = 1 to 100 do
     let p = task mod partitions in
     Tm.atomically ~home:p tm (fun txn ->
-        Autotune.on_begin tuner txn;
-        Pqueue.enqueue queues.(p) txn (Int64.of_int task);
-        Autotune.on_write tuner txn;
-        Autotune.on_commit tuner txn)
+        Pqueue.enqueue queues.(p) txn (Int64.of_int task))
   done;
   Fmt.pr "produced 100 tasks (%d + %d queued)@."
     (Pqueue.length queues.(0)) (Pqueue.length queues.(1));

@@ -67,17 +67,25 @@ let pp_cells = Fmt.(array ~sep:sp int64)
 
 (* -- the mixed world -------------------------------------------------------- *)
 
-(* The WAL configurations the mixed world's sweeps and the fault
-   campaign run. *)
+(* The WAL entries of {!Rewind.named_configs}, under the CLI's names:
+   the configurations the mixed world's sweeps, the fault campaign and
+   every "for each configuration" test run. *)
 let wal_configs =
-  [
-    ("1L-NFP", Rewind.config_1l_nfp);
-    ("1L-FP", Rewind.config_1l_fp);
-    ("2L-NFP", Rewind.config_2l_nfp);
-    ("2L-FP", Rewind.config_2l_fp);
-    ("simple", Rewind.config_simple);
-    ("batch8", Rewind.config_batch ());
-  ]
+  List.filter_map
+    (fun (name, _, mk) ->
+      let cfg = mk () in
+      if cfg.Tm.incll then None else Some (name, cfg))
+    Rewind.named_configs
+
+(* [wal_configs] sharded into [partitions] logs, named with the CLI's
+   "-pN" suffix ("batch-p4"); at 1 partition, [wal_configs] itself. *)
+let matrix partitions =
+  if partitions = 1 then wal_configs
+  else
+    List.map
+      (fun (name, cfg) ->
+        (Fmt.str "%s-p%d" name partitions, Rewind.with_partitions partitions cfg))
+      wal_configs
 
 (* Commits, rollbacks and a checkpoint over 8 cells: [txns] transactions
    (default 12) of [writes] writes each (default 3), every third rolled

@@ -460,23 +460,6 @@ let ablation_group ?(n_ops = 20_000) () =
   rows "ablation-group" ~x:"group-size" (List.init 7 (( lsl ) 1))
     [ ("fence=100ns", cost 100); ("fence=1us", cost 1000) ]
 
-(* Section 7 future work, measured: the lock-free log fast path vs the
-   latched log under the shared-log multithreaded workload of Figure 9. *)
-let ablation_lockfree ?(ops_per_thread = 5_000) ?(n_records = 2_000) () =
-  let run cfg threads =
-    let _, alloc, tm = logged ~mb:384 (cfg ()) in
-    secs
-      (per_thread_run
-         (fun () -> tree (Btree.Logged tm) alloc)
-         ~stores:threads ~threads ~ops_per_thread ~n_records ~lookups:false
-         ~fresh:(tree_fresh n_records))
-  in
-  rows "ablation-lockfree" ~x:"threads" [ 1; 2; 4; 8 ]
-    [
-      ("latched", run (fun () -> Rewind.config_batch ()));
-      ("lock-free", run (fun () -> Rewind.config_lockfree ()));
-    ]
-
 (* Force + commit-time clearing vs no-force + checkpointing at equal
    workload: cost per transaction for varying transaction sizes. *)
 let ablation_policy ?(n_txns = 2_000) () =
@@ -569,9 +552,6 @@ let table =
       (fun ~quick:_ -> ablation_group ());
     e "ablation-policy" "Force + commit clearing vs no-force + checkpoints"
       "ns/txn" (fun ~quick -> ablation_policy ~n_txns:(sz quick 2_000 500) ());
-    e "ablation-lockfree"
-      "Latched vs lock-free log under shared-log multithreading" dur
-      (fun ~quick:_ -> ablation_lockfree ());
     e "append" "inline vs full-record log appends" "in each metric's name"
       (fun ~quick -> Append_bench.run ~n_ops:(sz quick 20_000 4_000) ());
   ]

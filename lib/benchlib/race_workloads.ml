@@ -36,22 +36,6 @@
 open Rewind_nvm
 module Racecheck = Rewind_analysis.Racecheck
 
-(* The six standard WAL configurations (the single-partition ones of
-   {!Recovery_bench})
-   plus the epoch-based InCLL config, whose checkpoint fiber exercises
-   the other exemption: epoch-covered lines written back by the
-   advance's [flush_all] while writers are mid-transaction. *)
-let configs =
-  [
-    ("1l-nfp", Rewind.config_1l_nfp);
-    ("1l-fp", Rewind.config_1l_fp);
-    ("2l-nfp", Rewind.config_2l_nfp);
-    ("2l-fp", Rewind.config_2l_fp);
-    ("simple", Rewind.config_simple);
-    ("batch8", Rewind.config_batch ());
-    ("incll", Rewind.config_incll);
-  ]
-
 let cells_per_thread = 64
 
 let multi_writer ?(threads = 4) ?(txns_per_thread = 60) ?(writes_per_txn = 4)

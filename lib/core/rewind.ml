@@ -24,14 +24,11 @@ module Avl_index = Avl_index
 module Txn_table = Txn_table
 module Tm = Tm
 
-module Autotune = Autotune
-
 type config = Tm.config = {
   policy : Tm.policy;
   layers : Tm.layers;
   variant : Log.variant;
   bucket_cap : int;
-  lockfree_latch : bool;
   partitions : int;
   incll : bool;
 }
@@ -46,13 +43,8 @@ let config_2l_fp =
 
 (* The paper's named log implementations (one-layer, no-force). *)
 let config_simple = { Tm.default_config with variant = Log.Simple }
-let config_optimized = { Tm.default_config with variant = Log.Optimized }
 let config_batch ?(group = 8) () =
   { Tm.default_config with variant = Log.Batch group }
-
-(* Section 7 future work: the lock-free log variant. *)
-let config_lockfree ?(group = 8) () =
-  { Tm.default_config with variant = Log.Batch group; lockfree_latch = true }
 
 (* In-cache-line logging (Cohen et al., ASPLOS'19): epoch-granular group
    durability, no WAL at all.  One partition, one layer by construction. *)
@@ -70,18 +62,14 @@ let with_partitions n cfg =
    every consumer picks the new name up. *)
 let named_configs : (string * string * (unit -> config)) list =
   [
-    ("1l-nfp", "one-layer, no-force (the default)", fun () -> config_1l_nfp);
+    ( "1l-nfp",
+      "one-layer, no-force, Optimized log (the default)",
+      fun () -> config_1l_nfp );
     ("1l-fp", "one-layer, force", fun () -> config_1l_fp);
     ("2l-nfp", "two-layer, no-force", fun () -> config_2l_nfp);
     ("2l-fp", "two-layer, force", fun () -> config_2l_fp);
     ("simple", "Simple log (doubly-linked list)", fun () -> config_simple);
-    ( "optimized",
-      "Optimized log (singly-linked, combined records)",
-      fun () -> config_optimized );
     ("batch", "Batch log, group commit of 8", fun () -> config_batch ());
-    ( "lockfree",
-      "Batch log with CAS appends instead of a latch",
-      fun () -> config_lockfree () );
     ( "incll",
       "in-cache-line logging, epoch-granular durability (no WAL)",
       fun () -> config_incll );

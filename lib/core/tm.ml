@@ -54,9 +54,6 @@ type config = {
   layers : layers;
   variant : Log.variant;
   bucket_cap : int;
-  lockfree_latch : bool;
-      (* Section 7 future work: a lock-free log fast path — appends pay a
-         CAS instead of serialising on the latch. *)
   partitions : int;
       (* independent log partitions (>= 1); transactions are pinned to a
          home partition by id, and recovery merges the partitions by
@@ -75,7 +72,6 @@ let default_config =
     layers = One_layer;
     variant = Log.Optimized;
     bucket_cap = 1000;
-    lockfree_latch = false;
     partitions = 1;
     incll = false;
   }
@@ -187,9 +183,8 @@ let root_slots (cfg : config) = if cfg.incll then 3 else 2 + (2 * cfg.partitions
 
 (* The fingerprint packs every recovery-relevant config field into one
    word: magic tag, partition count, policy, layers, log variant (plus
-   Batch group size) and bucket capacity.  [lockfree_latch] is volatile
-   scheduling policy — it does not change the durable layout — so it is
-   recorded but masked out of the comparison. *)
+   Batch group size) and bucket capacity.  {!check_cfg} keeps the group
+   and the capacity inside their 16 and 24 bits. *)
 let config_magic = 0x52 (* 'R' *)
 
 let config_word cfg =
@@ -206,7 +201,6 @@ let config_word cfg =
   lor (vtag lsl 18)
   lor (group lsl 20)
   lor ((cfg.bucket_cap land 0xFFFFFF) lsl 36)
-  lor ((if cfg.lockfree_latch then 1 else 0) lsl 60)
   lor ((if cfg.incll then 1 else 0) lsl 61)
 
 let config_of_word w =
@@ -219,12 +213,9 @@ let config_of_word w =
       | 1 -> Log.Optimized
       | _ -> Log.Batch ((w lsr 20) land 0xFFFF));
     bucket_cap = (w lsr 36) land 0xFFFFFF;
-    lockfree_latch = (w lsr 60) land 1 = 1;
     partitions = (w lsr 8) land 0xFF;
     incll = (w lsr 61) land 1 = 1;
   }
-
-let semantic_config_bits w = w land lnot (1 lsl 60)
 
 (* -- misuse errors --------------------------------------------------------- *)
 
@@ -298,6 +289,14 @@ let check_cfg cfg ~root_slot =
        be 1";
   if cfg.incll && cfg.layers <> One_layer then
     invalid "incll keeps no record index; config.layers must be One_layer";
+  (* the fingerprint keeps the capacity in 24 bits and the group in 16 *)
+  if cfg.bucket_cap < 1 || cfg.bucket_cap >= 1 lsl 24 then
+    invalid
+      (Printf.sprintf "config.bucket_cap %d is outside [1, 2^24)" cfg.bucket_cap);
+  (match cfg.variant with
+  | Log.Batch g when g < 1 || g >= 1 lsl 16 ->
+      invalid (Printf.sprintf "Batch group %d is outside [1, 2^16)" g)
+  | _ -> ());
   let directory = Arena.reserved_bytes / 8 in
   if root_slot < 1 || root_slot + root_slots cfg > directory then
     invalid
@@ -311,8 +310,7 @@ let validate_stored_config arena cfg ~root_slot =
   if stored = 0 then misuse (No_fingerprint { root_slot })
   else if stored land 0xFF <> config_magic then
     misuse (Not_a_fingerprint { root_slot; found = stored })
-  else if semantic_config_bits stored <> semantic_config_bits (config_word cfg)
-  then
+  else if stored <> config_word cfg then
     misuse
       (Fingerprint_mismatch
          {
@@ -321,18 +319,13 @@ let validate_stored_config arena cfg ~root_slot =
            requested = cfg;
          })
 
-let make_latch cfg =
-  if cfg.lockfree_latch then
-    Sim_mutex.create ~acquire_ns:30 ~contention_free:true ()
-  else Sim_mutex.create ()
-
-let make_part cfg pid log index =
+let make_part pid log index =
   {
     pid;
     log;
     index;
     table = Txn_table.create ();
-    latch = make_latch cfg;
+    latch = Sim_mutex.create ();
     ended = Hashtbl.create 64;
     deferred_deletes = [];
     deferred = [];
@@ -394,7 +387,7 @@ let create ?(cfg = default_config) alloc ~root_slot =
                 (Int64.of_int (Avl_index.root_ptr idx));
               Some idx
         in
-        make_part cfg pid log index)
+        make_part pid log index)
   in
   make_t cfg alloc ~root_slot parts
 
@@ -1606,7 +1599,7 @@ let attach ?(cfg = default_config) alloc ~root_slot =
       in
       make_t cfg alloc ~root_slot
         (Array.init parts (fun pid ->
-             make_part cfg pid logs.(pid) indexes.(pid)))
+             make_part pid logs.(pid) indexes.(pid)))
     end
   in
   recover_with t prof;

@@ -54,9 +54,8 @@ type config = {
   layers : layers;
   variant : Log.variant;
   bucket_cap : int;
-  lockfree_latch : bool;
-      (** Section 7 future work: model a lock-free log — appends pay a CAS
-          instead of serialising on the log latch. *)
+      (** Records per log bucket, in [[1, 2^24)]; a [Batch] group must lie
+          in [[1, 2^16)]. *)
   partitions : int;
       (** Independent log partitions (>= 1).  [1] is the unpartitioned
           log of the paper's single-threaded experiments. *)
@@ -87,7 +86,8 @@ type t
 type error =
   | Invalid_config of string
       (** {!create}/{!attach} given a configuration that cannot be laid
-          out (partition count, InCLL shape, root-slot budget) *)
+          out (partition count, InCLL shape, bucket capacity, Batch
+          group, root-slot budget) *)
   | No_fingerprint of { root_slot : int }
       (** {!attach} on a root slot {!create} never initialised *)
   | Not_a_fingerprint of { root_slot : int; found : int }
@@ -136,8 +136,7 @@ val attach : ?cfg:config -> Rewind_nvm.Alloc.t -> root_slot:int -> t
     The configuration is checked against the fingerprint {!create} stored
     at [root_slot]: attaching with a different partition count (or any
     other recovery-relevant config field) raises {!Error} with a
-    diagnostic instead of silently misassigning home partitions.
-    ([lockfree_latch] is volatile scheduling policy and may differ.) *)
+    diagnostic instead of silently misassigning home partitions. *)
 
 val config : t -> config
 

@@ -17,9 +17,9 @@
 
    Every lock carries a process-unique identity and reports each
    acquire/release to {!Trace.emit_sync}, so the race detector sees the
-   full synchronisation order — including the [contention_free] CAS
-   path, which excludes without ever waiting but still orders its
-   critical sections.
+   full synchronisation order — including the [contention_free] path
+   (the allocator's lock), which excludes without ever waiting but still
+   orders its critical sections.
 
    Each lock also accumulates, without moving any clock, the simulated
    time acquirers spent waiting for it (the spans [Clock.advance_to]
@@ -34,7 +34,7 @@ type t = {
   mutable holder : int;       (* fiber id, -1 when free (fiber mode only) *)
   acquire_ns : int;           (* fixed cost of the lock operation itself *)
   contention_free : bool;
-      (* model a lock-free fast path: pay the CAS, never wait.  Real
+      (* free in simulated time: pay [acquire_ns], never wait.  Real
          mutual exclusion is still provided (real mutex under domains;
          no preemption inside the section under the fiber scheduler). *)
   mutable acquired_at : int;  (* simulated ns the current hold began *)
@@ -100,7 +100,7 @@ let release_fiber t =
 
 let lock t =
   if t.contention_free then begin
-    (* lock-free fast path: CAS cost only, no simulated waiting *)
+    (* free in simulated time: acquire cost only, no waiting *)
     if Sim_threads.active () then take_fiber t else Mutex.lock t.mu;
     acquired t
   end
@@ -126,7 +126,7 @@ let lock t =
 
 let try_lock t =
   if t.contention_free then begin
-    (* the lock-free fast path never waits; a try is an acquire *)
+    (* a contention-free lock never waits; a try is an acquire *)
     lock t;
     true
   end

@@ -20,10 +20,10 @@ exception Misuse of string
 
 val create : ?acquire_ns:int -> ?contention_free:bool -> unit -> t
 (** [acquire_ns] is the fixed simulated cost of the lock operation itself
-    (default 20 ns).  [contention_free] models a lock-free fast path (the
-    paper's Section 7 future work): the acquirer pays only the CAS cost
-    and never waits in simulated time, while real mutual exclusion is
-    still provided. *)
+    (default 20 ns).  [contention_free] makes the lock free in simulated
+    time: the acquirer pays only [acquire_ns] and never waits, while real
+    mutual exclusion is still provided.  Its one user is {!Alloc}'s
+    metadata lock, which is modelled as costing nothing on purpose. *)
 
 val id : t -> int
 (** Process-unique identity, as it appears in {!Trace.Acquire} events. *)

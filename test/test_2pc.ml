@@ -29,19 +29,14 @@ open Rewind
 module San = Rewind_analysis.Sanitizer
 module Twopc = Rewind_dist.Twopc
 module Bench = Rewind_benchlib.Twopc_bench
-
-let check_int = Alcotest.(check int)
-let check_bool = Alcotest.(check bool)
-let root_slot = 2
+open Support
 
 (* ------------------------------------------------------------------ *)
 (* 1. Participant surface: PREPARE / in-doubt / resolve                *)
 (* ------------------------------------------------------------------ *)
 
 let test_prepare_survives_recovery (name, cfg) () =
-  let arena = Arena.create ~size_bytes:(8 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
+  let arena, alloc, tm = fresh ~cfg () in
   let cell_c = Alloc.alloc alloc 8 and cell_a = Alloc.alloc alloc 8 in
   (* one transaction prepared with gtid 41, one with 42 *)
   let t1 = Tm.begin_txn tm in
@@ -84,9 +79,7 @@ let test_prepare_survives_recovery (name, cfg) () =
     (Int64.to_int (Arena.read arena cell_a))
 
 let test_resolve_unknown_txn () =
-  let arena = Arena.create ~size_bytes:(4 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create alloc ~root_slot in
+  let _, _, tm = fresh ~size_bytes:(4 lsl 20) () in
   Alcotest.check_raises "resolving a never-prepared txn rejects"
     (Tm.Error (Tm.Not_in_doubt 1))
     (fun () ->
@@ -166,14 +159,7 @@ let () =
       (fun (cn, cfg) ->
         Alcotest.test_case (Fmt.str "prepare survives recovery [%s]" cn) `Quick
           (test_prepare_survives_recovery (cn, cfg)))
-      [
-        ("1l-nfp", Rewind.config_1l_nfp);
-        ("1l-fp", Rewind.config_1l_fp);
-        ("2l-nfp", Rewind.config_2l_nfp);
-        ("2l-fp", Rewind.config_2l_fp);
-        ("simple", Rewind.config_simple);
-        ("batch4", Rewind.config_batch ~group:4 ());
-      ]
+      Rewind_benchlib.Crash_scenarios.wal_configs
   in
   Alcotest.run "2pc"
     [

@@ -5,15 +5,14 @@
 open Rewind_nvm
 open Rewind
 module Harness = Rewind_analysis.Crash_harness
+open Support
 
 let fresh () =
   let arena = Arena.create ~size_bytes:(1 lsl 20) () in
   let alloc = Alloc.create arena in
   (arena, alloc)
 
-let check_int = Alcotest.(check int)
 let check_list = Alcotest.(check (list int))
-let check_bool = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
 (* Functional behaviour                                                *)

@@ -5,6 +5,7 @@
 open Rewind_nvm
 open Rewind
 module Harness = Rewind_analysis.Crash_harness
+open Support
 
 let fresh () =
   let arena = Arena.create ~size_bytes:(8 lsl 20) () in
@@ -22,8 +23,6 @@ let reattach arena =
   Avl_index.recover idx;
   idx
 
-let check_bool = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
 let check_list = Alcotest.(check (list int))
 
 (* ------------------------------------------------------------------ *)

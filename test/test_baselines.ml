@@ -4,6 +4,7 @@
 
 open Rewind_nvm
 open Rewind_baselines
+open Support
 
 let systems =
   [
@@ -13,8 +14,6 @@ let systems =
   ]
 
 let check_i64o = Alcotest.(check (option int64))
-let check_int = Alcotest.(check int)
-let check_bool = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
 (* Functional                                                          *)

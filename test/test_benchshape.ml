@@ -4,8 +4,7 @@
    anyone reads bench output. *)
 
 open Rewind_benchlib
-
-let check_bool = Alcotest.(check bool)
+open Support
 
 (* Figure values are read by series name, each a column over the x
    points.  The figure runs are shared with the round-trip case below. *)
@@ -32,16 +31,13 @@ let fig8_right = lazy (Figures.fig8_right ~n_records:800 ())
 let fig10 = lazy (Figures.fig10 ~n_records:500 ~n_ops:1_000 ())
 let fig9 = lazy (Figures.fig9 ~ops_per_thread:800 ~n_records:400 ())
 
-let lockfree =
-  lazy (Figures.ablation_lockfree ~ops_per_thread:500 ~n_records:300 ())
-
 let fig11 = lazy (Figures.fig11 ~txns_per_terminal:40 ())
 let ablation_group = lazy (Figures.ablation_group ~n_ops:4_000 ())
 
 let figures =
   [
     fig3_left; fig3_right; fig4_left; fig4_right; fig7_left; fig7_right;
-    fig8_left; fig8_right; fig10; fig9; lockfree; fig11; ablation_group;
+    fig8_left; fig8_right; fig10; fig9; fig11; ablation_group;
   ]
 
 (* fig3-left: 2L-FP > 2L-NFP > 1L-FP > 1L-NFP, and all overheads decrease
@@ -117,18 +113,14 @@ let test_fig10_shape () =
     (slope "Batch-32" < slope "Batch-8");
   check_bool "batch8 < optimized" true (slope "Batch-8" < slope "Optimized")
 
-(* fig9 + lockfree: REWIND scales far better than the baselines; the
-   lock-free latch beats the latched log at 8 threads *)
+(* fig9: REWIND scales far better than the baselines *)
 let test_fig9_shape () =
   let rows = Lazy.force fig9 in
   let rewind = last "REWIND-Batch" rows in
   check_bool "rewind beats bdb at 8 threads" true
     (last "BerkeleyDB" rows > 5. *. rewind);
   check_bool "8 partitions beat the single latch at 8 threads" true
-    (last "REWIND-Batch-P8" rows < rewind);
-  let rows = Lazy.force lockfree in
-  check_bool "lock-free wins at 8 threads" true
-    (last "lock-free" rows < last "latched" rows)
+    (last "REWIND-Batch-P8" rows < rewind)
 
 (* fig11: NVM fastest; distributed log within 1.5x; naive REWIND worst *)
 let test_fig11_shape () =
@@ -160,11 +152,6 @@ let test_ablation_group_shape () =
    malformed or ambiguous input) must say which file and why, as an
    [Error] the CLI maps to its own exit code — never a bare exception or
    a silent pass. *)
-
-let contains hay needle =
-  let lh = String.length hay and ln = String.length needle in
-  let rec go i = i + ln <= lh && (String.sub hay i ln = needle || go (i + 1)) in
-  go 0
 
 let write_tmp name contents =
   let path = Filename.concat (Filename.get_temp_dir_name ()) name in
@@ -409,7 +396,7 @@ let () =
           tc "fig7 ordering" `Slow test_fig7_shape;
           tc "fig8 ordering" `Slow test_fig8_shape;
           tc "fig10 fence sensitivity" `Slow test_fig10_shape;
-          tc "fig9 scaling + lockfree" `Slow test_fig9_shape;
+          tc "fig9 scaling" `Slow test_fig9_shape;
           tc "fig11 ordering" `Slow test_fig11_shape;
           tc "ablation-group" `Slow test_ablation_group_shape;
         ] );

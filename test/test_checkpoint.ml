@@ -41,20 +41,7 @@ module Enum = Rewind_analysis.Enumerator
 module Harness = Rewind_analysis.Crash_harness
 module Scenarios = Rewind_benchlib.Crash_scenarios
 module San = Rewind_analysis.Sanitizer
-
-let root_slot = 2
-
-let all_configs =
-  [
-    ("1l-nfp", Rewind.config_1l_nfp);
-    ("1l-fp", Rewind.config_1l_fp);
-    ("2l-nfp", Rewind.config_2l_nfp);
-    ("2l-fp", Rewind.config_2l_fp);
-    ("simple", Rewind.config_simple);
-    ("batch8", Rewind.config_batch ());
-  ]
-
-let check_bool = Alcotest.(check bool)
+open Support
 
 (* ------------------------------------------------------------------ *)
 (* 1. Crash at every persistence event inside the checkpoint           *)
@@ -64,9 +51,7 @@ let check_bool = Alcotest.(check bool)
    behind and its compaction step actually runs. *)
 let setup cfg =
   let cfg = { cfg with Tm.bucket_cap = 8 } in
-  let arena = Arena.create ~size_bytes:(32 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
+  let arena, alloc, tm = fresh ~size_bytes:(32 lsl 20) ~cfg () in
   let cells = Array.init 16 (fun _ -> Alloc.alloc alloc 8) in
   (arena, tm, cells, cfg)
 
@@ -143,9 +128,7 @@ let test_enumerate_checkpoint (name, cfg0) () =
       {
         Harness.setup =
           (fun () ->
-            let arena = Arena.create ~size_bytes:(1 lsl 20) () in
-            let alloc = Alloc.create arena in
-            let tm = Tm.create ~cfg alloc ~root_slot in
+            let arena, alloc, tm = fresh ~size_bytes:(1 lsl 20) ~cfg () in
             (arena, tm, Array.init 3 (fun _ -> Alloc.alloc ~align:64 alloc 8)));
         arenas = (fun (arena, _, _) -> [| arena |]);
         window =
@@ -498,7 +481,7 @@ let () =
     List.map
       (fun (cn, cfg) ->
         Alcotest.test_case (Fmt.str "%s [%s]" name cn) speed (f (cn, cfg)))
-      all_configs
+      Scenarios.wal_configs
   in
   Alcotest.run "checkpoint"
     [
@@ -513,33 +496,23 @@ let () =
             Alcotest.test_case
               (Fmt.str "checkpoint straddling open work [%s]" cn)
               `Quick (test_straddle cfg))
-          [
-            ("batch8", Rewind.config_batch ());
-            ("batch8 x4", Rewind.with_partitions 4 (Rewind.config_batch ()));
-            ("2l-nfp", Rewind.config_2l_nfp);
-          ] );
+          (configs [ "batch"; "batch-p4"; "2l-nfp" ]) );
       ( "concurrent",
         List.concat_map
           (fun (cn, cfg) ->
-            List.concat_map
-              (fun n ->
-                let cfg = Rewind.with_partitions n cfg in
-                [
-                  Alcotest.test_case
-                    (Fmt.str "commits while clearing [%s x%d]" cn n)
-                    `Quick
-                    (test_concurrent ~window:clear_while_committing
-                       ~note:"committed during clearing" cfg);
-                  Alcotest.test_case
-                    (Fmt.str "two checkpoints at once [%s x%d]" cn n)
-                    `Quick
-                    (test_concurrent ~window:two_checkpoints
-                       ~note:"overlapped" cfg);
-                ])
-              [ 2; 4 ])
-          [
-            ("1l-nfp", Rewind.config_1l_nfp);
-            ("batch8", Rewind.config_batch ());
-            ("2l-nfp", Rewind.config_2l_nfp);
-          ] );
+            [
+              Alcotest.test_case
+                (Fmt.str "commits while clearing [%s]" cn)
+                `Quick
+                (test_concurrent ~window:clear_while_committing
+                   ~note:"committed during clearing" cfg);
+              Alcotest.test_case
+                (Fmt.str "two checkpoints at once [%s]" cn)
+                `Quick
+                (test_concurrent ~window:two_checkpoints ~note:"overlapped"
+                   cfg);
+            ])
+          (configs
+             [ "1l-nfp-p2"; "1l-nfp-p4"; "batch-p2"; "batch-p4"; "2l-nfp-p2";
+               "2l-nfp-p4" ]) );
     ]

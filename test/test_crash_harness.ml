@@ -9,8 +9,8 @@
 open Rewind_nvm
 module Harness = Rewind_analysis.Crash_harness
 module San = Rewind_analysis.Sanitizer
+open Support
 
-let check_int = Alcotest.(check int)
 let word i = 64 * (i + 1)
 
 (* A world whose window makes [n ()] persistence events: word i := i. *)

@@ -1,23 +1,11 @@
 (* Tests for the extensions beyond the paper's core: log compaction
-   (Section 3.3), partial rollback via savepoints, the autotuner
-   (Section 7) and the lock-free log latch (Section 7). *)
+   (Section 3.3) and partial rollback via savepoints. *)
 
 open Rewind_nvm
 open Rewind
 module Harness = Rewind_analysis.Crash_harness
 module Scenarios = Rewind_benchlib.Crash_scenarios
-
-let root_slot = 2
-
-let fresh ?(cfg = Rewind.config_1l_nfp) () =
-  let arena = Arena.create ~size_bytes:(32 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
-  (arena, alloc, tm)
-
-let check_bool = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
-let check_i64 = Alcotest.(check int64)
+open Support
 
 (* ------------------------------------------------------------------ *)
 (* Log compaction                                                      *)
@@ -99,7 +87,11 @@ let test_compact_survives_crash () =
 let test_checkpoint_triggers_compaction () =
   (* a long-running transaction pins records across buckets while others
      clear: the checkpoint's compaction keeps the slot count bounded *)
-  let _, alloc, tm = fresh ~cfg:{ Rewind.config_1l_nfp with bucket_cap = 16 } () in
+  let _, alloc, tm =
+    fresh ~size_bytes:(32 lsl 20)
+      ~cfg:{ Rewind.config_1l_nfp with bucket_cap = 16 }
+      ()
+  in
   let cell = Alloc.alloc alloc 8 in
   let long = Tm.begin_txn tm in
   Tm.write tm long ~addr:cell ~value:1L;
@@ -116,12 +108,10 @@ let test_checkpoint_triggers_compaction () =
 (* Savepoints / partial rollback                                       *)
 (* ------------------------------------------------------------------ *)
 
-let savepoint_configs =
-  [ ("1L-NFP", Rewind.config_1l_nfp); ("1L-FP", Rewind.config_1l_fp);
-    ("2L-NFP", Rewind.config_2l_nfp) ]
+let savepoint_configs = configs [ "1l-nfp"; "1l-fp"; "2l-nfp" ]
 
 let test_savepoint_basic cfg () =
-  let arena, alloc, tm = fresh ~cfg () in
+  let arena, alloc, tm = fresh ~size_bytes:(32 lsl 20) ~cfg () in
   let a = Alloc.alloc alloc 8 and b = Alloc.alloc alloc 8 in
   let txn = Tm.begin_txn tm in
   Tm.write tm txn ~addr:a ~value:1L;
@@ -138,7 +128,7 @@ let test_savepoint_basic cfg () =
   check_i64 "post-rollback write survives" 7L (Arena.read arena b)
 
 let test_savepoint_nested cfg () =
-  let arena, alloc, tm = fresh ~cfg () in
+  let arena, alloc, tm = fresh ~size_bytes:(32 lsl 20) ~cfg () in
   let a = Alloc.alloc alloc 8 in
   let txn = Tm.begin_txn tm in
   Tm.write tm txn ~addr:a ~value:1L;
@@ -154,7 +144,7 @@ let test_savepoint_nested cfg () =
   check_i64 "committed" 1L (Arena.read arena a)
 
 let test_savepoint_then_full_rollback cfg () =
-  let arena, alloc, tm = fresh ~cfg () in
+  let arena, alloc, tm = fresh ~size_bytes:(32 lsl 20) ~cfg () in
   let a = Alloc.alloc alloc 8 in
   Tm.atomically tm (fun txn -> Tm.write tm txn ~addr:a ~value:5L);
   let txn = Tm.begin_txn tm in
@@ -201,11 +191,6 @@ let test_savepoint_crash_after_partial cfg () =
      at recovery after a power failure *)
   crash_after_window s
 
-let crash_crossing_configs =
-  [ ("1L-NFP", Rewind.config_1l_nfp); ("1L-FP", Rewind.config_1l_fp);
-    ("2L-NFP", Rewind.config_2l_nfp); ("2L-FP", Rewind.config_2l_fp);
-    ("simple", Rewind.config_simple); ("batch", Rewind.config_batch ()) ]
-
 let test_rollback_to_crosses_crash cfg () =
   (* crash at every persistence event *during* a partial rollback:
      recovery must settle at the transaction start (crashed while open)
@@ -236,7 +221,7 @@ let test_rollback_to_crosses_crash cfg () =
        ~want:[| 10L; 2L; 0L |])
 
 let test_savepoint_drops_deletes () =
-  let _, alloc, tm = fresh ~cfg:Rewind.config_1l_fp () in
+  let _, alloc, tm = fresh ~size_bytes:(32 lsl 20) ~cfg:Rewind.config_1l_fp () in
   let region = Alloc.alloc alloc 48 in
   let txn = Tm.begin_txn tm in
   let sp = Tm.savepoint tm txn in
@@ -246,126 +231,6 @@ let test_savepoint_drops_deletes () =
   (* the delete was requested after the savepoint: commit must not free *)
   let o = Alloc.alloc alloc 48 in
   check_bool "region not reused" true (o <> region)
-
-(* ------------------------------------------------------------------ *)
-(* Autotune                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_autotune_low_interleave () =
-  let a = Autotune.create () in
-  (* sequential transactions: no interleaving *)
-  for t = 1 to 50 do
-    Autotune.on_begin a t;
-    for _ = 1 to 20 do
-      Autotune.on_write a t
-    done;
-    Autotune.on_commit a t
-  done;
-  let cfg = Autotune.recommend a in
-  check_bool "one layer for sequential work" true (cfg.Rewind.layers = Tm.One_layer);
-  check_bool "no-force for long txns" true (cfg.Rewind.policy = Tm.No_force)
-
-let test_autotune_high_interleave_with_rollbacks () =
-  let a = Autotune.create () in
-  (* 600 concurrent transactions in round-robin: interleave ~599 *)
-  let txns = List.init 600 (fun i -> i + 1) in
-  List.iter (fun t -> Autotune.on_begin a t) txns;
-  for _round = 1 to 10 do
-    List.iter (fun t -> Autotune.on_write a t) txns
-  done;
-  List.iteri
-    (fun i t -> if i mod 10 = 0 then Autotune.on_rollback a t else Autotune.on_commit a t)
-    txns;
-  check_bool "interleave estimated" true (Autotune.avg_interleave a > 400.);
-  check_bool "rollback rate seen" true (Autotune.rollback_rate a > 0.05);
-  let cfg = Autotune.recommend a in
-  check_bool "two layers recommended" true (cfg.Rewind.layers = Tm.Two_layer)
-
-let test_autotune_short_txns_force () =
-  let a = Autotune.create () in
-  for t = 1 to 100 do
-    Autotune.on_begin a t;
-    Autotune.on_write a t;
-    Autotune.on_write a t;
-    Autotune.on_commit a t
-  done;
-  let cfg = Autotune.recommend a in
-  check_bool "force for short transactions" true (cfg.Rewind.policy = Tm.Force)
-
-let test_autotune_empty () =
-  let a = Autotune.create () in
-  let cfg = Autotune.recommend a in
-  check_bool "defaults on no data" true
-    (cfg.Rewind.layers = Tm.One_layer && cfg.Rewind.policy = Tm.No_force)
-
-(* Regression: a small-write-dominated feed must pin the Optimized
-   variant (the inline fast path's home), even at transaction lengths
-   that would otherwise tip the advisor to Batch. *)
-let test_autotune_small_writes_pin_optimized () =
-  let a = Autotune.create () in
-  for t = 1 to 50 do
-    Autotune.on_begin a t;
-    for i = 1 to 20 do
-      Autotune.on_write ~word_sized:(i mod 10 <> 0) a t
-    done;
-    Autotune.on_commit a t
-  done;
-  check_bool "small fraction measured" true
-    (Autotune.small_write_fraction a >= Autotune.inline_small_write_threshold);
-  let cfg = Autotune.recommend a in
-  check_bool "optimized pinned for small writes" true
-    (cfg.Rewind.variant = Log.Optimized)
-
-let test_autotune_bulk_writes_batch () =
-  let a = Autotune.create () in
-  (* same lengths, but nothing word-sized: long txns amortise under Batch *)
-  for t = 1 to 50 do
-    Autotune.on_begin a t;
-    for _ = 1 to 20 do
-      Autotune.on_write a t
-    done;
-    Autotune.on_commit a t
-  done;
-  let cfg = Autotune.recommend a in
-  check_bool "batch for bulk update-heavy work" true
-    (cfg.Rewind.variant = Log.Batch Autotune.batch_group_size)
-
-(* ------------------------------------------------------------------ *)
-(* Lock-free latch                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let test_lockfree_correctness () =
-  let cfg = Rewind.config_lockfree () in
-  let arena, alloc, tm = fresh ~cfg () in
-  let c = Array.init 4 (fun _ -> Alloc.alloc alloc 8) in
-  Tm.atomically tm (fun txn ->
-      Array.iteri (fun i a -> Tm.write tm txn ~addr:a ~value:(Int64.of_int i)) c);
-  let txn = Tm.begin_txn tm in
-  Tm.write tm txn ~addr:c.(0) ~value:99L;
-  Arena.crash arena;
-  let alloc2 = Alloc.recover arena in
-  let _tm2 = Tm.attach ~cfg alloc2 ~root_slot in
-  check_i64 "committed kept" 0L (Arena.read arena c.(0));
-  check_i64 "committed kept" 3L (Arena.read arena c.(3))
-
-let test_lockfree_scales_better () =
-  (* under the fiber scheduler, shared-log REWIND with the lock-free latch
-     must beat the latched version at high thread counts *)
-  let run cfg =
-    let arena = Arena.create ~size_bytes:(64 lsl 20) () in
-    let alloc = Alloc.create arena in
-    let tm = Tm.create ~cfg alloc ~root_slot in
-    let cells = Array.init 8 (fun _ -> Alloc.alloc alloc 8) in
-    Sim_threads.run ~threads:8 ~ops_per_thread:200 (fun t i ->
-        let txn = Tm.begin_txn tm in
-        Tm.write tm txn ~addr:cells.(t) ~value:(Int64.of_int i);
-        Tm.commit tm txn)
-  in
-  let latched = run (Rewind.config_batch ()) in
-  let lockfree = run (Rewind.config_lockfree ()) in
-  check_bool
-    (Fmt.str "lock-free (%dns) beats latched (%dns)" lockfree latched)
-    true (lockfree < latched)
 
 let () =
   let tc = Alcotest.test_case in
@@ -387,9 +252,9 @@ let () =
         @ per_cfg "nested" test_savepoint_nested
         @ per_cfg "then full rollback" test_savepoint_then_full_rollback
         @ [
-            tc "crash after partial [1L-NFP]" `Slow
+            tc "crash after partial [1l-nfp]" `Slow
               (test_savepoint_crash_after_partial Rewind.config_1l_nfp);
-            tc "crash after partial [1L-FP]" `Slow
+            tc "crash after partial [1l-fp]" `Slow
               (test_savepoint_crash_after_partial Rewind.config_1l_fp);
             tc "drops post-savepoint deletes" `Quick test_savepoint_drops_deletes;
           ]
@@ -399,21 +264,5 @@ let () =
                 ("rollback_to crosses crash [" ^ cn ^ "]")
                 `Slow
                 (test_rollback_to_crosses_crash cfg))
-            crash_crossing_configs );
-      ( "autotune",
-        [
-          tc "low interleave -> 1L" `Quick test_autotune_low_interleave;
-          tc "high interleave + rollbacks -> 2L" `Quick
-            test_autotune_high_interleave_with_rollbacks;
-          tc "short txns -> force" `Quick test_autotune_short_txns_force;
-          tc "empty -> defaults" `Quick test_autotune_empty;
-          tc "small writes -> optimized (inline)" `Quick
-            test_autotune_small_writes_pin_optimized;
-          tc "bulk writes -> batch" `Quick test_autotune_bulk_writes_batch;
-        ] );
-      ( "lockfree",
-        [
-          tc "correctness + recovery" `Quick test_lockfree_correctness;
-          tc "scales better" `Quick test_lockfree_scales_better;
-        ] );
+            Scenarios.wal_configs );
     ]

@@ -12,13 +12,7 @@ open Rewind
 module F = Rewind_benchlib.Faultcamp
 module Harness = Rewind_analysis.Crash_harness
 module Scenarios = Rewind_benchlib.Crash_scenarios
-
-let root_slot = 2
-
-let configs = Scenarios.wal_configs
-
-let check_bool = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
+open Support
 
 (* The small mixed world (6 txns of 2 writes, a checkpoint after the
    4th), so that full crash-point enumeration stays cheap. *)
@@ -167,9 +161,7 @@ let test_media_fault_recycled_header () =
   let value k = Int64.of_int (1_000_000 + k) in
   let tested = ref [] and compacted = ref 0 in
   for k = 1 to 3 do
-    let arena = Arena.create ~size_bytes:(4 lsl 20) () in
-    let alloc = Alloc.create arena in
-    let tm = Tm.create ~cfg alloc ~root_slot in
+    let arena, _, tm = fresh ~size_bytes:(4 lsl 20) ~cfg () in
     let cells = Array.init 6 (fun _ -> Tm.alloc_cell tm) in
     let committed = Array.make 6 0L in
     for i = 1 to 20 do
@@ -239,7 +231,7 @@ let test_campaign_deterministic () =
 
 let test_campaign_passes () =
   let r = F.run_campaign ~quiet:true ~base_seed:42 ~seeds:4 () in
-  check_int "trials run" (4 * List.length configs) r.F.trials;
+  check_int "trials run" (4 * List.length Scenarios.wal_configs) r.F.trials;
   (match r.F.failures with
   | [] -> ()
   | (t, msg) :: _ ->
@@ -254,7 +246,7 @@ let () =
         if filter cfg then
           Some (tc (name ^ " [" ^ cn ^ "]") speed (f (cn, cfg)))
         else None)
-      configs
+      Scenarios.wal_configs
   in
   let one_layer cfg = cfg.Tm.layers = Tm.One_layer in
   Alcotest.run "faults"

@@ -25,17 +25,12 @@ open Rewind
 module San = Rewind_analysis.Sanitizer
 module Enum = Rewind_analysis.Enumerator
 module Harness = Rewind_analysis.Crash_harness
+open Support
 
-let root_slot = 2
 let cfg = Rewind.config_incll
-let check_int = Alcotest.(check int)
-let check_bool = Alcotest.(check bool)
-let check_i64 = Alcotest.(check int64)
 
 let setup ?(n_cells = 8) () =
-  let arena = Arena.create ~size_bytes:(8 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
+  let arena, _, tm = fresh ~cfg () in
   let cells = Array.init n_cells (fun _ -> Tm.alloc_cell tm) in
   (arena, tm, cells)
 
@@ -132,9 +127,7 @@ let test_rollback_and_savepoint () =
 (* A rejected write (not a cell) must not enter the undo journal, or the
    abort replays it first, raises again, and keeps the earlier writes. *)
 let test_abort_after_rejected_write () =
-  let arena = Arena.create ~size_bytes:(8 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
+  let arena, alloc, tm = fresh ~cfg () in
   let cell = Tm.alloc_cell tm in
   let raw = Alloc.alloc alloc 8 in
   (match
@@ -353,9 +346,7 @@ let test_guards () =
   check_int "quiescent checkpoint advances" 2
     (Option.get (Tm.current_epoch tm));
   (* and the guard the other way round: WAL managers have no epochs *)
-  let arena2 = Arena.create ~size_bytes:(8 lsl 20) () in
-  let alloc2 = Alloc.create arena2 in
-  let wal = Tm.create alloc2 ~root_slot in
+  let _, _, wal = fresh () in
   expect_misuse "advance_epoch on a WAL config"
     ~is:(( = ) (Tm.Incll_only "Tm.advance_epoch")) (fun () ->
       Tm.advance_epoch wal);

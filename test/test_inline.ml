@@ -13,14 +13,7 @@ open Rewind
 module Enum = Rewind_analysis.Enumerator
 module Harness = Rewind_analysis.Crash_harness
 module Scenarios = Rewind_benchlib.Crash_scenarios
-
-let root_slot = 2
-
-let configs = Scenarios.wal_configs
-
-let check_bool = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
-let check_i64 = Alcotest.(check int64)
+open Support
 
 let fresh_log variant =
   let arena = Arena.create ~size_bytes:(4 lsl 20) () in
@@ -246,9 +239,7 @@ let test_remove_end_word_handle variant () =
 let script = Scenarios.mixed_script ~txns:6 ~writes:2 ~checkpoint_at:4
 
 let fresh_setup cfg =
-  let arena = Arena.create ~size_bytes:(4 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
+  let arena, alloc, tm = fresh ~size_bytes:(4 lsl 20) ~cfg () in
   let cells = Array.init 8 (fun _ -> Alloc.alloc alloc 8) in
   (arena, tm, cells)
 
@@ -270,11 +261,7 @@ let test_sweep_uses_inline () =
       ignore arena;
       check_bool (name ^ ": inline path exercised") true
         (Log.inline_appended (Tm.log tm) > 0))
-    [
-      ("1L-NFP", Rewind.config_1l_nfp);
-      ("1L-FP", Rewind.config_1l_fp);
-      ("batch8", Rewind.config_batch ());
-    ]
+    (configs [ "1l-nfp"; "1l-fp"; "batch" ])
 
 (* Crash sweep over transaction ids that straddle 2^14: the pair's txn
    field ends there, so the window's UPDATEs and CLRs switch from pairs to
@@ -392,7 +379,9 @@ let test_enumerate_straddling_pair (name, cfg) () =
 let () =
   let tc = Alcotest.test_case in
   let per_config name speed f =
-    List.map (fun (cn, cfg) -> tc (name ^ " [" ^ cn ^ "]") speed (f (cn, cfg))) configs
+    List.map
+      (fun (cn, cfg) -> tc (name ^ " [" ^ cn ^ "]") speed (f (cn, cfg)))
+      Scenarios.wal_configs
   in
   let bucketed (_, cfg) = cfg.Tm.variant <> Log.Simple in
   let one_layer_bucketed c =
@@ -426,17 +415,11 @@ let () =
         ] );
       ("crash-sweep", per_config "crash everywhere" `Slow test_crash_sweep);
       ( "txn-straddle",
-        List.concat_map
-          (fun (vn, cfg) ->
-            List.map
-              (fun p ->
-                tc (Fmt.str "crash everywhere [%s x%d]" vn p) `Slow
-                  (test_straddle_sweep (Rewind.with_partitions p cfg)))
-              [ 1; 4 ])
-          [
-            ("1L-NFP", Rewind.config_1l_nfp);
-            ("batch8", Rewind.config_batch ());
-          ] );
+        List.map
+          (fun (cn, cfg) ->
+            tc (Fmt.str "crash everywhere [%s]" cn) `Slow
+              (test_straddle_sweep cfg))
+          (configs [ "1l-nfp"; "1l-nfp-p4"; "batch"; "batch-p4" ]) );
       ( "torn",
         List.concat_map
           (fun ((cn, cfg) as c) ->
@@ -448,7 +431,7 @@ let () =
                   (test_torn_truncated ~commit_last:true (cn, cfg));
               ]
             else [])
-          configs );
+          Scenarios.wal_configs );
       ( "enumerate",
         List.filter_map
           (fun ((cn, cfg) as c) ->
@@ -456,7 +439,7 @@ let () =
               Some (tc ("all crash states [" ^ cn ^ "]") `Slow
                       (test_enumerate (cn, cfg)))
             else None)
-          configs
+          Scenarios.wal_configs
         @ List.filter_map
             (fun ((cn, cfg) as c) ->
               if one_layer_bucketed c then
@@ -464,5 +447,5 @@ let () =
                   (tc ("straddling pair [" ^ cn ^ "]") `Slow
                      (test_enumerate_straddling_pair (cn, cfg)))
               else None)
-            configs );
+            Scenarios.wal_configs );
     ]

@@ -11,9 +11,8 @@ module Enum = Rewind_analysis.Enumerator
 module Harness = Rewind_analysis.Crash_harness
 module Scenarios = Rewind_benchlib.Crash_scenarios
 module Racecheck = Rewind_analysis.Racecheck
+open Support
 
-let check_bool = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
 let check_ints = Alcotest.(check (list int))
 
 let fresh ?(size = 4 lsl 20) () =

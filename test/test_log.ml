@@ -5,6 +5,7 @@
 open Rewind_nvm
 open Rewind
 module Harness = Rewind_analysis.Crash_harness
+open Support
 
 let variants =
   [ ("simple", Log.Simple); ("optimized", Log.Optimized); ("batch8", Log.Batch 8) ]
@@ -29,8 +30,6 @@ let lsns_back arena log =
   List.rev !acc
 
 let check_list = Alcotest.(check (list int))
-let check_int = Alcotest.(check int)
-let check_bool = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
 (* Behaviour shared by all variants                                    *)

@@ -5,17 +5,8 @@ open Rewind_nvm
 open Rewind
 module Harness = Rewind_analysis.Crash_harness
 open Rewind_pds
+open Support
 
-let root_slot = 2
-
-let fresh ?(cfg = Rewind.config_1l_nfp) ?(size = 64 lsl 20) () =
-  let arena = Arena.create ~size_bytes:size () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
-  (arena, alloc, tm)
-
-let check_bool = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
 let check_i64o = Alcotest.(check (option int64))
 
 (* ------------------------------------------------------------------ *)
@@ -23,7 +14,7 @@ let check_i64o = Alcotest.(check (option int64))
 (* ------------------------------------------------------------------ *)
 
 let test_range_basic () =
-  let _, alloc, tm = fresh () in
+  let _, alloc, tm = fresh ~size_bytes:(64 lsl 20) () in
   let bt = Btree.create (Btree.Logged tm) alloc in
   Tm.atomically tm (fun txn ->
       for k = 1 to 100 do
@@ -39,7 +30,7 @@ let test_range_basic () =
     (Btree.range bt ~lo:9L ~hi:13L)
 
 let test_range_edges () =
-  let _, alloc, tm = fresh () in
+  let _, alloc, tm = fresh ~size_bytes:(64 lsl 20) () in
   let bt = Btree.create (Btree.Logged tm) alloc in
   Tm.atomically tm (fun txn ->
       List.iter
@@ -51,7 +42,7 @@ let test_range_edges () =
   check_int "single key" 1 (List.length (Btree.range bt ~lo:10L ~hi:10L))
 
 let test_range_spans_leaves () =
-  let _, alloc, tm = fresh () in
+  let _, alloc, tm = fresh ~size_bytes:(64 lsl 20) () in
   let bt = Btree.create (Btree.Logged tm) alloc in
   Tm.atomically tm (fun txn ->
       for k = 1 to 500 do
@@ -67,7 +58,7 @@ let test_range_spans_leaves () =
 (* ------------------------------------------------------------------ *)
 
 let test_bulk_load_equals_inserts () =
-  let _, alloc, tm = fresh () in
+  let _, alloc, tm = fresh ~size_bytes:(64 lsl 20) () in
   let bindings = List.init 500 (fun i -> (Int64.of_int (i * 7), Int64.of_int i)) in
   let bulk = Btree.create (Btree.Logged tm) alloc in
   Tm.atomically tm (fun txn -> Btree.bulk_load bulk txn bindings);
@@ -84,7 +75,7 @@ let test_bulk_load_equals_inserts () =
   check_bool "well formed after ops" true (Btree.well_formed bulk)
 
 let test_bulk_load_rejects_unsorted () =
-  let _, alloc, tm = fresh () in
+  let _, alloc, tm = fresh ~size_bytes:(64 lsl 20) () in
   let bt = Btree.create (Btree.Logged tm) alloc in
   Alcotest.check_raises "unsorted"
     (Invalid_argument "Btree.bulk_load: bindings not sorted") (fun () ->
@@ -99,7 +90,7 @@ let test_bulk_load_atomic_across_crash () =
        {
          Harness.setup =
            (fun () ->
-             let arena, alloc, tm = fresh () in
+             let arena, alloc, tm = fresh ~size_bytes:(64 lsl 20) () in
              (arena, tm, Btree.create (Btree.Logged tm) alloc));
          arenas = (fun (arena, _, _) -> [| arena |]);
          window =
@@ -196,7 +187,7 @@ let test_soak () =
 (* ------------------------------------------------------------------ *)
 
 let test_pqueue_fifo () =
-  let _, alloc, tm = fresh () in
+  let _, alloc, tm = fresh ~size_bytes:(64 lsl 20) () in
   let q = Pqueue.create tm alloc in
   Tm.atomically tm (fun txn ->
       List.iter (fun v -> Pqueue.enqueue q txn v) [ 1L; 2L; 3L ]);
@@ -215,7 +206,7 @@ let test_pqueue_fifo () =
   check_i64o "usable again" (Some 9L) (Pqueue.peek q)
 
 let test_pqueue_rollback () =
-  let _, alloc, tm = fresh () in
+  let _, alloc, tm = fresh ~size_bytes:(64 lsl 20) () in
   let q = Pqueue.create tm alloc in
   Tm.atomically tm (fun txn -> Pqueue.enqueue q txn 1L);
   let txn = Tm.begin_txn tm in
@@ -227,7 +218,7 @@ let test_pqueue_rollback () =
 
 let test_pqueue_crash () =
   let cfg = Rewind.config_1l_nfp in
-  let arena, alloc, tm = fresh ~cfg () in
+  let arena, alloc, tm = fresh ~size_bytes:(64 lsl 20) ~cfg () in
   let q = Pqueue.create tm alloc in
   Tm.atomically tm (fun txn ->
       List.iter (fun v -> Pqueue.enqueue q txn v) [ 10L; 20L; 30L ]);
@@ -249,7 +240,7 @@ let prop_pqueue_model =
   QCheck.Test.make ~name:"pqueue matches model" ~count:100
     QCheck.(list (option (int_bound 100)))
     (fun ops ->
-      let _, alloc, tm = fresh () in
+      let _, alloc, tm = fresh ~size_bytes:(64 lsl 20) () in
       let q = Pqueue.create tm alloc in
       let model = Queue.create () in
       Tm.atomically tm (fun txn ->

@@ -2,12 +2,9 @@
    behaviour, crash injection, cost accounting, allocator, block device. *)
 
 open Rewind_nvm
+open Support
 
 let arena ?(size = 1 lsl 20) () = Arena.create ~size_bytes:size ()
-
-let check_i64 = Alcotest.(check int64)
-let check_int = Alcotest.(check int)
-let check_bool = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
 (* Arena: cache and durability semantics                               *)

@@ -36,30 +36,24 @@ open Rewind
 module San = Rewind_analysis.Sanitizer
 module Harness = Rewind_analysis.Crash_harness
 module Scenarios = Rewind_benchlib.Crash_scenarios
+open Support
 
-let root_slot = 2
-let check_int = Alcotest.(check int)
-let check_bool = Alcotest.(check bool)
-
-let all_configs =
-  [
-    ("1l-nfp", Rewind.config_1l_nfp);
-    ("1l-fp", Rewind.config_1l_fp);
-    ("2l-nfp", Rewind.config_2l_nfp);
-    ("2l-fp", Rewind.config_2l_fp);
-    ("simple", Rewind.config_simple);
-    ("batch4", Rewind.config_batch ~group:4 ());
-  ]
+(* The matrix at [n] partitions, plus Batch 4, whose groups fill twice as
+   often as the named Batch 8's. *)
+let smoke_configs n =
+  Scenarios.matrix n
+  @ [
+      ( Fmt.str "batch4-p%d" n,
+        Rewind.with_partitions n (Rewind.config_batch ~group:4 ()) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* 1. Smoke: every config at 2 and 4 partitions                        *)
 (* ------------------------------------------------------------------ *)
 
-let test_smoke (name, cfg0) n_parts () =
-  let cfg = Rewind.with_partitions n_parts { cfg0 with Tm.bucket_cap = 8 } in
-  let arena = Arena.create ~size_bytes:(32 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
+let test_smoke (name, cfg) n_parts () =
+  let cfg = { cfg with Tm.bucket_cap = 8 } in
+  let arena, alloc, tm = fresh ~size_bytes:(32 lsl 20) ~cfg () in
   check_int (name ^ ": partitions") n_parts (Tm.partitions tm);
   let cells = Array.init 24 (fun _ -> Alloc.alloc alloc 8) in
   (* 2 * n_parts committed transactions: with round-robin homes, every
@@ -255,9 +249,7 @@ let prop_merged_order =
         Rewind.with_partitions n_parts
           { Rewind.config_1l_nfp with Tm.bucket_cap = 8 }
       in
-      let arena = Arena.create ~size_bytes:(32 lsl 20) () in
-      let alloc = Alloc.create arena in
-      let tm = Tm.create ~cfg alloc ~root_slot in
+      let arena, alloc, tm = fresh ~size_bytes:(32 lsl 20) ~cfg () in
       let cells = Array.init 8 (fun _ -> Alloc.alloc alloc 8) in
       List.iteri
         (fun tno n ->
@@ -307,9 +299,7 @@ let prop_home_stability =
           Rewind.with_partitions n_parts
             { Rewind.config_1l_nfp with Tm.bucket_cap = 8 }
         in
-        let arena = Arena.create ~size_bytes:(32 lsl 20) () in
-        let alloc = Alloc.create arena in
-        let tm = Tm.create ~cfg alloc ~root_slot in
+        let arena, alloc, tm = fresh ~size_bytes:(32 lsl 20) ~cfg () in
         let cells = Array.init 8 (fun _ -> Alloc.alloc alloc 8) in
         let homes = ref [] in
         let pinned_ok = ref true in
@@ -362,9 +352,7 @@ let test_equivalence () =
       Rewind.with_partitions n_parts
         { Rewind.config_1l_nfp with Tm.bucket_cap = 8 }
     in
-    let arena = Arena.create ~size_bytes:(32 lsl 20) () in
-    let alloc = Alloc.create arena in
-    let tm = Tm.create ~cfg alloc ~root_slot in
+    let arena, alloc, tm = fresh ~size_bytes:(32 lsl 20) ~cfg () in
     let cells = Array.init 8 (fun _ -> Alloc.alloc alloc 8) in
     for tno = 1 to 7 do
       let txn = Tm.begin_txn tm in
@@ -421,10 +409,10 @@ let () =
     List.map
       (fun (cn, cfg) ->
         Alcotest.test_case
-          (Fmt.str "smoke [%s x%d]" cn n_parts)
+          (Fmt.str "smoke [%s]" cn)
           `Quick
           (test_smoke (cn, cfg) n_parts))
-      all_configs
+      (smoke_configs n_parts)
   in
   Alcotest.run "partition"
     [

@@ -7,17 +7,8 @@ open Rewind_nvm
 open Rewind
 open Rewind_pds
 module Harness = Rewind_analysis.Crash_harness
+open Support
 
-let root_slot = 2
-
-let fresh_tm ?(cfg = Rewind.config_1l_nfp) ?(size = 32 lsl 20) () =
-  let arena = Arena.create ~size_bytes:size () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
-  (arena, alloc, tm)
-
-let check_bool = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
 let check_i64o = Alcotest.(check (option int64))
 
 (* ------------------------------------------------------------------ *)
@@ -29,7 +20,7 @@ let modes arena_alloc_tm =
   [ ("dram", Btree.Dram); ("nvm", Btree.Direct_nvm); ("logged", Btree.Logged tm) ]
 
 let test_btree_basic mode () =
-  let ((_, alloc, tm) as ctx) = fresh_tm () in
+  let ((_, alloc, tm) as ctx) = fresh ~size_bytes:(32 lsl 20) () in
   let mode = List.assoc mode (modes ctx) in
   let bt = Btree.create mode alloc in
   let txn = Tm.begin_txn tm in
@@ -43,7 +34,7 @@ let test_btree_basic mode () =
   check_bool "well formed" true (Btree.well_formed bt)
 
 let test_btree_update_in_place () =
-  let _, alloc, tm = fresh_tm () in
+  let _, alloc, tm = fresh ~size_bytes:(32 lsl 20) () in
   let bt = Btree.create (Btree.Logged tm) alloc in
   Tm.atomically tm (fun txn ->
       Btree.insert bt txn 5L 1L;
@@ -52,7 +43,7 @@ let test_btree_update_in_place () =
   check_int "still one key" 1 (Btree.size bt)
 
 let test_btree_reverse_and_random_order () =
-  let _, alloc, tm = fresh_tm () in
+  let _, alloc, tm = fresh ~size_bytes:(32 lsl 20) () in
   let bt = Btree.create (Btree.Logged tm) alloc in
   let keys = [ 50; 10; 90; 30; 70; 20; 80; 40; 60; 100; 5; 95; 15; 85 ] in
   Tm.atomically tm (fun txn ->
@@ -64,7 +55,7 @@ let test_btree_reverse_and_random_order () =
   check_bool "well formed" true (Btree.well_formed bt)
 
 let test_btree_delete () =
-  let _, alloc, tm = fresh_tm () in
+  let _, alloc, tm = fresh ~size_bytes:(32 lsl 20) () in
   let bt = Btree.create (Btree.Logged tm) alloc in
   Tm.atomically tm (fun txn ->
       for k = 1 to 200 do
@@ -80,7 +71,7 @@ let test_btree_delete () =
   check_bool "well formed after deletions" true (Btree.well_formed bt)
 
 let test_btree_delete_everything () =
-  let _, alloc, tm = fresh_tm () in
+  let _, alloc, tm = fresh ~size_bytes:(32 lsl 20) () in
   let bt = Btree.create (Btree.Logged tm) alloc in
   Tm.atomically tm (fun txn ->
       for k = 1 to 100 do
@@ -97,7 +88,7 @@ let test_btree_delete_everything () =
   check_i64o "usable again" (Some 7L) (Btree.lookup bt 7L)
 
 let test_btree_delete_absent () =
-  let _, alloc, tm = fresh_tm () in
+  let _, alloc, tm = fresh ~size_bytes:(32 lsl 20) () in
   let bt = Btree.create (Btree.Logged tm) alloc in
   Tm.atomically tm (fun txn ->
       Btree.insert bt txn 1L 1L;
@@ -108,7 +99,7 @@ let test_btree_delete_absent () =
 (* ------------------------------------------------------------------ *)
 
 let test_btree_rollback () =
-  let _, alloc, tm = fresh_tm () in
+  let _, alloc, tm = fresh ~size_bytes:(32 lsl 20) () in
   let bt = Btree.create (Btree.Logged tm) alloc in
   Tm.atomically tm (fun txn ->
       for k = 1 to 50 do
@@ -129,7 +120,7 @@ let test_btree_rollback () =
 (* A logged B+-tree on a fresh manager, [prepare]d in one transaction
    when given. *)
 let btree_world ~cfg ~size prepare =
-  let arena, alloc, tm = fresh_tm ~cfg ~size () in
+  let arena, alloc, tm = fresh ~size_bytes:size ~cfg () in
   let bt = Btree.create (Btree.Logged tm) alloc in
   Option.iter (fun p -> Tm.atomically tm (fun txn -> p bt txn)) prepare;
   (arena, tm, bt)
@@ -149,7 +140,7 @@ let btree_scenario ~cfg ~size ?prepare ~window ~check () =
   }
 
 let test_btree_crash_recovery cfg () =
-  let arena, alloc, tm = fresh_tm ~cfg () in
+  let arena, alloc, tm = fresh ~size_bytes:(32 lsl 20) ~cfg () in
   let bt = Btree.create (Btree.Logged tm) alloc in
   Tm.atomically tm (fun txn ->
       for k = 1 to 60 do
@@ -297,7 +288,7 @@ let test_crash_phash_ops () =
        {
          Harness.setup =
            (fun () ->
-             let arena, alloc, tm = fresh_tm ~size:(16 lsl 20) () in
+             let arena, alloc, tm = fresh ~size_bytes:(16 lsl 20) () in
              let h = Phash.create ~nbuckets:2 tm alloc in
              Tm.atomically tm (fun txn ->
                  List.iter (fun (k, v) -> Phash.put h txn k v) before);
@@ -331,7 +322,7 @@ let prop_btree_model =
   QCheck.Test.make ~name:"btree matches map model" ~count:60
     QCheck.(list (pair bool (int_bound 200)))
     (fun ops ->
-      let _, alloc, tm = fresh_tm () in
+      let _, alloc, tm = fresh ~size_bytes:(32 lsl 20) () in
       let bt = Btree.create (Btree.Logged tm) alloc in
       let model = ref IM.empty in
       Tm.atomically tm (fun txn ->
@@ -354,7 +345,7 @@ let prop_btree_model =
 (* ------------------------------------------------------------------ *)
 
 let test_plist_basic () =
-  let _, alloc, tm = fresh_tm () in
+  let _, alloc, tm = fresh ~size_bytes:(32 lsl 20) () in
   let l = Plist.create tm alloc in
   Tm.atomically tm (fun txn ->
       ignore (Plist.push_back l txn 1L);
@@ -364,7 +355,7 @@ let test_plist_basic () =
   check_bool "well formed" true (Plist.well_formed l)
 
 let test_plist_remove () =
-  let _, alloc, tm = fresh_tm () in
+  let _, alloc, tm = fresh ~size_bytes:(32 lsl 20) () in
   let l = Plist.create tm alloc in
   let n2 = ref 0 in
   Tm.atomically tm (fun txn ->
@@ -376,7 +367,7 @@ let test_plist_remove () =
   check_bool "well formed" true (Plist.well_formed l)
 
 let test_plist_remove_rollback () =
-  let _, alloc, tm = fresh_tm () in
+  let _, alloc, tm = fresh ~size_bytes:(32 lsl 20) () in
   let l = Plist.create tm alloc in
   let n2 = ref 0 in
   Tm.atomically tm (fun txn ->
@@ -391,7 +382,7 @@ let test_plist_remove_rollback () =
 
 let test_plist_crash () =
   let cfg = Rewind.config_1l_nfp in
-  let arena, alloc, tm = fresh_tm ~cfg () in
+  let arena, alloc, tm = fresh ~size_bytes:(32 lsl 20) ~cfg () in
   let l = Plist.create tm alloc in
   Tm.atomically tm (fun txn ->
       ignore (Plist.push_back l txn 10L);
@@ -417,7 +408,7 @@ let test_plist_crash () =
 (* ------------------------------------------------------------------ *)
 
 let test_phash_basic () =
-  let _, alloc, tm = fresh_tm () in
+  let _, alloc, tm = fresh ~size_bytes:(32 lsl 20) () in
   let h = Phash.create ~nbuckets:16 tm alloc in
   Tm.atomically tm (fun txn ->
       for k = 1 to 100 do
@@ -432,7 +423,7 @@ let test_phash_basic () =
   check_i64o "updated" (Some 999L) (Phash.lookup h 3L)
 
 let test_phash_rollback () =
-  let _, alloc, tm = fresh_tm () in
+  let _, alloc, tm = fresh ~size_bytes:(32 lsl 20) () in
   let h = Phash.create ~nbuckets:4 tm alloc in
   Tm.atomically tm (fun txn -> Phash.put h txn 1L 1L);
   let txn = Tm.begin_txn tm in
@@ -444,7 +435,7 @@ let test_phash_rollback () =
 
 let test_phash_crash () =
   let cfg = Rewind.config_1l_fp in
-  let arena, alloc, tm = fresh_tm ~cfg () in
+  let arena, alloc, tm = fresh ~size_bytes:(32 lsl 20) ~cfg () in
   let h = Phash.create ~nbuckets:8 tm alloc in
   Tm.atomically tm (fun txn ->
       for k = 1 to 30 do
@@ -467,7 +458,7 @@ let test_phash_crash () =
    code. *)
 let test_phash_attach_header () =
   let cfg = Rewind.config_1l_fp in
-  let arena, alloc, tm = fresh_tm ~cfg () in
+  let arena, alloc, tm = fresh ~size_bytes:(32 lsl 20) ~cfg () in
   let h = Phash.create ~nbuckets:8 tm alloc in
   Tm.atomically tm (fun txn ->
       for k = 1 to 30 do
@@ -488,7 +479,7 @@ let test_phash_attach_header () =
   check_int "size with matching hint" 30 (Phash.size h3)
 
 let test_phash_attach_garbage () =
-  let _, alloc, tm = fresh_tm () in
+  let _, alloc, tm = fresh ~size_bytes:(32 lsl 20) () in
   (* Durably-zero fresh space: there is no table here. *)
   let junk = Alloc.alloc_fresh ~align:8 alloc 64 in
   match Phash.attach tm alloc ~dir:junk with
@@ -499,13 +490,7 @@ let test_phash_attach_garbage () =
 (* Pqueue / Plist: crash at every persistence event                    *)
 (* ------------------------------------------------------------------ *)
 
-let sweep_configs =
-  [
-    ("1l-nfp", Rewind.config_1l_nfp);
-    ("1l-fp", Rewind.config_1l_fp);
-    ("2l-nfp", Rewind.config_2l_nfp);
-    ("batch8", Rewind.config_batch ());
-  ]
+let sweep_configs = configs [ "1l-nfp"; "1l-fp"; "2l-nfp"; "batch" ]
 
 (* Generic sweep: [workload tm x] runs committed transactions against a
    freshly created structure [x]; [reattach x tm2 alloc2] rebuilds it on
@@ -520,7 +505,7 @@ let sweep_structure ~cfg ~create ~workload ~reattach ~legal () =
       {
         Harness.setup =
           (fun () ->
-            let arena, alloc, tm = fresh_tm ~cfg ~size:(8 lsl 20) () in
+            let arena, alloc, tm = fresh ~cfg () in
             (arena, tm, create tm alloc));
         arenas = (fun (arena, _, _) -> [| arena |]);
         window = (fun (_, tm, x) -> workload tm x);
@@ -589,7 +574,7 @@ let test_plist_crash_sweep (_, cfg) () =
 (* ------------------------------------------------------------------ *)
 
 let test_ptable () =
-  let arena, alloc, tm = fresh_tm () in
+  let arena, alloc, tm = fresh ~size_bytes:(32 lsl 20) () in
   let tbl = Ptable.create alloc ~slots:16 in
   Tm.atomically tm (fun txn -> Ptable.set tbl tm txn 3 42L);
   Alcotest.(check int64) "set/get" 42L (Ptable.get tbl 3);
@@ -613,18 +598,12 @@ let () =
           tc "delete absent" `Quick test_btree_delete_absent;
         ] );
       ( "btree-transactional",
-        [
-          tc "rollback" `Quick test_btree_rollback;
-          tc "crash recovery (1L-NFP)" `Quick
-            (test_btree_crash_recovery Rewind.config_1l_nfp);
-          tc "crash recovery (1L-FP)" `Quick
-            (test_btree_crash_recovery Rewind.config_1l_fp);
-          tc "crash recovery (2L-NFP)" `Quick
-            (test_btree_crash_recovery Rewind.config_2l_nfp);
-          tc "crash recovery (batch)" `Quick
-            (test_btree_crash_recovery
-               { Rewind.config_1l_nfp with variant = Log.Batch 8 });
-        ] );
+        tc "rollback" `Quick test_btree_rollback
+        :: List.map
+             (fun (name, cfg) ->
+               tc ("crash recovery (" ^ name ^ ")") `Quick
+                 (test_btree_crash_recovery cfg))
+             sweep_configs );
       ( "btree-crash-exhaustion",
         [
           tc "insert with split" `Slow test_crash_insert_split;

@@ -16,21 +16,8 @@ open Rewind_nvm
 open Rewind
 module Rbench = Rewind_benchlib.Recovery_bench
 module Bench_row = Rewind_benchlib.Bench_row
-
-let root_slot = 2
-
-let all_configs =
-  [
-    ("1l-nfp", Rewind.config_1l_nfp);
-    ("1l-fp", Rewind.config_1l_fp);
-    ("2l-nfp", Rewind.config_2l_nfp);
-    ("2l-fp", Rewind.config_2l_fp);
-    ("simple", Rewind.config_simple);
-    ("batch8", Rewind.config_batch ());
-  ]
-
-let check_int = Alcotest.(check int)
-let check_bool = Alcotest.(check bool)
+module Scenarios = Rewind_benchlib.Crash_scenarios
+open Support
 
 let phase_names prof = List.map (fun p -> p.Probe.name) (Probe.phases prof)
 
@@ -85,9 +72,7 @@ let test_probe_span_on_exception () =
 (* ------------------------------------------------------------------ *)
 
 let crash_and_reattach cfg =
-  let arena = Arena.create ~size_bytes:(4 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
+  let arena, alloc, tm = fresh ~size_bytes:(4 lsl 20) ~cfg () in
   let cells = Array.init 8 (fun _ -> Alloc.alloc alloc 8) in
   for tno = 1 to 3 do
     let t = Tm.begin_txn tm in
@@ -138,9 +123,7 @@ let test_recovery_profile (name, cfg) () =
 
 (* A fresh manager that has never recovered reports no profile. *)
 let test_no_profile_before_recovery () =
-  let arena = Arena.create ~size_bytes:(1 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create alloc ~root_slot in
+  let _, _, tm = fresh ~size_bytes:(1 lsl 20) () in
   check_bool "no profile yet" true (Tm.last_recovery_profile tm = None)
 
 (* ------------------------------------------------------------------ *)
@@ -148,9 +131,7 @@ let test_no_profile_before_recovery () =
 (* ------------------------------------------------------------------ *)
 
 let test_recovery_scope (name, cfg) () =
-  let arena = Arena.create ~size_bytes:(4 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
+  let arena, alloc, tm = fresh ~size_bytes:(4 lsl 20) ~cfg () in
   let cell = Alloc.alloc ~align:64 alloc 8 in
   let cycle tm =
     let t = Tm.begin_txn tm in
@@ -181,21 +162,12 @@ let test_recovery_scope (name, cfg) () =
 (* 4. Single-pass recovery: redo and undo replay analysis's stream     *)
 (* ------------------------------------------------------------------ *)
 
-let single_pass_configs =
-  List.concat_map
-    (fun n ->
-      [
-        (Fmt.str "1l-nfp x%d" n, Rewind.with_partitions n Rewind.config_1l_nfp);
-        (Fmt.str "batch8 x%d" n, Rewind.with_partitions n (Rewind.config_batch ()));
-      ])
-    [ 1; 4 ]
+let single_pass_configs = configs [ "1l-nfp"; "batch"; "1l-nfp-p4"; "batch-p4" ]
 
 (* Committed transactions spread over every partition, optionally one
    left in flight, then a power failure and reattach. *)
 let crash_and_recover ~in_flight cfg =
-  let arena = Arena.create ~size_bytes:(8 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
+  let arena, alloc, tm = fresh ~cfg () in
   let cells = Array.init 16 (fun _ -> Alloc.alloc alloc 8) in
   for tno = 1 to 12 do
     let t = Tm.begin_txn tm in
@@ -252,13 +224,7 @@ let test_undo_without_losers (name, cfg) () =
    sub-span, the structural phases last exactly as long as their slowest
    partition, and the shares overlap — they sum past the phase. *)
 let parallel_configs =
-  List.concat_map
-    (fun n ->
-      [
-        (Fmt.str "1l-nfp x%d" n, Rewind.with_partitions n Rewind.config_1l_nfp);
-        (Fmt.str "2l-nfp x%d" n, Rewind.with_partitions n Rewind.config_2l_nfp);
-      ])
-    [ 1; 4 ]
+  configs [ "1l-nfp"; "2l-nfp"; "1l-nfp-p4"; "2l-nfp-p4" ]
 
 let test_phases_sum_to_attach (name, cfg) () =
   let _, _, prof, attach_ns = crash_and_recover ~in_flight:true cfg in
@@ -308,9 +274,7 @@ let test_phases_sum_to_attach (name, cfg) () =
 (* ------------------------------------------------------------------ *)
 
 let test_hot_path_probe () =
-  let arena = Arena.create ~size_bytes:(4 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create alloc ~root_slot in
+  let _, alloc, tm = fresh ~size_bytes:(4 lsl 20) () in
   let cell = Alloc.alloc alloc 8 in
   let p = Probe.create () in
   Tm.set_probe tm (Some p);
@@ -341,11 +305,6 @@ let test_hot_path_probe () =
 (* ------------------------------------------------------------------ *)
 (* 6. Recovery-time benchmark plumbing                                 *)
 (* ------------------------------------------------------------------ *)
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 let test_recovery_bench () =
   let rows = Rbench.run ~sizes:[ 160 ] ~intervals:[ 0; 5 ] () in
@@ -438,7 +397,7 @@ let () =
     List.map
       (fun (cn, cfg) ->
         Alcotest.test_case (Fmt.str "%s [%s]" name cn) speed (f (cn, cfg)))
-      all_configs
+      Scenarios.wal_configs
   in
   Alcotest.run "profile"
     [

@@ -7,8 +7,8 @@
       sets), and Raise mode raises;
    2. the detector is *quiet* where synchronization exists — the same
       counter under a mutex, allocator free-list reuse across fibers,
-      and the multi-writer transactional workload across the six
-      standard configurations at 1/2/4 log partitions;
+      and the multi-writer transactional workload across every named
+      configuration at 1/2/4 log partitions;
    3. Sim_mutex misuse is caught in fiber mode — double unlock and
       unlock-by-non-holder raise, and [holding] tracks ownership. *)
 
@@ -253,17 +253,11 @@ let () =
           Alcotest.test_case "concurrent checkpoint" `Quick checkpoint_clean;
         ]
         @ List.map
-            (fun (name, cfg) ->
+            (fun c ->
               Alcotest.test_case
-                (Fmt.str "parallel recovery %s" name)
-                `Quick
-                (parallel_recovery_clean
-                   (name, Rewind.with_partitions 4 cfg)))
-            [
-              ("1l-nfp x4", Rewind.config_1l_nfp);
-              ("2l-nfp x4", Rewind.config_2l_nfp);
-              ("batch8 x4", Rewind.config_batch ());
-            ]
+                (Fmt.str "parallel recovery %s" (fst c))
+                `Quick (parallel_recovery_clean c))
+            (Support.configs [ "1l-nfp-p4"; "2l-nfp-p4"; "batch-p4" ])
         @ List.concat_map
             (fun cfg ->
               List.map
@@ -273,7 +267,7 @@ let () =
                     `Quick
                     (multi_writer_clean cfg p))
                 [ 1; 2; 4 ])
-            Rewind_benchlib.Race_workloads.configs );
+            (List.map (fun (n, _, mk) -> (n, mk ())) Rewind.named_configs) );
       ( "sim-mutex misuse",
         [
           Alcotest.test_case "double unlock" `Quick test_double_unlock;

@@ -1,7 +1,7 @@
 (* Reattach robustness, two halves.
 
    1. The durable configuration fingerprint: {!Tm.create} records the
-      partition count and the semantic configuration bits at the root
+      partition count and the rest of the configuration at the root
       slot, and {!Tm.attach} refuses — with an error naming both sides —
       to reattach with a configuration whose durable layout differs:
       partition count, policy, layers, log variant, batch group or bucket
@@ -13,46 +13,30 @@
       image must reach exactly the state an uninterrupted recovery
       reaches, including the in-doubt (prepared) transactions that
       recovery must preserve.  Swept at every persistence event of the
-      attach, across all six named configurations and two partitioned
-      ones, with a prepared transaction (selective clearing) and without
+      attach, across the configuration matrix, Batch 4 and two
+      partitioned ones, with a prepared transaction (selective clearing) and without
       one (wholesale clearing). *)
 
 open Rewind_nvm
 open Rewind
 module Harness = Rewind_analysis.Crash_harness
 module Scenarios = Rewind_benchlib.Crash_scenarios
+open Support
 
-let check_int = Alcotest.(check int)
-let check_bool = Alcotest.(check bool)
-let root_slot = 2
-
-let all_configs =
-  [
-    ("1l-nfp", Rewind.config_1l_nfp);
-    ("1l-fp", Rewind.config_1l_fp);
-    ("2l-nfp", Rewind.config_2l_nfp);
-    ("2l-fp", Rewind.config_2l_fp);
-    ("simple", Rewind.config_simple);
-    ("batch4", Rewind.config_batch ~group:4 ());
-  ]
+(* Batch 4 fills a group every four writes, so a crash inside recovery
+   lands between more group flushes than under the named Batch 8. *)
+let batch4 = Rewind.config_batch ~group:4 ()
+let all_configs = Scenarios.matrix 1 @ [ ("batch4", batch4) ]
 
 (* Partitioned logs: recovery replays the k-way merge of the partitions'
    streams, so a crash mid-recovery must leave every partition able to
    repeat the merged history. *)
 let partitioned_configs =
-  [
-    ("1l-nfp x4", Rewind.with_partitions 4 Rewind.config_1l_nfp);
-    ("batch4 x2", Rewind.with_partitions 2 (Rewind.config_batch ~group:4 ()));
-  ]
+  configs [ "1l-nfp-p4" ] @ [ ("batch4-p2", Rewind.with_partitions 2 batch4) ]
 
 (* ------------------------------------------------------------------ *)
 (* 1. Configuration fingerprint                                        *)
 (* ------------------------------------------------------------------ *)
-
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-  nn = 0 || at 0
 
 let expect_failure name needle f =
   match f () with
@@ -76,10 +60,8 @@ let test_attach_junk_slot () =
       Tm.attach alloc ~root_slot)
 
 let test_attach_mismatches () =
-  let arena = Arena.create ~size_bytes:(8 lsl 20) () in
-  let alloc = Alloc.create arena in
   let cfg = Rewind.with_partitions 2 Rewind.config_1l_nfp in
-  let tm = Tm.create ~cfg alloc ~root_slot in
+  let arena, alloc, tm = fresh ~cfg () in
   let cell = Alloc.alloc alloc 8 in
   let txn = Tm.begin_txn tm in
   Tm.write tm txn ~addr:cell ~value:7L;
@@ -96,20 +78,10 @@ let test_attach_mismatches () =
   expect_failure "variant" "mismatch" (fun () ->
       attempt (Rewind.with_partitions 2 (Rewind.config_batch ())));
   expect_failure "bucket capacity" "mismatch" (fun () ->
-      attempt (Rewind.with_partitions 2 { cfg with Tm.bucket_cap = 8 }));
-  (* the latch model is volatile policy, not durable layout: it may
-     legitimately differ between runs *)
-  let tm2 =
-    attempt (Rewind.with_partitions 2 { cfg with Tm.lockfree_latch = true })
-  in
-  check_int "recovered through a latch-model change" 7
-    (Int64.to_int (Arena.read arena cell));
-  ignore tm2
+      attempt (Rewind.with_partitions 2 { cfg with Tm.bucket_cap = 8 }))
 
 let test_attach_wrong_slot () =
-  let arena = Arena.create ~size_bytes:(8 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let _tm = Tm.create alloc ~root_slot in
+  let arena, _, _tm = fresh () in
   Arena.crash arena;
   let alloc2 = Alloc.recover arena in
   (* slot 10 was never initialised — the error should say so rather than

@@ -16,38 +16,18 @@ open Rewind_nvm
 open Rewind
 module Sanitizer = Rewind_analysis.Sanitizer
 module Enumerator = Rewind_analysis.Enumerator
+module Scenarios = Rewind_benchlib.Crash_scenarios
+open Support
 
 let all_configs =
-  [
-    ("1L-NFP", Rewind.config_1l_nfp);
-    ("1L-FP", Rewind.config_1l_fp);
-    ("2L-NFP", Rewind.config_2l_nfp);
-    ("2L-FP", Rewind.config_2l_fp);
-    ("1L-NFP-simple", { Rewind.config_1l_nfp with variant = Log.Simple });
-    ("1L-NFP-batch", { Rewind.config_1l_nfp with variant = Log.Batch 8 });
-    ("1L-FP-batch", { Rewind.config_1l_fp with variant = Log.Batch 8 });
-  ]
-
-let root_slot = 2
-
-let fresh ?(size_bytes = 1 lsl 20) cfg =
-  let arena = Arena.create ~size_bytes () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
-  (arena, alloc, tm)
+  Scenarios.matrix 1
+  (* force + Batch: commit-time clearing of a grouped log, in no named
+     configuration *)
+  @ [ ("1l-fp-batch", { Rewind.config_1l_fp with variant = Log.Batch 8 }) ]
 
 let reattach cfg arena =
   let alloc = Alloc.recover arena in
   Tm.attach ~cfg alloc ~root_slot
-
-let check_int = Alcotest.(check int)
-let check_i64 = Alcotest.(check int64)
-let check_bool = Alcotest.(check bool)
-
-let contains s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-  go 0
 
 (* ------------------------------------------------------------------ *)
 (* 1. Clean bill: the implementation passes its own checker            *)
@@ -57,7 +37,7 @@ let contains s sub =
    rollback to a savepoint, checkpoint, then a mid-transaction crash
    recovered with the sanitizer still attached. *)
 let test_clean_workload cfg () =
-  let arena, alloc, tm = fresh cfg in
+  let arena, alloc, tm = fresh ~size_bytes:(1 lsl 20) ~cfg () in
   let c = Array.init 10 (fun _ -> Alloc.alloc alloc 8) in
   Sanitizer.with_sanitizer arena (fun s ->
       let t1 = Tm.begin_txn tm in
@@ -93,7 +73,7 @@ let test_clean_workload cfg () =
    Run once more in Collect mode and assert the list is empty, so a
    refactor that swallows exceptions cannot mask a regression. *)
 let test_clean_collect cfg () =
-  let arena, alloc, tm = fresh cfg in
+  let arena, alloc, tm = fresh ~size_bytes:(1 lsl 20) ~cfg () in
   let c = Array.init 4 (fun _ -> Alloc.alloc alloc 8) in
   Sanitizer.with_sanitizer ~mode:Sanitizer.Collect arena (fun s ->
       let t1 = Tm.begin_txn tm in
@@ -118,7 +98,7 @@ let test_recycling_update_clean ~partitions ~bucket_cap ~txns () =
     Rewind.with_partitions partitions
       { (Rewind.config_batch ()) with Tm.bucket_cap }
   in
-  let arena, alloc, tm = fresh ~size_bytes:(16 lsl 20) cfg in
+  let arena, alloc, tm = fresh ~size_bytes:(16 lsl 20) ~cfg () in
   let cells =
     Array.init 8 (fun _ -> Array.init 8 (fun _ -> Alloc.alloc alloc 8))
   in
@@ -143,14 +123,14 @@ let test_recycling_update_clean ~partitions ~bucket_cap ~txns () =
 (* 2. Detection of deliberate violations                               *)
 (* ------------------------------------------------------------------ *)
 
-let batch_cfg = { Rewind.config_1l_nfp with variant = Log.Batch 8 }
+let batch_cfg = Rewind.config_batch ()
 
 (* WAL-order: under Batch, a user store's line is pinned until its undo
    record's group persists.  Writing the line back anyway (the classic
    "flush the data early" bug) must be flagged at the flush, not at some
    later recovery. *)
 let test_wal_order_violation () =
-  let arena, alloc, tm = fresh batch_cfg in
+  let arena, alloc, tm = fresh ~size_bytes:(1 lsl 20) ~cfg:batch_cfg () in
   let addr = Alloc.alloc ~align:64 alloc 8 in
   Sanitizer.with_sanitizer ~mode:Sanitizer.Collect arena (fun s ->
       let t = Tm.begin_txn tm in
@@ -168,7 +148,7 @@ let test_wal_order_violation () =
    the last-persistent-index, but skips the fence between them.  The
    protocol's own expectation annotation catches it immediately. *)
 let test_dropped_group_fence () =
-  let arena, alloc, tm = fresh batch_cfg in
+  let arena, alloc, tm = fresh ~size_bytes:(1 lsl 20) ~cfg:batch_cfg () in
   let addr = Alloc.alloc ~align:64 alloc 8 in
   Log.set_chaos_drop_group_fence (Tm.log tm) true;
   Sanitizer.with_sanitizer ~mode:Sanitizer.Collect arena (fun s ->
@@ -191,7 +171,7 @@ let test_dropped_group_fence () =
 (* With the chaos knob off the same workload is clean — the knob, not the
    workload, is what the sanitizer objects to. *)
 let test_chaos_knob_off_is_clean () =
-  let arena, alloc, tm = fresh batch_cfg in
+  let arena, alloc, tm = fresh ~size_bytes:(1 lsl 20) ~cfg:batch_cfg () in
   let addr = Alloc.alloc ~align:64 alloc 8 in
   Sanitizer.with_sanitizer arena (fun _ ->
       let t = Tm.begin_txn tm in
@@ -200,7 +180,7 @@ let test_chaos_knob_off_is_clean () =
 
 (* A store to memory already returned to the allocator. *)
 let test_store_freed () =
-  let arena, alloc, _tm = fresh batch_cfg in
+  let arena, alloc, _tm = fresh ~size_bytes:(1 lsl 20) ~cfg:batch_cfg () in
   let addr = Alloc.alloc ~align:64 alloc 64 in
   Sanitizer.with_sanitizer ~mode:Sanitizer.Collect arena (fun s ->
       Alloc.free ~align:64 alloc addr 64;
@@ -211,7 +191,7 @@ let test_store_freed () =
 
 (* A direct store to transactionally-managed data, bypassing the WAL. *)
 let test_store_unlogged () =
-  let arena, alloc, tm = fresh Rewind.config_1l_nfp in
+  let arena, alloc, tm = fresh ~size_bytes:(1 lsl 20) () in
   let addr = Alloc.alloc ~align:64 alloc 8 in
   Sanitizer.with_sanitizer ~mode:Sanitizer.Collect arena (fun s ->
       let t = Tm.begin_txn tm in
@@ -257,9 +237,7 @@ let test_redundant_diagnostics () =
    committed and redone — never a mixture. *)
 let test_enumerate_simple_txn () =
   let cfg = { Rewind.config_1l_nfp with variant = Log.Simple } in
-  let arena = Arena.create ~size_bytes:(1 lsl 16) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
+  let arena, alloc, tm = fresh ~size_bytes:(1 lsl 16) ~cfg () in
   let a = Alloc.alloc ~align:64 alloc 8 in
   let b = Alloc.alloc ~align:64 alloc 8 in
   let stats =

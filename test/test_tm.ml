@@ -7,25 +7,13 @@ open Rewind_nvm
 open Rewind
 module Harness = Rewind_analysis.Crash_harness
 module Scenarios = Rewind_benchlib.Crash_scenarios
+open Support
 
 let all_configs =
-  [
-    ("1L-NFP", Rewind.config_1l_nfp);
-    ("1L-FP", Rewind.config_1l_fp);
-    ("2L-NFP", Rewind.config_2l_nfp);
-    ("2L-FP", Rewind.config_2l_fp);
-    ("1L-NFP-simple", { Rewind.config_1l_nfp with variant = Log.Simple });
-    ("1L-NFP-batch", { Rewind.config_1l_nfp with variant = Log.Batch 8 });
-    ("1L-FP-batch", { Rewind.config_1l_fp with variant = Log.Batch 8 });
-  ]
-
-let root_slot = 2
-
-let fresh cfg =
-  let arena = Arena.create ~size_bytes:(8 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let tm = Tm.create ~cfg alloc ~root_slot in
-  (arena, alloc, tm)
+  Scenarios.matrix 1
+  (* force + Batch: commit-time clearing of a grouped log, in no named
+     configuration *)
+  @ [ ("1l-fp-batch", { Rewind.config_1l_fp with variant = Log.Batch 8 }) ]
 
 (* Ten word-sized cells of user data. *)
 let cells alloc = Array.init 10 (fun _ -> Alloc.alloc alloc 8)
@@ -34,15 +22,12 @@ let reattach cfg arena =
   let alloc = Alloc.recover arena in
   Tm.attach ~cfg alloc ~root_slot
 
-let check_i64 = Alcotest.(check int64)
-let check_bool = Alcotest.(check bool)
-
 (* ------------------------------------------------------------------ *)
 (* Basic transactional behaviour (no crash)                            *)
 (* ------------------------------------------------------------------ *)
 
 let test_commit_visible cfg () =
-  let arena, alloc, tm = fresh cfg in
+  let arena, alloc, tm = fresh ~cfg () in
   let c = cells alloc in
   let txn = Tm.begin_txn tm in
   Tm.write tm txn ~addr:c.(0) ~value:11L;
@@ -52,7 +37,7 @@ let test_commit_visible cfg () =
   check_i64 "cell 1" 22L (Arena.read arena c.(1))
 
 let test_rollback_restores cfg () =
-  let arena, alloc, tm = fresh cfg in
+  let arena, alloc, tm = fresh ~cfg () in
   let c = cells alloc in
   let t1 = Tm.begin_txn tm in
   Tm.write tm t1 ~addr:c.(0) ~value:5L;
@@ -66,7 +51,7 @@ let test_rollback_restores cfg () =
   check_i64 "cell 1 restored" 0L (Arena.read arena c.(1))
 
 let test_rollback_multiple_writes_same_cell cfg () =
-  let arena, alloc, tm = fresh cfg in
+  let arena, alloc, tm = fresh ~cfg () in
   let c = cells alloc in
   let t = Tm.begin_txn tm in
   Tm.write tm t ~addr:c.(0) ~value:1L;
@@ -76,7 +61,7 @@ let test_rollback_multiple_writes_same_cell cfg () =
   check_i64 "back to initial" 0L (Arena.read arena c.(0))
 
 let test_interleaved_txns cfg () =
-  let arena, alloc, tm = fresh cfg in
+  let arena, alloc, tm = fresh ~cfg () in
   let c = cells alloc in
   let t1 = Tm.begin_txn tm in
   let t2 = Tm.begin_txn tm in
@@ -90,7 +75,7 @@ let test_interleaved_txns cfg () =
   check_i64 "t1 second cell kept" 3L (Arena.read arena c.(2))
 
 let test_atomically cfg () =
-  let arena, alloc, tm = fresh cfg in
+  let arena, alloc, tm = fresh ~cfg () in
   let c = cells alloc in
   Tm.atomically tm (fun txn -> Tm.write tm txn ~addr:c.(0) ~value:7L);
   check_i64 "committed" 7L (Arena.read arena c.(0));
@@ -103,7 +88,7 @@ let test_atomically cfg () =
 
 (* Force policy clears the log at commit; no-force leaves it to checkpoints. *)
 let test_force_clears_log cfg () =
-  let _, alloc, tm = fresh cfg in
+  let _, alloc, tm = fresh ~cfg () in
   let c = cells alloc in
   let t = Tm.begin_txn tm in
   Tm.write tm t ~addr:c.(0) ~value:1L;
@@ -116,7 +101,7 @@ let test_force_clears_log cfg () =
   | _, Tm.Two_layer -> ()
 
 let test_checkpoint_clears cfg () =
-  let _, alloc, tm = fresh cfg in
+  let _, alloc, tm = fresh ~cfg () in
   let c = cells alloc in
   for i = 0 to 4 do
     let t = Tm.begin_txn tm in
@@ -167,7 +152,7 @@ let test_adjacent_managers cfg () =
 (* ------------------------------------------------------------------ *)
 
 let test_committed_survives_crash cfg () =
-  let arena, alloc, tm = fresh cfg in
+  let arena, alloc, tm = fresh ~cfg () in
   let c = cells alloc in
   let t = Tm.begin_txn tm in
   Tm.write tm t ~addr:c.(0) ~value:42L;
@@ -179,7 +164,7 @@ let test_committed_survives_crash cfg () =
   check_i64 "cell 1 durable" 43L (Arena.read arena c.(1))
 
 let test_uncommitted_rolled_back cfg () =
-  let arena, alloc, tm = fresh cfg in
+  let arena, alloc, tm = fresh ~cfg () in
   let c = cells alloc in
   let t1 = Tm.begin_txn tm in
   Tm.write tm t1 ~addr:c.(0) ~value:1L;
@@ -254,7 +239,7 @@ let test_double_crash_recovery cfg () =
           ~allowed:[ [ (0, 5L); (1, 0L) ] ]))
 
 let test_crash_after_checkpoint cfg () =
-  let arena, alloc, tm = fresh cfg in
+  let arena, alloc, tm = fresh ~cfg () in
   let c = cells alloc in
   let t1 = Tm.begin_txn tm in
   Tm.write tm t1 ~addr:c.(0) ~value:1L;
@@ -293,7 +278,7 @@ let region_reusable alloc region =
   reused
 
 let test_delete_deferred cfg () =
-  let arena, alloc, tm = fresh cfg in
+  let arena, alloc, tm = fresh ~cfg () in
   let region = Alloc.alloc alloc delete_region_size in
   Arena.nt_write arena region 123L;
   let t = Tm.begin_txn tm in
@@ -309,7 +294,7 @@ let test_delete_deferred cfg () =
       check_bool "freed at checkpoint" true (region_reusable alloc region))
 
 let test_rollback_drops_delete cfg () =
-  let _, alloc, tm = fresh cfg in
+  let _, alloc, tm = fresh ~cfg () in
   let region = Alloc.alloc alloc delete_region_size in
   let t = Tm.begin_txn tm in
   Tm.log_delete tm t ~addr:region ~size:delete_region_size;
@@ -388,18 +373,24 @@ let expect_error ~is f () =
         (Printexc.to_string exn)
 
 let crashed_alloc () =
-  let arena, _, _ = fresh Rewind.config_1l_nfp in
+  let arena, _, _ = fresh () in
   Arena.crash arena;
   Alloc.recover arena
 
-let on_fresh cfg f () = f (let _, _, tm = fresh cfg in tm)
+let on_fresh cfg f () = f (let _, _, tm = fresh ~cfg () in tm)
 
 let error_cases =
   let tc name is f = Alcotest.test_case name `Quick (expect_error ~is f) in
   [
     tc "invalid config"
       (( = ) (Tm.Invalid_config "config.partitions must be at least 1"))
-      (fun () -> fresh { Rewind.config_1l_nfp with partitions = 0 });
+      (fun () -> fresh ~cfg:{ Rewind.config_1l_nfp with partitions = 0 } ());
+    tc "bucket capacity out of range"
+      (( = ) (Tm.Invalid_config "config.bucket_cap 0 is outside [1, 2^24)"))
+      (fun () -> fresh ~cfg:{ Rewind.config_1l_nfp with bucket_cap = 0 } ());
+    tc "batch group out of range"
+      (( = ) (Tm.Invalid_config "Batch group 65544 is outside [1, 2^16)"))
+      (fun () -> fresh ~cfg:(Rewind.config_batch ~group:(65536 + 8) ()) ());
     tc "no fingerprint"
       (( = ) (Tm.No_fingerprint { root_slot = 10 }))
       (fun () -> Tm.attach (crashed_alloc ()) ~root_slot:10);
@@ -428,7 +419,7 @@ let error_cases =
     tc "footprint past the root directory"
       (function Tm.Invalid_config _ -> true | _ -> false)
       (fun () ->
-        let _, alloc, _ = fresh Rewind.config_1l_nfp in
+        let _, alloc, _ = fresh () in
         Tm.create alloc
           ~root_slot:(65 - Tm.root_slots Rewind.config_1l_nfp));
     tc "unregistered cell"

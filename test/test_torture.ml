@@ -7,10 +7,7 @@ open Rewind_nvm
 open Rewind
 module Harness = Rewind_analysis.Crash_harness
 module Scenarios = Rewind_benchlib.Crash_scenarios
-
-let configs = Scenarios.wal_configs
-
-let check_bool = Alcotest.(check bool)
+open Support
 
 (* A fresh manager over [n_cells] cells, then [window] as the crash
    window.  By default recovery must clear the log and leave no value of
@@ -234,7 +231,9 @@ let test_fork_join_nested () =
 let () =
   let tc = Alcotest.test_case in
   let per_config name speed f =
-    List.map (fun (cn, cfg) -> tc (name ^ " [" ^ cn ^ "]") speed (f cfg)) configs
+    List.map
+      (fun (cn, cfg) -> tc (name ^ " [" ^ cn ^ "]") speed (f cfg))
+      Scenarios.wal_configs
   in
   Alcotest.run "torture"
     [
@@ -243,7 +242,7 @@ let () =
       ( "wal-order",
         List.map
           (fun (_, cfg) -> QCheck_alcotest.to_alcotest (prop_wal_order cfg))
-          configs );
+          Scenarios.wal_configs );
       ( "sim-threads",
         [
           tc "deterministic" `Quick test_sim_threads_deterministic;

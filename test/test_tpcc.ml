@@ -9,9 +9,7 @@
 open Rewind_nvm
 open Rewind_tpcc
 module Harness = Rewind_analysis.Crash_harness
-
-let check_bool = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
+open Support
 
 let small = Datagen.small
 
@@ -372,12 +370,7 @@ let sweep_params =
   { Datagen.items = 10; customers_per_district = 3; initial_orders = 0;
     undelivered = 0 }
 
-let sweep_configs =
-  [
-    ("1l-fp", Rewind.config_1l_fp);
-    ("batch8", Rewind.config_batch ~group:8 ());
-    ("2l-nfp", Rewind.config_2l_nfp);
-  ]
+let sweep_configs = configs [ "1l-fp"; "batch"; "2l-nfp" ]
 
 let mix_sweep_setup cfg =
   let arena = Arena.create ~size_bytes:(16 lsl 20) () in

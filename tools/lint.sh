@@ -1,7 +1,7 @@
 #!/bin/sh
 # Source lint: keep the simulation's instrumentation boundary tight.
 #
-# Three rules, all enforced by grep so they run anywhere dune does:
+# Four rules, all enforced by grep so they run anywhere dune does:
 #
 #   1. No raw Stdlib.Mutex / Stdlib.Atomic outside lib/nvm.  Every piece
 #      of synchronization must go through Sim_mutex / Sim_atomic so that
@@ -19,6 +19,15 @@
 #      the harness, which checks that each armed trial really crashed
 #      and sanitizes every recovery; a hand-rolled arm/run/recover loop
 #      gets neither.
+#
+#   4. No test/test_*.ml defines check_bool, check_int, check_i64,
+#      root_slot or contains, or pairs a name with an unchanged named
+#      configuration ("batch", Rewind.config_batch ()).  test/support.ml
+#      owns the former; Crash_scenarios.wal_configs / matrix (the CLI's
+#      names) and Support.configs own the configuration lists, so "every
+#      configuration" means the same list in every test.  A deliberate
+#      variant outside the matrix (Batch 4, force + Batch) is not a
+#      named configuration unchanged and stays allowed.
 #
 # Allowlist: one file per line, repo-relative.  Seeded with the current
 # legitimate sites; add to it deliberately, with a comment here saying
@@ -105,6 +114,19 @@ crash_hits=$(
     done
 )
 report "Arena.arm_crash outside lib/nvm + lib/analysis/crash_harness.ml (sweep through Crash_harness so every armed trial must crash)" "$crash_hits"
+
+# --- rule 4: shared test support and one configuration matrix --------
+support_hits=$(
+    grep -nE '^let (check_bool|check_int|check_i64|root_slot|contains)\b' \
+         test/test_*.ml 2>/dev/null || true
+)
+report "test-local check_bool/check_int/check_i64/root_slot/contains (use test/support.ml)" "$support_hits"
+
+matrix_hits=$(
+    grep -nE '\("[^"]*", *Rewind\.config_[a-z0-9_]+( \(\))? *\)' \
+         test/test_*.ml 2>/dev/null || true
+)
+report "test-local list of named configurations (use Crash_scenarios.wal_configs / matrix or Support.configs)" "$matrix_hits"
 
 if [ "$fail" -ne 0 ]; then
     echo "lint: failed" >&2
