@@ -391,6 +391,12 @@ let error_cases =
     tc "batch group out of range"
       (( = ) (Tm.Invalid_config "Batch group 65544 is outside [1, 2^16)"))
       (fun () -> fresh ~cfg:(Rewind.config_batch ~group:(65536 + 8) ()) ());
+    tc "negative bucket capacity"
+      (( = ) (Tm.Invalid_config "config.bucket_cap -1 is outside [1, 2^24)"))
+      (fun () -> fresh ~cfg:{ Rewind.config_1l_nfp with bucket_cap = -1 } ());
+    tc "empty batch group"
+      (( = ) (Tm.Invalid_config "Batch group 0 is outside [1, 2^16)"))
+      (fun () -> fresh ~cfg:(Rewind.config_batch ~group:0 ()) ());
     tc "no fingerprint"
       (( = ) (Tm.No_fingerprint { root_slot = 10 }))
       (fun () -> Tm.attach (crashed_alloc ()) ~root_slot:10);
@@ -430,6 +436,46 @@ let error_cases =
       (( = ) (Tm.Txn_not_open 77))
       (on_fresh Rewind.config_incll (fun tm -> Tm.commit tm 77));
   ]
+
+(* ------------------------------------------------------------------ *)
+(* The configuration list                                              *)
+(* ------------------------------------------------------------------ *)
+
+(* {!Rewind.named_configs} is the one list: its seven names, each a
+   configuration a manager accepts. *)
+let test_named_configs () =
+  Alcotest.(check (list string))
+    "names"
+    [ "1l-nfp"; "1l-fp"; "2l-nfp"; "2l-fp"; "simple"; "batch"; "incll" ]
+    Rewind.config_names;
+  List.iter
+    (fun name ->
+      match Rewind.config_of_name name with
+      | None -> Alcotest.failf "%s does not resolve" name
+      | Some cfg -> ignore (fresh ~cfg ()))
+    Rewind.config_names
+
+(* The matrix is the list's WAL entries under the same names, and at
+   [p] partitions those entries sharded [p] ways under "NAME-pP". *)
+let test_matrix_shards_named_configs () =
+  let wal = List.filter (fun n -> n <> "incll") Rewind.config_names in
+  Alcotest.(check (list string)) "WAL names" wal (List.map fst (Scenarios.matrix 1));
+  List.iter
+    (fun p ->
+      let m = Scenarios.matrix p in
+      Alcotest.(check (list string))
+        (Fmt.str "names at %d partitions" p)
+        (List.map (fun n -> Fmt.str "%s-p%d" n p) wal)
+        (List.map fst m);
+      List.iter2
+        (fun base (name, cfg) ->
+          let want =
+            Rewind.with_partitions p (Option.get (Rewind.config_of_name base))
+          in
+          check_bool (name ^ " is " ^ base ^ " sharded") true (cfg = want);
+          check_int (name ^ " partitions") p cfg.Tm.partitions)
+        wal m)
+    [ 2; 4 ]
 
 let () =
   let tc = Alcotest.test_case in
@@ -471,4 +517,10 @@ let () =
           (fun nc -> QCheck_alcotest.to_alcotest (prop_crash_consistency nc))
           all_configs );
       ("errors", error_cases);
+      ( "configs",
+        [
+          tc "named configurations" `Quick test_named_configs;
+          tc "matrix shards the named configurations" `Quick
+            test_matrix_shards_named_configs;
+        ] );
     ]
