@@ -143,19 +143,9 @@ let crash_demo_cmd =
             "Crash after N persistence events (taken modulo the workload's \
              event count).")
   in
-  let partitions =
-    Arg.(
-      value & opt int 0
-      & info [ "partitions" ] ~docv:"N"
-          ~doc:"Override the configuration's log partition count.")
-  in
   Cmd.v
     (Cmd.info "crash-demo" ~doc:"Run transactions, crash, recover, verify")
-    Term.(
-      const (fun cfg parts after ->
-          let cfg = if parts > 0 then Rewind.with_partitions parts cfg else cfg in
-          run_crash_demo cfg after)
-      $ cfg $ partitions $ after)
+    Term.(const run_crash_demo $ cfg $ after)
 
 (* -- tpcc --------------------------------------------------------------- *)
 
@@ -225,7 +215,8 @@ let run_costs () =
   let n = 1000 in
   Fmt.pr "per-update simulated cost of one logged word write (ns):@.@.";
   List.iter
-    (fun (name, cfg) ->
+    (fun (name, _, mk) ->
+      let cfg = mk () in
       let arena = Arena.create ~size_bytes:(64 lsl 20) () in
       let alloc = Alloc.create arena in
       let tm = Rewind.Tm.create ~cfg alloc ~root_slot:2 in
@@ -264,21 +255,13 @@ let run_costs () =
         else 100. *. float_of_int d.Stats.inline_records /. float_of_int logged
       in
       Fmt.pr
-        "  %-22s %6d ns/update  %5.2f lines/op  %5.2f fences/op  (redundant \
+        "  %-8s %6d ns/update  %5.2f lines/op  %5.2f fences/op  (redundant \
          flushes %d, fences %d, inline hit %.0f%%)@."
         name (elapsed / n)
         (per d.Stats.nvm_writes)
         (per d.Stats.fences)
         d.Stats.redundant_flushes d.Stats.redundant_fences inline_pct)
-    [
-      ("1L-NFP (Optimized)", Rewind.config_1l_nfp);
-      ("1L-FP (Optimized)", Rewind.config_1l_fp);
-      ("1L-NFP (Simple)", Rewind.config_simple);
-      ("1L-NFP (Batch 8)", Rewind.config_batch ());
-      ("2L-NFP", Rewind.config_2l_nfp);
-      ("2L-FP", Rewind.config_2l_fp);
-      ("InCLL (advance/64)", Rewind.config_incll);
-    ];
+    Rewind.named_configs;
   Fmt.pr "@.non-recoverable NVM store: %d ns; DRAM store: %d ns@."
     (Config.default ()).Config.nvm_write_ns
     (Config.default ()).Config.dram_write_ns
@@ -294,106 +277,65 @@ module San = Rewind_analysis.Sanitizer
 module Enum = Rewind_analysis.Enumerator
 module Racecheck = Rewind_analysis.Racecheck
 
-(* The persistency sanitizer over one crash of each configuration's tour
-   (see {!Crash_scenarios.sanitizer_tour}): the report covers the whole
-   run, recovery included. *)
-let print_report name san =
-  let r = San.report san in
-  Fmt.pr "%-12s %a@." name San.pp_report r;
-  List.iter (fun v -> Fmt.pr "    %a@." San.pp_violation v) (San.violations san);
-  r.San.violation_count
+(* Every mode runs the rows of {!Crash_scenarios.protocols} that
+   [--config] selects, with their logs sharded into [--partitions].
 
-let check_one_config name cfg =
-  let scenario, san = Crash_scenarios.sanitizer_tour cfg in
-  ignore (Harness.crash_once scenario ~after:5);
-  print_report name (san ())
-
-let check_lfset () =
-  print_report "lfset" (Harness.crash_once (Crash_scenarios.lfset_tour ()) ~after:3)
-
-(* Exhaustive crash-state enumeration of small traces: every
-   fence-boundary subset of dirty lines must recover to an allowed
-   state.  The Simple log (record per list node) and the Optimized log's
-   inline fast path, where the last slot pair straddles a cacheline so
-   the enumeration includes torn pairs recovery must truncate; InCLL and
-   the lock-free set on the finer at-every-event grid, since both are
-   nearly fence-free. *)
-let check_enumerate ?(shard = fun c -> c) () =
-  let enumerate ?at_every_event name scenario verdict =
-    Fmt.pr "enumerator[%s]: %a — %s@." name Enum.pp_stats
-      (Harness.every_fence_subset ?at_every_event scenario)
-      verdict
+   The persistency sanitizer over one crash of each protocol's tour: the
+   report covers the whole run, recovery included.  [--enumerate] adds
+   the exhaustive crash-state enumerations: every fence-boundary subset
+   of dirty lines (every event, for InCLL and the set) must recover to an
+   allowed state. *)
+let run_sanitizer protocols ~partitions ~enumerate =
+  Fmt.pr "persistency sanitizer — shadow hardware model over each configuration";
+  if partitions > 1 then Fmt.pr " (%d log partitions)" partitions;
+  Fmt.pr "@.@.";
+  let total =
+    List.fold_left
+      (fun acc (p : Crash_scenarios.protocol) ->
+        let san = p.tour () in
+        let r = San.report san in
+        Fmt.pr "%-12s %a@." p.name San.pp_report r;
+        List.iter
+          (fun v -> Fmt.pr "    %a@." San.pp_violation v)
+          (San.violations san);
+        acc + r.San.violation_count)
+      0 protocols
   in
-  let legal = "all crash states recover legally" in
-  enumerate "simple"
-    (Crash_scenarios.wal_txn
-       (shard { Rewind.config_simple with Rewind.Tm.policy = Rewind.Tm.No_force }))
-    legal;
-  enumerate "optimized-inline"
-    (Crash_scenarios.wal_txn (shard Rewind.config_1l_nfp))
-    legal;
-  enumerate "batch8"
-    (Crash_scenarios.wal_txn (shard (Rewind.config_batch ())))
-    legal;
-  enumerate "batch-recycle"
-    (Crash_scenarios.any_committed_prefix
-       (Crash_scenarios.batch_recycle (shard Crash_scenarios.recycle_cfg)))
-    legal;
-  enumerate ~at_every_event:true "incll" (Crash_scenarios.incll_epochs ()) legal;
-  enumerate ~at_every_event:true "lfset"
-    (Crash_scenarios.lfset_prefix [| `I 5; `I 1; `I 9; `R 5; `I 3; `R 1 |])
-    "every crash state is a linearizable prefix"
+  if enumerate then
+    List.iter
+      (fun (p : Crash_scenarios.protocol) ->
+        List.iter
+          (fun (e : Crash_scenarios.enumeration) ->
+            Fmt.pr "enumerator[%s]: %a — %s@." e.label Enum.pp_stats
+              (e.enumerate ()) e.claim)
+          p.enumerations)
+      protocols;
+  if total > 0 then begin
+    Fmt.epr "@.%d persistency violation(s) detected@." total;
+    Stdlib.exit 1
+  end
+  else Fmt.pr "@.no persistency violations@."
 
-(* Happens-before race detection over the standard concurrent workloads:
-   the PR-5 multi-writer scaling workload, the same workload with a
-   concurrent cache-consistent checkpointer, and the TPC-C new-order
-   driver in the naive-REWIND (coarse-lock) configuration.  Any report —
-   data race or persist race — fails the run. *)
-let run_races config_filter partitions threads =
-  let partitions = max 1 partitions in
-  (* every named configuration; InCLL's checkpoint fiber exercises the
-     other exemption: epoch-covered lines written back by the advance's
-     [flush_all] while writers are mid-transaction *)
-  let selected =
-    match config_filter with
-    | Some "lfset" -> [] (* no WAL configuration applies to the set *)
-    | _ ->
-        List.filter_map
-          (fun (n, mk) ->
-            if config_filter = None || config_filter = Some n then
-              Some (n, mk ())
-            else None)
-          config_names
-  in
+(* Happens-before race detection over each protocol's concurrent
+   workloads: writers with and without a concurrent checkpointer, the
+   TPC-C drivers, the lock-free set.  Any report — data race or persist
+   race — fails the run. *)
+let run_races protocols ~partitions ~threads =
   Fmt.pr
     "happens-before race detector — vector clocks over the trace stream@.";
   Fmt.pr "(%d writer fiber(s), %d log partition(s))@.@." threads partitions;
   let total = ref 0 in
-  let show name rc =
-    let races = Racecheck.races rc in
-    total := !total + List.length races;
-    Fmt.pr "  %-24s %a@." name Racecheck.pp_report (Racecheck.report rc);
-    List.iter (fun r -> Fmt.pr "    %a@." Racecheck.pp_race r) races
-  in
   List.iter
-    (fun (name, cfg) ->
-      show
-        (name ^ " multi-writer")
-        (Race_workloads.multi_writer ~threads ~partitions ~cfg ());
-      show
-        (name ^ " checkpoint")
-        (Race_workloads.concurrent_checkpoint ~threads ~partitions ~cfg ()))
-    selected;
-  (if config_filter <> Some "lfset" then begin
-     show "tpcc-naive" (Race_workloads.tpcc ~terminals:(max 2 threads) ());
-     (* the five-transaction mix with home-warehouse pinning, its log
-        sharded over the requested partition count *)
-     show
-       (Fmt.str "tpcc-mix-p%d" partitions)
-       (Race_workloads.tpcc_mix ~partitions ())
-   end);
-  (if config_filter = None || config_filter = Some "lfset" then
-     show "lockfree-set" (Race_workloads.lockfree_set ~threads ()));
+    (fun (p : Crash_scenarios.protocol) ->
+      List.iter
+        (fun (name, run) ->
+          let rc = run () in
+          let races = Racecheck.races rc in
+          total := !total + List.length races;
+          Fmt.pr "  %-24s %a@." name Racecheck.pp_report (Racecheck.report rc);
+          List.iter (fun r -> Fmt.pr "    %a@." Racecheck.pp_race r) races)
+        (p.races ~threads))
+    protocols;
   if !total > 0 then begin
     Fmt.epr "@.%d race report(s)@." !total;
     Stdlib.exit 1
@@ -401,53 +343,30 @@ let run_races config_filter partitions threads =
   else Fmt.pr "@.no races detected@."
 
 let run_check config_filter enumerate partitions races threads =
-  if races then run_races config_filter partitions threads
-  else begin
-  let shard cfg =
-    if partitions > 0 then Rewind.with_partitions partitions cfg else cfg
+  let partitions = max 1 partitions in
+  let protocols =
+    List.filter
+      (fun (p : Crash_scenarios.protocol) ->
+        Option.fold ~none:true ~some:(String.equal p.name) config_filter)
+      (Crash_scenarios.protocols ~partitions ())
   in
-  let selected =
-    match config_filter with
-    | None -> config_names
-    | Some n -> List.filter (fun (name, _) -> name = n) config_names
-  in
-  Fmt.pr "persistency sanitizer — shadow hardware model over each configuration";
-  if partitions > 0 then Fmt.pr " (%d log partitions)" partitions;
-  Fmt.pr "@.@.";
-  let total =
-    List.fold_left
-      (fun acc (name, cfg) -> acc + check_one_config name (shard (cfg ())))
-      0 selected
-  in
-  (* The lock-free set is not a WAL configuration but has its own
-     protocol row in the sweep ("lfset" alone selects just it). *)
-  let total =
-    if config_filter = None || config_filter = Some "lfset" then
-      total + check_lfset ()
-    else total
-  in
-  (if enumerate then check_enumerate ~shard ());
-  if total > 0 then begin
-    Fmt.epr "@.%d persistency violation(s) detected@." total;
-    Stdlib.exit 1
-  end
-  else Fmt.pr "@.no persistency violations@."
-  end
+  if races then run_races protocols ~partitions ~threads
+  else run_sanitizer protocols ~partitions ~enumerate
 
 let check_cmd =
+  let names =
+    List.map
+      (fun (p : Crash_scenarios.protocol) -> (p.name, p.name))
+      (Crash_scenarios.protocols ())
+  in
   let cfg =
     Arg.(
       value
-      & opt
-          (some
-             (enum
-                (("lfset", "lfset")
-                :: List.map (fun (n, _) -> (n, n)) config_names)))
-          None
+      & opt (some (enum names)) None
       & info [ "config" ] ~docv:"CONFIG"
           ~doc:
-            "Check a single configuration (default: all).  The special \
-             name 'lfset' selects the lock-free durable set workload.")
+            "Check a single protocol (default: all): a configuration name \
+             or 'lfset', the lock-free durable set.")
   in
   let enumerate =
     Arg.(
@@ -457,7 +376,7 @@ let check_cmd =
   in
   let partitions =
     Arg.(
-      value & opt int 0
+      value & opt int 1
       & info [ "partitions" ] ~docv:"N"
           ~doc:"Shard each checked configuration's log into N partitions.")
   in
@@ -467,8 +386,8 @@ let check_cmd =
       & info [ "races" ]
           ~doc:
             "Run the happens-before race detector over the multi-writer, \
-             concurrent-checkpoint and TPC-C workloads instead of the \
-             persistency sanitizer.")
+             concurrent-checkpoint, TPC-C and lock-free-set workloads \
+             instead of the persistency sanitizer.")
   in
   let threads =
     Arg.(

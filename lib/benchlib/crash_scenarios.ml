@@ -13,11 +13,14 @@
 
    [sanitizer_tour] and [lfset_tour] are the `rewind check` workloads:
    their worlds carry a collecting sanitizer over the whole run, whose
-   report the CLI prints. *)
+   report the CLI prints.  [protocols] is the table `rewind check` runs:
+   per protocol, its tour, its crash-state enumerations and its
+   race-detector workloads. *)
 
 open Rewind_nvm
 module Harness = Rewind_analysis.Crash_harness
 module San = Rewind_analysis.Sanitizer
+module Racecheck = Rewind_analysis.Racecheck
 module Tm = Rewind.Tm
 module Log = Rewind.Log
 module Lfset = Rewind_pds.Lfset
@@ -485,3 +488,106 @@ let lfset_tour () =
         san);
     check = (fun _ _ -> None);
   }
+
+(* -- the protocol table --------------------------------------------------- *)
+
+(* One exhaustive crash-state enumeration: the rows `rewind check
+   --enumerate` prints, each with the claim it proves. *)
+type enumeration = {
+  label : string;
+  claim : string;
+  enumerate : unit -> Rewind_analysis.Enumerator.stats;
+}
+
+(* One row per protocol `rewind check` covers: every name in
+   {!Rewind.config_names}, then the lock-free set.  [tour] crashes the
+   sanitizer tour once and returns its sanitizer; [races ~threads] are
+   the race-detector workloads, each returning its detached detector. *)
+type protocol = {
+  name : string;
+  tour : unit -> San.t;
+  enumerations : enumeration list;
+  races : threads:int -> (string * (unit -> Racecheck.t)) list;
+}
+
+let legal = "all crash states recover legally"
+
+let enumeration ?at_every_event ?(claim = legal) label s =
+  {
+    label;
+    claim;
+    enumerate = (fun () -> Harness.every_fence_subset ?at_every_event s);
+  }
+
+(* The table with every log sharded into [partitions] (default 1).
+   Every configuration races its writers with and without a concurrent
+   checkpointer (under InCLL the checkpoint's [flush_all] writes back
+   epoch-covered lines while writers are mid-transaction, the detector's
+   other exemption), and every WAL configuration enumerates [wal_txn];
+   the Batch log also
+   enumerates bucket recycling and races the TPC-C drivers, whose
+   shared manager runs it ({!Rewind_tpcc.Workload.tm_config}).  InCLL
+   and the set keep no log and ignore [partitions]; both enumerate at
+   every event, since they are nearly fence-free. *)
+let protocols ?(partitions = 1) () =
+  let config (name, _, mk) =
+    let cfg = Rewind.with_partitions partitions (mk ()) in
+    let writers ~threads =
+      [
+        ( name ^ " multi-writer",
+          fun () -> Race_workloads.multi_writer ~threads ~partitions ~cfg () );
+        ( name ^ " checkpoint",
+          fun () ->
+            Race_workloads.concurrent_checkpoint ~threads ~partitions ~cfg () );
+      ]
+    in
+    let own =
+      if cfg.Tm.incll then
+        enumeration ~at_every_event:true name (incll_epochs ())
+      else enumeration name (wal_txn cfg)
+    in
+    let batch_enumerations, batch_races =
+      if name <> "batch" then ([], fun ~threads:_ -> [])
+      else
+        ( [
+            enumeration "batch-recycle"
+              (any_committed_prefix
+                 (batch_recycle (Rewind.with_partitions partitions recycle_cfg)));
+          ],
+          fun ~threads ->
+            [
+              ( "tpcc-naive",
+                fun () -> Race_workloads.tpcc ~terminals:(max 2 threads) () );
+              ( Fmt.str "tpcc-mix-p%d" partitions,
+                fun () -> Race_workloads.tpcc_mix ~partitions () );
+            ] )
+    in
+    {
+      name;
+      tour =
+        (fun () ->
+          let s, san = sanitizer_tour cfg in
+          ignore (Harness.crash_once s ~after:5);
+          san ());
+      enumerations = own :: batch_enumerations;
+      races = (fun ~threads -> writers ~threads @ batch_races ~threads);
+    }
+  in
+  List.map config Rewind.named_configs
+  @ [
+      {
+        name = "lfset";
+        tour = (fun () -> Harness.crash_once (lfset_tour ()) ~after:3);
+        enumerations =
+          [
+            enumeration ~at_every_event:true
+              ~claim:"every crash state is a linearizable prefix" "lfset"
+              (lfset_prefix [| `I 5; `I 1; `I 9; `R 5; `I 3; `R 1 |]);
+          ];
+        races =
+          (fun ~threads ->
+            [
+              ("lockfree-set", fun () -> Race_workloads.lockfree_set ~threads ());
+            ]);
+      };
+    ]

@@ -1,9 +1,9 @@
 (* Standard workloads run under the happens-before race detector
    ([rewind check --races]).
 
-   Three shapes, each exercising a different synchronization story:
+   Four shapes, each exercising a different synchronization story:
 
-   - [multi_writer]: the PR-5 partition-scaling workload — concurrent
+   - [multi_writer]: the partition-scaling writers — concurrent
      fibers running short transactions against private cells through one
      shared manager.  The only shared state is the partitioned log (per
      partition latches), the global LSN / transaction-id atomics, and
@@ -36,80 +36,43 @@
 open Rewind_nvm
 module Racecheck = Rewind_analysis.Racecheck
 
-let cells_per_thread = 64
-
-let multi_writer ?(threads = 4) ?(txns_per_thread = 60) ?(writes_per_txn = 4)
-    ?(partitions = 1) ~cfg () =
+(* [f] over a fresh 64 MiB arena under a collecting detector. *)
+let detected f =
   let arena = Arena.create ~size_bytes:(64 lsl 20) () in
   let rc = Racecheck.attach ~mode:Collect arena in
   Fun.protect
     ~finally:(fun () -> Racecheck.detach rc)
     (fun () ->
-      let alloc = Alloc.create arena in
-      let cfg = Rewind.with_partitions partitions cfg in
-      let tm = Rewind.Tm.create ~cfg alloc ~root_slot:2 in
-      let cells =
-        Array.init (threads * cells_per_thread) (fun _ ->
-            Rewind.Tm.alloc_cell tm)
-      in
-      ignore
-        (Sim_threads.run ~threads ~ops_per_thread:txns_per_thread (fun t op ->
-             let txn = Rewind.Tm.begin_txn tm in
-             for i = 0 to writes_per_txn - 1 do
-               let c =
-                 (t * cells_per_thread)
-                 + (((op * writes_per_txn) + i) mod cells_per_thread)
-               in
-               Rewind.Tm.write tm txn ~addr:cells.(c)
-                 ~value:(Int64.of_int ((((t * 1000) + op) * 10) + i))
-             done;
-             Rewind.Tm.commit tm txn));
+      f arena;
       rc)
+
+(* The partition-scaling writers ({!Scaling_bench.writers}). *)
+let multi_writer ?(threads = 4) ?(txns_per_thread = 60) ?(writes_per_txn = 4)
+    ?(partitions = 1) ~cfg () =
+  detected (fun arena ->
+      let _, txn =
+        Scaling_bench.writers arena ~cfg ~partitions ~threads ~writes_per_txn
+      in
+      ignore (Sim_threads.run ~threads ~ops_per_thread:txns_per_thread txn))
 
 (* Writers plus one checkpointer: fiber [threads] checkpoints every
    [checkpoint_every] of its turns while the writers' transactions are
    in flight. *)
 let concurrent_checkpoint ?(threads = 4) ?(txns_per_thread = 40)
     ?(writes_per_txn = 4) ?(checkpoint_every = 8) ?(partitions = 1) ~cfg () =
-  let arena = Arena.create ~size_bytes:(64 lsl 20) () in
-  let rc = Racecheck.attach ~mode:Collect arena in
-  Fun.protect
-    ~finally:(fun () -> Racecheck.detach rc)
-    (fun () ->
-      let alloc = Alloc.create arena in
-      let cfg = Rewind.with_partitions partitions cfg in
-      let tm = Rewind.Tm.create ~cfg alloc ~root_slot:2 in
-      let cells =
-        Array.init (threads * cells_per_thread) (fun _ ->
-            Rewind.Tm.alloc_cell tm)
+  detected (fun arena ->
+      let tm, txn =
+        Scaling_bench.writers arena ~cfg ~partitions ~threads ~writes_per_txn
       in
       ignore
         (Sim_threads.run ~threads:(threads + 1)
            ~ops_per_thread:txns_per_thread (fun t op ->
-             if t = threads then begin
-               if op mod checkpoint_every = 0 then Rewind.Tm.checkpoint tm
-               else Clock.advance 2_000
-             end
-             else begin
-               let txn = Rewind.Tm.begin_txn tm in
-               for i = 0 to writes_per_txn - 1 do
-                 let c =
-                   (t * cells_per_thread)
-                   + (((op * writes_per_txn) + i) mod cells_per_thread)
-                 in
-                 Rewind.Tm.write tm txn ~addr:cells.(c)
-                   ~value:(Int64.of_int ((((t * 1000) + op) * 10) + i))
-               done;
-               Rewind.Tm.commit tm txn
-             end));
-      rc)
+             if t < threads then txn t op
+             else if op mod checkpoint_every = 0 then Rewind.Tm.checkpoint tm
+             else Clock.advance 2_000)))
 
 let lockfree_set ?(threads = 4) ?(ops_per_thread = 40) () =
-  let arena = Arena.create ~size_bytes:(64 lsl 20) () in
-  let rc = Racecheck.attach ~mode:Collect arena in
-  Fun.protect
-    ~finally:(fun () -> Racecheck.detach rc)
-    (fun () ->
+  detected (fun arena ->
       let alloc = Alloc.create arena in
       let set =
         Rewind_pds.Lfset.create ~nbuckets:16 ~nthreads:(max 1 threads) alloc
@@ -121,23 +84,24 @@ let lockfree_set ?(threads = 4) ?(ops_per_thread = 40) () =
              let k = ((t * 7) + op) mod 24 in
              if op land 1 = 0 then
                ignore (Rewind_pds.Lfset.insert ~thread:t set k)
-             else ignore (Rewind_pds.Lfset.remove ~thread:t set k)));
-      rc)
+             else ignore (Rewind_pds.Lfset.remove ~thread:t set k))))
+
+(* [run ~on_arena] with a collecting detector attached to the arena it
+   creates. *)
+let attached run =
+  let rc = ref None in
+  run ~on_arena:(fun arena -> rc := Some (Racecheck.attach ~mode:Collect arena));
+  let rc = Option.get !rc in
+  Racecheck.detach rc;
+  rc
 
 let tpcc ?(terminals = 4) ?(txns_per_terminal = 30) () =
-  let rc = ref None in
-  let r =
-    Rewind_tpcc.Workload.run ~terminals ~txns_per_terminal
-      ~params:Rewind_tpcc.Datagen.small ~arena_mb:128
-      ~on_arena:(fun arena -> rc := Some (Racecheck.attach ~mode:Collect arena))
-      ~config:Rewind_tpcc.Workload.Rewind_naive ()
-  in
-  ignore (r : Rewind_tpcc.Workload.result);
-  match !rc with
-  | Some rc ->
-      Racecheck.detach rc;
-      rc
-  | None -> assert false
+  attached (fun ~on_arena ->
+      ignore
+        (Rewind_tpcc.Workload.run ~terminals ~txns_per_terminal
+           ~params:Rewind_tpcc.Datagen.small ~arena_mb:128 ~on_arena
+           ~config:Rewind_tpcc.Workload.Rewind_naive ()
+          : Rewind_tpcc.Workload.result))
 
 (* The five-transaction mix under the detector: terminals serialise on the
    driver's coarse data lock (race-clean by construction), while the
@@ -146,17 +110,9 @@ let tpcc ?(terminals = 4) ?(txns_per_terminal = 30) () =
    synchronization under the full mix, deferred deliveries included. *)
 let tpcc_mix ?(warehouses = 2) ?(terminals_per_warehouse = 2)
     ?(txns_per_terminal = 25) ?(partitions = 1) () =
-  let rc = ref None in
-  let r, _db =
-    Rewind_tpcc.Workload.run_mix ~warehouses ~terminals_per_warehouse
-      ~txns_per_terminal ~params:Rewind_tpcc.Datagen.micro ~arena_mb:128
-      ~partitions
-      ~on_arena:(fun arena -> rc := Some (Racecheck.attach ~mode:Collect arena))
-      ()
-  in
-  ignore (r : Rewind_tpcc.Workload.mix_result);
-  match !rc with
-  | Some rc ->
-      Racecheck.detach rc;
-      rc
-  | None -> assert false
+  attached (fun ~on_arena ->
+      ignore
+        (Rewind_tpcc.Workload.run_mix ~warehouses ~terminals_per_warehouse
+           ~txns_per_terminal ~params:Rewind_tpcc.Datagen.micro ~arena_mb:128
+           ~partitions ~on_arena ()
+          : Rewind_tpcc.Workload.mix_result * _))

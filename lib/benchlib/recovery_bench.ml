@@ -19,17 +19,13 @@
 open Rewind_nvm
 module San = Rewind_analysis.Sanitizer
 
+(* The WAL configurations under the CLI's names, then two of them at four
+   partitions. *)
 let configs =
-  [
-    ("1l-nfp", Rewind.config_1l_nfp);
-    ("1l-fp", Rewind.config_1l_fp);
-    ("2l-nfp", Rewind.config_2l_nfp);
-    ("2l-fp", Rewind.config_2l_fp);
-    ("simple", Rewind.config_simple);
-    ("batch8", Rewind.config_batch ());
-    ("1l-nfp-p4", Rewind.with_partitions 4 Rewind.config_1l_nfp);
-    ("2l-nfp-p4", Rewind.with_partitions 4 Rewind.config_2l_nfp);
-  ]
+  Crash_scenarios.wal_configs
+  @ List.filter
+      (fun (name, _) -> List.mem name [ "1l-nfp-p4"; "2l-nfp-p4" ])
+      (Crash_scenarios.matrix 4)
 
 (* The checkpoint and each of its sub-spans, per checkpoint: a sub-span
    that runs once per partition is summed over the partitions. *)

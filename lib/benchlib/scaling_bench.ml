@@ -40,6 +40,32 @@ let row ~series ~threads ~partitions ~total_ops ~makespan =
 
 let cells_per_thread = 64
 
+(* The writers, shared with the race detector's workloads: a manager over
+   [arena] with [cfg]'s log sharded into [partitions] and
+   [cells_per_thread] private cells per fiber.  Returns the manager and
+   [txn t op], fiber [t]'s [op]-th transaction: [writes_per_txn] writes
+   to its own cells, then a commit. *)
+let writers arena ~cfg ~partitions ~threads ~writes_per_txn =
+  let alloc = Alloc.create arena in
+  let cfg = Rewind.with_partitions partitions cfg in
+  let tm = Rewind.Tm.create ~cfg alloc ~root_slot:2 in
+  let cells =
+    Array.init (threads * cells_per_thread) (fun _ -> Rewind.Tm.alloc_cell tm)
+  in
+  let txn t op =
+    let txn = Rewind.Tm.begin_txn tm in
+    for i = 0 to writes_per_txn - 1 do
+      let c =
+        (t * cells_per_thread)
+        + (((op * writes_per_txn) + i) mod cells_per_thread)
+      in
+      Rewind.Tm.write tm txn ~addr:cells.(c)
+        ~value:(Int64.of_int ((((t * 1000) + op) * 10) + i))
+    done;
+    Rewind.Tm.commit tm txn
+  in
+  (tm, txn)
+
 (* InCLL epoch cadence: each fiber requests a best-effort epoch advance
    ({!Rewind.Tm.checkpoint}) after every full pass over its 64 private
    cells — group durability at the same granularity the append bench
@@ -49,24 +75,10 @@ let advance_every_txns = 16
 let run_one ~series ~cfg ~threads ~partitions ~txns_per_thread ~writes_per_txn
     =
   let arena = Arena.create ~size_bytes:(256 lsl 20) () in
-  let alloc = Alloc.create arena in
-  let cfg = Rewind.with_partitions partitions cfg in
-  let tm = Rewind.Tm.create ~cfg alloc ~root_slot:2 in
-  let cells =
-    Array.init (threads * cells_per_thread) (fun _ -> Rewind.Tm.alloc_cell tm)
-  in
+  let tm, txn = writers arena ~cfg ~partitions ~threads ~writes_per_txn in
   let makespan =
     Sim_threads.run ~threads ~ops_per_thread:txns_per_thread (fun t op ->
-        let txn = Rewind.Tm.begin_txn tm in
-        for i = 0 to writes_per_txn - 1 do
-          let c =
-            (t * cells_per_thread)
-            + (((op * writes_per_txn) + i) mod cells_per_thread)
-          in
-          Rewind.Tm.write tm txn ~addr:cells.(c)
-            ~value:(Int64.of_int (((t * 1000) + op) * 10 + i))
-        done;
-        Rewind.Tm.commit tm txn;
+        txn t op;
         if
           cfg.Rewind.Tm.incll
           && op mod advance_every_txns = advance_every_txns - 1

@@ -10,7 +10,8 @@
       persisted (WAL-order), and a dropped group fence in the Batch log
       (unfenced commit) — each asserted as its specific diagnostic;
    3. the crash-state enumerator exhaustively passes on a Simple-log
-      single-transaction trace and on an ADLL append/remove trace. *)
+      single-transaction trace, on an ADLL append/remove trace and on
+      every enumeration of `rewind check`'s protocol table. *)
 
 open Rewind_nvm
 open Rewind
@@ -517,6 +518,34 @@ let per_config name f =
       Alcotest.test_case (Fmt.str "%s [%s]" name cname) `Quick (f cfg))
     all_configs
 
+(* `rewind check`'s table: one row per named configuration, then the
+   lock-free set; at 1 and 4 partitions every row's tour is clean and
+   every enumeration recovers legally (the enumerator raises on an
+   illegal crash state). *)
+let test_protocol_table () =
+  List.iter
+    (fun partitions ->
+      let table = Scenarios.protocols ~partitions () in
+      Alcotest.(check (list string))
+        "configurations, then lfset"
+        (Rewind.config_names @ [ "lfset" ])
+        (List.map (fun (p : Scenarios.protocol) -> p.name) table);
+      List.iter
+        (fun (p : Scenarios.protocol) ->
+          let at = Fmt.str "%s at %d partition(s)" p.name partitions in
+          check_int (at ^ ": tour clean") 0
+            (Sanitizer.report (p.tour ())).Sanitizer.violation_count;
+          check_bool (at ^ ": enumerated") true (p.enumerations <> []);
+          List.iter
+            (fun (e : Scenarios.enumeration) ->
+              check_bool
+                (Fmt.str "%s: %s explored" at e.label)
+                true
+                ((e.enumerate ()).Enumerator.crash_states > 0))
+            p.enumerations)
+        table)
+    [ 1; 4 ]
+
 let () =
   Alcotest.run "sanitizer"
     [
@@ -560,5 +589,7 @@ let () =
           Alcotest.test_case "adll append/remove" `Quick test_enumerate_adll;
           Alcotest.test_case "catches a torn cached pair" `Quick
             test_enumerate_catches_torn_pair;
+          Alcotest.test_case "every protocol of the check table" `Quick
+            test_protocol_table;
         ] );
     ]

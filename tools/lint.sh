@@ -21,13 +21,15 @@
 #      gets neither.
 #
 #   4. No test/test_*.ml defines check_bool, check_int, check_i64,
-#      root_slot or contains, or pairs a name with an unchanged named
+#      root_slot or contains, and no test/test_*.ml, bin/*.ml or
+#      lib/benchlib/*.ml pairs a name with an unchanged named
 #      configuration ("batch", Rewind.config_batch ()).  test/support.ml
-#      owns the former; Crash_scenarios.wal_configs / matrix (the CLI's
-#      names) and Support.configs own the configuration lists, so "every
-#      configuration" means the same list in every test.  A deliberate
-#      variant outside the matrix (Batch 4, force + Batch) is not a
-#      named configuration unchanged and stays allowed.
+#      owns the former; Rewind.named_configs, Crash_scenarios.wal_configs
+#      / matrix (the CLI's names) and Support.configs own the
+#      configuration lists, so "every configuration" means the same list
+#      in every test, subcommand and bench.  A deliberate variant outside
+#      the matrix (Batch 4, force + Batch) is not a named configuration
+#      unchanged and stays allowed.
 #
 # Allowlist: one file per line, repo-relative.  Seeded with the current
 # legitimate sites; add to it deliberately, with a comment here saying
@@ -56,6 +58,12 @@ examples/kv_store.ml
 examples/linked_list_crash.ml
 examples/task_queue.ml
 examples/tpcc_demo.ml
+'
+
+# lib/benchlib/figures.ml: its "2L-FP"/"1L-FP" pairs are the legends of
+# the paper's figures, not configuration names.
+ALLOW_MATRIX='
+lib/benchlib/figures.ml
 '
 
 allowed() {
@@ -124,9 +132,12 @@ report "test-local check_bool/check_int/check_i64/root_slot/contains (use test/s
 
 matrix_hits=$(
     grep -nE '\("[^"]*", *Rewind\.config_[a-z0-9_]+( \(\))? *\)' \
-         test/test_*.ml 2>/dev/null || true
+         test/test_*.ml bin/*.ml lib/benchlib/*.ml 2>/dev/null |
+    while IFS=: read -r file rest; do
+        allowed "$ALLOW_MATRIX" "$file" || printf '%s:%s\n' "$file" "$rest"
+    done
 )
-report "test-local list of named configurations (use Crash_scenarios.wal_configs / matrix or Support.configs)" "$matrix_hits"
+report "local list of named configurations (use Rewind.named_configs, Crash_scenarios.wal_configs / matrix or Support.configs)" "$matrix_hits"
 
 if [ "$fail" -ne 0 ]; then
     echo "lint: failed" >&2
