@@ -1,17 +1,14 @@
 (* Command-line driver for the REWIND reproduction.
 
-     rewind figure fig7-left [--quick]     regenerate one figure
+     rewind bench [--quick] [--json F] [--prom F] [NAME...]
+                                           the bench table: figures, gates
      rewind crash-demo [--config 1l-nfp]   crash/recovery walkthrough
-     rewind tpcc [--json F]                open-loop TPC-C mix: tpmC, latency
-     rewind costs                          per-update cost of each config
      rewind check [--enumerate|--races]    persistency sanitizer / race detector
-     rewind profile [--json F --prom F]    per-phase recovery profile
-     rewind scaling [--json F]             partitioned-log throughput
      rewind benchdiff --baseline F --current F   regression gate
-     rewind 2pc [--enumerate|--json F]     distributed commit
+     rewind 2pc [--enumerate]              distributed commit
 
-   The bench subcommands print their rows as a table and write them with
-   {!Bench_row.write_rows}. *)
+   `bench` runs the entries of {!Figures.table}: it prints each entry's
+   rows as a table and writes them all with {!Bench_row.write_rows}. *)
 
 open Cmdliner
 open Rewind_nvm
@@ -66,24 +63,67 @@ let config_conv =
   Arg.conv
     (config_of_string, fun ppf c -> Rewind.Tm.pp_config ppf c)
 
-let quick =
-  Arg.(value & flag & info [ "quick" ] ~doc:"Use smaller (CI-sized) parameters.")
+(* A count option: an integer of at least [min], else a usage error. *)
+let count ~min =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= min -> Ok n
+    | Some _ -> Error (`Msg (Fmt.str "%s is below the minimum of %d" s min))
+    | None -> Error (`Msg (Fmt.str "%S is not an integer" s))
+  in
+  Arg.conv (parse, Fmt.int)
 
-(* -- figure ------------------------------------------------------------- *)
+(* -- bench --------------------------------------------------------------- *)
 
-let run_figure quick name =
-  Option.iter (fun e -> ignore (Figures.run ~quick e)) (Figures.find name)
+(* Every named entry of the bench table (all of them without a name), in
+   table order.  Each failed verdict is reported, and exits 1, only after
+   the rows are written. *)
+let run_bench quick json prom names =
+  let runs =
+    List.filter_map
+      (fun (e : Figures.entry) ->
+        if names = [] || List.mem e.name names then
+          Some (e.name, Figures.run ~quick e)
+        else None)
+      Figures.table
+  in
+  Bench_row.write_rows ?json ?prom
+    (List.concat_map (fun (_, (rows, _)) -> rows) runs);
+  let failed =
+    List.filter_map
+      (fun (name, (_, verdict)) ->
+        match verdict with Ok () -> None | Error why -> Some (name, why))
+      runs
+  in
+  List.iter (fun (name, why) -> Fmt.epr "%s FAILED: %s@." name why) failed;
+  if failed <> [] then exit 1
 
-let figure_cmd =
-  let name_arg =
+let bench_cmd =
+  let quick =
     Arg.(
-      required
-      & pos 0 (some (enum (List.map (fun n -> (n, n)) Figures.names))) None
-      & info [] ~docv:"FIGURE" ~doc:"Figure id, e.g. fig7-left.")
+      value & flag
+      & info [ "quick" ] ~doc:"Use the smaller parameters CI runs and gates.")
+  in
+  let path name doc =
+    Arg.(value & opt (some string) None & info [ name ] ~docv:"PATH" ~doc)
+  in
+  let names =
+    let name (e : Figures.entry) = (e.name, e.name) in
+    Arg.(
+      value
+      & pos_all (enum (List.map name Figures.table)) []
+      & info [] ~docv:"NAME" ~doc:"Run only these entries (default: all).")
   in
   Cmd.v
-    (Cmd.info "figure" ~doc:"Regenerate one of the paper's figures")
-    Term.(const (fun q n -> run_figure q n) $ quick $ name_arg)
+    (Cmd.info "bench"
+       ~doc:
+         "Run the bench table: the paper's figures, the ablations and the \
+          gated benches (append, recovery, scaling, tpcc, 2pc)")
+    Term.(
+      const run_bench $ quick
+      $ path "json" "Write every row as bench-row JSON."
+      $ path "prom" "Write every row as Prometheus text-exposition metrics."
+      $ names)
 
 (* -- crash-demo --------------------------------------------------------- *)
 
@@ -137,7 +177,8 @@ let crash_demo_cmd =
   in
   let after =
     Arg.(
-      value & opt int 5_000
+      value
+      & opt (count ~min:0) 5_000
       & info [ "crash-after" ] ~docv:"N"
           ~doc:
             "Crash after N persistence events (taken modulo the workload's \
@@ -146,130 +187,6 @@ let crash_demo_cmd =
   Cmd.v
     (Cmd.info "crash-demo" ~doc:"Run transactions, crash, recover, verify")
     Term.(const run_crash_demo $ cfg $ after)
-
-(* -- tpcc --------------------------------------------------------------- *)
-
-(* Open-loop five-transaction TPC-C: arrivals at --rate transactions per
-   simulated second, home-warehouse log sharding, exact nearest-rank
-   latency percentiles.  (The closed-loop Figure 11 four-way
-   comparison lives under `rewind figure fig11`.)  Exits nonzero if the
-   database fails the mixed-workload consistency probes afterwards. *)
-let run_tpcc warehouses partitions rate txns json =
-  let rows, consistent =
-    Tpcc_bench.run ~warehouses ~partitions ~rate ~arrivals:txns ()
-  in
-  Fmt.pr
-    "open-loop TPC-C: %d warehouses, %d log partitions, %.0f txn/s offered@.%a"
-    warehouses partitions rate Bench_row.pp_table rows;
-  Bench_row.write_rows ?json rows;
-  if not consistent then begin
-    Fmt.epr "@.consistency probes FAILED after the run@.";
-    Stdlib.exit 1
-  end
-
-let tpcc_cmd =
-  let warehouses =
-    Arg.(
-      value & opt int 4
-      & info [ "warehouses" ] ~docv:"W" ~doc:"Warehouses (home log shards).")
-  in
-  let partitions =
-    Arg.(
-      value & opt int 4
-      & info [ "partitions" ] ~docv:"N" ~doc:"Log partitions.")
-  in
-  let rate =
-    Arg.(
-      value & opt float 10_000.
-      & info [ "rate" ] ~docv:"R"
-          ~doc:"Offered load: arrivals per simulated second.")
-  in
-  let txns =
-    Arg.(
-      value & opt int 2_000
-      & info [ "txns" ] ~docv:"N" ~doc:"Total transaction arrivals.")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Write machine-readable results (BENCH_tpcc.json).")
-  in
-  Cmd.v
-    (Cmd.info "tpcc"
-       ~doc:
-         "Open-loop five-transaction TPC-C with home-warehouse log \
-          sharding: tpmC and latency percentiles")
-    Term.(const run_tpcc $ warehouses $ partitions $ rate $ txns $ json)
-
-(* -- costs -------------------------------------------------------------- *)
-
-(* Per-update cost, with the raw counters reduced to derived per-op rates
-   (NVM line writes per update, fences per update) — the quantities the
-   paper's cost model and the InCLL comparison are stated in.  The WAL
-   rows measure repeated writes inside one open transaction; the InCLL
-   row runs the protocol at its natural cadence (one-write transactions,
-   an epoch advance every 64), since its whole cost lives in the advance. *)
-let run_costs () =
-  let n = 1000 in
-  Fmt.pr "per-update simulated cost of one logged word write (ns):@.@.";
-  List.iter
-    (fun (name, _, mk) ->
-      let cfg = mk () in
-      let arena = Arena.create ~size_bytes:(64 lsl 20) () in
-      let alloc = Alloc.create arena in
-      let tm = Rewind.Tm.create ~cfg alloc ~root_slot:2 in
-      let cell = Rewind.Tm.alloc_cell tm in
-      let elapsed, d =
-        if cfg.Rewind.Tm.incll then begin
-          let s = Clock.start () in
-          let (), d =
-            Stats.scoped (Arena.stats arena) (fun () ->
-                for i = 1 to n do
-                  let txn = Rewind.Tm.begin_txn tm in
-                  Rewind.Tm.write tm txn ~addr:cell ~value:(Int64.of_int i);
-                  Rewind.Tm.commit tm txn;
-                  if i mod 64 = 0 then Rewind.Tm.advance_epoch tm
-                done)
-          in
-          (Clock.elapsed s, d)
-        end
-        else begin
-          let txn = Rewind.Tm.begin_txn tm in
-          Rewind.Tm.write tm txn ~addr:cell ~value:1L;
-          let s = Clock.start () in
-          let (), d =
-            Stats.scoped (Arena.stats arena) (fun () ->
-                for i = 1 to n do
-                  Rewind.Tm.write tm txn ~addr:cell ~value:(Int64.of_int i)
-                done)
-          in
-          (Clock.elapsed s, d)
-        end
-      in
-      let per c = float_of_int c /. float_of_int n in
-      let logged = d.Stats.inline_records + d.Stats.full_records in
-      let inline_pct =
-        if logged = 0 then 0.
-        else 100. *. float_of_int d.Stats.inline_records /. float_of_int logged
-      in
-      Fmt.pr
-        "  %-8s %6d ns/update  %5.2f lines/op  %5.2f fences/op  (redundant \
-         flushes %d, fences %d, inline hit %.0f%%)@."
-        name (elapsed / n)
-        (per d.Stats.nvm_writes)
-        (per d.Stats.fences)
-        d.Stats.redundant_flushes d.Stats.redundant_fences inline_pct)
-    Rewind.named_configs;
-  Fmt.pr "@.non-recoverable NVM store: %d ns; DRAM store: %d ns@."
-    (Config.default ()).Config.nvm_write_ns
-    (Config.default ()).Config.dram_write_ns
-
-let costs_cmd =
-  Cmd.v
-    (Cmd.info "costs" ~doc:"Per-update cost of each REWIND configuration")
-    Term.(const run_costs $ const ())
 
 (* -- check -------------------------------------------------------------- *)
 
@@ -343,7 +260,6 @@ let run_races protocols ~partitions ~threads =
   else Fmt.pr "@.no races detected@."
 
 let run_check config_filter enumerate partitions races threads =
-  let partitions = max 1 partitions in
   let protocols =
     List.filter
       (fun (p : Crash_scenarios.protocol) ->
@@ -376,7 +292,8 @@ let check_cmd =
   in
   let partitions =
     Arg.(
-      value & opt int 1
+      value
+      & opt (count ~min:1) 1
       & info [ "partitions" ] ~docv:"N"
           ~doc:"Shard each checked configuration's log into N partitions.")
   in
@@ -391,7 +308,8 @@ let check_cmd =
   in
   let threads =
     Arg.(
-      value & opt int 4
+      value
+      & opt (count ~min:1) 4
       & info [ "threads" ] ~docv:"T"
           ~doc:"Concurrent writer fibers for the race-detector workloads.")
   in
@@ -401,105 +319,6 @@ let check_cmd =
          "Run the persistency sanitizer (or, with --races, the \
           happens-before race detector) over each configuration")
     Term.(const run_check $ cfg $ enumerate $ partitions $ races $ threads)
-
-(* -- profile ------------------------------------------------------------- *)
-
-module Rbench = Rewind_benchlib.Recovery_bench
-
-(* Crash-and-reattach profiling across the six configurations and two
-   four-partition ones: per-phase recovery timings with NVM attribution,
-   plus a sanitizer pass over each recovery.  Emits a human table and, on request, BENCH_recovery.json and
-   a Prometheus-style text file.  Exits nonzero if any recovery raised
-   persistency violations — CI runs this on every push. *)
-let run_profile ops json prom =
-  let sizes = [ ops / 4; ops ] in
-  let intervals = [ 0; 50; 200 ] in
-  Fmt.pr
-    "recovery profile — per-phase simulated time and NVM attribution@.@.";
-  let rows = Rbench.run ~sizes ~intervals () in
-  Fmt.pr "%a" Bench_row.pp_table rows;
-  Bench_row.write_rows ?json ?prom rows;
-  let violations = Bench_row.total "sanitizer_violations" rows in
-  if violations > 0. then begin
-    Fmt.epr "@.%.0f persistency violation(s) during recovery@." violations;
-    Stdlib.exit 1
-  end
-  else Fmt.pr "@.no persistency violations during recovery@."
-
-let profile_cmd =
-  let ops =
-    Arg.(
-      value & opt int 8_000
-      & info [ "ops" ] ~docv:"N"
-          ~doc:"Logged updates before the crash (a quarter-size point is \
-                also run).")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Write machine-readable results (BENCH_recovery.json).")
-  in
-  let prom =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "prom" ] ~docv:"PATH"
-          ~doc:"Write Prometheus text-exposition metrics.")
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:"Profile crash recovery per phase across all configurations")
-    Term.(const run_profile $ ops $ json $ prom)
-
-(* -- scaling -------------------------------------------------------------- *)
-
-(* Partition-scaling bench: throughput at a fixed thread count over
-   1..N log partitions.  Emits BENCH_scaling.json for the CI gate and
-   fails if the largest partition count does not reach --min-speedup over
-   the single-partition latch. *)
-let run_scaling threads txns json min_speedup =
-  let rows = Scaling_bench.run ~threads ~txns_per_thread:txns () in
-  Fmt.pr "partitioned-log scaling — %d simulated threads@.@.%a" threads
-    Bench_row.pp_table rows;
-  let speedup = Scaling_bench.speedup rows in
-  Fmt.pr "@.speedup (most vs fewest partitions): %.2fx@." speedup;
-  Bench_row.write_rows ?json rows;
-  if speedup < min_speedup then begin
-    Fmt.epr "@.speedup %.2fx below the required %.2fx@." speedup min_speedup;
-    Stdlib.exit 1
-  end
-
-let scaling_cmd =
-  let threads =
-    Arg.(
-      value & opt int 8
-      & info [ "threads" ] ~docv:"N" ~doc:"Simulated writer threads.")
-  in
-  let txns =
-    Arg.(
-      value & opt int 400
-      & info [ "txns" ] ~docv:"N" ~doc:"Transactions per thread.")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Write machine-readable results (BENCH_scaling.json).")
-  in
-  let min_speedup =
-    Arg.(
-      value & opt float 0.
-      & info [ "min-speedup" ] ~docv:"X"
-          ~doc:"Fail unless max-partitions throughput is at least X times \
-                the single-partition throughput.")
-  in
-  Cmd.v
-    (Cmd.info "scaling"
-       ~doc:"Throughput of the partitioned log under concurrent writers")
-    Term.(const run_scaling $ threads $ txns $ json $ min_speedup)
 
 (* -- benchdiff ------------------------------------------------------------ *)
 
@@ -625,30 +444,27 @@ let run_2pc_demo nodes txns drop =
       Fmt.epr "recovery: INCONSISTENT — %s@." detail;
       Stdlib.exit 1
 
-let run_2pc nodes txns drop enumerate json =
-  (match json with
-  | None -> ()
-  | Some _ ->
-      let rows = Tbench.run ~txns:(max txns 200) () in
-      Fmt.pr "%a" Bench_row.pp_table rows;
-      Bench_row.write_rows ?json rows);
+let run_2pc nodes txns drop enumerate =
   if enumerate then run_2pc_enumerate nodes (min txns 8)
-  else if json = None then run_2pc_demo nodes txns drop
+  else run_2pc_demo nodes txns drop
 
 let twopc_cmd =
   let nodes =
     Arg.(
-      value & opt int 3
+      value
+      & opt (count ~min:1) 3
       & info [ "nodes" ] ~docv:"N" ~doc:"Participant nodes (each its own NVM arena).")
   in
   let txns =
     Arg.(
-      value & opt int 8
+      value
+      & opt (count ~min:1) 8
       & info [ "txns" ] ~docv:"N" ~doc:"Distributed transactions to run.")
   in
   let drop =
     Arg.(
-      value & opt int 6
+      value
+      & opt (count ~min:0) 6
       & info [ "drop" ] ~docv:"N"
           ~doc:"Drop roughly one simulated message in N (0 = lossless).")
   in
@@ -661,18 +477,12 @@ let twopc_cmd =
                 every in-doubt transaction consistently; exit nonzero \
                 otherwise.")
   in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"PATH"
-          ~doc:"Run the distributed-commit benchmark and write BENCH_2pc.json.")
-  in
+
   Cmd.v
     (Cmd.info "2pc"
-       ~doc:"Two-phase commit across independent REWIND nodes: demo, \
-             crash-everywhere enumeration, benchmark")
-    Term.(const run_2pc $ nodes $ txns $ drop $ enumerate $ json)
+       ~doc:"Two-phase commit across independent REWIND nodes: demo and \
+             crash-everywhere enumeration")
+    Term.(const run_2pc $ nodes $ txns $ drop $ enumerate)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in
@@ -681,5 +491,4 @@ let () =
        (Cmd.group ~default
           (Cmd.info "rewind" ~version:"1.0.0"
              ~doc:"REWIND: recovery write-ahead system for in-memory non-volatile data structures")
-          [ figure_cmd; crash_demo_cmd; tpcc_cmd; costs_cmd; check_cmd;
-            profile_cmd; scaling_cmd; benchdiff_cmd; twopc_cmd ]))
+          [ bench_cmd; crash_demo_cmd; check_cmd; benchdiff_cmd; twopc_cmd ]))

@@ -9,29 +9,21 @@
    slot-line write-back.  Recovery is measured by crashing with one
    transaction in flight and timing [Tm.attach] over the populated log.
 
-   CI writes the rows to BENCH_append.json (`bench/main.exe --quick
-   --json BENCH_append.json append`) to gate and archive them. *)
+   CI writes the rows to BENCH_append.json (`rewind bench --quick --json
+   BENCH_append.json append`) to gate and archive them. *)
 
 open Rewind_nvm
 
-(* [None] = the WAL-free InCLL config; [Some inline] = a WAL variant with
-   the inline fast path forced on or off. *)
+(* Rows are named by the configuration's CLI name; a [-full] row is the
+   same configuration with the inline fast path forced off.  InCLL keeps
+   no log, so it has no [-full] row. *)
 let scenarios =
-  [
-    ( "optimized-inline",
-      { Rewind.Tm.default_config with variant = Rewind.Log.Optimized },
-      Some true );
-    ( "optimized-full",
-      { Rewind.Tm.default_config with variant = Rewind.Log.Optimized },
-      Some false );
-    ( "batch8-inline",
-      { Rewind.Tm.default_config with variant = Rewind.Log.Batch 8 },
-      Some true );
-    ( "batch8-full",
-      { Rewind.Tm.default_config with variant = Rewind.Log.Batch 8 },
-      Some false );
-    ("incll", Rewind.config_incll, None);
-  ]
+  List.concat_map
+    (fun name ->
+      let cfg = Option.get (Rewind.config_of_name name) in
+      if cfg.Rewind.Tm.incll then [ (name, cfg, true) ]
+      else [ (name, cfg, true); (name ^ "-full", cfg, false) ])
+    [ "1l-nfp"; "batch"; "incll" ]
 
 (* InCLL epoch cadence: one advance per full pass over the 64 cells, so
    each cell is captured exactly once per epoch — the protocol's designed
@@ -43,9 +35,7 @@ let run_one ~n_ops (name, cfg, inline) =
   let arena = Arena.create ~size_bytes:(64 lsl 20) () in
   let alloc = Alloc.create arena in
   let tm = Rewind.Tm.create ~cfg alloc ~root_slot:2 in
-  (match inline with
-  | Some flag -> Rewind.Log.set_inline (Rewind.Tm.log tm) flag
-  | None -> ());
+  if not inline then Rewind.Log.set_inline (Rewind.Tm.log tm) false;
   let cells = Array.init 64 (fun _ -> Rewind.Tm.alloc_cell tm) in
   let txn_len = 8 in
   let before = Stats.snapshot (Arena.stats arena) in

@@ -1,9 +1,10 @@
 (* One runner per table/figure of the paper's evaluation (Section 5), plus
-   the ablation benches DESIGN.md calls out.  Every runner returns
-   {!Bench_row} rows in the paper's axes: one row per x point, the x value
-   a label named after the axis, and each series an [Info] metric named
-   after it.  Parameters are scaled down from the paper's (documented per
-   figure and in EXPERIMENTS.md). *)
+   the ablation benches DESIGN.md calls out, and {!table}: every bench
+   `rewind bench` runs, these and the gated ones.  Every figure runner
+   returns {!Bench_row} rows in the paper's axes: one row per x point, the
+   x value a label named after the axis, and each series an [Info] metric
+   named after it.  Parameters are scaled down from the paper's
+   (documented per figure and in EXPERIMENTS.md). *)
 
 open Rewind_nvm
 open Rewind
@@ -487,23 +488,111 @@ let ablation_policy ?(n_txns = 2_000) () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* The figure table                                                     *)
+(* Per-update cost of each named configuration                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Every figure `rewind figure` and bench/main.exe run, by name, with the
-   title and y unit its header prints and the parameters EXPERIMENTS.md
-   was generated with; [quick] picks the CI-sized ones. *)
+(* The raw counters reduced to per-update rates (NVM line writes and
+   fences per update), the quantities the paper's cost model and the
+   InCLL comparison are stated in.  The WAL rows time repeated writes
+   inside one open transaction; the InCLL row runs the protocol at its
+   natural cadence (one-write transactions, an epoch advance every 64),
+   since its whole cost lives in the advance. *)
+let costs ?(n = 1000) () =
+  List.map
+    (fun (name, _, mk) ->
+      let cfg = mk () in
+      let arena, _, tm = logged ~mb:64 cfg in
+      let cell = Tm.alloc_cell tm in
+      let measure f =
+        let s = Clock.start () in
+        let (), d = Stats.scoped (Arena.stats arena) f in
+        (Clock.elapsed s, d)
+      in
+      let elapsed, d =
+        if cfg.Tm.incll then
+          measure (fun () ->
+              for i = 1 to n do
+                let txn = Tm.begin_txn tm in
+                Tm.write tm txn ~addr:cell ~value:(Int64.of_int i);
+                Tm.commit tm txn;
+                if i mod 64 = 0 then Tm.advance_epoch tm
+              done)
+        else begin
+          let txn = Tm.begin_txn tm in
+          Tm.write tm txn ~addr:cell ~value:1L;
+          measure (fun () ->
+              for i = 1 to n do
+                Tm.write tm txn ~addr:cell ~value:(Int64.of_int i)
+              done)
+        end
+      in
+      let per c = float_of_int c /. float_of_int n in
+      let records = d.Stats.inline_records + d.Stats.full_records in
+      {
+        Bench_row.bench = "costs";
+        labels = [ ("config", name) ];
+        metrics =
+          Bench_row.
+            [
+              info "sim_ns_per_update" (per elapsed);
+              info "nvm_line_writes_per_op" (per d.Stats.nvm_writes);
+              info "fences_per_op" (per d.Stats.fences);
+              info_int "redundant_flushes" d.Stats.redundant_flushes;
+              info_int "redundant_fences" d.Stats.redundant_fences;
+              info "inline_hit"
+                (if records = 0 then 0.
+                 else
+                   float_of_int d.Stats.inline_records /. float_of_int records);
+            ];
+      })
+    Rewind.named_configs
+
+(* ------------------------------------------------------------------ *)
+(* The bench table                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* What a run shows beyond its rows: [Error why] fails `rewind bench`
+   once every row is written. *)
+type verdict = (unit, string) result
+
+(* Every recovery ran clean under the persistency sanitizer. *)
+let no_violations rows =
+  match Bench_row.total "sanitizer_violations" rows with
+  | 0. -> Ok ()
+  | v -> Error (Fmt.str "%.0f persistency violation(s) during recovery" v)
+
+(* The partition-scaling headline: 8 log partitions give at least this
+   throughput over the single latch, at 8 writer threads. *)
+let min_speedup = 2.0
+
+let scales rows =
+  let s = Scaling_bench.speedup rows in
+  if s >= min_speedup then Ok ()
+  else
+    Error
+      (Fmt.str
+         "speedup (most vs fewest partitions) %.2fx below the required %.2fx" s
+         min_speedup)
+
+(* Every bench `rewind bench` runs, by name, with the title and y unit
+   its header prints and the parameters EXPERIMENTS.md was generated
+   with; [quick] picks the CI-sized ones, which CI gates. *)
 type entry = {
   name : string;
   title : string;
   unit : string;
-  run : quick:bool -> Bench_row.t list;
+  run : quick:bool -> Bench_row.t list * verdict;
 }
 
 let table =
-  let e name title unit run = { name; title; unit; run } in
+  let checked name title unit run = { name; title; unit; run } in
+  let e name title unit run =
+    checked name title unit (fun ~quick -> (run ~quick, Ok ()))
+  in
   let sz quick full small = if quick then small else full in
   let response = "response time (s)" and dur = "duration (s)" in
+  let own = "in each metric's name" in
+  let store = Config.default () in
   [
     e "fig3-left" "Logging overhead vs update intensity"
       "slowdown vs non-recoverable" (fun ~quick ->
@@ -543,25 +632,58 @@ let table =
     e "fig11" "TPC-C new-order throughput"
       "thousand transactions per simulated minute" (fun ~quick ->
         fig11 ~txns_per_terminal:(sz quick 300 60) ());
-    e "scaling" "Partitioned-log write scaling" "in each metric's name"
-      (fun ~quick ->
-        Scaling_bench.run ~txns_per_thread:(sz quick 400 100) ());
+    checked "scaling" "Partitioned-log write scaling, 8 writer threads" own
+      (fun ~quick:_ ->
+        let rows = Scaling_bench.run () in
+        (rows, scales rows));
     e "ablation-bucket" "Optimized-log bucket size" "ns/record" (fun ~quick:_ ->
         ablation_bucket_size ());
     e "ablation-group" "Batch group size vs fence cost" "ns/record"
       (fun ~quick:_ -> ablation_group ());
     e "ablation-policy" "Force + commit clearing vs no-force + checkpoints"
       "ns/txn" (fun ~quick -> ablation_policy ~n_txns:(sz quick 2_000 500) ());
-    e "append" "inline vs full-record log appends" "in each metric's name"
-      (fun ~quick -> Append_bench.run ~n_ops:(sz quick 20_000 4_000) ());
+    e "append" "inline vs full-record log appends" own (fun ~quick ->
+        Append_bench.run ~n_ops:(sz quick 20_000 4_000) ());
+    checked "recovery"
+      "Recovery profile: per-phase simulated time and NVM attribution" own
+      (fun ~quick ->
+        let ops = sz quick 8_000 4_000 in
+        let rows =
+          Recovery_bench.run ~sizes:[ ops / 4; ops ] ~intervals:[ 0; 50; 200 ]
+            ()
+        in
+        (rows, no_violations rows));
+    checked "tpcc" "Open-loop TPC-C mix: 2 000 arrivals at 10 000 txn/s" own
+      (fun ~quick ->
+        let points = (if quick then [] else [ (1, 1); (4, 1) ]) @ [ (4, 4) ] in
+        let runs =
+          List.map
+            (fun (warehouses, partitions) ->
+              Tpcc_bench.run ~warehouses ~partitions ())
+            points
+        in
+        ( List.concat_map fst runs,
+          if List.for_all snd runs then Ok ()
+          else Error "the consistency probes failed after the run" ));
+    e "2pc" "Two-phase commit across independent REWIND nodes" own
+      (fun ~quick:_ -> Twopc_bench.run ());
+    e "costs"
+      (Fmt.str
+         "Per-update cost of one logged word write (non-recoverable NVM \
+          store: %d ns; DRAM store: %d ns)"
+         store.Config.nvm_write_ns store.Config.dram_write_ns)
+      own (fun ~quick:_ -> costs ());
+    e "micro" "Bechamel wall-clock micro-benchmarks" "wall ns/op"
+      (fun ~quick:_ -> Micro.run ());
   ]
 
-let names = List.map (fun e -> e.name) table
-let find name = List.find_opt (fun e -> e.name = name) table
-
-(* Print [e]'s header and its rows as a table, and return the rows. *)
+(* Print [e]'s header, run it and print its rows as a table; return the
+   rows and the verdict. *)
 let run ~quick e =
   Fmt.pr "@.== %s: %s ==@.# y = %s@." e.name e.title e.unit;
-  let rows = e.run ~quick in
+  let t0 = Unix.gettimeofday () in
+  let ((rows, _) as result) = e.run ~quick in
   Bench_row.pp_table Fmt.stdout rows;
-  rows
+  Fmt.pr "# %s completed in %.1fs wall@." e.name (Unix.gettimeofday () -. t0);
+  Gc.compact ();
+  result

@@ -154,12 +154,9 @@ let run_one ~ops ~checkpoint_every (name, cfg) =
   in
   (totals, phases @ checkpoint_rows hot ~labels)
 
-let default_sizes = [ 2_000; 8_000 ]
-let default_intervals = [ 0; 100 ]
-
 (* Every point's totals row, then every point's phase and checkpoint
    rows. *)
-let run ?(sizes = default_sizes) ?(intervals = default_intervals) () =
+let run ~sizes ~intervals () =
   let points =
     List.concat_map
       (fun cfg ->

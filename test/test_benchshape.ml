@@ -337,15 +337,58 @@ let test_rows_round_trip () =
     @ Scaling_bench.run ~threads:2 ~partitions:[ 1; 2 ] ~txns_per_thread:4 ()
     @ fst (Tpcc_bench.run ~warehouses:1 ~partitions:1 ~arrivals:20 ~arena_mb:64 ())
     @ Twopc_bench.run ~txns:4 ()
+    @ Figures.costs ~n:16 ()
     @ List.concat_map Lazy.force figures
   in
   List.iter
     (fun bench ->
       check_bool (bench ^ " rows present") true
         (List.exists (fun r -> r.Bench_row.bench = bench) rows))
-    [ "append"; "recovery"; "scaling"; "tpcc"; "2pc" ];
+    [ "append"; "recovery"; "scaling"; "tpcc"; "2pc"; "costs" ];
   check_bool "of_json (to_json rows) = rows" true
     (Bench_row.of_json (Bench_row.to_json rows) = Ok rows)
+
+(* `rewind bench` runs one table: each name once, the gated benches and
+   the former subcommands among them.  Each row-based verdict fails a
+   failing row set and passes a passing one. *)
+let test_bench_table () =
+  let names = List.map (fun (e : Figures.entry) -> e.name) Figures.table in
+  check_int "names are unique"
+    (List.length names)
+    (List.length (List.sort_uniq compare names));
+  List.iter
+    (fun n -> check_bool (n ^ " is an entry") true (List.mem n names))
+    [ "append"; "recovery"; "scaling"; "tpcc"; "2pc"; "costs"; "micro" ];
+  let row bench labels metrics = { Bench_row.bench; labels; metrics } in
+  let recovery violations =
+    [
+      row "recovery"
+        [ ("config", "batch"); ("ops", "10") ]
+        [ Bench_row.lower_int "sanitizer_violations" violations ];
+    ]
+  in
+  (* the 1- and 8-partition rows at 8 threads, then a series the
+     speedup ignores *)
+  let scaling one eight =
+    List.map
+      (fun (series, p, tput) ->
+        row "scaling"
+          [
+            ("series", series); ("threads", "8");
+            ("partitions", string_of_int p);
+          ]
+          [ Bench_row.higher "throughput_ops_per_s" tput ])
+      [ ("scaling", 1, one); ("scaling", 8, eight); ("scaling-lfset", 1, 1.) ]
+  in
+  let passes = function Ok () -> true | Error _ -> false in
+  check_bool "a sanitizer violation fails recovery" false
+    (passes (Figures.no_violations (recovery 1)));
+  check_bool "a clean recovery passes" true
+    (passes (Figures.no_violations (recovery 0)));
+  check_bool "a 1.5x speedup fails scaling" false
+    (passes (Figures.scales (scaling 100. 150.)));
+  check_bool "a 2x speedup passes scaling" true
+    (passes (Figures.scales (scaling 100. 200.)))
 
 (* Small values keep four significant digits, so 0.00104 and 0.00096
    no longer both print as 0.0010; larger ones print as before. *)
@@ -386,6 +429,7 @@ let () =
             test_benchdiff_direction_from_file;
           tc "every bench's rows round-trip" `Quick test_rows_round_trip;
           tc "table cells keep 4 significant digits" `Quick test_table_cells;
+          tc "bench table" `Quick test_bench_table;
         ] );
       ( "figures",
         [
