@@ -27,12 +27,6 @@ let run ~base_seed ~seeds ~config ~crash ~evict_ppm ~survive_ppm ~quiet =
       Fmt.pr "%a: %a@." F.pp_trial t F.pp_verdict v;
       (match v with F.Pass -> 0 | F.Fail _ -> 1)
   | None ->
-      (match config with
-      | Some c when not (List.mem c F.config_names) ->
-          Fmt.epr "unknown config %S (have: %s)@." c
-            (String.concat ", " F.config_names);
-          exit 2
-      | _ -> ());
       let sched = F.schedule ~config_filter:config ~base_seed ~seeds () in
       if not quiet then
         Fmt.pr "campaign: seed %d, %d trials, schedule digest %08x@." base_seed
@@ -55,34 +49,35 @@ let () =
   in
   let seeds =
     Arg.(
-      value & opt int 200
+      value & opt (Cli_arg.count ~min:1) 200
       & info [ "seeds" ] ~docv:"N"
           ~doc:"Trials per log configuration (campaign mode).")
   in
   let config =
+    let names = List.map (fun n -> (n, n)) F.config_names in
     Arg.(
-      value & opt (some string) None
+      value & opt (some (enum names)) None
       & info [ "config" ] ~docv:"NAME"
-          ~doc:"Restrict to one log configuration (1l-nfp, 1l-fp, 2l-nfp, \
-                2l-fp, simple, batch).")
+          ~doc:("Restrict to one log configuration: " ^ doc_alts_enum names))
   in
   let crash =
     Arg.(
-      value & opt (some int) None
+      value & opt (some (Cli_arg.count ~min:0)) None
       & info [ "crash" ] ~docv:"K"
           ~doc:
             "Single-trial mode: crash after the K-th persistence event and \
              check recovery.")
   in
+  let ppm = Cli_arg.bounded ~min:0 ~max:Rewind_nvm.Fault_model.ppm_max in
   let evict_ppm =
     Arg.(
-      value & opt int 0
+      value & opt ppm 0
       & info [ "evict-ppm" ] ~docv:"P"
           ~doc:"Single-trial mode: spontaneous-eviction probability (ppm).")
   in
   let survive_ppm =
     Arg.(
-      value & opt int 500_000
+      value & opt ppm 500_000
       & info [ "survive-ppm" ] ~docv:"P"
           ~doc:"Single-trial mode: per-line crash-survival probability (ppm).")
   in

@@ -63,16 +63,6 @@ let config_conv =
   Arg.conv
     (config_of_string, fun ppf c -> Rewind.Tm.pp_config ppf c)
 
-(* A count option: an integer of at least [min], else a usage error. *)
-let count ~min =
-  let parse s =
-    match int_of_string_opt s with
-    | Some n when n >= min -> Ok n
-    | Some _ -> Error (`Msg (Fmt.str "%s is below the minimum of %d" s min))
-    | None -> Error (`Msg (Fmt.str "%S is not an integer" s))
-  in
-  Arg.conv (parse, Fmt.int)
-
 (* -- bench --------------------------------------------------------------- *)
 
 (* Every named entry of the bench table (all of them without a name), in
@@ -178,7 +168,7 @@ let crash_demo_cmd =
   let after =
     Arg.(
       value
-      & opt (count ~min:0) 5_000
+      & opt (Cli_arg.count ~min:0) 5_000
       & info [ "crash-after" ] ~docv:"N"
           ~doc:
             "Crash after N persistence events (taken modulo the workload's \
@@ -293,7 +283,7 @@ let check_cmd =
   let partitions =
     Arg.(
       value
-      & opt (count ~min:1) 1
+      & opt (Cli_arg.count ~min:1) 1
       & info [ "partitions" ] ~docv:"N"
           ~doc:"Shard each checked configuration's log into N partitions.")
   in
@@ -309,7 +299,7 @@ let check_cmd =
   let threads =
     Arg.(
       value
-      & opt (count ~min:1) 4
+      & opt (Cli_arg.count ~min:1) 4
       & info [ "threads" ] ~docv:"T"
           ~doc:"Concurrent writer fibers for the race-detector workloads.")
   in
@@ -452,19 +442,19 @@ let twopc_cmd =
   let nodes =
     Arg.(
       value
-      & opt (count ~min:1) 3
+      & opt (Cli_arg.count ~min:1) 3
       & info [ "nodes" ] ~docv:"N" ~doc:"Participant nodes (each its own NVM arena).")
   in
   let txns =
     Arg.(
       value
-      & opt (count ~min:1) 8
+      & opt (Cli_arg.count ~min:1) 8
       & info [ "txns" ] ~docv:"N" ~doc:"Distributed transactions to run.")
   in
   let drop =
     Arg.(
       value
-      & opt (count ~min:0) 6
+      & opt (Cli_arg.count ~min:0) 6
       & info [ "drop" ] ~docv:"N"
           ~doc:"Drop roughly one simulated message in N (0 = lossless).")
   in

@@ -62,7 +62,6 @@ val races : t -> race list
 val events_seen : t -> int
 
 val pp_kind : kind Fmt.t
-val pp_access : access Fmt.t
 val pp_race : race Fmt.t
 
 type report = { events : int; data_races : int; persist_races : int }

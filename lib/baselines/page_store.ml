@@ -52,15 +52,6 @@ let write_word t id off v =
   Bytes.set_int64_le p.data off v;
   p.dirty <- true
 
-(* Flush one dirty page, WAL-first. *)
-let flush_page t id =
-  match Hashtbl.find_opt t.cache id with
-  | Some p when p.dirty ->
-      t.wal_force ();
-      Block_dev.write t.dev id p.data;
-      p.dirty <- false
-  | Some _ | None -> ()
-
 let flush_all t =
   t.wal_force ();
   Hashtbl.iter
@@ -71,12 +62,8 @@ let flush_all t =
       end)
     t.cache
 
-let dirty_pages t =
-  Hashtbl.fold (fun _ p n -> if p.dirty then n + 1 else n) t.cache 0
-
 (* A crash empties the buffer pool. *)
 let crash t = Hashtbl.reset t.cache
 
 let device t = t.dev
-let next_page t = t.next_page
 let set_next_page t n = t.next_page <- n

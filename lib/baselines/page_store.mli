@@ -17,10 +17,7 @@ val page_size : t -> int
 val alloc_page : t -> int
 val read_word : t -> int -> int -> int64
 val write_word : t -> int -> int -> int64 -> unit
-val flush_page : t -> int -> unit
 val flush_all : t -> unit
-val dirty_pages : t -> int
 val crash : t -> unit
 val device : t -> Rewind_nvm.Block_dev.t
-val next_page : t -> int
 val set_next_page : t -> int -> unit

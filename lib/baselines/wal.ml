@@ -44,8 +44,6 @@ let append t (payload : string) =
   if t.record_pad > 0 then Buffer.add_string t.buffer (String.make t.record_pad '\000');
   lsn
 
-let buffered_bytes t = Buffer.length t.buffer
-
 (* Force the buffer to the device: every block the tail touches is written
    (the last one partially). *)
 let force t =
@@ -126,5 +124,4 @@ let truncate t =
   t.forced_bytes <- 0;
   Buffer.clear t.buffer
 
-let forced_bytes t = t.forced_bytes
 let device t = t.dev

@@ -15,8 +15,6 @@ val append : t -> string -> int
 (** Buffer one serialised record; returns its LSN.  Volatile until
     {!force}. *)
 
-val buffered_bytes : t -> int
-
 val force : t -> unit
 (** Write every block the buffered tail touches, then sync. *)
 
@@ -26,5 +24,4 @@ val iter_durable : t -> (string -> unit) -> unit
     the device-resident rollback of Stasis/BerkeleyDB). *)
 
 val truncate : t -> unit
-val forced_bytes : t -> int
 val device : t -> Rewind_nvm.Block_dev.t

@@ -75,8 +75,9 @@ let charge_visit t = Clock.advance (Arena.config t.arena).Config.read_miss_ns
 (* Internal records (txn 0, lsn 0, no chains) are prime inline-encoding
    candidates: node fields — heights, statuses, small pointers — usually
    fit the compact format, so most tree maintenance costs no record
-   allocation.  [Log.append_record] falls back to a full record when an
-   image exceeds the 36-bit internal payload. *)
+   allocation.  [Log.append_record] hands the fields to [Log.form], the
+   one form decision, which falls back to a full record when an image
+   exceeds the 36-bit internal payload. *)
 let logged_write t addr v =
   let old_v = Arena.read t.arena addr in
   if old_v <> Int64.of_int v then begin

@@ -35,7 +35,6 @@ val insert_in_op : t -> int -> int
     insertion and payload updates commit together. *)
 
 val remove : t -> int -> bool
-val remove_in_op : t -> int -> bool
 
 val clear : t -> unit
 (** Wholesale clearing: one logged root swing empties the tree durably;

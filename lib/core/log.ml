@@ -134,7 +134,6 @@ let bucket_bytes t =
 let variant t = t.variant
 let arena t = t.arena
 let set_group_tag t g = t.group_tag <- g
-let group_tag t = t.group_tag
 
 let rd t off = Int64.to_int (Arena.read t.arena off)
 let wr_nt t off v = Arena.nt_write t.arena off (Int64.of_int v)
@@ -286,11 +285,12 @@ let append_slot t r ~lsn ~force_persist =
          persistence point. *)
       Arena.write t.arena (slot_off b i) (Int64.of_int r);
       t.pending <- t.pending + 1;
-      if force_persist || t.pending >= group then flush_group t)
+      if force_persist || t.pending >= group then flush_group t);
+  (b, i)
 
 (* Store a compact record — an END word ([width] 1, [w1] unused) or an
    inline pair ([width] 2) — into the next slots (raw words, no counters —
-   shared by [append_inline] and compaction's re-append).  A pair never
+   shared by [put] and compaction's re-append).  A pair never
    straddles a bucket boundary: with one slot left we roll to a new
    bucket and the orphan slot is never written.  An Optimized bucket is
    fresh, so the slot stays durably zero, which every scan skips; a
@@ -333,90 +333,97 @@ let put_compact t ~width w0 w1 ~lsn ~force_persist =
    way after every tree operation). *)
 type handle = Node of int | Slot of { node : int; bucket : int; slot : int }
 
-let append_inline ?(is_end = false) ?(lsn = unknown_lsn) t ~txn ~width w0 w1 =
+(* A record in the form the log stores it: the words of a compact record
+   ([width] 1 for an END word, 2 for a pair) or a full record's address.
+   [lsn] is the bucket maximum its append notes ({!unknown_lsn} for none);
+   [txn] names a compact END's commit point. *)
+type record =
+  | Compact of { width : int; w0 : int; w1 : int; txn : int; lsn : int }
+  | Full of { r : int; lsn : int }
+
+let full ?(lsn = unknown_lsn) r = Full { r; lsn }
+
+(* The one form decision, made outside any latch: an END word when the
+   record is a payload-free END whose fields fit it, else an inline pair
+   when it fits the compact format, else an off-line 64-byte record.
+   Only bucketed logs whose buckets hold a pair take the compact forms.
+   The choice is invisible to readers — all come back as record refs
+   that the {!Record} accessors decode.  The AAVLT's internal records
+   (txn 0) carry no LSN, so they leave their bucket's maximum unknown. *)
+let form t ~lsn ~txn ~typ ~addr ~old_value ~new_value ~undo_next =
+  let max_lsn = if txn = 0 then unknown_lsn else lsn in
+  let compact = t.inline_ok && t.bucket_cap >= 2 && bucketed t in
+  match
+    if compact then
+      Record.word_encode ~lsn ~txn ~typ ~addr ~old_value ~new_value ~undo_next
+    else None
+  with
+  | Some w -> Compact { width = 1; w0 = w; w1 = 0; txn; lsn = max_lsn }
+  | None -> (
+      match
+        if compact then
+          Record.inline_encode ~lsn ~txn ~typ ~addr ~old_value ~new_value
+            ~undo_next
+        else None
+      with
+      | Some (w0, w1) -> Compact { width = 2; w0; w1; txn; lsn = max_lsn }
+      | None ->
+          let r =
+            Record.make t.alloc ~lsn ~txn ~typ ~addr ~old_value ~new_value
+              ~undo_next ~prev_same_txn:0
+          in
+          Full { r; lsn = max_lsn })
+
+(* Store a formed record, under the caller's latch.  [is_end] marks an
+   END record, which forces the pending batch group and is its
+   transaction's commit point: the record and the word that makes it
+   reachable must be durable when commit returns.  (Txn 0 is the AAVLT's
+   internal logging — its records are cleared within the enclosing
+   atomic op, not at a transaction boundary.) *)
+let put ?(is_end = false) t record =
   t.appended <- t.appended + 1;
-  t.inline_appended <- t.inline_appended + 1;
   let s = Arena.stats t.arena in
-  s.Stats.inline_records <- s.Stats.inline_records + 1;
-  let b, i = put_compact t ~width w0 w1 ~lsn ~force_persist:is_end in
-  if is_end && txn <> 0 && Arena.traced t.arena then
-    Pmcheck.commit_point t.arena ~txn ~addr:(slot_off b i) ~len:(8 * width)
-      ~what:"END inline record";
-  Slot { node = t.cur.node; bucket = b; slot = i }
+  match record with
+  | Compact { width; w0; w1; txn; lsn } ->
+      t.inline_appended <- t.inline_appended + 1;
+      s.Stats.inline_records <- s.Stats.inline_records + 1;
+      let b, i = put_compact t ~width w0 w1 ~lsn ~force_persist:is_end in
+      if is_end && txn <> 0 && Arena.traced t.arena then
+        Pmcheck.commit_point t.arena ~txn ~addr:(slot_off b i)
+          ~len:(8 * width) ~what:"END inline record";
+      Slot { node = t.cur.node; bucket = b; slot = i }
+  | Full { r; lsn } ->
+      s.Stats.full_records <- s.Stats.full_records + 1;
+      let h =
+        match t.variant with
+        | Simple ->
+            (* The record was written back by [Record.make]; fence to order
+               it before the list insertion that makes it reachable. *)
+            Arena.fence t.arena;
+            Node (Adll.append t.chain r)
+        | Optimized | Batch _ ->
+            let b, i = append_slot t r ~lsn ~force_persist:is_end in
+            Slot { node = t.cur.node; bucket = b; slot = i }
+      in
+      (if is_end && Arena.traced t.arena then
+         let txn = Record.txn t.arena r in
+         if txn <> 0 then begin
+           Pmcheck.commit_point t.arena ~txn ~addr:r ~len:Record.size_bytes
+             ~what:"END record";
+           match h with
+           | Node _ -> ()
+           | Slot { bucket; slot; _ } ->
+               Pmcheck.commit_point t.arena ~txn
+                 ~addr:(slot_off bucket slot) ~len:8 ~what:"END slot"
+         end);
+      h
 
-let append_pair ?is_end ?lsn t ~txn w0 w1 =
-  append_inline ?is_end ?lsn t ~txn ~width:2 w0 w1
-
-let append_h ?(is_end = false) ?(lsn = unknown_lsn) t r =
-  t.appended <- t.appended + 1;
-  (let s = Arena.stats t.arena in
-   s.Stats.full_records <- s.Stats.full_records + 1);
-  let h =
-    match t.variant with
-    | Simple ->
-        (* The record was written back by [Record.make]; fence to order it
-           before the list insertion that makes it reachable. *)
-        Arena.fence t.arena;
-        Node (Adll.append t.chain r)
-    | Optimized | Batch _ ->
-        append_slot t r ~lsn ~force_persist:is_end;
-        Slot
-          { node = t.cur.node; bucket = t.cur.bucket; slot = t.next_slot - 1 }
-  in
-  (* An END append is the transaction's commit point: the record and the
-     word that makes it reachable must be durable when commit returns.
-     (Txn 0 is the AAVLT's internal logging — its records are cleared
-     within the enclosing atomic op, not at a transaction boundary.) *)
-  (if is_end && Arena.traced t.arena then
-     let txn = Record.txn t.arena r in
-     if txn <> 0 then begin
-       Pmcheck.commit_point t.arena ~txn ~addr:r ~len:Record.size_bytes
-         ~what:"END record";
-       match h with
-       | Node _ -> ()
-       | Slot { bucket; slot; _ } ->
-           Pmcheck.commit_point t.arena ~txn ~addr:(slot_off bucket slot) ~len:8
-             ~what:"END slot"
-     end);
-  h
-
-let append ?is_end ?lsn t r = ignore (append_h ?is_end ?lsn t r)
-
-(* Inline eligibility is per-log: bucketed variants only, and a bucket
-   must fit at least one pair.  It covers both compact forms. *)
-let inline_eligible t = t.inline_ok && t.bucket_cap >= 2 && bucketed t
+let append_record ?is_end t ~lsn ~txn ~typ ~addr ~old_value ~new_value
+    ~undo_next =
+  put ?is_end t (form t ~lsn ~txn ~typ ~addr ~old_value ~new_value ~undo_next)
 
 let set_inline t b = t.inline_ok <- b
 let inline_appended t = t.inline_appended
-
-(* Append by fields: an END word when the record is a payload-free END
-   whose fields fit it, else an inline pair when it fits the compact
-   format, else an off-line 64-byte record.  The choice is invisible to
-   readers — all come back as record refs that the {!Record} accessors
-   decode.  The AAVLT's internal records (txn 0) carry no LSN, so they
-   leave their bucket's maximum unknown. *)
-let append_record ?(is_end = false) t ~lsn ~txn ~typ ~addr ~old_value
-    ~new_value ~undo_next =
-  let max_lsn = if txn = 0 then unknown_lsn else lsn in
-  let full () =
-    append_h ~is_end ~lsn:max_lsn t
-      (Record.make t.alloc ~lsn ~txn ~typ ~addr ~old_value ~new_value
-         ~undo_next ~prev_same_txn:0)
-  in
-  if not (inline_eligible t) then full ()
-  else
-    match
-      Record.word_encode ~lsn ~txn ~typ ~addr ~old_value ~new_value ~undo_next
-    with
-    | Some w -> append_inline ~is_end ~lsn:max_lsn t ~txn ~width:1 w 0
-    | None -> (
-        match
-          Record.inline_encode ~lsn ~txn ~typ ~addr ~old_value ~new_value
-            ~undo_next
-        with
-        | Some (w0, w1) ->
-            append_inline ~is_end ~lsn:max_lsn t ~txn ~width:2 w0 w1
-        | None -> full ())
 
 let appended t = t.appended
 let torn_truncated t = t.torn
@@ -628,7 +635,7 @@ let remove_end_last t pred =
   remove_where t (fun r -> pred r && Record.typ t.arena r <> Record.End);
   remove_where t (fun r -> pred r && Record.typ t.arena r = Record.End)
 
-(* O(1) removal through a handle returned by [append_h].  The tombstone is
+(* O(1) removal through a handle returned by [put].  The tombstone is
    one atomic word store, exactly like scan-based clearing. *)
 let remove_handle t h =
   match h with
@@ -773,7 +780,8 @@ let compact ?(threshold = 0.5) t =
         List.iter
           (function
             | `Full r ->
-                append_slot t r ~lsn:unknown_lsn ~force_persist:false
+                ignore
+                  (append_slot t r ~lsn:unknown_lsn ~force_persist:false)
             | `Compact (width, w0, w1) ->
                 ignore
                   (put_compact t ~width w0 w1 ~lsn:unknown_lsn

@@ -61,33 +61,51 @@ val set_group_tag : t -> int -> unit
     independently, so its [Group_persisted] events must name the
     partition whose pending coverage upgrades.  Defaults to 0. *)
 
-val group_tag : t -> int
+(** {1 Appending}
 
-(** {1 Appending} *)
+    An append is two steps.  {!form} decides the record's form, outside
+    any latch; {!put} stores it, under the caller's latch.  The form is
+    decided here alone: bucketed variants encode a payload-free END into
+    one tagged slot word ({!Record.word_encode}) and a small UPDATE or
+    CLR into a tagged pair of adjacent slots ({!Record.inline_encode});
+    every other record is a full off-line record.  An Optimized compact
+    append costs one line write-back plus one fence instead of a record
+    write-back, a fence and an ordered slot store; Batch appends stay
+    entirely cached until the group flush.  Readers receive inline refs
+    that the {!Record} accessors decode transparently. *)
 
-val append : ?is_end:bool -> ?lsn:int -> t -> int -> unit
-(** Append a record (by NVM address).  [is_end] marks END records, which
-    force the pending batch group to persist immediately (Section 3.3).
-    [lsn] is the record's LSN as the caller already knows it (the log
-    does not read it back); without it the bucket's maximum LSN becomes
-    unknown. *)
+type record
+(** A record in the form the log stores it. *)
+
+val form :
+  t ->
+  lsn:int ->
+  txn:int ->
+  typ:Record.typ ->
+  addr:int ->
+  old_value:int64 ->
+  new_value:int64 ->
+  undo_next:int ->
+  record
+(** When the inline fast path is on and the variant and bucket size
+    allow it: an END word if the record is a payload-free END whose
+    fields fit it, else an inline pair if the fields fit the pair.
+    Otherwise a full record, made and written back with {!Record.make}.
+    [lsn] is noted as the bucket's maximum at {!put}, except for the
+    AAVLT's internal records ([txn = 0]), which carry none. *)
+
+val full : ?lsn:int -> int -> record
+(** A full record the caller made with {!Record.make} itself, with [lsn]
+    its LSN as the caller already knows it (the log does not read it
+    back); without it the bucket's maximum LSN becomes unknown. *)
 
 (** Handle to an appended record's location, for O(1) removal by the
     owner (the AAVLT clears its own records this way). *)
 type handle = Node of int | Slot of { node : int; bucket : int; slot : int }
 
-val append_h : ?is_end:bool -> ?lsn:int -> t -> int -> handle
-val remove_handle : t -> handle -> unit
-
-(** {2 Inline fast path}
-
-    Bucketed variants encode a payload-free END into one tagged slot word
-    ({!Record.word_encode}) and a small UPDATE or CLR into a tagged pair
-    of adjacent slots ({!Record.inline_encode}): an Optimized append then
-    costs one line write-back plus one fence instead of a record
-    write-back, a fence and an ordered slot store; Batch appends stay
-    entirely cached until the group flush.  Readers receive inline refs
-    that the {!Record} accessors decode transparently. *)
+val put : ?is_end:bool -> t -> record -> handle
+(** Store a formed record.  [is_end] marks END records, which force the
+    pending batch group to persist immediately (Section 3.3). *)
 
 val append_record :
   ?is_end:bool ->
@@ -100,22 +118,10 @@ val append_record :
   new_value:int64 ->
   undo_next:int ->
   handle
-(** Append by fields: when inline encoding is eligible, an END word if
-    the record is a payload-free END whose fields fit it, else an inline
-    pair if the fields fit the pair; otherwise an off-line full record.
-    [lsn] is noted as the bucket's maximum, except for the AAVLT's
-    internal records ([txn = 0]), which carry none. *)
+(** {!form} then {!put}, for appenders that hold no latch across the two
+    steps or form their record under it. *)
 
-val append_pair :
-  ?is_end:bool -> ?lsn:int -> t -> txn:int -> int -> int -> handle
-(** Append a pre-encoded inline pair (the two words from
-    {!Record.inline_encode}).  The caller is responsible for only passing
-    words produced by the encoder; [txn] drives the END commit-point
-    annotation.  Bucketed variants only. *)
-
-val inline_eligible : t -> bool
-(** Inline encoding enabled, and this log's variant/bucket size support
-    pairs (and so END words). *)
+val remove_handle : t -> handle -> unit
 
 val set_inline : t -> bool -> unit
 (** Enable/disable the inline fast path — END words and pairs alike

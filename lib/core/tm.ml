@@ -99,12 +99,6 @@ type recovery_report = {
   txns_undone : int;      (* unfinished transactions rolled back by undo *)
 }
 
-let pp_recovery_report ppf r =
-  Fmt.pf ppf
-    "@[<h>scanned=%d torn=%d redo=%d finished=%d undone=%d@]"
-    r.records_scanned r.torn_truncated r.redo_applied r.txns_finished
-    r.txns_undone
-
 (* One log partition: a complete recoverable log plus the per-partition
    transactional state that used to be process-global.  Everything a
    transaction's fast path touches lives here, guarded by this
@@ -532,64 +526,59 @@ let user_write t p addr v =
       if durably then Arena.nt_write t.arena addr v
       else Arena.write t.arena addr v
 
-(* Append a user record to [p].  In two-layer mode the AAVLT indexes
-   records by their LSN (Section 3.4): every record becomes a tree node
-   whose payload is the record's address, inserted in one atomic AAVLT
-   operation, and the record is threaded onto its transaction's back-chain
-   via the volatile transaction table.  [lsn] is [r]'s, as the caller
-   took it. *)
-let append_user_record t p txn_id r ~lsn ~is_end =
+(* Form a record of [txn_id] for [p] and return the step that puts it
+   into [p]'s log; the caller takes [p]'s latch for that step.  One
+   layer: {!Log.form} decides the record's form.  Two layers: the record
+   is full, because the AAVLT indexes records by their LSN (Section 3.4):
+   its put inserts a tree node whose payload is the record's address in
+   one atomic AAVLT operation, and threads the record onto its
+   transaction's back-chain via the volatile transaction table. *)
+let form t p txn_id ~lsn ~typ ~addr ~old_value ~new_value ~undo_next =
   match p.index with
-  | None -> Log.append ~is_end ~lsn p.log r
+  | None ->
+      let r =
+        Log.form p.log ~lsn ~txn:txn_id ~typ ~addr ~old_value ~new_value
+          ~undo_next
+      in
+      fun ~is_end -> ignore (Log.put ~is_end p.log r)
   | Some idx ->
-      let e = Txn_table.find_or_add p.table txn_id in
-      (* Chain before the record becomes reachable. *)
-      Record.set_prev_same_txn t.arena r e.Txn_table.last_record;
-      let lsn = Record.lsn t.arena r in
-      Avl_index.op idx (fun () ->
-          let node = Avl_index.insert_in_op idx lsn in
-          Avl_index.set_head_record idx node r);
-      e.Txn_table.last_record <- r;
-      (* The record is durable here: [Record.make] wrote it back and the
-         AAVLT op's internal logging fenced at least once since. *)
-      if is_end && txn_id <> 0 then
-        Pmcheck.commit_point t.arena ~txn:txn_id ~addr:r ~len:Record.size_bytes
-          ~what:"END record (AAVLT-indexed)"
+      let r =
+        Record.make t.alloc ~lsn ~txn:txn_id ~typ ~addr ~old_value ~new_value
+          ~undo_next ~prev_same_txn:0
+      in
+      fun ~is_end ->
+        let e = Txn_table.find_or_add p.table txn_id in
+        (* Chain before the record becomes reachable. *)
+        Record.set_prev_same_txn t.arena r e.Txn_table.last_record;
+        let lsn = Record.lsn t.arena r in
+        Avl_index.op idx (fun () ->
+            let node = Avl_index.insert_in_op idx lsn in
+            Avl_index.set_head_record idx node r);
+        e.Txn_table.last_record <- r;
+        (* The record is durable here: [Record.make] wrote it back and the
+           AAVLT op's internal logging fenced at least once since. *)
+        if is_end && txn_id <> 0 then
+          Pmcheck.commit_point t.arena ~txn:txn_id ~addr:r
+            ~len:Record.size_bytes ~what:"END record (AAVLT-indexed)"
 
-(* Records are created "off-line" (Section 3.2) — outside the log latch —
+(* Records are formed "off-line" (Section 3.2) — outside the log latch —
    and only the atomic insertion is serialised, which is the fine-grained
-   concurrency Section 4.7 claims.  One-layer word-sized updates take the
-   inline fast path: the record is two tagged slot words, encoded outside
-   the latch and stored by the append itself — no allocation, no separate
-   record line.  (Two-layer user records stay full: the AAVLT indexes
-   them by address and threads their back-chains.)  With a partitioned
-   log the latch taken here is the transaction's home-partition latch —
-   appends in different partitions never serialise against each other.
-   [store] runs in the same latch section, right after the append. *)
+   concurrency Section 4.7 claims.  A one-layer word-sized update is an
+   inline pair: no allocation, no separate record line.  With a
+   partitioned log the latch taken here is the transaction's
+   home-partition latch — appends in different partitions never
+   serialise against each other.  [store] runs in the same latch
+   section, right after the append. *)
 let log_update_then t txn_id ~addr ~old_value ~new_value ~store =
   wal_only t "Tm.log_update";
   let p = home t txn_id in
   let lsn = fresh_lsn t txn_id in
-  let inline =
-    match p.index with
-    | Some _ -> None
-    | None ->
-        if Log.inline_eligible p.log then
-          Record.inline_encode ~lsn ~txn:txn_id ~typ:Record.Update ~addr
-            ~old_value ~new_value ~undo_next:0
-        else None
-  in
-  let r =
-    match inline with
-    | Some _ -> 0
-    | None ->
-        Record.make t.alloc ~lsn ~txn:txn_id ~typ:Record.Update ~addr
-          ~old_value ~new_value ~undo_next:0 ~prev_same_txn:0
+  let put =
+    form t p txn_id ~lsn ~typ:Record.Update ~addr ~old_value ~new_value
+      ~undo_next:0
   in
   Sim_mutex.with_lock p.latch (fun () ->
-      (match inline with
-      | Some (w0, w1) -> ignore (Log.append_pair ~lsn p.log ~txn:txn_id w0 w1)
-      | None -> append_user_record t p txn_id r ~lsn ~is_end:false);
+      put ~is_end:false;
       (* WAL declaration: [addr] now has an undo record.  Under Batch the
          record may still sit in an unpersisted group ([Log.pending] > 0),
          in which case the covered store must not reach NVM before the
@@ -627,13 +616,12 @@ let log_delete t txn_id ~addr ~size =
   wal_only t "Tm.log_delete";
   let p = home t txn_id in
   let lsn = fresh_lsn t txn_id in
-  let r =
-    Record.make t.alloc ~lsn ~txn:txn_id ~typ:Record.Delete ~addr
+  let put =
+    form t p txn_id ~lsn ~typ:Record.Delete ~addr
       ~old_value:(Int64.of_int size) ~new_value:0L ~undo_next:0
-      ~prev_same_txn:0
   in
   Sim_mutex.with_lock p.latch (fun () ->
-      append_user_record t p txn_id r ~lsn ~is_end:false;
+      put ~is_end:false;
       p.deferred_deletes <- (txn_id, lsn, addr, size) :: p.deferred_deletes)
 
 (* -- clearing ------------------------------------------------------------ *)
@@ -722,24 +710,12 @@ let clear_txn t p txn_id =
 
 (* -- commit --------------------------------------------------------------- *)
 
-(* Append a control record (END, CLR or PREPARE) to [p]: the compact
-   one-layer append — an END is one slot word, a small CLR a slot pair —
-   or, under two layers, a full record the AAVLT indexes.  Returns its
-   LSN. *)
+(* Append a control record (END, CLR, PREPARE or recovery's ROLLBACK)
+   to [p], formed under the latch.  Returns its LSN. *)
 let append_control t p txn_id ~typ ~is_end ?(addr = 0) ?(old_value = 0L)
     ?(new_value = 0L) ?(undo_next = 0) () =
   let lsn = fresh_lsn t txn_id in
-  (match p.index with
-  | None ->
-      ignore
-        (Log.append_record ~is_end p.log ~lsn ~txn:txn_id ~typ ~addr
-           ~old_value ~new_value ~undo_next)
-  | Some _ ->
-      let r =
-        Record.make t.alloc ~lsn ~txn:txn_id ~typ ~addr ~old_value ~new_value
-          ~undo_next ~prev_same_txn:0
-      in
-      append_user_record t p txn_id r ~lsn ~is_end);
+  form t p txn_id ~lsn ~typ ~addr ~old_value ~new_value ~undo_next ~is_end;
   lsn
 
 let append_end t p txn_id =
@@ -819,6 +795,46 @@ let undo_step t p txn_id ~durably ~bound ?(before_undo = ignore) ~lsn r =
   | Record.End | Record.Delete | Record.Rollback | Record.Prepare ->
       ()
 
+(* Undo [txn_id]'s records in [p] newest first, under Algorithm 2's
+   bound: all of them, or with [sp] those at or above the savepoint,
+   stopping at the first below it.  One layer scans [p]'s log backwards,
+   skipping other transactions' records (the "skip records" of Section
+   5.1) — every record of [txn_id] lives there.  Two layers walk the
+   back-chain and retrieve records through the AAVLT (Section 4.4): a
+   full rollback looks up every record, a partial one each it undoes.
+   With [sp] each record's LSN is read up front; without, only an
+   UPDATE's, when [undo_step] needs it. *)
+let undo_back ?sp t p txn_id ~durably =
+  let bound = ref max_int in
+  let find lsn =
+    Option.iter (fun idx -> ignore (Avl_index.find idx lsn)) p.index
+  in
+  let step r =
+    match sp with
+    | None ->
+        if Option.is_some p.index then find (Record.lsn t.arena r);
+        undo_step t p txn_id ~durably ~bound
+          ~lsn:(lazy (Record.lsn t.arena r))
+          r;
+        true
+    | Some sp ->
+        let lsn = Record.lsn t.arena r in
+        lsn >= sp
+        && begin
+             undo_step t p txn_id ~durably ~bound
+               ~before_undo:(fun () -> find lsn)
+               ~lsn:(Lazy.from_val lsn) r;
+             true
+           end
+  in
+  match p.index with
+  | None ->
+      Log.iter_back_while p.log (fun r -> record_txn t r <> txn_id || step r)
+  | Some _ ->
+      Option.iter
+        (fun e -> iter_chain t e.Txn_table.last_record step)
+        (Txn_table.find p.table txn_id)
+
 (* -- partial rollback (savepoints) ---------------------------------------
 
    An extension the CLR machinery supports directly (ARIES's partial
@@ -843,38 +859,9 @@ let rollback_to t txn_id (sp : savepoint) =
   | None ->
       let p = home t txn_id in
       Sim_mutex.with_lock p.latch (fun () ->
-          let durably = t.cfg.policy = Force in
-          let bound = ref max_int in
-          (match p.index with
-          | None ->
-              (* Backward scan with the Algorithm-2 bound so repeated
-                 partial rollbacks never re-undo compensated updates; stop
-                 at the first of this transaction's records below the
-                 savepoint. *)
-              Log.iter_back_while p.log (fun r ->
-                  if record_txn t r <> txn_id then true
-                  else
-                    let lsn = Record.lsn t.arena r in
-                    if lsn < sp then false
-                    else begin
-                      undo_step t p txn_id ~durably ~bound
-                        ~lsn:(Lazy.from_val lsn) r;
-                      true
-                    end)
-          | Some idx -> (
-              match Txn_table.find p.table txn_id with
-              | None -> ()
-              | Some e ->
-                  iter_chain t e.Txn_table.last_record (fun r ->
-                      let lsn = Record.lsn t.arena r in
-                      lsn >= sp
-                      && begin
-                           undo_step t p txn_id ~durably ~bound
-                             ~before_undo:(fun () ->
-                               ignore (Avl_index.find idx lsn))
-                             ~lsn:(Lazy.from_val lsn) r;
-                           true
-                         end)));
+          (* the bound keeps repeated partial rollbacks from re-undoing
+             compensated updates *)
+          undo_back ~sp t p txn_id ~durably:(t.cfg.policy = Force);
           (* deferred de-allocations requested after the savepoint are
              void *)
           p.deferred_deletes <-
@@ -894,34 +881,10 @@ let rollback t txn_id =
           (* Settle any deferred (Batch) user stores *before* undoing, or
              a stale pending store could overwrite a restored value. *)
           flush_pending t p;
-          let durably = t.cfg.policy = Force in
-          let bound = ref max_int in
-          (match p.index with
-          | None ->
-              (* No per-transaction chain: a full backward scan of the
-                 home partition skipping other transactions' records (the
-                 "skip records" of Section 5.1) — every record of [txn_id]
-                 lives there.  The Algorithm-2 bound makes the scan
-                 idempotent: resolving an in-doubt transaction as aborted
-                 after a crash mid-rollback must not re-undo
-                 already-compensated updates. *)
-              Log.iter_back p.log (fun r ->
-                  if record_txn t r = txn_id then
-                    undo_step t p txn_id ~durably ~bound
-                      ~lsn:(lazy (Record.lsn t.arena r))
-                      r)
-          | Some idx -> (
-              match Txn_table.find p.table txn_id with
-              | None -> ()
-              | Some e ->
-                  iter_chain t e.Txn_table.last_record (fun r ->
-                      (* each record is retrieved through the AAVLT
-                         (Section 4.4) *)
-                      ignore (Avl_index.find idx (Record.lsn t.arena r));
-                      undo_step t p txn_id ~durably ~bound
-                        ~lsn:(lazy (Record.lsn t.arena r))
-                        r;
-                      true)));
+          (* The bound makes the walk idempotent: resolving an in-doubt
+             transaction as aborted after a crash mid-rollback must not
+             re-undo already-compensated updates. *)
+          undo_back t p txn_id ~durably:(t.cfg.policy = Force);
           Log.flush_group p.log;
           let end_lsn = append_end t p txn_id in
           drain_deferred t p;
@@ -1313,14 +1276,10 @@ let undo_one_layer t stream =
             && e.Txn_table.status <> Txn_table.Prepared
           then begin
             incr losers;
-            (if Hashtbl.mem to_mark_rollback e.Txn_table.id then
-               let lsn = fresh_lsn t e.Txn_table.id in
-               let r =
-                 Record.make t.alloc ~lsn ~txn:e.Txn_table.id
-                   ~typ:Record.Rollback ~addr:0 ~old_value:0L ~new_value:0L
-                   ~undo_next:0 ~prev_same_txn:0
-               in
-               Log.append ~lsn p.log r);
+            if Hashtbl.mem to_mark_rollback e.Txn_table.id then
+              ignore
+                (append_control t p e.Txn_table.id ~typ:Record.Rollback
+                   ~is_end:false ());
             ignore (append_end t p e.Txn_table.id);
             e.Txn_table.status <- Txn_table.Finished
           end))

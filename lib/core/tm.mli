@@ -13,7 +13,10 @@
       logging, making selective rollback cheap at a higher logging cost.
 
     The log implementation ({!Log.variant}) is chosen independently,
-    giving the paper's Simple / Optimized / Batch versions.
+    giving the paper's Simple / Optimized / Batch versions.  Under one
+    layer the log alone decides each record's form ({!Log.form}: an END
+    word, an inline pair or a full record); under two, every user record
+    is full, because the AAVLT indexes it by address.
 
     In-cache-line logging ([config.incll]) is not a WAL configuration:
     every operation with an InCLL meaning delegates to {!Incll}, which
@@ -181,7 +184,7 @@ val begin_txn : ?home:int -> t -> txn
 val write : t -> txn -> addr:int -> value:int64 -> unit
 (** The paper's expanded-code pattern (Listing 2): log the update — old
     value, new value, address — then perform the store according to the
-    policy.  The log record is created outside the log latch ("off-line")
+    policy.  The log record is formed outside the log latch ("off-line")
     and only its insertion is serialised. *)
 
 val read : t -> txn -> addr:int -> int64
@@ -327,8 +330,6 @@ type recovery_report = {
   txns_finished : int;    (** transactions found committed/rolled back *)
   txns_undone : int;      (** unfinished transactions rolled back by undo *)
 }
-
-val pp_recovery_report : recovery_report Fmt.t
 
 val last_recovery : t -> recovery_report option
 (** The report of the most recent {!recover}/{!attach}; [None] if this

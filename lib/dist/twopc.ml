@@ -141,8 +141,6 @@ let create (cfg : config) =
 let nodes t = Array.length t.nodes
 let coordinator_up t = t.c_log <> None
 let node_up t i = t.nodes.(i).n_tm <> None
-let node_arena t i = t.nodes.(i).n_arena
-let coordinator_arena t = t.c_arena
 
 (* Coordinator first, then the participants — the order the
    crash-everywhere sweep reports node indices in. *)
@@ -159,10 +157,6 @@ let crash_node t i =
   let n = t.nodes.(i) in
   Arena.crash n.n_arena;
   n.n_tm <- None
-
-let crash_coordinator t =
-  Arena.crash t.c_arena;
-  t.c_log <- None
 
 (* -- RPC plumbing ------------------------------------------------------- *)
 

@@ -66,8 +66,6 @@ val recover : t -> unit
 val nodes : t -> int
 val coordinator_up : t -> bool
 val node_up : t -> int -> bool
-val coordinator_arena : t -> Rewind_nvm.Arena.t
-val node_arena : t -> int -> Rewind_nvm.Arena.t
 
 val arenas : t -> Rewind_nvm.Arena.t array
 (** All arenas, coordinator first — index 0 is the coordinator, index
@@ -86,9 +84,6 @@ val in_doubt_total : t -> int
 val crash_node : t -> int -> unit
 (** Power-fail node [i] right now: volatile state discarded, the node
     stops answering until {!recover}. *)
-
-val crash_coordinator : t -> unit
-(** Power-fail the coordinator right now. *)
 
 val chaos_crash_coordinator_after_decision : t -> bool -> unit
 (** Test hook: when on, the coordinator dies immediately after a decision

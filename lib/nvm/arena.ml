@@ -246,7 +246,6 @@ let config t = t.config
 let stats t = t.stats
 let line_of t off = off lsr t.line_shift
 let set_fault_model t fm = t.fault <- fm
-let fault_model t = t.fault
 
 (* -- persistency event tracing ---------------------------------------- *)
 

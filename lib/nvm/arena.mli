@@ -88,7 +88,6 @@ val clear_crashed : t -> unit
     they do not tick the crash countdown and charge no simulated time. *)
 
 val set_fault_model : t -> Fault_model.t option -> unit
-val fault_model : t -> Fault_model.t option
 
 (** {1 Persistency event tracing}
 

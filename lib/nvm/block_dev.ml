@@ -19,7 +19,6 @@ type t = {
   blocks : (int, Bytes.t) Hashtbl.t;
   mutable writes : int;
   mutable reads : int;
-  mutable syncs : int;
 }
 
 let create ?(config = Config.default ()) ?(block_size = 4096) ?(syscall_ns = 2500) () =
@@ -30,7 +29,6 @@ let create ?(config = Config.default ()) ?(block_size = 4096) ?(syscall_ns = 250
     blocks = Hashtbl.create 1024;
     writes = 0;
     reads = 0;
-    syncs = 0;
   }
 
 let block_size t = t.block_size
@@ -73,12 +71,10 @@ let mem t idx = Hashtbl.mem t.blocks idx
 
 let sync t =
   (* PMFS writes are already durable; fsync is just a kernel crossing. *)
-  t.syncs <- t.syncs + 1;
   Clock.advance t.syscall_ns
 
 let writes t = t.writes
 let reads t = t.reads
-let syncs t = t.syncs
 
 (* A crash loses nothing at the device level; volatile state (page caches,
    log buffers) lives in the baseline systems themselves. *)

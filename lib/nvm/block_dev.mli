@@ -27,4 +27,3 @@ val sync : t -> unit
 val crash : t -> unit
 val writes : t -> int
 val reads : t -> int
-val syncs : t -> int

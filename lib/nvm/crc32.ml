@@ -45,5 +45,3 @@ let digest_sub s pos len =
   !crc lxor 0xFFFFFFFF
 
 let digest s = digest_sub s 0 (String.length s)
-
-let digest_bytes b = digest_sub (Bytes.unsafe_to_string b) 0 (Bytes.length b)

@@ -3,7 +3,6 @@
 
 val digest : string -> int
 val digest_sub : string -> int -> int -> int
-val digest_bytes : Bytes.t -> int
 
 (** Streaming word interface — [finish (update_int64 ... (update_int64
     init w0) ...)] equals the digest of the words' little-endian byte

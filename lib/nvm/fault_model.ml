@@ -23,8 +23,8 @@
 type t = {
   seed : int;
   rng : Random.State.t;
-  mutable eviction_ppm : int;
-  mutable crash_survival_ppm : int;
+  eviction_ppm : int;
+  crash_survival_ppm : int;
   media_faulty : (int, unit) Hashtbl.t;  (* line number -> faulty *)
 }
 
@@ -48,14 +48,6 @@ let create ?(eviction_ppm = 0) ?(crash_survival_ppm = 500_000) ~seed () =
 let seed t = t.seed
 let eviction_ppm t = t.eviction_ppm
 let crash_survival_ppm t = t.crash_survival_ppm
-
-let set_eviction_ppm t p =
-  check_ppm "eviction_ppm" p;
-  t.eviction_ppm <- p
-
-let set_crash_survival_ppm t p =
-  check_ppm "crash_survival_ppm" p;
-  t.crash_survival_ppm <- p
 
 let roll t ppm = ppm > 0 && Random.State.int t.rng ppm_max < ppm
 

@@ -17,13 +17,13 @@ type t
 val create :
   ?eviction_ppm:int -> ?crash_survival_ppm:int -> seed:int -> unit -> t
 (** Defaults: no spontaneous evictions, 50% per-line crash survival.
-    Probabilities are in parts per million. *)
+    Probabilities are in parts per million, from 0 to {!ppm_max}. *)
+
+val ppm_max : int
 
 val seed : t -> int
 val eviction_ppm : t -> int
 val crash_survival_ppm : t -> int
-val set_eviction_ppm : t -> int -> unit
-val set_crash_survival_ppm : t -> int -> unit
 
 val roll_eviction : t -> bool
 (** Roll the spontaneous-eviction die (one roll per cached store). *)

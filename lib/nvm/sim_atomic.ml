@@ -29,14 +29,6 @@ let set t v =
   trace t;
   Atomic.set t.a v
 
-let exchange t v =
-  trace t;
-  Atomic.exchange t.a v
-
-let compare_and_set t old v =
-  trace t;
-  Atomic.compare_and_set t.a old v
-
 let fetch_and_add t n =
   trace t;
   Atomic.fetch_and_add t.a n

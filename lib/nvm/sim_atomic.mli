@@ -15,8 +15,6 @@ val id : _ t -> int
 
 val get : 'a t -> 'a
 val set : 'a t -> 'a -> unit
-val exchange : 'a t -> 'a -> 'a
-val compare_and_set : 'a t -> 'a -> 'a -> bool
 val fetch_and_add : int t -> int -> int
 val incr : int t -> unit
 
@@ -30,10 +28,6 @@ val incr : int t -> unit
     trailing edge publishes it to the next one.  The load/store between
     the brackets goes through {!Arena}, so the sanitizer and enumerator
     see the memory traffic as usual. *)
-
-val word_atom : int -> int
-(** The atomic identity of the arena word at a byte address, as it
-    appears in {!Trace.Atomic_rmw} events. *)
 
 val read_word : Arena.t -> int -> int64
 (** Acquire-read of an arena word (bracketed, see above). *)

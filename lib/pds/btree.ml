@@ -42,7 +42,6 @@ type t = {
   arena : Arena.t;
   alloc : Alloc.t;
   root_cell : int;  (* NVM word holding the root node address *)
-  mutable node_count : int;
 }
 
 let o_tag = 0
@@ -81,7 +80,6 @@ let child t n i = Int64.to_int (load t (n + o_child i))
 let next_leaf t n = Int64.to_int (load t (n + o_next))
 
 let new_node t ~leaf =
-  t.node_count <- t.node_count + 1;
   let n = Alloc.alloc ~align:64 t.alloc node_bytes in
   (* Zero the whole node with fresh stores: free-list reuse may leave
      stale contents, and under [Logged] the node must be durably clean
@@ -97,7 +95,7 @@ let root t = Int64.to_int (load t t.root_cell)
 let create mode alloc =
   let arena = Alloc.arena alloc in
   let root_cell = Alloc.alloc_fresh ~align:64 alloc 8 in
-  let t = { mode; arena; alloc; root_cell; node_count = 0 } in
+  let t = { mode; arena; alloc; root_cell } in
   let r = new_node t ~leaf:true in
   (match mode with
   | Dram -> Arena.write arena root_cell (Int64.of_int r)
@@ -108,7 +106,7 @@ let create mode alloc =
 
 (* Reattach to an existing tree, e.g. after crash recovery. *)
 let attach mode alloc ~root_cell =
-  { mode; arena = Alloc.arena alloc; alloc; root_cell; node_count = 0 }
+  { mode; arena = Alloc.arena alloc; alloc; root_cell }
 
 let root_cell t = t.root_cell
 
@@ -251,7 +249,6 @@ let internal_remove_at t txn n i =
   set_tag t txn n ~leaf:false ~count:(cnt - 1)
 
 let free_node t txn n =
-  t.node_count <- t.node_count - 1;
   match t.mode with
   | Logged tm -> Tm.log_delete tm txn ~addr:n ~size:node_bytes
   | Dram | Direct_nvm -> Alloc.free ~align:64 t.alloc n node_bytes
@@ -497,7 +494,6 @@ let bindings t =
   iter t (fun k v -> acc := (k, v) :: !acc);
   List.rev !acc
 
-let node_count t = t.node_count
 
 (* Structural invariant: sorted keys, child separation, uniform leaf depth,
    occupancy bounds (root exempt). *)

@@ -55,7 +55,6 @@ val range : t -> lo:int64 -> hi:int64 -> (int64 * int64) list
 
 val size : t -> int
 val bindings : t -> (int64 * int64) list
-val node_count : t -> int
 
 val well_formed : t -> bool
 (** Sorted keys, child separation, uniform leaf depth, occupancy bounds,

@@ -65,8 +65,6 @@ let remove t txn n =
   (* "delete(n)": only after commit — a DELETE record defers it. *)
   Tm.log_delete t.tm txn ~addr:n ~size:node_bytes
 
-let set_value t txn n v = Tm.write t.tm txn ~addr:(n + o_value) ~value:v
-
 let iter t f =
   let rec go n =
     if n <> 0 then begin

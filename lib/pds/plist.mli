@@ -18,8 +18,6 @@ val remove : t -> Rewind.Tm.txn -> int -> unit
 (** Listing 1's [remove], expanded as in Listing 2; the node's memory is
     freed only after commit. *)
 
-val set_value : t -> Rewind.Tm.txn -> int -> int64 -> unit
-
 (** {1 Reads} *)
 
 val head : t -> int

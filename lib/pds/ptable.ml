@@ -24,6 +24,3 @@ let set t tm txn i v = Tm.write tm txn ~addr:(addr t i) ~value:v
 
 (* Non-recoverable persistent update: a non-temporal store straight to NVM. *)
 let set_raw_nvm t i v = Arena.nt_write t.arena (addr t i) v
-
-(* Volatile update (DRAM baseline). *)
-let set_raw_dram t i v = Arena.write t.arena (addr t i) v

@@ -16,5 +16,3 @@ val set : t -> Rewind.Tm.t -> Rewind.Tm.txn -> int -> int64 -> unit
 val set_raw_nvm : t -> int -> int64 -> unit
 (** Non-recoverable persistent update: a non-temporal store. *)
 
-val set_raw_dram : t -> int -> int64 -> unit
-(** Volatile update (DRAM baseline). *)

@@ -20,9 +20,6 @@ val gen_request :
   request
 (** TPC-C request: 5–15 NURand order lines, 1 % invalid. *)
 
-val request_work_ns : request -> int
-(** Modelled application-level work per request. *)
-
 type outcome = Committed | Aborted
 
 val run_transactional : ?home:int -> Schema.db -> Rewind.Tm.t -> request -> outcome

@@ -1,7 +1,7 @@
 (* What the test executables share: the Alcotest checks they use, the
-   root slot their managers sit at, a substring test, a fresh
-   arena/allocator/manager triple, and by-name picks from the
-   configuration matrix. *)
+   root slot their managers sit at, a substring test, a full-record log
+   append, a fresh arena/allocator/manager triple, and by-name picks
+   from the configuration matrix. *)
 
 open Rewind_nvm
 
@@ -15,6 +15,10 @@ let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
   at 0
+
+(* Append a full record the test made with [Record.make] itself. *)
+let append ?is_end ?lsn log r =
+  ignore (Rewind.Log.put ?is_end log (Rewind.Log.full ?lsn r))
 
 (* A fresh [size_bytes] arena (default 8 MiB), its allocator, and a [cfg]
    manager (default 1L-NFP) at [root_slot]. *)

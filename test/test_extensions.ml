@@ -20,7 +20,7 @@ let test_compact_squeezes_gaps () =
   let alloc = Alloc.create arena in
   let log = Log.create Log.Optimized ~bucket_cap:10 alloc ~root_slot in
   for i = 1 to 200 do
-    Log.append log (mk_record alloc ~lsn:i ~txn:(i mod 5))
+    append log (mk_record alloc ~lsn:i ~txn:(i mod 5))
   done;
   (* clear four of five transactions: 80 % gaps *)
   Log.remove_where log (fun r -> Record.txn arena r <> 1);
@@ -40,7 +40,7 @@ let test_compact_noop_when_dense () =
   let alloc = Alloc.create arena in
   let log = Log.create Log.Optimized ~bucket_cap:10 alloc ~root_slot in
   for i = 1 to 50 do
-    Log.append log (mk_record alloc ~lsn:i ~txn:1)
+    append log (mk_record alloc ~lsn:i ~txn:1)
   done;
   let before = Log.records log in
   Log.compact log;
@@ -59,7 +59,7 @@ let test_compact_survives_crash () =
              let alloc = Alloc.create arena in
              let log = Log.create Log.Optimized ~bucket_cap:8 alloc ~root_slot in
              for i = 1 to 64 do
-               Log.append log (mk_record alloc ~lsn:i ~txn:(i mod 4))
+               append log (mk_record alloc ~lsn:i ~txn:(i mod 4))
              done;
              Log.remove_where log (fun r -> Record.txn arena r <> 1);
              (arena, log, List.map (Record.lsn arena) (Log.records log)));
@@ -108,7 +108,11 @@ let test_checkpoint_triggers_compaction () =
 (* Savepoints / partial rollback                                       *)
 (* ------------------------------------------------------------------ *)
 
-let savepoint_configs = configs [ "1l-nfp"; "1l-fp"; "2l-nfp" ]
+(* The partitioned entries roll back to a savepoint in a home partition
+   other than 0 (the second transaction of
+   [test_savepoint_then_full_rollback]). *)
+let savepoint_configs =
+  configs [ "1l-nfp"; "1l-fp"; "2l-nfp"; "1l-nfp-p2"; "2l-nfp-p4" ]
 
 let test_savepoint_basic cfg () =
   let arena, alloc, tm = fresh ~size_bytes:(32 lsl 20) ~cfg () in

@@ -134,8 +134,10 @@ let test_end_word_limits () =
     = None)
 
 (* A user END pair, as logs written before the END word hold them: the
-   pair decoder still reads it, and [attach] keeps it.  The words are
-   built by hand from the layout in record.ml. *)
+   pair decoder still reads it, and [attach] keeps it.  No append forms
+   such a pair any more, so the words are built by hand from the layout
+   in record.ml and stored durably into the first two slots of the log's
+   bucket (word 0 is a Batch bucket's last-persistent-index). *)
 let test_old_end_pair variant () =
   let arena, _alloc, log = fresh_log variant in
   let txn = 9 and lsn = 4242 in
@@ -147,22 +149,21 @@ let test_old_end_pair variant () =
          (Int64.of_int w1))
   in
   let w0 = w0 lor (((c lxor (c lsr 16)) land 0xFFFF) lsl 6) in
-  ignore (Log.append_pair ~is_end:true ~lsn log ~txn w0 w1);
-  let decoded log =
-    match Log.records log with
-    | [ r ] ->
-        check_bool "a pair" true
-          (Record.is_inline r && fst (Log.occupancy_stats log) = 2);
-        check_bool "typ" true (Record.typ arena r = Record.End);
-        check_int "txn" txn (Record.txn arena r);
-        check_int "lsn" lsn (Record.lsn arena r)
-    | l -> Alcotest.failf "expected 1 record, got %d" (List.length l)
-  in
-  decoded log;
+  let b = List.hd (Log.buckets log) in
+  List.iter
+    (fun (off, w) -> Arena.nt_write arena (b + off) (Int64.of_int w))
+    [ (8, w0); (16, w1); (0, 2) ];
   Arena.crash arena;
-  let log2 = Log.attach variant (Alloc.recover arena) ~root_slot in
-  check_int "nothing torn" 0 (Log.torn_truncated log2);
-  decoded log2
+  let log = Log.attach variant (Alloc.recover arena) ~root_slot in
+  check_int "nothing torn" 0 (Log.torn_truncated log);
+  match Log.records log with
+  | [ r ] ->
+      check_bool "a pair" true
+        (Record.is_inline r && fst (Log.occupancy_stats log) = 2);
+      check_bool "typ" true (Record.typ arena r = Record.End);
+      check_int "txn" txn (Record.txn arena r);
+      check_int "lsn" lsn (Record.lsn arena r)
+  | l -> Alcotest.failf "expected 1 record, got %d" (List.length l)
 
 let test_fallback_to_full () =
   let arena, _alloc, log = fresh_log Log.Optimized in

@@ -39,7 +39,7 @@ let test_append_iterate variant () =
   let arena, alloc = fresh () in
   let log = Log.create variant ~bucket_cap:4 alloc ~root_slot:2 in
   for i = 1 to 10 do
-    Log.append log (mk_record alloc ~lsn:i ~txn:1)
+    append log (mk_record alloc ~lsn:i ~txn:1)
   done;
   check_list "forward order" (List.init 10 (fun i -> i + 1)) (lsns arena log);
   check_list "backward order"
@@ -51,7 +51,7 @@ let test_remove_where variant () =
   let arena, alloc = fresh () in
   let log = Log.create variant ~bucket_cap:4 alloc ~root_slot:2 in
   for i = 1 to 10 do
-    Log.append log (mk_record alloc ~lsn:i ~txn:(i mod 2))
+    append log (mk_record alloc ~lsn:i ~txn:(i mod 2))
   done;
   Log.remove_where log (fun r -> Record.txn arena r = 0);
   check_list "odd lsns remain" [ 1; 3; 5; 7; 9 ] (lsns arena log)
@@ -60,22 +60,22 @@ let test_remove_all_then_append variant () =
   let arena, alloc = fresh () in
   let log = Log.create variant ~bucket_cap:4 alloc ~root_slot:2 in
   for i = 1 to 9 do
-    Log.append log (mk_record alloc ~lsn:i ~txn:1)
+    append log (mk_record alloc ~lsn:i ~txn:1)
   done;
   Log.remove_where log (fun _ -> true);
   check_int "empty" 0 (Log.length log);
-  Log.append log (mk_record alloc ~lsn:42 ~txn:1);
+  append log (mk_record alloc ~lsn:42 ~txn:1);
   check_list "usable after emptying" [ 42 ] (lsns arena log)
 
 let test_clear_all variant () =
   let arena, alloc = fresh () in
   let log = Log.create variant ~bucket_cap:4 alloc ~root_slot:2 in
   for i = 1 to 10 do
-    Log.append log (mk_record alloc ~lsn:i ~txn:1)
+    append log (mk_record alloc ~lsn:i ~txn:1)
   done;
   Log.clear_all log;
   check_int "cleared" 0 (Log.length log);
-  Log.append log (mk_record alloc ~lsn:5 ~txn:1);
+  append log (mk_record alloc ~lsn:5 ~txn:1);
   check_list "fresh log usable" [ 5 ] (lsns arena log)
 
 (* Reattach after a clean crash: everything persistent must reappear and
@@ -84,13 +84,13 @@ let test_crash_reattach variant () =
   let arena, alloc = fresh () in
   let log = Log.create variant ~bucket_cap:4 alloc ~root_slot:2 in
   for i = 1 to 10 do
-    Log.append ~is_end:(i = 10) log (mk_record alloc ~lsn:i ~txn:1)
+    append ~is_end:(i = 10) log (mk_record alloc ~lsn:i ~txn:1)
   done;
   Arena.crash arena;
   let alloc = Alloc.recover arena in
   let log2 = Log.attach variant ~bucket_cap:4 alloc ~root_slot:2 in
   check_list "records recovered" (List.init 10 (fun i -> i + 1)) (lsns arena log2);
-  Log.append log2 (mk_record alloc ~lsn:11 ~txn:1);
+  append log2 (mk_record alloc ~lsn:11 ~txn:1);
   check_list "append after recovery"
     (List.init 11 (fun i -> i + 1))
     (lsns arena log2)
@@ -105,7 +105,7 @@ let test_batch_untrusted_tail () =
   let arena, alloc = fresh () in
   let log = Log.create (Log.Batch 8) ~bucket_cap:100 alloc ~root_slot:2 in
   for i = 1 to 11 do
-    Log.append log (mk_record alloc ~lsn:i ~txn:1)
+    append log (mk_record alloc ~lsn:i ~txn:1)
   done;
   (* group of 8 persisted; 9..11 pending *)
   check_int "pending" 3 (Log.pending log);
@@ -120,9 +120,9 @@ let test_batch_end_forces () =
   let arena, alloc = fresh () in
   let log = Log.create (Log.Batch 8) ~bucket_cap:100 alloc ~root_slot:2 in
   for i = 1 to 3 do
-    Log.append log (mk_record alloc ~lsn:i ~txn:1)
+    append log (mk_record alloc ~lsn:i ~txn:1)
   done;
-  Log.append ~is_end:true log (mk_record alloc ~lsn:4 ~txn:1);
+  append ~is_end:true log (mk_record alloc ~lsn:4 ~txn:1);
   check_int "nothing pending after END" 0 (Log.pending log);
   Arena.crash arena;
   let alloc = Alloc.recover arena in
@@ -133,7 +133,7 @@ let test_batch_flush_group () =
   let arena, alloc = fresh () in
   let log = Log.create (Log.Batch 8) ~bucket_cap:100 alloc ~root_slot:2 in
   for i = 1 to 5 do
-    Log.append log (mk_record alloc ~lsn:i ~txn:1)
+    append log (mk_record alloc ~lsn:i ~txn:1)
   done;
   Log.flush_group log;
   Arena.crash arena;
@@ -153,7 +153,7 @@ let test_fence_counts () =
     let log = Log.create variant ~bucket_cap:1000 alloc ~root_slot:2 in
     let before = (Arena.stats arena).Stats.fences in
     for i = 1 to 64 do
-      Log.append log (mk_record alloc ~lsn:i ~txn:1)
+      append log (mk_record alloc ~lsn:i ~txn:1)
     done;
     (Arena.stats arena).Stats.fences - before
   in
@@ -168,7 +168,7 @@ let test_batch_cheaper_than_optimized_than_simple () =
     let log = Log.create variant ~bucket_cap:1000 alloc ~root_slot:2 in
     Clock.reset ();
     for i = 1 to 256 do
-      Log.append log (mk_record alloc ~lsn:i ~txn:1)
+      append log (mk_record alloc ~lsn:i ~txn:1)
     done;
     ignore arena;
     Clock.now ()
@@ -214,7 +214,7 @@ let cost_script variant =
   in
   step "append" (fun () ->
       for lsn = 1 to 12 do
-        if lsn mod 3 = 0 then Log.append ~lsn !log full.(lsn)
+        if lsn mod 3 = 0 then append ~lsn !log full.(lsn)
         else ignore (small ~lsn ~txn:(1 + (lsn mod 2)) Record.Update)
       done;
       ignore (append_end !log ~lsn:13 ~txn:1));
@@ -226,8 +226,9 @@ let cost_script variant =
       Log.reclaim !log (Log.unlink_below !log 8));
   step "compact" (fun () -> Log.compact ~threshold:1.0 !log);
   let h = ref None in
-  step "append_h" (fun () ->
-      h := Some (Log.append_h ~lsn:20 !log (mk_record alloc ~lsn:20 ~txn:3)));
+  step "put" (fun () ->
+      let r = mk_record alloc ~lsn:20 ~txn:3 in
+      h := Some (Log.put !log (Log.full ~lsn:20 r)));
   step "remove_handle" (fun () -> Log.remove_handle !log (Option.get !h));
   step "clear_all" (fun () -> Log.clear_all !log);
   let last = ref (Log.Node 0) in
@@ -263,7 +264,7 @@ let expected_costs = function
         ("remove_where", [ 70; 24; 24; 0; 12; 4870 ]);
         ("unlink_below+reclaim", [ 0; 0; 0; 0; 0; 0 ]);
         ("compact", [ 8; 0; 0; 0; 0; 8 ]);
-        ("append_h", [ 2; 7; 8; 1; 4; 1460 ]);
+        ("put", [ 2; 7; 8; 1; 4; 1460 ]);
         ("remove_handle", [ 5; 4; 4; 0; 2; 805 ]);
         ("clear_all", [ 24; 2; 2; 0; 1; 424 ]);
         ("append again", [ 4; 11; 16; 2; 8; 2470 ]);
@@ -277,7 +278,7 @@ let expected_costs = function
         ("remove_where", [ 42; 4; 10; 0; 0; 754 ]);
         ("unlink_below+reclaim", [ 12; 4; 4; 0; 2; 812 ]);
         ("compact", [ 52; 9; 13; 3; 9; 2307 ]);
-        ("append_h", [ 0; 2; 1; 1; 1; 408 ]);
+        ("put", [ 0; 2; 1; 1; 1; 408 ]);
         ("remove_handle", [ 1; 0; 1; 0; 0; 1 ]);
         ("clear_all", [ 17; 7; 11; 0; 4; 1467 ]);
         ("append again", [ 0; 2; 0; 2; 2; 503 ]);
@@ -291,7 +292,7 @@ let expected_costs = function
         ("remove_where", [ 43; 4; 10; 0; 0; 747 ]);
         ("unlink_below+reclaim", [ 12; 4; 4; 0; 2; 812 ]);
         ("compact", [ 53; 10; 13; 2; 6; 2160 ]);
-        ("append_h", [ 0; 1; 0; 1; 0; 159 ]);
+        ("put", [ 0; 1; 0; 1; 0; 159 ]);
         ("remove_handle", [ 1; 1; 1; 0; 0; 151 ]);
         ("clear_all", [ 16; 8; 11; 0; 4; 1616 ]);
         ("append again", [ 0; 2; 1; 1; 1; 403 ]);
@@ -332,7 +333,7 @@ let prop_crash_prefix variant =
              window =
                (fun (_, alloc, log) ->
                  for i = 1 to 30 do
-                   Log.append log (mk_record alloc ~lsn:i ~txn:1)
+                   append log (mk_record alloc ~lsn:i ~txn:1)
                  done);
              recover =
                (fun _ arena ->
@@ -347,7 +348,7 @@ let prop_crash_prefix variant =
                  in
                  if ls <> expected_prefix then Some "not a prefix of the appends"
                  else begin
-                   Log.append log2 (mk_record alloc ~lsn:999 ~txn:1);
+                   append log2 (mk_record alloc ~lsn:999 ~txn:1);
                    if lsns arena log2 = expected_prefix @ [ 999 ] then None
                    else Some "a post-recovery append is lost"
                  end);
@@ -369,7 +370,7 @@ let test_clear_all_frees_pending variant () =
   let log = Log.create variant ~bucket_cap:100 alloc ~root_slot:2 in
   let baseline = Alloc.live_bytes alloc in
   for i = 1 to 11 do
-    Log.append log (mk_record alloc ~lsn:i ~txn:1)
+    append log (mk_record alloc ~lsn:i ~txn:1)
   done;
   (* under Batch 8, records 9..11 sit in an unpersisted slot group *)
   check_bool "grew" true (Alloc.live_bytes alloc > baseline);
@@ -397,7 +398,7 @@ let test_occupancy_lifecycle variant () =
   let arena, alloc = fresh () in
   let log = Log.create variant ~bucket_cap:4 alloc ~root_slot:2 in
   for i = 1 to 20 do
-    Log.append log (mk_record alloc ~lsn:i ~txn:(i mod 3))
+    append log (mk_record alloc ~lsn:i ~txn:(i mod 3))
   done;
   occupancy_clean "after append" log;
   Log.remove_where log (fun r -> Record.txn arena r = 0);
@@ -411,7 +412,7 @@ let test_occupancy_lifecycle variant () =
   check_list "compaction preserved the survivors"
     (List.filter (fun l -> l mod 3 = 2) (List.init 20 (fun i -> i + 1)))
     survivors;
-  Log.append log (mk_record alloc ~lsn:100 ~txn:2);
+  append log (mk_record alloc ~lsn:100 ~txn:2);
   occupancy_clean "after post-compact append" log;
   (* the rebuilt-from-durable occupancy must agree too *)
   Log.flush_group log;
@@ -468,7 +469,7 @@ let prop_occupancy_coherent variant =
         match rand 11 with
         | 0 | 1 | 2 | 3 | 4 | 5 ->
             incr lsn;
-            Log.append ~is_end:(rand 4 = 0) log
+            append ~is_end:(rand 4 = 0) log
               (mk_record alloc ~lsn:!lsn ~txn:(rand 3))
         | 10 ->
             incr lsn;
@@ -490,7 +491,7 @@ let prop_occupancy_coherent variant =
 (* Append one record with LSN [lsn]: a full record when [full], else by
    fields (an END word when [is_end], an inline pair otherwise). *)
 let append_kind log alloc ~full ~is_end lsn =
-  if full then Log.append ~is_end ~lsn log (mk_record alloc ~lsn ~txn:1)
+  if full then append ~is_end ~lsn log (mk_record alloc ~lsn ~txn:1)
   else
     ignore
       (Log.append_record ~is_end log ~lsn ~txn:1
@@ -510,7 +511,7 @@ let test_unlink_chain_order () =
   let fill n =
     for _ = 1 to n do
       incr lsn;
-      Log.append ~lsn:!lsn log (mk_record alloc ~lsn:!lsn ~txn:1)
+      append ~lsn:!lsn log (mk_record alloc ~lsn:!lsn ~txn:1)
     done
   in
   (* four full buckets, the last one current; the first three die *)
@@ -538,7 +539,7 @@ let test_optimized_never_recycles () =
   let fill n =
     for _ = 1 to n do
       incr lsn;
-      Log.append ~lsn:!lsn log (mk_record alloc ~lsn:!lsn ~txn:1)
+      append ~lsn:!lsn log (mk_record alloc ~lsn:!lsn ~txn:1)
     done
   in
   fill 16;
@@ -656,7 +657,7 @@ let prop_unlink_rule variant =
         | 0 | 1 | 2 | 3 | 4 | 5 -> (
             incr lsn;
             let r = mk_record !alloc ~lsn:!lsn ~txn:(1 + rand 3) in
-            match Log.append_h ~is_end:(rand 4 = 0) ~lsn:!lsn !log r with
+            match Log.put ~is_end:(rand 4 = 0) !log (Log.full ~lsn:!lsn r) with
             | Log.Slot { bucket; _ } -> note bucket !lsn
             | Log.Node _ -> ())
         | 6 -> (
@@ -671,7 +672,8 @@ let prop_unlink_rule variant =
         | 7 -> (
             (* no LSN: the bucket becomes unknown *)
             incr lsn;
-            match Log.append_h !log (mk_record !alloc ~lsn:!lsn ~txn:1) with
+            let r = mk_record !alloc ~lsn:!lsn ~txn:1 in
+            match Log.put !log (Log.full r) with
             | Log.Slot { bucket; _ } -> note bucket max_int
             | Log.Node _ -> ())
         | 8 | 9 | 10 ->

@@ -9,8 +9,11 @@ module Harness = Rewind_analysis.Crash_harness
 module Scenarios = Rewind_benchlib.Crash_scenarios
 open Support
 
+(* Every configuration at 1, 2 and 4 log partitions: with several, a
+   transaction's records and CLRs land in its home partition, which is
+   partition 0 only for the first transaction of a manager. *)
 let all_configs =
-  Scenarios.matrix 1
+  List.concat_map Scenarios.matrix [ 1; 2; 4 ]
   (* force + Batch: commit-time clearing of a grouped log, in no named
      configuration *)
   @ [ ("1l-fp-batch", { Rewind.config_1l_fp with variant = Log.Batch 8 }) ]

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Source lint: keep the simulation's instrumentation boundary tight.
 #
-# Four rules, all enforced by grep so they run anywhere dune does:
+# Five rules, all enforced by grep so they run anywhere dune does:
 #
 #   1. No raw Stdlib.Mutex / Stdlib.Atomic outside lib/nvm.  Every piece
 #      of synchronization must go through Sim_mutex / Sim_atomic so that
@@ -30,6 +30,11 @@
 #      in every test, subcommand and bench.  A deliberate variant outside
 #      the matrix (Batch 4, force + Batch) is not a named configuration
 #      unchanged and stays allowed.
+#
+#   5. No Record.inline_encode / Record.word_encode call outside
+#      lib/core/log.ml.  Log.form alone decides whether a record is an
+#      END word, an inline pair or a full record; every other appender
+#      hands it the fields.
 #
 # Allowlist: one file per line, repo-relative.  Seeded with the current
 # legitimate sites; add to it deliberately, with a comment here saying
@@ -64,6 +69,11 @@ examples/tpcc_demo.ml
 # the paper's figures, not configuration names.
 ALLOW_MATRIX='
 lib/benchlib/figures.ml
+'
+
+# test/test_inline.ml: pins the compact bit formats themselves.
+ALLOW_ENCODE='
+test/test_inline.ml
 '
 
 allowed() {
@@ -138,6 +148,18 @@ matrix_hits=$(
     done
 )
 report "local list of named configurations (use Rewind.named_configs, Crash_scenarios.wal_configs / matrix or Support.configs)" "$matrix_hits"
+
+# --- rule 5: the record-form decision stays behind Log --------------
+encode_hits=$(
+    grep -rn --include='*.ml' \
+         -e '\bRecord\.inline_encode\b' -e '\bRecord\.word_encode\b' \
+         lib bin bench examples test 2>/dev/null |
+    grep -v '^lib/core/log\.ml:' |
+    while IFS=: read -r file rest; do
+        allowed "$ALLOW_ENCODE" "$file" || printf '%s:%s\n' "$file" "$rest"
+    done
+)
+report "Record.inline_encode/word_encode outside lib/core/log.ml (hand the fields to Log.form, which decides a record's form)" "$encode_hits"
 
 if [ "$fail" -ne 0 ]; then
     echo "lint: failed" >&2
