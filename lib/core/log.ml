@@ -12,6 +12,9 @@
      fills) the pending slot lines are written back, one fence is issued,
      and the bucket's "last persistent index" word is updated with a
      non-temporal store.  Recovery trusts only slots up to that index.
+     A group counts records, whatever their width: a full record, an END
+     word and a pair each count one, and the flush covers every slot
+     they occupy.
 
    Record removal (log clearing) tombstones a slot with a single atomic
    word store; a bucket is unlinked from the ADLL when it empties.  Bucket
@@ -103,6 +106,7 @@ type t = {
          append/clear hot path skips the [cells] hash lookup *)
   mutable next_slot : int;   (* next free slot index in the current bucket *)
   mutable pending : int;     (* slots appended since the last persist point *)
+  mutable grouped : int;     (* records appended since the last persist point *)
   cells : (int, cell) Hashtbl.t;  (* bucket -> its volatile cell *)
   mutable linked : int;  (* buckets linked so far: the next cell's [seq] *)
   mutable inline_ok : bool;  (* inline-pair encoding enabled (default) *)
@@ -201,6 +205,7 @@ let make variant bucket_cap alloc ~root_slot chain =
     cur = no_cell ();
     next_slot = 0;
     pending = 0;
+    grouped = 0;
     cells = Hashtbl.create 64;
     linked = 0;
     inline_ok = true;
@@ -228,6 +233,7 @@ let reset_chain t =
   Hashtbl.reset t.cells;
   t.next_slot <- 0;
   t.pending <- 0;
+  t.grouped <- 0;
   if bucketed t then new_bucket t
 
 let set_chaos_drop_group_fence t b = t.chaos_drop_group_fence <- b
@@ -252,10 +258,18 @@ let flush_group t =
       (let s = Arena.stats t.arena in
        s.Stats.group_flushes <- s.Stats.group_flushes + 1);
       Pmcheck.group_persisted ~group:t.group_tag t.arena;
-      t.pending <- 0
+      t.pending <- 0;
+      t.grouped <- 0
   | _ -> ()
 
 (* -- append ------------------------------------------------------------ *)
+
+(* Add one record of [width] slots to the open Batch group; a full group,
+   or [force], persists it. *)
+let add_to_group t ~group ~width ~force =
+  t.pending <- t.pending + width;
+  t.grouped <- t.grouped + 1;
+  if force || t.grouped >= group then flush_group t
 
 (* Count one more live record in the current bucket, appended with [lsn]
    ({!unknown_lsn} when the appender has none). *)
@@ -284,8 +298,7 @@ let append_slot t r ~lsn ~force_persist =
       (* No per-record fence: the slot store stays cached until the group
          persistence point. *)
       Arena.write t.arena (slot_off b i) (Int64.of_int r);
-      t.pending <- t.pending + 1;
-      if force_persist || t.pending >= group then flush_group t);
+      add_to_group t ~group ~width:1 ~force:force_persist);
   (b, i)
 
 (* Store a compact record — an END word ([width] 1, [w1] unused) or an
@@ -323,9 +336,8 @@ let put_compact t ~width w0 w1 ~lsn ~force_persist =
   | Batch group ->
       (* The words stay cached; [flush_group] persists them and only then
          advances the last-persistent-index, so trusted slots never cut a
-         pair in half.  A record counts its slots toward the group. *)
-      t.pending <- t.pending + width;
-      if force_persist || t.pending >= group then flush_group t);
+         pair in half. *)
+      add_to_group t ~group ~width ~force:force_persist);
   (b, i)
 
 (* A handle names the exact location of an appended record, letting its

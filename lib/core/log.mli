@@ -9,11 +9,12 @@
       cached until [g] records accumulate (or an END record arrives, or
       the bucket fills), then one write-back + fence + a non-temporal
       update of the bucket's last-persistent-index word covers the whole
-      group.  Recovery trusts only slots up to that index, so a new
-      bucket reuses a freed one when the allocator has one, its index
-      durably reset to 0 before it is linked
-      ({!Rewind_nvm.Stats.t.buckets_recycled} counts them).  Optimized
-      buckets always come fresh and durably zero.
+      group.  A record counts one whatever its width (a two-slot pair
+      too); the write-back covers all of the group's slots.  Recovery
+      trusts only slots up to that index, so a new bucket reuses a freed
+      one when the allocator has one, its index durably reset to 0
+      before it is linked ({!Rewind_nvm.Stats.t.buckets_recycled} counts
+      them).  Optimized buckets always come fresh and durably zero.
 
     Bucket occupancy and the insertion cursor are volatile and
     reconstructed by {!attach} after a crash, as in the paper's analysis

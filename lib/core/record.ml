@@ -6,12 +6,12 @@
    the log.  The bucketed logs also hold two compact forms in their own
    slots (layouts below): a one-slot END word for a payload-free user END
    (txn < 2^17, LSN < 2^26), and a two-slot pair for word-sized
-   UPDATE/CLR records (txn < 2^14, LSN < 2^26, 16-bit images) and the
-   AAVLT's internal records (36-bit images).  A record that fits neither
-   is a full record.  The
-   fields mirror ARIES/REWIND: LSN, transaction id, record type, affected
-   address, before/after images, the undo-next pointer used by CLRs, and
-   the previous-record-of-same-transaction chain used by two-layer logging.
+   UPDATE/CLR records (txn < 2^17, LSN < 2^26, 16-bit images, address
+   < 2^28) and the AAVLT's internal records (36-bit images).  A record
+   that fits neither is a full record.  The fields mirror ARIES/REWIND:
+   LSN, transaction id, record type, affected address, before/after
+   images, the undo-next pointer used by CLRs, and the
+   previous-record-of-same-transaction chain used by two-layer logging.
 
    The type word carries the record's CRC-32 in its upper half (the type
    code needs only the lower half): recovery verifies it before
@@ -86,38 +86,38 @@ let image_crc ~lsn ~txn ~typw ~addr ~old_value ~new_value ~undo_next
    [Int64.to_int] round-trip as a non-negative OCaml int and never
    compares as a record address.
 
-   The END word — one slot, tag 2 (0b010) — is a payload-free user END
-   (txn > 0: every commit and rollback end):
+   Both forms open with the same word, under its own tag:
 
-     [2:0]=2  [18:3]=crc16  [35:19]=txn(17 bits)  [61:36]=lsn(26 bits)
+     w0:  [2:0]=tag  [18:3]=crc16  [35:19]=txn(17 bits)  [61:36]=lsn(26 bits)
 
-   crc16 is the folded CRC-32 of the word with the crc field zeroed.  A
-   word cannot tear, but a media-faulty line can serve garbage, so the
-   checksum stays.
+   The END word is w0 alone, tag 2 (0b010): a payload-free user END
+   (txn > 0: every commit and rollback end).  Its crc16 is the folded
+   CRC-32 of the word with the crc field zeroed.  A word cannot tear, but
+   a media-faulty line can serve garbage, so the checksum stays.
 
-   The pair — two adjacent slots, tag 6 (0b110) on the first word, tag 7
-   (0b111) on the second — holds word-sized before/after images, which
-   covers one-layer UPDATE/CLR records and every AAVLT-internal record:
+   The pair is w0 and a second slot, tag 7 (0b111), holding the record's
+   kind, address and word-sized images:
 
-   word 0:  [2:0]=6  [3]=fmt  [5:4]=typ  [21:6]=crc16  [61:22]=payload
-   word 1:  [2:0]=7  [29:3]=addr/8  [45:30]=a16  [61:46]=b16
+     w1:  [2:0]=7  [4:3]=kind  [29:5]=addr/8 (25 bits)  [45:30]=a16  [61:46]=b16
 
-   fmt 0 ("user"):     payload = txn(14 bits) | lsn(26 bits) << 14;
-                       UPDATE: a16 = old value, b16 = new value;
-                       CLR: a16 = undo-next LSN, b16 = new (restored)
-                       value — a CLR's old value is write-only throughout
-                       the system, so it is not stored and decodes as 0.
-                       The encoder emits no user END (the END word
-                       holds those); the decoder still reads one, so
-                       older images attach unchanged.
-   fmt 1 ("internal"): an AAVLT record (txn 0, lsn 0); payload =
-                       old[35:16](20 bits) | new[35:16](20 bits) << 20,
-                       a16/b16 = the low halves — 36-bit images cover
-                       node pointers, keys and heights.
+   kind 0, a user UPDATE: a16 = old value, b16 = new value.
+   kind 1, a user CLR: a16 = undo-next LSN, b16 = new (restored) value —
+   a CLR's old value is write-only throughout the system, so it is not
+   stored and decodes as 0.
+   A user pair's w0 has tag 6 (0b110).
+   kind 2 and 3, an AAVLT-internal UPDATE and END (txn 0, lsn 0): w0
+   has tag 5 (0b101), and its txn and lsn fields hold
+   old[35:16] | new[35:16] << 20 instead, a16/b16 the low halves —
+   36-bit images cover node pointers, keys and heights.
 
-   crc16 is the folded CRC-32 of the pair with the crc field zeroed; a
-   pair whose second word is missing, untrusted or mismatched is a torn
-   record, truncated by recovery exactly like a bad-CRC full record.
+   Each accessor reads one word where it can: the LSN and txn from w0,
+   whose tag says whether they are stored; the type, address, undo-next
+   and a user record's images from w1.  The address field reaches
+   256 MiB.  A pair's crc16 is the folded CRC-32 of both words with w0's
+   crc field zeroed, and a pair is valid only when w0's tag and w1's kind
+   agree; a pair whose second word is missing, untrusted or mismatched
+   is a torn record, truncated by recovery exactly like a bad-CRC full
+   record.
 
    A compact record is addressed by an *inline ref*: the NVM address of
    its first slot with low bits 0b001 for a pair and 0b011 for an END
@@ -129,21 +129,25 @@ let image_crc ~lsn ~txn ~typw ~addr ~old_value ~new_value ~undo_next
 let fold16 c = (c lxor (c lsr 16)) land 0xFFFF
 let fits n bits = n >= 0 && n lsr bits = 0
 
+(* The first word of either compact form. *)
+module W0 = struct
+  let make ~tag ~txn ~lsn = tag lor (txn lsl 19) lor (lsn lsl 36)
+  let stored_crc w = (w lsr 3) land 0xFFFF
+  let txn w = (w lsr 19) land 0x1FFFF
+  let lsn w = (w lsr 36) land 0x3FFFFFF
+  let without_crc w = Int64.of_int (w land lnot (0xFFFF lsl 3))
+  let with_crc w c = w lor (c lsl 3)
+end
+
 module Word = struct
   let tag = 2
 
   let is_word w = w >= 0 && w land 7 = tag
-  let stored_crc w = (w lsr 3) land 0xFFFF
-  let txn w = (w lsr 19) land 0x1FFFF
-  let lsn w = (w lsr 36) land 0x3FFFFFF
 
   let crc16 w =
-    fold16
-      (Crc32.finish
-         (Crc32.update_int64 Crc32.init
-            (Int64.of_int (w land lnot (0xFFFF lsl 3)))))
+    fold16 (Crc32.finish (Crc32.update_int64 Crc32.init (W0.without_crc w)))
 
-  let valid w = is_word w && crc16 w = stored_crc w
+  let valid w = is_word w && crc16 w = W0.stored_crc w
 
   (* A payload-free user END, or [None]: the caller tries the pair next. *)
   let encode ~lsn ~txn ~typ ~addr ~old_value ~new_value ~undo_next =
@@ -151,54 +155,48 @@ module Word = struct
       typ = End && addr = 0 && old_value = 0L && new_value = 0L
       && undo_next = 0 && txn > 0 && fits txn 17 && fits lsn 26
     then
-      let w = tag lor (txn lsl 19) lor (lsn lsl 36) in
-      Some (w lor (crc16 w lsl 3))
+      let w = W0.make ~tag ~txn ~lsn in
+      Some (W0.with_crc w (crc16 w))
     else None
 end
 
 module Inline = struct
-  let tag_first = 6
+  let tag_user = 6
+  let tag_internal = 5
   let tag_second = 7
 
   (* Slot-word classification (on values read back as OCaml ints).
      Garbage with bit 62 of the NVM word set reads back negative and is
      rejected here before any field is interpreted. *)
-  let is_first_word w = w >= 0 && w land 7 = tag_first
+  let is_first_word w =
+    w >= 0 && (w land 7 = tag_user || w land 7 = tag_internal)
+
   let is_second_word w = w >= 0 && w land 7 = tag_second
-
-  let typ2_of_typ = function
-    | Update -> Some 0
-    | Clr -> Some 1
-    | End -> Some 2
-    | Delete | Rollback | Prepare -> None
-
-  let typ_of_typ2 = function
-    | 0 -> Update
-    | 1 -> Clr
-    | 2 -> End
-    | n -> Fmt.invalid_arg "Record.Inline.typ_of_typ2: %d" n
+  let internal w0 = w0 land 7 = tag_internal
 
   let crc16 ~w0 ~w1 =
-    let w0z = w0 land lnot (0xFFFF lsl 6) in
-    let c =
-      Crc32.finish
-        (Crc32.update_int64
-           (Crc32.update_int64 Crc32.init (Int64.of_int w0z))
-           (Int64.of_int w1))
-    in
-    fold16 c
+    fold16
+      (Crc32.finish
+         (Crc32.update_int64
+            (Crc32.update_int64 Crc32.init (W0.without_crc w0))
+            (Int64.of_int w1)))
 
-  (* field extraction *)
-  let fmt w0 = (w0 lsr 3) land 1
-  let typ2 w0 = (w0 lsr 4) land 3
-  let stored_crc w0 = (w0 lsr 6) land 0xFFFF
-  let payload w0 = w0 lsr 22
-  let addr_of w1 = ((w1 lsr 3) land 0x7FFFFFF) lsl 3
+  (* second-word fields *)
+  let kind w1 = (w1 lsr 3) land 3
+  let addr_of w1 = ((w1 lsr 5) land 0x1FFFFFF) lsl 3
   let a16 w1 = (w1 lsr 30) land 0xFFFF
   let b16 w1 = (w1 lsr 46) land 0xFFFF
 
+  let typ_of_kind = function 0 | 2 -> Update | 1 -> Clr | _ -> End
+
+  (* An internal record's 36-bit image: its high 20 bits at bit [at] of
+     w0's txn/lsn fields, its low 16 bits [lo] from w1. *)
+  let image ~w0 ~at ~lo =
+    Int64.of_int ((((w0 lsr (19 + at)) land 0xFFFFF) lsl 16) lor lo)
+
   let valid ~w0 ~w1 =
-    is_first_word w0 && is_second_word w1 && crc16 ~w0 ~w1 = stored_crc w0
+    is_first_word w0 && is_second_word w1 && internal w0 = (kind w1 >= 2)
+    && crc16 ~w0 ~w1 = W0.stored_crc w0
 
   let fits64 v bits =
     Int64.compare v 0L >= 0
@@ -208,45 +206,43 @@ module Inline = struct
      record is a user END — the caller falls back to a full record, so
      eligibility is pure policy. *)
   let encode ~lsn ~txn ~typ ~addr ~old_value ~new_value ~undo_next =
-    match typ2_of_typ typ with
-    | None -> None
-    | Some t2 ->
-        if not (addr >= 0 && addr land 7 = 0 && fits (addr lsr 3) 27) then None
-        else
-          let pack ~fmt ~payload ~a16 ~b16 =
-            let w0 = tag_first lor (fmt lsl 3) lor (t2 lsl 4) lor (payload lsl 22) in
-            let w1 =
-              tag_second lor ((addr lsr 3) lsl 3) lor (a16 lsl 30) lor (b16 lsl 46)
-            in
-            Some (w0 lor (crc16 ~w0 ~w1 lsl 6), w1)
-          in
-          let internal =
-            txn = 0 && lsn = 0 && undo_next = 0
-            && (typ = Update || typ = End)
-            && fits64 old_value 36 && fits64 new_value 36
-          in
-          if internal then
-            let ov = Int64.to_int old_value and nv = Int64.to_int new_value in
-            pack ~fmt:1
-              ~payload:((ov lsr 16) lor ((nv lsr 16) lsl 20))
-              ~a16:(ov land 0xFFFF) ~b16:(nv land 0xFFFF)
-          else if not (fits txn 14 && fits lsn 26) then None
-          else
-            let payload = txn lor (lsn lsl 14) in
-            match typ with
-            | Clr ->
-                (* the old value is write-only: dropped, decodes as 0 *)
-                if fits undo_next 16 && fits64 new_value 16 then
-                  pack ~fmt:0 ~payload ~a16:undo_next
-                    ~b16:(Int64.to_int new_value)
-                else None
-            | Update ->
-                if undo_next = 0 && fits64 old_value 16 && fits64 new_value 16
-                then
-                  pack ~fmt:0 ~payload ~a16:(Int64.to_int old_value)
-                    ~b16:(Int64.to_int new_value)
-                else None
-            | End | Delete | Rollback | Prepare -> None
+    if not (addr >= 0 && addr land 7 = 0 && fits (addr lsr 3) 25) then None
+    else
+      let pack ~w0 ~kind ~a16 ~b16 =
+        let w1 =
+          tag_second lor (kind lsl 3) lor ((addr lsr 3) lsl 5) lor (a16 lsl 30)
+          lor (b16 lsl 46)
+        in
+        Some (W0.with_crc w0 (crc16 ~w0 ~w1), w1)
+      in
+      let internal =
+        txn = 0 && lsn = 0 && undo_next = 0
+        && (typ = Update || typ = End)
+        && fits64 old_value 36 && fits64 new_value 36
+      in
+      if internal then
+        let ov = Int64.to_int old_value and nv = Int64.to_int new_value in
+        (* the high halves fill w0's txn and lsn fields *)
+        let hi = (ov lsr 16) lor ((nv lsr 16) lsl 20) in
+        pack ~w0:(tag_internal lor (hi lsl 19))
+          ~kind:(if typ = Update then 2 else 3)
+          ~a16:(ov land 0xFFFF) ~b16:(nv land 0xFFFF)
+      else if not (fits txn 17 && fits lsn 26) then None
+      else
+        let w0 = W0.make ~tag:tag_user ~txn ~lsn in
+        match typ with
+        | Clr ->
+            (* the old value is write-only: dropped, decodes as 0 *)
+            if fits undo_next 16 && fits64 new_value 16 then
+              pack ~w0 ~kind:1 ~a16:undo_next ~b16:(Int64.to_int new_value)
+            else None
+        | Update ->
+            if undo_next = 0 && fits64 old_value 16 && fits64 new_value 16
+            then
+              pack ~w0 ~kind:0 ~a16:(Int64.to_int old_value)
+                ~b16:(Int64.to_int new_value)
+            else None
+        | End | Delete | Rollback | Prepare -> None
 end
 
 (* An inline ref is the record's first-slot address with low bits 0b001
@@ -260,22 +256,20 @@ let iw0 a r = Int64.to_int (Arena.read a (inline_slot r))
 let iw1 a r = Int64.to_int (Arena.read a (inline_slot r + 8))
 
 let lsn a r =
-  if is_word r then Word.lsn (iw0 a r)
-  else if is_inline r then
+  if is_inline r then
     let w0 = iw0 a r in
-    if Inline.fmt w0 = 1 then 0 else (Inline.payload w0 lsr 14) land 0x3FFFFFF
+    if Inline.internal w0 then 0 else W0.lsn w0
   else Int64.to_int (Arena.read a (r + o_lsn))
 
 let txn a r =
-  if is_word r then Word.txn (iw0 a r)
-  else if is_inline r then
+  if is_inline r then
     let w0 = iw0 a r in
-    if Inline.fmt w0 = 1 then 0 else Inline.payload w0 land 0x3FFF
+    if Inline.internal w0 then 0 else W0.txn w0
   else Int64.to_int (Arena.read a (r + o_txn))
 
 let typ a r =
   if is_word r then End
-  else if is_inline r then Inline.typ_of_typ2 (Inline.typ2 (iw0 a r))
+  else if is_inline r then Inline.typ_of_kind (Inline.kind (iw1 a r))
   else
     typ_of_int (Int64.to_int (Int64.logand (Arena.read a (r + o_typ)) 0xFFFFFFFFL))
 
@@ -288,30 +282,27 @@ let addr a r =
 let old_value a r =
   if is_word r then 0L
   else if is_inline r then
-    let w0 = iw0 a r in
-    if Inline.fmt w0 = 1 then
-      Int64.of_int (((Inline.payload w0 land 0xFFFFF) lsl 16) lor Inline.a16 (iw1 a r))
-    else
-      match Inline.typ2 w0 with
-      | 1 (* Clr: old value not stored *) -> 0L
-      | _ -> Int64.of_int (Inline.a16 (iw1 a r))
+    let w1 = iw1 a r in
+    match Inline.kind w1 with
+    | 0 -> Int64.of_int (Inline.a16 w1)
+    | 1 (* Clr: old value not stored *) -> 0L
+    | _ -> Inline.image ~w0:(iw0 a r) ~at:0 ~lo:(Inline.a16 w1)
   else Arena.read a (r + o_old)
 
 let new_value a r =
   if is_word r then 0L
   else if is_inline r then
-    let w0 = iw0 a r in
-    if Inline.fmt w0 = 1 then
-      Int64.of_int
-        ((((Inline.payload w0 lsr 20) land 0xFFFFF) lsl 16) lor Inline.b16 (iw1 a r))
-    else Int64.of_int (Inline.b16 (iw1 a r))
+    let w1 = iw1 a r in
+    if Inline.kind w1 >= 2 then
+      Inline.image ~w0:(iw0 a r) ~at:20 ~lo:(Inline.b16 w1)
+    else Int64.of_int (Inline.b16 w1)
   else Arena.read a (r + o_new)
 
 let undo_next a r =
   if is_word r then 0
   else if is_inline r then
-    let w0 = iw0 a r in
-    if Inline.fmt w0 = 0 && Inline.typ2 w0 = 1 then Inline.a16 (iw1 a r) else 0
+    let w1 = iw1 a r in
+    if Inline.kind w1 = 1 then Inline.a16 w1 else 0
   else Int64.to_int (Arena.read a (r + o_undo_next))
 
 let prev_same_txn a r =
@@ -334,8 +325,7 @@ let pack_typ_word ~typw ~crc =
     (Int64.shift_left (Int64.of_int crc) 32)
 
 let checksum a r =
-  if is_word r then Word.stored_crc (iw0 a r)
-  else if is_inline r then Inline.stored_crc (iw0 a r)
+  if is_inline r then W0.stored_crc (iw0 a r)
   else Int64.to_int (Int64.shift_right_logical (Arena.read a (r + o_typ)) 32)
 
 (* Recompute the CRC from the record as currently readable and compare it

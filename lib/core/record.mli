@@ -80,9 +80,11 @@ val free : Rewind_nvm.Alloc.t -> int -> unit
     Two compact forms live in a bucket's own slots instead of a 64-byte
     line.  An {e END word} is one slot, tag 2 (low three bits): a
     payload-free user END with a 17-bit transaction id, a 26-bit LSN and a
-    16-bit CRC.  A {e pair} is two adjacent slots, tag 6 on the first word
-    and 7 on the second, under a folded 16-bit CRC: a word-sized UPDATE or
-    CLR, or an AAVLT-internal record.  A compact record is addressed by an
+    16-bit CRC.  A {e pair} is two adjacent slots under a folded 16-bit
+    CRC: a word-sized UPDATE or CLR, whose first word has the END word's
+    layout under tag 6, or an AAVLT-internal record, whose first word is
+    tagged 5; the second word, tag 7, holds the kind, an address below
+    2^28 and two 16-bit fields.  A compact record is addressed by an
     {e inline ref}: its first slot's NVM address with low bits [0b001]
     (pair) or [0b011] (END word), odd and therefore disjoint from
     64-aligned record addresses.  Every field accessor above decodes
@@ -114,9 +116,10 @@ val inline_encode :
   (int * int) option
 (** The pair's two slot words, or [None] when a field exceeds the compact
     format or the record is a user END (the caller then tries
-    {!word_encode} or falls back to {!make}).  A CLR's old value is
-    write-only system-wide and is not stored: it decodes as 0.  The
-    decoder still reads user END pairs. *)
+    {!word_encode} or falls back to {!make}).  A user record needs [txn]
+    below 2^17, [lsn] below 2^26 and 16-bit images; every pair needs an
+    8-aligned [addr] below 2^28.  A CLR's old value is write-only
+    system-wide and is not stored: it decodes as 0. *)
 
 val is_inline : int -> bool
 (** Is this record address an inline ref (pair or END word)? *)

@@ -550,7 +550,6 @@ let form t p txn_id ~lsn ~typ ~addr ~old_value ~new_value ~undo_next =
         let e = Txn_table.find_or_add p.table txn_id in
         (* Chain before the record becomes reachable. *)
         Record.set_prev_same_txn t.arena r e.Txn_table.last_record;
-        let lsn = Record.lsn t.arena r in
         Avl_index.op idx (fun () ->
             let node = Avl_index.insert_in_op idx lsn in
             Avl_index.set_head_record idx node r);
@@ -658,11 +657,13 @@ let durable_horizon t = Int64.to_int (Arena.root_get t.arena t.horizon_slot)
 (* Persist every partition's pending group and deferred stores, then the
    whole cache: every settled transaction's effects are durable, and the
    horizon may pass them.  Buffered Batch stores must land before the
-   flush or they would be silently dropped. *)
+   flush or they would be silently dropped.  With nothing written back
+   since the last fence (a force-policy recovery whose undo found nothing
+   to restore), the closing fence would order nothing and is skipped. *)
 let persist_all t =
   Array.iter (flush_pending t) t.parts;
   Arena.flush_all t.arena;
-  Arena.fence t.arena
+  Arena.fence_if_needed t.arena
 
 (* Durably store the horizon [h] ([Arena.root_set] fences); the caller
    has just run {!persist_all}. *)

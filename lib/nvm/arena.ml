@@ -546,6 +546,8 @@ let fence t =
   Clock.advance t.config.Config.fence_ns;
   match t.tracer with None -> () | Some f -> f Trace.Fence
 
+let fence_if_needed t = if t.persisted_since_fence then fence t
+
 (* Persist barrier: flush the word's line and fence.  The common "make this
    update durable now" sequence. *)
 let persist t off len =

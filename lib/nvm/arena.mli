@@ -59,6 +59,10 @@ val flush_all : t -> unit
 val fence : t -> unit
 (** Persistent memory fence: orders and charges [fence_ns]. *)
 
+val fence_if_needed : t -> unit
+(** {!fence}, unless no write-back or non-temporal store has happened
+    since the last fence: such a fence would order nothing. *)
+
 val persist : t -> int -> int -> unit
 (** [persist t off len] flushes the range and fences. *)
 

@@ -1,10 +1,10 @@
 (* Inline compact log records: the allocation-free small-write fast path.
 
    Covers the encodings themselves (roundtrips, eligibility edges, the
-   END word at its field limits, an older image's END pair), the append
-   path on both bucketed variants, crash sweeps over every configuration
-   with inline-eligible workloads and over transaction ids that straddle
-   the pair's 14-bit limit, a deliberately torn pair and END word that
+   END word at its field limits), the append path on both bucketed
+   variants, crash sweeps over every configuration with inline-eligible
+   workloads and over transaction ids that straddle the compact forms'
+   17-bit limit, a deliberately torn pair and END word that
    recovery must truncate (mirroring test_faults.ml's full-record torn
    tests), and exhaustive crash-state enumeration over inline appends. *)
 
@@ -83,12 +83,19 @@ let test_ineligible_fields () =
     Record.inline_encode ~lsn ~txn ~typ ~addr ~old_value ~new_value ~undo_next
   in
   check_bool "baseline eligible" true (enc () <> None);
-  none ~ctx:"txn too wide" (enc ~txn:(1 lsl 14) ());
+  (* the txn and LSN fields end at 17 and 26 bits, the address at 2^28 *)
+  let max_txn = (1 lsl 17) - 1 and max_lsn = (1 lsl 26) - 1 in
+  (match enc ~txn:max_txn ~lsn:max_lsn ~addr:((1 lsl 28) - 8) () with
+  | None -> Alcotest.fail "pair at its field limits not eligible"
+  | Some (w0, w1) ->
+      check_bool "pair at its field limits is valid" true
+        (Record.inline_pair_valid ~w0 ~w1));
+  none ~ctx:"txn too wide" (enc ~txn:(1 lsl 17) ());
   none ~ctx:"lsn too wide" (enc ~lsn:(1 lsl 26) ());
   none ~ctx:"user image too wide" (enc ~old_value:(Int64.of_int (1 lsl 16)) ());
   none ~ctx:"negative image" (enc ~new_value:(-1L) ());
   none ~ctx:"unaligned addr" (enc ~addr:65 ());
-  none ~ctx:"addr out of range" (enc ~addr:(1 lsl 31) ());
+  none ~ctx:"addr out of range" (enc ~addr:(1 lsl 28) ());
   none ~ctx:"delete not compact" (enc ~typ:Record.Delete ());
   none ~ctx:"update with undo_next" (enc ~undo_next:5 ());
   none ~ctx:"user END is an END word, not a pair"
@@ -98,6 +105,37 @@ let test_ineligible_fields () =
     (enc ~lsn:0 ~txn:0 ~old_value:(Int64.of_int ((1 lsl 36) - 1)) () <> None);
   none ~ctx:"internal image too wide"
     (enc ~lsn:0 ~txn:0 ~old_value:(Int64.of_int (1 lsl 36)) ())
+
+(* A pair's first-word tag (6 user, 5 internal) and its second word's
+   kind must agree: a pair re-tagged under a matching CRC is invalid.  The
+   CRC is recomputed here from the layout in record.ml. *)
+let test_tag_kind_agree () =
+  let with_crc w0 w1 =
+    let w0 = w0 land lnot (0xFFFF lsl 3) in
+    let c =
+      Crc32.finish
+        (Crc32.update_int64
+           (Crc32.update_int64 Crc32.init (Int64.of_int w0))
+           (Int64.of_int w1))
+    in
+    w0 lor (((c lxor (c lsr 16)) land 0xFFFF) lsl 3)
+  in
+  let retag w0 tag = (w0 land lnot 7) lor tag in
+  let pair ~lsn ~txn =
+    Option.get
+      (Record.inline_encode ~lsn ~txn ~typ:Record.Update ~addr:64
+         ~old_value:1L ~new_value:2L ~undo_next:0)
+  in
+  let user0, user1 = pair ~lsn:5 ~txn:3 in
+  let int0, int1 = pair ~lsn:0 ~txn:0 in
+  check_int "user tag" 6 (user0 land 7);
+  check_int "internal tag" 5 (int0 land 7);
+  check_bool "CRC recomputed as the encoder does" true
+    (Record.inline_pair_valid ~w0:(with_crc user0 user1) ~w1:user1);
+  check_bool "user pair re-tagged internal" false
+    (Record.inline_pair_valid ~w0:(with_crc (retag user0 5) user1) ~w1:user1);
+  check_bool "internal pair re-tagged user" false
+    (Record.inline_pair_valid ~w0:(with_crc (retag int0 6) int1) ~w1:int1)
 
 (* The END word holds a payload-free user END up to each field's limit;
    one past a limit, or any payload, and the END is a full record. *)
@@ -132,38 +170,6 @@ let test_end_word_limits () =
     (Record.word_encode ~lsn:0 ~txn:0 ~typ:Record.End ~addr:0 ~old_value:0L
        ~new_value:0L ~undo_next:0
     = None)
-
-(* A user END pair, as logs written before the END word hold them: the
-   pair decoder still reads it, and [attach] keeps it.  No append forms
-   such a pair any more, so the words are built by hand from the layout
-   in record.ml and stored durably into the first two slots of the log's
-   bucket (word 0 is a Batch bucket's last-persistent-index). *)
-let test_old_end_pair variant () =
-  let arena, _alloc, log = fresh_log variant in
-  let txn = 9 and lsn = 4242 in
-  let w0 = 6 lor (2 lsl 4) lor ((txn lor (lsn lsl 14)) lsl 22) and w1 = 7 in
-  let c =
-    Crc32.finish
-      (Crc32.update_int64
-         (Crc32.update_int64 Crc32.init (Int64.of_int w0))
-         (Int64.of_int w1))
-  in
-  let w0 = w0 lor (((c lxor (c lsr 16)) land 0xFFFF) lsl 6) in
-  let b = List.hd (Log.buckets log) in
-  List.iter
-    (fun (off, w) -> Arena.nt_write arena (b + off) (Int64.of_int w))
-    [ (8, w0); (16, w1); (0, 2) ];
-  Arena.crash arena;
-  let log = Log.attach variant (Alloc.recover arena) ~root_slot in
-  check_int "nothing torn" 0 (Log.torn_truncated log);
-  match Log.records log with
-  | [ r ] ->
-      check_bool "a pair" true
-        (Record.is_inline r && fst (Log.occupancy_stats log) = 2);
-      check_bool "typ" true (Record.typ arena r = Record.End);
-      check_int "txn" txn (Record.txn arena r);
-      check_int "lsn" lsn (Record.lsn arena r)
-  | l -> Alcotest.failf "expected 1 record, got %d" (List.length l)
 
 let test_fallback_to_full () =
   let arena, _alloc, log = fresh_log Log.Optimized in
@@ -264,14 +270,14 @@ let test_sweep_uses_inline () =
         (Log.inline_appended (Tm.log tm) > 0))
     (configs [ "1l-nfp"; "1l-fp"; "batch" ])
 
-(* Crash sweep over transaction ids that straddle 2^14: the pair's txn
-   field ends there, so the window's UPDATEs and CLRs switch from pairs to
-   full records mid-script while every END stays an END word. *)
+(* Crash sweep over transaction ids that straddle 2^17: the txn field of
+   the pair and of the END word ends there, so the window's records switch
+   from compact forms to full records mid-script. *)
 let straddling cfg =
   Scenarios.tm_cells ~size_bytes:(4 lsl 20) ~n:8 cfg
     ~prepare:(fun tm _ ->
-      (* the window's six transactions get ids 16381 .. 16386 *)
-      for _ = 1 to (1 lsl 14) - 4 do
+      (* the window's six transactions get ids 131069 .. 131074 *)
+      for _ = 1 to (1 lsl 17) - 4 do
         ignore (Tm.begin_txn tm)
       done)
     ~window:(fun tm cells () -> script tm cells)
@@ -396,10 +402,8 @@ let () =
           tc "clr roundtrip" `Quick test_roundtrip_clr;
           tc "internal roundtrip" `Quick test_roundtrip_internal;
           tc "ineligible fields" `Quick test_ineligible_fields;
+          tc "pair tag and kind agree" `Quick test_tag_kind_agree;
           tc "END word at its limits" `Quick test_end_word_limits;
-          tc "older END pair [optimized]" `Quick
-            (test_old_end_pair Log.Optimized);
-          tc "older END pair [batch8]" `Quick (test_old_end_pair (Log.Batch 8));
           tc "fallback to full record" `Quick test_fallback_to_full;
         ] );
       ( "append",

@@ -141,6 +141,34 @@ let test_batch_flush_group () =
   let log2 = Log.attach (Log.Batch 8) ~bucket_cap:100 alloc ~root_slot:2 in
   check_list "explicit flush persists tail" [ 1; 2; 3; 4; 5 ] (lsns arena log2)
 
+(* A Batch(g) group counts records, not slots: g two-slot pairs fill it,
+   and the one flush persists all 2g slots. *)
+let test_batch_group_of_pairs g () =
+  let arena, alloc = fresh () in
+  let log = Log.create (Log.Batch g) ~bucket_cap:100 alloc ~root_slot:2 in
+  let s = Arena.stats arena in
+  let fences0 = s.Stats.fences and flushes0 = s.Stats.group_flushes in
+  let pair lsn =
+    ignore
+      (Log.append_record log ~lsn ~txn:1 ~typ:Record.Update ~addr:(8 * lsn)
+         ~old_value:0L ~new_value:(Int64.of_int lsn) ~undo_next:0)
+  in
+  for lsn = 1 to g - 1 do
+    pair lsn
+  done;
+  check_int "open group: no fence" fences0 s.Stats.fences;
+  check_int "open group: its slots pending" (2 * (g - 1)) (Log.pending log);
+  pair g;
+  check_int "all pairs inline" g (Log.inline_appended log);
+  check_int "one group flush" (flushes0 + 1) s.Stats.group_flushes;
+  check_int "one fence" (fences0 + 1) s.Stats.fences;
+  check_int "nothing pending" 0 (Log.pending log);
+  Arena.crash arena;
+  let alloc = Alloc.recover arena in
+  let log2 = Log.attach (Log.Batch g) ~bucket_cap:100 alloc ~root_slot:2 in
+  check_list "the whole group survives" (List.init g (fun i -> i + 1))
+    (lsns arena log2)
+
 (* ------------------------------------------------------------------ *)
 (* Cost properties                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -286,7 +314,7 @@ let expected_costs = function
       ]
   | Log.Batch _ ->
       [
-        ("append", [ 6; 23; 24; 7; 12; 4677 ]);
+        ("append", [ 6; 21; 22; 4; 10; 4177 ]);
         ("iter", [ 30; 0; 0; 0; 0; 374 ]);
         ("iter_back", [ 38; 0; 0; 0; 0; 382 ]);
         ("remove_where", [ 43; 4; 10; 0; 0; 747 ]);
@@ -762,6 +790,10 @@ let () =
           tc "untrusted tail dropped" `Quick test_batch_untrusted_tail;
           tc "END forces persistence" `Quick test_batch_end_forces;
           tc "flush_group persists tail" `Quick test_batch_flush_group;
+          tc "a group of 4 pairs flushes once" `Quick
+            (test_batch_group_of_pairs 4);
+          tc "a group of 8 pairs flushes once" `Quick
+            (test_batch_group_of_pairs 8);
         ] );
       ( "costs",
         [
