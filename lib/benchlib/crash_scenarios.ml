@@ -13,14 +13,15 @@
 
    [sanitizer_tour] and [lfset_tour] are the `rewind check` workloads:
    their worlds carry a collecting sanitizer over the whole run, whose
-   report the CLI prints.  [protocols] is the table `rewind check` runs:
-   per protocol, its tour, its crash-state enumerations and its
-   race-detector workloads. *)
+   report the CLI prints.  [protocols] is the table `rewind check` and
+   the test suite run: per protocol, its tour, its crash world, its
+   crash-state enumerations and its race-detector workloads. *)
 
 open Rewind_nvm
 module Harness = Rewind_analysis.Crash_harness
 module San = Rewind_analysis.Sanitizer
 module Racecheck = Rewind_analysis.Racecheck
+module Enum = Rewind_analysis.Enumerator
 module Tm = Rewind.Tm
 module Log = Rewind.Log
 module Lfset = Rewind_pds.Lfset
@@ -370,7 +371,8 @@ let lfset ?(size_bytes = 256 * 1024) ops =
 (* Under fence-boundary subsets the claim checked is weaker — the
    recovered contents are a prefix of the op sequence — because the
    subset sweep reaches states where the announcement decides otherwise
-   (an open finding, ROADMAP item 3). *)
+   (an open finding: the ROADMAP's "Lock-free detectability under line
+   subsets"). *)
 let lfset_prefix ?size_bytes ops =
   let prefixes = Array.to_list (fst (model ops)) in
   {
@@ -489,6 +491,106 @@ let lfset_tour () =
     check = (fun _ _ -> None);
   }
 
+(* -- crash worlds ---------------------------------------------------------- *)
+
+(* A protocol's crash world, packed so that one table holds worlds of
+   different types.  [scenario] is the world the drivers crash at every
+   (sampled) event, inside recovery from [from], and as a recovery
+   chain; [observe] prints a recovered state, which
+   {!Harness.during_recovery} compares.  [faulty hook] is a shorter
+   window, with [hook] attaching a fault model, cheap enough to crash at
+   every event under each of several adversaries; only the WAL rows,
+   whose claim the fault campaign states, have one. *)
+type world =
+  | World : {
+      scenario : ('w, 'r) Harness.scenario;
+      from : Harness.origin;
+      observe : 'w -> 'r -> string;
+      faulty : ((Arena.t -> unit) -> ('w, 'r) Harness.scenario) option;
+    }
+      -> world
+
+(* WAL: [mixed_script] over a 16 MiB arena, then a transaction left in
+   flight, whose 77777 (transaction 777, rolled back by
+   [no_rolled_back]'s encoding) recovery must undo; the fault sweeps run
+   the small mixed world (6 transactions of 2 writes, a checkpoint after
+   the 4th). *)
+let wal_world cfg =
+  World
+    {
+      scenario =
+        tm_cells ~size_bytes:(16 lsl 20) ~n:8 cfg
+          ~prepare:(fun _ _ -> ())
+          ~window:(fun tm cells () ->
+            mixed_script tm cells;
+            let txn = Tm.begin_txn tm in
+            Tm.write tm txn ~addr:cells.(0) ~value:77777L)
+          ~check:no_rolled_back;
+      from = `Window_end;
+      observe = (fun _ (_, got) -> Fmt.str "%a" pp_cells got);
+      faulty =
+        Some
+          (fun hook ->
+            mixed ~size_bytes:(4 lsl 20) ~txns:6 ~writes:2 ~checkpoint_at:4
+              ~hook cfg);
+    }
+
+(* InCLL over 8 cells: three advanced epochs, then a transaction
+   committed but not advanced (999 into cell 0) and one left open (998
+   into cell 1), both lines written back, so recovery has cells to
+   rewind.  The legal recovered states are the four epoch boundaries, and
+   the durable epoch counter names the one: a crash in epoch e (recovery
+   reopens e + 1) lands on boundary e - 1.  Every persistence event but
+   the last two write-backs is inside an epoch advance, the protocol's
+   whole crash surface.  [hook] hands the window its arena. *)
+let epoch_world () =
+  let boundary e =
+    Array.init 8 (fun i -> if e = 0 then 0L else Int64.of_int ((e * 100) + i))
+  in
+  let epoch tm = Option.get (Tm.current_epoch tm) in
+  let arena = ref None in
+  World
+    {
+      scenario =
+        tm_cells ~n:8
+          ~hook:(fun a -> arena := Some a)
+          Rewind.config_incll
+          ~prepare:(fun _ _ -> Option.get !arena)
+          ~window:(fun tm cells arena ->
+            for e = 1 to 3 do
+              let txn = Tm.begin_txn tm in
+              Array.iteri
+                (fun i c -> Tm.write tm txn ~addr:c ~value:(boundary e).(i))
+                cells;
+              Tm.commit tm txn;
+              Tm.advance_epoch tm
+            done;
+            let txn = Tm.begin_txn tm in
+            Tm.write tm txn ~addr:cells.(0) ~value:999L;
+            Tm.commit tm txn;
+            Tm.write tm (Tm.begin_txn tm) ~addr:cells.(1) ~value:998L;
+            Arena.flush_line arena cells.(0);
+            Arena.flush_line arena cells.(1))
+          ~check:(fun _ tm got ->
+            let e = epoch tm - 2 in
+            if e < 0 || e > 3 then
+              Some (Fmt.str "recovery reopened epoch %d, out of range" (e + 2))
+            else if got <> boundary e then
+              Some
+                (Fmt.str "epoch %d: cells %a, want %a" (e + 2) pp_cells got
+                   pp_cells (boundary e))
+            else None);
+      from = `Window_end;
+      observe =
+        (fun _ (tm, got) -> Fmt.str "epoch %d %a" (epoch tm) pp_cells got);
+      faulty = None;
+    }
+
+(* The lock-free set's op sequence: fresh inserts, duplicate inserts,
+   removes of present and absent keys, a remove that empties a bucket
+   chain, and a read-only traversal. *)
+let lfset_ops = [| `I 5; `I 1; `I 9; `I 5; `R 5; `I 3; `R 7; `R 1; `I 5 |]
+
 (* -- the protocol table --------------------------------------------------- *)
 
 (* One exhaustive crash-state enumeration: the rows `rewind check
@@ -496,16 +598,20 @@ let lfset_tour () =
 type enumeration = {
   label : string;
   claim : string;
-  enumerate : unit -> Rewind_analysis.Enumerator.stats;
+  enumerate : unit -> Enum.stats;
 }
 
 (* One row per protocol `rewind check` covers: every name in
    {!Rewind.config_names}, then the lock-free set.  [tour] crashes the
-   sanitizer tour once and returns its sanitizer; [races ~threads] are
-   the race-detector workloads, each returning its detached detector. *)
+   sanitizer tour once and returns its sanitizer; [world] is the crash
+   world the tests sweep; [races ~threads] are the race-detector
+   workloads, each returning its detached detector.  [sharded] is false
+   for a row that keeps no log: its partition count changes nothing. *)
 type protocol = {
   name : string;
+  sharded : bool;
   tour : unit -> San.t;
+  world : world;
   enumerations : enumeration list;
   races : threads:int -> (string * (unit -> Racecheck.t)) list;
 }
@@ -518,6 +624,27 @@ let enumeration ?at_every_event ?(claim = legal) label s =
     claim;
     enumerate = (fun () -> Harness.every_fence_subset ?at_every_event s);
   }
+
+(* Run the enumerations of [protocols] in order, printing each one's
+   stats and claim, or the illegal crash state it found, which does not
+   stop the rest.  Returns the number of illegal states found. *)
+let print_enumerations protocols =
+  let run illegal e =
+    match e.enumerate () with
+    | stats ->
+        Fmt.pr "enumerator[%s]: %a — %s@." e.label Enum.pp_stats stats
+          e.claim;
+        illegal
+    | exception Enum.Illegal { capture_point; survivors; detail } ->
+        Fmt.pr
+          "enumerator[%s]: ILLEGAL crash state at capture point %d, surviving \
+           lines [%a]: %s@."
+          e.label capture_point
+          Fmt.(list ~sep:comma int)
+          survivors detail;
+        illegal + 1
+  in
+  List.fold_left (fun n p -> List.fold_left run n p.enumerations) 0 protocols
 
 (* The table with every log sharded into [partitions] (default 1).
    Every configuration races its writers with and without a concurrent
@@ -564,11 +691,13 @@ let protocols ?(partitions = 1) () =
     in
     {
       name;
+      sharded = not cfg.Tm.incll;
       tour =
         (fun () ->
           let s, san = sanitizer_tour cfg in
           ignore (Harness.crash_once s ~after:5);
           san ());
+      world = (if cfg.Tm.incll then epoch_world () else wal_world cfg);
       enumerations = own :: batch_enumerations;
       races = (fun ~threads -> writers ~threads @ batch_races ~threads);
     }
@@ -577,7 +706,16 @@ let protocols ?(partitions = 1) () =
   @ [
       {
         name = "lfset";
+        sharded = false;
         tour = (fun () -> Harness.crash_once (lfset_tour ()) ~after:3);
+        world =
+          World
+            {
+              scenario = lfset lfset_ops;
+              from = `Every_event;
+              observe = lfset_bindings;
+              faulty = None;
+            };
         enumerations =
           [
             enumeration ~at_every_event:true

@@ -179,7 +179,7 @@ let store t ~addr ~value =
    the counter moves. *)
 let advance t =
   Arena.flush_all t.arena;
-  Arena.fence t.arena;
+  Arena.fence_if_needed t.arena;
   let next = t.cur_epoch + 1 in
   Pmcheck.epoch_advanced t.arena ~epoch:next;
   Arena.nt_write t.arena t.epoch_addr (Int64.of_int next);

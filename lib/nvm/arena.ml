@@ -300,6 +300,9 @@ let crash t =
     end
   done;
   t.last_nvm_line <- -1;
+  (* nothing is in flight past a power failure: the next fence orders
+     nothing unless a write-back follows *)
+  t.persisted_since_fence <- false;
   t.crash_countdown <- -1;
   t.crashed <- true;
   t.stats.Stats.crashes <- t.stats.Stats.crashes + 1;

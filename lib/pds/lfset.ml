@@ -102,9 +102,10 @@ let create ?(nbuckets = 64) ?(nthreads = 8) alloc =
   { arena; alloc; base; nbuckets; nthreads; seqs = Array.make nthreads 0 }
 
 (* Post-crash scan: physically unlink every marked node, persist the
-   repaired links, fence once.  Marked-but-linked is the only transient
-   state the protocol can leave behind — a completed remove whose
-   best-effort unlink CAS (or its write-back) did not survive. *)
+   repaired links, fence once if any was written back.  Marked-but-linked
+   is the only transient state the protocol can leave behind — a
+   completed remove whose best-effort unlink CAS (or its write-back) did
+   not survive. *)
 let recover_chains t =
   Pmcheck.recovery_begin t.arena;
   for b = 0 to t.nbuckets - 1 do
@@ -123,7 +124,7 @@ let recover_chains t =
     in
     sweep head
   done;
-  Arena.fence t.arena;
+  Arena.fence_if_needed t.arena;
   Pmcheck.recovery_end t.arena
 
 let attach alloc ~base =

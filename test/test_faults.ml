@@ -3,19 +3,21 @@
    With a {!Fault_model} attached, a crash persists a *random subset* of
    the dirty cachelines (instead of dropping them all) and every cached
    store may spontaneously write back a recently-dirtied line.  The WAL
-   protocol must survive any such schedule; recovery must also survive
-   in-place corruption of log records, truncating them via their CRC
-   instead of raising. *)
+   protocol must survive any such schedule (the protocol table in
+   test_protocols.ml crashes every configuration at every event under 8
+   such adversaries); evictions must stay invisible to reads; recovery
+   must also survive in-place corruption of log records, truncating them
+   via their CRC instead of raising; and the fault campaign is
+   deterministic and clean. *)
 
 open Rewind_nvm
 open Rewind
 module F = Rewind_benchlib.Faultcamp
-module Harness = Rewind_analysis.Crash_harness
 module Scenarios = Rewind_benchlib.Crash_scenarios
 open Support
 
 (* The small mixed world (6 txns of 2 writes, a checkpoint after the
-   4th), so that full crash-point enumeration stays cheap. *)
+   4th). *)
 let script = Scenarios.mixed_script ~txns:6 ~writes:2 ~checkpoint_at:4
 
 let fresh_setup cfg ~fault =
@@ -25,29 +27,6 @@ let fresh_setup cfg ~fault =
   let tm = Tm.create ~cfg alloc ~root_slot in
   let cells = Array.init 8 (fun _ -> Alloc.alloc alloc 8) in
   (arena, tm, cells)
-
-let fault_of_mask mask_seed =
-  (* Each mask seed is a different adversary: varying per-line survival
-     probability, spontaneous evictions on the odd ones. *)
-  Fault_model.create
-    ~eviction_ppm:(if mask_seed land 1 = 1 then 50_000 else 0)
-    ~crash_survival_ppm:(125_000 * ((mask_seed mod 8) + 1))
-    ~seed:(0x5EED0 + mask_seed) ()
-
-(* The tentpole sweep: every crash point x 8 eviction masks, the script
-   under each mask's adversary as the crash window.  The event count
-   depends on the mask (a spontaneous eviction can turn a later flush
-   into a no-op), so each mask's sweep takes its own dry run. *)
-let test_partial_eviction_sweep (_, cfg) () =
-  for mask_seed = 0 to 7 do
-    ignore
-      (Harness.every_event
-         (Scenarios.mixed ~size_bytes:(4 lsl 20) ~txns:6 ~writes:2
-            ~checkpoint_at:4
-            ~hook:(fun a ->
-              Arena.set_fault_model a (Some (fault_of_mask mask_seed)))
-            cfg))
-  done
 
 (* Heavy spontaneous evictions with no crash: the adversary writing lines
    back early must never change what the program observes. *)
@@ -251,9 +230,6 @@ let () =
   let one_layer cfg = cfg.Tm.layers = Tm.One_layer in
   Alcotest.run "faults"
     [
-      ( "partial-eviction-sweep",
-        per_config "crash everywhere x 8 masks" `Slow test_partial_eviction_sweep
-      );
       ( "eviction-transparency",
         per_config "evictions invisible to reads" `Quick
           test_eviction_transparency );

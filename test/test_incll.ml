@@ -8,23 +8,16 @@
    - group durability: a committed-but-unadvanced transaction does NOT
      survive a crash — recovery lands exactly on the last advance's
      boundary, never on a commit;
-   - the boundary recovery lands on is named by the durable epoch
-     counter, for a crash armed at *every* persistence event — including
-     every point inside an epoch advance (mirroring
-     test_checkpoint.ml's sweep structure);
-   - the enumerator's finer [at_every_event] grid — which reaches the
-     first-store-of-epoch torn-line states (undo written, tag not yet)
-     and every mid-advance cache state — finds only epoch boundaries,
-     with the persistency sanitizer clean throughout;
    - the durable cell directory survives chunk growth (> 63 cells);
    - the cost claim: ~1 NVM line write per small update at the designed
-     cadence (one advance per full pass over the working set). *)
+     cadence (one advance per full pass over the working set).
+
+   The crash sweeps — every persistence event, inside recovery, and the
+   enumerator's at-every-event grid — are the incll row of the protocol
+   table (test_protocols.ml). *)
 
 open Rewind_nvm
 open Rewind
-module San = Rewind_analysis.Sanitizer
-module Enum = Rewind_analysis.Enumerator
-module Harness = Rewind_analysis.Crash_harness
 open Support
 
 let cfg = Rewind.config_incll
@@ -146,121 +139,6 @@ let test_abort_after_rejected_write () =
   let _tm2 = Tm.attach ~cfg alloc2 ~root_slot in
   check_i64 "the aborted write never became durable" 0L
     (Arena.read arena cell)
-
-(* ------------------------------------------------------------------ *)
-(* Crash at every persistence event                                    *)
-(* ------------------------------------------------------------------ *)
-
-let n_sweep_cells = 8
-
-(* Three advanced epochs, then a committed-but-unadvanced transaction
-   and one left open.  The only legal recovered states are the four
-   epoch boundaries; 999/998 must never survive. *)
-let sweep_workload tm cells =
-  for e = 1 to 3 do
-    let txn = Tm.begin_txn tm in
-    for i = 0 to n_sweep_cells - 1 do
-      Tm.write tm txn ~addr:cells.(i) ~value:(Int64.of_int ((e * 100) + i))
-    done;
-    Tm.commit tm txn;
-    Tm.advance_epoch tm
-  done;
-  let txn = Tm.begin_txn tm in
-  Tm.write tm txn ~addr:cells.(0) ~value:999L;
-  Tm.commit tm txn;
-  let live = Tm.begin_txn tm in
-  Tm.write tm live ~addr:cells.(1) ~value:998L
-
-let boundaries =
-  [|
-    Array.make n_sweep_cells 0L;
-    Array.init n_sweep_cells (fun i -> Int64.of_int (100 + i));
-    Array.init n_sweep_cells (fun i -> Int64.of_int (200 + i));
-    Array.init n_sweep_cells (fun i -> Int64.of_int (300 + i));
-  |]
-
-(* [window] on a fresh manager over the sweep cells.  The durable epoch
-   counter names the boundary recovery must land on: crashed epoch e
-   (recovery reopened e+1) committed boundary e-1. *)
-let epoch_scenario ~window =
-  {
-    Harness.setup = (fun () -> setup ~n_cells:n_sweep_cells ());
-    arenas = (fun (arena, _, _) -> [| arena |]);
-    window = (fun (arena, tm, cells) -> window arena tm cells);
-    recover =
-      (fun (_, _, cells) arena ->
-        let tm2 = Tm.attach ~cfg (Alloc.recover arena) ~root_slot in
-        (Option.get (Tm.current_epoch tm2), Array.map (Arena.read arena) cells));
-    check =
-      (fun _ (epoch, got) ->
-        let e_crash = epoch - 1 in
-        if e_crash < 1 || e_crash > Array.length boundaries then
-          Some (Fmt.str "crashed epoch %d out of range" e_crash)
-        else if got <> boundaries.(e_crash - 1) then
-          Some
-            (Fmt.str "epoch %d: cells [%a], want [%a]" e_crash
-               Fmt.(array ~sep:semi int64)
-               got
-               Fmt.(array ~sep:semi int64)
-               boundaries.(e_crash - 1))
-        else None);
-  }
-
-(* Every persistence event of the workload is inside an epoch advance —
-   the protocol's whole crash surface — so the sweep exercises each
-   advance point. *)
-let test_crash_sweep () =
-  let s =
-    Harness.every_event
-      (epoch_scenario ~window:(fun _ tm cells -> sweep_workload tm cells))
-  in
-  check_bool "sweep hit crash points" true (s.Harness.crash_points > 0)
-
-(* ------------------------------------------------------------------ *)
-(* Crash during recovery                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* DESIGN §5d's idempotence: the sweep workload, then a crash mid-epoch
-   after 999/998's lines were written back, so recovery has cells to
-   rewind and lines to flush.  Recovery is crashed at each of its
-   persistence events; a second, sanitizer-attached recovery must reach
-   the uninterrupted recovery's cells and epoch — the last boundary,
-   crashed epoch 4 + 1. *)
-let test_recovery_idempotent () =
-  let s =
-    epoch_scenario ~window:(fun arena tm cells ->
-        sweep_workload tm cells;
-        Arena.flush_line arena cells.(0);
-        Arena.flush_line arena cells.(1))
-  in
-  let last_boundary w ((epoch, _) as r) =
-    if epoch <> 5 then Some (Fmt.str "recovered to epoch %d, want 5" epoch)
-    else s.check w r
-  in
-  let sweep =
-    Harness.during_recovery { s with check = last_boundary }
-      ~observe:(fun _ (epoch, cells) ->
-        Fmt.str "epoch %d [%a]" epoch Fmt.(array ~sep:semi int64) cells)
-  in
-  check_bool "recovery persists events" true
-    (sweep.Harness.recovery_crash_points > 1)
-
-(* ------------------------------------------------------------------ *)
-(* Enumerated crash states on the at-every-event grid                  *)
-(* ------------------------------------------------------------------ *)
-
-(* Two advanced epochs; the fine grid reaches the torn first-store
-   states (undo captured, tag or data not yet stored) and every cache
-   state inside both advances.  Only the three boundaries are legal, and
-   the sanitizer must stay clean through every recovery. *)
-let test_enumerate () =
-  let stats =
-    Harness.every_fence_subset ~at_every_event:true
-      (Rewind_benchlib.Crash_scenarios.incll_epochs ())
-  in
-  check_bool "fine grid captured between fences" true
-    (stats.Enum.capture_points > 6);
-  check_bool "crash states explored" true (stats.Enum.crash_states > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Durable directory growth past one chunk                             *)
@@ -399,17 +277,5 @@ let () =
           Alcotest.test_case "config and API guards" `Quick test_guards;
           Alcotest.test_case "~1 line write per update" `Quick
             test_line_write_rate;
-        ] );
-      ( "crash-sweep",
-        [
-          Alcotest.test_case "crash at every persistence event" `Quick
-            test_crash_sweep;
-          Alcotest.test_case "crash during recovery" `Quick
-            test_recovery_idempotent;
-        ] );
-      ( "enumerator",
-        [
-          Alcotest.test_case "at-every-event crash states" `Quick
-            test_enumerate;
         ] );
     ]

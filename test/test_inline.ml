@@ -2,9 +2,8 @@
 
    Covers the encodings themselves (roundtrips, eligibility edges, the
    END word at its field limits), the append path on both bucketed
-   variants, crash sweeps over every configuration with inline-eligible
-   workloads and over transaction ids that straddle the compact forms'
-   17-bit limit, a deliberately torn pair and END word that
+   variants, a crash sweep over transaction ids that straddle the compact
+   forms' 17-bit limit, a deliberately torn pair and END word that
    recovery must truncate (mirroring test_faults.ml's full-record torn
    tests), and exhaustive crash-state enumeration over inline appends. *)
 
@@ -238,25 +237,18 @@ let test_remove_end_word_handle variant () =
   check_bool "occupancy coherent" true (Log.check_occupancy log = [])
 
 (* ------------------------------------------------------------------ *)
-(* Crash sweep: small-write workload over every configuration          *)
+(* Small writes: the mixed world's inline-eligible workload            *)
 (* ------------------------------------------------------------------ *)
 
-(* test_faults.ml's small mixed world: inline-eligible values encode
-   their writer so recovery invariants are checkable. *)
+(* The protocol table's short WAL world (test_protocols.ml), which
+   crashes it at every event: inline-eligible values encode their writer
+   so recovery invariants are checkable. *)
 let script = Scenarios.mixed_script ~txns:6 ~writes:2 ~checkpoint_at:4
 
 let fresh_setup cfg =
   let arena, alloc, tm = fresh ~size_bytes:(4 lsl 20) ~cfg () in
   let cells = Array.init 8 (fun _ -> Alloc.alloc alloc 8) in
   (arena, tm, cells)
-
-(* Crash anywhere in the script: after recovery the log is empty and no
-   cell holds a value from a rolled-back transaction. *)
-let test_crash_sweep (_, cfg) () =
-  ignore
-    (Harness.every_event
-       (Scenarios.mixed ~size_bytes:(4 lsl 20) ~txns:6 ~writes:2
-          ~checkpoint_at:4 cfg))
 
 (* With the fast path live, the one-layer bucketed configurations must
    actually take it for this small-write workload. *)
@@ -385,11 +377,6 @@ let test_enumerate_straddling_pair (name, cfg) () =
 
 let () =
   let tc = Alcotest.test_case in
-  let per_config name speed f =
-    List.map
-      (fun (cn, cfg) -> tc (name ^ " [" ^ cn ^ "]") speed (f (cn, cfg)))
-      Scenarios.wal_configs
-  in
   let bucketed (_, cfg) = cfg.Tm.variant <> Log.Simple in
   let one_layer_bucketed c =
     bucketed c && (snd c).Tm.layers = Tm.One_layer
@@ -418,7 +405,6 @@ let () =
             (test_remove_end_word_handle (Log.Batch 8));
           tc "small-write workload goes inline" `Quick test_sweep_uses_inline;
         ] );
-      ("crash-sweep", per_config "crash everywhere" `Slow test_crash_sweep);
       ( "txn-straddle",
         List.map
           (fun (cn, cfg) ->

@@ -1,9 +1,10 @@
 (* Durable lock-free set: functional behaviour, durable-header attach
    validation, deterministic concurrent runs under the race detector,
-   and the tentpole acceptance sweep — crash at *every* persistence
-   event of an insert/remove/traversal trace, recovering a linearizable
-   prefix with the in-flight operation decided by the detectability
-   oracle and the sanitizer clean throughout. *)
+   every fence-boundary line subset of the protocol table's op sequence
+   recovering a prefix of it, and detectability without a crash.  The
+   crash sweeps — every persistence event of that sequence recovering the
+   announcement-decided prefix, crashes inside recovery — are the lfset
+   row of the protocol table (test_protocols.ml). *)
 
 open Rewind_nvm
 open Rewind_pds
@@ -119,39 +120,17 @@ let test_concurrent_contended_race_free () =
   check_int "no race reports" 0 (List.length (Racecheck.races rc))
 
 (* ------------------------------------------------------------------ *)
-(* Crash at every persistence event (tentpole acceptance)              *)
+(* Line subsets                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* The op sequence exercises fresh inserts, duplicate inserts, removes
-   of present and absent keys, a remove that empties a bucket chain,
-   and a read-only traversal. *)
-let sweep_ops =
-  [| `I 5; `I 1; `I 9; `I 5; `R 5; `I 3; `R 7; `R 1; `I 5 |]
-
-(* Durable linearizability: the recovered contents are the prefix of the
-   op sequence that thread 0's announcement decides, the sanitizer stays
-   clean through recovery, and the recovered set stays operational. *)
-let test_crash_sweep () =
-  let s = Harness.every_event (Scenarios.lfset sweep_ops) in
-  check_bool "sweep hit crash points" true (s.Harness.crash_points > 0)
-
-(* Recovery unlinks marked nodes with write-backs, so it persists
-   something whenever a crash leaves one; crashing it there must not
-   change what a second recovery reaches. *)
-let test_crash_during_recovery () =
-  let s =
-    Harness.during_recovery ~from:`Every_event (Scenarios.lfset sweep_ops)
-      ~observe:Scenarios.lfset_bindings
-  in
-  check_bool "recovery persisted something to crash" true
-    (s.Harness.recovery_crash_points > 0)
-
 (* The enumerator drives the prefix claim through every fence-boundary
-   *subset* of surviving dirty lines, not just whole-cache crashes. *)
+   *subset* of surviving dirty lines, not just whole-cache crashes, over
+   the table's crash-world sequence (its own enumeration, which `rewind
+   check` prints, runs a shorter one). *)
 let test_enumerate_prefixes () =
   let stats =
     Harness.every_fence_subset ~at_every_event:true
-      (Scenarios.lfset_prefix sweep_ops)
+      (Scenarios.lfset_prefix Scenarios.lfset_ops)
   in
   check_bool "enumerated some states" true (stats.Enum.crash_states > 0)
 
@@ -201,11 +180,6 @@ let () =
           tc "disjoint ranges exact" `Quick test_concurrent_disjoint;
           tc "contended, race-free" `Quick test_concurrent_contended_race_free;
         ] );
-      ( "crash",
-        [
-          tc "sweep every persistence event" `Slow test_crash_sweep;
-          tc "enumerate line subsets" `Slow test_enumerate_prefixes;
-          tc "crash during recovery" `Slow test_crash_during_recovery;
-        ] );
+      ("crash", [ tc "enumerate line subsets" `Slow test_enumerate_prefixes ]);
       ("detectability", [ tc "announcements" `Quick test_announcements ]);
     ]

@@ -615,6 +615,26 @@ let test_sim_mutex_wait_domain () =
   check_int "waited from 10 to the release at 100" 90 (Sim_mutex.wait_ns m);
   check_int "held 100 + 5 + 0" 105 (Sim_mutex.hold_ns m)
 
+(* Fibers with uneven work between their sections reach one lock at
+   scattered simulated times, and the lock is contended (acquirers
+   wait).  Each grant goes to the earliest arrival still waiting, so the
+   arrival times, read in grant order, never decrease. *)
+let test_sim_mutex_arrival_order () =
+  let m = Sim_mutex.create ~acquire_ns:5 () in
+  let grants = ref [] in
+  ignore
+    (Sim_threads.run ~threads:4 ~ops_per_thread:8 (fun f i ->
+         Clock.advance ((f + 1) * 37 + (i * 13 mod 29));
+         let arrival = Clock.now () in
+         Sim_mutex.with_lock m (fun () ->
+             grants := arrival :: !grants;
+             Clock.advance (20 + (11 * f)))));
+  let arrivals = List.rev !grants in
+  check_int "every section granted" 32 (List.length arrivals);
+  check_bool "contended" true (Sim_mutex.wait_ns m > 0);
+  check_bool "granted in arrival order" true
+    (arrivals = List.stable_sort compare arrivals)
+
 (* ------------------------------------------------------------------ *)
 (* Properties                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -728,6 +748,7 @@ module Flat = struct
     Array.fill m.dirty 0 (Array.length m.dirty) false;
     Array.fill m.pinned 0 (Array.length m.pinned) false;
     m.last_line <- -1;
+    m.since_fence <- false;
     m.countdown <- -1;
     m.st.crashes <- m.st.crashes + 1;
     ev m Trace.Crash
@@ -1227,6 +1248,7 @@ let () =
           tc "no wait when ahead" `Quick test_sim_mutex_no_wait_when_ahead;
           tc "wait and hold, two fibers" `Quick test_sim_mutex_wait_hold;
           tc "wait and hold, no scheduler" `Quick test_sim_mutex_wait_domain;
+          tc "grants in arrival order" `Quick test_sim_mutex_arrival_order;
         ] );
       ( "properties",
         [

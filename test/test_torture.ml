@@ -1,41 +1,13 @@
-(* Torture tests: exhaustive and randomized crash-point enumeration at the
-   transaction-manager level over mixed scripts (commits, rollbacks,
-   checkpoints), recovery-crash-recovery chains, a WAL-ordering invariant,
-   and the simulated-thread scheduler. *)
+(* Torture tests: a WAL-ordering invariant under randomized crash points
+   over scripts of commits, rollbacks and checkpoints, and the
+   simulated-thread scheduler.  The exhaustive crash sweeps over the
+   configurations are the protocol table's (test_protocols.ml). *)
 
 open Rewind_nvm
 open Rewind
 module Harness = Rewind_analysis.Crash_harness
 module Scenarios = Rewind_benchlib.Crash_scenarios
 open Support
-
-(* A fresh manager over [n_cells] cells, then [window] as the crash
-   window.  By default recovery must clear the log and leave no value of
-   a transaction the mixed script's encoding marks rolled back. *)
-let scenario ?(n_cells = 8) ?(check = Scenarios.no_rolled_back) cfg window =
-  Scenarios.tm_cells ~size_bytes:(16 lsl 20) ~n:n_cells cfg
-    ~prepare:(fun _ _ -> ())
-    ~window:(fun tm cells () -> window tm cells)
-    ~check
-
-(* Crash at every persistence event of the mixed script, sampled down to
-   about 150 points: committed transactions survive, rolled-back ones
-   leave no trace. *)
-let test_exhaustive_script cfg () =
-  ignore
-    (Harness.every_event ~stride:(fun n -> n / 150)
-       (Scenarios.mixed ~size_bytes:(16 lsl 20) cfg))
-
-(* Crash during recovery repeatedly, until a recovery completes.  The
-   in-flight write 77777 encodes transaction 777, which the check treats
-   as rolled back: it must not survive. *)
-let test_recovery_chain cfg () =
-  ignore
-    (Harness.recovery_chain
-       (scenario cfg (fun tm cells ->
-            Scenarios.mixed_script tm cells;
-            let txn = Tm.begin_txn tm in
-            Tm.write tm txn ~addr:cells.(0) ~value:77777L)))
 
 (* WAL invariant: at any crash point, a durable user-cell value that is
    neither the initial value nor restorable from the durable log would be
@@ -80,7 +52,11 @@ let prop_wal_order cfg =
         |> Option.map (Fmt.str "cell holds uncommitted %Ld")
       in
       ignore
-        (Harness.crash_once (scenario ~n_cells:4 ~check cfg window)
+        (Harness.crash_once
+           (Scenarios.tm_cells ~size_bytes:(16 lsl 20) ~n:4 cfg
+              ~prepare:(fun _ _ -> ())
+              ~window:(fun tm cells () -> window tm cells)
+              ~check)
            ~after:crash_after);
       true)
 
@@ -230,15 +206,8 @@ let test_fork_join_nested () =
 
 let () =
   let tc = Alcotest.test_case in
-  let per_config name speed f =
-    List.map
-      (fun (cn, cfg) -> tc (name ^ " [" ^ cn ^ "]") speed (f cfg))
-      Scenarios.wal_configs
-  in
   Alcotest.run "torture"
     [
-      ("exhaustive-script", per_config "crash everywhere" `Slow test_exhaustive_script);
-      ("recovery-chain", per_config "recovery crash chain" `Quick test_recovery_chain);
       ( "wal-order",
         List.map
           (fun (_, cfg) -> QCheck_alcotest.to_alcotest (prop_wal_order cfg))

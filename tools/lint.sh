@@ -1,7 +1,7 @@
 #!/bin/sh
 # Source lint: keep the simulation's instrumentation boundary tight.
 #
-# Five rules, all enforced by grep so they run anywhere dune does:
+# Six rules, all enforced by grep so they run anywhere dune does:
 #
 #   1. No raw Stdlib.Mutex / Stdlib.Atomic outside lib/nvm.  Every piece
 #      of synchronization must go through Sim_mutex / Sim_atomic so that
@@ -35,6 +35,13 @@
 #      lib/core/log.ml.  Log.form alone decides whether a record is an
 #      END word, an inline pair or a full record; every other appender
 #      hands it the fields.
+#
+#   6. The protocol table's crash worlds (Crash_scenarios.mixed, .lfset,
+#      wal_world, epoch_world, incll_epochs) are named only in
+#      lib/benchlib and test/test_protocols.ml.  The table sweeps each
+#      protocol's world with every crash-harness driver at 1, 2 and 4
+#      partitions; a test that crashes one of them itself restates a
+#      claim the table already checks.
 #
 # Allowlist: one file per line, repo-relative.  Seeded with the current
 # legitimate sites; add to it deliberately, with a comment here saying
@@ -74,6 +81,11 @@ lib/benchlib/figures.ml
 # test/test_inline.ml: pins the compact bit formats themselves.
 ALLOW_ENCODE='
 test/test_inline.ml
+'
+
+# test/test_protocols.ml: the module that sweeps the table.
+ALLOW_WORLDS='
+test/test_protocols.ml
 '
 
 allowed() {
@@ -160,6 +172,18 @@ encode_hits=$(
     done
 )
 report "Record.inline_encode/word_encode outside lib/core/log.ml (hand the fields to Log.form, which decides a record's form)" "$encode_hits"
+
+# --- rule 6: the table's crash worlds stay in the table ---------------
+world_hits=$(
+    grep -rnE --include='*.ml' --include='*.mli' \
+         -e '\.(mixed|lfset)\b' -e '\b(wal_world|epoch_world|incll_epochs)\b' \
+         lib bin bench examples test 2>/dev/null |
+    grep -v '^lib/benchlib/' |
+    while IFS=: read -r file rest; do
+        allowed "$ALLOW_WORLDS" "$file" || printf '%s:%s\n' "$file" "$rest"
+    done
+)
+report "a crash world of the protocol table outside lib/benchlib + test/test_protocols.ml (add a driver to the table instead)" "$world_hits"
 
 if [ "$fail" -ne 0 ]; then
     echo "lint: failed" >&2
