@@ -1,7 +1,7 @@
 (* Recovery-time benchmark: crash a populated manager and profile the
-   reattach, per phase, across all six REWIND configurations plus two
-   four-partition ones (whose per-partition attach and analysis run on
-   parallel recovery fibers), several log sizes and checkpoint
+   reattach, per phase, across every named configuration and each WAL
+   one at four partitions (whose per-partition attach and analysis run
+   on parallel recovery fibers), several log sizes and checkpoint
    intervals.
 
    Each row reports the per-phase profile from [Tm.last_recovery_profile]
@@ -19,13 +19,11 @@
 open Rewind_nvm
 module San = Rewind_analysis.Sanitizer
 
-(* The WAL configurations under the CLI's names, then two of them at four
-   partitions. *)
+(* Every named configuration under the CLI's name, then each WAL one at
+   four partitions. *)
 let configs =
-  Crash_scenarios.wal_configs
-  @ List.filter
-      (fun (name, _) -> List.mem name [ "1l-nfp-p4"; "2l-nfp-p4" ])
-      (Crash_scenarios.matrix 4)
+  List.map (fun (name, _, mk) -> (name, mk ())) Rewind.named_configs
+  @ Crash_scenarios.matrix 4
 
 (* The checkpoint and each of its sub-spans, per checkpoint: a sub-span
    that runs once per partition is summed over the partitions. *)
@@ -63,7 +61,7 @@ let run_one ~ops ~checkpoint_every (name, cfg) =
   let tm = Rewind.Tm.create ~cfg alloc ~root_slot:2 in
   let hot = Probe.create () in
   Rewind.Tm.set_probe tm (Some hot);
-  let cells = Array.init 64 (fun _ -> Alloc.alloc alloc 8) in
+  let cells = Array.init 64 (fun _ -> Rewind.Tm.alloc_cell tm) in
   let txn_len = 8 in
   let committed = ref 0 in
   let txn = ref (Rewind.Tm.begin_txn tm) in
