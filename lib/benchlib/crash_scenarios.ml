@@ -91,40 +91,60 @@ let matrix partitions =
         (Fmt.str "%s-p%d" name partitions, Rewind.with_partitions partitions cfg))
       wal_configs
 
+(* How far [mixed_script] got: the cells after the last committed
+   transaction ([settled]) and after the one committing ([settling]; the
+   same array outside a commit).  A crash inside that commit may land on
+   either. *)
+type progress = {
+  mutable settled : int64 array;
+  mutable settling : int64 array;
+}
+
+let progress () =
+  let none = Array.make 8 0L in
+  { settled = none; settling = none }
+
 (* Commits, rollbacks and a checkpoint over 8 cells: [txns] transactions
    (default 12) of [writes] writes each (default 3), every third rolled
    back, a checkpoint after transaction [checkpoint_at] (default 6).
-   Values encode their writer as [tno * 100 + i + 1]. *)
-let mixed_script ?(txns = 12) ?(writes = 3) ?(checkpoint_at = 6) tm cells =
+   Values encode their writer as [tno * 100 + i + 1].  [p] follows the
+   committed state. *)
+let mixed_script ?(txns = 12) ?(writes = 3) ?(checkpoint_at = 6) p tm cells =
   for tno = 1 to txns do
     let txn = Tm.begin_txn tm in
+    let after = Array.copy p.settled in
     for i = 0 to writes - 1 do
-      Tm.write tm txn
-        ~addr:cells.((tno + i) mod 8)
-        ~value:(Int64.of_int ((tno * 100) + i + 1))
+      let c = (tno + i) mod 8 and v = Int64.of_int ((tno * 100) + i + 1) in
+      Tm.write tm txn ~addr:cells.(c) ~value:v;
+      after.(c) <- v
     done;
-    if tno mod 3 <> 0 then Tm.commit tm txn else Tm.rollback tm txn;
+    if tno mod 3 <> 0 then begin
+      p.settling <- after;
+      Tm.commit tm txn;
+      p.settled <- after
+    end
+    else Tm.rollback tm txn;
     if tno = checkpoint_at then Tm.checkpoint tm
   done
 
-(* Recovery cleared the log and left no value of a rolled-back
-   transaction of [mixed_script]. *)
-let no_rolled_back _ tm got =
+(* Recovery cleared the log and left every cell at the committed prefix
+   [p] names: the last committed write to it, all cells at one of the two
+   points. *)
+let committed_prefix p tm got =
   if Log.length (Tm.log tm) <> 0 then Some "log not cleared after recovery"
+  else if got = p.settled || got = p.settling then None
   else
-    Array.to_list got
-    |> List.mapi (fun i v -> (i, Int64.to_int v))
-    |> List.find_opt (fun (_, v) -> v <> 0 && v / 100 mod 3 = 0)
-    |> Option.map (fun (i, v) ->
-           Fmt.str "cell %d holds %d from rolled-back txn %d" i v (v / 100))
+    Some
+      (Fmt.str "cells %a, want the committed prefix %a (or %a)" pp_cells got
+         pp_cells p.settled pp_cells p.settling)
 
 (* [mixed_script] as the crash window over a fresh manager. *)
 let mixed ?size_bytes ?hook ?txns ?writes ?checkpoint_at cfg =
   tm_cells ?size_bytes ~n:8 ?hook cfg
-    ~prepare:(fun _ _ -> ())
-    ~window:(fun tm cells () ->
-      mixed_script ?txns ?writes ?checkpoint_at tm cells)
-    ~check:no_rolled_back
+    ~prepare:(fun _ _ -> progress ())
+    ~window:(fun tm cells p ->
+      mixed_script ?txns ?writes ?checkpoint_at p tm cells)
+    ~check:committed_prefix
 
 (* -- the crash demo --------------------------------------------------------- *)
 
@@ -511,21 +531,20 @@ type world =
       -> world
 
 (* WAL: [mixed_script] over a 16 MiB arena, then a transaction left in
-   flight, whose 77777 (transaction 777, rolled back by
-   [no_rolled_back]'s encoding) recovery must undo; the fault sweeps run
-   the small mixed world (6 transactions of 2 writes, a checkpoint after
-   the 4th). *)
+   flight, whose 77777 recovery must undo; the fault sweeps run the small
+   mixed world (6 transactions of 2 writes, a checkpoint after the
+   4th). *)
 let wal_world cfg =
   World
     {
       scenario =
         tm_cells ~size_bytes:(16 lsl 20) ~n:8 cfg
-          ~prepare:(fun _ _ -> ())
-          ~window:(fun tm cells () ->
-            mixed_script tm cells;
+          ~prepare:(fun _ _ -> progress ())
+          ~window:(fun tm cells p ->
+            mixed_script p tm cells;
             let txn = Tm.begin_txn tm in
             Tm.write tm txn ~addr:cells.(0) ~value:77777L)
-          ~check:no_rolled_back;
+          ~check:committed_prefix;
       from = `Window_end;
       observe = (fun _ (_, got) -> Fmt.str "%a" pp_cells got);
       faulty =

@@ -18,7 +18,9 @@ open Support
 
 (* The small mixed world (6 txns of 2 writes, a checkpoint after the
    4th). *)
-let script = Scenarios.mixed_script ~txns:6 ~writes:2 ~checkpoint_at:4
+let script tm cells =
+  Scenarios.mixed_script ~txns:6 ~writes:2 ~checkpoint_at:4
+    (Scenarios.progress ()) tm cells
 
 let fresh_setup cfg ~fault =
   let arena = Arena.create ~size_bytes:(4 lsl 20) () in

@@ -243,7 +243,8 @@ let test_remove_end_word_handle variant () =
 (* The protocol table's short WAL world (test_protocols.ml), which
    crashes it at every event: inline-eligible values encode their writer
    so recovery invariants are checkable. *)
-let script = Scenarios.mixed_script ~txns:6 ~writes:2 ~checkpoint_at:4
+let script ?(p = Scenarios.progress ()) tm cells =
+  Scenarios.mixed_script ~txns:6 ~writes:2 ~checkpoint_at:4 p tm cells
 
 let fresh_setup cfg =
   let arena, alloc, tm = fresh ~size_bytes:(4 lsl 20) ~cfg () in
@@ -271,9 +272,10 @@ let straddling cfg =
       (* the window's six transactions get ids 131069 .. 131074 *)
       for _ = 1 to (1 lsl 17) - 4 do
         ignore (Tm.begin_txn tm)
-      done)
-    ~window:(fun tm cells () -> script tm cells)
-    ~check:Scenarios.no_rolled_back
+      done;
+      Scenarios.progress ())
+    ~window:(fun tm cells p -> script ~p tm cells)
+    ~check:Scenarios.committed_prefix
 
 let test_straddle_sweep cfg () =
   let scenario = straddling cfg in
