@@ -84,9 +84,24 @@ let run_one ~series ~cfg ~threads ~partitions ~txns_per_thread ~writes_per_txn
           && op mod advance_every_txns = advance_every_txns - 1
         then Rewind.Tm.checkpoint tm)
   in
-  row ~series ~threads ~partitions
-    ~total_ops:(threads * txns_per_thread * writes_per_txn)
-    ~makespan
+  let r =
+    row ~series ~threads ~partitions
+      ~total_ops:(threads * txns_per_thread * writes_per_txn)
+      ~makespan
+  in
+  (* each partition latch's simulated wait and hold (none under InCLL) *)
+  let per_latch name ns =
+    List.mapi
+      (fun p v -> Bench_row.info_int (Fmt.str "%s_p%d" name p) v)
+      (Array.to_list ns)
+  in
+  {
+    r with
+    metrics =
+      r.metrics
+      @ per_latch "latch_wait_ns" (Rewind.Tm.latch_wait_ns tm)
+      @ per_latch "latch_hold_ns" (Rewind.Tm.latch_hold_ns tm);
+  }
 
 (* Structure head-to-head at the same total operation count: the durable
    lock-free set (CAS + link-and-persist, no latches, no WAL) against the

@@ -21,7 +21,7 @@
     In-cache-line logging ([config.incll]) is not a WAL configuration:
     every operation with an InCLL meaning delegates to {!Incll}, which
     owns that protocol's transaction layer, and the WAL-only operations
-    ({!log}, {!log_update}, {!log_delete}, {!prepare}) raise
+    ({!log}, {!log_delete}, {!prepare}) raise
     {!Error} [Wal_only] under it.
 
     {2 Partitioned logging}
@@ -34,13 +34,14 @@
     append, Batch deferral, commit, rollback — serialises only on that
     partition's latch; appends in different partitions proceed in
     parallel.  LSNs still come from one process-wide atomic counter, so a
-    single global order over all records survives, and recovery merges
-    the partitions, reading the log once.  Each partition's structural
-    attach and analysis decode run on their own recovery fiber
-    ({!Rewind_nvm.Sim_threads.fork_join}), joined before a k-way merge
-    by LSN builds one stream in global LSN order; redo replays that
-    stream, undo walks it backwards (two-layer: each loser's back-chain
-    within its home partition) reading only losers' records.
+    single global order over all records survives, and recovery
+    ({!attach}, its only entry point) merges the partitions, reading the
+    log once.  Each partition's structural attach and analysis decode run
+    on their own recovery fiber ({!Rewind_nvm.Sim_threads.fork_join}),
+    joined before a k-way merge by LSN builds one stream in global LSN
+    order; redo replays that stream, undo walks it backwards (two-layer:
+    each loser's back-chain within its home partition) reading only
+    losers' records.
 
     {!checkpoint} and recovery's clearing follow one rule, the durable
     LSN horizon H = min(next LSN, first LSN of every unsettled
@@ -187,12 +188,6 @@ val write : t -> txn -> addr:int -> value:int64 -> unit
     policy.  The log record is formed outside the log latch ("off-line")
     and only its insertion is serialised. *)
 
-val read : t -> txn -> addr:int -> int64
-
-val log_update : t -> txn -> addr:int -> old_value:int64 -> new_value:int64 -> unit
-(** Lower-level logging call for callers that perform the store
-    themselves (must follow the WAL order: log first). *)
-
 val log_delete : t -> txn -> addr:int -> size:int -> unit
 (** Record an intention to free NVM.  The de-allocation happens at commit
     (force) or at the clearing checkpoint (no-force); a rollback drops
@@ -283,9 +278,6 @@ val checkpoint : t -> unit
     tombstoned, the log compacted if mostly gaps — and the unlinked
     buckets are freed with no latch held. *)
 
-val recover : t -> unit
-(** Run recovery explicitly (normally done by {!attach}). *)
-
 (** {1 In-cache-line logging (InCLL)}
 
     With [config.incll = true] the manager keeps no write-ahead log at
@@ -332,17 +324,17 @@ type recovery_report = {
 }
 
 val last_recovery : t -> recovery_report option
-(** The report of the most recent {!recover}/{!attach}; [None] if this
-    manager has never run recovery. *)
+(** The report of the recovery {!attach} ran; [None] for a manager
+    {!create} made. *)
 
 val last_recovery_profile : t -> Rewind_nvm.Probe.t option
-(** Per-phase profile of the most recent {!recover}/{!attach}: simulated
-    time and NVM counter deltas for [config-check] (attach only),
-    [log-attach], [index-rebuild] (two-layer), [analysis], [redo]
-    (no-force), [undo] and [clearing].  After an {!attach} these
-    top-level phases sum exactly to its simulated time.  With several
-    partitions, [log-attach], [index-rebuild] and [analysis] run one
-    fiber per partition and are charged once, at the join; each
+(** Per-phase profile of the recovery {!attach} ran: simulated time and
+    NVM counter deltas for [config-check], [log-attach], [index-rebuild]
+    (two-layer), [analysis], [redo] (no-force), [undo] and [clearing];
+    under InCLL for [config-check], [dir-attach] and [epoch-scan].  These
+    top-level phases sum exactly to the attach's simulated time.  With
+    several partitions, [log-attach], [index-rebuild] and [analysis] run
+    one fiber per partition and are charged once, at the join; each
     partition's share appears as a ["phase/pN"] sub-span.  Each recovery
     gets a fresh probe, so the numbers cover exactly one recovery — the
     arena's cumulative {!Rewind_nvm.Stats} totals cannot be compared

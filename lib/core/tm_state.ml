@@ -1,0 +1,361 @@
+(* The transaction manager's state, and the log steps that {!Tm}'s
+   transactions and {!Recovery} both take: the configuration, the log
+   partitions with their tables, forming and appending records,
+   WAL-ordered user stores, Algorithm 2's undo step and the durable LSN
+   horizon.
+
+   Partitioned logging (Section 4.7 / Section 5's multithreaded results):
+   the log can be sharded into [partitions] independent partitions, each a
+   full recoverable bucketed-ADLL log with its own latch, current-bucket
+   cursor, group-flush state and Batch last-persistent index — plus its
+   own two-layer AAVLT and transaction table.  A transaction is pinned to
+   a *home partition* by its id (round-robin), so the append fast path
+   touches only partition-local state; the LSN counter stays one
+   process-wide instrumented atomic ({!Sim_atomic}), so a single global
+   order over all records survives.
+
+   Clearing many transactions at once follows one rule, the durable LSN
+   horizon H = min(next LSN, first LSN of every unsettled transaction):
+   every record below H is settled and durable, analysis skips it, and
+   removing it needs no order.  Only force-policy clearing of a single
+   transaction keeps one (END last, {!Log.remove_end_last}). *)
+
+open Rewind_nvm
+
+type policy = Force | No_force
+type layers = One_layer | Two_layer
+
+type config = {
+  policy : policy;
+  layers : layers;
+  variant : Log.variant;
+  bucket_cap : int;
+  partitions : int;
+      (* independent log partitions (>= 1); transactions are pinned to a
+         home partition by id, and recovery merges the partitions by
+         LSN.  1 = the unpartitioned log of the paper's single-threaded
+         experiments. *)
+  incll : bool;
+      (* in-cache-line logging (Cohen et al., ASPLOS'19): the undo entry
+         lives in the data's own cache line and durability is
+         epoch-granular ({!advance_epoch}).  Replaces the WAL machinery
+         wholesale — no log, no records, no partitions. *)
+}
+
+type txn = int
+
+(* What recovery found and did — surfaced so callers (and the fault
+   campaign) can distinguish a clean recovery from one that had to
+   truncate torn records. *)
+type recovery_report = {
+  records_scanned : int;  (* log records examined by analysis *)
+  torn_truncated : int;   (* bad-checksum records dropped as torn writes *)
+  redo_applied : int;     (* records re-applied by the redo pass *)
+  txns_finished : int;    (* transactions found committed/rolled back *)
+  txns_undone : int;      (* unfinished transactions rolled back by undo *)
+}
+
+(* One log partition: a complete recoverable log plus the per-partition
+   transactional state that used to be process-global.  Everything a
+   transaction's fast path touches lives here, guarded by this
+   partition's latch alone. *)
+type part = {
+  pid : int;
+  log : Log.t;  (* 1L: the user log; 2L: the AAVLT's internal log *)
+  index : Avl_index.t option;  (* 2L only *)
+  table : Txn_table.t;
+  latch : Sim_mutex.t;
+  ended : (int, int) Hashtbl.t;
+      (* no-force transactions settled since they were last retired:
+         txn -> the LSN of its END record *)
+  mutable deferred_deletes : (txn * int * int * int) list;
+      (* txn, DELETE record lsn, addr, size *)
+  mutable deferred : (int * bool) list;
+      (* Batch: user stores (addr, durably) whose undo records sit in a
+         not-yet-persistent group.  Under the arbitrary-eviction fault
+         model even a *cached* store may reach NVM at any moment, so these
+         lines are pinned in the store buffer (visible to every load,
+         never written back) until the group is durable. *)
+}
+
+type t = {
+  cfg : config;
+  alloc : Alloc.t;
+  arena : Arena.t;
+  parts : part array; (* empty under incll *)
+  incll : Incll.t option;
+  next_seq : int Sim_atomic.t array;
+      (* per-partition transaction sequence counters: partition [p]'s
+         next id is [first_txn + seq * partitions + p], so the home
+         partition stays a pure function of the id even when the caller
+         pins a transaction explicitly ([begin_txn ?home]) *)
+  next_home : int Sim_atomic.t;
+      (* round-robin cursor assigning homes to transactions whose caller
+         did not pin one *)
+  next_lsn : int Sim_atomic.t;  (* one global counter: LSNs order records
+                               across all partitions *)
+  horizon_slot : int;  (* root slot of the durable LSN horizon *)
+  first_lsns : (txn, int) Hashtbl.t;
+      (* every unsettled transaction that has taken an LSN -> its first
+         one: the horizon may not pass it *)
+  prepared_gtids : (int, int) Hashtbl.t;
+      (* local txn id -> global (2PC) transaction id, for every
+         transaction currently in doubt: PREPARE logged, outcome not yet
+         resolved.  Maintained by [prepare]/[resolve_in_doubt] and rebuilt
+         from the logs by recovery. *)
+  mutable commits : int;
+  mutable rollbacks : int;
+  mutable last_recovery : recovery_report option;
+  mutable last_recovery_profile : Probe.t option;
+  mutable probe : Probe.t option;
+      (* when set, the commit/checkpoint hot paths charge spans to it *)
+}
+
+(* Reserved txn id 0 belongs to the AAVLT's internal logging. *)
+let first_txn = 1
+
+(* Root-slot layout: the manager's first slot holds a durable
+   configuration fingerprint (written once at [create]); partition [p]
+   then anchors its log at [root_slot + 1 + 2*pid] and its AAVLT root at
+   [root_slot + 2 + 2*pid]; the LSN horizon follows the last partition's
+   slots.  InCLL uses the partition-0 pair for its epoch counter and
+   cell directory, and keeps no horizon.  [attach] validates the
+   fingerprint before touching any log slot — re-attaching with, say, a
+   different partition count used to silently misassign home partitions
+   and read other partitions' anchors as its own. *)
+let part_log_slot ~root_slot pid = root_slot + 1 + (2 * pid)
+let part_index_slot ~root_slot pid = root_slot + 2 + (2 * pid)
+
+let horizon_slot (cfg : config) ~root_slot =
+  part_log_slot ~root_slot cfg.partitions
+
+let make_part pid log index =
+  {
+    pid;
+    log;
+    index;
+    table = Txn_table.create ();
+    latch = Sim_mutex.create ();
+    ended = Hashtbl.create 64;
+    deferred_deletes = [];
+    deferred = [];
+  }
+
+let make_t ?incll cfg alloc ~root_slot parts =
+  {
+    cfg;
+    alloc;
+    arena = Alloc.arena alloc;
+    parts;
+    incll;
+    next_seq = Array.init (max 1 (Array.length parts)) (fun _ -> Sim_atomic.make 0);
+    next_home = Sim_atomic.make 0;
+    next_lsn = Sim_atomic.make 1;
+    horizon_slot = horizon_slot cfg ~root_slot;
+    first_lsns = Hashtbl.create 16;
+    prepared_gtids = Hashtbl.create 8;
+    commits = 0;
+    rollbacks = 0;
+    last_recovery = None;
+    last_recovery_profile = None;
+    probe = None;
+  }
+
+(* Under incll the two slots a partition-0 log/index would use anchor
+   the epoch counter and the cell directory instead. *)
+let incll_region f ~root_slot =
+  f ~epoch_slot:(part_log_slot ~root_slot 0)
+    ~dir_slot:(part_index_slot ~root_slot 0)
+
+(* The next LSN, taken by [txn]; its first registers it in [first_lsns]
+   in the same scheduler step (nothing here yields), before it can wait
+   for its home latch. *)
+let fresh_lsn t txn =
+  let lsn = Sim_atomic.fetch_and_add t.next_lsn 1 in
+  if not (Hashtbl.mem t.first_lsns txn) then
+    Hashtbl.replace t.first_lsns txn lsn;
+  lsn
+
+(* A transaction's home partition, a pure function of its id: round-robin
+   over the partitions.  Deterministic, so recovery needs no pinning map —
+   a transaction's records are found exactly where logging put them. *)
+let home_partition t txn = (txn - first_txn) mod Array.length t.parts
+let home t txn = t.parts.(home_partition t txn)
+
+(* -- logging ------------------------------------------------------------ *)
+
+(* Under Batch, pinned user stores are released as soon as their group is
+   persistent (durably for Force, cached for No_force — by then the undo
+   record is reachable, so a later eviction of the line is recoverable). *)
+let drain_deferred t p =
+  if p.deferred <> [] && Log.pending p.log = 0 then begin
+    List.iter
+      (fun (addr, durably) ->
+        if durably then Arena.flush_line t.arena addr
+        else Arena.unpin_line t.arena addr)
+      (List.rev p.deferred);
+    p.deferred <- []
+  end
+
+(* Persist [p]'s pending Batch group, then release the stores it held. *)
+let flush_pending t p =
+  Log.flush_group p.log;
+  drain_deferred t p
+
+let user_write t p addr v =
+  let durably = t.cfg.policy = Force in
+  match t.cfg.variant with
+  | Log.Batch _ ->
+      (* WAL under arbitrary eviction: hardware may write any dirty line
+         back at any moment, so the store is held in the (pinned) store
+         buffer until its log record's group is persistently reachable.
+         Pin before the store — the store itself may trigger an eviction
+         roll. *)
+      Arena.pin_line t.arena addr;
+      Arena.write t.arena addr v;
+      p.deferred <- (addr, durably) :: p.deferred;
+      drain_deferred t p
+  | Log.Simple | Log.Optimized ->
+      (* The record and its slot are already durably reachable. *)
+      if durably then Arena.nt_write t.arena addr v
+      else Arena.write t.arena addr v
+
+(* Form a record of [txn_id] for [p] and return the step that puts it
+   into [p]'s log; the caller takes [p]'s latch for that step.  One
+   layer: {!Log.form} decides the record's form.  Two layers: the record
+   is full, because the AAVLT indexes records by their LSN (Section 3.4):
+   its put inserts a tree node whose payload is the record's address in
+   one atomic AAVLT operation, and threads the record onto its
+   transaction's back-chain via the volatile transaction table. *)
+let form t p txn_id ~lsn ~typ ~addr ~old_value ~new_value ~undo_next =
+  match p.index with
+  | None ->
+      let r =
+        Log.form p.log ~lsn ~txn:txn_id ~typ ~addr ~old_value ~new_value
+          ~undo_next
+      in
+      fun ~is_end -> ignore (Log.put ~is_end p.log r)
+  | Some idx ->
+      let r =
+        Record.make t.alloc ~lsn ~txn:txn_id ~typ ~addr ~old_value ~new_value
+          ~undo_next ~prev_same_txn:0
+      in
+      fun ~is_end ->
+        let e = Txn_table.find_or_add p.table txn_id in
+        (* Chain before the record becomes reachable. *)
+        Record.set_prev_same_txn t.arena r e.Txn_table.last_record;
+        Avl_index.op idx (fun () ->
+            let node = Avl_index.insert_in_op idx lsn in
+            Avl_index.set_head_record idx node r);
+        e.Txn_table.last_record <- r;
+        (* The record is durable here: [Record.make] wrote it back and the
+           AAVLT op's internal logging fenced at least once since. *)
+        if is_end && txn_id <> 0 then
+          Pmcheck.commit_point t.arena ~txn:txn_id ~addr:r
+            ~len:Record.size_bytes ~what:"END record (AAVLT-indexed)"
+
+let record_txn t r = Record.txn t.arena r
+let record_typ t r = Record.typ t.arena r
+
+(* Two-layer: walk a transaction's back-chain from [r], newest first.
+   Each record must pass [readable] before its link is read; then [f]
+   sees it, and the walk goes on while [f] returns [true]. *)
+let rec iter_chain ?(readable = fun _ -> true) t r f =
+  if r <> 0 && readable r then begin
+    let next = Record.prev_same_txn t.arena r in
+    if f r then iter_chain ~readable t next f
+  end
+
+(* The horizon the current state allows: min(next LSN, first LSN of
+   every unsettled transaction).  The next LSN is read first — a
+   transaction that registers after the read takes an LSN at or above
+   it. *)
+let horizon t =
+  let next = Sim_atomic.get t.next_lsn in
+  Hashtbl.fold (fun _ first h -> min first h) t.first_lsns next
+
+(* Persist every partition's pending group and deferred stores, then the
+   whole cache: every settled transaction's effects are durable, and the
+   horizon may pass them.  Buffered Batch stores must land before the
+   flush or they would be silently dropped.  With nothing written back
+   since the last fence (a force-policy recovery whose undo found nothing
+   to restore), the closing fence would order nothing and is skipped. *)
+let persist_all t =
+  Array.iter (flush_pending t) t.parts;
+  Arena.flush_all t.arena;
+  Arena.fence_if_needed t.arena
+
+(* Durably store the horizon [h] ([Arena.root_set] fences); the caller
+   has just run {!persist_all}. *)
+let set_horizon t h = Arena.root_set t.arena t.horizon_slot (Int64.of_int h)
+
+(* Remove every record of [p] below the horizon [h], in any order: one
+   tombstone pass over the log (one layer), or one ascending AAVLT key
+   walk that stops at [h] (two layers; [intact] guards each record's
+   free, since recovery may meet torn records). *)
+let clear_below t p h ~intact =
+  match p.index with
+  | None -> Log.remove_where p.log (fun r -> Record.lsn t.arena r < h)
+  | Some idx ->
+      let below = ref [] in
+      (try
+         Avl_index.iter idx (fun n ->
+             let lsn = Avl_index.key idx n in
+             if lsn >= h then raise Exit;
+             below := (lsn, Avl_index.head_record idx n) :: !below)
+       with Exit -> ());
+      List.iter
+        (fun (lsn, r) ->
+          ignore (Avl_index.remove idx lsn);
+          if intact r then Record.free t.alloc r)
+        (List.rev !below)
+
+(* Append a control record (END, CLR, PREPARE or recovery's ROLLBACK)
+   to [p], formed under the latch.  Returns its LSN. *)
+let append_control t p txn_id ~typ ~is_end ?(addr = 0) ?(old_value = 0L)
+    ?(new_value = 0L) ?(undo_next = 0) () =
+  let lsn = fresh_lsn t txn_id in
+  form t p txn_id ~lsn ~typ ~addr ~old_value ~new_value ~undo_next ~is_end;
+  lsn
+
+let append_end t p txn_id =
+  append_control t p txn_id ~typ:Record.End ~is_end:true ()
+
+(* Write a CLR recording the undo of [rec], then apply the undo.  The CLR's
+   new value is the restored (old) value; [undo_next] carries the undone
+   record's LSN so that Algorithm 2 can skip past it after a crash.  The
+   CLR lands in the transaction's home partition, like every record of the
+   transaction. *)
+let undo_one t p txn_id rec_ ~durably =
+  let addr = Record.addr t.arena rec_ in
+  let restored = Record.old_value t.arena rec_ in
+  let undo_next = Record.lsn t.arena rec_ in
+  (* write-only (never read by redo or undo): the compact one-layer format
+     drops it *)
+  let old_value = Record.new_value t.arena rec_ in
+  ignore
+    (append_control t p txn_id ~typ:Record.Clr ~is_end:durably ~addr
+       ~old_value ~new_value:restored ~undo_next ());
+  Pmcheck.region_logged ~group:p.pid t.arena ~txn:txn_id ~addr ~len:8
+    ~durable:(Log.pending p.log = 0);
+  (* Route the restore through the same WAL-ordered store path as forward
+     writes: under Batch it must stay buffered behind the CLR's group (and
+     behind any still-pending forward store to the same line). *)
+  user_write t p addr restored
+
+(* Algorithm 2's undo step, for one record [r] of type [typ] in a
+   backward walk over [txn_id]'s records: a CLR lowers [bound] to the LSN
+   its undo resumed from, so already-compensated updates are skipped; an
+   UPDATE below the bound is undone, [before_undo] first.  [lsn] is forced
+   only for an UPDATE — each walk reads a record's type and LSN when it
+   always has. *)
+let undo_step t p txn_id ~durably ~bound ?(before_undo = ignore) ~typ ~lsn r =
+  match typ with
+  | Record.Clr -> bound := Record.undo_next t.arena r
+  | Record.Update ->
+      if Lazy.force lsn < !bound then begin
+        before_undo ();
+        undo_one t p txn_id r ~durably
+      end
+  | Record.End | Record.Delete | Record.Rollback | Record.Prepare ->
+      ()

@@ -16,7 +16,6 @@ type entry = {
 type t = { entries : (int, entry) Hashtbl.t }
 
 let create () = { entries = Hashtbl.create 64 }
-let clear t = Hashtbl.reset t.entries
 
 let find_or_add t id =
   match Hashtbl.find_opt t.entries id with

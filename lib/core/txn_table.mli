@@ -15,7 +15,6 @@ type entry = {
 type t
 
 val create : unit -> t
-val clear : t -> unit
 val find_or_add : t -> int -> entry
 val find : t -> int -> entry option
 val remove : t -> int -> unit

@@ -197,8 +197,6 @@ let test_guards () =
       Tm.create ~cfg:{ cfg with Tm.layers = Tm.Two_layer } alloc ~root_slot);
   let tm = Tm.create ~cfg alloc ~root_slot in
   expect_misuse "no log to expose" ~is:wal_only (fun () -> Tm.log tm);
-  expect_misuse "no WAL records" ~is:wal_only (fun () ->
-      Tm.log_update tm 1 ~addr:0 ~old_value:0L ~new_value:1L);
   expect_misuse "no delete records" ~is:wal_only (fun () ->
       Tm.log_delete tm 1 ~addr:0 ~size:8);
   let cell = Tm.alloc_cell tm in

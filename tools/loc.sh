@@ -72,7 +72,7 @@ fi
 total=0
 for d in lib bin test bench examples; do
     if [ "$d" = bench ]; then
-        n=$(files_under bench | grep -v '^bench/suite/' | count |
+        n=$(files_under bench | { grep -v '^bench/suite/' || true; } | count |
             awk '{ s += $1 } END { print s + 0 }')
     else
         n=$(files_under "$d" | count | awk '{ s += $1 } END { print s + 0 }')
