@@ -105,8 +105,15 @@ let run_one ~ops ~checkpoint_every (name, cfg) =
   in
   let totals =
     let open Bench_row in
+    (* InCLL scans cells, not log records, and keeps no transactions *)
     let report =
       match Rewind.Tm.last_recovery tm2 with
+      | Some r when cfg.Rewind.Tm.incll ->
+          [
+            info_int "cells_scanned" r.Rewind.Tm.cells_scanned;
+            lower_int "torn_truncated" r.Rewind.Tm.torn_truncated;
+            info_int "cells_rewound" r.Rewind.Tm.cells_rewound;
+          ]
       | Some r ->
           [
             info_int "records_scanned" r.Rewind.Tm.records_scanned;

@@ -7,10 +7,13 @@
    partition's structural attach, then its analysis decode.  The fibers
    join before the k-way merge by LSN that turns the partition streams
    into one stream in global LSN order, from which analysis rebuilds each
-   home partition's transaction table; redo replays that stream, undo
+   home partition's transaction table; redo replays that stream and undo
    walks it backwards (two-layer: each loser's back-chain within its home
-   partition) touching only losers' records, and clearing follows.  Those
-   three stay serial: their correctness depends on the global LSN order.
+   partition) touching only losers' records.  Those two stay serial:
+   their correctness depends on the global LSN order.  Clearing forks
+   again: the write-back of the recovered state is split by cache line
+   across the fibers, each fencing once, and each partition then clears
+   its own index and log on its own fiber.
 
    Every phase is charged to the recovery's own profile: the arena's
    {!Stats} totals are cumulative across attach cycles, so per-phase
@@ -20,19 +23,23 @@
 open Rewind_nvm
 open Tm_state
 
-(* Partition [pid]'s share of phase [name], of [parts]: with one
-   partition the phase totals are the whole story; with several, each
-   partition's share appears as "name/pN".  Per-partition work that runs
-   on one recovery fiber per partition ({!Sim_threads.fork_join}: every
-   fiber starts at the same simulated instant and the caller's clock
-   resumes at the slowest) charges the enclosing phase once, at the join,
-   so the top-level phases still add up to the attach's simulated time.
-   Each fiber reads and repairs only its own partition's log, index and
-   records (the allocator, the one shared structure, synchronises on its
-   own lock), so the work really is independent. *)
-let part_span prof stats ~parts name pid f =
-  if parts > 1 then Probe.span prof stats (Printf.sprintf "%s/p%d" name pid) f
-  else f ()
+(* [f pid] for every partition [pid < parts], each on its own recovery
+   fiber ({!Sim_threads.fork_join}: every fiber starts at the same
+   simulated instant and the caller's clock resumes at the slowest), as
+   its share of phase [name].  With one partition the phase totals are
+   the whole story; with several, each partition's share appears as
+   "name/pN", accumulated over every fork-join of the phase.  The
+   enclosing phase is charged once, so the top-level phases still add up
+   to the attach's simulated time.  Each fiber reads and repairs only its
+   own partition's log, index and records (the allocator, the one shared
+   structure, synchronises on its own lock), or writes back its own share
+   of the cache lines, so the work really is independent. *)
+let fork_parts prof stats ~parts name f =
+  Sim_threads.fork_join parts (fun pid ->
+      if parts > 1 then
+        Probe.span prof stats (Printf.sprintf "%s/p%d" name pid) (fun () ->
+            f pid)
+      else f pid)
 
 (* One log record as recovery sees it.  Analysis reads every live record
    exactly once into this form — its ref, LSN, transaction and type, plus,
@@ -120,11 +127,10 @@ let part_stream t ~payload ~horizon ~on_torn p =
    fiber, merged into global LSN order at the join: the stream analysis
    builds and redo and undo replay. *)
 let decoded_log t prof ~payload ~horizon ~on_torn =
-  let parts = Array.length t.parts in
   merge_ascending
-    (Sim_threads.fork_join parts (fun pid ->
-         part_span prof (Arena.stats t.arena) ~parts "analysis" pid (fun () ->
-             part_stream t ~payload ~horizon ~on_torn t.parts.(pid))))
+    (fork_parts prof (Arena.stats t.arena) ~parts:(Array.length t.parts)
+       "analysis" (fun pid ->
+         part_stream t ~payload ~horizon ~on_torn t.parts.(pid)))
 
 let durable_horizon t = Int64.to_int (Arena.root_get t.arena t.horizon_slot)
 
@@ -329,29 +335,60 @@ let undo_two_layer t ~on_torn =
     t.parts;
   !total
 
+(* [f] on each partition, on its own recovery fiber, as its share of
+   the clearing. *)
+let each_part t prof f =
+  ignore
+    (fork_parts prof (Arena.stats t.arena) ~parts:(Array.length t.parts)
+       "clearing" (fun pid -> f t.parts.(pid)))
+
+(* {!Tm_state.persist_all} with the write-back split across the recovery
+   fibers.  Every partition's pending group and deferred stores go first,
+   serially: a share that wrote back a line still pinned behind another
+   partition's open group would break write-ahead order.  Then fiber [k]
+   of [n] writes back the dirty lines whose index is [k] mod [n] and
+   fences once; it never yields in between, as the arena's "written back
+   since the last fence" flag is shared by every fiber.  One partition is
+   {!Tm_state.persist_all}, event for event. *)
+let persist_shares t prof =
+  Array.iter (flush_pending t) t.parts;
+  let n = Array.length t.parts in
+  each_part t prof (fun p ->
+      Arena.flush_all ~share:(p.pid, n) t.arena;
+      Arena.fence_if_needed t.arena)
+
 (* Two-layer index clearing, ahead of the log clearing: wholesale, one
-   atomic root swing per partition, when nothing is in doubt; otherwise
-   everything below the horizon [h], so that in-doubt chains survive
-   until [resolve_in_doubt].  Torn records leak, like every volatile free
-   list across a crash. *)
-let clear_indexes t prof ~wholesale h =
-  Array.iter
-    (fun p ->
-      part_span prof (Arena.stats t.arena) ~parts:(Array.length t.parts)
-        "clearing" p.pid
-      @@ fun () ->
-      match p.index with
-      | None -> ()
-      | Some _ when not wholesale ->
-          clear_below t p h ~intact:(Record.intact t.arena)
-      | Some idx ->
-          let records = ref [] in
-          Avl_index.iter idx (fun n ->
-              let r = Avl_index.head_record idx n in
-              if Record.intact t.arena r then records := r :: !records);
-          Avl_index.clear idx;
-          List.iter (fun r -> Record.free t.alloc r) !records)
-    t.parts
+   atomic root swing, when nothing is in doubt; otherwise everything
+   below the horizon [h], so that in-doubt chains survive until
+   [resolve_in_doubt].  Torn records leak, like every volatile free list
+   across a crash. *)
+let clear_index t ~wholesale h p =
+  match p.index with
+  | None -> ()
+  | Some _ when not wholesale ->
+      clear_below t p h ~intact:(Record.intact t.arena)
+  | Some idx ->
+      let records = ref [] in
+      Avl_index.iter idx (fun n ->
+          let r = Avl_index.head_record idx n in
+          if Record.intact t.arena r then records := r :: !records);
+      Avl_index.clear idx;
+      List.iter (fun r -> Record.free t.alloc r) !records
+
+(* [p]'s log clearing and table drops: two-layer in-doubt chains drive
+   resolution; one-layer resolution re-scans the log. *)
+let clear_part ~wholesale h t p =
+  (match p.index with
+  | None when not wholesale -> clear_below t p h ~intact:(fun _ -> true)
+  | _ -> Log.clear_all p.log);
+  let drop = ref [] in
+  Txn_table.iter p.table (fun e ->
+      if p.index = None || e.Txn_table.status <> Txn_table.Prepared then
+        drop := e.Txn_table.id :: !drop);
+  List.iter (Txn_table.remove p.table) !drop;
+  Hashtbl.reset p.ended;
+  p.deferred_deletes <- [];
+  p.deferred <- []
 
 let clear_after_recovery t prof stream =
   (* Every transaction is settled except the in-doubt set; make the
@@ -365,35 +402,22 @@ let clear_after_recovery t prof stream =
      any CLRs from an interrupted abort resolution) must survive until
      [resolve_in_doubt], across any number of further crashes.  The
      bottom-layer (AAVLT-internal) logs of two layers hold only settled
-     internal records and always go wholesale. *)
+     internal records and always go wholesale.  Each partition clears
+     its own index and log on its own fiber; every write-back joins
+     before the horizon store or the log clearing that relies on it. *)
   let in_doubt_txn x = Hashtbl.mem t.prepared_gtids x in
   let wholesale = Hashtbl.length t.prepared_gtids = 0 in
   Hashtbl.filter_map_inplace
     (fun x first -> if in_doubt_txn x then Some first else None)
     t.first_lsns;
-  persist_all t;
+  persist_shares t prof;
   let h = horizon t in
   set_horizon t h;
   if t.cfg.layers = Two_layer then begin
-    clear_indexes t prof ~wholesale h;
-    persist_all t
+    each_part t prof (clear_index t ~wholesale h);
+    persist_shares t prof
   end;
-  Array.iter
-    (fun p ->
-      (match p.index with
-      | None when not wholesale -> clear_below t p h ~intact:(fun _ -> true)
-      | _ -> Log.clear_all p.log);
-      (* two-layer in-doubt chains drive resolution; one-layer resolution
-         re-scans the log *)
-      let drop = ref [] in
-      Txn_table.iter p.table (fun e ->
-          if p.index = None || e.Txn_table.status <> Txn_table.Prepared then
-            drop := e.Txn_table.id :: !drop);
-      List.iter (Txn_table.remove p.table) !drop;
-      Hashtbl.reset p.ended;
-      p.deferred_deletes <- [];
-      p.deferred <- [])
-    t.parts;
+  each_part t prof (clear_part ~wholesale h t);
   (* Rebuild the in-doubt transactions' deferred de-allocation intentions
      from their surviving DELETE records: a commit decision frees them, an
      abort drops them. *)
@@ -413,8 +437,8 @@ let torn_truncated_logs t =
   Array.fold_left (fun acc p -> acc + Log.torn_truncated p.log) 0 t.parts
 
 (* WAL recovery: analysis, redo (no-force), undo, clearing.  Returns
-   the records scanned, the torn records dropped, the records redone, the
-   transactions found finished and the losers undone. *)
+   the report: the records scanned, the torn records dropped, the records
+   redone, the transactions found finished and the losers undone. *)
 let recover_wal prof pstats t =
   (* two-layer only: AAVLT-indexed records failing their checksum *)
   let torn = ref 0 in
@@ -441,7 +465,15 @@ let recover_wal prof pstats t =
   let torn = !torn + torn_truncated_logs t in
   Probe.span prof pstats "clearing" (fun () ->
       clear_after_recovery t prof stream);
-  (List.length stream, torn, redo, finished, undone)
+  {
+    records_scanned = List.length stream;
+    torn_truncated = torn;
+    redo_applied = redo;
+    txns_finished = finished;
+    txns_undone = undone;
+    cells_scanned = 0;
+    cells_rewound = 0;
+  }
 
 (* The WAL manager's structure: each partition's log, then (two layers)
    its AAVLT, on one recovery fiber per partition, joined phase by
@@ -451,9 +483,7 @@ let attach_logs prof (cfg : config) alloc ~root_slot =
   let pstats = Arena.stats arena in
   let parts = cfg.partitions in
   let phase name f =
-    Probe.span prof pstats name (fun () ->
-        Sim_threads.fork_join parts (fun pid ->
-            part_span prof pstats ~parts name pid (fun () -> f pid)))
+    Probe.span prof pstats name (fun () -> fork_parts prof pstats ~parts name f)
   in
   let logs =
     phase "log-attach" (fun pid ->
@@ -495,23 +525,23 @@ let attach prof (cfg : config) alloc ~root_slot =
       in
       ( make_t cfg alloc ~root_slot [||] ~incll:i,
         fun _ ->
-          let scanned, rolled =
+          let scanned, rewound =
             Probe.span prof pstats "epoch-scan" (fun () -> Incll.recover i)
           in
-          (scanned, 0, 0, 0, rolled) )
+          {
+            records_scanned = 0;
+            torn_truncated = 0;
+            redo_applied = 0;
+            txns_finished = 0;
+            txns_undone = 0;
+            cells_scanned = scanned;
+            cells_rewound = rewound;
+          } )
     else (attach_logs prof cfg alloc ~root_slot, recover_wal prof pstats)
   in
   Pmcheck.recovery_begin arena;
-  let scanned, torn, redo, finished, undone = recover t in
+  let report = recover t in
   Pmcheck.recovery_end arena;
-  t.last_recovery <-
-    Some
-      {
-        records_scanned = scanned;
-        torn_truncated = torn;
-        redo_applied = redo;
-        txns_finished = finished;
-        txns_undone = undone;
-      };
+  t.last_recovery <- Some report;
   t.last_recovery_profile <- Some prof;
   t

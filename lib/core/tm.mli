@@ -314,13 +314,18 @@ val current_epoch : t -> int option
 
 (** What the last recovery found and did.  [torn_truncated] counts
     bad-checksum log records that recovery dropped as torn writes instead
-    of replaying them (see {!Record.verify}). *)
+    of replaying them (see {!Record.verify}).  The record and transaction
+    counts are WAL-only and read 0 under InCLL, which has no log and no
+    transaction table; its epoch scan reports cells instead, which read 0
+    under WAL. *)
 type recovery_report = {
-  records_scanned : int;  (** log records examined by analysis *)
+  records_scanned : int;  (** log records examined by analysis (WAL) *)
   torn_truncated : int;   (** bad-checksum records dropped as torn writes *)
-  redo_applied : int;     (** records re-applied by the redo pass *)
-  txns_finished : int;    (** transactions found committed/rolled back *)
-  txns_undone : int;      (** unfinished transactions rolled back by undo *)
+  redo_applied : int;     (** records re-applied by the redo pass (WAL) *)
+  txns_finished : int;    (** transactions found committed/rolled back (WAL) *)
+  txns_undone : int;      (** unfinished transactions rolled back by undo (WAL) *)
+  cells_scanned : int;    (** registered cells the epoch scan read (InCLL) *)
+  cells_rewound : int;    (** cells it rewound to their in-line undo (InCLL) *)
 }
 
 val last_recovery : t -> recovery_report option

@@ -53,6 +53,8 @@ type recovery_report = {
   redo_applied : int;     (* records re-applied by the redo pass *)
   txns_finished : int;    (* transactions found committed/rolled back *)
   txns_undone : int;      (* unfinished transactions rolled back by undo *)
+  cells_scanned : int;    (* InCLL: registered cells the epoch scan read *)
+  cells_rewound : int;    (* InCLL: cells rewound to their in-line undo *)
 }
 
 (* One log partition: a complete recoverable log plus the per-partition
@@ -279,14 +281,17 @@ let horizon t =
    horizon may pass them.  Buffered Batch stores must land before the
    flush or they would be silently dropped.  With nothing written back
    since the last fence (a force-policy recovery whose undo found nothing
-   to restore), the closing fence would order nothing and is skipped. *)
+   to restore), the closing fence would order nothing and is skipped.
+   The checkpoint's write-back, on the checkpointing fiber alone;
+   recovery's clearing splits the same write-back across its fibers
+   ([Recovery.persist_shares]). *)
 let persist_all t =
   Array.iter (flush_pending t) t.parts;
   Arena.flush_all t.arena;
   Arena.fence_if_needed t.arena
 
 (* Durably store the horizon [h] ([Arena.root_set] fences); the caller
-   has just run {!persist_all}. *)
+   has just made every settled effect durable ({!persist_all}). *)
 let set_horizon t h = Arena.root_set t.arena t.horizon_slot (Int64.of_int h)
 
 (* Remove every record of [p] below the horizon [h], in any order: one

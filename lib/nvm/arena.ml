@@ -530,14 +530,22 @@ let flush_range t off len =
     done
   end
 
-(* Only chunks holding a dirty line, in ascending line order. *)
-let flush_all t =
+(* Only chunks holding a dirty line, in ascending line order; share
+   [(k, n)] visits only the lines whose index is [k] mod [n]. *)
+let flush_all ?(share = (0, 1)) t =
+  let k, n = share in
+  if n < 1 || k < 0 || k >= n then invalid_arg "Arena.flush_all: bad share";
+  let lpc = 1 lsl t.lpc_shift in
   for ci = 0 to Array.length t.chunks - 1 do
-    if t.dirty_n.(ci) > 0 then
-      for i = 0 to (1 lsl t.lpc_shift) - 1 do
-        if flags t.chunks.(ci) i land dirty_bit <> 0 then
-          flush_line t (((ci lsl t.lpc_shift) + i) lsl t.line_shift)
+    if t.dirty_n.(ci) > 0 then begin
+      let base = ci lsl t.lpc_shift in
+      let i = ref (((k - base) mod n + n) mod n) in
+      while !i < lpc do
+        if flags t.chunks.(ci) !i land dirty_bit <> 0 then
+          flush_line t ((base + !i) lsl t.line_shift);
+        i := !i + n
       done
+    end
   done
 
 let fence t =

@@ -52,9 +52,13 @@ val flush_line : t -> int -> unit
 
 val flush_range : t -> int -> int -> unit
 
-val flush_all : t -> unit
+val flush_all : ?share:int * int -> t -> unit
 (** Write back every dirty line in ascending line order; costs the dirty
-    lines, not the arena's size. *)
+    lines, not the arena's size.  [~share:(k, n)] writes back only the
+    dirty lines whose line index is [k] mod [n], so the [n] shares of one
+    dirty set write each line back exactly once between them; the default
+    [(0, 1)] is every line.  Raises [Invalid_argument] unless
+    [0 <= k < n]. *)
 
 val fence : t -> unit
 (** Persistent memory fence: orders and charges [fence_ns]. *)

@@ -75,8 +75,10 @@ let test_epoch_rollback () =
   check_i64 "unadvanced commit rolled back" 0L (Arena.read arena cells.(1));
   (match Tm.last_recovery tm2 with
   | Some r ->
-      check_int "every cell scanned" 2 r.Tm.records_scanned;
-      check_int "the mid-epoch cell rewound" 1 r.Tm.txns_undone
+      check_int "every cell scanned" 2 r.Tm.cells_scanned;
+      check_int "the mid-epoch cell rewound" 1 r.Tm.cells_rewound;
+      check_int "no log records" 0 r.Tm.records_scanned;
+      check_int "no transactions undone" 0 r.Tm.txns_undone
   | None -> Alcotest.fail "attach produced no recovery report");
   (* recovery itself advanced: crashed epoch 2, now at 3 *)
   check_int "recovery opens a fresh epoch" 3
@@ -159,8 +161,8 @@ let test_directory_chunks () =
   let tm2 = Tm.attach ~cfg alloc2 ~root_slot in
   (match Tm.last_recovery tm2 with
   | Some r ->
-      check_int "all chunks walked" n r.Tm.records_scanned;
-      check_int "nothing to rewind at a boundary" 0 r.Tm.txns_undone
+      check_int "all chunks walked" n r.Tm.cells_scanned;
+      check_int "nothing to rewind at a boundary" 0 r.Tm.cells_rewound
   | None -> Alcotest.fail "attach produced no recovery report");
   Array.iteri
     (fun i c ->

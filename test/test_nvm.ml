@@ -674,6 +674,67 @@ let prop_durability =
       Arena.crash a;
       Hashtbl.fold (fun off v acc -> acc && Arena.read a off = v) durable true)
 
+(* Write-back shares: for each n, the n shares (k, n) of one random dirty
+   set, spread over several chunks, write every dirty line back exactly
+   once between them, share k only lines k mod n, and leave what one
+   [flush_all] leaves — the durable image, [nvm_writes] and [flushes];
+   the share (0, 1) is [flush_all] trace event for trace event. *)
+let prop_flush_share =
+  QCheck.Test.make ~name:"write-back shares partition flush_all" ~count:100
+    QCheck.(list (pair (int_bound 12_000) (int_bound 1000)))
+    (fun stores ->
+      let size = (3 * 65536) + 4096 in
+      let offs = List.map (fun (w, v) -> (512 + (w * 16), v)) stores in
+      let dirtied () =
+        let a = arena ~size () in
+        List.iter (fun (off, v) -> Arena.write a off (Int64.of_int v)) offs;
+        let events = ref [] in
+        Arena.set_tracer a (Some (fun e -> events := e :: !events));
+        (a, events)
+      in
+      let line_bytes = (Arena.config (arena ())).Config.cacheline_bytes in
+      let dirty =
+        List.sort_uniq compare
+          (List.map (fun (off, _) -> off / line_bytes * line_bytes) offs)
+      in
+      let flushed events =
+        List.filter_map
+          (function Trace.Flush { off; _ } -> Some off | _ -> None)
+          !events
+      in
+      let counts a =
+        let s = Arena.stats a in
+        (s.Stats.nvm_writes, s.Stats.flushes)
+      in
+      let durable_image a =
+        Arena.crash a;
+        Arena.read_bytes a 0 size
+      in
+      let whole, whole_events = dirtied () in
+      Arena.flush_all whole;
+      let one, one_events = dirtied () in
+      Arena.flush_all ~share:(0, 1) one;
+      let same_events = !one_events = !whole_events in
+      let whole_counts = counts whole and whole_image = durable_image whole in
+      same_events
+      && List.for_all
+           (fun n ->
+             let a, events = dirtied () in
+             let shares =
+               List.init n (fun k ->
+                   events := [];
+                   Arena.flush_all ~share:(k, n) a;
+                   (k, flushed events))
+             in
+             List.for_all
+               (fun (k, lines) ->
+                 List.for_all (fun off -> off / line_bytes mod n = k) lines)
+               shares
+             && List.sort compare (List.concat_map snd shares) = dirty
+             && counts a = whole_counts
+             && durable_image a = whole_image)
+           [ 1; 2; 3; 4 ])
+
 let prop_alloc_disjoint =
   QCheck.Test.make ~name:"allocations never overlap" ~count:100
     QCheck.(list_of_size (Gen.int_range 1 50) (int_range 1 128))
@@ -1253,6 +1314,7 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_durability;
+          QCheck_alcotest.to_alcotest prop_flush_share;
           QCheck_alcotest.to_alcotest prop_alloc_disjoint;
           QCheck_alcotest.to_alcotest prop_differential;
         ] );

@@ -219,10 +219,13 @@ let test_undo_without_losers (name, cfg) () =
 
 (* Parallel recovery keeps the profile additive: the top-level phases sum
    exactly to the attach's simulated time.  The fork-joined phases
-   (log-attach, index-rebuild, analysis) are charged once, at the join;
+   (log-attach, index-rebuild, analysis, clearing) are charged once;
    with several partitions each partition's share is a "phase/pN"
    sub-span, the structural phases last exactly as long as their slowest
-   partition, and the shares overlap — they sum past the phase. *)
+   partition, and the shares overlap — they sum past the phase.
+   Analysis and clearing also do serial work around their joins (the
+   merge; the pending groups and the horizon store), so they only cover
+   their slowest share. *)
 let parallel_configs =
   configs [ "1l-nfp"; "2l-nfp"; "1l-nfp-p4"; "2l-nfp-p4" ]
 
@@ -235,7 +238,7 @@ let test_phases_sum_to_attach (name, cfg) () =
     attach_ns
     (List.fold_left (fun acc p -> acc + p.Probe.sim_ns) 0 top);
   let joined =
-    "log-attach" :: "analysis"
+    "log-attach" :: "analysis" :: "clearing"
     :: (if cfg.Tm.layers = Tm.Two_layer then [ "index-rebuild" ] else [])
   in
   List.iter
@@ -257,9 +260,8 @@ let test_phases_sum_to_attach (name, cfg) () =
         check_int (Fmt.str "%s: %s has a share per partition" name ph)
           cfg.Tm.partitions (List.length shares);
         let slowest = List.fold_left max 0 shares in
-        if ph = "analysis" then
-          (* plus the floor read and the merge *)
-          check_bool (Fmt.str "%s: analysis covers its slowest share" name)
+        if ph = "analysis" || ph = "clearing" then
+          check_bool (Fmt.str "%s: %s covers its slowest share" name ph)
             true (p.Probe.sim_ns >= slowest)
         else
           check_int (Fmt.str "%s: %s lasts its slowest share" name ph) slowest
@@ -332,7 +334,17 @@ let test_recovery_bench () =
            (fun p -> Bench_row.key p = Bench_row.key r ^ "/phase=" ^ last)
            phases);
       check_bool (config ^ ": recovery time measured") true
-        (metric r "total_sim_ns" > 0.))
+        (metric r "total_sim_ns" > 0.);
+      (* InCLL reports cells, WAL records: neither under the other's name *)
+      let incll = (List.assoc config Rbench.configs).Tm.incll in
+      List.iter
+        (fun (m, mine) ->
+          check_bool (Fmt.str "%s: %s reported" config m) (mine = incll)
+            (Bench_row.value r m <> None))
+        [
+          ("cells_scanned", true); ("cells_rewound", true);
+          ("records_scanned", false); ("txns_undone", false);
+        ])
     totals;
   (* checkpointing shrinks the log left for recovery *)
   let log_at ckpt =
