@@ -158,13 +158,13 @@ let reseed_txn_counters t max_txn =
 
 (* Analysis: decode every partition once into the merged stream and
    rebuild each transaction's entry in its home partition's table (a
-   transaction's records all live in its home partition), registering
-   each transaction at its first LSN until recovery settles it.  The LSN
-   and transaction-id high-water marks are global maxima over every
-   partition, and LSNs continue from the horizon even when no record
-   lies above it.  A transaction that logged PREPARE stays in doubt
-   (in [prepared_gtids]) unless a later END or ROLLBACK settled it.
-   Returns the stream and the number of transactions found finished. *)
+   transaction's records all live in its home partition) with its first
+   LSN, last record and status.  The LSN and transaction-id high-water
+   marks are global maxima over every partition, and LSNs continue from
+   the horizon even when no record lies above it.  A transaction that
+   logged PREPARE stays in doubt, with the global id the record carries,
+   unless a later END or ROLLBACK settled it.  Returns the stream and the
+   number of transactions found finished. *)
 let analysis t prof ~on_torn =
   let horizon = durable_horizon t in
   let stream =
@@ -176,31 +176,24 @@ let analysis t prof ~on_torn =
       if e.lsn > !max_lsn then max_lsn := e.lsn;
       if e.txn > !max_txn then max_txn := e.txn;
       if e.txn <> 0 then begin
-        if not (Hashtbl.mem t.first_lsns e.txn) then
-          Hashtbl.replace t.first_lsns e.txn e.lsn;
         let te = Txn_table.find_or_add (home t e.txn).table e.txn in
-        te.Txn_table.last_record <- e.r;
+        if te.first_lsn = 0 then te.first_lsn <- e.lsn;
+        te.last_record <- e.r;
         match e.typ with
-        | Record.End -> te.Txn_table.status <- Txn_table.Finished
-        | Record.Rollback -> te.Txn_table.status <- Txn_table.Aborted
+        | Record.End -> te.status <- Txn_table.Finished
+        | Record.Rollback -> te.status <- Txn_table.Aborted
         | Record.Prepare ->
-            te.Txn_table.status <- Txn_table.Prepared;
-            Hashtbl.replace t.prepared_gtids e.txn
-              (Int64.to_int (Record.old_value t.arena e.r))
+            te.status <-
+              Txn_table.Prepared (Int64.to_int (Record.old_value t.arena e.r))
         | Record.Update | Record.Clr | Record.Delete -> ()
       end)
     stream;
   Sim_atomic.set t.next_lsn (max (!max_lsn + 1) horizon);
   reseed_txn_counters t !max_txn;
-  let finished = ref 0 in
-  Array.iter
-    (fun p ->
-      Txn_table.iter p.table (fun e ->
-          if e.Txn_table.status = Txn_table.Finished then incr finished;
-          if e.Txn_table.status <> Txn_table.Prepared then
-            Hashtbl.remove t.prepared_gtids e.Txn_table.id))
-    t.parts;
-  (stream, !finished)
+  ( stream,
+    fold_entries t
+      (fun e n -> if e.status = Txn_table.Finished then n + 1 else n)
+      0 )
 
 (* Redo phase (no-force only): repeat history forward in *global* LSN
    order from the decoded stream — cached stores and nothing else.
@@ -233,8 +226,8 @@ let undo_one_layer t stream =
       if e.txn <> 0 then
         let p = home t e.txn in
         match Txn_table.find p.table e.txn with
-        | Some { Txn_table.status = Txn_table.Running | Txn_table.Aborted; _ }
-          ->
+        | Some
+            ({ status = Txn_table.Running | Txn_table.Aborted; _ } as te) ->
             let bound =
               match Hashtbl.find_opt bounds e.txn with
               | Some b -> b
@@ -243,7 +236,7 @@ let undo_one_layer t stream =
                   Hashtbl.replace bounds e.txn b;
                   b
             in
-            undo_step t p e.txn ~durably ~bound ~typ:e.typ
+            undo_step t p te ~durably ~bound ~typ:e.typ
               ~lsn:(Lazy.from_val e.lsn) e.r;
             if durably && e.typ = Record.Clr then
               (* redo the CLR: covers a crash between the CLR and its user
@@ -264,18 +257,15 @@ let undo_one_layer t stream =
   Array.iter
     (fun p ->
       Txn_table.iter p.table (fun e ->
-          if
-            e.Txn_table.status <> Txn_table.Finished
-            && e.Txn_table.status <> Txn_table.Prepared
-          then begin
-            incr losers;
-            if e.Txn_table.status = Txn_table.Running then
-              ignore
-                (append_control t p e.Txn_table.id ~typ:Record.Rollback
-                   ~is_end:false ());
-            ignore (append_end t p e.Txn_table.id);
-            e.Txn_table.status <- Txn_table.Finished
-          end))
+          match e.status with
+          | Txn_table.Running | Txn_table.Aborted ->
+              incr losers;
+              if e.status = Txn_table.Running then
+                ignore
+                  (append_control t p e ~typ:Record.Rollback ~is_end:false ());
+              ignore (append_end t p e);
+              e.status <- Txn_table.Finished
+          | Txn_table.Prepared _ | Txn_table.Finished -> ()))
     t.parts;
   !losers
 
@@ -294,15 +284,17 @@ let undo_two_layer t ~on_torn =
           (* in-doubt (prepared) transactions are not losers: they stay
              unsettled until [resolve_in_doubt] *)
           let losers =
-            List.filter
-              (fun e -> e.Txn_table.status <> Txn_table.Prepared)
-              (Txn_table.unfinished p.table)
+            Txn_table.fold p.table
+              (fun e acc ->
+                match e.status with
+                | Txn_table.Running | Aborted -> e :: acc
+                | Prepared _ | Finished -> acc)
+              []
           in
           total := !total + List.length losers;
           List.iter
-            (fun e ->
-              let x = e.Txn_table.id in
-              let head = e.Txn_table.last_record in
+            (fun (e : Txn_table.entry) ->
+              let head = e.last_record in
               (* corner case: crash between the last CLR and its user
                  store *)
               (if
@@ -322,15 +314,15 @@ let undo_two_layer t ~on_torn =
                   (on_torn ();
                    false))
                 (fun r ->
-                  undo_step t p x ~durably ~bound
+                  undo_step t p e ~durably ~bound
                     ~before_undo:(fun () ->
                       ignore (Avl_index.find idx (Record.lsn t.arena r)))
                     ~typ:(record_typ t r)
                     ~lsn:(lazy (Record.lsn t.arena r))
                     r;
                   true);
-              ignore (append_end t p x);
-              e.Txn_table.status <- Txn_table.Finished)
+              ignore (append_end t p e);
+              e.status <- Txn_table.Finished)
             losers)
     t.parts;
   !total
@@ -375,19 +367,18 @@ let clear_index t ~wholesale h p =
       Avl_index.clear idx;
       List.iter (fun r -> Record.free t.alloc r) !records
 
-(* [p]'s log clearing and table drops: two-layer in-doubt chains drive
-   resolution; one-layer resolution re-scans the log. *)
+(* [p]'s log clearing, and every table entry but the in-doubt ones
+   dropped: their resolution needs their first LSN, their status and
+   (two-layer) their back-chain. *)
 let clear_part ~wholesale h t p =
   (match p.index with
   | None when not wholesale -> clear_below t p h ~intact:(fun _ -> true)
   | _ -> Log.clear_all p.log);
-  let drop = ref [] in
-  Txn_table.iter p.table (fun e ->
-      if p.index = None || e.Txn_table.status <> Txn_table.Prepared then
-        drop := e.Txn_table.id :: !drop);
-  List.iter (Txn_table.remove p.table) !drop;
-  Hashtbl.reset p.ended;
-  p.deferred_deletes <- [];
+  Txn_table.fold p.table
+    (fun e drop ->
+      match e.status with Txn_table.Prepared _ -> drop | _ -> e.id :: drop)
+    []
+  |> List.iter (Txn_table.remove p.table);
   p.deferred <- []
 
 let clear_after_recovery t prof stream =
@@ -405,11 +396,7 @@ let clear_after_recovery t prof stream =
      internal records and always go wholesale.  Each partition clears
      its own index and log on its own fiber; every write-back joins
      before the horizon store or the log clearing that relies on it. *)
-  let in_doubt_txn x = Hashtbl.mem t.prepared_gtids x in
-  let wholesale = Hashtbl.length t.prepared_gtids = 0 in
-  Hashtbl.filter_map_inplace
-    (fun x first -> if in_doubt_txn x then Some first else None)
-    t.first_lsns;
+  let wholesale = in_doubt t = [] in
   persist_shares t prof;
   let h = horizon t in
   set_horizon t h;
@@ -423,14 +410,15 @@ let clear_after_recovery t prof stream =
      abort drops them. *)
   List.iter
     (fun e ->
-      if e.typ = Record.Delete && in_doubt_txn e.txn then
-        let p = home t e.txn in
-        p.deferred_deletes <-
-          ( e.txn,
-            e.lsn,
-            Record.addr t.arena e.r,
-            Int64.to_int (Record.old_value t.arena e.r) )
-          :: p.deferred_deletes)
+      if e.typ = Record.Delete then
+        match Txn_table.find (home t e.txn).table e.txn with
+        | Some ({ status = Txn_table.Prepared _; _ } as te) ->
+            te.deletes <-
+              ( e.lsn,
+                Record.addr t.arena e.r,
+                Int64.to_int (Record.old_value t.arena e.r) )
+              :: te.deletes
+        | _ -> ())
     stream
 
 let torn_truncated_logs t =

@@ -6,10 +6,10 @@
      or [No_force] (user updates are cached; checkpoints clear the log;
      three-phase recovery with a redo pass);
    - layers: [One_layer] (the bucket/ADLL log holds user records directly;
-     no transaction table is maintained while logging) or [Two_layer] (the
-     AAVLT indexes records by transaction and acts as the persistent
-     transaction table; the bucket log underneath holds only the AAVLT's
-     own pending writes).
+     the volatile transaction table costs nothing while logging) or
+     [Two_layer] (the AAVLT indexes records by transaction and acts as the
+     persistent transaction table; the bucket log underneath holds only
+     the AAVLT's own pending writes).
 
    The log implementation (Simple / Optimized / Batch) is picked
    independently, giving the paper's Simple/Optimized/Batch REWIND
@@ -232,7 +232,6 @@ let log t =
   wal_only t "Tm.log";
   t.parts.(0).log
 let logs t = Array.map (fun p -> p.log) t.parts
-let partition_appended t = Array.map (fun p -> Log.appended p.log) t.parts
 let commits t = t.commits
 let rollbacks t = t.rollbacks
 let set_probe t p = t.probe <- p
@@ -253,15 +252,35 @@ let active_transactions t =
   match t.incll with
   | Some i -> Incll.active i
   | None ->
-      Array.fold_left (fun acc p -> acc + Txn_table.size p.table) 0 t.parts
+      fold_entries t
+        (fun e n -> if e.status <> Txn_table.Finished then n + 1 else n)
+        0
 
 let last_recovery t = t.last_recovery
 let merged_log_records = Recovery.merged_log_records
 
-(* [txn] is settled: the horizon may pass its records. *)
-let settled t txn =
-  Hashtbl.remove t.first_lsns txn;
-  Pmcheck.txn_settled t.arena ~txn
+(* [txn]'s entry in its home partition's table, if it has one. *)
+let entry t txn =
+  if t.incll <> None || txn < first_txn then None
+  else Txn_table.find (home t txn).table txn
+
+(* [txn]'s home partition and its entry there, which must be open: begun
+   and not settled. *)
+let open_entry t txn =
+  match entry t txn with
+  | Some e when e.status <> Txn_table.Finished -> (home t txn, e)
+  | _ -> misuse (Txn_not_open txn)
+
+(* [e]'s transaction is settled at [end_lsn]: the horizon may pass its
+   records.  Under force they are gone and it leaves the table; under
+   no-force it stays until {!retire} finds its END below the horizon. *)
+let settle t p (e : Txn_table.entry) ~end_lsn =
+  (match t.cfg.policy with
+  | Force -> Txn_table.remove p.table e.id
+  | No_force ->
+      e.status <- Txn_table.Finished;
+      e.end_lsn <- end_lsn);
+  Pmcheck.txn_settled t.arena ~txn:e.id
 
 (* -- transaction begin -------------------------------------------------- *)
 
@@ -284,14 +303,15 @@ let begin_txn ?home:home_opt t =
     | None -> Sim_atomic.fetch_and_add t.next_home 1 mod n
   in
   let id = first_txn + (Sim_atomic.fetch_and_add t.next_seq.(hp) 1 * n) + hp in
-  (match (t.incll, t.cfg.layers) with
-  | Some i, _ -> Incll.begin_txn i id
-  | None, One_layer -> ()  (* no per-transaction state while logging *)
-  | None, Two_layer ->
-      (* the transaction table is maintained while logging *)
+  (match t.incll with
+  | Some i -> Incll.begin_txn i id
+  | None ->
       let p = home t id in
-      Sim_mutex.with_lock p.latch (fun () ->
-          ignore (Txn_table.find_or_add p.table id)));
+      let add () = ignore (Txn_table.find_or_add p.table id) in
+      (* one layer's entry is volatile alone; two layers mirror the table
+         in the AAVLT, and take the latch *)
+      if t.cfg.layers = Two_layer then Sim_mutex.with_lock p.latch add
+      else add ());
   id
 
 (* -- logging ------------------------------------------------------------ *)
@@ -304,11 +324,11 @@ let begin_txn ?home:home_opt t =
    home-partition latch — appends in different partitions never
    serialise against each other.  [store] runs in the same latch
    section, right after the append. *)
-let log_update t txn_id ~addr ~old_value ~new_value ~store =
-  let p = home t txn_id in
-  let lsn = fresh_lsn t txn_id in
+let log_update t p (e : Txn_table.entry) ~addr ~old_value ~new_value
+    ~store =
+  let lsn = fresh_lsn t e in
   let put =
-    form t p txn_id ~lsn ~typ:Record.Update ~addr ~old_value ~new_value
+    form t p e ~lsn ~typ:Record.Update ~addr ~old_value ~new_value
       ~undo_next:0
   in
   Sim_mutex.with_lock p.latch (fun () ->
@@ -317,7 +337,7 @@ let log_update t txn_id ~addr ~old_value ~new_value ~store =
          record may still sit in an unpersisted group ([Log.pending] > 0),
          in which case the covered store must not reach NVM before the
          {!Pmcheck.group_persisted} of this partition. *)
-      Pmcheck.region_logged ~group:p.pid t.arena ~txn:txn_id ~addr ~len:8
+      Pmcheck.region_logged ~group:p.pid t.arena ~txn:e.id ~addr ~len:8
         ~durable:(Log.pending p.log = 0);
       store p)
 
@@ -326,61 +346,55 @@ let write t txn_id ~addr ~value =
   match t.incll with
   | Some i -> incll_op (fun () -> Incll.write i txn_id ~addr ~value)
   | None -> (
+      let p, e = open_entry t txn_id in
       let old_value = Arena.read t.arena addr in
       match (t.cfg.policy, t.cfg.variant) with
       | No_force, (Log.Simple | Log.Optimized) ->
-          log_update t txn_id ~addr ~old_value ~new_value:value
-            ~store:ignore;
+          log_update t p e ~addr ~old_value ~new_value:value ~store:ignore;
           (* Thread-safe access to user data is the programmer's concern
              (Section 4.7); the cached store itself needs no TM latch. *)
           Arena.write t.arena addr value
       | Force, _ | No_force, Log.Batch _ ->
           (* The Batch deferral list is partition state: the store runs in
              the append's home-latch section. *)
-          log_update t txn_id ~addr ~old_value ~new_value:value
+          log_update t p e ~addr ~old_value ~new_value:value
             ~store:(fun p -> user_write t p addr value))
 
 (* Record an intention to free NVM; the de-allocation itself happens only
    once the transaction's outcome is settled (Section 4.3). *)
 let log_delete t txn_id ~addr ~size =
   wal_only t "Tm.log_delete";
-  let p = home t txn_id in
-  let lsn = fresh_lsn t txn_id in
+  let p, e = open_entry t txn_id in
+  let lsn = fresh_lsn t e in
   let put =
-    form t p txn_id ~lsn ~typ:Record.Delete ~addr
-      ~old_value:(Int64.of_int size) ~new_value:0L ~undo_next:0
+    form t p e ~lsn ~typ:Record.Delete ~addr ~old_value:(Int64.of_int size)
+      ~new_value:0L ~undo_next:0
   in
   Sim_mutex.with_lock p.latch (fun () ->
       put ~is_end:false;
-      p.deferred_deletes <- (txn_id, lsn, addr, size) :: p.deferred_deletes)
+      e.deletes <- (lsn, addr, size) :: e.deletes)
 
 (* -- clearing ------------------------------------------------------------ *)
 
-let free_deferred_deletes t p txn_id =
-  let mine, rest =
-    List.partition (fun (x, _, _, _) -> x = txn_id) p.deferred_deletes
-  in
-  List.iter (fun (_, _, addr, size) -> Alloc.free t.alloc addr size) mine;
-  p.deferred_deletes <- rest
+let free_deletes t (e : Txn_table.entry) =
+  List.iter (fun (_, addr, size) -> Alloc.free t.alloc addr size) e.deletes
 
 (* Force-policy clearing of one settled transaction, END record last.
    Two-layer: walk its back-chain and delete each record's tree node,
    oldest first — the END record is the newest. *)
-let clear_txn t p txn_id =
-  match (p.index, Txn_table.find p.table txn_id) with
-  | None, _ -> Log.remove_end_last p.log (fun r -> record_txn t r = txn_id)
-  | Some _, None -> ()
-  | Some idx, Some e ->
+let clear_txn t p (e : Txn_table.entry) =
+  match p.index with
+  | None -> Log.remove_end_last p.log (fun r -> record_txn t r = e.id)
+  | Some idx ->
       let oldest_first = ref [] in
-      iter_chain t e.Txn_table.last_record (fun r ->
+      iter_chain t e.last_record (fun r ->
           oldest_first := r :: !oldest_first;
           true);
       List.iter
         (fun r ->
           ignore (Avl_index.remove idx (Record.lsn t.arena r));
           Record.free t.alloc r)
-        !oldest_first;
-      Txn_table.remove p.table txn_id
+        !oldest_first
 
 (* -- commit --------------------------------------------------------------- *)
 
@@ -396,40 +410,37 @@ let commit ?(clear = true) t txn_id =
       incll_op (fun () -> Incll.commit i txn_id);
       t.commits <- t.commits + 1
   | None ->
-      let p = home t txn_id in
+      let p, e = open_entry t txn_id in
       Sim_mutex.with_lock p.latch (fun () ->
           t.commits <- t.commits + 1;
-          (match t.cfg.policy with
-          | Force ->
-              (* All of the transaction's stores are already on their way
-                 to NVM; fence, log END, and clear immediately. *)
-              flush_pending t p;
-              Arena.fence t.arena;
-              ignore (append_end t p txn_id);
-              if clear then begin
-                clear_txn t p txn_id;
-                free_deferred_deletes t p txn_id
-              end
-          | No_force ->
-              (* The END record forces the batch group; buffered stores
-                 can then reach the (volatile) cache. *)
-              let end_lsn = append_end t p txn_id in
-              drain_deferred t p;
-              Hashtbl.replace p.ended txn_id end_lsn);
-          settled t txn_id)
+          (* Force: all of the transaction's stores are already on their
+             way to NVM; fence, log END, and clear immediately.  No-force:
+             the END record forces the batch group; buffered stores can
+             then reach the (volatile) cache. *)
+          if t.cfg.policy = Force then begin
+            flush_pending t p;
+            Arena.fence t.arena
+          end;
+          let end_lsn = append_end t p e in
+          if t.cfg.policy = No_force then drain_deferred t p
+          else if clear then begin
+            clear_txn t p e;
+            free_deletes t e
+          end;
+          settle t p e ~end_lsn)
 
 (* -- rollback -------------------------------------------------------------- *)
 
-(* Undo [txn_id]'s records in [p] newest first, under Algorithm 2's
-   bound: all of them, or with [sp] those at or above the savepoint,
-   stopping at the first below it.  One layer scans [p]'s log backwards,
-   skipping other transactions' records (the "skip records" of Section
-   5.1) — every record of [txn_id] lives there.  Two layers walk the
-   back-chain and retrieve records through the AAVLT (Section 4.4): a
-   full rollback looks up every record, a partial one each it undoes.
-   With [sp] each record's LSN is read up front; without, only an
-   UPDATE's, when [undo_step] needs it. *)
-let undo_back ?sp t p txn_id ~durably =
+(* Undo the records of [e]'s transaction in [p] newest first, under
+   Algorithm 2's bound: all of them, or with [sp] those at or above the
+   savepoint, stopping at the first below it.  One layer scans [p]'s log
+   backwards, skipping other transactions' records (the "skip records"
+   of Section 5.1) — every record of the transaction lives there.  Two
+   layers walk its back-chain and retrieve records through the AAVLT
+   (Section 4.4): a full rollback looks up every record, a partial one
+   each it undoes.  With [sp] each record's LSN is read up front;
+   without, only an UPDATE's, when [undo_step] needs it. *)
+let undo_back ?sp t p (e : Txn_table.entry) ~durably =
   let bound = ref max_int in
   let find lsn =
     Option.iter (fun idx -> ignore (Avl_index.find idx lsn)) p.index
@@ -438,7 +449,7 @@ let undo_back ?sp t p txn_id ~durably =
     match sp with
     | None ->
         if Option.is_some p.index then find (Record.lsn t.arena r);
-        undo_step t p txn_id ~durably ~bound ~typ:(record_typ t r)
+        undo_step t p e ~durably ~bound ~typ:(record_typ t r)
           ~lsn:(lazy (Record.lsn t.arena r))
           r;
         true
@@ -446,7 +457,7 @@ let undo_back ?sp t p txn_id ~durably =
         let lsn = Record.lsn t.arena r in
         lsn >= sp
         && begin
-             undo_step t p txn_id ~durably ~bound
+             undo_step t p e ~durably ~bound
                ~before_undo:(fun () -> find lsn)
                ~typ:(record_typ t r) ~lsn:(Lazy.from_val lsn) r;
              true
@@ -454,11 +465,8 @@ let undo_back ?sp t p txn_id ~durably =
   in
   match p.index with
   | None ->
-      Log.iter_back_while p.log (fun r -> record_txn t r <> txn_id || step r)
-  | Some _ ->
-      Option.iter
-        (fun e -> iter_chain t e.Txn_table.last_record step)
-        (Txn_table.find p.table txn_id)
+      Log.iter_back_while p.log (fun r -> record_txn t r <> e.id || step r)
+  | Some _ -> iter_chain t e.last_record step
 
 (* -- partial rollback (savepoints) ---------------------------------------
 
@@ -476,23 +484,22 @@ type savepoint = int
 let savepoint t txn_id =
   match t.incll with
   | Some i -> incll_op (fun () -> Incll.savepoint i txn_id)
-  | None -> Sim_atomic.get t.next_lsn
+  | None ->
+      ignore (open_entry t txn_id);
+      Sim_atomic.get t.next_lsn
 
 let rollback_to t txn_id (sp : savepoint) =
   match t.incll with
   | Some i -> incll_op (fun () -> Incll.rollback_to i txn_id sp)
   | None ->
-      let p = home t txn_id in
+      let p, e = open_entry t txn_id in
       Sim_mutex.with_lock p.latch (fun () ->
           (* the bound keeps repeated partial rollbacks from re-undoing
              compensated updates *)
-          undo_back ~sp t p txn_id ~durably:(t.cfg.policy = Force);
+          undo_back ~sp t p e ~durably:(t.cfg.policy = Force);
           (* deferred de-allocations requested after the savepoint are
              void *)
-          p.deferred_deletes <-
-            List.filter
-              (fun (x, lsn, _, _) -> x <> txn_id || lsn < sp)
-              p.deferred_deletes)
+          e.deletes <- List.filter (fun (lsn, _, _) -> lsn < sp) e.deletes)
 
 let rollback t txn_id =
   match t.incll with
@@ -500,7 +507,7 @@ let rollback t txn_id =
       incll_op (fun () -> Incll.rollback i txn_id);
       t.rollbacks <- t.rollbacks + 1
   | None ->
-      let p = home t txn_id in
+      let p, e = open_entry t txn_id in
       Sim_mutex.with_lock p.latch (fun () ->
           t.rollbacks <- t.rollbacks + 1;
           (* Settle any deferred (Batch) user stores *before* undoing, or
@@ -509,16 +516,13 @@ let rollback t txn_id =
           (* The bound makes the walk idempotent: resolving an in-doubt
              transaction as aborted after a crash mid-rollback must not
              re-undo already-compensated updates. *)
-          undo_back t p txn_id ~durably:(t.cfg.policy = Force);
+          undo_back t p e ~durably:(t.cfg.policy = Force);
           Log.flush_group p.log;
-          let end_lsn = append_end t p txn_id in
+          let end_lsn = append_end t p e in
           drain_deferred t p;
-          p.deferred_deletes <-
-            List.filter (fun (x, _, _, _) -> x <> txn_id) p.deferred_deletes;
-          (match t.cfg.policy with
-          | Force -> clear_txn t p txn_id
-          | No_force -> Hashtbl.replace p.ended txn_id end_lsn);
-          settled t txn_id)
+          e.deletes <- [];
+          if t.cfg.policy = Force then clear_txn t p e;
+          settle t p e ~end_lsn)
 
 (* -- two-phase commit: the participant side (Distributed REWIND) ----------- *)
 
@@ -531,34 +535,25 @@ let rollback t txn_id =
    coordinator's durable decision record can settle it. *)
 let prepare t txn_id ~gtid =
   wal_only t "Tm.prepare";
+  let p, e = open_entry t txn_id in
   hot_span t "prepare" @@ fun () ->
-  let p = home t txn_id in
   Sim_mutex.with_lock p.latch (fun () ->
       flush_pending t p;
       Arena.fence t.arena;
       ignore
-        (append_control t p txn_id ~typ:Record.Prepare ~is_end:true
+        (append_control t p e ~typ:Record.Prepare ~is_end:true
            ~old_value:(Int64.of_int gtid) ());
-      (match Txn_table.find p.table txn_id with
-      | Some e -> e.Txn_table.status <- Txn_table.Prepared
-      | None -> ());
-      Hashtbl.replace t.prepared_gtids txn_id gtid)
-
-(* The transactions currently in doubt (live after {!prepare}, or found
-   by recovery), with their global transaction ids. *)
-let in_doubt t =
-  List.sort compare
-    (Hashtbl.fold (fun x g acc -> (x, g) :: acc) t.prepared_gtids [])
+      e.status <- Txn_table.Prepared gtid)
 
 (* Settle an in-doubt transaction once the coordinator's decision is
    known.  Both outcomes reuse the ordinary settle paths; rollback's CLR
    bound makes abort resolution idempotent when a crash lands
    mid-resolution and the decision is re-applied after re-attach. *)
 let resolve_in_doubt t txn_id ~commit:do_commit =
-  if not (Hashtbl.mem t.prepared_gtids txn_id) then
-    misuse (Not_in_doubt txn_id);
-  if do_commit then commit t txn_id else rollback t txn_id;
-  Hashtbl.remove t.prepared_gtids txn_id
+  match entry t txn_id with
+  | Some { status = Txn_table.Prepared _; _ } ->
+      if do_commit then commit t txn_id else rollback t txn_id
+  | _ -> misuse (Not_in_doubt txn_id)
 
 (* -- checkpoint (Section 4.6) ---------------------------------------------- *)
 
@@ -593,14 +588,17 @@ let alloc_cell t =
 
 (* A settled no-force transaction retires once its END record lies below
    the horizon [h], so no record of it survives for redo to replay: its
-   two-layer table entry goes, and its deferred de-allocations run. *)
+   table entry goes, and its deferred de-allocations run, in END order. *)
 let retire t p h =
-  Hashtbl.fold (fun id end_lsn acc -> if end_lsn < h then id :: acc else acc)
-    p.ended []
-  |> List.iter (fun id ->
-         Hashtbl.remove p.ended id;
-         Txn_table.remove p.table id;
-         free_deferred_deletes t p id)
+  Txn_table.fold p.table
+    (fun e acc ->
+      if e.status = Txn_table.Finished && e.end_lsn < h then e :: acc
+      else acc)
+    []
+  |> List.sort (fun a b -> compare a.Txn_table.end_lsn b.Txn_table.end_lsn)
+  |> List.iter (fun (e : Txn_table.entry) ->
+         Txn_table.remove p.table e.id;
+         free_deletes t e)
 
 (* Only storing the horizon needs the world stopped: once H is durable,
    recovery reads nothing below it, and every later record takes an LSN

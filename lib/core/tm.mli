@@ -7,10 +7,12 @@
       log at checkpoints, and recovers in three phases (analysis + redo +
       undo).
     - {!layers}: [One_layer] keeps user records directly in the bucket/ADLL
-      log and maintains no per-transaction state while logging (Algorithm 2
-      reconstructs it at recovery); [Two_layer] indexes every record in the
-      {!Avl_index} by LSN and maintains the transaction table while
-      logging, making selective rollback cheap at a higher logging cost.
+      log and no durable per-transaction state (Algorithm 2 reconstructs it
+      at recovery); [Two_layer] indexes every record in the {!Avl_index}
+      by LSN and threads each transaction's records into a back-chain,
+      making selective rollback cheap at a higher logging cost.  Both keep
+      a volatile transaction table with an entry for every open
+      transaction, at no simulated cost.
 
     The log implementation ({!Log.variant}) is chosen independently,
     giving the paper's Simple / Optimized / Batch versions.  Under one
@@ -28,8 +30,8 @@
 
     With [config.partitions = n > 1] the log is sharded into [n]
     independent partitions — each a full recoverable bucketed-ADLL log
-    with its own latch, bucket cursor, group-flush state and (two-layer)
-    AAVLT + transaction table.  A transaction is pinned to a {e home
+    with its own latch, bucket cursor, group-flush state, transaction
+    table and (two-layer) AAVLT.  A transaction is pinned to a {e home
     partition} by its id (round-robin), so its entire fast path — record
     append, Batch deferral, commit, rollback — serialises only on that
     partition's latch; appends in different partitions proceed in
@@ -110,7 +112,10 @@ type error =
   | Unregistered_cell of int
       (** an InCLL {!write} to an address {!alloc_cell} did not return *)
   | Txn_not_open of txn
-      (** an InCLL operation on a transaction that is not open *)
+      (** {!write}, {!log_delete}, {!commit}, {!rollback}, {!savepoint},
+          {!rollback_to} or {!prepare} on a transaction that is not open:
+          never begun, or already committed or rolled back.  Every
+          configuration raises it before changing any state. *)
 
 exception Error of error
 
@@ -161,9 +166,6 @@ val home_partition : t -> txn -> int
     home]), which is what lets {!begin_txn}'s caller pick the home while
     keeping this a pure function — with no caller pinning, the
     round-robin assignment makes ids come out exactly sequential. *)
-
-val partition_appended : t -> int array
-(** Per-partition append counts, for scaling experiments. *)
 
 val merged_log_records : t -> int list
 (** The union of every partition's live records merged into global LSN
@@ -231,8 +233,9 @@ val prepare : t -> txn -> gtid:int -> unit
 
 val in_doubt : t -> (txn * int) list
 (** The transactions currently in doubt with their global transaction
-    ids — live after {!prepare}, or as reconstructed by recovery from
-    surviving PREPARE records.  Sorted by local transaction id. *)
+    ids: prepared by {!prepare}, or found by recovery from a surviving
+    PREPARE record, and not yet resolved.  Sorted by local transaction
+    id; empty under InCLL. *)
 
 val resolve_in_doubt : t -> txn -> commit:bool -> unit
 (** Settle an in-doubt transaction with the coordinator's decision:
@@ -363,4 +366,8 @@ val latch_hold_ns : t -> int array
 
 val commits : t -> int
 val rollbacks : t -> int
+
 val active_transactions : t -> int
+(** The transactions begun and not yet settled: the open ones and (WAL)
+    the ones in doubt.  After {!attach} it counts the in-doubt ones
+    alone. *)

@@ -8,9 +8,10 @@
    the log can be sharded into [partitions] independent partitions, each a
    full recoverable bucketed-ADLL log with its own latch, current-bucket
    cursor, group-flush state and Batch last-persistent index — plus its
-   own two-layer AAVLT and transaction table.  A transaction is pinned to
-   a *home partition* by its id (round-robin), so the append fast path
-   touches only partition-local state; the LSN counter stays one
+   own two-layer AAVLT and its transaction table, which holds everything
+   the manager knows about each transaction homed there.  A transaction
+   is pinned to a *home partition* by its id (round-robin), so the append
+   fast path touches only partition-local state; the LSN counter stays one
    process-wide instrumented atomic ({!Sim_atomic}), so a single global
    order over all records survives.
 
@@ -66,12 +67,9 @@ type part = {
   log : Log.t;  (* 1L: the user log; 2L: the AAVLT's internal log *)
   index : Avl_index.t option;  (* 2L only *)
   table : Txn_table.t;
+      (* every transaction homed here, from its begin until it settles
+         (no-force: until a checkpoint retires it) *)
   latch : Sim_mutex.t;
-  ended : (int, int) Hashtbl.t;
-      (* no-force transactions settled since they were last retired:
-         txn -> the LSN of its END record *)
-  mutable deferred_deletes : (txn * int * int * int) list;
-      (* txn, DELETE record lsn, addr, size *)
   mutable deferred : (int * bool) list;
       (* Batch: user stores (addr, durably) whose undo records sit in a
          not-yet-persistent group.  Under the arbitrary-eviction fault
@@ -97,14 +95,6 @@ type t = {
   next_lsn : int Sim_atomic.t;  (* one global counter: LSNs order records
                                across all partitions *)
   horizon_slot : int;  (* root slot of the durable LSN horizon *)
-  first_lsns : (txn, int) Hashtbl.t;
-      (* every unsettled transaction that has taken an LSN -> its first
-         one: the horizon may not pass it *)
-  prepared_gtids : (int, int) Hashtbl.t;
-      (* local txn id -> global (2PC) transaction id, for every
-         transaction currently in doubt: PREPARE logged, outcome not yet
-         resolved.  Maintained by [prepare]/[resolve_in_doubt] and rebuilt
-         from the logs by recovery. *)
   mutable commits : int;
   mutable rollbacks : int;
   mutable last_recovery : recovery_report option;
@@ -138,8 +128,6 @@ let make_part pid log index =
     index;
     table = Txn_table.create ();
     latch = Sim_mutex.create ();
-    ended = Hashtbl.create 64;
-    deferred_deletes = [];
     deferred = [];
   }
 
@@ -154,8 +142,6 @@ let make_t ?incll cfg alloc ~root_slot parts =
     next_home = Sim_atomic.make 0;
     next_lsn = Sim_atomic.make 1;
     horizon_slot = horizon_slot cfg ~root_slot;
-    first_lsns = Hashtbl.create 16;
-    prepared_gtids = Hashtbl.create 8;
     commits = 0;
     rollbacks = 0;
     last_recovery = None;
@@ -169,13 +155,12 @@ let incll_region f ~root_slot =
   f ~epoch_slot:(part_log_slot ~root_slot 0)
     ~dir_slot:(part_index_slot ~root_slot 0)
 
-(* The next LSN, taken by [txn]; its first registers it in [first_lsns]
-   in the same scheduler step (nothing here yields), before it can wait
-   for its home latch. *)
-let fresh_lsn t txn =
+(* The next LSN, taken by the transaction of entry [e]; its first is
+   recorded as [e]'s first LSN in the same scheduler step (nothing here
+   yields), before it can wait for its home latch. *)
+let fresh_lsn t (e : Txn_table.entry) =
   let lsn = Sim_atomic.fetch_and_add t.next_lsn 1 in
-  if not (Hashtbl.mem t.first_lsns txn) then
-    Hashtbl.replace t.first_lsns txn lsn;
+  if e.first_lsn = 0 then e.first_lsn <- lsn;
   lsn
 
 (* A transaction's home partition, a pure function of its id: round-robin
@@ -222,38 +207,38 @@ let user_write t p addr v =
       if durably then Arena.nt_write t.arena addr v
       else Arena.write t.arena addr v
 
-(* Form a record of [txn_id] for [p] and return the step that puts it
-   into [p]'s log; the caller takes [p]'s latch for that step.  One
-   layer: {!Log.form} decides the record's form.  Two layers: the record
-   is full, because the AAVLT indexes records by their LSN (Section 3.4):
-   its put inserts a tree node whose payload is the record's address in
-   one atomic AAVLT operation, and threads the record onto its
-   transaction's back-chain via the volatile transaction table. *)
-let form t p txn_id ~lsn ~typ ~addr ~old_value ~new_value ~undo_next =
+(* Form a record of [e]'s transaction for [p] and return the step that
+   puts it into [p]'s log; the caller takes [p]'s latch for that step.
+   One layer: {!Log.form} decides the record's form.  Two layers: the
+   record is full, because the AAVLT indexes records by their LSN
+   (Section 3.4): its put inserts a tree node whose payload is the
+   record's address in one atomic AAVLT operation, and threads the
+   record onto the transaction's back-chain via its table entry. *)
+let form t p (e : Txn_table.entry) ~lsn ~typ ~addr ~old_value ~new_value
+    ~undo_next =
   match p.index with
   | None ->
       let r =
-        Log.form p.log ~lsn ~txn:txn_id ~typ ~addr ~old_value ~new_value
+        Log.form p.log ~lsn ~txn:e.id ~typ ~addr ~old_value ~new_value
           ~undo_next
       in
       fun ~is_end -> ignore (Log.put ~is_end p.log r)
   | Some idx ->
       let r =
-        Record.make t.alloc ~lsn ~txn:txn_id ~typ ~addr ~old_value ~new_value
+        Record.make t.alloc ~lsn ~txn:e.id ~typ ~addr ~old_value ~new_value
           ~undo_next ~prev_same_txn:0
       in
       fun ~is_end ->
-        let e = Txn_table.find_or_add p.table txn_id in
         (* Chain before the record becomes reachable. *)
-        Record.set_prev_same_txn t.arena r e.Txn_table.last_record;
+        Record.set_prev_same_txn t.arena r e.last_record;
         Avl_index.op idx (fun () ->
             let node = Avl_index.insert_in_op idx lsn in
             Avl_index.set_head_record idx node r);
-        e.Txn_table.last_record <- r;
+        e.last_record <- r;
         (* The record is durable here: [Record.make] wrote it back and the
            AAVLT op's internal logging fenced at least once since. *)
-        if is_end && txn_id <> 0 then
-          Pmcheck.commit_point t.arena ~txn:txn_id ~addr:r
+        if is_end then
+          Pmcheck.commit_point t.arena ~txn:e.id ~addr:r
             ~len:Record.size_bytes ~what:"END record (AAVLT-indexed)"
 
 let record_txn t r = Record.txn t.arena r
@@ -268,13 +253,33 @@ let rec iter_chain ?(readable = fun _ -> true) t r f =
     if f r then iter_chain ~readable t next f
   end
 
+(* [f] over the entries of every partition's table. *)
+let fold_entries t f acc =
+  Array.fold_left (fun acc p -> Txn_table.fold p.table f acc) acc t.parts
+
 (* The horizon the current state allows: min(next LSN, first LSN of
    every unsettled transaction).  The next LSN is read first — a
-   transaction that registers after the read takes an LSN at or above
-   it. *)
+   transaction that takes its first LSN after the read takes one at or
+   above it. *)
 let horizon t =
   let next = Sim_atomic.get t.next_lsn in
-  Hashtbl.fold (fun _ first h -> min first h) t.first_lsns next
+  fold_entries t
+    (fun e h ->
+      if e.status <> Txn_table.Finished && e.first_lsn > 0 then
+        min e.first_lsn h
+      else h)
+    next
+
+(* The transactions in doubt — PREPARE logged, outcome not yet
+   resolved — with their global (2PC) ids, by local id. *)
+let in_doubt t =
+  fold_entries t
+    (fun e acc ->
+      match e.status with
+      | Txn_table.Prepared gtid -> (e.id, gtid) :: acc
+      | Running | Aborted | Finished -> acc)
+    []
+  |> List.sort compare
 
 (* Persist every partition's pending group and deferred stores, then the
    whole cache: every settled transaction's effects are durable, and the
@@ -316,22 +321,22 @@ let clear_below t p h ~intact =
         (List.rev !below)
 
 (* Append a control record (END, CLR, PREPARE or recovery's ROLLBACK)
-   to [p], formed under the latch.  Returns its LSN. *)
-let append_control t p txn_id ~typ ~is_end ?(addr = 0) ?(old_value = 0L)
+   of [e]'s transaction to [p], formed under the latch.  Returns its
+   LSN. *)
+let append_control t p e ~typ ~is_end ?(addr = 0) ?(old_value = 0L)
     ?(new_value = 0L) ?(undo_next = 0) () =
-  let lsn = fresh_lsn t txn_id in
-  form t p txn_id ~lsn ~typ ~addr ~old_value ~new_value ~undo_next ~is_end;
+  let lsn = fresh_lsn t e in
+  form t p e ~lsn ~typ ~addr ~old_value ~new_value ~undo_next ~is_end;
   lsn
 
-let append_end t p txn_id =
-  append_control t p txn_id ~typ:Record.End ~is_end:true ()
+let append_end t p e = append_control t p e ~typ:Record.End ~is_end:true ()
 
 (* Write a CLR recording the undo of [rec], then apply the undo.  The CLR's
    new value is the restored (old) value; [undo_next] carries the undone
    record's LSN so that Algorithm 2 can skip past it after a crash.  The
    CLR lands in the transaction's home partition, like every record of the
    transaction. *)
-let undo_one t p txn_id rec_ ~durably =
+let undo_one t p (e : Txn_table.entry) rec_ ~durably =
   let addr = Record.addr t.arena rec_ in
   let restored = Record.old_value t.arena rec_ in
   let undo_next = Record.lsn t.arena rec_ in
@@ -339,9 +344,9 @@ let undo_one t p txn_id rec_ ~durably =
      drops it *)
   let old_value = Record.new_value t.arena rec_ in
   ignore
-    (append_control t p txn_id ~typ:Record.Clr ~is_end:durably ~addr
-       ~old_value ~new_value:restored ~undo_next ());
-  Pmcheck.region_logged ~group:p.pid t.arena ~txn:txn_id ~addr ~len:8
+    (append_control t p e ~typ:Record.Clr ~is_end:durably ~addr ~old_value
+       ~new_value:restored ~undo_next ());
+  Pmcheck.region_logged ~group:p.pid t.arena ~txn:e.id ~addr ~len:8
     ~durable:(Log.pending p.log = 0);
   (* Route the restore through the same WAL-ordered store path as forward
      writes: under Batch it must stay buffered behind the CLR's group (and
@@ -349,18 +354,18 @@ let undo_one t p txn_id rec_ ~durably =
   user_write t p addr restored
 
 (* Algorithm 2's undo step, for one record [r] of type [typ] in a
-   backward walk over [txn_id]'s records: a CLR lowers [bound] to the LSN
-   its undo resumed from, so already-compensated updates are skipped; an
-   UPDATE below the bound is undone, [before_undo] first.  [lsn] is forced
-   only for an UPDATE — each walk reads a record's type and LSN when it
-   always has. *)
-let undo_step t p txn_id ~durably ~bound ?(before_undo = ignore) ~typ ~lsn r =
+   backward walk over the records of [e]'s transaction: a CLR lowers
+   [bound] to the LSN its undo resumed from, so already-compensated
+   updates are skipped; an UPDATE below the bound is undone,
+   [before_undo] first.  [lsn] is forced only for an UPDATE — each walk
+   reads a record's type and LSN when it always has. *)
+let undo_step t p e ~durably ~bound ?(before_undo = ignore) ~typ ~lsn r =
   match typ with
   | Record.Clr -> bound := Record.undo_next t.arena r
   | Record.Update ->
       if Lazy.force lsn < !bound then begin
         before_undo ();
-        undo_one t p txn_id r ~durably
+        undo_one t p e r ~durably
       end
   | Record.End | Record.Delete | Record.Rollback | Record.Prepare ->
       ()

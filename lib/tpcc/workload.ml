@@ -5,7 +5,9 @@
    - non-recoverable NVM B+-trees with the naive layout;
    - naive layout over REWIND (one shared log);
    - co-designed (per-district-tree) layout over REWIND (shared log);
-   - co-designed layout over REWIND with a distributed (per-terminal) log.
+   - co-designed layout over REWIND with a distributed log: one log
+     partition per terminal, each terminal's transactions pinned to its
+     own.
 
    Terminals run as OCaml domains; each carries its own simulated clock
    and the run's duration is the slowest terminal.  Contention appears
@@ -24,7 +26,7 @@ type configuration =
   | Nvm_naive           (* persistent, not recoverable *)
   | Rewind_naive        (* naive data structures over REWIND *)
   | Rewind_opt          (* co-designed layout, shared log *)
-  | Rewind_opt_dlog     (* co-designed layout, distributed (per-terminal) log *)
+  | Rewind_opt_dlog     (* co-designed layout, one log partition per terminal *)
 
 let pp_configuration ppf c =
   Fmt.string ppf
@@ -56,11 +58,9 @@ let conflict_backoff_ns = 2_000
 
 let tm_config = { Rewind.config_1l_nfp with variant = Rewind.Log.Batch 8 }
 
-(* TM root slots: the shared manager's footprint from slot 3, then one
-   footprint per terminal's distributed log ({!Rewind.Tm.root_slots}
-   apiece: ten terminals end at slot 46, within the arena's 63). *)
+(* The manager's footprint starts at root slot 3 (ten log partitions end
+   at slot 24, within the arena's 63). *)
 let shared_root = 3
-let dlog_root term = shared_root + (Rewind.Tm.root_slots tm_config * (term + 1))
 
 let setup ~config ~params arena =
   let alloc = Alloc.create arena in
@@ -83,50 +83,45 @@ let run ?(terminals = Schema.districts) ?(txns_per_terminal = 1000)
      attach here, before any load or measured work touches the arena. *)
   on_arena arena;
   let alloc, base_db = setup ~config ~params arena in
-  let shared_tm =
+  let tm =
+    let create cfg = Some (Rewind.Tm.create ~cfg alloc ~root_slot:shared_root) in
     match config with
     | Nvm_naive -> None
-    | Rewind_naive | Rewind_opt ->
-        Some (Rewind.Tm.create ~cfg:tm_config alloc ~root_slot:shared_root)
-    | Rewind_opt_dlog -> None
+    | Rewind_naive | Rewind_opt -> create tm_config
+    | Rewind_opt_dlog -> create (Rewind.with_partitions terminals tm_config)
   in
   (* Lock model: the naive REWIND implementation shares every tree and
      takes one coarse lock per transaction; the co-designed layouts give
      each terminal its own district trees, leaving REWIND's internal log
-     latch as the only shared resource (none at all with distributed
-     logs).  The non-recoverable NVM configuration is run with the
-     fine-grained latching the paper assumes for it. *)
+     latch as the only shared resource (with a distributed log, each
+     terminal's partition latch is its own).  The non-recoverable NVM
+     configuration is run with the fine-grained latching the paper
+     assumes for it. *)
   let data_lock = Sim_mutex.create () in
   let committed = ref 0 and aborted = ref 0 and retried = ref 0 in
   (* Per-terminal state; terminals are simulated threads scheduled in
      simulated-time order (one per district, as ten TPC-C terminals). *)
   let rngs = Array.init terminals (fun t -> Rng.create (1000 + t)) in
-  let tms =
-    Array.init terminals (fun term ->
-        match config with
-        | Nvm_naive -> None
-        | Rewind_naive | Rewind_opt -> shared_tm
-        | Rewind_opt_dlog ->
-            Some (Rewind.Tm.create ~cfg:tm_config alloc ~root_slot:(dlog_root term)))
-  in
   let dbs =
-    Array.init terminals (fun term ->
-        match tms.(term) with
+    Array.init terminals (fun _ ->
+        match tm with
         | None -> base_db
         | Some tm ->
             Schema.rebind ~alloc base_db (Rewind_pds.Btree.Logged tm))
   in
+  (* a distributed log pins each terminal to its own partition *)
+  let home term = if config = Rewind_opt_dlog then Some term else None in
   let sim_ns =
     Sim_threads.run ~threads:terminals ~ops_per_thread:txns_per_terminal
       (fun term op ->
         let rng = rngs.(term) in
         let district = 1 + (term mod Schema.districts) in
-        let db = dbs.(term) and tm = tms.(term) in
+        let db = dbs.(term) in
         let rq = Neworder.gen_request ~district rng ~items:params.Datagen.items in
         let exec () =
           match tm with
           | None -> Neworder.run_raw db rq
-          | Some tm -> Neworder.run_transactional db tm rq
+          | Some tm -> Neworder.run_transactional ?home:(home term) db tm rq
         in
         let rec exec_contended attempt =
           if Sim_mutex.try_lock data_lock then

@@ -77,7 +77,7 @@ let test_smoke (name, cfg) n_parts () =
   Array.iteri
     (fun p n ->
       check_bool (Fmt.str "%s: partition %d used" name p) true (n > 0))
-    (Tm.partition_appended tm);
+    (Array.map Log.appended (Tm.logs tm));
   (* one rolled back, one live *)
   let rb = Tm.begin_txn tm in
   Tm.write tm rb ~addr:cells.(20) ~value:777L;

@@ -382,6 +382,93 @@ let crashed_alloc () =
 
 let on_fresh cfg f () = f (let _, _, tm = fresh ~cfg () in tm)
 
+(* Every named configuration: the WAL ones at 1, 2 and 4 partitions,
+   then InCLL. *)
+let named_rows =
+  configs
+    (List.concat_map
+       (fun (n, _) -> [ n; n ^ "-p2"; n ^ "-p4" ])
+       Scenarios.wal_configs)
+  @ [ ("incll", Option.get (Rewind.config_of_name "incll")) ]
+
+let in_every_row f () = List.iter (fun (name, cfg) -> f name cfg) named_rows
+
+(* The open transactions count, then the one in doubt after an attach. *)
+let test_active_transactions name (cfg : Tm.config) =
+  let arena, _, tm = fresh ~cfg () in
+  let cell = Tm.alloc_cell tm in
+  let active what n tm =
+    check_int (Fmt.str "%s: active %s" name what) n (Tm.active_transactions tm)
+  in
+  let t1 = Tm.begin_txn tm in
+  Tm.write tm t1 ~addr:cell ~value:1L;
+  active "while open" 1 tm;
+  Tm.commit tm t1;
+  active "after commit" 0 tm;
+  let t2 = Tm.begin_txn tm in
+  Tm.write tm t2 ~addr:cell ~value:2L;
+  Tm.rollback tm t2;
+  active "after rollback" 0 tm;
+  Tm.write tm (Tm.begin_txn tm) ~addr:cell ~value:3L;
+  let tm = reattach cfg arena in
+  active "after an attach with nothing in doubt" 0 tm;
+  if not cfg.incll then begin
+    let t4 = Tm.begin_txn tm in
+    Tm.write tm t4 ~addr:cell ~value:4L;
+    Tm.prepare tm t4 ~gtid:9;
+    active "after an attach with one in doubt" 1 (reattach cfg arena)
+  end
+
+(* [op] on a transaction never begun (the id the AAVLT's internal
+   logging reserves among them), one committed and one rolled back
+   raises [Txn_not_open] and changes neither the cell nor the counts. *)
+let test_not_open op name (cfg : Tm.config) =
+  let arena, _, tm = fresh ~cfg () in
+  let cell = Tm.alloc_cell tm in
+  let committed = Tm.begin_txn tm in
+  Tm.write tm committed ~addr:cell ~value:1L;
+  let sp = Tm.savepoint tm committed in
+  Tm.commit tm committed;
+  let rolled_back = Tm.begin_txn tm in
+  Tm.write tm rolled_back ~addr:cell ~value:2L;
+  Tm.rollback tm rolled_back;
+  List.iter
+    (fun (kind, txn) ->
+      let what = Fmt.str "%s, %s transaction %d" name kind txn in
+      (match op tm txn ~cell ~sp with
+      | () -> Alcotest.failf "%s: no error" what
+      | exception Tm.Error (Tm.Txn_not_open x) -> check_int what txn x);
+      check_i64 (what ^ ": cell") 1L (Arena.read arena cell);
+      check_int (what ^ ": commits") 1 (Tm.commits tm);
+      check_int (what ^ ": rollbacks") 1 (Tm.rollbacks tm))
+    [
+      ("never begun", rolled_back + 100);
+      ("never begun", 0);
+      ("committed", committed);
+      ("rolled back", rolled_back);
+    ]
+
+(* A body that commits and then raises: the rollback that follows is a
+   misuse, and the committed value survives a crash. *)
+let test_commit_then_raise name (cfg : Tm.config) =
+  let arena, _, tm = fresh ~cfg () in
+  let cell = Tm.alloc_cell tm in
+  let txn = ref 0 in
+  (match
+     Tm.atomically tm (fun t ->
+         txn := t;
+         Tm.write tm t ~addr:cell ~value:7L;
+         Tm.commit tm t;
+         failwith "after commit")
+   with
+  | _ -> Alcotest.failf "%s: no error" name
+  | exception Tm.Error (Tm.Txn_not_open x) -> check_int name !txn x);
+  check_int (name ^ ": commits") 1 (Tm.commits tm);
+  check_int (name ^ ": rollbacks") 0 (Tm.rollbacks tm);
+  if cfg.incll then Tm.advance_epoch tm;
+  ignore (reattach cfg arena);
+  check_i64 (name ^ ": committed value") 7L (Arena.read arena cell)
+
 let error_cases =
   let tc name is f = Alcotest.test_case name `Quick (expect_error ~is f) in
   [
@@ -435,10 +522,39 @@ let error_cases =
       (function Tm.Unregistered_cell _ -> true | _ -> false)
       (on_fresh Rewind.config_incll (fun tm ->
            Tm.write tm (Tm.begin_txn tm) ~addr:4096 ~value:1L));
-    tc "transaction not open"
-      (( = ) (Tm.Txn_not_open 77))
-      (on_fresh Rewind.config_incll (fun tm -> Tm.commit tm 77));
   ]
+  @ List.map
+      (fun (op_name, wal_only, op) ->
+        Alcotest.test_case ("transaction not open: " ^ op_name) `Quick
+          (in_every_row (fun name (cfg : Tm.config) ->
+               if not (wal_only && cfg.incll) then
+                 test_not_open op name cfg)))
+      (* name, WAL only, the operation *)
+      [
+        ( "write",
+          false,
+          fun tm txn ~cell ~sp:_ -> Tm.write tm txn ~addr:cell ~value:9L );
+        ( "log_delete",
+          true,
+          fun tm txn ~cell ~sp:_ -> Tm.log_delete tm txn ~addr:cell ~size:8 );
+        ("commit", false, fun tm txn ~cell:_ ~sp:_ -> Tm.commit tm txn);
+        ("rollback", false, fun tm txn ~cell:_ ~sp:_ -> Tm.rollback tm txn);
+        ( "savepoint",
+          false,
+          fun tm txn ~cell:_ ~sp:_ -> ignore (Tm.savepoint tm txn) );
+        ( "rollback_to",
+          false,
+          fun tm txn ~cell:_ ~sp -> Tm.rollback_to tm txn sp );
+        ( "prepare",
+          true,
+          fun tm txn ~cell:_ ~sp:_ -> Tm.prepare tm txn ~gtid:5 );
+      ]
+  @ [
+      Alcotest.test_case "active transactions" `Quick
+        (in_every_row test_active_transactions);
+      Alcotest.test_case "commit then raise" `Quick
+        (in_every_row test_commit_then_raise);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* The configuration list                                              *)

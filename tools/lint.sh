@@ -1,7 +1,7 @@
 #!/bin/sh
 # Source lint: keep the simulation's instrumentation boundary tight.
 #
-# Six rules, all enforced by grep so they run anywhere dune does:
+# Seven rules, all enforced by grep so they run anywhere dune does:
 #
 #   1. No raw Stdlib.Mutex / Stdlib.Atomic outside lib/nvm.  Every piece
 #      of synchronization must go through Sim_mutex / Sim_atomic so that
@@ -42,6 +42,13 @@
 #      protocol's world with every crash-harness driver at 1, 2 and 4
 #      partitions; a test that crashes one of them itself restates a
 #      claim the table already checks.
+#
+#   7. No Hashtbl in lib/core/tm.ml or lib/core/tm_state.ml.  Everything
+#      the WAL manager knows about a transaction -- status, first LSN,
+#      last record, END LSN, deferred de-allocations -- lives in its
+#      entry of the home partition's Txn_table, so "which transactions
+#      are open" has one answer; a side table keyed by transaction id
+#      would bring back a second one.
 #
 # Allowlist: one file per line, repo-relative.  Seeded with the current
 # legitimate sites; add to it deliberately, with a comment here saying
@@ -184,6 +191,13 @@ world_hits=$(
     done
 )
 report "a crash world of the protocol table outside lib/benchlib + test/test_protocols.ml (add a driver to the table instead)" "$world_hits"
+
+# --- rule 7: per-transaction state lives in Txn_table ----------------
+table_hits=$(
+    grep -n -e '\bHashtbl\b' lib/core/tm.ml lib/core/tm_state.ml 2>/dev/null ||
+    true
+)
+report "Hashtbl in lib/core/tm.ml or lib/core/tm_state.ml (keep per-transaction state in the partition's Txn_table entry)" "$table_hits"
 
 if [ "$fail" -ne 0 ]; then
     echo "lint: failed" >&2
