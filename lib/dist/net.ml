@@ -3,7 +3,7 @@
 
    Messages are synchronous calls in the simulator, so the fabric models
    only the two failure-relevant properties: latency (charged to the
-   calling domain's simulated clock, once per message) and loss.  Loss is
+   caller's simulated clock, once per message) and loss.  Loss is
    sampled from a private linear-congruential generator, so a run is a
    pure function of the seed — the crash-everywhere enumerator depends on
    replaying the exact same message schedule while it moves the crash

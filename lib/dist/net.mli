@@ -10,7 +10,7 @@ type t
 val create : ?latency_ns:int -> ?drop_1_in:int -> ?seed:int -> unit -> t
 (** [drop_1_in = 0] (default) is a lossless fabric; [n > 0] drops roughly
     one message in [n].  [latency_ns] (default 1500) is charged to the
-    calling domain's simulated clock per message hop. *)
+    caller's simulated clock per message hop. *)
 
 val deliver : t -> bool
 (** One message hop: charges latency and returns whether it arrived. *)

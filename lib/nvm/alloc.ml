@@ -26,10 +26,10 @@ type t = {
   slabs : (int * int, (int * int) ref) Hashtbl.t;
       (* (size, align) -> (next offset, objects left) in the current slab *)
   mu : Sim_mutex.t;
-      (* allocator metadata is shared across domains; a contention-free
-         Sim_mutex with zero acquire cost keeps the timing identical to a
-         raw mutex while giving the race detector the happens-before
-         edges of cross-fiber alloc/free/reuse *)
+      (* allocator metadata is shared across fibers; a contention-free
+         Sim_mutex with zero acquire cost charges no simulated time while
+         giving the race detector the happens-before edges of
+         cross-fiber alloc/free/reuse *)
   live : (int, int) Hashtbl.t;  (* offset -> size, regions handed out *)
   freed_set : (int, unit) Hashtbl.t;  (* offsets already returned *)
   recovered : bool;

@@ -7,7 +7,8 @@
     free lists — reuse is safe because REWIND frees only memory whose last
     transactional use is settled — and is leaked by a crash, mirroring the
     paper's observation that de-allocation cannot be undone without OS
-    support.  Thread-safe across domains. *)
+    support.  Safe across {!Sim_threads} fibers: a contention-free
+    {!Sim_mutex} guards the metadata. *)
 
 type t
 

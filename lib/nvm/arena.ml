@@ -26,9 +26,9 @@
    (fault-model rolls, persistence events, trace events) is that of a
    flat line-by-line sweep.
 
-   Cost model: every write that reaches NVM charges [nvm_write_ns] to the
-   calling domain's {!Clock}, with consecutive writes to one cacheline merged
-   into a single charge (the paper's accounting); {!fence} charges [fence_ns]
+   Cost model: every write that reaches NVM charges [nvm_write_ns] to
+   {!Clock}, with consecutive writes to one cacheline merged into a single
+   charge (the paper's accounting); {!fence} charges [fence_ns]
    and breaks write-combining.  Chunking is invisible to it.
 
    Crash injection: {!arm_crash} makes the [after]+1-th persistence event

@@ -5,8 +5,8 @@
     {!flush_line}/{!flush_all}; {!nt_write} is durable immediately.  {!crash}
     discards every dirty line, modelling a power failure.
 
-    Each write that reaches NVM charges the cost model's write latency to the
-    calling domain's {!Clock}, merging consecutive writes to one cacheline.
+    Each write that reaches NVM charges the cost model's write latency to
+    {!Clock}, merging consecutive writes to one cacheline.
     {!fence} charges the fence latency and breaks write-combining.
 
     Both images are stored in fixed 64 KiB chunks, materialised on the

@@ -1,26 +1,22 @@
-(* Simulated nanosecond clocks.
+(* Simulated nanosecond clock.
 
-   Single-threaded benchmarks read one clock; multi-threaded benchmarks
-   (Figure 9, Figure 11) give each domain its own clock and model lock
-   contention with {!Sim_mutex}, taking the maximum across domains as the
-   run duration.  Each domain transparently gets its own counter through
-   domain-local storage, so library code simply calls {!advance}. *)
+   The simulator runs on one domain, so there is one clock.  Multi-threaded
+   benchmarks (Figure 9, Figure 11) run their threads as {!Sim_threads}
+   fibers, which swap each fiber's time in and out of this counter with
+   {!set} at every switch and model lock contention with {!Sim_mutex};
+   library code simply calls {!advance}. *)
 
 type t = { mutable ns : int }
 
-let key : t Domain.DLS.key = Domain.DLS.new_key (fun () -> { ns = 0 })
-let current () = Domain.DLS.get key
-let advance ns = (current ()).ns <- (current ()).ns + ns
-let now () = (current ()).ns
-let set ns = (current ()).ns <- ns
+let clock = { ns = 0 }
+let advance ns = clock.ns <- clock.ns + ns
+let now () = clock.ns
+let set ns = clock.ns <- ns
 let reset () = set 0
 
-(* Bring the calling domain's clock up to at least [ns]; used when a
-   simulated lock was released at a later simulated time than the acquiring
-   domain has reached. *)
-let advance_to ns =
-  let c = current () in
-  if ns > c.ns then c.ns <- ns
+(* Bring the clock up to at least [ns]; used when a simulated lock was
+   released at a later simulated time than the acquirer has reached. *)
+let advance_to ns = if ns > clock.ns then clock.ns <- ns
 
 type span = { start : int }
 

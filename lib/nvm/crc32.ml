@@ -5,17 +5,14 @@
    or media-corrupted line without interpreting garbage field values. *)
 
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
-let update crc b =
-  let t = Lazy.force table in
-  t.((crc lxor b) land 0xff) lxor (crc lsr 8)
+let update crc b = table.((crc lxor b) land 0xff) lxor (crc lsr 8)
 
 (* Streaming interface over raw words, for checksumming NVM structures
    without materialising them into a [Bytes] buffer.  [init] / a chain of

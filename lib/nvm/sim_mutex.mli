@@ -1,10 +1,11 @@
 (** A mutex that models contention in simulated time.
 
-    Under the {!Sim_threads} fiber scheduler, exclusion is cooperative: a
-    fiber reaching a busy lock advances past the holder's progress and
-    yields; acquiring pulls the fiber's clock to the last release time.
-    Under real domains, a real [Mutex] provides exclusion and the
-    release-time rule models the waiting.
+    Each lock records its holder: a {!Sim_threads} fiber, or the main
+    thread outside the scheduler.  Under the scheduler, exclusion is
+    cooperative: a fiber reaching a busy lock advances past the holder's
+    progress and yields.  Acquiring pulls the acquirer's clock to the last
+    release time; outside the scheduler that rule alone models the
+    waiting.
 
     Each lock has a process-unique {!id} and reports acquires and
     releases through {!Trace.emit_sync}, so an attached race detector
@@ -16,13 +17,16 @@
 type t
 
 exception Misuse of string
-(** Raised in fiber mode on double-unlock or unlock-by-non-holder. *)
+(** Raised, inside the scheduler and outside it, on a double unlock, an
+    unlock by a non-holder, a re-lock by the holder, and a lock of a lock
+    whose holder cannot run first (the main thread's lock taken by a
+    fiber, or a fiber's lock left held when its scheduler stopped). *)
 
 val create : ?acquire_ns:int -> ?contention_free:bool -> unit -> t
 (** [acquire_ns] is the fixed simulated cost of the lock operation itself
     (default 20 ns).  [contention_free] makes the lock free in simulated
-    time: the acquirer pays only [acquire_ns] and never waits, while real
-    mutual exclusion is still provided.  Its one user is {!Alloc}'s
+    time: the acquirer pays only [acquire_ns] and never waits, while
+    mutual exclusion still holds.  Its one user is {!Alloc}'s
     metadata lock, which is modelled as costing nothing on purpose. *)
 
 val id : t -> int
@@ -32,16 +36,16 @@ val lock : t -> unit
 
 val try_lock : t -> bool
 (** Non-blocking acquire: [true] and the lock is held, or [false]
-    immediately if another thread holds it.  Either way the fixed
+    immediately if the lock is held.  Either way the fixed
     [acquire_ns] cost is charged — a failed try is a real CAS. *)
 
 val unlock : t -> unit
-(** In fiber mode, raises {!Misuse} if the lock is not held (double
-    unlock) or is held by a different fiber. *)
+(** Raises {!Misuse} if the lock is not held (double unlock) or is held
+    by a different thread. *)
 
 val holding : t -> bool
-(** [holding t] is true iff the current fiber holds [t].  Only
-    meaningful under the fiber scheduler; false otherwise. *)
+(** [holding t] is true iff the running thread (the current fiber, or the
+    main thread outside the scheduler) holds [t]. *)
 
 val with_lock : t -> (unit -> 'a) -> 'a
 

@@ -30,7 +30,7 @@ val fork_join : int -> (int -> 'a) -> 'a array
 (** {1 Scheduler state} (used by {!Sim_mutex}) *)
 
 val active : unit -> bool
-(** Whether a fiber scheduler is currently running on this domain. *)
+(** Whether a fiber scheduler is currently running. *)
 
 val current : unit -> int
 (** The running fiber's id. *)

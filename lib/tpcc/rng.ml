@@ -1,6 +1,6 @@
 (* Deterministic pseudo-random generator for TPC-C data and workload
-   generation (splitmix64): reproducible across runs and domains, which the
-   simulated-time methodology requires. *)
+   generation (splitmix64): reproducible across runs and independent of the
+   fiber schedule, which the simulated-time methodology requires. *)
 
 type t = { mutable state : int64 }
 

@@ -9,13 +9,13 @@
      partition per terminal, each terminal's transactions pinned to its
      own.
 
-   Terminals run as OCaml domains; each carries its own simulated clock
-   and the run's duration is the slowest terminal.  Contention appears
+   Terminals run as {!Sim_threads} fibers; each carries its own simulated
+   clock and the run's duration is the slowest terminal.  Contention appears
    through the Sim_mutex release-time model: the shared data lock in the
    naive layout, the per-district locks in the optimised layout, and
    REWIND's internal log latch.
 
-   The terminal<->district pinning keeps domains from racing on the same
+   The terminal<->district pinning keeps terminals from racing on the same
    B+-tree nodes: with the naive layout all terminals share the trees and
    must take the single data lock; with the optimised layout each
    terminal's district trees are private to it. *)

@@ -604,7 +604,7 @@ let test_sim_mutex_wait_hold () =
   check_int "hold" 150 (Sim_mutex.hold_ns m)
 
 (* Outside the scheduler the release-time rule is the whole wait. *)
-let test_sim_mutex_wait_domain () =
+let test_sim_mutex_wait_no_scheduler () =
   let m = Sim_mutex.create ~acquire_ns:0 () in
   Clock.reset ();
   Sim_mutex.with_lock m (fun () -> Clock.advance 100);
@@ -1308,7 +1308,8 @@ let () =
           tc "serialises time" `Quick test_sim_mutex_serialises_time;
           tc "no wait when ahead" `Quick test_sim_mutex_no_wait_when_ahead;
           tc "wait and hold, two fibers" `Quick test_sim_mutex_wait_hold;
-          tc "wait and hold, no scheduler" `Quick test_sim_mutex_wait_domain;
+          tc "wait and hold, no scheduler" `Quick
+            test_sim_mutex_wait_no_scheduler;
           tc "grants in arrival order" `Quick test_sim_mutex_arrival_order;
         ] );
       ( "properties",

@@ -9,8 +9,9 @@
       counter under a mutex, allocator free-list reuse across fibers,
       and the multi-writer transactional workload across every named
       configuration at 1/2/4 log partitions;
-   3. Sim_mutex misuse is caught in fiber mode — double unlock and
-      unlock-by-non-holder raise, and [holding] tracks ownership. *)
+   3. Sim_mutex misuse is caught in a fiber and on the main thread —
+      double unlock, re-lock by the holder and unlock-by-non-holder
+      raise, and [holding] tracks ownership. *)
 
 open Rewind_nvm
 module R = Rewind_analysis.Racecheck
@@ -191,34 +192,45 @@ let parallel_recovery_clean (name, cfg) () =
 
 (* -- 3. Sim_mutex misuse ------------------------------------------------ *)
 
-let misuse f =
-  match
-    Sim_threads.run ~threads:2 ~ops_per_thread:1 (fun t _ -> f t)
-  with
+let expect_misuse where f =
+  match f () with
   | exception Sim_mutex.Misuse _ -> ()
-  | _ -> Alcotest.fail "expected Sim_mutex.Misuse"
+  | exception e ->
+      Alcotest.failf "%s: expected Sim_mutex.Misuse, got %s" where
+        (Printexc.to_string e)
+  | _ -> Alcotest.failf "%s: expected Sim_mutex.Misuse" where
 
-let test_double_unlock () =
-  let mu = Sim_mutex.create () in
-  misuse (fun t ->
-      if t = 0 then begin
-        Sim_mutex.lock mu;
-        Sim_mutex.unlock mu;
-        Sim_mutex.unlock mu
-      end)
+let two_fibers f =
+  ignore (Sim_threads.run ~threads:2 ~ops_per_thread:1 (fun t _ -> f t))
+
+(* [f] misuses a fresh lock: on the main thread, outside any scheduler,
+   and as fiber 0 of two under the scheduler. *)
+let misuse ?contention_free f =
+  expect_misuse "main thread" (fun () ->
+      f (Sim_mutex.create ?contention_free ()));
+  expect_misuse "fiber" (fun () ->
+      let mu = Sim_mutex.create ?contention_free () in
+      two_fibers (fun t -> if t = 0 then f mu))
+
+let double_unlock mu =
+  Sim_mutex.lock mu;
+  Sim_mutex.unlock mu;
+  Sim_mutex.unlock mu
+
+let relock mu =
+  Sim_mutex.lock mu;
+  Sim_mutex.lock mu
+
+let test_double_unlock () = misuse double_unlock
+let test_relock () = misuse relock
 
 let test_unlock_by_non_holder () =
   let mu = Sim_mutex.create () in
-  misuse (fun t -> if t = 0 then Sim_mutex.lock mu else Sim_mutex.unlock mu)
+  expect_misuse "fiber" (fun () ->
+      two_fibers (fun t ->
+          if t = 0 then Sim_mutex.lock mu else Sim_mutex.unlock mu))
 
-let test_contention_free_misuse () =
-  let mu = Sim_mutex.create ~contention_free:true () in
-  misuse (fun t ->
-      if t = 0 then begin
-        Sim_mutex.lock mu;
-        Sim_mutex.unlock mu;
-        Sim_mutex.unlock mu
-      end)
+let test_contention_free_misuse () = misuse ~contention_free:true double_unlock
 
 let test_holding () =
   let mu = Sim_mutex.create () in
@@ -230,6 +242,8 @@ let test_holding () =
                seen := ("inside", Sim_mutex.holding mu) :: !seen)
          else seen := ("other", Sim_mutex.holding mu) :: !seen));
   Alcotest.(check bool) "released" false (Sim_mutex.holding mu);
+  Sim_mutex.with_lock mu (fun () ->
+      Alcotest.(check bool) "main thread" true (Sim_mutex.holding mu));
   List.iter
     (fun (where, held) ->
       Alcotest.(check bool) where (where = "inside") held)
@@ -271,6 +285,7 @@ let () =
       ( "sim-mutex misuse",
         [
           Alcotest.test_case "double unlock" `Quick test_double_unlock;
+          Alcotest.test_case "re-lock by holder" `Quick test_relock;
           Alcotest.test_case "unlock by non-holder" `Quick
             test_unlock_by_non_holder;
           Alcotest.test_case "contention-free double unlock" `Quick

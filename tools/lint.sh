@@ -3,12 +3,16 @@
 #
 # Seven rules, all enforced by grep so they run anywhere dune does:
 #
-#   1. No raw Stdlib.Mutex / Stdlib.Atomic outside lib/nvm.  Every piece
-#      of synchronization must go through Sim_mutex / Sim_atomic so that
-#      (a) it is charged simulated time and (b) the race detector sees
-#      the acquire/release/RMW edge.  A raw primitive is invisible to
-#      both -- the happens-before checker would report false races (or
-#      worse, the timing model would silently stop covering it).
+#   1. No Domain, Thread or raw Stdlib.Mutex anywhere, lib/nvm
+#      included, and no raw Stdlib.Atomic outside lib/nvm.  The simulator
+#      runs on one domain: Sim_threads fibers are its only threads, one
+#      Clock counter its only time, and Sim_mutex's holder bookkeeping its
+#      only exclusion.  Every piece of synchronization must go through
+#      Sim_mutex / Sim_atomic so that (a) it is charged simulated time and
+#      (b) the race detector sees the acquire/release/RMW edge.  A raw
+#      primitive is invisible to both -- the happens-before checker would
+#      report false races (or worse, the timing model would silently stop
+#      covering it).
 #
 #   2. No Clock.now outside lib/nvm and lib/benchlib.  Core code must
 #      not make decisions from the simulated wall clock; timing belongs
@@ -111,22 +115,24 @@ report() {
     fi
 }
 
-# --- rule 1: raw Mutex./Atomic. outside lib/nvm ------------------------
-# Strip the wrapper tokens first, then re-match: a line mentioning
-# Sim_atomic must not whitelist a raw Atomic. use sitting next to it on
-# the same line (the old `grep -v` skipped the whole line).
+# --- rule 1: Domain./Thread./raw Mutex. anywhere, raw Atomic. outside
+# lib/nvm -------------------------------------------------------------
+# Strip the wrapper tokens (and Atomic. in lib/nvm, where Sim_atomic is
+# built) first, then re-match: a line mentioning Sim_atomic must not
+# whitelist a raw Atomic. use sitting next to it on the same line (the
+# old `grep -v` skipped the whole line).
+sync_pat='-e \bMutex\. -e \bAtomic\. -e \bDomain\. -e \bThread\.'
 sync_hits=$(
-    grep -rn --include='*.ml' --include='*.mli' \
-         -e '\bMutex\.' -e '\bAtomic\.' \
+    # shellcheck disable=SC2086
+    grep -rn --include='*.ml' --include='*.mli' $sync_pat \
          lib bin bench examples test 2>/dev/null |
-    grep -v '^lib/nvm/' |
-    sed 's/Sim_mutex\.//g; s/Sim_atomic\.//g' |
-    grep -e '\bMutex\.' -e '\bAtomic\.' |
+    sed 's/Sim_mutex\.//g; s/Sim_atomic\.//g; /^lib\/nvm\//s/\bAtomic\.//g' |
+    grep $sync_pat |
     while IFS=: read -r file rest; do
         allowed "$ALLOW_SYNC" "$file" || printf '%s:%s\n' "$file" "$rest"
     done
 )
-report "raw Stdlib.Mutex/Stdlib.Atomic outside lib/nvm (use Sim_mutex / Sim_atomic so the clock and the race detector see it)" "$sync_hits"
+report "Domain/Thread/raw Stdlib.Mutex anywhere, or raw Stdlib.Atomic outside lib/nvm (the simulator runs on one domain: use Sim_threads, Sim_mutex / Sim_atomic so the clock and the race detector see it)" "$sync_hits"
 
 # --- rule 2: Clock.now outside lib/nvm + lib/benchlib ------------------
 clock_hits=$(
