@@ -92,21 +92,23 @@ let make arena alloc ~line ~epoch_addr ~epoch ~dir_head =
     latch = Sim_mutex.create ();
   }
 
-let create arena alloc ~epoch_slot ~dir_slot =
+let create alloc ~root_slot =
+  let arena = Alloc.arena alloc in
   let line = line_of_arena arena in
   let epoch_addr = Alloc.alloc_fresh ~align:line alloc line in
   let dir_head = Alloc.alloc_fresh ~align:line alloc dir_bytes in
   (* Epochs start at 1 so a fresh cell's zero tag never matches. *)
   Arena.nt_write arena epoch_addr 1L;
   Arena.fence arena;
-  Arena.root_set arena epoch_slot (Int64.of_int epoch_addr);
-  Arena.root_set arena dir_slot (Int64.of_int dir_head);
+  Arena.root_set arena root_slot (Int64.of_int epoch_addr);
+  Arena.root_set arena (root_slot + 1) (Int64.of_int dir_head);
   make arena alloc ~line ~epoch_addr ~epoch:1 ~dir_head
 
-let attach arena alloc ~epoch_slot ~dir_slot =
+let attach alloc ~root_slot =
+  let arena = Alloc.arena alloc in
   let line = line_of_arena arena in
-  let epoch_addr = Int64.to_int (Arena.root_get arena epoch_slot) in
-  let dir_head = Int64.to_int (Arena.root_get arena dir_slot) in
+  let epoch_addr = Int64.to_int (Arena.root_get arena root_slot) in
+  let dir_head = Int64.to_int (Arena.root_get arena (root_slot + 1)) in
   let epoch = Int64.to_int (Arena.durable_read arena epoch_addr) in
   let t = make arena alloc ~line ~epoch_addr ~epoch ~dir_head in
   (* Rebuild the volatile cell list from the durable directory. *)

@@ -21,14 +21,13 @@ open Rewind_nvm
 
 type t
 
-val create :
-  Arena.t -> Alloc.t -> epoch_slot:int -> dir_slot:int -> t
+val create : Alloc.t -> root_slot:int -> t
 (** Format a fresh InCLL region: allocate the durable epoch-counter line
-    and cell directory head, anchor both in the given arena root slots,
-    and start at epoch 1. *)
+    and cell directory head, anchor them in root slots [root_slot] and
+    [root_slot + 1], and start at epoch 1. *)
 
-val attach : Arena.t -> Alloc.t -> epoch_slot:int -> dir_slot:int -> t
-(** Reopen from the root slots: read the durable epoch and rebuild the
+val attach : Alloc.t -> root_slot:int -> t
+(** Reopen from those root slots: read the durable epoch and rebuild the
     volatile cell list by walking the durable directory.  Does not roll
     anything back — call {!recover} for that. *)
 

@@ -1,12 +1,11 @@
-(* Restart (Section 4.5): reattach each partition's log and index, then
-   analysis, redo (no-force), undo and clearing; under InCLL, the cell
-   directory and the epoch scan.
+(* WAL restart (Section 4.5): reattach each partition's log and index,
+   then analysis, redo (no-force), undo and clearing.
 
    Recovery merges, reading the log once.  The per-partition work runs
    on one recovery fiber per partition ({!Sim_threads.fork_join}): each
    partition's structural attach, then its analysis decode.  The fibers
-   join before the k-way merge by LSN that turns the partition streams
-   into one stream in global LSN order, from which analysis rebuilds each
+   join before one sort by LSN turns the partition streams into one
+   stream in global LSN order, from which analysis rebuilds each
    home partition's transaction table; redo replays that stream and undo
    walks it backwards (two-layer: each loser's back-chain within its home
    partition) touching only losers' records.  Those two stay serial:
@@ -72,39 +71,11 @@ let decode t ~payload r =
     }
   else { r; lsn; txn; typ; addr = 0; value = 0L }
 
-(* K-way merge of per-partition entry streams, each ascending by LSN,
-   into one globally ascending list.  The streams are small in number (the
-   partition count), so a linear scan of the heads per pop is cheaper than
-   a heap at this size. *)
-let merge_ascending streams =
-  let n = Array.length streams in
-  let out = ref [] in
-  let exhausted = ref false in
-  while not !exhausted do
-    let best = ref (-1) and best_lsn = ref max_int in
-    for i = 0 to n - 1 do
-      match streams.(i) with
-      | e :: _ when e.lsn < !best_lsn ->
-          best := i;
-          best_lsn := e.lsn
-      | _ -> ()
-    done;
-    if !best < 0 then exhausted := true
-    else
-      match streams.(!best) with
-      | e :: rest ->
-          streams.(!best) <- rest;
-          out := e :: !out
-      | [] -> assert false
-  done;
-  List.rev !out
-
-(* One partition's live records, decoded, as an ascending-by-LSN stream.
-   One-layer: the log in append order, which is *almost* LSN order — LSNs
-   are fetched from the global counter outside the latch, so two
-   concurrent appends into the same partition can land inverted — hence
-   the sort (cheap on nearly-sorted input) before the k-way merge relies
-   on it.  Two-layer: the AAVLT's in-order traversal; a record failing
+(* One partition's live records, decoded.  One-layer: the log in append
+   order, which is *almost* LSN order — LSNs are fetched from the global
+   counter outside the latch, so two concurrent appends into the same
+   partition can land inverted; the sort at the join puts them right.
+   Two-layer: the AAVLT's in-order traversal; a record failing
    {!Record.intact} is a torn write, reported to [on_torn] and dropped
    (one-layer logs truncate torn records at attach, so every record they
    yield is intact).  Records below the [horizon] are settled and
@@ -121,16 +92,17 @@ let part_stream t ~payload ~horizon ~on_torn p =
       Avl_index.iter idx (fun n ->
           let r = Avl_index.head_record idx n in
           if Record.intact t.arena r then keep r else on_torn ()));
-  List.sort (fun a b -> compare a.lsn b.lsn) !acc
+  !acc
 
-(* Every partition's decoded stream, each decoded on its own recovery
-   fiber, merged into global LSN order at the join: the stream analysis
-   builds and redo and undo replay. *)
+(* Every partition's records, each decoded on its own recovery fiber,
+   sorted into global LSN order at the join (LSNs are unique across the
+   partitions): the stream analysis builds and redo and undo replay. *)
 let decoded_log t prof ~payload ~horizon ~on_torn =
-  merge_ascending
-    (fork_parts prof (Arena.stats t.arena) ~parts:(Array.length t.parts)
-       "analysis" (fun pid ->
-         part_stream t ~payload ~horizon ~on_torn t.parts.(pid)))
+  fork_parts prof (Arena.stats t.arena) ~parts:(Array.length t.parts)
+    "analysis" (fun pid ->
+      part_stream t ~payload ~horizon ~on_torn t.parts.(pid))
+  |> Array.to_list |> List.concat
+  |> List.stable_sort (fun a b -> compare a.lsn b.lsn)
 
 let durable_horizon t = Int64.to_int (Arena.root_get t.arena t.horizon_slot)
 
@@ -145,16 +117,16 @@ let merged_log_records t =
    sequence number is the smallest [s] with [first_txn + s*n + p >
    max_txn].  The round-robin cursor continues from the id after
    [max_txn], keeping default (unpinned) ids sequential across a crash. *)
-let reseed_txn_counters t max_txn =
-  let n = max 1 (Array.length t.parts) in
+let reseed_txn_counters t ids max_txn =
+  let n = Array.length t.parts in
   Array.iteri
     (fun p seq ->
       let d = max_txn - first_txn - p in
       let s = if d < 0 then 0 else (d / n) + 1 in
       if s > Sim_atomic.get seq then Sim_atomic.set seq s)
-    t.next_seq;
+    ids.next_seq;
   let rr = max_txn + 1 - first_txn in
-  if rr > Sim_atomic.get t.next_home then Sim_atomic.set t.next_home rr
+  if rr > Sim_atomic.get ids.next_home then Sim_atomic.set ids.next_home rr
 
 (* Analysis: decode every partition once into the merged stream and
    rebuild each transaction's entry in its home partition's table (a
@@ -165,7 +137,7 @@ let reseed_txn_counters t max_txn =
    logged PREPARE stays in doubt, with the global id the record carries,
    unless a later END or ROLLBACK settled it.  Returns the stream and the
    number of transactions found finished. *)
-let analysis t prof ~on_torn =
+let analysis t prof ~ids ~on_torn =
   let horizon = durable_horizon t in
   let stream =
     decoded_log t prof ~payload:(t.cfg.policy = No_force) ~horizon ~on_torn
@@ -189,7 +161,7 @@ let analysis t prof ~on_torn =
       end)
     stream;
   Sim_atomic.set t.next_lsn (max (!max_lsn + 1) horizon);
-  reseed_txn_counters t !max_txn;
+  reseed_txn_counters t ids !max_txn;
   ( stream,
     fold_entries t
       (fun e n -> if e.status = Txn_table.Finished then n + 1 else n)
@@ -427,7 +399,7 @@ let torn_truncated_logs t =
 (* WAL recovery: analysis, redo (no-force), undo, clearing.  Returns
    the report: the records scanned, the torn records dropped, the records
    redone, the transactions found finished and the losers undone. *)
-let recover_wal prof pstats t =
+let recover_wal prof pstats ~ids t =
   (* two-layer only: AAVLT-indexed records failing their checksum *)
   let torn = ref 0 in
   let on_torn () =
@@ -435,7 +407,8 @@ let recover_wal prof pstats t =
     pstats.Stats.torn_records <- pstats.Stats.torn_records + 1
   in
   let stream, finished =
-    Probe.span prof pstats "analysis" (fun () -> analysis t prof ~on_torn)
+    Probe.span prof pstats "analysis" (fun () ->
+        analysis t prof ~ids ~on_torn)
   in
   let redo =
     if t.cfg.policy = No_force then
@@ -463,10 +436,11 @@ let recover_wal prof pstats t =
     cells_rewound = 0;
   }
 
-(* The WAL manager's structure: each partition's log, then (two layers)
-   its AAVLT, on one recovery fiber per partition, joined phase by
-   phase. *)
-let attach_logs prof (cfg : config) alloc ~root_slot =
+(* Reattach the WAL manager's structure — each partition's log, then (two
+   layers) its AAVLT, on one recovery fiber per partition, joined phase
+   by phase — and recover it inside the persistency checker's recovery
+   bracket. *)
+let attach prof (cfg : config) alloc ~root_slot ~ids =
   let arena = Alloc.arena alloc in
   let pstats = Arena.stats arena in
   let parts = cfg.partitions in
@@ -495,41 +469,11 @@ let attach_logs prof (cfg : config) alloc ~root_slot =
             Avl_index.recover idx;
             Some idx)
   in
-  make_t cfg alloc ~root_slot
-    (Array.init parts (fun pid -> make_part pid logs.(pid) indexes.(pid)))
-
-(* The one dispatch between the protocols: a WAL manager reattaches its
-   logs and runs {!recover_wal}; InCLL reopens its cell directory and
-   rewinds in one epoch scan, with no analysis, redo or undo — the
-   in-line tags are its whole transaction table. *)
-let attach prof (cfg : config) alloc ~root_slot =
-  let arena = Alloc.arena alloc in
-  let pstats = Arena.stats arena in
-  let t, recover =
-    if cfg.incll then
-      let i =
-        Probe.span prof pstats "dir-attach" (fun () ->
-            incll_region (Incll.attach arena alloc) ~root_slot)
-      in
-      ( make_t cfg alloc ~root_slot [||] ~incll:i,
-        fun _ ->
-          let scanned, rewound =
-            Probe.span prof pstats "epoch-scan" (fun () -> Incll.recover i)
-          in
-          {
-            records_scanned = 0;
-            torn_truncated = 0;
-            redo_applied = 0;
-            txns_finished = 0;
-            txns_undone = 0;
-            cells_scanned = scanned;
-            cells_rewound = rewound;
-          } )
-    else (attach_logs prof cfg alloc ~root_slot, recover_wal prof pstats)
+  let t =
+    make_t cfg alloc ~root_slot
+      (Array.init parts (fun pid -> make_part pid logs.(pid) indexes.(pid)))
   in
   Pmcheck.recovery_begin arena;
-  let report = recover t in
+  let report = recover_wal prof pstats ~ids t in
   Pmcheck.recovery_end arena;
-  t.last_recovery <- Some report;
-  t.last_recovery_profile <- Some prof;
-  t
+  (t, report)

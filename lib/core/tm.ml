@@ -16,13 +16,14 @@
    versions.
 
    In-cache-line logging ([incll]) is not one of them: it keeps no
-   write-ahead log at all.  Every operation with an InCLL meaning
-   delegates to {!Incll}, which owns that protocol's transaction layer,
-   and the WAL-only operations refuse it.
+   write-ahead log at all.  A manager is the WAL manager or InCLL beside
+   it, and every entry point dispatches once between the two: the InCLL
+   arm delegates to {!Incll}, which owns that protocol's transaction
+   layer, or refuses a WAL-only operation.
 
-   The manager's state and the log steps its transactions share with
-   restart live in {!Tm_state}; restart itself, from the structural
-   attach to log clearing, is {!Recovery}. *)
+   The WAL manager's state and the log steps its transactions share with
+   restart live in {!Tm_state}; WAL restart, from the structural attach
+   to log clearing, is {!Recovery}. *)
 
 open Rewind_nvm
 include Tm_state
@@ -187,100 +188,139 @@ let validate_stored_config arena cfg ~root_slot =
            requested = cfg;
          })
 
+(* The manager: the WAL state, or InCLL beside it — its epoch region and
+   the configuration it was given.  What both protocols share lives
+   once, here: the transaction ids, the counts, the hot-path probe and
+   what recovery did. *)
+type protocol = Wal of Tm_state.t | Incll of { incll : Incll.t; cfg : config }
+
+type t = {
+  protocol : protocol;
+  ids : ids;
+      (* one partition's counters under InCLL, so its ids run 1, 2, 3 *)
+  stats : Stats.t;  (* the arena's, charged by the hot-path spans *)
+  mutable commits : int;
+  mutable rollbacks : int;
+  mutable probe : Probe.t option;
+      (* when set, the commit/checkpoint hot paths charge spans to it *)
+  recovery : (recovery_report * Probe.t) option;
+      (* what [attach]'s recovery did, and its per-phase profile *)
+}
+
+let make ?recovery arena ids protocol =
+  {
+    protocol;
+    ids;
+    stats = Arena.stats arena;
+    commits = 0;
+    rollbacks = 0;
+    probe = None;
+    recovery;
+  }
+
+(* InCLL anchors its epoch counter and cell directory in the two slots
+   after the fingerprint, where a WAL manager's partition 0 anchors its
+   log and index, and keeps no horizon.  [check_cfg] gives it one
+   partition. *)
 let create ?(cfg = default_config) alloc ~root_slot =
   check_cfg cfg ~root_slot;
   let arena = Alloc.arena alloc in
   Arena.root_set arena root_slot (Int64.of_int (config_word cfg));
-  (* a horizon left behind by an earlier manager at this slot must not
-     hide the fresh log's records; written after the fingerprint, so that
-     every crash state of [create] still attaches *)
-  if not cfg.incll then
-    Arena.root_set arena (horizon_slot cfg ~root_slot) 0L;
+  let make = make arena (make_ids cfg.partitions) in
   if cfg.incll then
-    make_t cfg alloc ~root_slot [||]
-      ~incll:(incll_region (Incll.create arena alloc) ~root_slot)
-  else
-  let parts =
-    Array.init cfg.partitions (fun pid ->
-        let log =
-          Log.create cfg.variant ~bucket_cap:cfg.bucket_cap alloc
-            ~root_slot:(part_log_slot ~root_slot pid)
-        in
-        Log.set_group_tag log pid;
-        let index =
-          match cfg.layers with
-          | One_layer -> None
-          | Two_layer ->
-              let idx = Avl_index.create alloc ~ilog:log in
-              Arena.root_set arena
-                (part_index_slot ~root_slot pid)
-                (Int64.of_int (Avl_index.root_ptr idx));
-              Some idx
-        in
-        make_part pid log index)
-  in
-  make_t cfg alloc ~root_slot parts
+    make (Incll { incll = Incll.create alloc ~root_slot:(root_slot + 1); cfg })
+  else begin
+    (* a horizon left behind by an earlier manager at this slot must not
+       hide the fresh log's records; written after the fingerprint, so
+       that every crash state of [create] still attaches *)
+    Arena.root_set arena (horizon_slot cfg ~root_slot) 0L;
+    let parts =
+      Array.init cfg.partitions (fun pid ->
+          let log =
+            Log.create cfg.variant ~bucket_cap:cfg.bucket_cap alloc
+              ~root_slot:(part_log_slot ~root_slot pid)
+          in
+          Log.set_group_tag log pid;
+          let index =
+            match cfg.layers with
+            | One_layer -> None
+            | Two_layer ->
+                let idx = Avl_index.create alloc ~ilog:log in
+                Arena.root_set arena
+                  (part_index_slot ~root_slot pid)
+                  (Int64.of_int (Avl_index.root_ptr idx));
+                Some idx
+          in
+          make_part pid log index)
+    in
+    make (Wal (make_t cfg alloc ~root_slot parts))
+  end
 
-let config t = t.cfg
-let partitions t = max 1 (Array.length t.parts)
+let config t = match t.protocol with Wal w -> w.cfg | Incll { cfg; _ } -> cfg
 
-(* The guard of the WAL-only entry points. *)
-let wal_only t op =
-  if t.cfg.incll then misuse (Wal_only op)
+(* [f] of the WAL manager, or InCLL's answer [incll]: the WAL-shaped
+   accessors answer under InCLL as for one partition with an empty log. *)
+let on_wal t ~incll f = match t.protocol with Wal w -> f w | Incll _ -> incll
+let partitions t = on_wal t ~incll:1 (fun w -> Array.length w.parts)
+let parts t = on_wal t ~incll:[||] (fun w -> w.parts)
 
-let log t =
-  wal_only t "Tm.log";
-  t.parts.(0).log
-let logs t = Array.map (fun p -> p.log) t.parts
+(* The WAL manager, for WAL-only operation [op]: InCLL keeps no log. *)
+let wal t op =
+  match t.protocol with Wal w -> w | Incll _ -> misuse (Wal_only op)
+
+let log t = (wal t "Tm.log").parts.(0).log
+let logs t = Array.map (fun p -> p.log) (parts t)
 let commits t = t.commits
 let rollbacks t = t.rollbacks
 let set_probe t p = t.probe <- p
 
 (* Per partition latch: simulated ns acquirers waited for it, and ns it
    was held ({!Sim_mutex.wait_ns}, {!Sim_mutex.hold_ns}). *)
-let latch_wait_ns t = Array.map (fun p -> Sim_mutex.wait_ns p.latch) t.parts
-let latch_hold_ns t = Array.map (fun p -> Sim_mutex.hold_ns p.latch) t.parts
-let last_recovery_profile t = t.last_recovery_profile
+let latch_wait_ns t = Array.map (fun p -> Sim_mutex.wait_ns p.latch) (parts t)
+let latch_hold_ns t = Array.map (fun p -> Sim_mutex.hold_ns p.latch) (parts t)
+
+let last_recovery t = Option.map fst t.recovery
+let last_recovery_profile t = Option.map snd t.recovery
+
+let home_partition t txn =
+  on_wal t ~incll:0 (fun w -> Tm_state.home_partition w txn)
+
+let in_doubt t = on_wal t ~incll:[] Tm_state.in_doubt
+let merged_log_records t = on_wal t ~incll:[] Recovery.merged_log_records
 
 (* Charge [f] to phase [name] of the attached hot-path probe, if any. *)
 let hot_span t name f =
-  match t.probe with
-  | None -> f ()
-  | Some p -> Probe.span p (Arena.stats t.arena) name f
+  match t.probe with None -> f () | Some p -> Probe.span p t.stats name f
 
 let active_transactions t =
-  match t.incll with
-  | Some i -> Incll.active i
-  | None ->
-      fold_entries t
+  match t.protocol with
+  | Wal w ->
+      fold_entries w
         (fun e n -> if e.status <> Txn_table.Finished then n + 1 else n)
         0
-
-let last_recovery t = t.last_recovery
-let merged_log_records = Recovery.merged_log_records
+  | Incll { incll; _ } -> Incll.active incll
 
 (* [txn]'s entry in its home partition's table, if it has one. *)
-let entry t txn =
-  if t.incll <> None || txn < first_txn then None
-  else Txn_table.find (home t txn).table txn
+let entry w txn =
+  if txn < first_txn then None else Txn_table.find (home w txn).table txn
 
 (* [txn]'s home partition and its entry there, which must be open: begun
    and not settled. *)
-let open_entry t txn =
-  match entry t txn with
-  | Some e when e.status <> Txn_table.Finished -> (home t txn, e)
+let open_entry w txn =
+  match entry w txn with
+  | Some e when e.status <> Txn_table.Finished -> (home w txn, e)
   | _ -> misuse (Txn_not_open txn)
 
 (* [e]'s transaction is settled at [end_lsn]: the horizon may pass its
    records.  Under force they are gone and it leaves the table; under
    no-force it stays until {!retire} finds its END below the horizon. *)
-let settle t p (e : Txn_table.entry) ~end_lsn =
-  (match t.cfg.policy with
+let settle w p (e : Txn_table.entry) ~end_lsn =
+  (match w.cfg.policy with
   | Force -> Txn_table.remove p.table e.id
   | No_force ->
       e.status <- Txn_table.Finished;
       e.end_lsn <- end_lsn);
-  Pmcheck.txn_settled t.arena ~txn:e.id
+  Pmcheck.txn_settled w.arena ~txn:e.id
 
 (* -- transaction begin -------------------------------------------------- *)
 
@@ -289,28 +329,27 @@ let settle t p (e : Txn_table.entry) ~end_lsn =
    from the id alone and recovery needs no durable pinning map even for
    caller-pinned transactions.  With no caller pinning the round-robin
    cursor makes the ids come out exactly sequential (the pre-[?home]
-   behaviour). *)
+   behaviour), as they do under InCLL's one partition. *)
 let begin_txn ?home:home_opt t =
-  (* incll keeps no log partitions (parts = [||]); ids degenerate to the
-     sequential single-partition scheme there. *)
-  let n = max 1 (Array.length t.parts) in
+  let { next_seq; next_home } = t.ids in
+  let n = Array.length next_seq in
   let hp =
     match home_opt with
     | Some h ->
         if h < 0 || h >= n then
           misuse (Home_out_of_range { home = h; partitions = n });
         h
-    | None -> Sim_atomic.fetch_and_add t.next_home 1 mod n
+    | None -> Sim_atomic.fetch_and_add next_home 1 mod n
   in
-  let id = first_txn + (Sim_atomic.fetch_and_add t.next_seq.(hp) 1 * n) + hp in
-  (match t.incll with
-  | Some i -> Incll.begin_txn i id
-  | None ->
-      let p = home t id in
+  let id = first_txn + (Sim_atomic.fetch_and_add next_seq.(hp) 1 * n) + hp in
+  (match t.protocol with
+  | Incll { incll; _ } -> Incll.begin_txn incll id
+  | Wal w ->
+      let p = home w id in
       let add () = ignore (Txn_table.find_or_add p.table id) in
       (* one layer's entry is volatile alone; two layers mirror the table
          in the AAVLT, and take the latch *)
-      if t.cfg.layers = Two_layer then Sim_mutex.with_lock p.latch add
+      if w.cfg.layers = Two_layer then Sim_mutex.with_lock p.latch add
       else add ());
   id
 
@@ -324,11 +363,11 @@ let begin_txn ?home:home_opt t =
    home-partition latch — appends in different partitions never
    serialise against each other.  [store] runs in the same latch
    section, right after the append. *)
-let log_update t p (e : Txn_table.entry) ~addr ~old_value ~new_value
+let log_update w p (e : Txn_table.entry) ~addr ~old_value ~new_value
     ~store =
-  let lsn = fresh_lsn t e in
+  let lsn = fresh_lsn w e in
   let put =
-    form t p e ~lsn ~typ:Record.Update ~addr ~old_value ~new_value
+    form w p e ~lsn ~typ:Record.Update ~addr ~old_value ~new_value
       ~undo_next:0
   in
   Sim_mutex.with_lock p.latch (fun () ->
@@ -337,37 +376,38 @@ let log_update t p (e : Txn_table.entry) ~addr ~old_value ~new_value
          record may still sit in an unpersisted group ([Log.pending] > 0),
          in which case the covered store must not reach NVM before the
          {!Pmcheck.group_persisted} of this partition. *)
-      Pmcheck.region_logged ~group:p.pid t.arena ~txn:e.id ~addr ~len:8
+      Pmcheck.region_logged ~group:p.pid w.arena ~txn:e.id ~addr ~len:8
         ~durable:(Log.pending p.log = 0);
       store p)
 
 (* The paper's expanded-code pattern (Listing 2): log, then store. *)
 let write t txn_id ~addr ~value =
-  match t.incll with
-  | Some i -> incll_op (fun () -> Incll.write i txn_id ~addr ~value)
-  | None -> (
-      let p, e = open_entry t txn_id in
-      let old_value = Arena.read t.arena addr in
-      match (t.cfg.policy, t.cfg.variant) with
+  match t.protocol with
+  | Incll { incll; _ } ->
+      incll_op (fun () -> Incll.write incll txn_id ~addr ~value)
+  | Wal w -> (
+      let p, e = open_entry w txn_id in
+      let old_value = Arena.read w.arena addr in
+      match (w.cfg.policy, w.cfg.variant) with
       | No_force, (Log.Simple | Log.Optimized) ->
-          log_update t p e ~addr ~old_value ~new_value:value ~store:ignore;
+          log_update w p e ~addr ~old_value ~new_value:value ~store:ignore;
           (* Thread-safe access to user data is the programmer's concern
              (Section 4.7); the cached store itself needs no TM latch. *)
-          Arena.write t.arena addr value
+          Arena.write w.arena addr value
       | Force, _ | No_force, Log.Batch _ ->
           (* The Batch deferral list is partition state: the store runs in
              the append's home-latch section. *)
-          log_update t p e ~addr ~old_value ~new_value:value
-            ~store:(fun p -> user_write t p addr value))
+          log_update w p e ~addr ~old_value ~new_value:value
+            ~store:(fun p -> user_write w p addr value))
 
 (* Record an intention to free NVM; the de-allocation itself happens only
    once the transaction's outcome is settled (Section 4.3). *)
 let log_delete t txn_id ~addr ~size =
-  wal_only t "Tm.log_delete";
-  let p, e = open_entry t txn_id in
-  let lsn = fresh_lsn t e in
+  let w = wal t "Tm.log_delete" in
+  let p, e = open_entry w txn_id in
+  let lsn = fresh_lsn w e in
   let put =
-    form t p e ~lsn ~typ:Record.Delete ~addr ~old_value:(Int64.of_int size)
+    form w p e ~lsn ~typ:Record.Delete ~addr ~old_value:(Int64.of_int size)
       ~new_value:0L ~undo_next:0
   in
   Sim_mutex.with_lock p.latch (fun () ->
@@ -376,24 +416,24 @@ let log_delete t txn_id ~addr ~size =
 
 (* -- clearing ------------------------------------------------------------ *)
 
-let free_deletes t (e : Txn_table.entry) =
-  List.iter (fun (_, addr, size) -> Alloc.free t.alloc addr size) e.deletes
+let free_deletes w (e : Txn_table.entry) =
+  List.iter (fun (_, addr, size) -> Alloc.free w.alloc addr size) e.deletes
 
 (* Force-policy clearing of one settled transaction, END record last.
    Two-layer: walk its back-chain and delete each record's tree node,
    oldest first — the END record is the newest. *)
-let clear_txn t p (e : Txn_table.entry) =
+let clear_txn w p (e : Txn_table.entry) =
   match p.index with
-  | None -> Log.remove_end_last p.log (fun r -> record_txn t r = e.id)
+  | None -> Log.remove_end_last p.log (fun r -> record_txn w r = e.id)
   | Some idx ->
       let oldest_first = ref [] in
-      iter_chain t e.last_record (fun r ->
+      iter_chain w e.last_record (fun r ->
           oldest_first := r :: !oldest_first;
           true);
       List.iter
         (fun r ->
-          ignore (Avl_index.remove idx (Record.lsn t.arena r));
-          Record.free t.alloc r)
+          ignore (Avl_index.remove idx (Record.lsn w.arena r));
+          Record.free w.alloc r)
         !oldest_first
 
 (* -- commit --------------------------------------------------------------- *)
@@ -403,31 +443,31 @@ let clear_txn t p (e : Txn_table.entry) =
    production callers leave it true. *)
 let commit ?(clear = true) t txn_id =
   hot_span t "commit" @@ fun () ->
-  match t.incll with
-  | Some i ->
+  match t.protocol with
+  | Incll { incll; _ } ->
       (* free: the commit becomes durable with its epoch — a crash loses
          up to one epoch of committed work, never consistency *)
-      incll_op (fun () -> Incll.commit i txn_id);
+      incll_op (fun () -> Incll.commit incll txn_id);
       t.commits <- t.commits + 1
-  | None ->
-      let p, e = open_entry t txn_id in
+  | Wal w ->
+      let p, e = open_entry w txn_id in
       Sim_mutex.with_lock p.latch (fun () ->
           t.commits <- t.commits + 1;
           (* Force: all of the transaction's stores are already on their
              way to NVM; fence, log END, and clear immediately.  No-force:
              the END record forces the batch group; buffered stores can
              then reach the (volatile) cache. *)
-          if t.cfg.policy = Force then begin
-            flush_pending t p;
-            Arena.fence t.arena
+          if w.cfg.policy = Force then begin
+            flush_pending w p;
+            Arena.fence w.arena
           end;
-          let end_lsn = append_end t p e in
-          if t.cfg.policy = No_force then drain_deferred t p
+          let end_lsn = append_end w p e in
+          if w.cfg.policy = No_force then drain_deferred w p
           else if clear then begin
-            clear_txn t p e;
-            free_deletes t e
+            clear_txn w p e;
+            free_deletes w e
           end;
-          settle t p e ~end_lsn)
+          settle w p e ~end_lsn)
 
 (* -- rollback -------------------------------------------------------------- *)
 
@@ -440,7 +480,7 @@ let commit ?(clear = true) t txn_id =
    (Section 4.4): a full rollback looks up every record, a partial one
    each it undoes.  With [sp] each record's LSN is read up front;
    without, only an UPDATE's, when [undo_step] needs it. *)
-let undo_back ?sp t p (e : Txn_table.entry) ~durably =
+let undo_back ?sp w p (e : Txn_table.entry) ~durably =
   let bound = ref max_int in
   let find lsn =
     Option.iter (fun idx -> ignore (Avl_index.find idx lsn)) p.index
@@ -448,25 +488,25 @@ let undo_back ?sp t p (e : Txn_table.entry) ~durably =
   let step r =
     match sp with
     | None ->
-        if Option.is_some p.index then find (Record.lsn t.arena r);
-        undo_step t p e ~durably ~bound ~typ:(record_typ t r)
-          ~lsn:(lazy (Record.lsn t.arena r))
+        if Option.is_some p.index then find (Record.lsn w.arena r);
+        undo_step w p e ~durably ~bound ~typ:(record_typ w r)
+          ~lsn:(lazy (Record.lsn w.arena r))
           r;
         true
     | Some sp ->
-        let lsn = Record.lsn t.arena r in
+        let lsn = Record.lsn w.arena r in
         lsn >= sp
         && begin
-             undo_step t p e ~durably ~bound
+             undo_step w p e ~durably ~bound
                ~before_undo:(fun () -> find lsn)
-               ~typ:(record_typ t r) ~lsn:(Lazy.from_val lsn) r;
+               ~typ:(record_typ w r) ~lsn:(Lazy.from_val lsn) r;
              true
            end
   in
   match p.index with
   | None ->
-      Log.iter_back_while p.log (fun r -> record_txn t r <> e.id || step r)
-  | Some _ -> iter_chain t e.last_record step
+      Log.iter_back_while p.log (fun r -> record_txn w r <> e.id || step r)
+  | Some _ -> iter_chain w e.last_record step
 
 (* -- partial rollback (savepoints) ---------------------------------------
 
@@ -482,47 +522,48 @@ type savepoint = int
    transaction's volatile undo journal — same int, same semantics (undo
    everything after this point). *)
 let savepoint t txn_id =
-  match t.incll with
-  | Some i -> incll_op (fun () -> Incll.savepoint i txn_id)
-  | None ->
-      ignore (open_entry t txn_id);
-      Sim_atomic.get t.next_lsn
+  match t.protocol with
+  | Incll { incll; _ } -> incll_op (fun () -> Incll.savepoint incll txn_id)
+  | Wal w ->
+      ignore (open_entry w txn_id);
+      Sim_atomic.get w.next_lsn
 
 let rollback_to t txn_id (sp : savepoint) =
-  match t.incll with
-  | Some i -> incll_op (fun () -> Incll.rollback_to i txn_id sp)
-  | None ->
-      let p, e = open_entry t txn_id in
+  match t.protocol with
+  | Incll { incll; _ } ->
+      incll_op (fun () -> Incll.rollback_to incll txn_id sp)
+  | Wal w ->
+      let p, e = open_entry w txn_id in
       Sim_mutex.with_lock p.latch (fun () ->
           (* the bound keeps repeated partial rollbacks from re-undoing
              compensated updates *)
-          undo_back ~sp t p e ~durably:(t.cfg.policy = Force);
+          undo_back ~sp w p e ~durably:(w.cfg.policy = Force);
           (* deferred de-allocations requested after the savepoint are
              void *)
           e.deletes <- List.filter (fun (lsn, _, _) -> lsn < sp) e.deletes)
 
 let rollback t txn_id =
-  match t.incll with
-  | Some i ->
-      incll_op (fun () -> Incll.rollback i txn_id);
+  match t.protocol with
+  | Incll { incll; _ } ->
+      incll_op (fun () -> Incll.rollback incll txn_id);
       t.rollbacks <- t.rollbacks + 1
-  | None ->
-      let p, e = open_entry t txn_id in
+  | Wal w ->
+      let p, e = open_entry w txn_id in
       Sim_mutex.with_lock p.latch (fun () ->
           t.rollbacks <- t.rollbacks + 1;
           (* Settle any deferred (Batch) user stores *before* undoing, or
              a stale pending store could overwrite a restored value. *)
-          flush_pending t p;
+          flush_pending w p;
           (* The bound makes the walk idempotent: resolving an in-doubt
              transaction as aborted after a crash mid-rollback must not
              re-undo already-compensated updates. *)
-          undo_back t p e ~durably:(t.cfg.policy = Force);
+          undo_back w p e ~durably:(w.cfg.policy = Force);
           Log.flush_group p.log;
-          let end_lsn = append_end t p e in
-          drain_deferred t p;
+          let end_lsn = append_end w p e in
+          drain_deferred w p;
           e.deletes <- [];
-          if t.cfg.policy = Force then clear_txn t p e;
-          settle t p e ~end_lsn)
+          if w.cfg.policy = Force then clear_txn w p e;
+          settle w p e ~end_lsn)
 
 (* -- two-phase commit: the participant side (Distributed REWIND) ----------- *)
 
@@ -534,14 +575,14 @@ let rollback t txn_id =
    undoes nor finishes it, because under presumed abort only the
    coordinator's durable decision record can settle it. *)
 let prepare t txn_id ~gtid =
-  wal_only t "Tm.prepare";
-  let p, e = open_entry t txn_id in
+  let w = wal t "Tm.prepare" in
+  let p, e = open_entry w txn_id in
   hot_span t "prepare" @@ fun () ->
   Sim_mutex.with_lock p.latch (fun () ->
-      flush_pending t p;
-      Arena.fence t.arena;
+      flush_pending w p;
+      Arena.fence w.arena;
       ignore
-        (append_control t p e ~typ:Record.Prepare ~is_end:true
+        (append_control w p e ~typ:Record.Prepare ~is_end:true
            ~old_value:(Int64.of_int gtid) ());
       e.status <- Txn_table.Prepared gtid)
 
@@ -550,46 +591,47 @@ let prepare t txn_id ~gtid =
    bound makes abort resolution idempotent when a crash lands
    mid-resolution and the decision is re-applied after re-attach. *)
 let resolve_in_doubt t txn_id ~commit:do_commit =
-  match entry t txn_id with
+  match on_wal t ~incll:None (fun w -> entry w txn_id) with
   | Some { status = Txn_table.Prepared _; _ } ->
       if do_commit then commit t txn_id else rollback t txn_id
   | _ -> misuse (Not_in_doubt txn_id)
 
 (* -- checkpoint (Section 4.6) ---------------------------------------------- *)
 
-(* Acquire every partition latch in index order (deadlock-free: the
-   transaction fast paths only ever hold a single latch). *)
-let rec with_all_latches t i f =
-  if i >= Array.length t.parts then f ()
-  else
-    Sim_mutex.with_lock t.parts.(i).latch (fun () ->
-        with_all_latches t (i + 1) f)
+(* Run [f] holding every partition latch, acquired in index order
+   (deadlock-free: the transaction fast paths only ever hold a single
+   latch). *)
+let with_all_latches w f =
+  Array.fold_right (fun p k () -> Sim_mutex.with_lock p.latch k) w.parts f ()
 
 (* The InCLL epoch checkpoint — the config's replacement for both
    commit-time clearing and the cache-consistent checkpoint.  Requires
    quiescence: an advance with a transaction in flight would turn the
    new epoch boundary into a transaction-inconsistent recovery target. *)
 let advance_epoch t =
-  match t.incll with
-  | None -> misuse (Incll_only "Tm.advance_epoch")
-  | Some i -> Incll.advance_quiescent ~span:(hot_span t "epoch-advance") i
+  match t.protocol with
+  | Wal _ -> misuse (Incll_only "Tm.advance_epoch")
+  | Incll { incll; _ } ->
+      Incll.advance_quiescent ~span:(hot_span t "epoch-advance") incll
 
 let current_epoch t =
-  match t.incll with None -> None | Some i -> Some (Incll.epoch i)
+  match t.protocol with
+  | Wal _ -> None
+  | Incll { incll; _ } -> Some (Incll.epoch incll)
 
 (* Allocate transactionally-managed storage for one word.  WAL configs
    hand out a bare word; InCLL hands out a full cell line (data + in-line
    undo + epoch tag) through the durable directory.  Workloads that want
    to run unchanged across every configuration allocate through this. *)
 let alloc_cell t =
-  match t.incll with
-  | Some i -> Incll.alloc_cell i
-  | None -> Alloc.alloc t.alloc 8
+  match t.protocol with
+  | Wal w -> Alloc.alloc w.alloc 8
+  | Incll { incll; _ } -> Incll.alloc_cell incll
 
 (* A settled no-force transaction retires once its END record lies below
    the horizon [h], so no record of it survives for redo to replay: its
    table entry goes, and its deferred de-allocations run, in END order. *)
-let retire t p h =
+let retire w p h =
   Txn_table.fold p.table
     (fun e acc ->
       if e.status = Txn_table.Finished && e.end_lsn < h then e :: acc
@@ -598,7 +640,7 @@ let retire t p h =
   |> List.sort (fun a b -> compare a.Txn_table.end_lsn b.Txn_table.end_lsn)
   |> List.iter (fun (e : Txn_table.entry) ->
          Txn_table.remove p.table e.id;
-         free_deletes t e)
+         free_deletes w e)
 
 (* Only storing the horizon needs the world stopped: once H is durable,
    recovery reads nothing below it, and every later record takes an LSN
@@ -611,22 +653,22 @@ let retire t p h =
    allocations still come after all of the clearing's frees; the
    unlinked buckets are freed last, with no latch held. *)
 let checkpoint t =
-  match t.incll with
-  | Some i ->
+  match t.protocol with
+  | Incll { incll; _ } ->
       (* best effort: under load the advance waits for a quiescent
          checkpoint — deferring durability is safe, splitting a
          transaction across epochs is not *)
-      Incll.advance_if_quiescent ~span:(hot_span t "epoch-advance") i
-  | None ->
+      Incll.advance_if_quiescent ~span:(hot_span t "epoch-advance") incll
+  | Wal w ->
   hot_span t "checkpoint" @@ fun () ->
   (* Section 4.6: the horizon, stored once the pending groups and the
      cache are durable, takes the place of the CHECKPOINT record. *)
   let h =
-    with_all_latches t 0 (fun () ->
+    with_all_latches w (fun () ->
         hot_span t "cp-persist" (fun () ->
-            persist_all t;
-            let h = horizon t in
-            set_horizon t h;
+            persist_all w;
+            let h = horizon w in
+            set_horizon w h;
             h))
   in
   let dead =
@@ -637,10 +679,10 @@ let checkpoint t =
               hot_span t "cp-unlink" (fun () -> Log.unlink_below p.log h)
             in
             hot_span t "cp-clear" (fun () ->
-                clear_below t p h ~intact:(fun _ -> true);
-                retire t p h);
+                clear_below w p h ~intact:(fun _ -> true);
+                retire w p h);
             dead))
-      t.parts
+      w.parts
   in
   (* Compact any partition that clearing left mostly gaps
      (long-running transactions spanning otherwise-empty buckets). *)
@@ -649,23 +691,52 @@ let checkpoint t =
       Sim_mutex.with_lock p.latch (fun () ->
           hot_span t "cp-compact" (fun () ->
               Log.compact ~threshold:0.25 p.log)))
-    t.parts;
+    w.parts;
   hot_span t "cp-reclaim" (fun () ->
-      Array.iteri (fun i p -> Log.reclaim p.log dead.(i)) t.parts)
+      Array.iteri (fun i p -> Log.reclaim p.log dead.(i)) w.parts)
 
 (* -- restart (Section 4.5) ------------------------------------------------ *)
 
-(* Reattach after a crash: check the stored fingerprint, then
-   {!Recovery.attach}.  Every phase is profiled; see
-   {!last_recovery_profile}. *)
+(* Reattach after a crash: check the stored fingerprint, then recover.  A
+   WAL manager reattaches its logs and runs {!Recovery.attach}; InCLL
+   reopens its cell directory and rewinds in one epoch scan, with no
+   analysis, redo or undo — the in-line tags are its whole transaction
+   table.  Every phase is profiled; see {!last_recovery_profile}. *)
 let attach ?(cfg = default_config) alloc ~root_slot =
   check_cfg cfg ~root_slot;
   let arena = Alloc.arena alloc in
   let prof = Probe.create () in
+  let span name f = Probe.span prof (Arena.stats arena) name f in
   (* its own phase, so that the phases add up to the attach *)
-  Probe.span prof (Arena.stats arena) "config-check" (fun () ->
-      validate_stored_config arena cfg ~root_slot);
-  Recovery.attach prof cfg alloc ~root_slot
+  span "config-check" (fun () -> validate_stored_config arena cfg ~root_slot);
+  let ids = make_ids cfg.partitions in
+  let protocol, report =
+    if cfg.incll then begin
+      let incll =
+        span "dir-attach" (fun () ->
+            Incll.attach alloc ~root_slot:(root_slot + 1))
+      in
+      Pmcheck.recovery_begin arena;
+      let scanned, rewound =
+        span "epoch-scan" (fun () -> Incll.recover incll)
+      in
+      Pmcheck.recovery_end arena;
+      ( Incll { incll; cfg },
+        {
+          records_scanned = 0;
+          torn_truncated = 0;
+          redo_applied = 0;
+          txns_finished = 0;
+          txns_undone = 0;
+          cells_scanned = scanned;
+          cells_rewound = rewound;
+        } )
+    end
+    else
+      let w, report = Recovery.attach prof cfg alloc ~root_slot ~ids in
+      (Wal w, report)
+  in
+  make ~recovery:(report, prof) arena ids protocol
 
 (* -- convenience --------------------------------------------------------- *)
 

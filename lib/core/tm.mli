@@ -20,11 +20,12 @@
     word, an inline pair or a full record); under two, every user record
     is full, because the AAVLT indexes it by address.
 
-    In-cache-line logging ([config.incll]) is not a WAL configuration:
-    every operation with an InCLL meaning delegates to {!Incll}, which
-    owns that protocol's transaction layer, and the WAL-only operations
-    ({!log}, {!log_delete}, {!prepare}) raise
-    {!Error} [Wal_only] under it.
+    In-cache-line logging ([config.incll]) is not a WAL configuration: a
+    manager is either the WAL manager or InCLL's epoch protocol, held
+    beside it.  Every operation with an InCLL meaning runs InCLL's
+    transaction layer; the WAL-only operations ({!log}, {!log_delete},
+    {!prepare}) raise {!Error} [Wal_only] under it, and the WAL-shaped
+    accessors answer as for one partition with an empty log.
 
     {2 Partitioned logging}
 
@@ -40,8 +41,8 @@
     ({!attach}, its only entry point) merges the partitions, reading the
     log once.  Each partition's structural attach and analysis decode run
     on their own recovery fiber ({!Rewind_nvm.Sim_threads.fork_join}),
-    joined before a k-way merge by LSN builds one stream in global LSN
-    order; redo replays that stream, undo walks it backwards (two-layer:
+    joined before one sort by LSN merges them into one stream in global
+    LSN order; redo replays that stream, undo walks it backwards (two-layer:
     each loser's back-chain within its home partition) reading only
     losers' records.
 
@@ -155,9 +156,10 @@ val log : t -> Log.t
     log. *)
 
 val logs : t -> Log.t array
-(** All partitions' logs, indexed by partition id. *)
+(** All partitions' logs, indexed by partition id.  Empty under InCLL. *)
 
 val partitions : t -> int
+(** The log partitions: [config.partitions], and 1 under InCLL. *)
 
 val home_partition : t -> txn -> int
 (** The partition a transaction's records land in: a pure function of
@@ -165,13 +167,14 @@ val home_partition : t -> txn -> int
     map.  Ids are allocated per partition ([id = 1 + seq*partitions +
     home]), which is what lets {!begin_txn}'s caller pick the home while
     keeping this a pure function — with no caller pinning, the
-    round-robin assignment makes ids come out exactly sequential. *)
+    round-robin assignment makes ids come out exactly sequential.  0
+    under InCLL. *)
 
 val merged_log_records : t -> int list
 (** The union of every partition's live records merged into global LSN
     order: the refs of the stream recovery's analysis decodes, and redo
     and undo replay.  Introspection for tests (the merged-redo-order
-    property). *)
+    property).  Empty under InCLL. *)
 
 (** {1 Transactions} *)
 
@@ -243,7 +246,8 @@ val resolve_in_doubt : t -> txn -> commit:bool -> unit
     redo-able), [commit:false] rolls it back with CLRs.  Idempotent
     across crashes mid-resolution — re-attach finds the transaction in
     doubt again and the decision can be re-applied.  Raises
-    {!Error} [Not_in_doubt] if the transaction is not in doubt. *)
+    {!Error} [Not_in_doubt] if the transaction is not in doubt (under
+    InCLL, always). *)
 
 (** {1 Partial rollback}
 

@@ -1,8 +1,9 @@
-(* The transaction manager's state, and the log steps that {!Tm}'s
-   transactions and {!Recovery} both take: the configuration, the log
-   partitions with their tables, forming and appending records,
-   WAL-ordered user stores, Algorithm 2's undo step and the durable LSN
-   horizon.
+(* The WAL manager's state, and the log steps that {!Tm}'s transactions
+   and {!Recovery} both take: the configuration, the log partitions with
+   their tables, forming and appending records, WAL-ordered user stores,
+   Algorithm 2's undo step and the durable LSN horizon.  In-cache-line
+   logging keeps none of it: {!Tm} holds that protocol beside this state,
+   not inside it.
 
    Partitioned logging (Section 4.7 / Section 5's multithreaded results):
    the log can be sharded into [partitions] independent partitions, each a
@@ -58,6 +59,24 @@ type recovery_report = {
   cells_rewound : int;    (* InCLL: cells rewound to their in-line undo *)
 }
 
+(* Transaction-id counters, which {!Tm} keeps for either protocol and
+   WAL recovery reseeds: partition [p]'s next id is [first_txn + seq *
+   partitions + p], so the home partition stays a pure function of the
+   id even when the caller pins a transaction explicitly ([begin_txn
+   ?home]). *)
+type ids = {
+  next_seq : int Sim_atomic.t array;  (* per-partition sequence numbers *)
+  next_home : int Sim_atomic.t;
+      (* round-robin cursor assigning homes to transactions whose caller
+         did not pin one *)
+}
+
+let make_ids n =
+  {
+    next_seq = Array.init n (fun _ -> Sim_atomic.make 0);
+    next_home = Sim_atomic.make 0;
+  }
+
 (* One log partition: a complete recoverable log plus the per-partition
    transactional state that used to be process-global.  Everything a
    transaction's fast path touches lives here, guarded by this
@@ -82,25 +101,10 @@ type t = {
   cfg : config;
   alloc : Alloc.t;
   arena : Arena.t;
-  parts : part array; (* empty under incll *)
-  incll : Incll.t option;
-  next_seq : int Sim_atomic.t array;
-      (* per-partition transaction sequence counters: partition [p]'s
-         next id is [first_txn + seq * partitions + p], so the home
-         partition stays a pure function of the id even when the caller
-         pins a transaction explicitly ([begin_txn ?home]) *)
-  next_home : int Sim_atomic.t;
-      (* round-robin cursor assigning homes to transactions whose caller
-         did not pin one *)
+  parts : part array;
   next_lsn : int Sim_atomic.t;  (* one global counter: LSNs order records
                                across all partitions *)
   horizon_slot : int;  (* root slot of the durable LSN horizon *)
-  mutable commits : int;
-  mutable rollbacks : int;
-  mutable last_recovery : recovery_report option;
-  mutable last_recovery_profile : Probe.t option;
-  mutable probe : Probe.t option;
-      (* when set, the commit/checkpoint hot paths charge spans to it *)
 }
 
 (* Reserved txn id 0 belongs to the AAVLT's internal logging. *)
@@ -110,11 +114,10 @@ let first_txn = 1
    configuration fingerprint (written once at [create]); partition [p]
    then anchors its log at [root_slot + 1 + 2*pid] and its AAVLT root at
    [root_slot + 2 + 2*pid]; the LSN horizon follows the last partition's
-   slots.  InCLL uses the partition-0 pair for its epoch counter and
-   cell directory, and keeps no horizon.  [attach] validates the
-   fingerprint before touching any log slot — re-attaching with, say, a
-   different partition count used to silently misassign home partitions
-   and read other partitions' anchors as its own. *)
+   slots.  [attach] validates the fingerprint before touching any log
+   slot — re-attaching with, say, a different partition count used to
+   silently misassign home partitions and read other partitions' anchors
+   as its own. *)
 let part_log_slot ~root_slot pid = root_slot + 1 + (2 * pid)
 let part_index_slot ~root_slot pid = root_slot + 2 + (2 * pid)
 
@@ -131,29 +134,15 @@ let make_part pid log index =
     deferred = [];
   }
 
-let make_t ?incll cfg alloc ~root_slot parts =
+let make_t cfg alloc ~root_slot parts =
   {
     cfg;
     alloc;
     arena = Alloc.arena alloc;
     parts;
-    incll;
-    next_seq = Array.init (max 1 (Array.length parts)) (fun _ -> Sim_atomic.make 0);
-    next_home = Sim_atomic.make 0;
     next_lsn = Sim_atomic.make 1;
     horizon_slot = horizon_slot cfg ~root_slot;
-    commits = 0;
-    rollbacks = 0;
-    last_recovery = None;
-    last_recovery_profile = None;
-    probe = None;
   }
-
-(* Under incll the two slots a partition-0 log/index would use anchor
-   the epoch counter and the cell directory instead. *)
-let incll_region f ~root_slot =
-  f ~epoch_slot:(part_log_slot ~root_slot 0)
-    ~dir_slot:(part_index_slot ~root_slot 0)
 
 (* The next LSN, taken by the transaction of entry [e]; its first is
    recorded as [e]'s first LSN in the same scheduler step (nothing here

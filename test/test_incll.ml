@@ -201,9 +201,23 @@ let test_guards () =
   expect_misuse "no log to expose" ~is:wal_only (fun () -> Tm.log tm);
   expect_misuse "no delete records" ~is:wal_only (fun () ->
       Tm.log_delete tm 1 ~addr:0 ~size:8);
+  (* the WAL-shaped accessors answer as for one empty partition *)
+  check_int "one partition" 1 (Tm.partitions tm);
+  check_int "no logs" 0 (Array.length (Tm.logs tm));
+  check_int "no latch waits" 0 (Array.length (Tm.latch_wait_ns tm));
+  check_int "no latch holds" 0 (Array.length (Tm.latch_hold_ns tm));
+  check_bool "nothing in doubt" true (Tm.in_doubt tm = []);
+  check_bool "no log records" true (Tm.merged_log_records tm = []);
+  check_int "every transaction homes at 0" 0 (Tm.home_partition tm 1);
+  expect_misuse "nothing to resolve" ~is:(( = ) (Tm.Not_in_doubt 1))
+    (fun () -> Tm.resolve_in_doubt tm 1 ~commit:true);
+  expect_misuse "home past the one partition"
+    ~is:(( = ) (Tm.Home_out_of_range { home = 1; partitions = 1 }))
+    (fun () -> Tm.begin_txn ~home:1 tm);
   let cell = Tm.alloc_cell tm in
   let raw = Alloc.alloc alloc 8 in
   let txn = Tm.begin_txn tm in
+  check_int "first id" 1 txn;
   expect_misuse "unregistered address"
     ~is:(( = ) (Tm.Unregistered_cell raw))
     (fun () -> Tm.write tm txn ~addr:raw ~value:1L);
@@ -223,6 +237,12 @@ let test_guards () =
   Tm.checkpoint tm;
   check_int "quiescent checkpoint advances" 2
     (Option.get (Tm.current_epoch tm));
+  let t2 = Tm.begin_txn tm in
+  let t3 = Tm.begin_txn tm in
+  check_int "second id" 2 t2;
+  check_int "third id" 3 t3;
+  Tm.commit tm t2;
+  Tm.commit tm t3;
   (* and the guard the other way round: WAL managers have no epochs *)
   let _, _, wal = fresh () in
   expect_misuse "advance_epoch on a WAL config"

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Source lint: keep the simulation's instrumentation boundary tight.
 #
-# Seven rules, all enforced by grep so they run anywhere dune does:
+# Eight rules, all enforced by grep so they run anywhere dune does:
 #
 #   1. No Domain, Thread or raw Stdlib.Mutex anywhere, lib/nvm
 #      included, and no raw Stdlib.Atomic outside lib/nvm.  The simulator
@@ -53,6 +53,12 @@
 #      entry of the home partition's Txn_table, so "which transactions
 #      are open" has one answer; a side table keyed by transaction id
 #      would bring back a second one.
+#
+#   8. Within lib/core, the Incll module is named only in
+#      lib/core/incll.ml, lib/core/incll.mli and lib/core/tm.ml.  InCLL
+#      is an epoch protocol with no log: Tm holds it beside the WAL
+#      manager, as the other arm of its one dispatch, so Tm_state and
+#      Recovery describe the WAL alone and need no InCLL case.
 #
 # Allowlist: one file per line, repo-relative.  Seeded with the current
 # legitimate sites; add to it deliberately, with a comment here saying
@@ -204,6 +210,13 @@ table_hits=$(
     true
 )
 report "Hashtbl in lib/core/tm.ml or lib/core/tm_state.ml (keep per-transaction state in the partition's Txn_table entry)" "$table_hits"
+
+# --- rule 8: InCLL beside the WAL manager, not inside it -------------
+incll_hits=$(
+    grep -rn --include='*.ml' --include='*.mli' -e '\bIncll\b' lib/core |
+    grep -v '^lib/core/incll\.mli\?:\|^lib/core/tm\.ml:' || true
+)
+report "the Incll module named in lib/core outside incll.ml(i) and tm.ml (InCLL sits beside the WAL manager: Tm_state and Recovery describe the WAL alone)" "$incll_hits"
 
 if [ "$fail" -ne 0 ]; then
     echo "lint: failed" >&2
