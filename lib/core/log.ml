@@ -24,8 +24,8 @@
    Every forward scan of a bucket — iteration, clearing, freeing,
    occupancy counts, compaction and [attach]'s truncating pass — is one
    walk, [walk_slots], over the buckets [iter_buckets] hands it; only
-   [iter_back] walks backwards.  [remove_end_last] is the one two-pass
-   clearing that leaves END records for last.
+   [iter_back_handles] walks backwards.  [remove_end_last] is the one
+   two-pass clearing that leaves END records for last.
 
    Bucket memory follows each variant's trust rule (Section 4.3: never
    hand out space recovery could still need).  A Batch bucket trusts
@@ -532,49 +532,57 @@ let iter t f =
               end;
               1))
 
-let iter_back t f =
-  match t.variant with
-  | Simple ->
-      Adll.iter_back t.chain (fun n ->
-          charge_miss t;
-          f (Adll.element t.chain n))
-  | Optimized | Batch _ ->
-      Adll.iter_back t.chain (fun n ->
-          let b = Adll.element t.chain n in
-          let bound = bucket_bound t b in
-          let i = ref (bound - 1) in
-          while !i >= 0 do
-            charge_seq t;
-            let off = slot_off b !i in
-            let v = rd t off in
-            let off1 = slot_off b (!i - 1) in
-            if Record.end_word_valid v then begin
-              f (Record.inline_ref ~width:1 off);
-              decr i
-            end
-            else if
-              Record.is_inline_second_word v
-              && !i > 0
-              && compact_width t ~off:off1 ~i:(!i - 1) ~bound (rd t off1) = 2
-            then begin
-              f (Record.inline_ref ~width:2 off1);
-              i := !i - 2
-            end
-            else begin
-              if live_record t v then begin
-                charge_miss t;
-                f v
-              end;
-              decr i
-            end
-          done)
-
 exception Stop
 
-(* Backward scan with early exit, used by rollback of a single
-   transaction: stops once [f] returns [false]. *)
-let iter_back_while t f =
-  try iter_back t (fun r -> if not (f r) then raise Stop) with Stop -> ()
+(* The one backward walk: [f h r] for every live record [r], newest first,
+   with [h] its handle, until [f] returns [false].  Rollback and
+   force-policy clearing of one transaction use it to stop at that
+   transaction's first record. *)
+let iter_back_handles t f =
+  let visit h r = if not (f h r) then raise Stop in
+  try
+    match t.variant with
+    | Simple ->
+        Adll.iter_back t.chain (fun n ->
+            charge_miss t;
+            visit (Node n) (Adll.element t.chain n))
+    | Optimized | Batch _ ->
+        Adll.iter_back t.chain (fun node ->
+            let b = Adll.element t.chain node in
+            let bound = bucket_bound t b in
+            let slot i = Slot { node; bucket = b; slot = i } in
+            let i = ref (bound - 1) in
+            while !i >= 0 do
+              charge_seq t;
+              let off = slot_off b !i in
+              let v = rd t off in
+              let off1 = slot_off b (!i - 1) in
+              if Record.end_word_valid v then begin
+                visit (slot !i) (Record.inline_ref ~width:1 off);
+                decr i
+              end
+              else if
+                Record.is_inline_second_word v
+                && !i > 0
+                && compact_width t ~off:off1 ~i:(!i - 1) ~bound (rd t off1) = 2
+              then begin
+                visit (slot (!i - 1)) (Record.inline_ref ~width:2 off1);
+                i := !i - 2
+              end
+              else begin
+                if live_record t v then begin
+                  charge_miss t;
+                  visit (slot !i) v
+                end;
+                decr i
+              end
+            done)
+  with Stop -> ()
+
+let iter_back t f =
+  iter_back_handles t (fun _ r ->
+      f r;
+      true)
 
 let length t =
   let n = ref 0 in
@@ -647,15 +655,18 @@ let remove_end_last t pred =
   remove_where t (fun r -> pred r && Record.typ t.arena r <> Record.End);
   remove_where t (fun r -> pred r && Record.typ t.arena r = Record.End)
 
-(* O(1) removal through a handle returned by [put].  The tombstone is
-   one atomic word store, exactly like scan-based clearing. *)
-let remove_handle t h =
+(* Tombstone the record at handle [h] with one atomic word store per
+   slot, a pair's first word first, and free a full record's memory —
+   exactly the stores of scan-based clearing.  Returns the cell of the
+   bucket a record left, its count already lowered. *)
+let take_handle t h =
   match h with
   | Node n ->
       let r = Adll.element t.chain n in
       Adll.remove t.chain n;
-      Record.free t.alloc r
-  | Slot { node; bucket; slot } ->
+      Record.free t.alloc r;
+      None
+  | Slot { bucket; slot; _ } -> (
       let off = slot_off bucket slot in
       let v = rd t off in
       let removed =
@@ -671,13 +682,30 @@ let remove_handle t h =
         end
         else false
       in
-      if removed then
-        match Hashtbl.find_opt t.cells bucket with
-        | Some c ->
-            c.live <- c.live - 1;
-            if c.live = 0 && bucket <> t.cur.bucket then
-              free_bucket t bucket node
-        | None -> ()
+      match if removed then Hashtbl.find_opt t.cells bucket else None with
+      | Some c ->
+          c.live <- c.live - 1;
+          Some c
+      | None -> None)
+
+let idle t (c : cell) = c.live = 0 && c.bucket <> t.cur.bucket
+
+(* O(1) removal through a handle returned by [put]; the bucket goes as
+   soon as it empties. *)
+let remove_handle t h =
+  match take_handle t h with
+  | Some c when idle t c -> free_bucket t c.bucket c.node
+  | Some _ | None -> ()
+
+(* One [remove_where] pass over just the records at [hs]: tombstone them
+   in the given order, then free every empty bucket other than the
+   current one, newest first, as the pass's scan would — those just
+   emptied, and any that emptied while it was the current one. *)
+let remove_handles t hs =
+  List.iter (fun h -> ignore (take_handle t h)) hs;
+  Hashtbl.fold (fun _ c acc -> if idle t c then c :: acc else acc) t.cells []
+  |> List.sort (fun (a : cell) b -> compare b.seq a.seq)
+  |> List.iter (fun c -> free_bucket t c.bucket c.node)
 
 (* Free the full records among the first [bound] slots of [b], then [b]
    itself — volatile free-list operations only.  Compact records live in
@@ -820,15 +848,13 @@ let buckets t =
 
 (* -- volatile-cache invariant check (tests) ----------------------------- *)
 
-(* Recount every bucket's live records from the durable layout and compare
-   with the volatile cells and the current [cur].  Returns the
-   mismatches; the regression tests assert it is empty after any
-   interleaving of appends, clears, checkpoints and compactions. *)
-let check_occupancy t =
+(* [f b cached actual] for every bucket [b], with its volatile live count
+   ([min_int] when it has no cell) and a recount from the durable
+   layout. *)
+let recount t f =
   match t.variant with
-  | Simple -> []
+  | Simple -> ()
   | Optimized | Batch _ ->
-      let bad = ref [] in
       iter_buckets t (fun _ b bound ->
           let actual = ref 0 in
           walk_slots t b ~bound
@@ -841,11 +867,27 @@ let check_occupancy t =
             | Some c -> c.live
             | None -> min_int
           in
-          if cached <> !actual then
-            bad := (b, cached, !actual) :: !bad;
-          if b = t.cur.bucket && cached <> t.cur.live then
-            bad := (b, t.cur.live, !actual) :: !bad);
-      !bad
+          f b cached !actual)
+
+(* Recount every bucket's live records from the durable layout and compare
+   with the volatile cells and the current [cur].  Returns the
+   mismatches; the regression tests assert it is empty after any
+   interleaving of appends, clears, checkpoints and compactions. *)
+let check_occupancy t =
+  let bad = ref [] in
+  recount t (fun b cached actual ->
+      if cached <> actual then bad := (b, cached, actual) :: !bad;
+      if b = t.cur.bucket && cached <> t.cur.live then
+        bad := (b, t.cur.live, actual) :: !bad);
+  !bad
+
+(* The buckets other than the current one that hold no live record, in
+   chain order (tests). *)
+let idle_buckets t =
+  let idle = ref [] in
+  recount t (fun b _ actual ->
+      if actual = 0 && b <> t.cur.bucket then idle := b :: !idle);
+  List.rev !idle
 
 (* -- post-crash attachment --------------------------------------------- *)
 

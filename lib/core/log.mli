@@ -149,11 +149,14 @@ val appended : t -> int
     records are not visited. *)
 
 val iter : t -> (int -> unit) -> unit
-val iter_back : t -> (int -> unit) -> unit
 
-val iter_back_while : t -> (int -> bool) -> unit
-(** Backward scan with early exit: stops when the callback returns
-    [false]. *)
+val iter_back_handles : t -> (handle -> int -> bool) -> unit
+(** The backward scan: [f h r] for each record [r], newest first, with
+    [h] its handle, until [f] returns [false].  Rolling back or clearing
+    one transaction stops it at that transaction's first record. *)
+
+val iter_back : t -> (int -> unit) -> unit
+(** {!iter_back_handles} over every record. *)
 
 val length : t -> int
 val records : t -> int list
@@ -171,9 +174,17 @@ val remove_where : t -> (int -> bool) -> unit
 val remove_end_last : t -> (int -> bool) -> unit
 (** {!remove_where} in two passes: the matching records other than END
     records, then the matching END records, so that a clearing a crash
-    interrupts is re-attempted identically (Section 4.6).  Clears one
-    force-policy transaction, and the AAVLT's internal records after a
-    crash. *)
+    interrupts is re-attempted identically (Section 4.6).  Clears the
+    AAVLT's internal records after a crash. *)
+
+val remove_handles : t -> handle list -> unit
+(** One {!remove_where} pass restricted to the records at the given
+    handles, with the same stores in the same order when the handles come
+    in log order: tombstone (and free) each, then free every empty bucket
+    other than the current one, newest first — including one that
+    emptied while it was the current one.  Reads no other slot.  A
+    one-layer force-policy commit clears its transaction with two calls,
+    END last, as {!remove_end_last} would. *)
 
 val unlink_below : t -> int -> int list
 (** [unlink_below t h] unlinks every bucket other than the current one
@@ -210,6 +221,12 @@ val check_occupancy : t -> (int * int * int) list
     bucket's cell) against a recount from the durable layout.
     Returns [(bucket, cached, actual)] mismatches — empty when the cache
     is coherent.  Test helper; O(log size). *)
+
+val idle_buckets : t -> int list
+(** The buckets other than the current one that hold no live record,
+    recounted from the durable layout, in chain order.  A
+    {!remove_where} or {!remove_handles} pass frees them all.  Test
+    helper; O(log size). *)
 
 (** {1 Chaos (tests only)} *)
 

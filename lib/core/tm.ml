@@ -202,7 +202,8 @@ type t = {
   mutable commits : int;
   mutable rollbacks : int;
   mutable probe : Probe.t option;
-      (* when set, the commit/checkpoint hot paths charge spans to it *)
+      (* when set, the commit/rollback/checkpoint hot paths charge spans
+         to it *)
   recovery : (recovery_report * Probe.t) option;
       (* what [attach]'s recovery did, and its per-phase profile *)
 }
@@ -419,12 +420,39 @@ let log_delete t txn_id ~addr ~size =
 let free_deletes w (e : Txn_table.entry) =
   List.iter (fun (_, addr, size) -> Alloc.free w.alloc addr size) e.deletes
 
+(* One layer: [f h r lsn] over the records of [e]'s transaction in [p]'s
+   log, newest first, while [f] returns [true], ending at its first
+   record — the one whose LSN is [e]'s first LSN — so nothing older is
+   read.  Sound because a transaction's records all sit in its home
+   partition in program order, and neither a checkpoint nor compaction
+   removes or reorders an unsettled transaction's.  The stop is that
+   equality, not [lsn < first_lsn]: LSNs are taken outside the latch, so
+   another transaction's lower LSN can land after the first record.  A
+   transaction that has logged nothing has no record to walk to. *)
+let iter_own w p (e : Txn_table.entry) f =
+  if e.first_lsn > 0 then
+    Log.iter_back_handles p.log (fun h r ->
+        record_txn w r <> e.id
+        ||
+        let lsn = Record.lsn w.arena r in
+        f h r lsn && lsn <> e.first_lsn)
+
 (* Force-policy clearing of one settled transaction, END record last.
-   Two-layer: walk its back-chain and delete each record's tree node,
-   oldest first — the END record is the newest. *)
+   One layer: collect its records back to the first, then tombstone them
+   in log order with the END apart, each group followed by the bucket
+   freeing a whole-log pass would do.  Two layers: walk its back-chain
+   and delete each record's tree node, oldest first — the END record is
+   the newest. *)
 let clear_txn w p (e : Txn_table.entry) =
   match p.index with
-  | None -> Log.remove_end_last p.log (fun r -> record_txn w r = e.id)
+  | None ->
+      let others = ref [] and ends = ref [] in
+      iter_own w p e (fun h r _ ->
+          let group = if record_typ w r = Record.End then ends else others in
+          group := h :: !group;
+          true);
+      Log.remove_handles p.log !others;
+      Log.remove_handles p.log !ends
   | Some idx ->
       let oldest_first = ref [] in
       iter_chain w e.last_record (fun r ->
@@ -473,28 +501,28 @@ let commit ?(clear = true) t txn_id =
 
 (* Undo the records of [e]'s transaction in [p] newest first, under
    Algorithm 2's bound: all of them, or with [sp] those at or above the
-   savepoint, stopping at the first below it.  One layer scans [p]'s log
-   backwards, skipping other transactions' records (the "skip records"
-   of Section 5.1) — every record of the transaction lives there.  Two
-   layers walk its back-chain and retrieve records through the AAVLT
-   (Section 4.4): a full rollback looks up every record, a partial one
-   each it undoes.  With [sp] each record's LSN is read up front;
-   without, only an UPDATE's, when [undo_step] needs it. *)
+   savepoint, stopping at the first below it.  One layer walks [p]'s log
+   backwards from its newest record to the transaction's first
+   ({!iter_own}), skipping the other transactions' records in between
+   (the "skip records" of Section 5.1), so its cost is the transaction's
+   own stretch of the log, whatever lies before it.  Two layers walk its
+   back-chain and retrieve records through the AAVLT (Section 4.4): a
+   full rollback looks up every record, a partial one each it undoes.
+   With [sp], or under one layer, each record's LSN is read up front;
+   otherwise only an UPDATE's, when [undo_step] needs it. *)
 let undo_back ?sp w p (e : Txn_table.entry) ~durably =
   let bound = ref max_int in
   let find lsn =
     Option.iter (fun idx -> ignore (Avl_index.find idx lsn)) p.index
   in
-  let step r =
+  let step r lsn =
     match sp with
     | None ->
         if Option.is_some p.index then find (Record.lsn w.arena r);
-        undo_step w p e ~durably ~bound ~typ:(record_typ w r)
-          ~lsn:(lazy (Record.lsn w.arena r))
-          r;
+        undo_step w p e ~durably ~bound ~typ:(record_typ w r) ~lsn r;
         true
     | Some sp ->
-        let lsn = Record.lsn w.arena r in
+        let lsn = Lazy.force lsn in
         lsn >= sp
         && begin
              undo_step w p e ~durably ~bound
@@ -504,9 +532,10 @@ let undo_back ?sp w p (e : Txn_table.entry) ~durably =
            end
   in
   match p.index with
-  | None ->
-      Log.iter_back_while p.log (fun r -> record_txn w r <> e.id || step r)
-  | Some _ -> iter_chain w e.last_record step
+  | None -> iter_own w p e (fun _ r lsn -> step r (Lazy.from_val lsn))
+  | Some _ ->
+      iter_chain w e.last_record (fun r ->
+          step r (lazy (Record.lsn w.arena r)))
 
 (* -- partial rollback (savepoints) ---------------------------------------
 
@@ -529,6 +558,7 @@ let savepoint t txn_id =
       Sim_atomic.get w.next_lsn
 
 let rollback_to t txn_id (sp : savepoint) =
+  hot_span t "rollback-to" @@ fun () ->
   match t.protocol with
   | Incll { incll; _ } ->
       incll_op (fun () -> Incll.rollback_to incll txn_id sp)
@@ -543,6 +573,7 @@ let rollback_to t txn_id (sp : savepoint) =
           e.deletes <- List.filter (fun (lsn, _, _) -> lsn < sp) e.deletes)
 
 let rollback t txn_id =
+  hot_span t "rollback" @@ fun () ->
   match t.protocol with
   | Incll { incll; _ } ->
       incll_op (fun () -> Incll.rollback incll txn_id);

@@ -51,7 +51,7 @@
     transaction): every record below H, in any partition, is settled and
     durable, analysis skips it, and removing it needs no order.  Only
     force-policy clearing of a single transaction keeps one (END last,
-    {!Log.remove_end_last}). *)
+    {!Log.remove_handles}). *)
 
 type policy = Force | No_force
 type layers = One_layer | Two_layer
@@ -202,13 +202,16 @@ val commit : ?clear:bool -> t -> txn -> unit
 (** Commit.  Under force policy this persists all pending stores, logs
     END, and clears the transaction's records ([clear:false] suppresses
     the clearing — used by experiments that model a crash between END and
-    clearing).  Under no-force it logs END; clearing waits for
-    {!checkpoint}. *)
+    clearing); one layer finds them with a backward scan from END to the
+    transaction's first record.  Under no-force it logs END; clearing
+    waits for {!checkpoint}. *)
 
 val rollback : t -> txn -> unit
-(** Undo the transaction with CLRs (one-layer: a full backward scan
-    skipping other transactions' records; two-layer: the record chain via
-    the index), then log END. *)
+(** Undo the transaction with CLRs, then log END.  One layer scans the
+    home partition's log backwards from its newest record to the
+    transaction's first, skipping the other transactions' records in
+    between, so the cost does not grow with the log before the
+    transaction; two layers follow the record chain via the index. *)
 
 val atomically : ?home:int -> t -> (txn -> 'a) -> 'a
 (** The paper's [persistent_atomic] block: begin; commit on success, roll
@@ -259,7 +262,11 @@ val resolve_in_doubt : t -> txn -> commit:bool -> unit
 type savepoint
 
 val savepoint : t -> txn -> savepoint
+
 val rollback_to : t -> txn -> savepoint -> unit
+(** Undo the transaction's updates made after the savepoint with CLRs;
+    the transaction stays open.  One layer's backward scan stops at the
+    first of its records below the savepoint, or at its first record. *)
 
 val checkpoint : t -> unit
 (** The "cache-consistent" checkpoint of Section 4.6: persist pending log
@@ -353,8 +360,8 @@ val last_recovery_profile : t -> Rewind_nvm.Probe.t option
     across a crash without double-counting earlier cycles. *)
 
 val set_probe : t -> Rewind_nvm.Probe.t option -> unit
-(** Attach a probe to the runtime hot paths: [commit], [checkpoint] and
-    the checkpoint sub-phases [cp-persist] (every latch held),
+(** Attach a probe to the runtime hot paths: [commit], [rollback],
+    [rollback-to], [checkpoint] and the checkpoint sub-phases [cp-persist] (every latch held),
     [cp-unlink] / [cp-clear] / [cp-compact] (one partition's latch held)
     and [cp-reclaim] (no latch held) charge spans to it.  [None] (the
     default) disables hot-path profiling; recovery profiling is always

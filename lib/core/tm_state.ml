@@ -20,7 +20,7 @@
    horizon H = min(next LSN, first LSN of every unsettled transaction):
    every record below H is settled and durable, analysis skips it, and
    removing it needs no order.  Only force-policy clearing of a single
-   transaction keeps one (END last, {!Log.remove_end_last}). *)
+   transaction keeps one (END last, {!Log.remove_handles}). *)
 
 open Rewind_nvm
 

@@ -285,10 +285,24 @@ let test_hot_path_probe () =
     Tm.write tm t ~addr:cell ~value:(Int64.of_int i);
     Tm.commit tm t
   done;
+  let t = Tm.begin_txn tm in
+  let sp = Tm.savepoint tm t in
+  Tm.write tm t ~addr:cell ~value:6L;
+  Tm.rollback_to tm t sp;
+  Tm.write tm t ~addr:cell ~value:7L;
+  Tm.rollback tm t;
   Tm.checkpoint tm;
   let commit = Option.get (Probe.find p "commit") in
   check_int "five commits spanned" 5 commit.Probe.count;
   check_bool "commit charged time" true (commit.Probe.sim_ns > 0);
+  List.iter
+    (fun name ->
+      match Probe.find p name with
+      | None -> Alcotest.failf "no %s span" name
+      | Some s ->
+          check_int (name ^ " spanned once") 1 s.Probe.count;
+          check_bool (name ^ " charged time") true (s.Probe.sim_ns > 0))
+    [ "rollback"; "rollback-to" ];
   let names = phase_names p in
   List.iter
     (fun n ->
@@ -457,7 +471,10 @@ let () =
               (test_phases_sum_to_attach (cn, cfg)))
           parallel_configs );
       ( "hot-path",
-        [ Alcotest.test_case "commit/checkpoint spans" `Quick test_hot_path_probe ] );
+        [
+          Alcotest.test_case "commit/rollback/checkpoint spans" `Quick
+            test_hot_path_probe;
+        ] );
       ( "bench",
         [ Alcotest.test_case "recovery bench rows + artifacts" `Quick test_recovery_bench ] );
     ]

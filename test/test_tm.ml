@@ -557,6 +557,132 @@ let error_cases =
     ]
 
 (* ------------------------------------------------------------------ *)
+(* One-layer rollback and force clearing read only their own stretch    *)
+(* ------------------------------------------------------------------ *)
+
+(* The loads and simulated ns of [f ()]. *)
+let cost arena f =
+  let before = Stats.snapshot (Arena.stats arena) in
+  let c = Clock.start () in
+  f ();
+  let ns = Clock.elapsed c in
+  ((Stats.diff (Arena.stats arena) before).Stats.loads, ns)
+
+(* [op tm txn sp] on a 4-write transaction whose savepoint [sp] precedes
+   its first write, after [before] committed transactions and no
+   checkpoint; its loads and simulated ns.  Every value exceeds an inline
+   pair's 16-bit images, so each write and CLR is a full record of one
+   slot, and each earlier transaction fills eight slots with its END
+   word: the transaction starts at the same offset within a cache line
+   whatever [before] is, and 1 024-slot buckets hold the whole of it and
+   its rollback. *)
+let own_stretch_cost cfg ~before op =
+  let cfg = { cfg with Tm.bucket_cap = 1024 } in
+  let arena, alloc, tm = fresh ~size_bytes:(32 lsl 20) ~cfg () in
+  let c = cells alloc in
+  let big v = Int64.of_int (0x10000 + v) in
+  for n = 1 to before do
+    let t = Tm.begin_txn tm in
+    for i = 0 to 6 do
+      Tm.write tm t ~addr:c.(i) ~value:(big ((n * 10) + i))
+    done;
+    Tm.commit tm t
+  done;
+  let t = Tm.begin_txn tm in
+  let sp = Tm.savepoint tm t in
+  for i = 0 to 3 do
+    Tm.write tm t ~addr:c.(i) ~value:(big (-i - 1))
+  done;
+  cost arena (fun () -> op tm t sp)
+
+(* Rolling back, rolling back to a savepoint before the first write and
+   committing (a force commit clears the transaction) cost the same after
+   10 committed transactions as after 2 000: each walks the log back to
+   the transaction's first record and no further. *)
+let test_cost_independent_of_log_length cfg () =
+  List.iter
+    (fun (what, op) ->
+      let short_loads, short_ns = own_stretch_cost cfg ~before:10 op in
+      let long_loads, long_ns = own_stretch_cost cfg ~before:2000 op in
+      check_int (what ^ ": loads") short_loads long_loads;
+      check_int (what ^ ": simulated ns") short_ns long_ns)
+    [
+      ("rollback", fun tm t _ -> Tm.rollback tm t);
+      ("rollback_to", fun tm t sp -> Tm.rollback_to tm t sp);
+      ("commit", fun tm t _ -> Tm.commit tm t);
+    ]
+
+(* A transaction takes its LSN before its home latch, so under fibers a
+   lower LSN of another transaction can land after a transaction's first
+   record.  Here [u]'s write forms a full record, writing its line back
+   between taking its LSN and taking the latch, while [t]'s inline pair
+   takes the next LSN and the latch first.  Rolling [t] back still undoes
+   both of its writes: the walk stops at [t]'s first record, not at the
+   first lower LSN. *)
+let test_lsn_inversion cfg () =
+  let arena, alloc, tm = fresh ~cfg () in
+  let c = cells alloc in
+  let u = Tm.begin_txn ~home:0 tm and t = Tm.begin_txn ~home:0 tm in
+  ignore
+    (Sim_threads.run ~threads:2 ~ops_per_thread:2 (fun fiber op ->
+         match (fiber, op) with
+         | 0, 0 -> Tm.write tm u ~addr:c.(9) ~value:0x123456L
+         | 0, _ -> ()
+         | _, op ->
+             Tm.write tm t ~addr:c.(op) ~value:(Int64.of_int (op + 1))));
+  let log = (Tm.logs tm).(0) in
+  let records =
+    List.map
+      (fun r -> (Record.txn arena r, Record.lsn arena r))
+      (Log.records log)
+  in
+  let t_first =
+    List.fold_left
+      (fun m (txn, lsn) -> if txn = t then min m lsn else m)
+      max_int records
+  in
+  let rec inverted seen_first = function
+    | [] -> false
+    | (txn, lsn) :: rest ->
+        (seen_first && txn = u && lsn < t_first)
+        || inverted (seen_first || (txn = t && lsn = t_first)) rest
+  in
+  check_bool "a lower LSN of u lands after t's first record" true
+    (inverted false records);
+  Tm.rollback tm t;
+  check_i64 "t's first write undone" 0L (Arena.read arena c.(0));
+  check_i64 "t's second write undone" 0L (Arena.read arena c.(1));
+  Tm.commit tm u;
+  check_i64 "u's write kept" 0x123456L (Arena.read arena c.(9));
+  check_bool "occupancy coherent" true (Log.check_occupancy log = [])
+
+(* Force clearing frees what a whole-log clearing pass would: after
+   every commit and rollback of a long run over 16-slot buckets, no
+   bucket but the current one is empty — not even one that emptied while
+   it was the current one — and every occupancy cell matches the log. *)
+let test_force_frees_idle_buckets cfg () =
+  let cfg = { cfg with Tm.bucket_cap = 16 } in
+  let _, alloc, tm = fresh ~cfg () in
+  let c = cells alloc in
+  for n = 1 to 600 do
+    let t = Tm.begin_txn tm in
+    for i = 0 to n mod 4 do
+      Tm.write tm t ~addr:c.(i) ~value:(Int64.of_int n)
+    done;
+    if n mod 7 = 0 then Tm.rollback tm t else Tm.commit tm t;
+    Array.iter
+      (fun log ->
+        Alcotest.(check (list int))
+          (Fmt.str "no idle bucket after transaction %d" n)
+          [] (Log.idle_buckets log);
+        check_bool
+          (Fmt.str "occupancy coherent after transaction %d" n)
+          true
+          (Log.check_occupancy log = []))
+      (Tm.logs tm)
+  done
+
+(* ------------------------------------------------------------------ *)
 (* The configuration list                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -628,6 +754,30 @@ let () =
         per_config "crash after checkpoint" `Quick test_crash_after_checkpoint );
       ( "checkpoint-mid-crash",
         per_config "crash mid checkpoint" `Slow test_crash_mid_checkpoint );
+      ( "own-stretch",
+        List.map
+          (fun (cn, cfg) ->
+            tc
+              ("cost independent of log length [" ^ cn ^ "]")
+              `Quick
+              (test_cost_independent_of_log_length cfg))
+          (configs
+             [
+               "1l-nfp"; "1l-fp"; "batch"; "simple"; "1l-nfp-p4"; "1l-fp-p4";
+               "batch-p4"; "simple-p4";
+             ])
+        @ List.map
+            (fun (cn, cfg) ->
+              tc ("lsn inversion [" ^ cn ^ "]") `Quick (test_lsn_inversion cfg))
+            (configs [ "1l-nfp"; "1l-fp"; "batch"; "1l-fp-p4" ])
+        @ List.map
+            (fun (cn, cfg) ->
+              tc
+                ("force frees idle buckets [" ^ cn ^ "]")
+                `Quick
+                (test_force_frees_idle_buckets cfg))
+            (("1l-fp-batch", { Rewind.config_1l_fp with variant = Log.Batch 8 })
+            :: configs [ "1l-fp"; "1l-fp-p4" ]) );
       ("delete", per_config "deferred delete" `Quick test_delete_deferred);
       ( "delete-rollback",
         per_config "rollback drops delete" `Quick test_rollback_drops_delete );
